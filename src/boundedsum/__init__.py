@@ -10,8 +10,8 @@ distribution comparison where the support is enumerable.
 """
 
 from .data import (Dataset, ElementFormat, Value, decode_value, encode_value,
-                   format_from_json, format_to_json, load_dataset,
-                   save_dataset)
+                   exact_value, format_from_json, format_to_json,
+                   load_dataset, save_dataset)
 from .dyadic import Dyadic, floor_log2_fraction
 from .floats import (FLOAT32, FLOAT64, ROUNDING_MODES, FloatFormat,
                      InvalidOperation, SimFloat, add_float, is_representable,
@@ -23,8 +23,7 @@ from .summation import (ALGORITHMS, PERMUTATION_ALGORITHM, RandomPermutation,
                         ShiftBounds, SumMethod, SumOutcome, Truncate,
                         bs_exact, bs_iterative, bs_kahan, bs_pairwise,
                         bs_split, check_multiplication, float_overflow_check,
-                        random_permutation, run_sum, shift_bounds_sum,
-                        truncate)
+                        random_permutation, run_sum, truncate)
 from .sensitivity import (KAHAN_ACCURACY_CONSTANT, METRICS, BruteForceResult,
                           PreconditionFailed, Recommendation, SensSpec,
                           SensitivityBound, UnsupportedCombination,
@@ -50,7 +49,8 @@ __all__ = [
     "__version__",
     # data
     "Dataset", "ElementFormat", "Value", "encode_value", "decode_value",
-    "format_to_json", "format_from_json", "load_dataset", "save_dataset",
+    "exact_value", "format_to_json", "format_from_json", "load_dataset",
+    "save_dataset",
     # numerics
     "Dyadic", "floor_log2_fraction",
     "FloatFormat", "SimFloat", "InvalidOperation", "FLOAT32", "FLOAT64",
@@ -62,7 +62,7 @@ __all__ = [
     # summation
     "SumMethod", "SumOutcome", "Truncate", "RandomPermutation", "ShiftBounds",
     "bs_exact", "bs_iterative", "bs_pairwise", "bs_kahan", "bs_split",
-    "run_sum", "truncate", "random_permutation", "shift_bounds_sum",
+    "run_sum", "truncate", "random_permutation",
     "check_multiplication", "float_overflow_check",
     "PERMUTATION_ALGORITHM", "ALGORITHMS",
     # sensitivity

@@ -43,14 +43,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
-from .data import Dataset, ElementFormat
+from .data import Dataset, ElementFormat, exact_value
 from .dyadic import Dyadic
 from .floats import FloatFormat, SimFloat, is_representable, round_dyadic
 from .ints import IntFormat, KInt
 from .metrics import d_co, d_ham, d_id, d_sym
-from .sensitivity import PreconditionFailed
+from .sensitivity import PreconditionFailed, _pow2
 from .summation import SumMethod, run_sum
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "overflow_attack", "saturation_reorder_attack", "float_reorder_attack",
     "rounding_attack", "repeated_rounding_attack_1",
     "repeated_rounding_attack_2", "generate_attack", "verify_attack",
-    "overflow_gap", "saturation_reorder_gap", "float_reorder_gap",
-    "rounding_gap", "repeated_rounding_1_gap", "repeated_rounding_2_gap",
 ]
 
 # Beyond this many elements the verifier stops recomputing the
@@ -153,17 +151,9 @@ def _float_of(fmt: FloatFormat, fr: Fraction) -> SimFloat:
     return round_dyadic(Dyadic.from_fraction(fr), fmt, "toward_zero")
 
 
-def _pow2(e: int) -> Fraction:
-    return Fraction(2) ** e
-
-
 # ---------------------------------------------------------------------------
 # Integer attacks
 # ---------------------------------------------------------------------------
-
-def overflow_gap(fmt: IntFormat) -> Fraction:
-    return Fraction(2 ** fmt.bits - 1)
-
 
 def overflow_attack(fmt: IntFormat, upper: int,
                     metric: str = "sym") -> AttackInstance:
@@ -195,10 +185,6 @@ def overflow_attack(fmt: IntFormat, upper: int,
                         top, fmt.min_value, upper)
 
 
-def saturation_reorder_gap(fmt: IntFormat) -> Fraction:
-    return Fraction(2 ** fmt.bits - 1)
-
-
 def saturation_reorder_attack(fmt: IntFormat, lower: int,
                               upper: int) -> AttackInstance:
     """The same multiset, two orders, opposite saturation rails.
@@ -228,10 +214,6 @@ def saturation_reorder_attack(fmt: IntFormat, lower: int,
 # ---------------------------------------------------------------------------
 # Float attacks
 # ---------------------------------------------------------------------------
-
-def float_reorder_gap(fmt: FloatFormat, j: int, a: int, d: int) -> Fraction:
-    return _pow2(fmt.mantissa_bits + 1 - a + j)
-
 
 def float_reorder_attack(fmt: FloatFormat, j: int, a: int, d: int,
                          drop_last: bool = False) -> AttackInstance:
@@ -270,10 +252,6 @@ def float_reorder_attack(fmt: FloatFormat, j: int, a: int, d: int,
                         exact, c * hi_fr, ideal)
 
 
-def rounding_gap(fmt: FloatFormat, j: int, m: int) -> Fraction:
-    return _pow2(j + m - fmt.mantissa_bits)
-
-
 def rounding_attack(fmt: FloatFormat, j: int, m: int) -> AttackInstance:
     """One ulp of difference in one element becomes ``2^j`` ulps of gap.
 
@@ -305,10 +283,6 @@ def rounding_attack(fmt: FloatFormat, j: int, m: int) -> AttackInstance:
                         sum_u, sum_v, hi_fr - lo_fr)
 
 
-def repeated_rounding_1_gap(fmt: FloatFormat, j: int, m: int) -> Fraction:
-    return _pow2(fmt.mantissa_bits + j + m)
-
-
 def repeated_rounding_attack_1(fmt: FloatFormat, j: int,
                                m: int) -> AttackInstance:
     """Deleting one element halves the release, ``j`` stages deep.
@@ -338,11 +312,6 @@ def repeated_rounding_attack_1(fmt: FloatFormat, j: int,
     v = Dataset(fmt, lo, U, [(U, 1)] + ladder)
     return _mk_instance("repeated_rounding_1", "id", 1, u, v, SumMethod(),
                         final, _pow2(k + m + j), hi_fr)
-
-
-def repeated_rounding_2_gap(fmt: FloatFormat, j: int, a: int) -> Fraction:
-    n = 2 ** j
-    return _pow2(a) + Fraction(n * n) * _pow2(a) / _pow2(fmt.mantissa_bits + 3)
 
 
 def repeated_rounding_attack_2(fmt: FloatFormat, j: int,
@@ -404,16 +373,6 @@ def generate_attack(name: str, fmt: ElementFormat, **params) -> AttackInstance:
     raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
 
 
-def _release_number(value) -> Fraction:
-    if isinstance(value, KInt):
-        return Fraction(value.value)
-    if isinstance(value, int):      # exact integer sum
-        return Fraction(value)
-    if isinstance(value, Dyadic):   # exact float sum
-        return value.to_fraction()
-    return value.to_dyadic().to_fraction()
-
-
 def _distance(metric: str, u: Dataset, v: Dataset) -> Optional[int]:
     if metric == "sym":
         return d_sym(u, v)
@@ -441,8 +400,8 @@ def verify_attack(instance: AttackInstance,
     """
     native = method is None
     method = instance.method if method is None else method
-    ru = _release_number(run_sum(instance.u, method).value)
-    rv = _release_number(run_sum(instance.v, method).value)
+    ru = exact_value(run_sum(instance.u, method).value)
+    rv = exact_value(run_sum(instance.v, method).value)
     gap = abs(ru - rv)
     dist = _distance(instance.metric, instance.u, instance.v)
     return VerificationReport(

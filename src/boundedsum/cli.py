@@ -42,9 +42,8 @@ from . import __version__
 from .attacks import ATTACK_NAMES, AttackInstance, generate_attack, verify_attack
 from .data import (SCHEMA_VERSION, decode_value, encode_value, format_to_json,
                    load_dataset, save_dataset)
-from .dyadic import Dyadic
 from .floats import ROUNDING_MODES, FloatFormat, SimFloat
-from .ints import IntFormat, KInt
+from .ints import IntFormat
 from .mechanism import (NOISE_KINDS, MechanismSpec, calibrate,
                         distinguishing_experiment, exact_dp_check)
 from .sensitivity import (METRICS, PreconditionFailed, SensSpec,
@@ -180,10 +179,6 @@ def _released(value):
     """(display, exact) strings for a release of any supported type."""
     if isinstance(value, SimFloat):
         return value.to_hex(), str(value)
-    if isinstance(value, KInt):
-        return str(value.value), str(value.value)
-    if isinstance(value, Dyadic):
-        return str(value), str(value)
     return str(value), str(value)
 
 
@@ -529,8 +524,8 @@ def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
                         help="multiply the calibrated scale by F "
                              "(F<1 deliberately under-noises)")
     parser.add_argument("--m", type=int, default=None,
-                        help="modulus for discrete_laplace_mod "
-                             "(default: the format's own 2^bits)")
+                        help="modulus for discrete_laplace_mod; must be the "
+                             "format's own 2^bits, which is the default")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,13 +14,16 @@ JSON integers.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Iterable, Iterator, Tuple, Union
 
+from .dyadic import Dyadic
 from .floats import FloatFormat, SimFloat
 from .ints import IntFormat, KInt
 
 __all__ = ["Dataset", "ElementFormat", "Value", "encode_value", "decode_value",
-           "format_to_json", "format_from_json", "load_dataset", "save_dataset"]
+           "exact_value", "format_to_json", "format_from_json",
+           "load_dataset", "save_dataset"]
 
 ElementFormat = Union[FloatFormat, IntFormat]
 Value = Union[SimFloat, KInt]
@@ -32,8 +35,22 @@ SCHEMA_VERSION = 1
 MATERIALIZE_LIMIT = 1 << 22
 
 
-def _value_cmp_key(v: Value):
-    return v.to_dyadic().to_fraction() if isinstance(v, SimFloat) else v.value
+def exact_value(value) -> Union[int, Fraction]:
+    """Exact value of an element or a release: an int or a Fraction.
+
+    Takes a SimFloat, a KInt, or what the ``exact`` algorithm releases (a
+    Dyadic or an int); on elements it is also the sort key.  Integers
+    stay Python ints, which sort, hash and subtract far faster than
+    Fractions.  An infinite SimFloat reads as its working value
+    ``±2^(emax+1)``, so a saturated release still has a size to compare.
+    """
+    if isinstance(value, SimFloat):
+        return value.to_dyadic().to_fraction()
+    if isinstance(value, KInt):
+        return value.value
+    if isinstance(value, Dyadic):
+        return value.to_fraction()
+    return value
 
 
 class Dataset:
@@ -50,16 +67,16 @@ class Dataset:
                  runs: Iterable[Tuple[Value, int]]):
         self._check_value(fmt, lower, "lower bound")
         self._check_value(fmt, upper, "upper bound")
-        if _value_cmp_key(lower) > _value_cmp_key(upper):
+        lo_key, hi_key = exact_value(lower), exact_value(upper)
+        if lo_key > hi_key:
             raise ValueError("lower bound exceeds upper bound")
-        lo_key, hi_key = _value_cmp_key(lower), _value_cmp_key(upper)
         merged = []
         for v, c in runs:
             c = int(c)
             self._check_value(fmt, v, "element")
             if c < 1:
                 raise ValueError("run counts must be positive")
-            key = _value_cmp_key(v)
+            key = exact_value(v)
             if not lo_key <= key <= hi_key:
                 raise ValueError(f"element {v} outside bounds [{lower}, {upper}]")
             if merged and merged[-1][0] == v:

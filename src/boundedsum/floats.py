@@ -44,9 +44,6 @@ __all__ = [
     "ROUNDING_MODES",
     "ulp",
     "is_representable",
-    "round_banker",
-    "round_toward_zero",
-    "round_directed",
     "round_dyadic",
     "add_float",
     "to_exact",
@@ -409,23 +406,6 @@ def _nmax_bits(fmt: FloatFormat, sign: int) -> int:
     return bits
 
 
-def round_banker(q: Dyadic, fmt: FloatFormat) -> SimFloat:
-    """Round to nearest, ties to the even mantissa."""
-    return round_dyadic(q, fmt, "banker")
-
-
-def round_toward_zero(q: Dyadic, fmt: FloatFormat) -> SimFloat:
-    """Largest-magnitude representable value whose magnitude is <= |q|."""
-    return round_dyadic(q, fmt, "toward_zero")
-
-
-def round_directed(q: Dyadic, fmt: FloatFormat, direction: str) -> SimFloat:
-    """Round toward +inf (``direction='pos'``) or -inf (``'neg'``)."""
-    if direction not in ("pos", "neg"):
-        raise ValueError("direction must be 'pos' or 'neg'")
-    return round_dyadic(q, fmt, f"toward_{direction}")
-
-
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
@@ -444,11 +424,6 @@ def add_float(x: SimFloat, y: SimFloat, mode: str = "banker") -> SimFloat:
             raise InvalidOperation("inf + (-inf) is undefined")
         return x if xk == "inf" else y
     return round_dyadic(x.to_dyadic() + y.to_dyadic(), x.fmt, mode)
-
-
-def sub_float(x: SimFloat, y: SimFloat, mode: str = "banker") -> SimFloat:
-    """Rounded subtraction ``x - y``; same saturation rules as addition."""
-    return add_float(x, -y, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,9 @@ from typing import Optional, Tuple, Union
 
 import mpmath
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from .data import Dataset
-from .floats import FloatFormat, SimFloat, add_float, round_dyadic
+from .data import Dataset, exact_value
+from .floats import add_float, round_dyadic
 from .dyadic import Dyadic
 from .ints import IntFormat, KInt
 from .sensitivity import (PreconditionFailed, UnsupportedCombination,
@@ -225,6 +224,14 @@ class MechanismSpec:
         return out
 
 
+def _noise_modulus(spec: MechanismSpec, fmt: IntFormat) -> int:
+    """Modulus of the modular noise: ``spec.modulus`` must be the format's."""
+    if spec.modulus not in (None, fmt.modulus):
+        raise UnsupportedCombination(
+            "modulus must match the dataset format's modulus")
+    return fmt.modulus
+
+
 def calibrate(noise: str, bound: SensitivityBound, epsilon: Fraction,
               method: Optional[SumMethod] = None,
               modulus: Optional[int] = None) -> MechanismSpec:
@@ -258,9 +265,7 @@ def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int,
         z = noise_override if noise_override is not None \
             else _sample_dlap(spec.alpha, rng)
         if spec.noise == "discrete_laplace_mod":
-            if spec.modulus not in (None, base.fmt.modulus):
-                raise UnsupportedCombination(
-                    "modulus must match the dataset format's modulus")
+            _noise_modulus(spec, base.fmt)
             return modular_noise_add(base, z)
         return KInt(base.fmt, base.fmt.clamp(base.value + z))
     # float release
@@ -309,16 +314,6 @@ class ExperimentReport:
         }
 
 
-def _as_number(value) -> Fraction:
-    if isinstance(value, KInt):
-        return Fraction(value.value)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Dyadic):
-        return value.to_fraction()
-    return value.to_dyadic().to_fraction()
-
-
 def _trial_seed(master_seed: int, role: str, index: int) -> int:
     digest = hashlib.sha256(f"{master_seed}:{role}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -326,9 +321,9 @@ def _trial_seed(master_seed: int, role: str, index: int) -> int:
 
 def midpoint_threshold(spec: MechanismSpec, u: Dataset, v: Dataset) -> Fraction:
     """Halfway between the two noiseless releases — the default test."""
-    su = _as_number(run_sum(u, spec.method).value)
-    sv = _as_number(run_sum(v, spec.method).value)
-    return (su + sv) / 2
+    su = exact_value(run_sum(u, spec.method).value)
+    sv = exact_value(run_sum(v, spec.method).value)
+    return Fraction(su + sv, 2)
 
 
 def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
@@ -358,7 +353,7 @@ def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
         for i in range(trials):
             released = run_mechanism(spec, ds, _trial_seed(master_seed,
                                                            role, i))
-            if _as_number(released) > threshold:
+            if exact_value(released) > threshold:
                 ones += 1
         table.append((trials - ones, ones))
     counts = (table[0], table[1])
@@ -381,16 +376,18 @@ def _log_upper_tail(k: int, n: int, p: np.ndarray) -> np.ndarray:
     Library survival functions compute the probability first and then
     take its log, which bottoms out at ``-inf`` around ``1e-308`` — far
     too early for tables whose honest log-probability is minus tens of
-    thousands.  Summing ``logC(n,i) + i log p + (n-i) log(1-p)`` with
-    logsumexp keeps every magnitude representable.
+    thousands.  The terms ``logC(n,i) + i log p + (n-i) log(1-p)`` are
+    summed by a log-sum-exp shifted by each row's largest term, which
+    keeps every magnitude representable.
     """
     p = np.asarray(p, dtype=float)
     if k <= 0:
         return np.zeros_like(p)
     if k > n:
         return np.full_like(p, -np.inf)
-    i = np.arange(k, n + 1, dtype=float)
-    log_comb = gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
+    i = np.arange(k, n + 1)
+    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    log_comb = log_fact[n] - log_fact[i] - log_fact[n - i]
     out = np.full_like(p, -np.inf)
     interior = (p > 0.0) & (p < 1.0)
     if interior.any():
@@ -402,7 +399,9 @@ def _log_upper_tail(k: int, n: int, p: np.ndarray) -> np.ndarray:
             chunk = pi[start:start + block, None]
             terms = (log_comb[None, :] + i[None, :] * np.log(chunk)
                      + (n - i)[None, :] * np.log1p(-chunk))
-            acc[start:start + block] = logsumexp(terms, axis=1)
+            top = terms.max(axis=1, keepdims=True)
+            acc[start:start + block] = (
+                top[:, 0] + np.log(np.exp(terms - top).sum(axis=1)))
         out[interior] = np.minimum(acc, 0.0)
     out[p >= 1.0] = 0.0
     return out
@@ -605,7 +604,7 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
     if spec.noise == "discrete_laplace_mod":
         if fmt.overflow != "wraparound":
             raise PreconditionFailed("modular noise needs a wraparound format")
-        modulus = spec.modulus if spec.modulus is not None else fmt.modulus
+        modulus = _noise_modulus(spec, fmt)
         if modulus > SUPPORT_LIMIT:
             raise PreconditionFailed(f"support {modulus} exceeds "
                                      f"{SUPPORT_LIMIT}")

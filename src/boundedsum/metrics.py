@@ -9,13 +9,14 @@ Four neighbouring relations, two order-insensitive and two ordered:
 * ``d_id``  — insert/delete edit distance, i.e. ``len(u) + len(v)`` minus
   twice the longest common subsequence.
 
-Length mismatches for ``d_co``/``d_ham`` return the :data:`INFINITE`
-marker, which compares greater than every number.  ``d_mod`` is the wrap
-distance between residues used by modular mechanisms.
+Length mismatches for ``d_co``/``d_ham`` return :data:`INFINITE`, which
+is ``math.inf``: greater than every finite distance.  ``d_mod`` is the
+wrap distance between residues used by modular mechanisms.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from .data import Dataset
@@ -23,40 +24,7 @@ from .ints import KInt
 
 __all__ = ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id", "d_mod"]
 
-
-class _Infinite:
-    """Order-infinite marker: bigger than any real number, equal to itself."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinite)
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinite)
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinite)
-
-    def __hash__(self):
-        return hash("<infinite>")
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
+INFINITE = math.inf
 
 
 def _runs(x):

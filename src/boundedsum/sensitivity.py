@@ -37,14 +37,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .data import Dataset, ElementFormat, Value, _value_cmp_key
+from .data import Dataset, ElementFormat, Value, exact_value
 from .dyadic import Dyadic, floor_log2_fraction
 from .floats import (FloatFormat, SimFloat, is_representable, round_dyadic,
                      values_in_range)
 from .ints import IntFormat, KInt
 from .metrics import d_mod
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
-                        check_multiplication, float_overflow_check, run_sum)
+                        _fisher_yates, check_multiplication,
+                        float_overflow_check, run_sum)
 
 __all__ = [
     "METRICS", "SensSpec", "SensitivityBound", "BruteForceResult",
@@ -95,7 +96,7 @@ class SensSpec:
             raise ValueError(f"metric must be one of {METRICS}")
         Dataset._check_value(self.fmt, self.lower, "lower bound")
         Dataset._check_value(self.fmt, self.upper, "upper bound")
-        if _fr(self.lower) > _fr(self.upper):
+        if exact_value(self.lower) > exact_value(self.upper):
             raise ValueError("lower bound exceeds upper bound")
         if self.n is not None and self.n < 0:
             raise ValueError("n must be nonnegative")
@@ -126,10 +127,6 @@ class SensitivityBound:
                 "details": {k: enc(v) for k, v in sorted(self.details.items())}}
 
 
-def _fr(v: Value) -> Fraction:
-    return v.to_dyadic().to_fraction() if isinstance(v, SimFloat) else Fraction(v.value)
-
-
 def _pow2(e: int) -> Fraction:
     return Fraction(2) ** e
 
@@ -145,7 +142,7 @@ def idealized_sensitivity(spec: SensSpec) -> SensitivityBound:
     most ``max(|L|, U)``, and that is achieved.  ``co``/``ham``:
     replacing one element moves it by at most ``U - L``, also achieved.
     """
-    lo, hi = _fr(spec.lower), _fr(spec.upper)
+    lo, hi = exact_value(spec.lower), exact_value(spec.upper)
     if spec.metric in ("sym", "id"):
         value = max(abs(lo), abs(hi))
     else:
@@ -188,7 +185,8 @@ def accuracy_bound(algorithm: str, n: int, fmt: FloatFormat,
 
     with ``t = 2^-(k+1)`` the unit roundoff of a ``k``-bit mantissa.
     """
-    return _accuracy_from_fractions(algorithm, n, fmt, _fr(lower), _fr(upper))
+    return _accuracy_from_fractions(algorithm, n, fmt, exact_value(lower),
+                                    exact_value(upper))
 
 
 def _accuracy_from_fractions(algorithm: str, n: int, fmt: FloatFormat,
@@ -314,7 +312,7 @@ def _float_bound(spec: SensSpec) -> SensitivityBound:
 
 def _effective_float_bounds(spec: SensSpec) -> Tuple[Fraction, Fraction, str]:
     """Bounds seen by the summation core, after an exact bound shift."""
-    lo, hi = _fr(spec.lower), _fr(spec.upper)
+    lo, hi = exact_value(spec.lower), exact_value(spec.upper)
     if _has(spec.method, ShiftBounds):
         span = hi - lo
         if not is_representable(span, spec.fmt):
@@ -566,14 +564,9 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False,
     template = Dataset(spec.fmt, spec.lower, spec.upper, ())
 
     def release(tup):
-        out = run_sum(template.replace_elements(tup), spec.method).value
-        if isinstance(out, KInt):
-            return out.value % modulus if modulus else out.value
-        if isinstance(out, int):         # exact integer sum
-            return out % modulus if modulus else out
-        if isinstance(out, Dyadic):      # exact float sum
-            return out.to_fraction()
-        return out.to_dyadic().to_fraction()
+        out = exact_value(run_sum(template.replace_elements(tup),
+                                  spec.method).value)
+        return out % modulus if modulus else out
 
     tracker = _GapTracker(modulus)
     if spec.metric == "ham":
@@ -638,7 +631,7 @@ def _scan_co(domain, n, release, tracker, modulus) -> int:
         s = release(tup)
         seen_keys = set()
         for p in range(n):
-            key = tuple(sorted(tup[:p] + tup[p + 1:], key=_value_cmp_key))
+            key = tuple(sorted(tup[:p] + tup[p + 1:], key=exact_value))
             if key in seen_keys:
                 continue
             seen_keys.add(key)
@@ -678,11 +671,11 @@ def _scan_sym(domain, sizes, release, tracker, modulus) -> int:
         for tup in itertools.product(domain, repeat=size):
             count += 1
             s = release(tup)
-            _group_offer(curr, tuple(sorted(tup, key=_value_cmp_key)),
+            _group_offer(curr, tuple(sorted(tup, key=exact_value)),
                          s, tup, tracker, modulus)
             seen_keys = set()
             for p in range(size):
-                key = tuple(sorted(tup[:p] + tup[p + 1:], key=_value_cmp_key))
+                key = tuple(sorted(tup[:p] + tup[p + 1:], key=exact_value))
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
@@ -727,11 +720,11 @@ def couple_sym(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
         raise PreconditionFailed(f"datasets are not sym-adjacent (distance {d})")
     rng = random.Random(seed)
     if d == 0:
-        order = _shuffle(u.to_list(), rng)
+        order = _fisher_yates(u.to_list(), rng)
         return u.replace_elements(order), v.replace_elements(order)
     extra = next(iter(extra_u or extra_v))
     shorter = v if extra_u else u
-    base = _shuffle(shorter.to_list(), rng)
+    base = _fisher_yates(shorter.to_list(), rng)
     inserted = list(base)
     inserted.insert(rng.randrange(len(base) + 1), extra)
     if extra_u:
@@ -755,22 +748,15 @@ def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     extra_v = hv - hu
     if sum(extra_u.values()) > 1:
         raise PreconditionFailed("datasets are not co-adjacent")
-    common = sorted((hu & hv).elements(), key=_value_cmp_key)
+    common = sorted((hu & hv).elements(), key=exact_value)
     a, b = list(common), list(common)
     if extra_u:
         a.append(next(iter(extra_u)))
         b.append(next(iter(extra_v)))
     rng = random.Random(seed)
-    perm = _shuffle(list(range(len(a))), rng)
+    perm = _fisher_yates(list(range(len(a))), rng)
     return (u.replace_elements(a[i] for i in perm),
             v.replace_elements(b[i] for i in perm))
-
-
-def _shuffle(items: list, rng: random.Random) -> list:
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        items[i], items[j] = items[j], items[i]
-    return items
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +830,7 @@ def _recommend_int(fmt, lower, upper, metric, n, out):
 
 
 def _recommend_float(fmt, lower, upper, metric, n, n_max, out):
-    span_ok = is_representable(_fr(upper) - _fr(lower), fmt)
+    span_ok = is_representable(exact_value(upper) - exact_value(lower), fmt)
     if metric in KNOWN_N_METRICS:
         if n is not None:
             ranked: List[Recommendation] = []

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .data import Dataset, MATERIALIZE_LIMIT, _value_cmp_key
+from .data import Dataset, MATERIALIZE_LIMIT, exact_value
 from .dyadic import Dyadic, floor_log2_fraction
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, add_float,
                      round_dyadic, is_representable)
@@ -59,7 +59,7 @@ from .ints import IntFormat, KInt, add_int
 __all__ = [
     "SumMethod", "SumOutcome", "Truncate", "RandomPermutation", "ShiftBounds",
     "bs_exact", "bs_iterative", "bs_pairwise", "bs_kahan", "bs_split",
-    "run_sum", "truncate", "random_permutation", "shift_bounds_sum",
+    "run_sum", "truncate", "random_permutation",
     "check_multiplication", "float_overflow_check",
     "PERMUTATION_ALGORITHM", "ALGORITHMS",
 ]
@@ -355,7 +355,7 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     saturation — but keeping one schedule keeps the method one thing).
     """
     fmt = dataset.fmt
-    ordered = sorted(dataset.runs, key=lambda run: _value_cmp_key(run[0]))
+    ordered = sorted(dataset.runs, key=lambda run: exact_value(run[0]))
     if isinstance(fmt, FloatFormat):
         pos = SimFloat.zero(fmt)
         for v, count in ordered:
@@ -415,32 +415,29 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
     would still tell them apart.  Uniformity is unaffected — Fisher-Yates
     is uniform from any fixed starting arrangement.
     """
-    n = len(dataset)
-    if n > MATERIALIZE_LIMIT:
+    if len(dataset) > MATERIALIZE_LIMIT:
         raise ValueError("dataset too large to materialize for permutation")
-    values = sorted(dataset.to_list(), key=_value_cmp_key)
-    rng = random.Random(seed)
-    for i in range(n - 1, 0, -1):
+    values = sorted(dataset.to_list(), key=exact_value)
+    return dataset.replace_elements(_fisher_yates(values, random.Random(seed)))
+
+
+def _fisher_yates(items: list, rng: random.Random) -> list:
+    """Shuffle ``items`` in place and return it: one ``randrange(i + 1)``
+    per position ``i`` from the last down to 1."""
+    for i in range(len(items) - 1, 0, -1):
         j = rng.randrange(i + 1)
-        values[i], values[j] = values[j], values[i]
-    return dataset.replace_elements(values)
-
-
-def shift_bounds_sum(dataset: Dataset, inner: SumMethod):
-    """Sum the shifted dataset ``v_i - lower`` over bounds ``[0, U - L]``.
-
-    Returns ``(shifted_sum_outcome, offset_count)``: the caller releases
-    ``sum + noise`` and then adds ``lower * offset_count`` back as a
-    post-processing step.  Every shifted element, and the shifted upper
-    bound, must be exactly representable; anything else raises, because
-    an inexact shift silently changes the function being privatized.
-    """
-    shifted = _shift_dataset(dataset)
-    outcome = run_sum(shifted, inner)
-    return outcome, len(dataset)
+        items[i], items[j] = items[j], items[i]
+    return items
 
 
 def _shift_dataset(dataset: Dataset) -> Dataset:
+    """The dataset ``v_i - lower`` over bounds ``[0, U - L]``.
+
+    Every shifted element, and the shifted upper bound, must be exactly
+    representable; anything else raises, because an inexact shift
+    silently changes the function being privatized.  ``run_sum`` records
+    ``(lower, n)`` as the offset the caller adds back after the noise.
+    """
     fmt = dataset.fmt
     if isinstance(fmt, FloatFormat):
         lo_d = dataset.lower.to_dyadic()
