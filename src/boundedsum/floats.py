@@ -430,6 +430,37 @@ def add_float(x: SimFloat, y: SimFloat, mode: str = "banker") -> SimFloat:
 # Enumeration and parsing helpers
 # ---------------------------------------------------------------------------
 
+def _pattern_ranges(fmt: FloatFormat, lo: SimFloat, hi: SimFloat,
+                    include_subnormals: bool = False) -> list:
+    """Bit patterns of the finite values in ``[lo, hi]``, as ``range``s.
+
+    Within one sign the finite patterns are ordered by magnitude, so the
+    negative values are one descending run of patterns and the
+    nonnegative ones (zero first) an ascending run; the nonzero subnormal
+    magnitudes ``1 .. 2^k - 1`` are cut out unless asked for.  Read in
+    order, the ranges list the values ascending, and their lengths count
+    them without building any.
+    """
+    k = fmt.mantissa_bits
+    sign = 1 << (fmt.total_bits - 1)
+    top = (((1 << fmt.exponent_bits) - 1) << k) - 1  # largest finite magnitude
+    low = 1 if include_subnormals else 1 << k  # smallest eligible nonzero
+
+    def mag(x: SimFloat) -> int:
+        return x.bits & (sign - 1)
+
+    out = []
+    if lo.sign < 0:
+        a = max(mag(hi) if hi.sign < 0 else 1, low)
+        out.append(range(sign | min(mag(lo), top), (sign | a) - 1, -1))
+    if hi.sign > 0:
+        a = mag(lo) if lo.sign > 0 else 0
+        if a == 0:
+            out.append(range(1))
+        out.append(range(max(a, low), min(mag(hi), top) + 1))
+    return out
+
+
 def values_in_range(fmt: FloatFormat, lo: SimFloat, hi: SimFloat,
                     include_subnormals: bool = False) -> list:
     """All finite values of ``fmt`` in ``[lo, hi]``, ascending.
@@ -437,25 +468,11 @@ def values_in_range(fmt: FloatFormat, lo: SimFloat, hi: SimFloat,
     Zero is always eligible; nonzero subnormals only when asked for.  The
     exhaustive checks downstream default to the normal range, where the
     sensitivity statements are exact; subnormal inputs remain available
-    behind the flag.
+    behind the flag.  Only the patterns inside the bounds are visited.
     """
-    lo_d, hi_d = lo.to_dyadic(), hi.to_dyadic()
-    out = []
-    k, l = fmt.mantissa_bits, fmt.exponent_bits
-    for sign_bit in (1, 0):
-        for field in range(0, (1 << l) - 1):
-            for m in range(1 << k):
-                bits = (sign_bit << (l + k)) | (field << k) | m
-                x = SimFloat(fmt, bits)
-                if x.kind == "subnormal" and not include_subnormals:
-                    continue
-                if sign_bit and x.is_zero():
-                    continue
-                v = x.to_dyadic()
-                if lo_d <= v <= hi_d:
-                    out.append(x)
-    out.sort(key=lambda f: f.to_dyadic().to_fraction())
-    return out
+    return [SimFloat(fmt, bits)
+            for r in _pattern_ranges(fmt, lo, hi, include_subnormals)
+            for bits in r]
 
 
 _DYADIC_RE = re.compile(r"^(-?\d+)\*2\^(-?\d+)$")

@@ -244,14 +244,8 @@ def calibrate(noise: str, bound: SensitivityBound, epsilon: Fraction,
                          modulus=modulus, epsilon=epsilon, calibration=bound)
 
 
-def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int,
-                  noise_override: Optional[int] = None):
-    """One mechanism run: ``BS*(dataset)`` plus one noise draw.
-
-    ``noise_override`` injects a fixed integer draw (zero gives the raw
-    sum), bypassing the sampler; it exists so tests can separate the
-    summation pathway from the noise pathway.
-    """
+def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int):
+    """One mechanism run: ``BS*(dataset)`` plus one noise draw."""
     if spec.method.algorithm == "exact":
         raise UnsupportedCombination(
             "mechanisms release values of the element type; the exact "
@@ -262,8 +256,7 @@ def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int,
         if spec.noise == "laplace":
             raise UnsupportedCombination(
                 "continuous noise on an integer release; use a discrete kind")
-        z = noise_override if noise_override is not None \
-            else _sample_dlap(spec.alpha, rng)
+        z = _sample_dlap(spec.alpha, rng)
         if spec.noise == "discrete_laplace_mod":
             _noise_modulus(spec, base.fmt)
             return modular_noise_add(base, z)
@@ -273,12 +266,9 @@ def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int,
     if spec.noise == "discrete_laplace_mod":
         raise UnsupportedCombination("modular noise needs an integer format")
     if spec.noise == "laplace":
-        z = noise_override if noise_override is not None \
-            else _sample_laplace_float(float(spec.scale), rng)
-        z_fr = Fraction(z)
+        z_fr = Fraction(_sample_laplace_float(float(spec.scale), rng))
     else:
-        z_fr = Fraction(noise_override if noise_override is not None
-                        else _sample_dlap(spec.alpha, rng))
+        z_fr = Fraction(_sample_dlap(spec.alpha, rng))
     if z_fr == 0:
         return base
     noise_f = round_dyadic(Dyadic.from_fraction(z_fr), fmt, "banker")

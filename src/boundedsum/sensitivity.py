@@ -21,7 +21,11 @@ Three layers live here:
    one once, and maximize the release gap over adjacent pairs.  Only
    feasible for tiny formats, which is exactly where it is used to
    sandwich the analytic bounds between attack lower bounds and the
-   certified upper bounds.
+   certified upper bounds.  One scan serves every metric: adjacent
+   datasets meet in a group, keyed per metric by a table — ``ham`` by
+   positional context, ``co`` by sorted remove-one multiset, ``sym`` by
+   sorted multiset (probing the previous size by its remove-one
+   multisets), ``id`` by the tuple itself (probing its raw deletions).
 
 The coupling constructions near the bottom turn unordered adjacency into
 ordered adjacency after a random permutation; they are what lets the
@@ -39,8 +43,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .data import Dataset, ElementFormat, Value, exact_value
 from .dyadic import Dyadic, floor_log2_fraction
-from .floats import (FloatFormat, SimFloat, is_representable, round_dyadic,
-                     values_in_range)
+from .floats import FloatFormat, SimFloat, _pattern_ranges, is_representable
 from .ints import IntFormat, KInt
 from .metrics import d_mod
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
@@ -59,9 +62,15 @@ METRICS = ("sym", "co", "ham", "id")
 UNORDERED_METRICS = ("sym", "co")
 KNOWN_N_METRICS = ("co", "ham")
 
+# Largest dataset count times length that brute force will enumerate.
+WORK_GUARD = 10_000_000
+
 # Constant in the compensated-summation error bound (2t + C*n*t^2)*n*max.
-# The classical analysis leaves the constant unnamed; this value is pinned
-# by the exhaustive small-format checks in the test suite.
+# The classical analysis leaves the constant unnamed and no test pins it:
+# at sizes small enough to brute force even C = 0 stays above the true
+# sensitivity (float (2,3), bounds [-1, 1], n = 2: the bound with C = 0 is
+# 3, brute force gives 17/8).  8 is a conservative choice, not a measured
+# one.
 KAHAN_ACCURACY_CONSTANT = 8
 
 
@@ -183,17 +192,12 @@ def accuracy_bound(algorithm: str, n: int, fmt: FloatFormat,
                ``c = ceil(log2 n)`` — needs ``c*t < 1/2``
     kahan:     ``(2t + C*n*t^2) * n * max(|L|, U)``
 
-    with ``t = 2^-(k+1)`` the unit roundoff of a ``k``-bit mantissa.
+    with ``t = 2^-(k+1)`` the unit roundoff of a ``k``-bit mantissa.  The
+    bounds may be SimFloats or their exact Fractions.
     """
-    return _accuracy_from_fractions(algorithm, n, fmt, exact_value(lower),
-                                    exact_value(upper))
-
-
-def _accuracy_from_fractions(algorithm: str, n: int, fmt: FloatFormat,
-                             lo: Fraction, hi: Fraction) -> Fraction:
     if n < 0:
         raise PreconditionFailed("n must be nonnegative")
-    max_mag = max(abs(lo), abs(hi))
+    max_mag = max(abs(exact_value(lower)), abs(exact_value(upper)))
     t = Fraction(1, 2 ** (fmt.mantissa_bits + 1))
     if algorithm == "iterative":
         return n * n * t * max_mag
@@ -323,14 +327,6 @@ def _effective_float_bounds(spec: SensSpec) -> Tuple[Fraction, Fraction, str]:
     return lo, hi, ""
 
 
-def _float_bounds_as_simfloats(spec: SensSpec, lo: Fraction,
-                               hi: Fraction) -> Tuple[SimFloat, SimFloat]:
-    if not _has(spec.method, ShiftBounds):
-        return spec.lower, spec.upper
-    return (SimFloat.zero(spec.fmt),
-            round_dyadic(Dyadic.from_fraction(hi), spec.fmt, "toward_zero"))
-
-
 def _float_accuracy_bound(spec: SensSpec) -> SensitivityBound:
     """``co``/``ham`` for iterative, cascade, or compensated float sums.
 
@@ -348,9 +344,8 @@ def _float_accuracy_bound(spec: SensSpec) -> SensitivityBound:
     if spec.n is None:
         raise PreconditionFailed("co/ham accuracy bounds need a known size")
     lo, hi, suffix = _effective_float_bounds(spec)
-    acc = _accuracy_from_fractions(method.algorithm, spec.n, spec.fmt, lo, hi)
-    lo_f, hi_f = _float_bounds_as_simfloats(spec, lo, hi)
-    if not float_overflow_check(lo_f, hi_f, spec.n, acc, spec.fmt):
+    acc = accuracy_bound(method.algorithm, spec.n, spec.fmt, lo, hi)
+    if not float_overflow_check(lo, hi, spec.n, acc, spec.fmt):
         raise PreconditionFailed(
             "these parameters admit overflow to infinity; the accuracy "
             "route requires the overflow certificate to pass")
@@ -391,9 +386,8 @@ def _float_truncated_bound(spec: SensSpec) -> SensitivityBound:
                 "permutation applied before the truncation")
     n_max = trunc.n_max
     lo, hi, suffix = _effective_float_bounds(spec)
-    acc = _accuracy_from_fractions(method.algorithm, n_max, spec.fmt, lo, hi)
-    lo_f, hi_f = _float_bounds_as_simfloats(spec, lo, hi)
-    if not float_overflow_check(lo_f, hi_f, n_max, acc, spec.fmt):
+    acc = accuracy_bound(method.algorithm, n_max, spec.fmt, lo, hi)
+    if not float_overflow_check(lo, hi, n_max, acc, spec.fmt):
         raise PreconditionFailed(
             "these parameters admit overflow to infinity at the truncation "
             "cap; the accuracy route requires the overflow certificate")
@@ -517,26 +511,36 @@ class _Extremes:
             self.hi, self.hi_t = s, t
 
 
-def _domain(spec: SensSpec, include_subnormals: bool) -> List[Value]:
-    if isinstance(spec.fmt, FloatFormat):
-        return values_in_range(spec.fmt, spec.lower, spec.upper,
-                               include_subnormals=include_subnormals)
-    return [KInt(spec.fmt, v)
-            for v in range(spec.lower.value, spec.upper.value + 1)]
+def _domain(spec: SensSpec, include_subnormals: bool):
+    """Ranges of element codes inside the bounds, and the code's decoder."""
+    fmt, lo, hi = spec.fmt, spec.lower, spec.upper
+    if isinstance(fmt, FloatFormat):
+        return (_pattern_ranges(fmt, lo, hi, include_subnormals),
+                lambda bits: SimFloat(fmt, bits))
+    return [range(lo.value, hi.value + 1)], lambda v: KInt(fmt, v)
 
 
-def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False,
-                            work_guard: int = 10_000_000) -> BruteForceResult:
+def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
+                            ) -> BruteForceResult:
     """Exact sensitivity of a deterministic method by full enumeration.
 
     Every dataset over the representable values inside the bounds (normal
     floats plus zero unless ``include_subnormals``) is released exactly
-    once; the maximization over adjacent pairs is organized around shared
-    sub-multisets (``sym``/``co``), shared contexts (``ham``), or direct
-    deletions (``id``), so the cost is proportional to datasets times
-    length rather than to the number of pairs.  ``spec.n`` is the exact
-    length for ``co``/``ham`` and the length cap (sizes ``0..n``) for
-    ``sym``/``id``.
+    once, size by size.  ``spec.n`` is the exact length for ``co``/``ham``
+    and the length cap (sizes ``0..n``) for ``sym``/``id``.  Adjacent
+    pairs meet in shared groups, so the cost is proportional to datasets
+    times length rather than to the number of pairs.  Each tuple joins
+    groups of its own size and probes groups of the previous size:
+
+    - ``ham`` joins its positional contexts ``(p, prefix, suffix)``;
+    - ``co`` joins its distinct sorted remove-one multisets;
+    - ``sym`` joins its own sorted multiset and probes its distinct
+      sorted remove-one multisets;
+    - ``id`` joins its own tuple and probes its raw deletions.
+
+    The witness is the first strictly largest gap in that order of offers.
+    The domain's size is known before it is built, and a dataset count
+    times length above ``WORK_GUARD`` is refused.
 
     Wraparound integer releases are compared in wrap distance, matching
     the modular bounds; everything else in absolute value, with an
@@ -550,14 +554,17 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False,
         raise PreconditionFailed(
             "brute force maximizes over a deterministic release; strip the "
             "permutation (its couplings are checked separately)")
-    domain = _domain(spec, include_subnormals)
+    codes, decode = _domain(spec, include_subnormals)
     n = spec.n
+    size = sum(map(len, codes))
     sizes = [n] if spec.metric in KNOWN_N_METRICS else list(range(n + 1))
-    work = sum(max(s, 1) * len(domain) ** s for s in sizes)
-    if work > work_guard:
+    work = sum(max(s, 1) * size ** s for s in sizes)
+    if work > WORK_GUARD:
         raise PreconditionFailed(
             f"estimated {work} release/grouping steps exceed the "
-            f"brute-force work guard ({work_guard})")
+            f"brute-force work guard ({WORK_GUARD})")
+    # n == 0 enumerates only the empty dataset, whatever the domain
+    domain = [decode(c) for r in codes for c in r] if n else []
 
     modulus = spec.fmt.modulus if (isinstance(spec.fmt, IntFormat) and
                                    spec.fmt.overflow == "wraparound") else None
@@ -569,14 +576,27 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False,
         return out % modulus if modulus else out
 
     tracker = _GapTracker(modulus)
-    if spec.metric == "ham":
-        count = _scan_ham(domain, n, release, tracker, modulus)
-    elif spec.metric == "co":
-        count = _scan_co(domain, n, release, tracker, modulus)
-    elif spec.metric == "id":
-        count = _scan_id(domain, sizes, release, tracker)
-    else:
-        count = _scan_sym(domain, sizes, release, tracker, modulus)
+    joins, probes = _GROUPINGS[spec.metric]
+    count = 0
+    prev: Dict[tuple, object] = {}
+    for length in sizes:
+        curr: Dict[tuple, object] = {}
+        for tup in itertools.product(domain, repeat=length):
+            count += 1
+            s = release(tup)
+            for key in joins(tup):
+                _group_offer(curr, key, s, tup, tracker, modulus)
+            for key in probes(tup):
+                hit = prev.get(key)
+                if hit is None:
+                    continue
+                if modulus:
+                    for sb, tb in hit.items():
+                        tracker.offer(s, tup, sb, tb)
+                else:
+                    tracker.offer(s, tup, hit.lo, hit.lo_t)
+                    tracker.offer(s, tup, hit.hi, hit.hi_t)
+        prev = curr
     value = tracker.best if tracker.best is not None else 0
     return BruteForceResult(value=value, witness=tracker.pair,
                             datasets=count,
@@ -607,89 +627,22 @@ def _group_offer(groups, key, s, t, tracker, modulus):
             tracker.offer(ext.lo, ext.lo_t, ext.hi, ext.hi_t)
 
 
-def _scan_ham(domain, n, release, tracker, modulus) -> int:
-    """Pairs differing in at most one position: group by the other n-1."""
-    count = 0
-    groups: Dict[tuple, object] = {}
-    for tup in itertools.product(domain, repeat=n):
-        count += 1
-        s = release(tup)
-        for p in range(n):
-            _group_offer(groups, (p, tup[:p], tup[p + 1:]), s, tup,
-                         tracker, modulus)
-    return count
+def _sorted_deletions(tup):
+    """Distinct sorted remove-one multisets, in order of first deletion."""
+    return dict.fromkeys(tuple(sorted(tup[:p] + tup[p + 1:], key=exact_value))
+                         for p in range(len(tup)))
 
 
-def _scan_co(domain, n, release, tracker, modulus) -> int:
-    """Pairs whose multisets differ by one replacement: group by the
-    sorted remove-one multiset (this puts all orderings of both sides of
-    every adjacent pair into one group)."""
-    count = 0
-    groups: Dict[tuple, object] = {}
-    for tup in itertools.product(domain, repeat=n):
-        count += 1
-        s = release(tup)
-        seen_keys = set()
-        for p in range(n):
-            key = tuple(sorted(tup[:p] + tup[p + 1:], key=exact_value))
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            _group_offer(groups, key, s, tup, tracker, modulus)
-    return count
-
-
-def _scan_id(domain, sizes, release, tracker) -> int:
-    """Pairs at insert/delete distance one: direct deletion probes."""
-    count = 0
-    prev: Dict[tuple, object] = {}
-    for size in sizes:
-        curr: Dict[tuple, object] = {}
-        for tup in itertools.product(domain, repeat=size):
-            count += 1
-            s = release(tup)
-            curr[tup] = s
-            for p in range(size):
-                sub = tup[:p] + tup[p + 1:]
-                if sub in prev:
-                    tracker.offer(s, tup, prev[sub], sub)
-        prev = curr
-    return count
-
-
-def _scan_sym(domain, sizes, release, tracker, modulus) -> int:
-    """Pairs whose multisets differ by one element (or not at all).
-
-    Equal multisets in different orders are distance zero, so each size's
-    tuples are grouped by their own sorted form; add/remove pairs probe
-    the previous size's groups through each deletion.
-    """
-    count = 0
-    prev: Dict[tuple, object] = {}
-    for size in sizes:
-        curr: Dict[tuple, object] = {}
-        for tup in itertools.product(domain, repeat=size):
-            count += 1
-            s = release(tup)
-            _group_offer(curr, tuple(sorted(tup, key=exact_value)),
-                         s, tup, tracker, modulus)
-            seen_keys = set()
-            for p in range(size):
-                key = tuple(sorted(tup[:p] + tup[p + 1:], key=exact_value))
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                hit = prev.get(key)
-                if hit is None:
-                    continue
-                if modulus:
-                    for sb, tb in hit.items():
-                        tracker.offer(s, tup, sb, tb)
-                else:
-                    tracker.offer(s, tup, hit.lo, hit.lo_t)
-                    tracker.offer(s, tup, hit.hi, hit.hi_t)
-        prev = curr
-    return count
+# metric -> (keys of the groups of its own size that a tuple joins, keys of
+# the previous size's groups that it probes); see brute_force_sensitivity.
+_GROUPINGS = {
+    "ham": (lambda t: [(p, t[:p], t[p + 1:]) for p in range(len(t))],
+            lambda t: ()),
+    "co": (_sorted_deletions, lambda t: ()),
+    "sym": (lambda t: (tuple(sorted(t, key=exact_value)),), _sorted_deletions),
+    "id": (lambda t: (t,),
+           lambda t: [t[:p] + t[p + 1:] for p in range(len(t))]),
+}
 
 
 # ---------------------------------------------------------------------------

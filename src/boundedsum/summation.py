@@ -508,39 +508,29 @@ def check_multiplication(lower, upper, n: int, fmt: IntFormat) -> bool:
     return n * hi <= fmt.max_value and n * lo >= fmt.min_value
 
 
-def _dyadic_at_most(fr: Fraction, bits: int) -> Dyadic:
-    num = (fr.numerator << bits) // fr.denominator
-    return Dyadic(num, -bits)
-
-
-def _dyadic_at_least(fr: Fraction, bits: int) -> Dyadic:
-    num = -((-fr.numerator << bits) // fr.denominator)
-    return Dyadic(num, -bits)
-
-
-def float_overflow_check(lower: SimFloat, upper: SimFloat, n: int,
+def float_overflow_check(lower: Union[SimFloat, Fraction],
+                         upper: Union[SimFloat, Fraction], n: int,
                          accuracy: Fraction, fmt: FloatFormat) -> bool:
     """Certify that ``n`` in-range elements cannot reach ``±inf``.
 
-    Rounds ``L*n`` down and ``U*n`` up, widens each by the summation
-    method's worst-case accuracy, and rejects if either widened end rounds
-    to an infinity.  All rounding here is directed outward, so a ``True``
+    The bounds are exact values: SimFloats or Fractions, read through
+    :func:`~boundedsum.data.exact_value`.  Rounds ``L*n`` down and ``U*n``
+    up to ``fmt`` (the only two roundings, both outward), widens each by
+    the summation method's worst-case accuracy, and rejects if either
+    widened end lies beyond ``±n_max`` in exact arithmetic.  A ``True``
     answer is a guarantee, never a hope.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    guard_bits = 4 * (fmt.mantissa_bits + fmt.exponent_bits) + 64
-    lo_prod = round_dyadic(lower.to_dyadic() * n, fmt, "toward_neg")
-    hi_prod = round_dyadic(upper.to_dyadic() * n, fmt, "toward_pos")
+    lo_prod = round_dyadic(Dyadic.from_fraction(exact_value(lower) * n), fmt,
+                           "toward_neg")
+    hi_prod = round_dyadic(Dyadic.from_fraction(exact_value(upper) * n), fmt,
+                           "toward_pos")
     if lo_prod.kind == "inf" or hi_prod.kind == "inf":
         return False
     acc = Fraction(accuracy)
     if acc < 0:
         raise ValueError("accuracy must be nonnegative")
-    low_end = _dyadic_at_most(lo_prod.to_dyadic().to_fraction() - acc, guard_bits)
-    high_end = _dyadic_at_least(hi_prod.to_dyadic().to_fraction() + acc, guard_bits)
-    if round_dyadic(low_end, fmt, "toward_neg").kind == "inf":
-        return False
-    if round_dyadic(high_end, fmt, "toward_pos").kind == "inf":
-        return False
-    return True
+    n_max = fmt.max_finite.to_fraction()
+    return (lo_prod.to_fraction() - acc >= -n_max
+            and hi_prod.to_fraction() + acc <= n_max)

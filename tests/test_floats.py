@@ -7,6 +7,7 @@ oracle that knows nothing about the implementation: it enumerates every
 finite value of the format and picks the right neighbour by definition.
 """
 
+import random
 import struct
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from boundedsum import (
     ulp,
     values_in_range,
 )
+from boundedsum.floats import _pattern_ranges
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -260,6 +262,41 @@ def test_values_in_range_normal_only():
     want = [x.to_fraction() for x in finite_values(F23)
             if -2 <= x.to_fraction() <= 2 and x.kind != "subnormal"]
     assert fracs == want
+
+
+def walk_values_in_range(fmt, lo, hi, include_subnormals):
+    """Reference: visit every finite bit pattern, keep those in range."""
+    lo_d, hi_d = lo.to_dyadic(), hi.to_dyadic()
+    out = []
+    k, l = fmt.mantissa_bits, fmt.exponent_bits
+    for sign_bit in (1, 0):
+        for field in range(0, (1 << l) - 1):
+            for m in range(1 << k):
+                bits = (sign_bit << (l + k)) | (field << k) | m
+                x = SimFloat(fmt, bits)
+                if x.kind == "subnormal" and not include_subnormals:
+                    continue
+                if sign_bit and x.is_zero():
+                    continue
+                if lo_d <= x.to_dyadic() <= hi_d:
+                    out.append(x)
+    out.sort(key=lambda f: f.to_dyadic().to_fraction())
+    return out
+
+
+@mark.parametrize("include_subnormals", [False, True])
+@mark.parametrize("fmt", [F23, F34], ids=["F23", "F34"])
+def test_values_in_range_matches_full_pattern_walk(fmt, include_subnormals):
+    # bounds drawn from every value, infinities included, so zero,
+    # subnormal bounds and empty ranges (lo > hi) all come up
+    every = finite_values(fmt) + [SimFloat.inf(fmt, 1), SimFloat.inf(fmt, -1)]
+    rng = random.Random(20240607)
+    for _ in range(300):
+        lo, hi = rng.choice(every), rng.choice(every)
+        want = walk_values_in_range(fmt, lo, hi, include_subnormals)
+        assert values_in_range(fmt, lo, hi, include_subnormals) == want
+        ranges = _pattern_ranges(fmt, lo, hi, include_subnormals)
+        assert sum(map(len, ranges)) == len(want)
 
 
 # ---------------------------------------------------------------------------

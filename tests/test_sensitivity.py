@@ -3,15 +3,19 @@
 The couplings and ``random_permutation`` share one Fisher-Yates, and brute
 force reads every release through ``exact_value``; the values below were
 recorded before either was shared, so any change in the draws or in how a
-release is read shows up here.
+release is read shows up here.  Brute force is also checked against the
+certified bounds it sandwiches, and on a format too wide to enumerate.
 """
 
 import json
+import time
 
 from pytest import mark
 
-from boundedsum import (Dataset, IntFormat, KInt, couple_co, couple_sym,
-                        d_ham, d_id, random_permutation)
+from boundedsum import (Dataset, FloatFormat, IntFormat, KInt, SensSpec,
+                        SumMethod, brute_force_sensitivity, couple_co,
+                        couple_sym, d_ham, d_id, implemented_sensitivity_bound,
+                        parse_value, random_permutation)
 from boundedsum.cli import main
 
 FMT = IntFormat(8, True, "saturating")
@@ -102,3 +106,74 @@ def test_bruteforce_reads_infinite_releases_at_their_working_value(capsys):
     assert report["datasets"] == 117649
     assert report["witness"] == {"u": ["0x3b", "0x3b", "0x1b"],
                                  "v": ["0x3b", "0x12", "0x1b"]}
+
+
+@mark.parametrize("lower, upper, metric, n, datasets", [
+    ("1", "1", "ham", "1", 1),
+    ("-1", "1", "ham", "1", None),
+    ("-1", "1", "sym", "0", 1),
+], ids=["one-value", "guard", "empty-only"])
+def test_bruteforce_on_float32_sizes_the_domain_without_walking_it(
+        capsys, lower, upper, metric, n, datasets):
+    # [1, 1] holds one float32 value; [-1, 1] about 2^31, which the work
+    # guard refuses before any value is built, and which size 0 never needs
+    argv = ["sens", "bruteforce", "--format", "float:23,8", "--lower", lower,
+            "--upper", upper, "--metric", metric, "--n", n]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    if datasets is None:
+        assert code == 2
+        assert "work guard" in captured.err
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["datasets"] == datasets
+    assert elapsed < 2
+
+
+F23 = FloatFormat(2, 3)
+
+
+def _f23_case(metric, algorithm, rule):
+    return (F23, "-1", "1", metric, algorithm, 2, False, rule)
+
+
+def _int4_case(overflow, metric, algorithm, rule, bits=4, checked=False):
+    return (IntFormat(bits, True, overflow), -4, 3, metric, algorithm, 3,
+            checked, rule)
+
+
+SANDWICH = (
+    [_f23_case(metric, alg, f"float-{alg}-accuracy")
+     for alg in ("iterative", "pairwise", "kahan") for metric in ("co", "ham")]
+    + [_f23_case("ham", "split", "float-split-known-n"),
+       _f23_case("id", "split", "float-split-unknown-n")]
+    + [_int4_case("wraparound", metric, alg, f"modular-{metric}")
+       for metric in ("sym", "co", "ham", "id")
+       for alg in ("iterative", "pairwise")]
+    + [_int4_case("saturating", metric, "split", "int-saturating-split")
+       for metric in ("sym", "co", "ham", "id")]
+    + [_int4_case("saturating", metric, "iterative", "int-saturating-ordered")
+       for metric in ("ham", "id")]
+    + [_int4_case("saturating", metric, "iterative", "int-checked-idealized",
+                  bits=5, checked=True)
+       for metric in ("sym", "co", "ham", "id")]
+)
+
+
+@mark.parametrize("fmt, lower, upper, metric, algorithm, n, checked, rule",
+                  SANDWICH, ids=[f"{c[7]}-{c[3]}-{c[4]}" for c in SANDWICH])
+def test_bruteforce_stays_below_the_certified_bound(
+        fmt, lower, upper, metric, algorithm, n, checked, rule):
+    if isinstance(fmt, FloatFormat):
+        lo, hi = parse_value(fmt, lower), parse_value(fmt, upper)
+    else:
+        lo, hi = KInt(fmt, lower), KInt(fmt, upper)
+    spec = SensSpec(fmt, lo, hi, metric, SumMethod(algorithm), n=n,
+                    checked=checked)
+    bound = implemented_sensitivity_bound(spec)
+    assert bound.rule == rule
+    result = brute_force_sensitivity(spec)
+    assert result.output_metric == bound.output_metric
+    assert result.value <= bound.value
