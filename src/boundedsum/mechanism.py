@@ -18,9 +18,11 @@ Three layers, in increasing order of rigor:
 
 3. :func:`exact_dp_check` — for finite-support discrete mechanisms, fold
    the noise PMF in exact rational arithmetic and return the worst
-   pointwise probability ratio.  No sampling is involved; the verdict
-   compares an exact rational against ``e^epsilon`` through interval
-   arithmetic that widens its precision until the two separate.
+   pointwise probability ratio, found among a handful of breakpoints of
+   the ratio rather than by enumerating the support.  No sampling is
+   involved; the verdict compares an exact rational against
+   ``e^epsilon`` through interval arithmetic that widens its precision
+   until the two separate.
 
 The discrete noise distribution is pinned down by a *rational* decay
 parameter ``alpha`` chosen just above ``exp(-1/scale)`` (more noise than
@@ -65,8 +67,10 @@ NOISE_KINDS = ("laplace", "discrete_laplace", "discrete_laplace_mod")
 # have probability below 1% under the claimed epsilon.
 VERDICT_CUTOFF_LOG2 = math.log2(0.01)
 
-# exact_dp_check enumerates every output; beyond this support size the
-# rational arithmetic stops being a reasonable desk computation.
+# exact_dp_check evaluates at most six outputs, but its weights are powers
+# of alpha (80 bits each) with exponents up to the support size: at this
+# support the exact ratio runs to about 1.6 million decimal digits, and
+# beyond it the report stops being a reasonable desk computation.
 SUPPORT_LIMIT = 1 << 16
 
 _ALPHA_GRID_BITS = 80
@@ -244,13 +248,21 @@ def calibrate(noise: str, bound: SensitivityBound, epsilon: Fraction,
                          modulus=modulus, epsilon=epsilon, calibration=bound)
 
 
-def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int):
-    """One mechanism run: ``BS*(dataset)`` plus one noise draw."""
+def _refuse_exact(spec: MechanismSpec) -> None:
     if spec.method.algorithm == "exact":
         raise UnsupportedCombination(
             "mechanisms release values of the element type; the exact "
             "pseudo-algorithm is an analysis oracle, not a release path")
-    base = run_sum(dataset, spec.method).value
+
+
+def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int):
+    """One mechanism run: ``BS*(dataset)`` plus one noise draw."""
+    _refuse_exact(spec)
+    return _add_noise(spec, run_sum(dataset, spec.method).value, seed)
+
+
+def _add_noise(spec: MechanismSpec, base, seed: int):
+    """The noisy release of the noiseless release ``base``."""
     rng = random.Random(seed)
     if isinstance(base, KInt):
         if spec.noise == "laplace":
@@ -262,7 +274,7 @@ def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int):
             return modular_noise_add(base, z)
         return KInt(base.fmt, base.fmt.clamp(base.value + z))
     # float release
-    fmt = dataset.fmt
+    fmt = base.fmt
     if spec.noise == "discrete_laplace_mod":
         raise UnsupportedCombination("modular noise needs an integer format")
     if spec.noise == "laplace":
@@ -309,11 +321,14 @@ def _trial_seed(master_seed: int, role: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _midpoint(base_u, base_v) -> Fraction:
+    return Fraction(exact_value(base_u) + exact_value(base_v), 2)
+
+
 def midpoint_threshold(spec: MechanismSpec, u: Dataset, v: Dataset) -> Fraction:
     """Halfway between the two noiseless releases — the default test."""
-    su = exact_value(run_sum(u, spec.method).value)
-    sv = exact_value(run_sum(v, spec.method).value)
-    return Fraction(su + sv, 2)
+    return _midpoint(run_sum(u, spec.method).value,
+                     run_sum(v, spec.method).value)
 
 
 def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
@@ -323,8 +338,10 @@ def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
     """Threshold ``trials`` runs of the mechanism on ``u`` and on ``v``.
 
     ``instance`` is an attack instance (anything with ``u``/``v`` dataset
-    attributes).  Per-trial seeds derive from ``master_seed`` through a
-    hash counter, so trials are reproducible and order-independent.  The
+    attributes).  The base sum is deterministic, so each dataset is summed
+    once and every trial only draws and adds its noise.  Per-trial seeds
+    derive from ``master_seed`` through a hash counter, so trials are
+    reproducible and order-independent.  The
     report's bound is :func:`dp_violation_log2_bound` of the table under
     ``spec.epsilon``, and the verdict flips to ``"epsilon-violation"``
     below ``VERDICT_CUTOFF_LOG2``.
@@ -333,16 +350,19 @@ def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
         raise PreconditionFailed("trials must be nonnegative")
     if spec.epsilon is None:
         raise PreconditionFailed("the spec must carry the claimed epsilon")
+    _refuse_exact(spec)
+    base_u = run_sum(instance.u, spec.method).value
+    base_v = run_sum(instance.v, spec.method).value
     if threshold is None:
-        threshold = midpoint_threshold(spec, instance.u, instance.v)
+        threshold = _midpoint(base_u, base_v)
     else:
         threshold = Fraction(threshold)
     table = []
-    for role, ds in (("u", instance.u), ("v", instance.v)):
+    for role, base in (("u", base_u), ("v", base_v)):
         ones = 0
         for i in range(trials):
-            released = run_mechanism(spec, ds, _trial_seed(master_seed,
-                                                           role, i))
+            released = _add_noise(spec, base, _trial_seed(master_seed,
+                                                          role, i))
             if exact_value(released) > threshold:
                 ones += 1
         table.append((trials - ones, ones))
@@ -483,8 +503,12 @@ class ExactDPReport:
     support: int
 
     def to_json(self) -> dict:
+        try:
+            approx = float(self.max_ratio)
+        except OverflowError:   # past the largest double
+            approx = None
         return {"max_ratio": _exact_str(self.max_ratio),
-                "max_ratio_approx": float(self.max_ratio),
+                "max_ratio_approx": approx,
                 "witness": self.witness,
                 "epsilon": str(self.epsilon), "satisfied": self.satisfied,
                 "support": self.support}
@@ -519,23 +543,18 @@ def _folded_pmf(alpha: Fraction, center: int, modulus: int):
     """PMF of ``(center + Z) mod modulus`` as exact Fractions by residue.
 
     Folding the two-sided geometric over the wrap gives, for the residue
-    ``r = (z - center) mod modulus``::
+    ``r = (z - center) mod modulus`` in ``[0, m)``::
 
-        W(r) = c * (alpha^r + alpha^(m-r)) / (1 - alpha^m),   r > 0
-        W(0) = c * (1 + alpha^m) / (1 - alpha^m)
+        W(r) = c * (alpha^r + alpha^(m-r)) / (1 - alpha^m)
 
-    with ``c = (1-alpha)/(1+alpha)``.  The common positive factor
-    ``c / (1 - alpha^m)`` cancels in every ratio, so it is omitted.
+    with ``c = (1-alpha)/(1+alpha)`` (at ``r = 0`` that is ``1 + alpha^m``).
+    The common positive factor ``c / (1 - alpha^m)`` cancels in every
+    ratio, so it is omitted.
     """
-    powers = [Fraction(1)]
-    for _ in range(modulus):
-        powers.append(powers[-1] * alpha)
 
     def weight(z: int) -> Fraction:
         r = (z - center) % modulus
-        if r == 0:
-            return 1 + powers[modulus]
-        return powers[r] + powers[modulus - r]
+        return alpha ** r + alpha ** (modulus - r)
 
     return weight
 
@@ -575,18 +594,35 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
     support is the residue ring) or clamped integer noise (the support is
     the type's range).  Every output weight is an exact rational built
     from the spec's rational ``alpha``; the returned ratio is their exact
-    maximum, and ``satisfied`` settles ``max_ratio <= e^epsilon`` by
-    certified interval comparison.
+    maximum over the support, with the first (smallest) output that
+    attains it as the witness, and ``satisfied`` settles
+    ``max_ratio <= e^epsilon`` by certified interval comparison.
+
+    The ratio is evaluated only at the ends of the pieces on which it is
+    monotone in the output ``z``, in ascending order, keeping the first
+    strict maximum.  On a monotone or constant piece the first maximum is
+    one of its ends, so this gives the same maximum and witness as
+    enumerating the whole support.  With centres ``su``, ``sv``:
+
+    * clamped, support ``[lo, hi]``: inside the rails the ratio is
+      ``alpha^(|z-su| - |z-sv|)``, whose exponent is constant below
+      ``min(su, sv)``, linear between the centres and constant above, so
+      the pieces are ``{lo}``, ``[lo+1, min]``, ``[min, max]``,
+      ``[max, hi-1]`` and ``{hi}``;
+    * modular, support ``[0, m)``: ``alpha^r + alpha^(m-r)`` is
+      ``2 alpha^(m/2) cosh((r - m/2) ln alpha)`` for every residue ``r``,
+      so between the wraps at ``su mod m`` and ``sv mod m`` the ratio is
+      ``cosh(A)/cosh(B) = cosh(A-B) + sinh(A-B) tanh(B)`` with ``A - B``
+      constant and ``B`` linear in ``z``; ``tanh`` is increasing, so each
+      of ``[0, c-1]``, ``[c, c'-1]``, ``[c', m-1]`` (``c <= c'`` the
+      centres' residues) is monotone.
     """
     epsilon = Fraction(epsilon)
     if not isinstance(u.fmt, IntFormat) or u.fmt != v.fmt:
         raise PreconditionFailed("need two datasets over one integer format")
     if spec.noise == "laplace":
         raise UnsupportedCombination("continuous noise has no finite support")
-    if spec.method.algorithm == "exact":
-        raise UnsupportedCombination(
-            "mechanisms release values of the element type; the exact "
-            "pseudo-algorithm is an analysis oracle, not a release path")
+    _refuse_exact(spec)
     fmt = u.fmt
     alpha = spec.alpha
     su = run_sum(u, spec.method).value.value
@@ -598,20 +634,23 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
         if modulus > SUPPORT_LIMIT:
             raise PreconditionFailed(f"support {modulus} exceeds "
                                      f"{SUPPORT_LIMIT}")
-        wu = _folded_pmf(alpha, su % modulus, modulus)
-        wv = _folded_pmf(alpha, sv % modulus, modulus)
-        support = range(modulus)
+        cu, cv = su % modulus, sv % modulus
+        wu = _folded_pmf(alpha, cu, modulus)
+        wv = _folded_pmf(alpha, cv, modulus)
+        lo, hi = 0, modulus - 1
+        breaks = (cu - 1, cu, cv - 1, cv)
         size = modulus
     else:
         size = fmt.modulus
         if size > SUPPORT_LIMIT:
             raise PreconditionFailed(f"support {size} exceeds {SUPPORT_LIMIT}")
-        wu = _saturated_pmf(alpha, su, fmt.min_value, fmt.max_value)
-        wv = _saturated_pmf(alpha, sv, fmt.min_value, fmt.max_value)
-        support = range(fmt.min_value, fmt.max_value + 1)
+        lo, hi = fmt.min_value, fmt.max_value
+        wu = _saturated_pmf(alpha, su, lo, hi)
+        wv = _saturated_pmf(alpha, sv, lo, hi)
+        breaks = (lo + 1, su, sv, hi - 1)
     best: Optional[Fraction] = None
     witness = 0
-    for z in support:
+    for z in sorted({lo, hi, *(z for z in breaks if lo <= z <= hi)}):
         ratio = wu(z) / wv(z)
         if best is None or ratio > best:
             best, witness = ratio, z

@@ -1,15 +1,26 @@
 """CLI reports pinned byte for byte.
 
 Each file under ``tests/golden/`` is the stdout of one command below.
-They cover the exhaustive sensitivity scan for every metric and the
-certified float routes (accuracy, shift, truncation, split), so any change
-in a value, a witness, a dataset count, a bound or a message shows up as
-a changed byte.  When a report is meant to change, rewrite the files with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+They cover the exhaustive sensitivity scan for every metric, the
+certified float routes (accuracy, shift, truncation, split), the exact DP
+check with both discrete noises and the distinguishing experiment, so any
+change in a value, a witness, a dataset count, a bound, a verdict or a
+message shows up as a changed byte.  When a report is meant to change,
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
+
+The mechanism commands read the dataset pairs under
+``tests/golden/instances/`` and run from ``tests/golden/``, so the paths
+their manifests record are relative.  Those pairs are inputs, not
+outputs: ``ov6``, ``ov8``, ``ov8s``, ``rr2`` and ``sat8`` were written by
+``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``.
 """
 
 import contextlib
 import io
+import math
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -67,11 +78,114 @@ CASES["bound-id-kahan-shift-truncate"] = _BOUND + [
 CASES["bound-id-split"] = _BOUND + ["--metric", "id", "--method", "split"]
 
 
-def _stdout(argv) -> str:
+
+def _dpcheck(tag, *flags):
+    return ["dpcheck", "exact", "--u", f"instances/{tag}/u.json",
+            "--v", f"instances/{tag}/v.json", *flags]
+
+
+def _experiment(tag, *flags):
+    return ["experiment", "run", "--instance", f"instances/{tag}", *flags]
+
+
+# name -> (argv, exit code): a check that fails and a violation verdict
+# both exit 3
+MECHANISM_CASES = {
+    # the overflow pairs: centres on opposite rails, 255 apart when
+    # clamped and adjacent on the ring
+    "dpcheck-ov8-clamped-idealized": (_dpcheck(
+        "ov8", "--epsilon", "1", "--calibrate", "idealized"), 3),
+    "dpcheck-ov8-mod-modular": (_dpcheck(
+        "ov8", "--epsilon", "1", "--noise", "discrete_laplace_mod",
+        "--calibrate", "modular"), 0),
+    "dpcheck-ov8-mod-modular-underscaled": (_dpcheck(
+        "ov8", "--epsilon", "1", "--noise", "discrete_laplace_mod",
+        "--calibrate", "modular", "--scale-factor", "1/5"), 3),
+    "dpcheck-ov8-clamped-scale40": (_dpcheck(
+        "ov8", "--epsilon", "1/2", "--scale", "40"), 3),
+    "dpcheck-ov8s-clamped-idealized": (_dpcheck(
+        "ov8s", "--epsilon", "1", "--calibrate", "idealized",
+        "--metric", "ham"), 3),
+    "dpcheck-ov8s-mod-modular": (_dpcheck(
+        "ov8s", "--epsilon", "1", "--noise", "discrete_laplace_mod",
+        "--calibrate", "modular", "--metric", "ham"), 0),
+    "dpcheck-ov6-clamped-scale1_3": (_dpcheck(
+        "ov6", "--epsilon", "2", "--scale", "1/3"), 3),
+    "dpcheck-ov6-mod-scale5_2": (_dpcheck(
+        "ov6", "--epsilon", "1", "--noise", "discrete_laplace_mod",
+        "--scale", "5/2"), 0),
+    "dpcheck-sat8-clamped-idealized": (_dpcheck(
+        "sat8", "--epsilon", "1", "--calibrate", "idealized"), 3),
+    "dpcheck-sat8-clamped-scale100": (_dpcheck(
+        "sat8", "--epsilon", "3", "--scale", "100"), 0),
+    # centres 64 apart inside the range (70 and 6), away from the rails
+    # and the wrap
+    "dpcheck-mid8-clamped-scale40": (_dpcheck(
+        "mid8", "--epsilon", "2", "--scale", "40"), 0),
+    "dpcheck-mid8-clamped-scale1": (_dpcheck(
+        "mid8", "--epsilon", "1", "--scale", "1"), 3),
+    "dpcheck-mid8-mod-scale40": (_dpcheck(
+        "mid8", "--epsilon", "2", "--noise", "discrete_laplace_mod",
+        "--scale", "40"), 0),
+    "dpcheck-mid8-mod-scale5_2": (_dpcheck(
+        "mid8", "--epsilon", "1", "--noise", "discrete_laplace_mod",
+        "--scale", "5/2"), 3),
+    # equal sums: every ratio is 1 and the first point is the witness
+    "dpcheck-same7-clamped-scale1_3": (_dpcheck(
+        "same7", "--epsilon", "1/10", "--scale", "1/3"), 0),
+    "experiment-ov8-clamped-idealized": (_experiment(
+        "ov8", "--trials", "200", "--seed", "7", "--epsilon", "1",
+        "--calibrate", "idealized"), 3),
+    "experiment-ov8-mod-modular": (_experiment(
+        "ov8", "--trials", "200", "--seed", "7", "--epsilon", "1",
+        "--noise", "discrete_laplace_mod", "--calibrate", "modular"), 0),
+    "experiment-ov8s-threshold0": (_experiment(
+        "ov8s", "--trials", "100", "--seed", "11", "--epsilon", "1",
+        "--calibrate", "idealized", "--threshold", "0"), 3),
+    "experiment-sat8-idealized": (_experiment(
+        "sat8", "--trials", "100", "--seed", "5", "--epsilon", "1",
+        "--calibrate", "idealized"), 3),
+    "experiment-rr2-laplace": (_experiment(
+        "rr2", "--trials", "40", "--seed", "3", "--epsilon", "2",
+        "--noise", "laplace", "--calibrate", "idealized"), 0),
+    "experiment-rr2-discrete-scale1_2": (_experiment(
+        "rr2", "--trials", "40", "--seed", "3", "--epsilon", "1",
+        "--scale", "1/2"), 3),
+}
+
+# numpy builds may differ in the last digits of the log-sum-exp
+_LOG2_BOUND = re.compile(r'"log2_probability_bound": (\S+?),\n')
+
+
+def _run(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(argv) == 0
-    return buf.getvalue()
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def _stdout(argv) -> str:
+    code, out = _run(argv)
+    assert code == 0
+    return out
+
+
+@contextlib.contextmanager
+def _in_golden():
+    saved = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        yield
+    finally:
+        os.chdir(saved)
+
+
+def _mechanism_stdout(name) -> str:
+    argv, exit_code = MECHANISM_CASES[name]
+    with _in_golden():
+        code, out = _run(argv)
+    assert code == exit_code
+    return out
 
 
 @mark.parametrize("name", sorted(CASES))
@@ -80,12 +194,30 @@ def test_report_is_byte_identical(name):
     assert _stdout(CASES[name]) == expected
 
 
+@mark.parametrize("name", sorted(MECHANISM_CASES))
+def test_mechanism_report_is_byte_identical(name):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    got = _mechanism_stdout(name)
+    want_bounds = [float(x) for x in _LOG2_BOUND.findall(expected)]
+    got_bounds = [float(x) for x in _LOG2_BOUND.findall(got)]
+    assert len(got_bounds) == len(want_bounds)
+    for g, w in zip(got_bounds, want_bounds):
+        assert math.isclose(g, w, rel_tol=1e-12), (g, w)
+    blank = '"log2_probability_bound": _,\n'
+    assert _LOG2_BOUND.sub(blank, got) == _LOG2_BOUND.sub(blank, expected)
+
+
 def test_every_golden_file_has_a_command():
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(
+        [*CASES, *MECHANISM_CASES])
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
         (GOLDEN / f"{name}.json").write_text(_stdout(argv), encoding="utf-8")
-    sys.stdout.write(f"wrote {len(CASES)} reports to {GOLDEN}\n")
+    for name in sorted(MECHANISM_CASES):
+        (GOLDEN / f"{name}.json").write_text(_mechanism_stdout(name),
+                                             encoding="utf-8")
+    sys.stdout.write(f"wrote {len(CASES) + len(MECHANISM_CASES)} reports "
+                     f"to {GOLDEN}\n")

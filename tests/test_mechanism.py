@@ -1,8 +1,11 @@
-"""Mechanism layer: the log-space binomial tail, the violation bound, and
-the modulus rule shared by the sampler and the exact checker."""
+"""Mechanism layer: the log-space binomial tail, the violation bound, the
+modulus rule shared by the sampler and the exact checker, and the exact
+checker's breakpoint search against full enumeration."""
 
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,8 +19,10 @@ from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec,
                         UnsupportedCombination, dp_violation_log2_bound,
                         exact_dp_check, generate_attack, run_mechanism)
 from boundedsum.cli import main
-from boundedsum.ints import IntFormat
-from boundedsum.mechanism import _log_upper_tail
+from boundedsum.data import Dataset
+from boundedsum.ints import IntFormat, KInt
+from boundedsum.mechanism import (_folded_pmf, _log_upper_tail,
+                                  _saturated_pmf, certified_leq_exp)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -125,6 +130,102 @@ def test_cli_dpcheck_exits_2_on_a_mismatched_modulus(tmp_path, capsys):
     assert main(argv + ["--m", "16"]) == 2
     assert "modulus must match" in capsys.readouterr().err
     assert main(argv + ["--m", "256"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Breakpoint search against full enumeration
+# ---------------------------------------------------------------------------
+
+def enumerated_max_ratio(spec, fmt, su, sv):
+    """Worst ratio and its first witness, from every output of the support.
+
+    This is the scan ``exact_dp_check`` ran before it evaluated only the
+    ends of the ratio's monotone pieces: the reference it must agree with.
+    """
+    alpha = spec.alpha
+    if spec.noise == "discrete_laplace_mod":
+        m = fmt.modulus
+        wu = _folded_pmf(alpha, su % m, m)
+        wv = _folded_pmf(alpha, sv % m, m)
+        support = range(m)
+    else:
+        wu = _saturated_pmf(alpha, su, fmt.min_value, fmt.max_value)
+        wv = _saturated_pmf(alpha, sv, fmt.min_value, fmt.max_value)
+        support = range(fmt.min_value, fmt.max_value + 1)
+    best, witness = None, 0
+    for z in support:
+        ratio = wu(z) / wv(z)
+        if best is None or ratio > best:
+            best, witness = ratio, z
+    return best, witness
+
+
+def one_element(fmt, value):
+    lo, hi = KInt(fmt, fmt.min_value), KInt(fmt, fmt.max_value)
+    return Dataset(fmt, lo, hi, [(KInt(fmt, value), 1)])
+
+
+def assert_matches_enumeration(fmt, noise, scale, su, sv, epsilon):
+    spec = MechanismSpec(noise=noise, scale=scale)
+    got = exact_dp_check(spec, one_element(fmt, su), one_element(fmt, sv),
+                         epsilon)
+    best, witness = enumerated_max_ratio(spec, fmt, su, sv)
+    case = (fmt, noise, scale, su, sv)
+    assert (got.max_ratio, got.witness) == (best, witness), case
+    assert got.satisfied == certified_leq_exp(best, epsilon), case
+
+
+def noises(fmt):
+    if fmt.overflow == "wraparound":
+        return ("discrete_laplace", "discrete_laplace_mod")
+    return ("discrete_laplace",)
+
+
+CHECK_SCALES = (Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(40))
+
+
+@mark.parametrize("bits", [2, 3])
+def test_breakpoints_match_enumeration_on_every_pair(bits):
+    for signed in (False, True):
+        for overflow in ("wraparound", "saturating"):
+            fmt = IntFormat(bits, signed, overflow)
+            values = range(fmt.min_value, fmt.max_value + 1)
+            for noise in noises(fmt):
+                for scale in CHECK_SCALES:
+                    for su in values:
+                        for sv in values:
+                            assert_matches_enumeration(fmt, noise, scale,
+                                                       su, sv, 1)
+
+
+def test_breakpoints_match_enumeration_at_8_bits():
+    rng = random.Random(8)
+    for signed in (False, True):
+        for overflow in ("wraparound", "saturating"):
+            fmt = IntFormat(8, signed, overflow)
+            for noise in noises(fmt):
+                su = rng.randint(fmt.min_value, fmt.max_value)
+                sv = rng.randint(fmt.min_value, fmt.max_value)
+                assert_matches_enumeration(fmt, noise, rng.choice(
+                    CHECK_SCALES), su, sv, Fraction(rng.randint(1, 30), 10))
+
+
+def test_cli_dpcheck_reports_a_ratio_past_the_double_range(tmp_path,
+                                                          capsys):
+    pair = tmp_path / "ov8"
+    assert main(["attack", "gen", "--theorem", "overflow", "--bits", "8",
+                 "--upper", "4", "--out", str(pair)]) == 0
+    capsys.readouterr()
+    assert main(["dpcheck", "exact", "--u", str(pair / "u.json"),
+                 "--v", str(pair / "v.json"), "--epsilon", "1",
+                 "--scale", "1/4"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_ratio_approx"] is None
+    assert report["satisfied"] is False and report["witness"] == 255
+    # the exact ratio is still reported: about alpha^-255 with alpha near
+    # e^-4, some 10^443, past the largest double (about 1.8e308)
+    num, den = report["max_ratio"].split("/")
+    assert len(num) - len(den) > 309
 
 
 # ---------------------------------------------------------------------------
