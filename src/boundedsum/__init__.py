@@ -15,7 +15,7 @@ from .data import (Dataset, ElementFormat, Value, decode_value, encode_value,
 from .dyadic import Dyadic, floor_log2_fraction
 from .floats import (FLOAT32, FLOAT64, ROUNDING_MODES, FloatFormat,
                      InvalidOperation, SimFloat, add_float, is_representable,
-                     parse_value, round_dyadic, to_exact, ulp,
+                     parse_value, round_dyadic, ulp,
                      values_in_range)
 from .ints import IntFormat, KInt, add_int
 from .metrics import INFINITE, d_co, d_ham, d_id, d_mod, d_sym, histogram
@@ -55,7 +55,7 @@ __all__ = [
     "Dyadic", "floor_log2_fraction",
     "FloatFormat", "SimFloat", "InvalidOperation", "FLOAT32", "FLOAT64",
     "ROUNDING_MODES", "ulp", "is_representable", "round_dyadic", "add_float",
-    "to_exact", "parse_value", "values_in_range",
+    "parse_value", "values_in_range",
     "IntFormat", "KInt", "add_int",
     # metrics
     "INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id", "d_mod",

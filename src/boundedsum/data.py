@@ -22,7 +22,7 @@ from .floats import FloatFormat, SimFloat
 from .ints import IntFormat, KInt
 
 __all__ = ["Dataset", "ElementFormat", "Value", "encode_value", "decode_value",
-           "exact_value", "format_to_json", "format_from_json",
+           "exact_value", "order_key", "format_to_json", "format_from_json",
            "load_dataset", "save_dataset"]
 
 ElementFormat = Union[FloatFormat, IntFormat]
@@ -39,18 +39,35 @@ def exact_value(value) -> Union[int, Fraction]:
     """Exact value of an element or a release: an int or a Fraction.
 
     Takes a SimFloat, a KInt, or what the ``exact`` algorithm releases (a
-    Dyadic or an int); on elements it is also the sort key.  Integers
-    stay Python ints, which sort, hash and subtract far faster than
-    Fractions.  An infinite SimFloat reads as its working value
-    ``±2^(emax+1)``, so a saturated release still has a size to compare.
+    Dyadic or an int).  Integers stay Python ints, which subtract far
+    faster than Fractions.  An infinite SimFloat reads as its working
+    value ``±2^(emax+1)``, so a saturated release still has a size to
+    compare.  To order elements, use :func:`order_key`, which builds no
+    Fraction.
     """
     if isinstance(value, SimFloat):
-        return value.to_dyadic().to_fraction()
+        return value.fmt.grid_fraction(value.to_grid())
     if isinstance(value, KInt):
         return value.value
     if isinstance(value, Dyadic):
         return value.to_fraction()
     return value
+
+
+def order_key(value: Value) -> int:
+    """An int that orders elements exactly as their values do.
+
+    For a SimFloat it is read off the bit pattern: minus the magnitude
+    bits for negatives, the pattern itself otherwise.  Within one sign the
+    patterns are ordered by magnitude, and ``-0`` is folded into ``+0``,
+    so equal keys mean equal values; infinities sort at the ends.  For a
+    KInt it is the value.
+    """
+    if isinstance(value, KInt):
+        return value.value
+    bits = value.bits
+    sign = value.fmt._kernel[3]
+    return -(bits ^ sign) if bits & sign else bits
 
 
 class Dataset:
@@ -67,7 +84,7 @@ class Dataset:
                  runs: Iterable[Tuple[Value, int]]):
         self._check_value(fmt, lower, "lower bound")
         self._check_value(fmt, upper, "upper bound")
-        lo_key, hi_key = exact_value(lower), exact_value(upper)
+        lo_key, hi_key = order_key(lower), order_key(upper)
         if lo_key > hi_key:
             raise ValueError("lower bound exceeds upper bound")
         merged = []
@@ -76,8 +93,7 @@ class Dataset:
             self._check_value(fmt, v, "element")
             if c < 1:
                 raise ValueError("run counts must be positive")
-            key = exact_value(v)
-            if not lo_key <= key <= hi_key:
+            if not lo_key <= order_key(v) <= hi_key:
                 raise ValueError(f"element {v} outside bounds [{lower}, {upper}]")
             if merged and merged[-1][0] == v:
                 merged[-1] = (v, merged[-1][1] + c)

@@ -22,8 +22,12 @@ purpose.  Two consequences drive everything downstream:
 * an infinity absorbs further addends: ``inf + z = inf`` for any
   ``z != -inf``, while ``inf + (-inf)`` raises :class:`InvalidOperation`.
 
-All arithmetic is performed exactly on :class:`~boundedsum.dyadic.Dyadic`
-values and then rounded once, so every rounding mode is bit-exact by
+Addition runs on plain integers (Higham, *Accuracy and Stability of
+Numerical Algorithms*, §2.1).  Each operand's bit pattern unpacks into a
+sign, a significand and an exponent; the two significands are aligned to
+the smaller exponent and added exactly, and the exact sum is rounded once
+by :func:`_round_bits`, which packs the rounded significand straight back
+into a bit pattern.  Every rounding mode is therefore bit-exact by
 construction rather than by emulation tricks.
 """
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .dyadic import Dyadic
@@ -46,7 +51,6 @@ __all__ = [
     "is_representable",
     "round_dyadic",
     "add_float",
-    "to_exact",
     "parse_value",
     "values_in_range",
 ]
@@ -106,6 +110,17 @@ class FloatFormat:
     @property
     def min_subnormal(self) -> Dyadic:
         return Dyadic(1, self.emin - self.k)
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        """``(k, emin, emax, sign bit, infinity's magnitude pattern)``."""
+        k = self.mantissa_bits
+        return (k, self.emin, self.emax, 1 << (self.total_bits - 1),
+                ((1 << self.exponent_bits) - 1) << k)
+
+    def grid_fraction(self, units: int) -> Fraction:
+        """Exact value of ``units`` steps of the finest spacing ``2^(emin-k)``."""
+        return Fraction(units, 1 << (self.k - self.emin))
 
     def __repr__(self) -> str:
         return f"FloatFormat({self.mantissa_bits}, {self.exponent_bits})"
@@ -208,29 +223,39 @@ class SimFloat:
         return self.fmt.emin if f == 0 else f - self.fmt.bias
 
     def is_finite(self) -> bool:
-        return self.kind != "inf"
+        _, _, _, sign, inf = self.fmt._kernel
+        return self.bits & (sign - 1) != inf
 
     def is_zero(self) -> bool:
         return self.bits == 0
 
     # -- value views -----------------------------------------------------
 
+    def to_grid(self) -> int:
+        """Exact value in units of the finest spacing ``2^(emin-k)``.
+
+        Every finite value is an integer multiple of that spacing, so sums
+        and gaps of values are integer arithmetic on these counts.
+        Infinities read as ``±2^(emax+1)`` by convention.
+        """
+        k, emin, emax, sign, inf = self.fmt._kernel
+        mag = self.bits & (sign - 1)
+        if mag == inf:
+            mag = 1 << (emax + 1 - emin + k)
+        else:
+            f = mag >> k  # biased exponent field; 0 for subnormals and zero
+            if f > 1:
+                mag = (mag - ((f - 1) << k)) << (f - 1)
+        return -mag if self.bits & sign else mag
+
     def to_dyadic(self) -> Dyadic:
         """Exact value; infinities map to ``±2^(emax+1)`` by convention."""
-        fmt = self.fmt
-        k = fmt.mantissa_bits
-        f = self._exp_field
-        s = self.sign
-        if f == (1 << fmt.exponent_bits) - 1:
-            return Dyadic(s, fmt.emax + 1)
-        if f == 0:
-            return Dyadic(s * self.mantissa, fmt.emin - k)
-        return Dyadic(s * ((1 << k) | self.mantissa), f - fmt.bias - k)
+        return Dyadic(self.to_grid(), self.fmt.emin - self.fmt.k)
 
     def to_fraction(self) -> Fraction:
         if not self.is_finite():
             raise ValueError("infinity has no rational value")
-        return self.to_dyadic().to_fraction()
+        return self.fmt.grid_fraction(self.to_grid())
 
     def __float__(self) -> float:
         if self.kind == "inf":
@@ -244,20 +269,21 @@ class SimFloat:
     def __neg__(self) -> "SimFloat":
         if self.bits == 0:
             return self
-        return SimFloat(self.fmt, self.bits ^ (1 << (self.fmt.total_bits - 1)))
+        return _from_bits(self.fmt, self.bits ^ self.fmt._kernel[3])
 
     def __abs__(self) -> "SimFloat":
-        return SimFloat(self.fmt, self.bits & ~(1 << (self.fmt.total_bits - 1)))
+        return _from_bits(self.fmt, self.bits & (self.fmt._kernel[3] - 1))
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimFloat):
             return NotImplemented
-        return self.fmt == other.fmt and self.bits == other.bits
+        return self.bits == other.bits and (self.fmt is other.fmt
+                                            or self.fmt == other.fmt)
 
     def __hash__(self) -> int:
-        return hash((self.fmt, self.bits))
+        return hash(self.bits)  # equal values share a pattern, whatever the format
 
     def __repr__(self) -> str:
         return f"SimFloat({self.fmt!r}, {self.to_hex()})"
@@ -270,9 +296,12 @@ class SimFloat:
         return str(self.to_dyadic())
 
 
-def to_exact(x: SimFloat) -> Dyadic:
-    """Exact dyadic value of ``x`` (infinity maps to ``±2^(emax+1)``)."""
-    return x.to_dyadic()
+def _from_bits(fmt: FloatFormat, bits: int) -> SimFloat:
+    """A SimFloat from a pattern that is valid by construction: no checks."""
+    x = object.__new__(SimFloat)
+    x.fmt = fmt
+    x.bits = bits
+    return x
 
 
 def ulp(x: SimFloat) -> Dyadic:
@@ -312,98 +341,63 @@ def is_representable(value, fmt: FloatFormat) -> bool:
 # Rounding
 # ---------------------------------------------------------------------------
 
+def _check_mode(mode: str) -> None:
+    if mode not in ROUNDING_MODES:
+        raise ValueError(f"unknown rounding mode {mode!r}")
+
+
+def _round_bits(fmt: FloatFormat, neg: bool, mag: int, e: int, mode: str) -> int:
+    """Bit pattern of ``(-1)^neg * mag * 2^e`` (``mag > 0``) rounded to ``fmt``.
+
+    The value's binade ``top = floor(log2 |value|)``, raised to ``emin``
+    for subnormals, fixes the grid ``2^(top-k)``; ``t`` is the magnitude
+    in grid steps, rounded once.  Packing ``((top + bias - 1) << k) + t``
+    turns the three ways ``t`` can reach ``2^(k+1)`` (or ``2^k`` below
+    ``emin``) into carries into the exponent field: a subnormal promoted
+    to the smallest normal, a carry into the next binade, and a carry out
+    of the top binade into the infinity pattern.
+    """
+    k, emin, emax, sign, inf = fmt._kernel
+    top = mag.bit_length() - 1 + e
+    if top > emax:
+        return inf | sign if neg else inf
+    if top < emin:
+        top = emin
+    shift = top - k - e
+    if shift <= 0:
+        t = mag << -shift
+    else:
+        t = mag >> shift
+        rem = mag - (t << shift)
+        if rem:
+            if mode == "banker":
+                half = 1 << (shift - 1)
+                if rem > half or (rem == half and t & 1):
+                    t += 1
+            elif mode != "toward_zero" and neg == (mode == "toward_neg"):
+                t += 1  # away from zero: toward_pos above 0, toward_neg below
+    bits = ((top + emax - 1) << k) + t  # emax is the bias
+    if neg and bits:
+        bits |= sign
+    return bits
+
+
 def round_dyadic(q: Dyadic, fmt: FloatFormat, mode: str) -> SimFloat:
     """Round an exact value to ``fmt`` under ``mode``.
 
     Modes: ``banker`` (nearest, ties to even mantissa), ``toward_zero``,
     ``toward_pos``, ``toward_neg``.  Any magnitude at or past
-    ``2^(emax+1)`` becomes infinity in every mode; magnitudes strictly
-    between ``n_max`` and that point choose between ``n_max`` and infinity
+    ``2^(emax+1)`` becomes infinity in every mode.  Magnitudes strictly
+    between ``n_max`` and that point need no case of their own: rounding
+    up from ``n_max`` is the carry out of the top binade, whose packed
+    pattern is infinity's, so they choose between ``n_max`` and infinity
     as if infinity were the next grid value (its mantissa counts as even,
     so the halfway case under ``banker`` goes to infinity).
     """
-    if q.is_zero():
-        return SimFloat.zero(fmt)
-    s = 1 if q.m > 0 else -1
-    a = abs(q)
-    k = fmt.mantissa_bits
-
-    if a >= fmt.inf_value:
-        return SimFloat.inf(fmt, s)
-
-    # magnitude rounding direction for the signed modes
-    if mode == "banker":
-        mag = "nearest"
-    elif mode == "toward_zero":
-        mag = "down"
-    elif mode == "toward_pos":
-        mag = "up" if s > 0 else "down"
-    elif mode == "toward_neg":
-        mag = "up" if s < 0 else "down"
-    else:
-        raise ValueError(f"unknown rounding mode {mode!r}")
-
-    if a > fmt.max_finite:
-        # between n_max and the infinity point
-        if mag == "down":
-            return SimFloat(fmt, _nmax_bits(fmt, s))
-        if mag == "up":
-            return SimFloat.inf(fmt, s)
-        midpoint = fmt.max_finite + Dyadic(1, fmt.emax - k - 1)
-        if a > midpoint:
-            return SimFloat.inf(fmt, s)
-        if a < midpoint:
-            return SimFloat(fmt, _nmax_bits(fmt, s))
-        return SimFloat.inf(fmt, s)  # tie: infinity's mantissa (0) is even
-
-    if a < fmt.min_normal:
-        grid_e = fmt.emin - k
-        lo, hi = 0, 1 << k
-    else:
-        b = a.floor_log2()
-        grid_e = b - k
-        lo, hi = 1 << k, 1 << (k + 1)
-
-    # a / 2^grid_e = t_floor + rem / 2^shift  with 0 <= rem < 2^shift
-    shift = a.e - grid_e
-    if shift >= 0:
-        t = a.m << shift
-        rem, half = 0, 1
-    else:
-        t = a.m >> -shift
-        rem = a.m - (t << -shift)
-        half = 1 << (-shift - 1)
-
-    if mag == "down":
-        pass
-    elif mag == "up":
-        if rem:
-            t += 1
-    else:  # nearest, ties to even
-        if rem > half or (rem == half and t & 1):
-            t += 1
-
-    if a < fmt.min_normal:
-        if t == 0:
-            return SimFloat.zero(fmt)
-        if t == hi:  # promoted to the smallest normal
-            return SimFloat.from_parts(fmt, s, fmt.emin, 0)
-        return SimFloat.from_parts(fmt, s, fmt.emin, t, subnormal=True)
-
-    if t == hi:
-        b += 1
-        if b > fmt.emax:
-            return SimFloat.inf(fmt, s)
-        return SimFloat.from_parts(fmt, s, b, 0)
-    return SimFloat.from_parts(fmt, s, b, t - lo)
-
-
-def _nmax_bits(fmt: FloatFormat, sign: int) -> int:
-    k, l = fmt.mantissa_bits, fmt.exponent_bits
-    bits = (((1 << l) - 2) << k) | ((1 << k) - 1)
-    if sign < 0:
-        bits |= 1 << (fmt.total_bits - 1)
-    return bits
+    _check_mode(mode)
+    if q.m == 0:
+        return _from_bits(fmt, 0)
+    return _from_bits(fmt, _round_bits(fmt, q.m < 0, abs(q.m), q.e, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +410,36 @@ def add_float(x: SimFloat, y: SimFloat, mode: str = "banker") -> SimFloat:
     Infinities saturate: ``inf + z = inf`` unless ``z`` is the opposite
     infinity, which raises :class:`InvalidOperation`.
     """
-    if x.fmt != y.fmt:
+    fmt = x.fmt
+    if y.fmt is not fmt and y.fmt != fmt:
         raise ValueError("operands have different formats")
-    xk, yk = x.kind, y.kind
-    if xk == "inf" or yk == "inf":
-        if xk == "inf" and yk == "inf" and x.sign != y.sign:
+    _check_mode(mode)
+    k, emin, _, sign, inf = fmt._kernel
+    xb, yb = x.bits, y.bits
+    xm, ym = xb & (sign - 1), yb & (sign - 1)
+    if xm == inf or ym == inf:
+        if xm == ym and xb != yb:
             raise InvalidOperation("inf + (-inf) is undefined")
-        return x if xk == "inf" else y
-    return round_dyadic(x.to_dyadic() + y.to_dyadic(), x.fmt, mode)
+        return x if xm == inf else y
+    # value = significand * 2^(exponent + emin - k); subnormals and zero
+    # share the smallest normal's exponent, with no hidden bit
+    xe, ye = xm >> k, ym >> k
+    xe = xe - 1 if xe else 0
+    ye = ye - 1 if ye else 0
+    xs, ys = xm - (xe << k), ym - (ye << k)
+    if xb & sign:
+        xs = -xs
+    if yb & sign:
+        ys = -ys
+    if xe > ye:
+        total, e = (xs << (xe - ye)) + ys, ye
+    else:
+        total, e = xs + (ys << (ye - xe)), xe
+    if total == 0:
+        return _from_bits(fmt, 0)
+    neg = total < 0
+    return _from_bits(fmt, _round_bits(fmt, neg, -total if neg else total,
+                                       e + emin - k, mode))
 
 
 # ---------------------------------------------------------------------------

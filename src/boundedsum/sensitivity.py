@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .data import Dataset, ElementFormat, Value, exact_value
+from .data import Dataset, ElementFormat, Value, exact_value, order_key
 from .dyadic import Dyadic, floor_log2_fraction
 from .floats import FloatFormat, SimFloat, _pattern_ranges, is_representable
 from .ints import IntFormat, KInt
@@ -546,7 +546,9 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
     the modular bounds; everything else in absolute value, with an
     infinite release entering at its working value ``±2^(emax+1)`` — a
     method that can saturate shows gaps the size of the type range, which
-    is the honest reading.
+    is the honest reading.  Float releases are compared as integer counts
+    of the format's finest spacing (:meth:`SimFloat.to_grid`), and only
+    the largest gap becomes a Fraction.
     """
     if spec.n is None:
         raise PreconditionFailed("brute force needs a size (or size cap)")
@@ -566,13 +568,18 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
     # n == 0 enumerates only the empty dataset, whatever the domain
     domain = [decode(c) for r in codes for c in r] if n else []
 
-    modulus = spec.fmt.modulus if (isinstance(spec.fmt, IntFormat) and
-                                   spec.fmt.overflow == "wraparound") else None
-    template = Dataset(spec.fmt, spec.lower, spec.upper, ())
+    fmt = spec.fmt
+    modulus = fmt.modulus if (isinstance(fmt, IntFormat) and
+                              fmt.overflow == "wraparound") else None
+    template = Dataset(fmt, spec.lower, spec.upper, ())
 
     def release(tup):
-        out = exact_value(run_sum(template.replace_elements(tup),
-                                  spec.method).value)
+        out = run_sum(template.replace_elements(tup), spec.method).value
+        if isinstance(out, SimFloat):
+            return out.to_grid()
+        if isinstance(out, Dyadic):  # the exact algorithm, on the same grid
+            return out.scaled(fmt.emin - fmt.k)
+        out = exact_value(out)
         return out % modulus if modulus else out
 
     tracker = _GapTracker(modulus)
@@ -598,6 +605,8 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
                     tracker.offer(s, tup, hit.hi, hit.hi_t)
         prev = curr
     value = tracker.best if tracker.best is not None else 0
+    if isinstance(fmt, FloatFormat):
+        value = fmt.grid_fraction(value)
     return BruteForceResult(value=value, witness=tracker.pair,
                             datasets=count,
                             output_metric="mod" if modulus else "abs")
@@ -629,7 +638,7 @@ def _group_offer(groups, key, s, t, tracker, modulus):
 
 def _sorted_deletions(tup):
     """Distinct sorted remove-one multisets, in order of first deletion."""
-    return dict.fromkeys(tuple(sorted(tup[:p] + tup[p + 1:], key=exact_value))
+    return dict.fromkeys(tuple(sorted(tup[:p] + tup[p + 1:], key=order_key))
                          for p in range(len(tup)))
 
 
@@ -639,7 +648,7 @@ _GROUPINGS = {
     "ham": (lambda t: [(p, t[:p], t[p + 1:]) for p in range(len(t))],
             lambda t: ()),
     "co": (_sorted_deletions, lambda t: ()),
-    "sym": (lambda t: (tuple(sorted(t, key=exact_value)),), _sorted_deletions),
+    "sym": (lambda t: (tuple(sorted(t, key=order_key)),), _sorted_deletions),
     "id": (lambda t: (t,),
            lambda t: [t[:p] + t[p + 1:] for p in range(len(t))]),
 }

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .data import Dataset, MATERIALIZE_LIMIT, exact_value
-from .dyadic import Dyadic, floor_log2_fraction
+from .data import Dataset, MATERIALIZE_LIMIT, exact_value, order_key
+from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, add_float,
                      round_dyadic, is_representable)
 from .ints import IntFormat, KInt, add_int
@@ -162,11 +162,10 @@ class SumOutcome:
 
 def bs_exact(dataset: Dataset):
     """Infinite-precision sum: a Dyadic for floats, an int for integers."""
-    if isinstance(dataset.fmt, FloatFormat):
-        total = Dyadic(0)
-        for v, c in dataset.runs:
-            total = total + v.to_dyadic() * c
-        return total
+    fmt = dataset.fmt
+    if isinstance(fmt, FloatFormat):
+        return Dyadic(sum(v.to_grid() * c for v, c in dataset.runs),
+                      fmt.emin - fmt.k)
     return sum(v.value * c for v, c in dataset.runs)
 
 
@@ -174,15 +173,14 @@ def bs_exact(dataset: Dataset):
 # Float run fast-forward
 # ---------------------------------------------------------------------------
 
-def _region_of_exact(q: Fraction, fmt: FloatFormat) -> Tuple[Fraction, Fraction]:
+def _region_of_exact(q: int, fmt: FloatFormat) -> Tuple[int, int]:
+    """The rounding region of the exact sum ``q`` (in grid units, see
+    :meth:`SimFloat.to_grid`): its signed binade, or the subnormal band."""
     a = abs(q)
-    if a < Fraction(2) ** fmt.emin:
-        edge = Fraction(2) ** fmt.emin
-        return (-edge, edge)
-    b = floor_log2_fraction(a)
-    lo = Fraction(2) ** b
-    hi = lo * 2
-    return (lo, hi) if q > 0 else (-hi, -lo)
+    if a < 1 << fmt.k:  # below 2^emin
+        return (-(1 << fmt.k), 1 << fmt.k)
+    lo = 1 << (a.bit_length() - 1)
+    return (lo, 2 * lo) if q > 0 else (-2 * lo, -lo)
 
 
 def _add_run_float(s: SimFloat, c: SimFloat, count: int, mode: str) -> SimFloat:
@@ -200,51 +198,47 @@ def _add_run_float(s: SimFloat, c: SimFloat, count: int, mode: str) -> SimFloat:
       linear while the fold remains inside the region where both the
       accumulator's and the exact sum's grids are constant.  The number
       of in-region steps has a closed form; they are applied at once.
+
+    Values are compared as integer counts of the format's finest spacing,
+    and a run's last add (a run of one included) only adds.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if count == 0 or not s.is_finite():
+        return s  # saturated: finite addends cannot leave infinity
     fmt = s.fmt
-    c_fr = c.to_dyadic().to_fraction()
-    inf_fr = fmt.inf_value.to_fraction()
     prev = None  # (delta, exact-sum region) observed on the last step
-    while count > 0:
-        if s.kind == "inf":
-            return s  # saturated: finite addends cannot leave infinity
-        q_fr = s.to_dyadic().to_fraction() + c_fr
+    while True:
         t = add_float(s, c, mode)
         count -= 1
-        if t == s:
-            return s
-        delta = t.to_dyadic() - s.to_dyadic()
+        if count == 0 or t == s or not t.is_finite():
+            return t
+        s_g, t_g, c_g = s.to_grid(), t.to_grid(), c.to_grid()
+        delta = t_g - s_g
+        region = _region_of_exact(s_g + c_g, fmt)
         s = t
-        if count == 0 or t.kind == "inf":
-            prev = None
-            continue
-        region = _region_of_exact(q_fr, fmt)
         if prev == (delta, region):
             # Two consecutive adds moved by the same delta while the exact
             # sums shared one rounding region: equal displacements force
             # equal grid offsets, so the motion is linear until the exact
             # sum leaves the region.  Staying strictly below the infinity
             # point keeps saturation out of the batch.
-            t_fr = t.to_dyadic().to_fraction()
-            d_fr = delta.to_fraction()
-            lo = max(region[0] - c_fr, -inf_fr)
-            hi = min(region[1] - c_fr, inf_fr)
-            if lo < t_fr < hi:
-                room = (hi - t_fr) / d_fr if d_fr > 0 else (t_fr - lo) / (-d_fr)
-                j = int(room)
-                if room == j:
-                    j -= 1
-                j = min(j, count)
+            inf_g = SimFloat.inf(fmt).to_grid()
+            lo = max(region[0] - c_g, -inf_g)
+            hi = min(region[1] - c_g, inf_g)
+            if lo < t_g < hi:
+                # the most whole steps that stay strictly inside (lo, hi)
+                room = hi - t_g if delta > 0 else t_g - lo
+                j = min((room - 1) // abs(delta), count)
                 if j > 0:
-                    landed = t.to_dyadic() + delta * j
+                    landed = Dyadic(t_g + delta * j, fmt.emin - fmt.k)
                     s = round_dyadic(landed, fmt, "toward_zero")  # on-grid
                     count -= j
+                    if count == 0:
+                        return s
                     prev = None
                     continue
         prev = (delta, region)
-    return s
 
 
 def _add_run_int(s: KInt, c: KInt, count: int) -> KInt:
@@ -302,7 +296,7 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
             return values[lo]
         m = 1 << ((n - 1).bit_length() - 1)
         left = rec(lo, lo + m)
-        if is_float and left.kind == "inf":
+        if is_float and not left.is_finite():
             return left
         return add(left, rec(lo + m, hi))
 
@@ -328,10 +322,10 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     for v in dataset.iter_values():
         y = add_float(v, -comp, rounding)
         t = add_float(total, y, rounding)
-        if t.kind == "inf":
+        if not t.is_finite():
             return t
         comp = add_float(add_float(t, -total, rounding), -y, rounding)
-        if comp.kind == "inf":
+        if not comp.is_finite():
             comp = zero
         total = t
     return total
@@ -355,7 +349,7 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     saturation — but keeping one schedule keeps the method one thing).
     """
     fmt = dataset.fmt
-    ordered = sorted(dataset.runs, key=lambda run: exact_value(run[0]))
+    ordered = sorted(dataset.runs, key=lambda run: order_key(run[0]))
     if isinstance(fmt, FloatFormat):
         pos = SimFloat.zero(fmt)
         for v, count in ordered:
@@ -417,7 +411,7 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
     """
     if len(dataset) > MATERIALIZE_LIMIT:
         raise ValueError("dataset too large to materialize for permutation")
-    values = sorted(dataset.to_list(), key=exact_value)
+    values = sorted(dataset.to_list(), key=order_key)
     return dataset.replace_elements(_fisher_yates(values, random.Random(seed)))
 
 

@@ -1,7 +1,8 @@
 """Emulated floats checked two independent ways.
 
-The 64-bit configuration is compared bit-for-bit against the host's
-doubles (whose additions round to nearest, ties to even).  The tiny
+The 32- and 64-bit configurations are compared bit-for-bit against the
+hardware adds of numpy and of the host's doubles (which round to
+nearest, ties to even, and overflow to infinity as the model does).  The tiny
 configurations are checked exhaustively against a from-scratch rounding
 oracle that knows nothing about the implementation: it enumerates every
 finite value of the format and picks the right neighbour by definition.
@@ -11,6 +12,7 @@ import random
 import struct
 from fractions import Fraction
 
+import numpy as np
 from pytest import mark, raises
 from hypothesis import given, settings
 from hypothesis.strategies import floats, integers, sampled_from
@@ -27,7 +29,6 @@ from boundedsum import (
     is_representable,
     parse_value,
     round_dyadic,
-    to_exact,
     ulp,
     values_in_range,
 )
@@ -120,6 +121,66 @@ def test_float64_addition_matches_hardware(x, y):
     assert got == want
 
 
+# operand pairs of three kinds, by bit pattern: anything, the overflow
+# threshold, and the subnormal range
+def _random_pattern(fmt, rng):
+    sign, inf = 1 << (fmt.total_bits - 1), SimFloat.inf(fmt).bits
+    while True:
+        bits = rng.getrandbits(fmt.total_bits)
+        if bits & (sign - 1) <= inf:  # NaNs are not part of the model
+            return bits
+
+
+def _near_overflow_pair(fmt, rng):
+    # n_max (or a few ulps below it) plus between a quarter and one ulp of
+    # n_max, both of one sign: the exact sum lands below, on (a tie that
+    # goes to infinity) or above the overflow threshold
+    x = SimFloat.inf(fmt).bits - 1 - rng.randrange(4)
+    y = SimFloat.from_parts(fmt, 1, fmt.emax - fmt.k - 1 - rng.getrandbits(1),
+                            rng.randrange(1 << fmt.k)).bits
+    s = 1 << (fmt.total_bits - 1) if rng.getrandbits(1) else 0
+    return x | s, y | s
+
+
+def _subnormal_pair(fmt, rng):
+    k, sign = fmt.k, 1 << (fmt.total_bits - 1)
+    x = rng.randrange(1 << k)
+    y = rng.randrange(3 << k)  # subnormal, or in the smallest normal binade
+    return x | (sign if rng.getrandbits(1) else 0), \
+        y | (sign if rng.getrandbits(1) else 0)
+
+
+@mark.parametrize("fmt, dtype, udtype",
+                  [(FLOAT32, np.float32, np.uint32),
+                   (FLOAT64, np.float64, np.uint64)], ids=["float32", "float64"])
+def test_addition_matches_numpy_bit_for_bit(fmt, dtype, udtype):
+    rng = random.Random(20220721)
+    pairs = [(_random_pattern(fmt, rng), _random_pattern(fmt, rng))
+             for _ in range(2000)]
+    pairs += [_near_overflow_pair(fmt, rng) for _ in range(1000)]
+    pairs += [_subnormal_pair(fmt, rng) for _ in range(1000)]
+    n_max = SimFloat.inf(fmt).bits - 1
+    half_ulp = round_dyadic(Dyadic(1, fmt.emax - fmt.k - 1), fmt, "banker")
+    pairs.append((n_max, half_ulp.bits))  # the exact tie at the threshold
+    xs = np.array([x for x, _ in pairs], dtype=udtype).view(dtype)
+    ys = np.array([y for _, y in pairs], dtype=udtype).view(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hardware = (xs + ys).view(udtype).tolist()
+    sign = 1 << (fmt.total_bits - 1)
+    checked = 0
+    for (x, y), want in zip(pairs, hardware):
+        a, b = SimFloat(fmt, x), SimFloat(fmt, y)
+        if not a.is_finite() and not b.is_finite() and a != b:
+            with raises(InvalidOperation):  # hardware gives NaN here
+                add_float(a, b, "banker")
+            continue
+        want = 0 if want == sign else want  # fold -0 into +0
+        assert add_float(a, b, "banker").bits == want, (hex(x), hex(y))
+        checked += 1
+    assert checked > 3900
+    assert add_float(SimFloat(fmt, n_max), half_ulp) == SimFloat.inf(fmt)
+
+
 @given(reasonable_doubles)
 def test_float64_exact_value(x):
     f = from_double(x)
@@ -210,6 +271,24 @@ def test_infinity_saturates_addition():
         add_float(inf, -inf)
 
 
+_ONE = parse_value(F23, "1")
+_TOP = parse_value(F23, "14")
+_INF = SimFloat.inf(F23)
+
+
+@mark.parametrize("add, rounded", [
+    ((_ONE, -_ONE), Dyadic(0)),                          # exact zero
+    ((_TOP, _TOP), Dyadic(1, 5)),                         # overflows
+    ((_INF, _ONE), F23.inf_value),                       # infinite operand
+], ids=["exact-zero", "overflow", "infinite-operand"])
+def test_unknown_rounding_mode_is_refused_even_without_a_rounding_step(
+        add, rounded):
+    with raises(ValueError, match="unknown rounding mode"):
+        add_float(*add, "bogus")
+    with raises(ValueError, match="unknown rounding mode"):
+        round_dyadic(rounded, F23, "nope")
+
+
 def test_ulp_exhaustive():
     for x in finite_values(F23):
         spacing = ulp(x).to_fraction()
@@ -219,11 +298,6 @@ def test_ulp_exhaustive():
             assert spacing == Fraction(2) ** (x.exponent - F23.k)
     with raises(ValueError):
         ulp(SimFloat.inf(F23))
-
-
-def test_to_exact_matches_fraction():
-    for x in finite_values(F34):
-        assert to_exact(x).to_fraction() == x.to_fraction()
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,14 @@ for metric in METRICS:
 CASES["bruteforce-float23-overflow-co-iterative"] = [
     "sens", "bruteforce", "--format", "float:2,3", "--lower", "-14",
     "--upper", "-2", "--metric", "co", "--n", "2"]
+# subnormal elements: releases off the normal grid and sums that round
+# across the subnormal/normal boundary
+for metric, alg in (("ham", "kahan"), ("sym", "pairwise"), ("co", "split"),
+                    ("id", "exact")):
+    CASES[f"bruteforce-float23-subnormal-{metric}-{alg}"] = [
+        "sens", "bruteforce", "--format", "float:2,3", "--lower", "-1",
+        "--upper", "1", "--metric", metric, "--n", "2", "--method", alg,
+        "--include-subnormals"]
 
 _BOUND = ["sens", "bound", "--format", "float:2,3", "--lower", "-1",
           "--upper", "1"]

@@ -1,8 +1,9 @@
 """Seeded couplings and brute-force values, pinned to recorded outputs.
 
 The couplings and ``random_permutation`` share one Fisher-Yates, and brute
-force reads every release through ``exact_value``; the values below were
-recorded before either was shared, so any change in the draws or in how a
+force reads every float release as an integer count of the format's finest
+spacing; the values below were recorded before either was shared or the
+releases were read that way, so any change in the draws or in how a
 release is read shows up here.  Brute force is also checked against the
 certified bounds it sandwiches, and on a format too wide to enumerate.
 """
