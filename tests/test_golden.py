@@ -1,7 +1,8 @@
 """CLI reports pinned byte for byte.
 
-Each file under ``tests/golden/`` is the stdout of one command below.
-They cover the exhaustive sensitivity scan for every metric, the
+Each ``.json`` file under ``tests/golden/`` is the stdout of one command
+below, and each ``.err`` file the stderr of one refused command.  They
+cover the exhaustive sensitivity scan for every metric, the
 certified float routes (accuracy, shift, truncation, split), the exact DP
 check with both discrete noises and the distinguishing experiment, so any
 change in a value, a witness, a dataset count, a bound, a verdict or a
@@ -63,6 +64,35 @@ for metric, alg in (("ham", "kahan"), ("sym", "pairwise"), ("co", "split"),
         "sens", "bruteforce", "--format", "float:2,3", "--lower", "-1",
         "--upper", "1", "--metric", metric, "--n", "2", "--method", alg,
         "--include-subnormals"]
+
+# the engine's other release paths: directed rounding through the prefix
+# folds, the transforms through run_sum, exact releases on the ring
+_F23_N3 = ["sens", "bruteforce", "--format", "float:2,3", "--lower", "-1",
+           "--upper", "1", "--n", "3"]
+CASES["bruteforce-float23-toward_neg-ham-kahan"] = _F23_N3 + [
+    "--metric", "ham", "--method", "kahan", "--rounding", "toward_neg"]
+CASES["bruteforce-float23-toward_pos-sym-iterative"] = _F23_N3 + [
+    "--metric", "sym", "--rounding", "toward_pos"]
+CASES["bruteforce-float23-truncate-id-iterative"] = _F23_N3 + [
+    "--metric", "id", "--transform", "truncate:2"]
+CASES["bruteforce-float23-shift-co-pairwise"] = [
+    "sens", "bruteforce", "--format", "float:2,3", "--lower", "0.25",
+    "--upper", "1.75", "--metric", "co", "--n", "3", "--method", "pairwise",
+    "--transform", "shift"]
+CASES["bruteforce-int4-wraparound-sym-exact"] = [
+    "sens", "bruteforce", "--format", "int:4:signed:wraparound", "--lower",
+    "-4", "--upper", "3", "--metric", "sym", "--n", "3", "--method", "exact"]
+
+# name -> (argv, exit code) of a refused scan; the golden is its stderr
+REFUSAL_CASES = {
+    "bruteforce-int4-kahan-refused": ([
+        "sens", "bruteforce", "--format", "int:4:signed:wraparound",
+        "--lower", "-4", "--upper", "3", "--metric", "sym", "--n", "3",
+        "--method", "kahan"], 2),
+    # the first tuple that cannot be shifted names the element
+    "bruteforce-float23-shift-refused": (_F23_N3 + [
+        "--metric", "co", "--method", "pairwise", "--transform", "shift"], 2),
+}
 
 _BOUND = ["sens", "bound", "--format", "float:2,3", "--lower", "-1",
           "--upper", "1"]
@@ -172,6 +202,17 @@ def _run(argv):
     return code, buf.getvalue()
 
 
+def _refusal_stderr(name) -> str:
+    argv, exit_code = REFUSAL_CASES[name]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(buf):
+        code = main(argv)
+    assert code == exit_code
+    assert out.getvalue() == ""
+    return buf.getvalue()
+
+
 def _stdout(argv) -> str:
     code, out = _run(argv)
     assert code == 0
@@ -215,9 +256,17 @@ def test_mechanism_report_is_byte_identical(name):
     assert _LOG2_BOUND.sub(blank, got) == _LOG2_BOUND.sub(blank, expected)
 
 
+@mark.parametrize("name", sorted(REFUSAL_CASES))
+def test_refusal_is_byte_identical(name):
+    expected = (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+    assert _refusal_stderr(name) == expected
+
+
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(
         [*CASES, *MECHANISM_CASES])
+    assert sorted(p.stem for p in GOLDEN.glob("*.err")) == sorted(
+        REFUSAL_CASES)
 
 
 if __name__ == "__main__":
@@ -227,5 +276,8 @@ if __name__ == "__main__":
     for name in sorted(MECHANISM_CASES):
         (GOLDEN / f"{name}.json").write_text(_mechanism_stdout(name),
                                              encoding="utf-8")
+    for name in sorted(REFUSAL_CASES):
+        (GOLDEN / f"{name}.err").write_text(_refusal_stderr(name),
+                                            encoding="utf-8")
     sys.stdout.write(f"wrote {len(CASES) + len(MECHANISM_CASES)} reports "
-                     f"to {GOLDEN}\n")
+                     f"and {len(REFUSAL_CASES)} refusals to {GOLDEN}\n")
