@@ -13,6 +13,7 @@ JSON integers.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Iterable, Iterator, Tuple, Union
@@ -137,6 +138,17 @@ class Dataset:
 
     def replace_elements(self, elements: Iterable[Value]) -> "Dataset":
         return Dataset.from_elements(self.fmt, self.lower, self.upper, elements)
+
+    def replace_elements_unchecked(self, elements: Iterable[Value]
+                                   ) -> "Dataset":
+        """:meth:`replace_elements` for elements drawn from a dataset over
+        this one's frame, which were checked there: the runs are merged,
+        and nothing is checked again."""
+        out = object.__new__(Dataset)
+        out.fmt, out.lower, out.upper = self.fmt, self.lower, self.upper
+        out.runs = tuple((v, len(list(run)))
+                         for v, run in itertools.groupby(elements))
+        return out
 
     def replace_runs(self, runs: Iterable[Tuple[Value, int]]) -> "Dataset":
         return Dataset(self.fmt, self.lower, self.upper, runs)

@@ -648,13 +648,21 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
         wu = _saturated_pmf(alpha, su, lo, hi)
         wv = _saturated_pmf(alpha, sv, lo, hi)
         breaks = (lo + 1, su, sv, hi - 1)
-    best: Optional[Fraction] = None
+    # The weights' numerators run to a million bits at 14 bits, where a gcd
+    # costs far more than a product.  Candidates are compared by
+    # cross-multiplying the weights' numerators and denominators, and only
+    # the winning ratio is divided out, which reduces it.
+    best: Optional[Tuple[Fraction, Fraction]] = None
     witness = 0
     for z in sorted({lo, hi, *(z for z in breaks if lo <= z <= hi)}):
-        ratio = wu(z) / wv(z)
-        if best is None or ratio > best:
-            best, witness = ratio, z
+        a, b = wu(z), wv(z)
+        if best is None or (a.numerator * b.denominator
+                            * best[0].denominator * best[1].numerator
+                            > best[0].numerator * best[1].denominator
+                            * a.denominator * b.numerator):
+            best, witness = (a, b), z
     assert best is not None
-    return ExactDPReport(max_ratio=best, witness=witness, epsilon=epsilon,
-                         satisfied=certified_leq_exp(best, epsilon),
+    ratio = best[0] / best[1]
+    return ExactDPReport(max_ratio=ratio, witness=witness, epsilon=epsilon,
+                         satisfied=certified_leq_exp(ratio, epsilon),
                          support=size)

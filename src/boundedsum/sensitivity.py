@@ -26,6 +26,12 @@ Three layers live here:
    positional context, ``co`` by sorted remove-one multiset, ``sym`` by
    sorted multiset (probing the previous size by its remove-one
    multisets), ``id`` by the tuple itself (probing its raw deletions).
+   Datasets share work: tuples are enumerated as int element codes, so
+   group keys are int tuples; ``iterative`` and ``kahan`` releases step
+   each tuple's fold state from its prefix's; ``split`` and ``exact``
+   release once per sorted multiset; and a wraparound group keeps its
+   residues sorted, so a new release is raced only against the residue
+   nearest its antipode.
 
 The coupling constructions near the bottom turn unordered adjacency into
 ordered adjacency after a random permutation; they are what lets the
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,10 +52,10 @@ from .data import Dataset, ElementFormat, Value, exact_value, order_key
 from .dyadic import Dyadic, floor_log2_fraction
 from .floats import FloatFormat, SimFloat, _pattern_ranges, is_representable
 from .ints import IntFormat, KInt
-from .metrics import d_mod
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
-                        _fisher_yates, check_multiplication,
-                        float_overflow_check, run_sum)
+                        _add_run_float, _add_run_int, _fisher_yates,
+                        _zero_of, check_multiplication, float_overflow_check,
+                        kahan_step, run_sum)
 
 __all__ = [
     "METRICS", "SensSpec", "SensitivityBound", "BruteForceResult",
@@ -478,39 +485,6 @@ class BruteForceResult:
     output_metric: str
 
 
-class _GapTracker:
-    """Running maximum of ``|a - b|`` (or wrap distance) with witnesses."""
-
-    __slots__ = ("best", "pair", "modulus")
-
-    def __init__(self, modulus: Optional[int] = None):
-        self.best = None
-        self.pair = None
-        self.modulus = modulus
-
-    def offer(self, sa, ta, sb, tb) -> None:
-        gap = d_mod(sa, sb, self.modulus) if self.modulus else abs(sa - sb)
-        if self.best is None or gap > self.best:
-            self.best = gap
-            self.pair = (ta, tb)
-
-
-class _Extremes:
-    """Per-group min/max release with witness tuples."""
-
-    __slots__ = ("lo", "lo_t", "hi", "hi_t")
-
-    def __init__(self, s, t):
-        self.lo = self.hi = s
-        self.lo_t = self.hi_t = t
-
-    def add(self, s, t) -> None:
-        if s < self.lo:
-            self.lo, self.lo_t = s, t
-        elif s > self.hi:
-            self.hi, self.hi_t = s, t
-
-
 def _domain(spec: SensSpec, include_subnormals: bool):
     """Ranges of element codes inside the bounds, and the code's decoder."""
     fmt, lo, hi = spec.fmt, spec.lower, spec.upper
@@ -542,13 +516,33 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
     The domain's size is known before it is built, and a dataset count
     times length above ``WORK_GUARD`` is refused.
 
+    Datasets share work.  Tuples are enumerated as tuples of element
+    codes (:func:`~boundedsum.data.order_key`), so group keys are int
+    tuples that plain ``sorted`` orders; codes become values only for a
+    release that needs them and for the witness.  The domain is checked
+    once, as one dataset, and nothing drawn from it is checked again.
+    Releases come from one of three engines (see :func:`_releases`):
+
+    - ``iterative``, and ``kahan`` on floats, with no transforms: prefix
+      states.  A tuple's fold state is one step of the algorithm's own
+      fold (``_add_run_float``/``_add_run_int`` for one element,
+      :func:`~boundedsum.summation.kahan_step`) from its prefix's state,
+      and equal states step alike, so each distinct state steps through
+      the domain once;
+    - ``split`` and ``exact`` with no transforms: one release per sorted
+      multiset, which is all their release depends on;
+    - anything else: :func:`run_sum` per tuple.
+
     Wraparound integer releases are compared in wrap distance, matching
     the modular bounds; everything else in absolute value, with an
     infinite release entering at its working value ``±2^(emax+1)`` — a
     method that can saturate shows gaps the size of the type range, which
     is the honest reading.  Float releases are compared as integer counts
     of the format's finest spacing (:meth:`SimFloat.to_grid`), and only
-    the largest gap becomes a Fraction.
+    the largest gap becomes a Fraction.  An absolute group keeps only its
+    extremes; a modular group keeps its residues sorted and races a new
+    release only against the residue nearest its antipode
+    (:class:`_RingRace`).
     """
     if spec.n is None:
         raise PreconditionFailed("brute force needs a size (or size cap)")
@@ -571,10 +565,46 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
     fmt = spec.fmt
     modulus = fmt.modulus if (isinstance(fmt, IntFormat) and
                               fmt.overflow == "wraparound") else None
-    template = Dataset(fmt, spec.lower, spec.upper, ())
+    frame = Dataset.from_elements(fmt, spec.lower, spec.upper, domain)
+    keys = [order_key(v) for v in domain]
+    race = _RingRace(modulus) if modulus else _AbsRace()
+    joins, probes = _GROUPINGS[spec.metric]
+    prev: Dict[tuple, object] = {}
+    for length, releases in zip(sizes, _releases(spec, frame, modulus,
+                                                 sizes)):
+        curr: Dict[tuple, object] = {}
+        for tup, s in zip(itertools.product(keys, repeat=length), releases):
+            for key in joins(tup):
+                race.join(curr, key, s, tup)
+            for key in probes(tup):
+                hit = prev.get(key)
+                if hit is not None:
+                    race.probe(hit, s, tup)
+        prev = curr
+    value, witness = 0, None
+    if race.pair is not None:
+        value_of = dict(zip(keys, domain))
+        value = race.best
+        witness = tuple(tuple(value_of[c] for c in t) for t in race.pair)
+    if isinstance(fmt, FloatFormat):
+        value = fmt.grid_fraction(value)
+    return BruteForceResult(value=value, witness=witness,
+                            datasets=sum(len(domain) ** s for s in sizes),
+                            output_metric="mod" if modulus else "abs")
 
-    def release(tup):
-        out = run_sum(template.replace_elements(tup), spec.method).value
+
+def _releases(spec: SensSpec, frame: Dataset, modulus: Optional[int],
+              sizes: List[int]):
+    """For each size in ``sizes``, the releases of every tuple of that size
+    over ``frame``'s elements, in ``itertools.product`` order, read as ints.
+
+    A float release is read in units of the finest spacing (the ``exact``
+    algorithm's too), a wraparound integer release as its residue.
+    """
+    fmt, method = spec.fmt, spec.method
+    domain = list(frame.iter_values())
+
+    def read(out) -> int:
         if isinstance(out, SimFloat):
             return out.to_grid()
         if isinstance(out, Dyadic):  # the exact algorithm, on the same grid
@@ -582,63 +612,170 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
         out = exact_value(out)
         return out % modulus if modulus else out
 
-    tracker = _GapTracker(modulus)
-    joins, probes = _GROUPINGS[spec.metric]
-    count = 0
-    prev: Dict[tuple, object] = {}
-    for length in sizes:
-        curr: Dict[tuple, object] = {}
-        for tup in itertools.product(domain, repeat=length):
-            count += 1
-            s = release(tup)
-            for key in joins(tup):
-                _group_offer(curr, key, s, tup, tracker, modulus)
-            for key in probes(tup):
-                hit = prev.get(key)
-                if hit is None:
-                    continue
-                if modulus:
-                    for sb, tb in hit.items():
-                        tracker.offer(s, tup, sb, tb)
-                else:
-                    tracker.offer(s, tup, hit.lo, hit.lo_t)
-                    tracker.offer(s, tup, hit.hi, hit.hi_t)
-        prev = curr
-    value = tracker.best if tracker.best is not None else 0
-    if isinstance(fmt, FloatFormat):
-        value = fmt.grid_fraction(value)
-    return BruteForceResult(value=value, witness=tracker.pair,
-                            datasets=count,
-                            output_metric="mod" if modulus else "abs")
+    def release(values) -> int:
+        return read(run_sum(frame.replace_elements_unchecked(values),
+                            method).value)
+
+    is_float = isinstance(fmt, FloatFormat)
+    if not method.transforms:
+        rounding = method.rounding
+        if method.algorithm == "iterative":
+            if is_float:
+                def step(acc, v):
+                    return _add_run_float(acc, v, 1, rounding)
+            else:
+                def step(acc, v):
+                    return _add_run_int(acc, v, 1)
+            return _prefix_releases(step, read, _zero_of(frame), domain,
+                                    sizes)
+        if method.algorithm == "kahan" and is_float:
+            zero = SimFloat.zero(fmt)
+            return _prefix_releases(
+                lambda state, v: kahan_step(*state, v, rounding),
+                lambda state: read(state[0]), (zero, zero), domain, sizes)
+        if method.algorithm in ("split", "exact"):
+            return (_multiset_releases(release, domain, length)
+                    for length in sizes)
+    return ((release(tup) for tup in itertools.product(domain, repeat=length))
+            for length in sizes)
 
 
-def _group_offer(groups, key, s, t, tracker, modulus):
-    """Feed one (release, tuple) into a group and race it against the rest.
+def _prefix_releases(step, read, start, domain, sizes):
+    """:func:`_releases` by folds that share prefixes.
 
-    Absolute gaps within a group are maximized by the extremes, so only
-    min/max are kept.  Wrap distance has no such monotonicity; modular
-    groups keep one witness per residue instead (there are at most ``m``).
+    The tuples of one length, in product order, are the previous length's
+    tuples each extended by every domain value in order, so their states
+    are the previous states each stepped by every value.  Only the states
+    of the previous length are kept, at most ``len(domain)^(n-1)``.
     """
-    if modulus:
-        seen = groups.get(key)
-        if seen is None:
-            groups[key] = {s: t}
-        elif s not in seen:
-            for sb, tb in seen.items():
-                tracker.offer(s, t, sb, tb)
-            seen[s] = t
-    else:
-        ext = groups.get(key)
-        if ext is None:
-            groups[key] = _Extremes(s, t)
+    states = [start]
+    if sizes[0] == 0:
+        yield [read(start)]
+    for length in range(1, sizes[-1] + 1):
+        rows = _shared_rows(step, read, states, domain)
+        if length < sizes[-1]:
+            rows = list(rows)
+            states = [x for successors, _ in rows for x in successors]
+        if length in sizes:
+            yield (s for _, row in rows for s in row)
+
+
+def _shared_rows(step, read, states, domain):
+    """Each state's successors under every domain value, and their
+    releases, state by state.  Equal states have equal rows, so a row is
+    computed once and kept only while a later state still equals it."""
+    left = Counter(states)
+    kept = {}
+    for state in states:
+        row = kept.get(state)
+        if row is None:
+            successors = [step(state, v) for v in domain]
+            row = (successors, [read(x) for x in successors])
+        left[state] -= 1
+        if left[state]:
+            kept[state] = row
         else:
-            ext.add(s, t)
-            tracker.offer(ext.lo, ext.lo_t, ext.hi, ext.hi_t)
+            kept.pop(state, None)
+        yield row
+
+
+def _multiset_releases(release, domain, length):
+    """:func:`_releases` of one size for a method whose release depends
+    only on the multiset: one release per sorted multiset, the rest
+    looked up.  Domain positions sort as the values do."""
+    memo = {}
+    for tup in itertools.product(range(len(domain)), repeat=length):
+        key = tuple(sorted(tup))
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = release([domain[i] for i in key])
+        yield s
+
+
+class _AbsRace:
+    """Largest ``|a - b|`` over the pairs offered, with its witness.
+
+    Absolute gaps within a group are maximized by the extremes, so a group
+    keeps only ``[lo, lo tuple, hi, hi tuple]``, first reached.  The
+    witness is the first strictly largest gap offered.
+    """
+
+    __slots__ = ("best", "pair")
+
+    def __init__(self):
+        self.best = -1  # below every gap, so the first offer wins
+        self.pair = None
+
+    def join(self, groups, key, s, t) -> None:
+        """Add ``(s, t)`` to a group and race the group's extremes."""
+        g = groups.get(key)
+        if g is None:
+            groups[key] = [s, t, s, t]
+            return
+        if s < g[0]:
+            g[0], g[1] = s, t
+        elif s > g[2]:
+            g[2], g[3] = s, t
+        if g[2] - g[0] > self.best:
+            self.best, self.pair = g[2] - g[0], (g[1], g[3])
+
+    def probe(self, g, s, t) -> None:
+        """Race ``(s, t)`` against a group's low, then its high."""
+        if abs(s - g[0]) > self.best:
+            self.best, self.pair = abs(s - g[0]), (t, g[1])
+        if abs(s - g[2]) > self.best:
+            self.best, self.pair = abs(s - g[2]), (t, g[3])
+
+
+class _RingRace:
+    """Largest wrap distance over the pairs offered, with its witness.
+
+    Wrap distance has no extremes to keep, so a group keeps its distinct
+    residues sorted, with each one's insertion rank and first tuple.  The
+    residue farthest from ``s`` is the one nearest its antipode
+    ``s + m/2``, and that is one of the antipode's two neighbours in
+    sorted order (wrapping at the ends); on a tie the earlier inserted
+    wins.  This is the outcome of racing ``s`` against every residue in
+    insertion order and keeping the first strictly largest gap.
+    """
+
+    __slots__ = ("best", "pair", "modulus")
+
+    def __init__(self, modulus: int):
+        self.best = -1
+        self.pair = None
+        self.modulus = modulus
+
+    def join(self, groups, key, s, t) -> None:
+        """Race a new residue against a group, then insert it."""
+        g = groups.get(key)
+        if g is None:
+            groups[key] = ([s], {s: (0, t)})
+        elif s not in g[1]:
+            self.probe(g, s, t)
+            insort(g[0], s)
+            g[1][s] = (len(g[1]), t)
+
+    def probe(self, g, s, t) -> None:
+        """Race ``(s, t)`` against the farthest residue of a group."""
+        residues, first = g
+        m = self.modulus
+        antipode = (s + m // 2) % m
+        i = bisect_left(residues, antipode)
+        left, right = residues[i - 1], residues[i % len(residues)]
+        d_left, d_right = (antipode - left) % m, (right - antipode) % m
+        if d_left < d_right or (d_left == d_right
+                                and first[left][0] < first[right][0]):
+            far, d = left, d_left
+        else:
+            far, d = right, d_right
+        if m // 2 - d > self.best:
+            self.best, self.pair = m // 2 - d, (t, first[far][1])
 
 
 def _sorted_deletions(tup):
     """Distinct sorted remove-one multisets, in order of first deletion."""
-    return dict.fromkeys(tuple(sorted(tup[:p] + tup[p + 1:], key=order_key))
+    return dict.fromkeys(tuple(sorted(tup[:p] + tup[p + 1:]))
                          for p in range(len(tup)))
 
 
@@ -648,7 +785,7 @@ _GROUPINGS = {
     "ham": (lambda t: [(p, t[:p], t[p + 1:]) for p in range(len(t))],
             lambda t: ()),
     "co": (_sorted_deletions, lambda t: ()),
-    "sym": (lambda t: (tuple(sorted(t, key=order_key)),), _sorted_deletions),
+    "sym": (lambda t: (tuple(sorted(t)),), _sorted_deletions),
     "id": (lambda t: (t,),
            lambda t: [t[:p] + t[p + 1:] for p in range(len(t))]),
 }

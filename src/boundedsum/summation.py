@@ -59,7 +59,7 @@ from .ints import IntFormat, KInt, add_int
 __all__ = [
     "SumMethod", "SumOutcome", "Truncate", "RandomPermutation", "ShiftBounds",
     "bs_exact", "bs_iterative", "bs_pairwise", "bs_kahan", "bs_split",
-    "run_sum", "truncate", "random_permutation",
+    "kahan_step", "run_sum", "truncate", "random_permutation",
     "check_multiplication", "float_overflow_check",
     "PERMUTATION_ALGORITHM", "ALGORITHMS",
 ]
@@ -317,18 +317,31 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     """
     if not isinstance(dataset.fmt, FloatFormat):
         raise TypeError("compensated summation is defined for float formats")
-    zero = SimFloat.zero(dataset.fmt)
-    total = comp = zero
+    total = comp = SimFloat.zero(dataset.fmt)
     for v in dataset.iter_values():
-        y = add_float(v, -comp, rounding)
-        t = add_float(total, y, rounding)
-        if not t.is_finite():
-            return t
-        comp = add_float(add_float(t, -total, rounding), -y, rounding)
-        if not comp.is_finite():
-            comp = zero
-        total = t
+        total, comp = kahan_step(total, comp, v, rounding)
+        if not total.is_finite():
+            break  # the step keeps an infinite total as it is
     return total
+
+
+def kahan_step(total: SimFloat, comp: SimFloat, v: SimFloat,
+               rounding: str) -> Tuple[SimFloat, SimFloat]:
+    """One element of compensated summation: the next ``(total, comp)``.
+
+    An infinite running sum is final: it is kept, with its compensation,
+    whatever ``v`` is.  See :func:`bs_kahan` for the overflow rules.
+    """
+    if not total.is_finite():
+        return total, comp
+    y = add_float(v, -comp, rounding)
+    t = add_float(total, y, rounding)
+    if not t.is_finite():
+        return t, comp
+    comp = add_float(add_float(t, -total, rounding), -y, rounding)
+    if not comp.is_finite():
+        comp = SimFloat.zero(t.fmt)
+    return t, comp
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):

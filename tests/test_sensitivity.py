@@ -8,16 +8,24 @@ release is read shows up here.  Brute force is also checked against the
 certified bounds it sandwiches, and on a format too wide to enumerate.
 """
 
+import itertools
 import json
+import random
+import re
 import time
 
-from pytest import mark
+from pytest import mark, raises
 
-from boundedsum import (Dataset, FloatFormat, IntFormat, KInt, SensSpec,
-                        SumMethod, brute_force_sensitivity, couple_co,
-                        couple_sym, d_ham, d_id, implemented_sensitivity_bound,
-                        parse_value, random_permutation)
-from boundedsum.cli import main
+from boundedsum import (ALGORITHMS, Dataset, FloatFormat, IntFormat, KInt,
+                        SensSpec, ShiftBounds, SimFloat, SumMethod, Truncate,
+                        brute_force_sensitivity, couple_co, couple_sym,
+                        d_ham, d_id, d_mod, decode_value,
+                        implemented_sensitivity_bound, parse_value,
+                        random_permutation, run_sum, values_in_range)
+from boundedsum.cli import main, parse_format
+from boundedsum.data import exact_value, order_key
+from boundedsum.dyadic import Dyadic
+from boundedsum.sensitivity import METRICS, _RingRace
 
 FMT = IntFormat(8, True, "saturating")
 
@@ -178,3 +186,219 @@ def test_bruteforce_stays_below_the_certified_bound(
     result = brute_force_sensitivity(spec)
     assert result.output_metric == bound.output_metric
     assert result.value <= bound.value
+
+
+# ---------------------------------------------------------------------------
+# The shared-work scan against the per-tuple scan it replaced
+# ---------------------------------------------------------------------------
+
+class _RefTracker:
+    """Running maximum with the first strictly largest witness."""
+
+    def __init__(self, modulus):
+        self.best = self.pair = None
+        self.modulus = modulus
+
+    def offer(self, sa, ta, sb, tb):
+        gap = d_mod(sa, sb, self.modulus) if self.modulus else abs(sa - sb)
+        if self.best is None or gap > self.best:
+            self.best, self.pair = gap, (ta, tb)
+
+
+class _RefExtremes:
+    def __init__(self, s, t):
+        self.lo = self.hi = s
+        self.lo_t = self.hi_t = t
+
+    def add(self, s, t):
+        if s < self.lo:
+            self.lo, self.lo_t = s, t
+        elif s > self.hi:
+            self.hi, self.hi_t = s, t
+
+
+def _ref_group_offer(groups, key, s, t, tracker, modulus):
+    if modulus:
+        seen = groups.get(key)
+        if seen is None:
+            groups[key] = {s: t}
+        elif s not in seen:
+            for sb, tb in seen.items():
+                tracker.offer(s, t, sb, tb)
+            seen[s] = t
+    else:
+        ext = groups.get(key)
+        if ext is None:
+            groups[key] = _RefExtremes(s, t)
+        else:
+            ext.add(s, t)
+            tracker.offer(ext.lo, ext.lo_t, ext.hi, ext.hi_t)
+
+
+def _ref_sorted_deletions(tup):
+    return dict.fromkeys(tuple(sorted(tup[:p] + tup[p + 1:], key=order_key))
+                         for p in range(len(tup)))
+
+
+_REF_GROUPINGS = {
+    "ham": (lambda t: [(p, t[:p], t[p + 1:]) for p in range(len(t))],
+            lambda t: ()),
+    "co": (_ref_sorted_deletions, lambda t: ()),
+    "sym": (lambda t: (tuple(sorted(t, key=order_key)),),
+            _ref_sorted_deletions),
+    "id": (lambda t: (t,),
+           lambda t: [t[:p] + t[p + 1:] for p in range(len(t))]),
+}
+
+
+def reference_brute_force(spec, include_subnormals=False):
+    """Every tuple a validated Dataset released by run_sum; a modular
+    group races each new residue against every residue it holds."""
+    fmt, n = spec.fmt, spec.n
+    if isinstance(fmt, FloatFormat):
+        domain = values_in_range(fmt, spec.lower, spec.upper,
+                                 include_subnormals) if n else []
+    else:
+        domain = [KInt(fmt, v)
+                  for v in range(spec.lower.value, spec.upper.value + 1)]
+    modulus = fmt.modulus if (isinstance(fmt, IntFormat)
+                              and fmt.overflow == "wraparound") else None
+    template = Dataset(fmt, spec.lower, spec.upper, ())
+
+    def release(tup):
+        out = run_sum(template.replace_elements(tup), spec.method).value
+        if isinstance(out, SimFloat):
+            return out.to_grid()
+        if isinstance(out, Dyadic):
+            return out.scaled(fmt.emin - fmt.k)
+        out = exact_value(out)
+        return out % modulus if modulus else out
+
+    tracker = _RefTracker(modulus)
+    joins, probes = _REF_GROUPINGS[spec.metric]
+    sizes = [n] if spec.metric in ("co", "ham") else range(n + 1)
+    count = 0
+    prev = {}
+    for length in sizes:
+        curr = {}
+        for tup in itertools.product(domain, repeat=length):
+            count += 1
+            s = release(tup)
+            for key in joins(tup):
+                _ref_group_offer(curr, key, s, tup, tracker, modulus)
+            for key in probes(tup):
+                hit = prev.get(key)
+                if hit is None:
+                    continue
+                if modulus:
+                    for sb, tb in hit.items():
+                        tracker.offer(s, tup, sb, tb)
+                else:
+                    tracker.offer(s, tup, hit.lo, hit.lo_t)
+                    tracker.offer(s, tup, hit.hi, hit.hi_t)
+        prev = curr
+    value = tracker.best if tracker.best is not None else 0
+    if isinstance(fmt, FloatFormat):
+        value = fmt.grid_fraction(value)
+    return value, tracker.pair, count
+
+
+def _spec(fmt_text, lower, upper, metric, n, algorithm, rounding="banker",
+          transforms=()):
+    fmt = parse_format(fmt_text)
+    return SensSpec(fmt, decode_value(fmt, lower), decode_value(fmt, upper),
+                    metric, SumMethod(algorithm, rounding, transforms), n=n)
+
+
+# (format, lower, upper, n, rounding, subnormals): small domains, so the
+# per-tuple reference stays quick; [4, 14] overflows under toward_pos
+FRAMES = [
+    ("float:2,3", "-0.5", "0.5", 3, "banker", False),
+    ("float:2,3", "-0.5", "0.5", 2, "toward_pos", True),
+    ("float:2,3", "4", "14", 3, "toward_pos", False),
+    ("float:2,3", "-14", "14", 2, "banker", False),
+    ("int:4:signed:wraparound", "-4", "3", 3, "banker", False),
+    ("int:4:signed:saturating", "-4", "3", 3, "banker", False),
+]
+
+ORACLE = [(*frame, metric, alg) for frame in FRAMES for metric in METRICS
+          for alg in ALGORITHMS]
+
+
+def _assert_same_as_reference(spec, subnormals=False):
+    try:
+        want = reference_brute_force(spec, subnormals)
+    except (TypeError, ValueError) as exc:
+        # a refusal must be the same refusal
+        with raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            brute_force_sensitivity(spec, subnormals)
+        return
+    got = brute_force_sensitivity(spec, subnormals)
+    assert (got.value, got.witness, got.datasets) == want
+
+
+@mark.parametrize("fmt, lower, upper, n, rounding, subnormals, metric, alg",
+                  ORACLE, ids=["-".join(map(str, c)) for c in ORACLE])
+def test_bruteforce_matches_the_per_tuple_scan(
+        fmt, lower, upper, n, rounding, subnormals, metric, alg):
+    spec = _spec(fmt, lower, upper, metric, n, alg, rounding)
+    _assert_same_as_reference(spec, subnormals)
+
+
+TRANSFORMED = [
+    ("float:2,3", "-0.5", "0.5", (Truncate(2),)),
+    ("float:2,3", "0.25", "1.75", (ShiftBounds(),)),
+    ("float:2,3", "-0.5", "0.5", (ShiftBounds(),)),   # refused
+    ("int:4:signed:saturating", "-4", "3", (ShiftBounds(), Truncate(2))),
+]
+
+
+@mark.parametrize("fmt, lower, upper, transforms", TRANSFORMED,
+                  ids=["float-truncate", "float-shift", "float-shift-refused",
+                       "int-shift-truncate"])
+@mark.parametrize("metric, alg", [("ham", "iterative"), ("co", "kahan"),
+                                  ("sym", "split"), ("id", "pairwise"),
+                                  ("sym", "exact")])
+def test_bruteforce_with_transforms_matches_the_per_tuple_scan(
+        fmt, lower, upper, transforms, metric, alg):
+    spec = _spec(fmt, lower, upper, metric, 2, alg, transforms=transforms)
+    _assert_same_as_reference(spec)
+
+
+def test_kahan_on_ints_is_refused_like_the_per_tuple_scan():
+    spec = _spec("int:4:signed:wraparound", "-4", "3", "ham", 2, "kahan")
+    with raises(TypeError, match="defined for float formats"):
+        reference_brute_force(spec)
+    _assert_same_as_reference(spec)
+
+
+@mark.parametrize("modulus", [8, 16, 64])
+def test_ring_race_picks_the_residue_an_all_pairs_race_picks(modulus):
+    rng = random.Random(modulus)
+    half = modulus // 2
+    for trial in range(100):
+        race, groups = _RingRace(modulus), {}
+        ref = _RefTracker(modulus)
+        members = {}                   # residue -> first tuple, in order
+        for step in range(rng.randint(1, modulus)):
+            s = rng.randrange(modulus)
+            if len(members) > 1 and rng.random() < 0.4:
+                # plant a tie: s's antipode halfway between two members,
+                # one way round the ring or the other
+                a, b = rng.sample(list(members), 2)
+                if (a - b) % 2 == 0:
+                    s = ((a + b) // 2 + rng.choice((0, half)) + half) % modulus
+            t = (trial, step)
+            probe = members and rng.random() < 0.5
+            if probe:
+                race.probe(groups["g"], s, t)
+                for sb, tb in members.items():
+                    ref.offer(s, t, sb, tb)
+            else:
+                race.join(groups, "g", s, t)
+                if s not in members:
+                    for sb, tb in members.items():
+                        ref.offer(s, t, sb, tb)
+                    members[s] = t
+            assert (race.pair, max(race.best, 0)) == (ref.pair,
+                                                      ref.best or 0)

@@ -6,6 +6,7 @@ that shortcut against the one definition that matters: the literal
 element-by-element fold.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from boundedsum import (
     float_overflow_check,
     parse_value,
     random_permutation,
+    round_dyadic,
     run_sum,
     truncate,
     values_in_range,
@@ -305,6 +307,34 @@ def test_split_is_order_blind():
         shuffled = base[:]
         rng.shuffle(shuffled)
         assert bs_split(float_ds(F46, shuffled)) == reference
+
+
+@composite
+def small_tuples(draw):
+    """A short tuple over a whole tiny format: floats with subnormals up to
+    the largest finite value, or every int of a 4-bit format."""
+    fmt = draw(sampled_from([F23, F34, IntFormat(4, True, "wraparound"),
+                             IntFormat(4, True, "saturating")]))
+    if isinstance(fmt, FloatFormat):
+        top = round_dyadic(fmt.max_finite, fmt, "toward_zero")
+        lo, hi = -top, top
+        domain = values_in_range(fmt, lo, hi, include_subnormals=True)
+    else:
+        lo, hi = KInt(fmt, fmt.min_value), KInt(fmt, fmt.max_value)
+        domain = [KInt(fmt, v) for v in range(fmt.min_value, fmt.max_value + 1)]
+    values = draw(lists(sampled_from(domain), max_size=4))
+    return Dataset.from_elements(fmt, lo, hi, values)
+
+
+@given(small_tuples())
+@settings(max_examples=150, deadline=None)
+def test_split_and_exact_depend_only_on_the_multiset(ds):
+    # the premise of brute force's one release per sorted multiset
+    values = ds.to_list()
+    for order in itertools.permutations(values):
+        other = ds.replace_elements(order)
+        assert bs_split(other) == bs_split(ds)
+        assert bs_exact(other) == bs_exact(ds)
 
 
 def test_split_iterative_disagree_on_order():
