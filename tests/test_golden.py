@@ -10,11 +10,14 @@ message shows up as a changed byte.  When a report is meant to change,
 rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
 review the diff.
 
-The mechanism commands read the dataset pairs under
+The mechanism, replay and sum commands read the dataset pairs under
 ``tests/golden/instances/`` and run from ``tests/golden/``, so the paths
 their manifests record are relative.  Those pairs are inputs, not
 outputs: ``ov6``, ``ov8``, ``ov8s``, ``rr2`` and ``sat8`` were written by
-``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``.
+``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``.  The six pairs
+of ``GEN_CASES``, one per attack family, are outputs too: ``attack gen``
+must write their ``instance.json``, ``u.json`` and ``v.json`` byte for
+byte.
 """
 
 import contextlib
@@ -114,6 +117,29 @@ CASES["bound-id-kahan-shift-truncate"] = _BOUND + [
     "--metric", "id", "--method", "kahan", "--transform", "shift",
     "--transform", "truncate:3"]
 CASES["bound-id-split"] = _BOUND + ["--metric", "id", "--method", "split"]
+CASES["recommend-float10_5-ham-n1000"] = [
+    "sens", "recommend", "--format", "float:10,5", "--lower", "-1",
+    "--upper", "1", "--metric", "ham", "--n", "1000"]
+CASES["recommend-int16-wraparound-sym-n4096"] = [
+    "sens", "recommend", "--format", "int:16:signed:wraparound", "--lower",
+    "-16", "--upper", "16", "--metric", "sym", "--n", "4096"]
+
+# one small instance of each attack family: name -> ``attack gen`` flags.
+# The long one-value runs (up to 4,096 elements) exercise the run-aware
+# folds of every algorithm.
+GEN_CASES = {
+    "ov16": ["--theorem", "overflow", "--bits", "16", "--upper", "16"],
+    "sr16": ["--theorem", "saturation_reorder", "--bits", "16", "--lower",
+             "-16", "--upper", "16"],
+    "fr10_5": ["--theorem", "float_reorder", "--k", "10", "--l", "5", "--j",
+               "-4", "--a", "1", "--d", "2"],
+    "ro10_5": ["--theorem", "rounding", "--k", "10", "--l", "5", "--j", "5",
+               "--m", "-4"],
+    "rr1_10_5": ["--theorem", "repeated_rounding_1", "--k", "10", "--l", "5",
+                 "--j", "4", "--m", "-4"],
+    "rr2_4_6": ["--theorem", "repeated_rounding_2", "--k", "4", "--l", "6",
+                "--j", "3", "--a", "0"],
+}
 
 
 
@@ -191,6 +217,34 @@ MECHANISM_CASES = {
         "--scale", "1/2"), 3),
 }
 
+# name -> (argv, exit code), run from tests/golden/ on the GEN_CASES pairs:
+# every family replayed natively and under the other algorithms (a cross
+# replay that stays below the predicted gap exits 3), and the u datasets
+# summed by the algorithms that read runs
+REPLAY_CASES = {}
+for _tag in GEN_CASES:
+    _is_float = not _tag.startswith(("ov", "sr"))
+    for _alg in ("native", "pairwise", "kahan", "split"):
+        if _alg == "kahan" and not _is_float:
+            continue
+        _argv = ["attack", "verify", "--instance", f"instances/{_tag}"]
+        if _alg != "native":
+            _argv += ["--method", _alg]
+        REPLAY_CASES[f"verify-{_tag}-{_alg}"] = _argv
+    for _alg in ("pairwise", "kahan") if _is_float else ("pairwise",):
+        REPLAY_CASES[f"sum-{_tag}-{_alg}"] = [
+            "sum", "--in", f"instances/{_tag}/u.json", "--method", _alg]
+REPLAY_CASES["verify-rr1_10_5-kahan-toward_pos"] = [
+    "attack", "verify", "--instance", "instances/rr1_10_5", "--method",
+    "kahan", "--rounding", "toward_pos"]
+REPLAY_EXIT = {name: 3 for name in (
+    "verify-sr16-pairwise", "verify-sr16-split", "verify-fr10_5-pairwise",
+    "verify-fr10_5-kahan", "verify-fr10_5-split", "verify-ro10_5-split",
+    "verify-rr1_10_5-pairwise", "verify-rr1_10_5-kahan",
+    "verify-rr1_10_5-split", "verify-rr1_10_5-kahan-toward_pos",
+    "verify-rr2_4_6-pairwise", "verify-rr2_4_6-kahan",
+    "verify-rr2_4_6-split")}
+
 # numpy builds may differ in the last digits of the log-sum-exp
 _LOG2_BOUND = re.compile(r'"log2_probability_bound": (\S+?),\n')
 
@@ -237,6 +291,24 @@ def _mechanism_stdout(name) -> str:
     return out
 
 
+def _replay_stdout(name) -> str:
+    with _in_golden():
+        code, out = _run(REPLAY_CASES[name])
+    assert code == REPLAY_EXIT.get(name, 0)
+    return out
+
+
+def _gen_outputs(name, out_dir: Path) -> dict:
+    """``attack gen`` of one GEN_CASES pair into ``out_dir``: its report
+    and the two datasets, by file name."""
+    code, out = _run(["attack", "gen", *GEN_CASES[name],
+                      "--out", str(out_dir)])
+    assert code == 0
+    return {"instance.json": out,
+            **{f: (out_dir / f).read_text(encoding="utf-8")
+               for f in ("u.json", "v.json")}}
+
+
 @mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(name):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
@@ -256,6 +328,19 @@ def test_mechanism_report_is_byte_identical(name):
     assert _LOG2_BOUND.sub(blank, got) == _LOG2_BOUND.sub(blank, expected)
 
 
+@mark.parametrize("name", sorted(REPLAY_CASES))
+def test_replay_report_is_byte_identical(name):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert _replay_stdout(name) == expected
+
+
+@mark.parametrize("name", sorted(GEN_CASES))
+def test_attack_gen_is_byte_identical(name, tmp_path):
+    for fname, text in _gen_outputs(name, tmp_path).items():
+        expected = GOLDEN / "instances" / name / fname
+        assert text == expected.read_text(encoding="utf-8"), fname
+
+
 @mark.parametrize("name", sorted(REFUSAL_CASES))
 def test_refusal_is_byte_identical(name):
     expected = (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
@@ -264,7 +349,7 @@ def test_refusal_is_byte_identical(name):
 
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(
-        [*CASES, *MECHANISM_CASES])
+        [*CASES, *MECHANISM_CASES, *REPLAY_CASES])
     assert sorted(p.stem for p in GOLDEN.glob("*.err")) == sorted(
         REFUSAL_CASES)
 
@@ -279,5 +364,15 @@ if __name__ == "__main__":
     for name in sorted(REFUSAL_CASES):
         (GOLDEN / f"{name}.err").write_text(_refusal_stderr(name),
                                             encoding="utf-8")
-    sys.stdout.write(f"wrote {len(CASES) + len(MECHANISM_CASES)} reports "
+    for name in sorted(GEN_CASES):
+        target = GOLDEN / "instances" / name
+        target.mkdir(parents=True, exist_ok=True)
+        # instance.json is the report itself
+        _gen_outputs(name, target)
+    for name in sorted(REPLAY_CASES):
+        (GOLDEN / f"{name}.json").write_text(_replay_stdout(name),
+                                             encoding="utf-8")
+    sys.stdout.write(f"wrote {len(CASES) + len(MECHANISM_CASES)} reports, "
+                     f"{len(GEN_CASES)} attack pairs, "
+                     f"{len(REPLAY_CASES)} replays "
                      f"and {len(REFUSAL_CASES)} refusals to {GOLDEN}\n")
