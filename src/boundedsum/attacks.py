@@ -352,25 +352,24 @@ def repeated_rounding_attack_2(fmt: FloatFormat, j: int,
 # Dispatch and verification
 # ---------------------------------------------------------------------------
 
-ATTACK_NAMES = ("overflow", "saturation_reorder", "float_reorder",
-                "rounding", "repeated_rounding_1", "repeated_rounding_2")
+# the generator of each family, by name
+_GENERATORS = {
+    "overflow": overflow_attack,
+    "saturation_reorder": saturation_reorder_attack,
+    "float_reorder": float_reorder_attack,
+    "rounding": rounding_attack,
+    "repeated_rounding_1": repeated_rounding_attack_1,
+    "repeated_rounding_2": repeated_rounding_attack_2,
+}
+
+ATTACK_NAMES = tuple(_GENERATORS)
 
 
 def generate_attack(name: str, fmt: ElementFormat, **params) -> AttackInstance:
     """Build an attack by name; parameters match the generator functions."""
-    if name == "overflow":
-        return overflow_attack(fmt, **params)
-    if name == "saturation_reorder":
-        return saturation_reorder_attack(fmt, **params)
-    if name == "float_reorder":
-        return float_reorder_attack(fmt, **params)
-    if name == "rounding":
-        return rounding_attack(fmt, **params)
-    if name == "repeated_rounding_1":
-        return repeated_rounding_attack_1(fmt, **params)
-    if name == "repeated_rounding_2":
-        return repeated_rounding_attack_2(fmt, **params)
-    raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
+    return _GENERATORS[name](fmt, **params)
 
 
 def _distance(metric: str, u: Dataset, v: Dataset) -> Optional[int]:

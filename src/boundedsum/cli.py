@@ -31,6 +31,7 @@ written by ``attack gen`` feeds ``sum``, ``dpcheck exact``, and so on.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from datetime import datetime, timezone
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .attacks import ATTACK_NAMES, AttackInstance, generate_attack, verify_attack
+from .attacks import _GENERATORS, ATTACK_NAMES, AttackInstance, verify_attack
 from .data import (SCHEMA_VERSION, decode_value, encode_value, format_to_json,
                    load_dataset, save_dataset)
 from .floats import ROUNDING_MODES, FloatFormat, SimFloat
@@ -356,18 +357,33 @@ def _attack_format(args):
     return IntFormat(args.bits, args.signed, "wraparound")
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _cmd_attack_gen(args) -> int:
     fmt = _attack_format(args)
     params = {name: getattr(args, name) for name in _ATTACK_PARAM_NAMES
               if getattr(args, name) is not None}
     if args.drop_last:
         params["drop_last"] = True
-    try:
-        instance = generate_attack(args.theorem, fmt, **params)
-    except TypeError as exc:
-        # surface missing/misdirected generator parameters as a clean
-        # diagnostic instead of a Python signature dump
-        raise ValueError(f"{args.theorem}: {exc}") from exc
+    generator = _GENERATORS[args.theorem]
+    # name missing or misdirected parameters by their flags, read off the
+    # generator's signature (its first parameter is the format)
+    wanted = list(inspect.signature(generator).parameters.values())[1:]
+    missing = [_flag(q.name) for q in wanted
+               if q.default is q.empty and q.name not in params]
+    if missing:
+        verb = "is" if len(missing) == 1 else "are"
+        raise ValueError(f"{args.theorem}: {', '.join(missing)} {verb} "
+                         "required")
+    stray = [_flag(name) for name in params
+             if name not in {q.name for q in wanted}]
+    if stray:
+        verb = "does" if len(stray) == 1 else "do"
+        raise ValueError(f"{args.theorem}: {', '.join(stray)} {verb} not "
+                         "apply")
+    instance = generator(fmt, **params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(instance.u, out / "u.json")

@@ -32,7 +32,11 @@ Value = Union[SimFloat, KInt]
 SCHEMA_VERSION = 1
 
 # Materializing more elements than this is almost certainly a mistake —
-# the run-aware code paths exist precisely to avoid it.
+# the run-aware code paths exist precisely to avoid it.  Every summation
+# algorithm reads runs; the callers that still build the element list are
+# ``summation.random_permutation`` and the couplings ``couple_sym`` and
+# ``couple_co`` in ``sensitivity``.  Kahan's run fold also gives up past
+# this many literal steps in one run.
 MATERIALIZE_LIMIT = 1 << 22
 
 

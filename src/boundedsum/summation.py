@@ -33,11 +33,22 @@ when the intermediate ``t - total`` rounds past the largest finite
 value.  An infinite compensation is therefore dropped and the fold
 continues, so no release takes a sign that no running sum had.  These rules change no result that does not overflow.
 
-All of them consume run-length encoded datasets.  Long runs of one value
-are fast-forwarded: integer runs have closed forms, and float runs are
-batched once the fold enters a provably periodic regime (see
-``_add_run_float``), so attack datasets with millions of repeats sum in
-microseconds without a single approximation.
+All of them consume run-length encoded datasets and never build the
+element list, so attack datasets with billions of repeats sum in
+milliseconds without a single approximation:
+
+* ``iterative`` and ``split`` fold each run at once: integer runs have
+  closed forms, and float runs jump once the fold enters a provably
+  periodic regime (``_add_run_float``: absorption, or equal consecutive
+  displacements inside one rounding region);
+* ``pairwise`` sums a subtree that lies inside one run as a memoized
+  block of ``(value, count)``, and recurses on positions only where a
+  subtree straddles a run boundary: O(runs * log n) adds;
+* ``kahan`` folds each run with ``_kahan_run``, which jumps whole periods
+  of up to four steps once the ``(total, comp)`` state and all four adds
+  of a step provably move linearly; a run with no such period steps
+  literally, up to ``MATERIALIZE_LIMIT`` steps;
+* ``exact`` multiplies each value by its count.
 
 The module also houses the dataset transforms (truncation, seeded random
 permutation, bound shifting) and the two overflow precondition checks.
@@ -45,6 +56,8 @@ permutation, bound shifting) and the two overflow precondition checks.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,27 +293,57 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     that is already infinite is returned without adding its sibling, so
     two halves that overflow in opposite directions never meet in an
     ``inf + (-inf)`` add (IEEE would give NaN there).
+
+    The tree is walked on the runs, never on a list.  A subtree that lies
+    inside one run sums ``c`` copies of one value ``v``, so its release
+    depends only on ``(v, c)``: it is ``block(v, c) = block(v, m) (+)
+    block(v, c - m)`` by the same split, memoized, which is O(log c) adds
+    for a whole run.  Only subtrees that straddle a run boundary recurse on
+    positions, O(log n) of them per boundary.  The run holding the next
+    position is a cursor carried down the left-to-right walk, so dense
+    data (runs of one) costs one comparison per node on top of its add.
     """
-    values = dataset.to_list()
-    if not values:
+    runs = dataset.runs
+    if not runs:
         return _zero_of(dataset)
     is_float = isinstance(dataset.fmt, FloatFormat)
     if is_float:
         add = lambda a, b: add_float(a, b, rounding)
     else:
         add = add_int
+    ends = list(itertools.accumulate(c for _, c in runs))
+    memo = {}
+
+    def block(v, c: int):
+        """``c >= 2`` copies of ``v`` summed by the cascade.  Both operands
+        of each add have ``v``'s sign, so an infinite left operand absorbs
+        its sibling: no overflow check is needed here."""
+        key = (v, c)
+        got = memo.get(key)
+        if got is None:
+            m = 1 << ((c - 1).bit_length() - 1)
+            got = add(block(v, m) if m > 1 else v,
+                      block(v, c - m) if c - m > 1 else v)
+            memo[key] = got
+        return got
+
+    r = 0  # cursor: the run holding position ``lo`` of the next call
 
     def rec(lo: int, hi: int):
-        n = hi - lo
-        if n == 1:
-            return values[lo]
-        m = 1 << ((n - 1).bit_length() - 1)
+        nonlocal r
+        end = ends[r]
+        if hi <= end:  # inside run r
+            v = runs[r][0]
+            if hi == end:
+                r += 1
+            return v if hi - lo == 1 else block(v, hi - lo)
+        m = 1 << ((hi - lo - 1).bit_length() - 1)
         left = rec(lo, lo + m)
         if is_float and not left.is_finite():
-            return left
+            return left  # final: the cursor is not read again
         return add(left, rec(lo + m, hi))
 
-    return rec(0, len(values))
+    return rec(0, ends[-1])
 
 
 def bs_kahan(dataset: Dataset, rounding: str = "banker"):
@@ -314,12 +357,15 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     finite value) is dropped, so that step goes uncompensated; kept, it
     would drive the next running sum to an infinity of the opposite
     sign.
+
+    Each run is folded by :func:`_kahan_run`, which jumps across the
+    periodic stretches a constant addend produces.
     """
     if not isinstance(dataset.fmt, FloatFormat):
         raise TypeError("compensated summation is defined for float formats")
     total = comp = SimFloat.zero(dataset.fmt)
-    for v in dataset.iter_values():
-        total, comp = kahan_step(total, comp, v, rounding)
+    for v, count in dataset.runs:
+        total, comp = _kahan_run(total, comp, v, count, rounding)
         if not total.is_finite():
             break  # the step keeps an infinite total as it is
     return total
@@ -342,6 +388,184 @@ def kahan_step(total: SimFloat, comp: SimFloat, v: SimFloat,
     if not comp.is_finite():
         comp = SimFloat.zero(t.fmt)
     return t, comp
+
+
+# the longest period, in steps, that the Kahan run fold looks for
+_KAHAN_MAX_PERIOD = 4
+
+
+def _kahan_run(total: SimFloat, comp: SimFloat, v: SimFloat, count: int,
+               mode: str) -> Tuple[SimFloat, SimFloat]:
+    """Fold ``count`` copies of ``v`` into the Kahan state ``(total, comp)``.
+
+    Semantically identical to ``count`` calls of :func:`kahan_step`, and
+    a run of one is exactly one call.  Longer runs step literally while
+    watching the state ``S = (T, C)`` and the step's four adds in grid
+    units (see :meth:`SimFloat.to_grid`), and jump across whole periods
+    of at most ``_KAHAN_MAX_PERIOD`` steps once one is established.
+
+    A step from ``(T, C)`` makes four adds.  Their exact sums are
+    ``q1 = v - C``, ``q2 = T + y``, ``q3 = t - T`` and ``q4 = d - y``,
+    where ``y, t, d, c`` are the rounded results and ``(t, c)`` is the
+    next state.  A period of ``p`` steps is established when the last
+    ``2p`` steps moved the state by the same ``(dT, dC)`` over any ``p``
+    of them (``S[i+p] - S[i]`` is constant for ``i = 0 .. p``).  Every
+    exact sum is affine in the state and the earlier results of its step,
+    so in the next period each add's exact sum moves by the same ``a`` as
+    in the last one, and if its rounding behaves the same way its result
+    moves by the same ``b``: by induction over the later steps the state
+    then keeps moving by ``(dT, dC)`` per period.  See
+    :func:`_linear_room` for how long each add's rounding provably does;
+    the jump takes the fewest whole periods any add allows, and the fold
+    continues literally.  With ``dT = dC = 0`` the state itself repeats,
+    and every remaining whole period is skipped.
+
+    This is :func:`_add_run_float`'s argument, for four adds instead of
+    one, a period of ``p`` steps instead of one, and rounding errors that
+    may drift: the compensation absorbs the part of ``v`` that ``T``
+    cannot hold, a little more each step, so ``q1``'s error and ``q2``'s
+    offset against its grid change linearly until a rounding flips.
+    A step whose compensation overflowed (and was dropped) is not
+    watched at all.
+
+    Runs with no period this short step literally; past
+    ``MATERIALIZE_LIMIT`` literal steps in one run the fold gives up
+    with ``ValueError`` rather than hang.
+    """
+    if count == 1:
+        return kahan_step(total, comp, v, mode)
+    fmt = v.fmt
+    v_g = v.to_grid()
+    states = [(total.to_grid(), comp.to_grid())]  # since the last jump
+    steps = []  # each step's four (exact sum, result) pairs
+    literal = 0
+    while count and total.is_finite():
+        if literal == MATERIALIZE_LIMIT:
+            raise ValueError(
+                f"compensated summation found no period of at most "
+                f"{_KAHAN_MAX_PERIOD} steps in {literal} copies of {v}")
+        literal += 1
+        y = add_float(v, -comp, mode)  # the step's first add, watched
+        t, c = kahan_step(total, comp, v, mode)
+        count -= 1
+        if count == 0 or not t.is_finite():
+            return t, c
+        d_g = add_float(t, -total, mode).to_grid()  # and its third
+        T, C = states[-1]
+        y_g, t_g, c_g = y.to_grid(), t.to_grid(), c.to_grid()
+        total, comp = t, c
+        states.append((t_g, c_g))
+        if c_g == 0 and d_g != y_g:  # the compensation overflowed
+            del states[:-1]
+            steps.clear()
+            continue
+        steps.append(((v_g - C, y_g), (T + y_g, t_g), (t_g - T, d_g),
+                      (d_g - y_g, c_g)))
+        jump = _kahan_period(states, steps, fmt, mode, count)
+        if jump is None:
+            del states[:-2 * _KAHAN_MAX_PERIOD - 1]
+            del steps[:-2 * _KAHAN_MAX_PERIOD]
+            continue
+        periods, p, (d_t, d_c) = jump
+        count -= periods * p
+        state = (t_g + periods * d_t, c_g + periods * d_c)
+        total, comp = (round_dyadic(Dyadic(g, fmt.emin - fmt.k), fmt,
+                                    "toward_zero") for g in state)  # on-grid
+        states = [state]
+        steps = []
+    return total, comp
+
+
+def _kahan_period(states: list, steps: list, fmt: FloatFormat, mode: str,
+                  count: int):
+    """``(periods, p, (dT, dC))`` for the jump :func:`_kahan_run` may
+    take now, or None.
+
+    ``states`` ends with the current state, ``steps`` holds the watched
+    adds of each step between them, and ``count`` steps are left.  Tries
+    ``p = 1 .. _KAHAN_MAX_PERIOD`` and takes the first period that the
+    last ``2p`` steps establish.
+    """
+    n = len(steps)
+    for p in range(1, min(_KAHAN_MAX_PERIOD, n // 2, count) + 1):
+        d_t = states[n][0] - states[n - p][0]
+        d_c = states[n][1] - states[n - p][1]
+        if any(states[n - i][0] - states[n - p - i][0] != d_t
+               or states[n - i][1] - states[n - p - i][1] != d_c
+               for i in range(1, p + 1)):
+            continue
+        periods = min(_linear_room(then, now, fmt, mode)
+                      for i in range(n - p, n)
+                      for then, now in zip(steps[i - p], steps[i]))
+        periods = min(periods, count // p)
+        return (periods, p, (d_t, d_c)) if periods > 0 else None
+    return None
+
+
+def _linear_room(then: Tuple[int, int], now: Tuple[int, int],
+                 fmt: FloatFormat, mode: str):
+    """How many more periods one add can keep moving linearly.
+
+    The add's exact sum moved from ``q0`` to ``q`` over the last period
+    and its result from ``r0`` to ``r`` (grid units); the next ``j``
+    periods would give ``q + j*a`` and ``r + j*b``.  These are the true
+    rounded results for as long as:
+
+    * the result stays strictly below the infinity point, so no overflow
+      rule fires;
+    * an exact add (``r = q`` both times) keeps an exact sum that is
+      representable: ``q`` and ``a`` are multiples of ``2^s``, and every
+      multiple of ``2^s`` below ``2^(k+1+s)`` grid units is a float;
+    * otherwise the exact sum stays strictly inside the rounding region
+      (signed binade, or subnormal band) it had both times, where
+      rounding is ``q -> u*rnd(q/u)`` for the region's spacing ``u``.  The
+      two results, both on that grid, show that ``b`` is a multiple of
+      ``u``, so every later result is on the grid too, and it is the
+      rounded value while the error ``r - q`` stays in the errors the
+      mode makes there: ``[0, u)`` rounding up, ``(-u, 0]`` rounding down
+      (toward zero is down above zero and up below it), ``(-u/2, u/2)``
+      to nearest.  When ``a = b`` the error never changes and needs no
+      check, ties included: two equal banker's errors at a tie ``b``
+      apart make ``b/u`` even, so the grid index keeps its parity.  In
+      the subnormal band ``u`` is one grid unit and every add is exact.
+
+    Each condition is linear in ``j``, so the answer is a closed form.
+    """
+    (q0, r0), (q, r) = then, now
+    a, b = q - q0, r - r0
+    inf_g = 1 << (fmt.emax + 1 - fmt.emin + fmt.k)
+    room = _room(r, b, 1 - inf_g, inf_g - 1)
+    if r == q and r0 == q0:
+        if a:
+            s = ((q | a) & -(q | a)).bit_length() - 1
+            top = 1 << (fmt.k + 1 + s)
+            room = min(room, _room(q, a, 1 - top, top - 1))
+        return room
+    region = _region_of_exact(q, fmt)
+    if region != _region_of_exact(q0, fmt):
+        return 0
+    lo, hi = region
+    room = min(room, _room(q, a, lo + 1, hi - 1))
+    if a != b:
+        u = min(abs(lo), abs(hi)) >> fmt.k
+        if mode == "banker":
+            half = u // 2 - 1 if u > 1 else 0
+            errors = (-half, half)
+        elif mode == "toward_pos" or (mode == "toward_zero" and q < 0):
+            errors = (0, u - 1)
+        else:
+            errors = (1 - u, 0)
+        room = min(room, _room(r - q, b - a, *errors))
+    return room
+
+
+def _room(x: int, step: int, lo: int, hi: int):
+    """The most steps ``x + j*step`` can take and stay in ``[lo, hi]``."""
+    if step > 0:
+        return (hi - x) // step
+    if step < 0:
+        return (x - lo) // -step
+    return math.inf
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):

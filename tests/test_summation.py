@@ -16,8 +16,10 @@ from hypothesis.strategies import composite, integers, lists, sampled_from
 
 from boundedsum import (
     ALGORITHMS,
+    FLOAT32,
     PERMUTATION_ALGORITHM,
     Dataset,
+    Dyadic,
     FloatFormat,
     IntFormat,
     KInt,
@@ -36,6 +38,7 @@ from boundedsum import (
     bs_split,
     check_multiplication,
     float_overflow_check,
+    generate_attack,
     parse_value,
     random_permutation,
     round_dyadic,
@@ -47,6 +50,7 @@ from boundedsum import (
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
 F46 = FloatFormat(4, 6)
+F105 = FloatFormat(10, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +214,143 @@ def test_pairwise_split_point():
         add_float(add_float(vals[0], vals[1]), vals[2]),
         add_float(add_float(vals[3], vals[4]), vals[5]))
     assert bs_pairwise(ds) != balanced  # the 3|3 tree rounds differently
+
+
+# ---------------------------------------------------------------------------
+# Run-aware pairwise and Kahan vs the literal folds
+# ---------------------------------------------------------------------------
+
+@composite
+def long_run_datasets(draw):
+    """Up to four runs, about 3,000 elements in all, over (4,6) or (10,5).
+
+    Values come from a window of a few binades below a drawn top exponent,
+    of either sign, and reach into the subnormals when the window does, so
+    a run's fold changes regime partway: exact climbs, absorption, drift
+    with a growing compensation, binades crossed, overflow."""
+    fmt = draw(sampled_from([F46, F105]))
+    k = fmt.k
+    top = draw(integers(min_value=fmt.emin - 2, max_value=fmt.emax))
+
+    def value():
+        e = draw(integers(min_value=top - k - 3, max_value=top))
+        m = draw(integers(min_value=-(2 << k) + 1, max_value=(2 << k) - 1))
+        return round_dyadic(Dyadic(m, e - k), fmt, "toward_zero")
+
+    n_runs = draw(integers(min_value=1, max_value=4))
+    runs = [(value(), draw(integers(min_value=1, max_value=3000 // n_runs)))
+            for _ in range(n_runs)]
+    bound = round_dyadic(fmt.max_finite, fmt, "toward_zero")
+    return Dataset(fmt, -bound, bound, runs)
+
+
+# the float_reorder shapes of the benchmark's fr32x pair, at j = 0 and 6
+FR32X_U = float_ds(FLOAT32, [("1", 4096), ("4096", 4096)], lo="1",
+                   hi="4096")
+FR32X_V = float_ds(FLOAT32, [("262144", 4096), ("64", 4096)], lo="64",
+                   hi="262144")
+# repeated_rounding_1 at (10,5): 1025*2^-14 after two 2^6
+R1_HALF = float_ds(F105, [("64", 2), ("1025*2^-14", 1024)], lo="0", hi="64")
+# the overflow pins, stretched to long runs
+KAHAN_OVERFLOW_LONG = float_ds(F23, [("1", 3000)], lo="-1", hi="1")
+PAIRWISE_OVERFLOW_LONG = float_ds(F23, [("1", 2048), ("-1", 2047)],
+                                  lo="-1", hi="1")
+KAHAN_COMP_OVERFLOW_LONG = float_ds(
+    F23, [("-0.5", 1), ("14", 1), ("0", 1500), ("14", 1500)],
+    lo="-14", hi="14")
+# the compensation overflows inside a run
+KAHAN_COMP_OVERFLOW_IN_RUN = float_ds(F23, [("-1", 1), ("14", 275)],
+                                      lo="-14", hi="14")
+
+
+@given(long_run_datasets(), sampled_from(ROUNDING_MODES))
+@example(FR32X_U, "banker")        # period 1
+@example(R1_HALF, "banker")        # period 2
+@example(FR32X_V, "banker")        # period 4
+@example(FR32X_V, "toward_zero")   # period 2 after 1
+# the rounding error drifts: the jump must stop before a rounding flips
+@example(float_ds(F46, [("0.5", 2710)], lo="0", hi="1"), "toward_pos")
+# a banker's tie that only a period of even grid steps keeps
+@example(float_ds(F46, [("19*2^-11", 6)], lo="0", hi="1"), "banker")
+# an exact add stays exact only while its sums are representable
+@example(float_ds(F23, [("-1.5", 10), ("0.75", 1704), ("0.3125", 1524)],
+                  lo="-14", hi="14"), "toward_neg")
+@example(KAHAN_OVERFLOW_LONG, "banker")
+@example(KAHAN_COMP_OVERFLOW_LONG, "toward_pos")
+@example(KAHAN_COMP_OVERFLOW_IN_RUN, "toward_pos")
+@settings(max_examples=60, deadline=None)
+def test_kahan_runs_match_the_literal_fold(ds, mode):
+    assert bs_kahan(ds, mode) == ref_kahan(ds, mode)
+
+
+@given(long_run_datasets(), sampled_from(ROUNDING_MODES))
+@example(FR32X_U, "banker")
+@example(FR32X_V, "toward_pos")
+@example(R1_HALF, "toward_neg")
+@example(PAIRWISE_OVERFLOW_LONG, "banker")
+@settings(max_examples=60, deadline=None)
+def test_pairwise_runs_match_the_literal_tree(ds, mode):
+    assert bs_pairwise(ds, mode) == ref_pairwise(ds, mode)
+
+
+@composite
+def long_int_datasets(draw):
+    fmt = draw(sampled_from([IntFormat(8, True, "wraparound"),
+                             IntFormat(8, True, "saturating"),
+                             IntFormat(16, False, "wraparound"),
+                             IntFormat(16, False, "saturating")]))
+    n_runs = draw(integers(min_value=1, max_value=5))
+    runs = [(KInt(fmt, draw(integers(min_value=fmt.min_value,
+                                     max_value=fmt.max_value))),
+             draw(integers(min_value=1, max_value=3000 // n_runs)))
+            for _ in range(n_runs)]
+    return Dataset(fmt, KInt(fmt, fmt.min_value), KInt(fmt, fmt.max_value),
+                   runs)
+
+
+@given(long_int_datasets())
+@settings(max_examples=60, deadline=None)
+def test_int_pairwise_runs_match_the_literal_tree(ds):
+    assert bs_pairwise(ds) == ref_pairwise(ds)
+
+
+@mark.parametrize("algorithm", ["pairwise", "kahan"])
+def test_repeated_rounding_pairs_match_the_literal_folds(algorithm):
+    # the family whose full-size float64 pair releases no exact sum, at a
+    # size the element-by-element folds reach: 5 stages of 4,096 copies
+    inst = generate_attack("repeated_rounding_1", FloatFormat(12, 8), j=5,
+                           m=-3)
+    reference = ref_pairwise if algorithm == "pairwise" else ref_kahan
+    for ds in (inst.u, inst.v):
+        assert run_sum(ds, SumMethod(algorithm)).value == reference(ds)
+
+
+def test_pairwise_adds_once_per_block_size(monkeypatch):
+    # two runs of 4,096: one memoized block chain per run and the root add
+    import boundedsum.summation as summation
+    calls = []
+
+    def counting(x, y, mode="banker"):
+        calls.append(1)
+        return add_float(x, y, mode)
+
+    monkeypatch.setattr(summation, "add_float", counting)
+    for ds in (FR32X_U, FR32X_V):
+        calls.clear()
+        bs_pairwise(ds)
+        assert len(calls) <= 32  # the literal tree adds 8,191 times
+
+
+def test_kahan_gives_up_past_the_literal_step_limit(monkeypatch):
+    import boundedsum.summation as summation
+    monkeypatch.setattr(summation, "MATERIALIZE_LIMIT", 1)
+    # a run needs two literal steps before any period can show
+    with raises(ValueError, match="no period"):
+        bs_kahan(float_ds(F46, [("0.5", 100)], lo="0", hi="1"))
+    # runs of one never count: one literal step each
+    dense = float_ds(F46, [(v, 1) for v in ("0.5", "0.25", "0.75", "1")],
+                     lo="0", hi="1")
+    assert bs_kahan(dense) == ref_kahan(dense)
 
 
 @mark.parametrize("runs mode".split(), [
