@@ -14,7 +14,10 @@ The mechanism, replay and sum commands read the dataset pairs under
 ``tests/golden/instances/`` and run from ``tests/golden/``, so the paths
 their manifests record are relative.  Those pairs are inputs, not
 outputs: ``ov6``, ``ov8``, ``ov8s``, ``rr2`` and ``sat8`` were written by
-``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``.  The six pairs
+``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``; the three
+files under ``instances/dense/`` (one run per element, apart from one run
+of three and a ``-0`` pattern) and the malformed files under
+``instances/refused/`` were written by hand.  The six pairs
 of ``GEN_CASES``, one per attack family, are outputs too: ``attack gen``
 must write their ``instance.json``, ``u.json`` and ``v.json`` byte for
 byte.
@@ -96,6 +99,18 @@ REFUSAL_CASES = {
     "bruteforce-float23-shift-refused": (_F23_N3 + [
         "--metric", "co", "--method", "pairwise", "--transform", "shift"], 2),
 }
+# files refused on load, and the two shifts that are not exact, run from
+# tests/golden/ like the sums above
+for _name in ("pattern-out-of-range", "nan-pattern", "inf-element",
+              "out-of-bounds", "count-zero", "int-out-of-range",
+              "negative-pattern", "not-representable", "not-dyadic"):
+    REFUSAL_CASES[f"sum-refused-{_name}"] = (
+        ["sum", "--in", f"instances/refused/{_name}.json"], 2)
+REFUSAL_CASES["sum-rr2_4_6-shift-refused"] = (
+    ["sum", "--in", "instances/rr2_4_6/u.json", "--transform", "shift"], 2)
+REFUSAL_CASES["sum-shift-inexact-refused"] = (
+    ["sum", "--in", "instances/refused/shift-inexact.json", "--transform",
+     "shift"], 2)
 
 _BOUND = ["sens", "bound", "--format", "float:2,3", "--lower", "-1",
           "--upper", "1"]
@@ -234,6 +249,32 @@ for _tag in GEN_CASES:
     for _alg in ("pairwise", "kahan") if _is_float else ("pairwise",):
         REPLAY_CASES[f"sum-{_tag}-{_alg}"] = [
             "sum", "--in", f"instances/{_tag}/u.json", "--method", _alg]
+# ``sum`` on data with runs of one: the tail of the rr2_4_6 pair and three
+# small dense files under every algorithm and transform, overflowing on
+# both integer policies
+_SUM_INPUTS = {"rr2_4_6": ("instances/rr2_4_6/u.json", 6, ("iterative",
+                                                            "split")),
+               "dense_f10_5": ("instances/dense/f10_5.json", 20, (
+                   "iterative", "pairwise", "kahan", "split")),
+               "dense_i16w": ("instances/dense/i16-wraparound.json", 20, (
+                   "iterative", "pairwise", "split")),
+               "dense_i16s": ("instances/dense/i16-saturating.json", 20, (
+                   "iterative", "pairwise", "split"))}
+for _tag, (_path, _half, _algs) in _SUM_INPUTS.items():
+    for _alg in _algs:
+        REPLAY_CASES[f"sum-{_tag}-{_alg}"] = [
+            "sum", "--in", _path, "--method", _alg]
+    REPLAY_CASES[f"sum-{_tag}-permute"] = [
+        "sum", "--in", _path, "--transform", "permute:7"]
+    REPLAY_CASES[f"sum-{_tag}-truncate"] = [
+        "sum", "--in", _path, "--transform", f"truncate:{_half}"]
+    if _tag != "rr2_4_6":
+        REPLAY_CASES[f"sum-{_tag}-shift"] = [
+            "sum", "--in", _path, "--transform", "shift"]
+for _alg in ("iterative", "kahan"):
+    REPLAY_CASES[f"sum-dense_f10_5-{_alg}-toward_neg"] = [
+        "sum", "--in", "instances/dense/f10_5.json", "--method", _alg,
+        "--rounding", "toward_neg"]
 REPLAY_CASES["verify-rr1_10_5-kahan-toward_pos"] = [
     "attack", "verify", "--instance", "instances/rr1_10_5", "--method",
     "kahan", "--rounding", "toward_pos"]
@@ -259,7 +300,7 @@ def _run(argv):
 def _refusal_stderr(name) -> str:
     argv, exit_code = REFUSAL_CASES[name]
     buf = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()) as out, \
+    with _in_golden(), contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(buf):
         code = main(argv)
     assert code == exit_code
