@@ -9,17 +9,29 @@ how to consume runs directly.
 The JSON form keeps every value exact: floats travel as their bit
 patterns (hex strings), integers as decimal strings.  Counts are plain
 JSON integers.
+
+Validation happens once, when a dataset is built, and always the same
+way: each element and both bounds must be values of the dataset's own
+format (its type and format checked, a float also finite), each count at
+least one, and each element inside the bounds.  Elements are compared as
+their integer order keys (:func:`order_key`), read off the bit pattern
+or the integer, so no exact value is built; equal keys are equal values,
+so adjacent runs merge on the key.  A ``0x..`` pattern is decoded with
+one ``int(text, 16)``, and the pattern itself is checked: in range, not a
+NaN, ``-0`` folded into ``+0``.  Datasets derived from a checked one
+(shuffles, shifts, brute-force tuples over its frame) skip the checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Tuple, Union
 
 from .dyadic import Dyadic
-from .floats import FloatFormat, SimFloat
+from .floats import FloatFormat, SimFloat, parse_value
 from .ints import IntFormat, KInt
 
 __all__ = ["Dataset", "ElementFormat", "Value", "encode_value", "decode_value",
@@ -38,6 +50,13 @@ SCHEMA_VERSION = 1
 # ``couple_co`` in ``sensitivity``.  Kahan's run fold also gives up past
 # this many literal steps in one run.
 MATERIALIZE_LIMIT = 1 << 22
+
+
+def check_materialize(n: int) -> None:
+    """Refuse to build a list of ``n`` elements past ``MATERIALIZE_LIMIT``."""
+    if n > MATERIALIZE_LIMIT:
+        raise ValueError(
+            f"refusing to materialize {n} elements; use the run-aware paths")
 
 
 def exact_value(value) -> Union[int, Fraction]:
@@ -87,38 +106,53 @@ class Dataset:
 
     def __init__(self, fmt: ElementFormat, lower: Value, upper: Value,
                  runs: Iterable[Tuple[Value, int]]):
-        self._check_value(fmt, lower, "lower bound")
-        self._check_value(fmt, upper, "upper bound")
-        lo_key, hi_key = order_key(lower), order_key(upper)
+        check = self._check_value
+        lo_key = check(fmt, lower, "lower bound")
+        hi_key = check(fmt, upper, "upper bound")
         if lo_key > hi_key:
             raise ValueError("lower bound exceeds upper bound")
         merged = []
+        last = None  # the order key of the last run
         for v, c in runs:
             c = int(c)
-            self._check_value(fmt, v, "element")
+            key = check(fmt, v, "element")
             if c < 1:
                 raise ValueError("run counts must be positive")
-            if not lo_key <= order_key(v) <= hi_key:
+            if not lo_key <= key <= hi_key:
                 raise ValueError(f"element {v} outside bounds [{lower}, {upper}]")
-            if merged and merged[-1][0] == v:
+            if key == last:
                 merged[-1] = (v, merged[-1][1] + c)
             else:
                 merged.append((v, c))
+                last = key
         self.fmt = fmt
         self.lower = lower
         self.upper = upper
         self.runs = tuple(merged)
 
     @staticmethod
-    def _check_value(fmt, v, what):
+    def _check_value(fmt: ElementFormat, v, what: str) -> int:
+        """The :func:`order_key` of ``v``, once it is checked to be a
+        finite value of ``fmt``: the one check of elements and bounds."""
         if isinstance(fmt, FloatFormat):
-            if not isinstance(v, SimFloat) or v.fmt != fmt:
+            if not isinstance(v, SimFloat) or (v.fmt is not fmt
+                                               and v.fmt != fmt):
                 raise TypeError(f"{what} must be a SimFloat of {fmt}")
-            if not v.is_finite():
+            key = order_key(v)
+            if abs(key) == fmt._kernel[4]:  # infinity's magnitude pattern
                 raise ValueError(f"{what} must be finite")
-        else:
-            if not isinstance(v, KInt) or v.fmt != fmt:
-                raise TypeError(f"{what} must be a KInt of {fmt}")
+            return key
+        if not isinstance(v, KInt) or (v.fmt is not fmt and v.fmt != fmt):
+            raise TypeError(f"{what} must be a KInt of {fmt}")
+        return v.value
+
+    @classmethod
+    def _trusted(cls, fmt: ElementFormat, lower: Value, upper: Value,
+                 runs: tuple) -> "Dataset":
+        """A dataset whose maximal runs are known to be valid: no checks."""
+        out = object.__new__(cls)
+        out.fmt, out.lower, out.upper, out.runs = fmt, lower, upper, runs
+        return out
 
     @classmethod
     def from_elements(cls, fmt: ElementFormat, lower: Value, upper: Value,
@@ -134,11 +168,15 @@ class Dataset:
                 yield v
 
     def to_list(self) -> list:
-        n = len(self)
-        if n > MATERIALIZE_LIMIT:
-            raise ValueError(
-                f"refusing to materialize {n} elements; use the run-aware paths")
+        check_materialize(len(self))
         return list(self.iter_values())
+
+    def counts(self) -> Counter:
+        """The element multiset, ``value -> count``, read off the runs."""
+        out = Counter()
+        for v, c in self.runs:
+            out[v] += c
+        return out
 
     def replace_elements(self, elements: Iterable[Value]) -> "Dataset":
         return Dataset.from_elements(self.fmt, self.lower, self.upper, elements)
@@ -148,11 +186,8 @@ class Dataset:
         """:meth:`replace_elements` for elements drawn from a dataset over
         this one's frame, which were checked there: the runs are merged,
         and nothing is checked again."""
-        out = object.__new__(Dataset)
-        out.fmt, out.lower, out.upper = self.fmt, self.lower, self.upper
-        out.runs = tuple((v, len(list(run)))
-                         for v, run in itertools.groupby(elements))
-        return out
+        return Dataset._trusted(self.fmt, self.lower, self.upper, tuple(
+            (v, len(list(run))) for v, run in itertools.groupby(elements)))
 
     def replace_runs(self, runs: Iterable[Tuple[Value, int]]) -> "Dataset":
         return Dataset(self.fmt, self.lower, self.upper, runs)
@@ -186,13 +221,9 @@ class Dataset:
         fmt = format_from_json(d["format"])
         lower = decode_value(fmt, d["bounds"]["lower"])
         upper = decode_value(fmt, d["bounds"]["upper"])
-        runs = []
-        for entry in d["elements"]:
-            if isinstance(entry, str):
-                runs.append((decode_value(fmt, entry), 1))
-            else:
-                runs.append((decode_value(fmt, entry["value"]),
-                             int(entry["count"])))
+        runs = [(decode_value(fmt, entry), 1) if isinstance(entry, str)
+                else (decode_value(fmt, entry["value"]), int(entry["count"]))
+                for entry in d["elements"]]
         return cls(fmt, lower, upper, runs)
 
 
@@ -201,8 +232,12 @@ def encode_value(v: Value) -> str:
 
 
 def decode_value(fmt: ElementFormat, text: str) -> Value:
+    """A value from its JSON text: a ``0x..`` bit pattern or any literal
+    :func:`~boundedsum.floats.parse_value` reads for floats, a decimal
+    integer for ints."""
     if isinstance(fmt, FloatFormat):
-        from .floats import parse_value
+        if text.startswith(("0x", "0X")):
+            return SimFloat(fmt, int(text, 16))
         return parse_value(fmt, text)
     return KInt(fmt, int(text))
 

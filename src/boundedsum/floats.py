@@ -50,6 +50,7 @@ __all__ = [
     "ulp",
     "is_representable",
     "round_dyadic",
+    "add_bits",
     "add_float",
     "parse_value",
     "values_in_range",
@@ -143,16 +144,14 @@ class SimFloat:
     __slots__ = ("fmt", "bits")
 
     def __init__(self, fmt: FloatFormat, bits: int):
-        k, l = fmt.mantissa_bits, fmt.exponent_bits
-        if not 0 <= bits < (1 << fmt.total_bits):
+        sign, inf = fmt._kernel[3:]
+        if not 0 <= bits < sign << 1:
             raise ValueError(f"bit pattern {bits:#x} out of range for {fmt}")
-        exp_field = (bits >> k) & ((1 << l) - 1)
-        if exp_field == (1 << l) - 1 and bits & ((1 << k) - 1):
+        mag = bits & (sign - 1)
+        if mag > inf:  # the all-ones exponent with a nonzero mantissa
             raise ValueError("NaN patterns are not part of the value set")
-        if exp_field == 0 and bits & ((1 << k) - 1) == 0:
-            bits = 0  # fold -0 into +0
         self.fmt = fmt
-        self.bits = bits
+        self.bits = bits if mag else 0  # fold -0 into +0
 
     # -- constructors ---------------------------------------------------
 
@@ -190,6 +189,16 @@ class SimFloat:
     @classmethod
     def from_hex(cls, fmt: FloatFormat, text: str) -> "SimFloat":
         return cls(fmt, int(text, 16))
+
+    @classmethod
+    def from_grid(cls, fmt: FloatFormat, g: int) -> "SimFloat":
+        """The value of ``g`` units of the finest spacing: the inverse of
+        :meth:`to_grid`, infinities included.  Raises ``ValueError`` when
+        ``g`` is not a value of ``fmt``."""
+        bits = _grid_bits(fmt._kernel, g)
+        if bits is None:
+            raise ValueError(f"{g} grid units are not a value of {fmt}")
+        return _from_bits(fmt, bits)
 
     # -- field access ----------------------------------------------------
 
@@ -268,7 +277,7 @@ class SimFloat:
 
     def __neg__(self) -> "SimFloat":
         if self.bits == 0:
-            return self
+            return self  # -0 is not a pattern of the value set
         return _from_bits(self.fmt, self.bits ^ self.fmt._kernel[3])
 
     def __abs__(self) -> "SimFloat":
@@ -302,6 +311,28 @@ def _from_bits(fmt: FloatFormat, bits: int) -> SimFloat:
     x.fmt = fmt
     x.bits = bits
     return x
+
+
+def _grid_bits(kernel: tuple, g: int):
+    """Bit pattern of ``g`` grid units (see :meth:`SimFloat.to_grid`), or
+    None when no value of the format has that grid count.
+
+    Below ``2^k`` units the count is the subnormal pattern itself.  Above,
+    ``g`` has ``k + f`` bits for the biased exponent field ``f`` and must
+    be a multiple of its spacing ``2^(f-1)``; the infinity point
+    ``2^(emax+1)`` lands on infinity's pattern, and anything past it on a
+    pattern above it.
+    """
+    k, _, _, sign, inf = kernel
+    a = -g if g < 0 else g
+    if a >= 1 << k:
+        f = a.bit_length() - k
+        if a & ((1 << (f - 1)) - 1):
+            return None
+        a = ((f - 1) << k) + (a >> (f - 1))
+        if a > inf:
+            return None
+    return a | sign if g < 0 else a
 
 
 def ulp(x: SimFloat) -> Dyadic:
@@ -346,7 +377,7 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown rounding mode {mode!r}")
 
 
-def _round_bits(fmt: FloatFormat, neg: bool, mag: int, e: int, mode: str) -> int:
+def _round_bits(kernel: tuple, neg: bool, mag: int, e: int, mode: str) -> int:
     """Bit pattern of ``(-1)^neg * mag * 2^e`` (``mag > 0``) rounded to ``fmt``.
 
     The value's binade ``top = floor(log2 |value|)``, raised to ``emin``
@@ -355,9 +386,10 @@ def _round_bits(fmt: FloatFormat, neg: bool, mag: int, e: int, mode: str) -> int
     turns the three ways ``t`` can reach ``2^(k+1)`` (or ``2^k`` below
     ``emin``) into carries into the exponent field: a subnormal promoted
     to the smallest normal, a carry into the next binade, and a carry out
-    of the top binade into the infinity pattern.
+    of the top binade into the infinity pattern.  ``kernel`` is the
+    format's :attr:`FloatFormat._kernel`.
     """
-    k, emin, emax, sign, inf = fmt._kernel
+    k, emin, emax, sign, inf = kernel
     top = mag.bit_length() - 1 + e
     if top > emax:
         return inf | sign if neg else inf
@@ -397,30 +429,31 @@ def round_dyadic(q: Dyadic, fmt: FloatFormat, mode: str) -> SimFloat:
     _check_mode(mode)
     if q.m == 0:
         return _from_bits(fmt, 0)
-    return _from_bits(fmt, _round_bits(fmt, q.m < 0, abs(q.m), q.e, mode))
+    return _from_bits(fmt, _round_bits(fmt._kernel, q.m < 0, abs(q.m), q.e,
+                                       mode))
 
 
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
 
-def add_float(x: SimFloat, y: SimFloat, mode: str = "banker") -> SimFloat:
-    """One rounded addition: exact sum of the operands, rounded once.
+def add_bits(kernel: tuple, xb: int, yb: int, mode: str) -> int:
+    """One rounded addition on bit patterns: the pattern of the exact sum,
+    rounded once.
 
-    Infinities saturate: ``inf + z = inf`` unless ``z`` is the opposite
-    infinity, which raises :class:`InvalidOperation`.
+    ``kernel`` is the format's :attr:`FloatFormat._kernel`.  Nothing is
+    checked: the patterns must be of that format (a ``-0`` pattern reads
+    as zero, so a sign flip ``b ^ sign`` is a negation even at zero) and
+    ``mode`` one of ``ROUNDING_MODES``.  Infinities saturate: ``inf + z =
+    inf`` unless ``z`` is the opposite infinity, which raises
+    :class:`InvalidOperation`.  Zero results are ``+0``.
     """
-    fmt = x.fmt
-    if y.fmt is not fmt and y.fmt != fmt:
-        raise ValueError("operands have different formats")
-    _check_mode(mode)
-    k, emin, _, sign, inf = fmt._kernel
-    xb, yb = x.bits, y.bits
+    k, emin, _, sign, inf = kernel
     xm, ym = xb & (sign - 1), yb & (sign - 1)
     if xm == inf or ym == inf:
         if xm == ym and xb != yb:
             raise InvalidOperation("inf + (-inf) is undefined")
-        return x if xm == inf else y
+        return xb if xm == inf else yb
     # value = significand * 2^(exponent + emin - k); subnormals and zero
     # share the smallest normal's exponent, with no hidden bit
     xe, ye = xm >> k, ym >> k
@@ -436,10 +469,23 @@ def add_float(x: SimFloat, y: SimFloat, mode: str = "banker") -> SimFloat:
     else:
         total, e = xs + (ys << (ye - xe)), xe
     if total == 0:
-        return _from_bits(fmt, 0)
+        return 0
     neg = total < 0
-    return _from_bits(fmt, _round_bits(fmt, neg, -total if neg else total,
-                                       e + emin - k, mode))
+    return _round_bits(kernel, neg, -total if neg else total, e + emin - k,
+                       mode)
+
+
+def add_float(x: SimFloat, y: SimFloat, mode: str = "banker") -> SimFloat:
+    """One rounded addition: exact sum of the operands, rounded once.
+
+    The checked form of :func:`add_bits`: the operands must share a
+    format and ``mode`` must be one of ``ROUNDING_MODES``.
+    """
+    fmt = x.fmt
+    if y.fmt is not fmt and y.fmt != fmt:
+        raise ValueError("operands have different formats")
+    _check_mode(mode)
+    return _from_bits(fmt, add_bits(fmt._kernel, x.bits, y.bits, mode))
 
 
 # ---------------------------------------------------------------------------

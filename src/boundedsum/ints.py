@@ -9,6 +9,7 @@ format: ``wraparound`` reduces results mod ``2^k`` back into range,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["IntFormat", "KInt", "add_int"]
 
@@ -27,11 +28,11 @@ class IntFormat:
         if self.overflow not in OVERFLOW_POLICIES:
             raise ValueError(f"overflow must be one of {OVERFLOW_POLICIES}")
 
-    @property
+    @cached_property
     def min_value(self) -> int:
         return -(1 << (self.bits - 1)) if self.signed else 0
 
-    @property
+    @cached_property
     def max_value(self) -> int:
         return (1 << (self.bits - 1)) - 1 if self.signed else (1 << self.bits) - 1
 
@@ -49,6 +50,12 @@ class IntFormat:
     def clamp(self, value: int) -> int:
         return min(max(value, self.min_value), self.max_value)
 
+    def settle(self, value: int) -> int:
+        """An exact result brought into range by the overflow policy."""
+        if self.overflow == "wraparound":
+            return self.wrap(value)
+        return self.clamp(value)
+
 
 class KInt:
     """One in-range value of an :class:`IntFormat`."""
@@ -65,14 +72,13 @@ class KInt:
         return self.value
 
     def __neg__(self) -> "KInt":
-        return KInt(self.fmt, self.fmt.wrap(-self.value)
-                    if self.fmt.overflow == "wraparound"
-                    else self.fmt.clamp(-self.value))
+        return KInt(self.fmt, self.fmt.settle(-self.value))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KInt):
             return NotImplemented
-        return self.fmt == other.fmt and self.value == other.value
+        return self.value == other.value and (self.fmt is other.fmt
+                                              or self.fmt == other.fmt)
 
     def __hash__(self) -> int:
         return hash((self.fmt, self.value))
@@ -88,8 +94,4 @@ def add_int(x: KInt, y: KInt) -> KInt:
     """Add under the format's overflow policy."""
     if x.fmt != y.fmt:
         raise ValueError("operands have different formats")
-    fmt = x.fmt
-    total = x.value + y.value
-    if fmt.overflow == "wraparound":
-        return KInt(fmt, fmt.wrap(total))
-    return KInt(fmt, fmt.clamp(total))
+    return KInt(x.fmt, x.fmt.settle(x.value + y.value))

@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .data import Dataset, ElementFormat, Value, exact_value, order_key
+from .data import (Dataset, ElementFormat, Value, check_materialize,
+                   exact_value, order_key)
 from .dyadic import Dyadic, floor_log2_fraction
 from .floats import FloatFormat, SimFloat, _pattern_ranges, is_representable
 from .ints import IntFormat, KInt
@@ -110,9 +111,8 @@ class SensSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        Dataset._check_value(self.fmt, self.lower, "lower bound")
-        Dataset._check_value(self.fmt, self.upper, "upper bound")
-        if exact_value(self.lower) > exact_value(self.upper):
+        if (Dataset._check_value(self.fmt, self.lower, "lower bound")
+                > Dataset._check_value(self.fmt, self.upper, "upper bound")):
             raise ValueError("lower bound exceeds upper bound")
         if self.n is not None and self.n < 0:
             raise ValueError("n must be nonnegative")
@@ -809,26 +809,33 @@ def couple_sym(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     element is inserted at a uniform position.  Hence ``d_id(u', v') <=
     1`` always — unordered adjacency became ordered adjacency, so any
     ordered-metric bound applies to the shuffled release.
+
+    The multisets are read off the runs, and a pair past
+    ``MATERIALIZE_LIMIT`` elements is refused before any list is built.
     """
     _check_same_frame(u, v)
-    hu, hv = Counter(u.iter_values()), Counter(v.iter_values())
+    hu, hv = u.counts(), v.counts()
     extra_u = hu - hv
     extra_v = hv - hu
     d = sum(extra_u.values()) + sum(extra_v.values())
     if d > 1:
         raise PreconditionFailed(f"datasets are not sym-adjacent (distance {d})")
+    check_materialize(max(len(u), len(v)))
     rng = random.Random(seed)
     if d == 0:
         order = _fisher_yates(u.to_list(), rng)
-        return u.replace_elements(order), v.replace_elements(order)
+        return (u.replace_elements_unchecked(order),
+                v.replace_elements_unchecked(order))
     extra = next(iter(extra_u or extra_v))
     shorter = v if extra_u else u
     base = _fisher_yates(shorter.to_list(), rng)
     inserted = list(base)
     inserted.insert(rng.randrange(len(base) + 1), extra)
     if extra_u:
-        return u.replace_elements(inserted), v.replace_elements(base)
-    return u.replace_elements(base), v.replace_elements(inserted)
+        return (u.replace_elements_unchecked(inserted),
+                v.replace_elements_unchecked(base))
+    return (u.replace_elements_unchecked(base),
+            v.replace_elements_unchecked(inserted))
 
 
 def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
@@ -838,24 +845,29 @@ def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     elements in the same slot, and applies one shared shuffle to both
     sides.  Each output is a uniform shuffle of its input and they differ
     in at most one position: ``d_ham(u', v') <= 1``.
+
+    As in :func:`couple_sym`, the multisets come from the runs and a pair
+    past ``MATERIALIZE_LIMIT`` elements is refused before any list.
     """
     _check_same_frame(u, v)
     if len(u) != len(v):
         raise PreconditionFailed("co-adjacent datasets must share a length")
-    hu, hv = Counter(u.iter_values()), Counter(v.iter_values())
+    hu, hv = u.counts(), v.counts()
     extra_u = hu - hv
     extra_v = hv - hu
     if sum(extra_u.values()) > 1:
         raise PreconditionFailed("datasets are not co-adjacent")
-    common = sorted((hu & hv).elements(), key=exact_value)
-    a, b = list(common), list(common)
+    check_materialize(len(u))
+    common = hu & hv
+    a = [x for x in sorted(common, key=order_key) for _ in range(common[x])]
+    b = list(a)
     if extra_u:
         a.append(next(iter(extra_u)))
         b.append(next(iter(extra_v)))
     rng = random.Random(seed)
     perm = _fisher_yates(list(range(len(a))), rng)
-    return (u.replace_elements(a[i] for i in perm),
-            v.replace_elements(b[i] for i in perm))
+    return (u.replace_elements_unchecked(a[i] for i in perm),
+            v.replace_elements_unchecked(b[i] for i in perm))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,15 @@ milliseconds without a single approximation:
   literally, up to ``MATERIALIZE_LIMIT`` steps;
 * ``exact`` multiplies each value by its count.
 
+Dense data, where most runs hold one element, is folded on bit patterns:
+the float state of every algorithm lives in local ints, a run of one is
+one :func:`~boundedsum.floats.add_bits` (a Kahan step four of them, with
+negation a flip of the sign bit), and a ``SimFloat`` is built only for
+the release and for the runs longer than one that go through
+``_add_run_float`` and ``_kahan_run``.  Integer releases are plain-int
+closed forms: wraparound addition is associative, so every algorithm
+releases the wrapped exact sum, and saturating folds clamp plain ints.
+
 The module also houses the dataset transforms (truncation, seeded random
 permutation, bound shifting) and the two overflow precondition checks.
 """
@@ -65,9 +74,9 @@ from typing import List, Optional, Tuple, Union
 
 from .data import Dataset, MATERIALIZE_LIMIT, exact_value, order_key
 from .dyadic import Dyadic
-from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, add_float,
-                     round_dyadic, is_representable)
-from .ints import IntFormat, KInt, add_int
+from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _check_mode,
+                     _from_bits, _grid_bits, add_bits, add_float, round_dyadic)
+from .ints import IntFormat, KInt
 
 __all__ = [
     "SumMethod", "SumOutcome", "Truncate", "RandomPermutation", "ShiftBounds",
@@ -244,8 +253,7 @@ def _add_run_float(s: SimFloat, c: SimFloat, count: int, mode: str) -> SimFloat:
                 room = hi - t_g if delta > 0 else t_g - lo
                 j = min((room - 1) // abs(delta), count)
                 if j > 0:
-                    landed = Dyadic(t_g + delta * j, fmt.emin - fmt.k)
-                    s = round_dyadic(landed, fmt, "toward_zero")  # on-grid
+                    s = SimFloat.from_grid(fmt, t_g + delta * j)
                     count -= j
                     if count == 0:
                         return s
@@ -254,14 +262,38 @@ def _add_run_float(s: SimFloat, c: SimFloat, count: int, mode: str) -> SimFloat:
         prev = (delta, region)
 
 
-def _add_run_int(s: KInt, c: KInt, count: int) -> KInt:
-    fmt = s.fmt
-    total = s.value + c.value * count
+def _add_run_bits(fmt: FloatFormat, s: int, v: int, count: int,
+                  mode: str) -> int:
+    """:func:`_add_run_float` on bit patterns: a run of one is one
+    :func:`~boundedsum.floats.add_bits`, and builds no object."""
+    if count == 1:
+        return add_bits(fmt._kernel, s, v, mode)
+    return _add_run_float(_from_bits(fmt, s), _from_bits(fmt, v), count,
+                          mode).bits
+
+
+def _int_fold(fmt: IntFormat, runs) -> int:
+    """The left fold from 0 of KInt runs ``(v, count)`` under ``fmt``'s
+    overflow policy, as a plain int.
+
+    Wraparound addition is associative, so every fold order (and every
+    tree shape) gives the wrapped exact sum.  A saturating fold of a
+    constant addend moves monotonically toward one rail and stays there,
+    so each run clamps the true partial sum once.
+    """
     if fmt.overflow == "wraparound":
-        return KInt(fmt, fmt.wrap(total))
+        return fmt.wrap(sum(v.value * c for v, c in runs))
+    lo, hi = fmt.min_value, fmt.max_value
+    acc = 0
+    for v, c in runs:
+        acc = min(max(acc + v.value * c, lo), hi)
+    return acc
+
+
+def _add_run_int(s: KInt, c: KInt, count: int) -> KInt:
     # Saturating folds of a constant addend clamp the true partial sum:
     # the accumulator moves monotonically toward one rail and stays there.
-    return KInt(fmt, fmt.clamp(total))
+    return KInt(s.fmt, s.fmt.settle(s.value + c.value * count))
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +308,18 @@ def _zero_of(dataset: Dataset):
 
 def bs_iterative(dataset: Dataset, rounding: str = "banker"):
     """Left fold with one rounded add per element."""
-    acc = _zero_of(dataset)
-    if isinstance(dataset.fmt, FloatFormat):
-        for v, count in dataset.runs:
-            acc = _add_run_float(acc, v, count, rounding)
-    else:
-        for v, count in dataset.runs:
-            acc = _add_run_int(acc, v, count)
-    return acc
+    fmt = dataset.fmt
+    if not isinstance(fmt, FloatFormat):
+        return KInt(fmt, _int_fold(fmt, dataset.runs))
+    _check_mode(rounding)
+    kernel = fmt._kernel
+    acc = 0
+    for v, count in dataset.runs:
+        if count == 1:
+            acc = add_bits(kernel, acc, v.bits, rounding)
+        else:
+            acc = _add_run_bits(fmt, acc, v.bits, count, rounding)
+    return _from_bits(fmt, acc)
 
 
 def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
@@ -302,15 +338,33 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     positions, O(log n) of them per boundary.  The run holding the next
     position is a cursor carried down the left-to-right walk, so dense
     data (runs of one) costs one comparison per node on top of its add.
+
+    Floats are added as bit patterns.  Wraparound integers release the
+    wrapped exact sum, which every tree shape gives; saturating integers
+    walk the tree on plain ints.
     """
-    runs = dataset.runs
+    fmt = dataset.fmt
+    if isinstance(fmt, FloatFormat):
+        _check_mode(rounding)
+        kernel = fmt._kernel
+        _, _, _, sign, inf = kernel
+        return _from_bits(fmt, _cascade(
+            [(v.bits, c) for v, c in dataset.runs],
+            lambda a, b: add_bits(kernel, a, b, rounding),
+            lambda x: x & (sign - 1) == inf))
+    if fmt.overflow == "wraparound":
+        return KInt(fmt, _int_fold(fmt, dataset.runs))
+    clamp = fmt.clamp
+    return KInt(fmt, _cascade([(v.value, c) for v, c in dataset.runs],
+                              lambda a, b: clamp(a + b), lambda x: False))
+
+
+def _cascade(runs: list, add, final) -> int:
+    """The cascade of :func:`bs_pairwise` over runs ``(x, count)`` of
+    ints, under ``add``; a left operand that is ``final`` is returned
+    without its sibling.  No runs sum to 0."""
     if not runs:
-        return _zero_of(dataset)
-    is_float = isinstance(dataset.fmt, FloatFormat)
-    if is_float:
-        add = lambda a, b: add_float(a, b, rounding)
-    else:
-        add = add_int
+        return 0
     ends = list(itertools.accumulate(c for _, c in runs))
     memo = {}
 
@@ -339,8 +393,8 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
             return v if hi - lo == 1 else block(v, hi - lo)
         m = 1 << ((hi - lo - 1).bit_length() - 1)
         left = rec(lo, lo + m)
-        if is_float and not left.is_finite():
-            return left  # final: the cursor is not read again
+        if final(left):
+            return left  # the cursor is not read again
         return add(left, rec(lo + m, hi))
 
     return rec(0, ends[-1])
@@ -358,36 +412,60 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     would drive the next running sum to an infinity of the opposite
     sign.
 
-    Each run is folded by :func:`_kahan_run`, which jumps across the
-    periodic stretches a constant addend produces.
+    The state is a pair of bit patterns.  A run of one is one
+    :func:`_kahan_bits` step; a longer run is folded by
+    :func:`_kahan_run`, which jumps across the periodic stretches a
+    constant addend produces.
     """
-    if not isinstance(dataset.fmt, FloatFormat):
+    fmt = dataset.fmt
+    if not isinstance(fmt, FloatFormat):
         raise TypeError("compensated summation is defined for float formats")
-    total = comp = SimFloat.zero(dataset.fmt)
+    _check_mode(rounding)
+    kernel = fmt._kernel
+    _, _, _, sign, inf = kernel
+    total = comp = 0
     for v, count in dataset.runs:
-        total, comp = _kahan_run(total, comp, v, count, rounding)
-        if not total.is_finite():
+        if count == 1:
+            total, comp = _kahan_bits(kernel, total, comp, v.bits, rounding)
+        else:
+            t, c = _kahan_run(_from_bits(fmt, total), _from_bits(fmt, comp),
+                              v, count, rounding)
+            total, comp = t.bits, c.bits
+        if total & (sign - 1) == inf:
             break  # the step keeps an infinite total as it is
-    return total
+    return _from_bits(fmt, total)
 
 
-def kahan_step(total: SimFloat, comp: SimFloat, v: SimFloat,
-               rounding: str) -> Tuple[SimFloat, SimFloat]:
-    """One element of compensated summation: the next ``(total, comp)``.
+def _kahan_bits(kernel: tuple, total: int, comp: int, v: int,
+                mode: str) -> Tuple[int, int]:
+    """One element of compensated summation on bit patterns: the next
+    ``(total, comp)``.  Negation flips the sign bit.
 
     An infinite running sum is final: it is kept, with its compensation,
     whatever ``v`` is.  See :func:`bs_kahan` for the overflow rules.
     """
-    if not total.is_finite():
+    _, _, _, sign, inf = kernel
+    if total & (sign - 1) == inf:
         return total, comp
-    y = add_float(v, -comp, rounding)
-    t = add_float(total, y, rounding)
-    if not t.is_finite():
+    y = add_bits(kernel, v, comp ^ sign, mode)
+    t = add_bits(kernel, total, y, mode)
+    if t & (sign - 1) == inf:
         return t, comp
-    comp = add_float(add_float(t, -total, rounding), -y, rounding)
-    if not comp.is_finite():
-        comp = SimFloat.zero(t.fmt)
+    comp = add_bits(kernel, add_bits(kernel, t, total ^ sign, mode),
+                    y ^ sign, mode)
+    if comp & (sign - 1) == inf:
+        comp = 0
     return t, comp
+
+
+def kahan_step(total: SimFloat, comp: SimFloat, v: SimFloat,
+               rounding: str) -> Tuple[SimFloat, SimFloat]:
+    """One element of compensated summation: the next ``(total, comp)``;
+    :func:`_kahan_bits` on the values' patterns."""
+    fmt = v.fmt
+    _check_mode(rounding)
+    t, c = _kahan_bits(fmt._kernel, total.bits, comp.bits, v.bits, rounding)
+    return _from_bits(fmt, t), _from_bits(fmt, c)
 
 
 # the longest period, in steps, that the Kahan run fold looks for
@@ -469,8 +547,7 @@ def _kahan_run(total: SimFloat, comp: SimFloat, v: SimFloat, count: int,
         periods, p, (d_t, d_c) = jump
         count -= periods * p
         state = (t_g + periods * d_t, c_g + periods * d_c)
-        total, comp = (round_dyadic(Dyadic(g, fmt.emin - fmt.k), fmt,
-                                    "toward_zero") for g in state)  # on-grid
+        total, comp = (SimFloat.from_grid(fmt, g) for g in state)
         states = [state]
         steps = []
     return total, comp
@@ -581,39 +658,35 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     that saturates to infinity is clamped back to the largest finite
     value of its sign (recorded in ``events``); the two partials combine
     with a single round-to-nearest add.  Integers: partials and combine
-    all use the format's own overflow policy (the schedule is irrelevant
-    to the value there — same-sign integer adds commute even under
-    saturation — but keeping one schedule keeps the method one thing).
+    all use the format's own overflow policy.  The schedule is irrelevant
+    to the value there: same-sign integer adds give the wrapped or
+    clamped exact sum of their class in any order, so each partial is
+    that closed form.
     """
     fmt = dataset.fmt
-    ordered = sorted(dataset.runs, key=lambda run: order_key(run[0]))
-    if isinstance(fmt, FloatFormat):
-        pos = SimFloat.zero(fmt)
-        for v, count in ordered:
-            if not (v.sign < 0 and not v.is_zero()):
-                pos = _add_run_float(pos, v, count, "toward_zero")
-        neg = SimFloat.zero(fmt)
-        for v, count in reversed(ordered):
-            if v.sign < 0 and not v.is_zero():
-                neg = _add_run_float(neg, v, count, "toward_zero")
-        if pos.kind == "inf":
-            pos = round_dyadic(fmt.max_finite, fmt, "toward_zero")
-            if events is not None:
-                events.append("positive_partial_clamped")
-        if neg.kind == "inf":
-            neg = -round_dyadic(fmt.max_finite, fmt, "toward_zero")
-            if events is not None:
-                events.append("negative_partial_clamped")
-        return add_float(pos, neg, "banker")
-    pos = KInt(fmt, 0)
-    for v, count in ordered:
-        if v.value >= 0:
-            pos = _add_run_int(pos, v, count)
-    neg = KInt(fmt, 0)
-    for v, count in reversed(ordered):
-        if v.value < 0:
-            neg = _add_run_int(neg, v, count)
-    return add_int(pos, neg)
+    if not isinstance(fmt, FloatFormat):
+        pos = sum(v.value * c for v, c in dataset.runs if v.value >= 0)
+        neg = sum(v.value * c for v, c in dataset.runs if v.value < 0)
+        return KInt(fmt, fmt.settle(fmt.settle(pos) + fmt.settle(neg)))
+    kernel = fmt._kernel
+    _, _, _, sign, inf = kernel
+    # within one sign the patterns ascend with the magnitude
+    runs = sorted((v.bits, c) for v, c in dataset.runs)
+    pos = neg = 0
+    for v, count in runs:
+        if v & sign:
+            neg = _add_run_bits(fmt, neg, v, count, "toward_zero")
+        else:
+            pos = _add_run_bits(fmt, pos, v, count, "toward_zero")
+    if pos == inf:
+        pos = inf - 1  # the largest finite value
+        if events is not None:
+            events.append("positive_partial_clamped")
+    if neg == inf | sign:
+        neg = (inf - 1) | sign
+        if events is not None:
+            events.append("negative_partial_clamped")
+    return _from_bits(fmt, add_bits(kernel, pos, neg, "banker"))
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +721,11 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
     """
     if len(dataset) > MATERIALIZE_LIMIT:
         raise ValueError("dataset too large to materialize for permutation")
-    values = sorted(dataset.to_list(), key=order_key)
-    return dataset.replace_elements(_fisher_yates(values, random.Random(seed)))
+    values = [v for v, c in sorted(dataset.runs,
+                                   key=lambda run: order_key(run[0]))
+              for _ in range(c)]
+    return dataset.replace_elements_unchecked(
+        _fisher_yates(values, random.Random(seed)))
 
 
 def _fisher_yates(items: list, rng: random.Random) -> list:
@@ -668,28 +744,41 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
     representable; anything else raises, because an inexact shift
     silently changes the function being privatized.  ``run_sum`` records
     ``(lower, n)`` as the offset the caller adds back after the noise.
+
+    Floats are shifted on the format's finest grid (see
+    :meth:`SimFloat.to_grid`), and each difference is packed by
+    :meth:`SimFloat.from_grid`'s rule.  The shift is one-to-one and keeps
+    the order, so the shifted runs need no checks.
     """
     fmt = dataset.fmt
-    if isinstance(fmt, FloatFormat):
-        lo_d = dataset.lower.to_dyadic()
-        span = dataset.upper.to_dyadic() - lo_d
-        if not is_representable(span, fmt):
-            raise ValueError("shifted upper bound U - L is not representable")
-        new_upper = round_dyadic(span, fmt, "toward_zero")
-        runs = []
-        for v, c in dataset.runs:
-            moved = v.to_dyadic() - lo_d
-            if not is_representable(moved, fmt):
-                raise ValueError(f"shifted element {v} - {dataset.lower} "
-                                 "is not representable")
-            runs.append((round_dyadic(moved, fmt, "toward_zero"), c))
-        return Dataset(fmt, SimFloat.zero(fmt), new_upper, runs)
-    span = dataset.upper.value - dataset.lower.value
-    if span > fmt.max_value:
-        raise ValueError("shifted upper bound U - L exceeds the type range")
-    lo = dataset.lower.value
-    runs = [(KInt(fmt, v.value - lo), c) for v, c in dataset.runs]
-    return Dataset(fmt, KInt(fmt, 0), KInt(fmt, span), runs)
+    if not isinstance(fmt, FloatFormat):
+        span = dataset.upper.value - dataset.lower.value
+        if span > fmt.max_value:
+            raise ValueError("shifted upper bound U - L exceeds the type range")
+        lo = dataset.lower.value
+        return Dataset._trusted(fmt, KInt(fmt, 0), KInt(fmt, span), tuple(
+            (KInt(fmt, v.value - lo), c) for v, c in dataset.runs))
+    kernel = fmt._kernel
+    _, _, _, sign, inf = kernel
+    lo = dataset.lower.to_grid()
+
+    def shifted(v: SimFloat):
+        """The pattern of ``v - lower``, or None if it is not finite."""
+        bits = _grid_bits(kernel, v.to_grid() - lo)
+        return None if bits is None or bits & (sign - 1) == inf else bits
+
+    upper = shifted(dataset.upper)
+    if upper is None:
+        raise ValueError("shifted upper bound U - L is not representable")
+    runs = []
+    for v, c in dataset.runs:
+        bits = shifted(v)
+        if bits is None:
+            raise ValueError(f"shifted element {v} - {dataset.lower} "
+                             "is not representable")
+        runs.append((_from_bits(fmt, bits), c))
+    return Dataset._trusted(fmt, _from_bits(fmt, 0), _from_bits(fmt, upper),
+                            tuple(runs))
 
 
 # ---------------------------------------------------------------------------

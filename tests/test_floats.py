@@ -32,7 +32,7 @@ from boundedsum import (
     ulp,
     values_in_range,
 )
-from boundedsum.floats import _pattern_ranges
+from boundedsum.floats import _pattern_ranges, add_bits
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -389,6 +389,49 @@ def test_negative_zero_folds():
     minus_zero = 1 << (F23.total_bits - 1)
     assert SimFloat(F23, minus_zero).bits == 0
     assert SimFloat(F23, minus_zero) == SimFloat.zero(F23)
+
+
+@mark.parametrize("fmt", [F23, F34], ids=str)
+def test_from_grid_inverts_to_grid(fmt):
+    # every pattern, subnormals and both infinities included, comes back
+    # from its grid count; every other count up to past the infinity
+    # points is not a value
+    grid = set()
+    for bits in range(1 << fmt.total_bits):
+        try:
+            x = SimFloat(fmt, bits)
+        except ValueError:
+            continue  # NaN patterns
+        g = x.to_grid()
+        grid.add(g)
+        assert SimFloat.from_grid(fmt, g).bits == x.bits
+    inf_g = SimFloat.inf(fmt).to_grid()
+    assert -inf_g in grid and inf_g in grid
+    refused = 0
+    for g in range(-inf_g - 64, inf_g + 65):
+        try:
+            SimFloat.from_grid(fmt, g)
+        except ValueError:
+            refused += 1
+        else:
+            assert g in grid
+    assert refused == 2 * inf_g + 129 - len(grid)
+    for g in (inf_g + 1, 2 * inf_g, 3 * inf_g, 1 << 40):
+        for signed in (g, -g):
+            with raises(ValueError, match="not a value"):
+                SimFloat.from_grid(fmt, signed)
+
+
+def test_add_bits_reads_a_minus_zero_pattern_as_zero():
+    kernel = F23._kernel
+    sign = kernel[3]
+    for bits in range(1 << F23.total_bits):
+        if bits & (sign - 1) > kernel[4]:
+            continue  # NaN
+        for mode in ROUNDING_MODES:
+            assert add_bits(kernel, bits, sign, mode) == add_bits(
+                kernel, bits, 0, mode) == add_float(
+                    SimFloat(F23, bits), SimFloat.zero(F23), mode).bits
 
 
 def test_from_parts_validation():

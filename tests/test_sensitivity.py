@@ -81,6 +81,30 @@ def test_couple_co_draws_are_pinned(seed):
     assert values(same_u) == values(same_v) == SAME_DRAWS[seed]
 
 
+def test_couplings_refuse_past_the_materialize_limit(monkeypatch):
+    import boundedsum.data as data
+    monkeypatch.setattr(data, "MATERIALIZE_LIMIT", 100)
+    one, two, three = (KInt(FMT, x) for x in (1, 2, 3))
+
+    def runs(*pairs):
+        return Dataset(FMT, KInt(FMT, -8), KInt(FMT, 8), pairs)
+
+    u = runs((one, 250), (two, 250))
+    for couple, v in ((couple_co, runs((one, 250), (two, 249), (three, 1))),
+                      (couple_sym, runs((one, 250), (two, 251)))):
+        with raises(ValueError, match="refusing to materialize"):
+            couple(u, v, 1)
+    # paper-size runs are counted, not walked: refused at once
+    big = 1 << 52
+    u = runs((one, big))
+    for couple, v in ((couple_co, runs((one, big - 1), (three, 1))),
+                      (couple_sym, runs((one, big), (three, 1)))):
+        started = time.perf_counter()
+        with raises(ValueError, match="refusing to materialize"):
+            couple(u, v, 1)
+        assert time.perf_counter() - started < 1
+
+
 @mark.parametrize("seed", sorted(PERMUTATION_DRAWS))
 def test_random_permutation_draws_are_pinned(seed):
     shuffled = random_permutation(ds([3, -1, 5, 5, 0, 2, 7, 4, -8]), seed)

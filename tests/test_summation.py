@@ -8,11 +8,13 @@ element-by-element fold.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 from pytest import mark, raises
 from hypothesis import example, given, settings
-from hypothesis.strategies import composite, integers, lists, sampled_from
+from hypothesis.strategies import (booleans, composite, data, integers,
+                                   lists, one_of, sampled_from)
 
 from boundedsum import (
     ALGORITHMS,
@@ -39,6 +41,7 @@ from boundedsum import (
     check_multiplication,
     float_overflow_check,
     generate_attack,
+    is_representable,
     parse_value,
     random_permutation,
     round_dyadic,
@@ -46,6 +49,8 @@ from boundedsum import (
     truncate,
     values_in_range,
 )
+from boundedsum.floats import add_bits
+from boundedsum.summation import _shift_dataset
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -330,15 +335,15 @@ def test_pairwise_adds_once_per_block_size(monkeypatch):
     import boundedsum.summation as summation
     calls = []
 
-    def counting(x, y, mode="banker"):
+    def counting(kernel, x, y, mode):
         calls.append(1)
-        return add_float(x, y, mode)
+        return add_bits(kernel, x, y, mode)
 
-    monkeypatch.setattr(summation, "add_float", counting)
+    monkeypatch.setattr(summation, "add_bits", counting)
     for ds in (FR32X_U, FR32X_V):
         calls.clear()
         bs_pairwise(ds)
-        assert len(calls) <= 32  # the literal tree adds 8,191 times
+        assert 0 < len(calls) <= 32  # the literal tree adds 8,191 times
 
 
 def test_kahan_gives_up_past_the_literal_step_limit(monkeypatch):
@@ -602,6 +607,114 @@ def test_float_shift_bounds_shifts_elements_exactly():
     assert out.value.to_fraction() == Fraction(1)  # (0 + 0 + 1)
     lower, count = out.offset
     assert lower.to_fraction() == 2 and count == 3
+
+
+def _finite_patterns(fmt, near=None):
+    """Finite bit patterns of ``fmt``: subnormal, top-binade or any
+    magnitudes with either sign, or patterns close to ``near``."""
+    k = fmt.mantissa_bits
+    _, _, _, sign, inf = fmt._kernel
+    mags = [integers(0, (1 << k) - 1), integers(inf - (2 << k), inf - 1),
+            integers(0, inf - 1)]
+    if near is not None:
+        mags.append(integers(max(near - 64, 0), min(near + 64, inf - 1)))
+    return one_of(*mags).flatmap(
+        lambda m: booleans().map(lambda neg: m | sign if neg and m else m))
+
+
+@composite
+def dense_float_datasets(draw):
+    """1-300 elements, no two neighbours equal, over bounds wide enough for
+    the sums to overflow; elements reach the subnormals."""
+    fmt = draw(sampled_from([F46, FloatFormat(23, 8), FloatFormat(52, 11)]))
+    _, _, _, sign, inf = fmt._kernel
+    patterns = draw(lists(_finite_patterns(fmt), min_size=1, max_size=300))
+    values = [SimFloat(fmt, b) for i, b in enumerate(patterns)
+              if i == 0 or b != patterns[i - 1]]
+    return Dataset.from_elements(fmt, SimFloat(fmt, (inf - 1) | sign),
+                                 SimFloat(fmt, inf - 1), values)
+
+
+def _dense(fmt, patterns):
+    _, _, _, sign, inf = fmt._kernel
+    return Dataset.from_elements(fmt, SimFloat(fmt, (inf - 1) | sign),
+                                 SimFloat(fmt, inf - 1),
+                                 [SimFloat(fmt, b) for b in patterns])
+
+
+_F46_TOP = (F46._kernel[4] - 1)
+_F46_SIGN = F46._kernel[3]
+
+
+@given(dense_float_datasets(), sampled_from(ROUNDING_MODES))
+@example(_dense(F46, [_F46_TOP, _F46_TOP - 1, _F46_TOP | _F46_SIGN]),
+         "banker")                                       # overflow
+@example(_dense(F46, [_F46_TOP | _F46_SIGN, 3, _F46_TOP | _F46_SIGN,
+                      _F46_TOP, _F46_TOP - 1]), "toward_pos")  # both ways
+@example(_dense(F46, [1, 5 | _F46_SIGN, 15, 16, 3]), "toward_neg")  # subnormal
+@settings(max_examples=150, deadline=None)
+def test_dense_folds_match_the_literal_folds(ds, mode):
+    assert all(c == 1 for _, c in ds.runs)
+    assert bs_iterative(ds, mode) == ref_iterative(ds, mode)
+    assert bs_kahan(ds, mode) == ref_kahan(ds, mode)
+    assert bs_pairwise(ds, mode) == ref_pairwise(ds, mode)
+    assert bs_split(ds) == ref_split(ds)
+
+
+@composite
+def dense_int_datasets(draw):
+    fmt = draw(sampled_from([IntFormat(bits, signed, overflow)
+                             for bits, signed in ((8, True), (16, False),
+                                                  (32, True))
+                             for overflow in ("wraparound", "saturating")]))
+    values = draw(lists(integers(fmt.min_value, fmt.max_value),
+                        min_size=1, max_size=300))
+    return Dataset.from_elements(fmt, KInt(fmt, fmt.min_value),
+                                 KInt(fmt, fmt.max_value),
+                                 [KInt(fmt, v) for v in values])
+
+
+@given(dense_int_datasets())
+@settings(max_examples=150, deadline=None)
+def test_dense_int_folds_match_the_literal_add_int_folds(ds):
+    # the references fold element by element with add_int
+    assert bs_iterative(ds) == ref_iterative(ds)
+    assert bs_pairwise(ds) == ref_pairwise(ds)
+    assert bs_split(ds) == ref_split(ds)
+
+
+@given(sampled_from([F23, F34, F46, FloatFormat(23, 8)]), data())
+@settings(max_examples=200, deadline=None)
+def test_shift_on_grid_ints_matches_is_representable(fmt, data):
+    lower = SimFloat(fmt, data.draw(_finite_patterns(fmt)))
+    near = lower.bits & (fmt._kernel[3] - 1)
+    others = [SimFloat(fmt, b) for b in data.draw(
+        lists(_finite_patterns(fmt, near), min_size=1, max_size=6))]
+    key = lambda v: v.to_fraction()
+    lower = min([lower, *others], key=key)
+    upper = max(others, key=key)
+    ds = Dataset.from_elements(fmt, lower, upper, others)
+
+    def exact(v):
+        moved = v.to_fraction() - lower.to_fraction()
+        return moved if is_representable(moved, fmt) else None
+
+    bad = next((v for v in others if exact(v) is None), None)
+    if exact(upper) is None:
+        with raises(ValueError, match="upper bound U - L is not"):
+            run_sum(ds, SumMethod(transforms=(ShiftBounds(),)))
+    elif bad is not None:
+        with raises(ValueError,
+                    match=re.escape(f"element {bad} - {lower} is not")):
+            run_sum(ds, SumMethod(transforms=(ShiftBounds(),)))
+    else:
+        shifted = _shift_dataset(ds)
+        assert shifted.upper.to_fraction() == exact(upper)
+        assert shifted.lower == SimFloat.zero(fmt)
+        assert [v.to_fraction() for v in shifted.iter_values()] == [
+            exact(v) for v in ds.iter_values()]
+        assert shifted == Dataset(fmt, shifted.lower, shifted.upper,
+                                  shifted.runs)
 
 
 def test_unknown_transform_rejected():
