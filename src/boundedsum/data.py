@@ -12,21 +12,22 @@ JSON integers.
 
 Validation happens once, when a dataset is built, and always the same
 way: each element and both bounds must be values of the dataset's own
-format (its type and format checked, a float also finite), each count at
-least one, and each element inside the bounds.  Elements are compared as
-their integer order keys (:func:`order_key`), read off the bit pattern
-or the integer, so no exact value is built; equal keys are equal values,
-so adjacent runs merge on the key.  A ``0x..`` pattern is decoded with
-one ``int(text, 16)``, and the pattern itself is checked: in range, not a
-NaN, ``-0`` folded into ``+0``.  Datasets derived from a checked one
-(shuffles, shifts, brute-force tuples over its frame) skip the checks.
+format (its type and format checked, a float also finite), each count
+an integer of at least one, and each element inside the bounds.
+Elements are compared as their integer order keys (:func:`order_key`),
+read off the bit pattern or the integer, so no exact value is built;
+equal keys are equal values, so adjacent runs merge on the key.  A
+``0x..`` pattern is decoded with one ``int(text, 16)``, and the pattern
+itself is checked: in range, not a NaN, ``-0`` folded into ``+0``.
+Datasets derived from a checked one (shuffles, shifts, brute-force
+tuples over its frame) skip the checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
+from operator import index
 from fractions import Fraction
 from typing import Iterable, Iterator, Tuple, Union
 
@@ -114,7 +115,7 @@ class Dataset:
         merged = []
         last = None  # the order key of the last run
         for v, c in runs:
-            c = int(c)
+            c = index(c)  # an integer: a float count is refused, not cut
             key = check(fmt, v, "element")
             if c < 1:
                 raise ValueError("run counts must be positive")
@@ -171,13 +172,6 @@ class Dataset:
         check_materialize(len(self))
         return list(self.iter_values())
 
-    def counts(self) -> Counter:
-        """The element multiset, ``value -> count``, read off the runs."""
-        out = Counter()
-        for v, c in self.runs:
-            out[v] += c
-        return out
-
     def replace_elements(self, elements: Iterable[Value]) -> "Dataset":
         return Dataset.from_elements(self.fmt, self.lower, self.upper, elements)
 
@@ -222,7 +216,7 @@ class Dataset:
         lower = decode_value(fmt, d["bounds"]["lower"])
         upper = decode_value(fmt, d["bounds"]["upper"])
         runs = [(decode_value(fmt, entry), 1) if isinstance(entry, str)
-                else (decode_value(fmt, entry["value"]), int(entry["count"]))
+                else (decode_value(fmt, entry["value"]), entry["count"])
                 for entry in d["elements"]]
         return cls(fmt, lower, upper, runs)
 
@@ -235,6 +229,8 @@ def decode_value(fmt: ElementFormat, text: str) -> Value:
     """A value from its JSON text: a ``0x..`` bit pattern or any literal
     :func:`~boundedsum.floats.parse_value` reads for floats, a decimal
     integer for ints."""
+    if not isinstance(text, str):
+        raise TypeError(f"value {text!r} is not a string")
     if isinstance(fmt, FloatFormat):
         if text.startswith(("0x", "0X")):
             return SimFloat(fmt, int(text, 16))

@@ -53,6 +53,7 @@ from .data import (Dataset, ElementFormat, Value, check_materialize,
 from .dyadic import Dyadic, floor_log2_fraction
 from .floats import FloatFormat, SimFloat, _pattern_ranges, is_representable
 from .ints import IntFormat, KInt
+from .metrics import histogram
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
                         _add_run_float, _add_run_int, _fisher_yates,
                         _zero_of, check_multiplication, float_overflow_check,
@@ -814,7 +815,7 @@ def couple_sym(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     ``MATERIALIZE_LIMIT`` elements is refused before any list is built.
     """
     _check_same_frame(u, v)
-    hu, hv = u.counts(), v.counts()
+    hu, hv = histogram(u), histogram(v)
     extra_u = hu - hv
     extra_v = hv - hu
     d = sum(extra_u.values()) + sum(extra_v.values())
@@ -852,7 +853,7 @@ def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     _check_same_frame(u, v)
     if len(u) != len(v):
         raise PreconditionFailed("co-adjacent datasets must share a length")
-    hu, hv = u.counts(), v.counts()
+    hu, hv = histogram(u), histogram(v)
     extra_u = hu - hv
     extra_v = hv - hu
     if sum(extra_u.values()) > 1:

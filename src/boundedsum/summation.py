@@ -283,16 +283,14 @@ def _int_fold(fmt: IntFormat, runs) -> int:
     """
     if fmt.overflow == "wraparound":
         return fmt.wrap(sum(v.value * c for v, c in runs))
-    lo, hi = fmt.min_value, fmt.max_value
     acc = 0
     for v, c in runs:
-        acc = min(max(acc + v.value * c, lo), hi)
+        acc = fmt.clamp(acc + v.value * c)
     return acc
 
 
 def _add_run_int(s: KInt, c: KInt, count: int) -> KInt:
-    # Saturating folds of a constant addend clamp the true partial sum:
-    # the accumulator moves monotonically toward one rail and stays there.
+    """:func:`_int_fold`'s step: ``count`` copies of ``c`` added to ``s``."""
     return KInt(s.fmt, s.fmt.settle(s.value + c.value * count))
 
 
@@ -312,13 +310,9 @@ def bs_iterative(dataset: Dataset, rounding: str = "banker"):
     if not isinstance(fmt, FloatFormat):
         return KInt(fmt, _int_fold(fmt, dataset.runs))
     _check_mode(rounding)
-    kernel = fmt._kernel
     acc = 0
     for v, count in dataset.runs:
-        if count == 1:
-            acc = add_bits(kernel, acc, v.bits, rounding)
-        else:
-            acc = _add_run_bits(fmt, acc, v.bits, count, rounding)
+        acc = _add_run_bits(fmt, acc, v.bits, count, rounding)
     return _from_bits(fmt, acc)
 
 

@@ -157,6 +157,21 @@ def test_json_malformed_entries():
         Dataset.from_json_dict(out_of_range)
 
 
+def test_json_numbers_are_refused_not_truncated():
+    # a JSON number where a string value or an integer count belongs
+    base = int_ds([1]).to_json_dict()
+    for entry in ({"value": 1.5, "count": 1}, {"value": 1, "count": 1},
+                  {"value": "1", "count": 2.7}, 1):
+        doc = dict(base, elements=[entry])
+        with raises(TypeError):
+            Dataset.from_json_dict(doc)
+    doc = Dataset.from_elements(F44, SimFloat.zero(F44), SimFloat.zero(F44),
+                                ()).to_json_dict()
+    doc["elements"] = [{"value": 0.0, "count": 1}]
+    with raises(TypeError):
+        Dataset.from_json_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # Files
 # ---------------------------------------------------------------------------
