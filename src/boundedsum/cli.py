@@ -207,11 +207,9 @@ def _sens_spec_from_args(args) -> SensSpec:
 
 def _calibrated_spec(args, fmt, lower, upper, method, base_metric: str):
     """Mechanism spec from --calibrate/--scale flags; returns (spec, rule)."""
-    modulus = getattr(args, "m", None)
     if args.scale is not None:
         spec = MechanismSpec(method=method, noise=args.noise,
-                             scale=args.scale, modulus=modulus,
-                             epsilon=args.epsilon)
+                             scale=args.scale, epsilon=args.epsilon)
         return spec, None
     metric = getattr(args, "metric", None) or base_metric
     n = args.n if getattr(args, "n", None) is not None else None
@@ -220,15 +218,14 @@ def _calibrated_spec(args, fmt, lower, upper, method, base_metric: str):
     bound = _CALIBRATION_RULES[args.calibrate](sens_spec)
     factor = args.scale_factor
     if factor == 1:
-        spec = calibrate(args.noise, bound, args.epsilon, method=method,
-                         modulus=modulus)
+        spec = calibrate(args.noise, bound, args.epsilon, method=method)
     else:
         # deliberate mis-scaling (e.g. 0.9x to exercise the converse):
         # the spec's own sanity check would reject scale < bound/epsilon,
         # so the claim fields are left off and epsilon rides separately
         scale = Fraction(bound.value) / args.epsilon * factor
         spec = MechanismSpec(method=method, noise=args.noise, scale=scale,
-                             modulus=modulus, epsilon=args.epsilon)
+                             epsilon=args.epsilon)
     return spec, bound.rule
 
 
@@ -451,7 +448,7 @@ def _cmd_experiment_run(args) -> int:
              "scale_factor": str(args.scale_factor),
              "threshold": None if args.threshold is None
              else str(args.threshold),
-             "m": args.m, "method": method.to_json()},
+             "method": method.to_json()},
             {"master": args.seed,
              "permutation": _permutation_seeds(method)},
             [rule] if rule else [], args.stamp),
@@ -480,8 +477,7 @@ def _cmd_dpcheck_exact(args) -> int:
              "calibrate": args.calibrate,
              "scale": None if args.scale is None else str(args.scale),
              "scale_factor": str(args.scale_factor),
-             "metric": args.metric, "m": args.m,
-             "method": method.to_json()},
+             "metric": args.metric, "method": method.to_json()},
             {"permutation": _permutation_seeds(method)},
             [rule] if rule else [], args.stamp),
     }
@@ -539,9 +535,6 @@ def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
                         default=Fraction(1), metavar="F",
                         help="multiply the calibrated scale by F "
                              "(F<1 deliberately under-noises)")
-    parser.add_argument("--m", type=int, default=None,
-                        help="modulus for discrete_laplace_mod; must be the "
-                             "format's own 2^bits, which is the default")
 
 
 def build_parser() -> argparse.ArgumentParser:

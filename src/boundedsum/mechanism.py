@@ -183,7 +183,6 @@ class MechanismSpec:
     method: SumMethod = field(default_factory=SumMethod)
     noise: str = "discrete_laplace"
     scale: Fraction = Fraction(1)
-    modulus: Optional[int] = None
     epsilon: Optional[Fraction] = None
     calibration: Optional[SensitivityBound] = None
 
@@ -193,9 +192,6 @@ class MechanismSpec:
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.scale <= 0:
             raise PreconditionFailed("scale must be positive")
-        if self.modulus is not None and self.noise != "discrete_laplace_mod":
-            raise PreconditionFailed("modulus only applies to "
-                                     "discrete_laplace_mod")
         if self.epsilon is not None:
             object.__setattr__(self, "epsilon", Fraction(self.epsilon))
             if self.epsilon <= 0:
@@ -219,8 +215,6 @@ class MechanismSpec:
         }
         if self.noise != "laplace":
             out["alpha"] = str(self.alpha)
-        if self.modulus is not None:
-            out["modulus"] = self.modulus
         if self.epsilon is not None:
             out["epsilon"] = str(self.epsilon)
         if self.calibration is not None:
@@ -228,24 +222,15 @@ class MechanismSpec:
         return out
 
 
-def _noise_modulus(spec: MechanismSpec, fmt: IntFormat) -> int:
-    """Modulus of the modular noise: ``spec.modulus`` must be the format's."""
-    if spec.modulus not in (None, fmt.modulus):
-        raise UnsupportedCombination(
-            "modulus must match the dataset format's modulus")
-    return fmt.modulus
-
-
 def calibrate(noise: str, bound: SensitivityBound, epsilon: Fraction,
-              method: Optional[SumMethod] = None,
-              modulus: Optional[int] = None) -> MechanismSpec:
+              method: Optional[SumMethod] = None) -> MechanismSpec:
     """Spec with ``scale = bound / epsilon`` — the textbook calibration."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise PreconditionFailed("epsilon must be positive")
     return MechanismSpec(method=method if method is not None else SumMethod(),
                          noise=noise, scale=Fraction(bound.value) / epsilon,
-                         modulus=modulus, epsilon=epsilon, calibration=bound)
+                         epsilon=epsilon, calibration=bound)
 
 
 def _refuse_exact(spec: MechanismSpec) -> None:
@@ -270,7 +255,6 @@ def _add_noise(spec: MechanismSpec, base, seed: int):
                 "continuous noise on an integer release; use a discrete kind")
         z = _sample_dlap(spec.alpha, rng)
         if spec.noise == "discrete_laplace_mod":
-            _noise_modulus(spec, base.fmt)
             return modular_noise_add(base, z)
         return KInt(base.fmt, base.fmt.clamp(base.value + z))
     # float release
@@ -627,23 +611,19 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
     alpha = spec.alpha
     su = run_sum(u, spec.method).value.value
     sv = run_sum(v, spec.method).value.value
-    if spec.noise == "discrete_laplace_mod":
-        if fmt.overflow != "wraparound":
-            raise PreconditionFailed("modular noise needs a wraparound format")
-        modulus = _noise_modulus(spec, fmt)
-        if modulus > SUPPORT_LIMIT:
-            raise PreconditionFailed(f"support {modulus} exceeds "
-                                     f"{SUPPORT_LIMIT}")
-        cu, cv = su % modulus, sv % modulus
-        wu = _folded_pmf(alpha, cu, modulus)
-        wv = _folded_pmf(alpha, cv, modulus)
-        lo, hi = 0, modulus - 1
+    modular = spec.noise == "discrete_laplace_mod"
+    if modular and fmt.overflow != "wraparound":
+        raise PreconditionFailed("modular noise needs a wraparound format")
+    size = fmt.modulus
+    if size > SUPPORT_LIMIT:
+        raise PreconditionFailed(f"support {size} exceeds {SUPPORT_LIMIT}")
+    if modular:
+        cu, cv = su % size, sv % size
+        wu = _folded_pmf(alpha, cu, size)
+        wv = _folded_pmf(alpha, cv, size)
+        lo, hi = 0, size - 1
         breaks = (cu - 1, cu, cv - 1, cv)
-        size = modulus
     else:
-        size = fmt.modulus
-        if size > SUPPORT_LIMIT:
-            raise PreconditionFailed(f"support {size} exceeds {SUPPORT_LIMIT}")
         lo, hi = fmt.min_value, fmt.max_value
         wu = _saturated_pmf(alpha, su, lo, hi)
         wv = _saturated_pmf(alpha, sv, lo, hi)

@@ -1,6 +1,6 @@
 """Mechanism layer: the log-space binomial tail, the violation bound, the
-modulus rule shared by the sampler and the exact checker, and the exact
-checker's breakpoint search against full enumeration."""
+modulus of modular noise, and the exact checker's breakpoint search
+against full enumeration."""
 
 import json
 import math
@@ -16,8 +16,7 @@ import numpy as np
 from pytest import mark, raises
 
 from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec,
-                        UnsupportedCombination, dp_violation_log2_bound,
-                        exact_dp_check, generate_attack, run_mechanism)
+                        dp_violation_log2_bound, exact_dp_check)
 from boundedsum.cli import main
 from boundedsum.data import Dataset
 from boundedsum.ints import IntFormat, KInt
@@ -91,35 +90,11 @@ def test_violation_bound_verdicts_of_the_benchmark_tables():
 
 
 # ---------------------------------------------------------------------------
-# One modulus rule for sampling and exact checking
+# Modular noise on the format's own ring
 # ---------------------------------------------------------------------------
 
-def overflow_pair():
-    inst = generate_attack("overflow", IntFormat(8, False, "wraparound"),
-                           upper=1)
-    return inst.u, inst.v
-
-
-def test_mismatched_modulus_is_refused_by_sampler_and_checker():
-    u, v = overflow_pair()
-    spec = MechanismSpec(noise="discrete_laplace_mod", modulus=16)
-    with raises(UnsupportedCombination, match="modulus"):
-        run_mechanism(spec, u, seed=0)
-    with raises(UnsupportedCombination, match="modulus"):
-        exact_dp_check(spec, u, v, epsilon=1)
-
-
-def test_matching_modulus_is_the_default():
-    u, v = overflow_pair()
-    explicit = MechanismSpec(noise="discrete_laplace_mod", modulus=256)
-    implicit = MechanismSpec(noise="discrete_laplace_mod")
-    assert run_mechanism(explicit, u, seed=3) == run_mechanism(implicit, u,
-                                                               seed=3)
-    assert exact_dp_check(explicit, u, v, 1) == exact_dp_check(implicit, u,
-                                                               v, 1)
-
-
 def test_cli_dpcheck_exits_2_on_a_mismatched_modulus(tmp_path, capsys):
+    # the modulus is the format's 2^bits; there is no option to set another
     pair = tmp_path / "ov8"
     assert main(["attack", "gen", "--theorem", "overflow", "--bits", "8",
                  "--upper", "1", "--out", str(pair)]) == 0
@@ -127,9 +102,11 @@ def test_cli_dpcheck_exits_2_on_a_mismatched_modulus(tmp_path, capsys):
             "--v", str(pair / "v.json"), "--epsilon", "1",
             "--noise", "discrete_laplace_mod", "--calibrate", "modular"]
     capsys.readouterr()
-    assert main(argv + ["--m", "16"]) == 2
-    assert "modulus must match" in capsys.readouterr().err
-    assert main(argv + ["--m", "256"]) == 0
+    with raises(SystemExit) as refused:
+        main(argv + ["--m", "16"])
+    assert refused.value.code == 2
+    assert "--m" in capsys.readouterr().err
+    assert main(argv) == 0
 
 
 # ---------------------------------------------------------------------------
