@@ -48,8 +48,9 @@ SCHEMA_VERSION = 1
 # the run-aware code paths exist precisely to avoid it.  Every summation
 # algorithm reads runs; the callers that still build the element list are
 # ``summation.random_permutation`` and the couplings ``couple_sym`` and
-# ``couple_co`` in ``sensitivity``.  Kahan's run fold also gives up past
-# this many literal steps in one run.
+# ``couple_co`` in ``sensitivity``.  Kahan's run fold
+# (``summation._kahan_run``) also gives up past this many literal steps
+# in one run.
 MATERIALIZE_LIMIT = 1 << 22
 
 
@@ -101,9 +102,10 @@ class Dataset:
     Runs are kept maximal — adjacent runs of the same value merge on
     construction — so two datasets are ``==`` exactly when they hold the
     same element sequence, however their encodings chose to chunk it.
+    The element count is taken when the dataset is built.
     """
 
-    __slots__ = ("fmt", "lower", "upper", "runs")
+    __slots__ = ("fmt", "lower", "upper", "runs", "_n")
 
     def __init__(self, fmt: ElementFormat, lower: Value, upper: Value,
                  runs: Iterable[Tuple[Value, int]]):
@@ -114,6 +116,7 @@ class Dataset:
             raise ValueError("lower bound exceeds upper bound")
         merged = []
         last = None  # the order key of the last run
+        n = 0
         for v, c in runs:
             c = index(c)  # an integer: a float count is refused, not cut
             key = check(fmt, v, "element")
@@ -121,6 +124,7 @@ class Dataset:
                 raise ValueError("run counts must be positive")
             if not lo_key <= key <= hi_key:
                 raise ValueError(f"element {v} outside bounds [{lower}, {upper}]")
+            n += c
             if key == last:
                 merged[-1] = (v, merged[-1][1] + c)
             else:
@@ -130,6 +134,7 @@ class Dataset:
         self.lower = lower
         self.upper = upper
         self.runs = tuple(merged)
+        self._n = n
 
     @staticmethod
     def _check_value(fmt: ElementFormat, v, what: str) -> int:
@@ -153,6 +158,7 @@ class Dataset:
         """A dataset whose maximal runs are known to be valid: no checks."""
         out = object.__new__(cls)
         out.fmt, out.lower, out.upper, out.runs = fmt, lower, upper, runs
+        out._n = sum(c for _, c in runs)
         return out
 
     @classmethod
@@ -161,7 +167,7 @@ class Dataset:
         return cls(fmt, lower, upper, ((v, 1) for v in elements))
 
     def __len__(self) -> int:
-        return sum(c for _, c in self.runs)
+        return self._n
 
     def iter_values(self) -> Iterator[Value]:
         for v, c in self.runs:

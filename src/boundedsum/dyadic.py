@@ -1,21 +1,22 @@
-"""Exact dyadic rational arithmetic.
+"""Exact dyadic rationals, as values to parse and to report.
 
 Every finite value of an emulated binary float is a dyadic rational
-``m * 2**e`` with integer ``m`` and ``e``.  Sums, differences and products
-of dyadic rationals stay dyadic, so reference computations (exact sums,
-rounding-error measurements, tie detection) can run without any loss of
-precision.  Values are kept normalized: the mantissa is odd, or zero with
-exponent zero, which makes equality structural.
-
-Division is deliberately absent — quotients of dyadics generally are not
-dyadic.  Callers that need ratios convert to ``fractions.Fraction``.
+``m * 2**e`` with integer ``m`` and ``e``.  This type carries such a
+value where one is read (``m*2^e`` literals, dyadic fractions), written
+(``str`` is the ``m*2^e`` notation of the reports) or released by the
+``exact`` algorithm.  It does no arithmetic: sums and comparisons of
+float values run on integer counts of a format's finest spacing
+(:meth:`~boundedsum.floats.SimFloat.to_grid`), and callers that need a
+ratio or a difference convert with :meth:`Dyadic.to_fraction` or
+:meth:`Dyadic.scaled`.  Values are kept normalized: the mantissa is odd,
+or zero with exponent zero, which makes equality structural.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Dyadic", "DYADIC_ZERO", "DYADIC_ONE", "floor_log2_fraction"]
+__all__ = ["Dyadic", "floor_log2_fraction"]
 
 
 def floor_log2_fraction(fr: Fraction) -> int:
@@ -49,12 +50,6 @@ class Dyadic:
         self.m = mantissa >> shift
         self.e = exponent + shift
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
-
     @classmethod
     def from_fraction(cls, f: Fraction) -> "Dyadic":
         den = f.denominator
@@ -62,39 +57,10 @@ class Dyadic:
             raise ValueError(f"{f} is not a dyadic rational")
         return cls(f.numerator, -(den.bit_length() - 1))
 
-    # -- predicates and views -------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.m == 0
-
-    @property
-    def sign(self) -> int:
-        if self.m > 0:
-            return 1
-        if self.m < 0:
-            return -1
-        return 0
-
-    def floor_log2(self) -> int:
-        """Largest ``b`` with ``2**b <= |self|``.  Undefined for zero."""
-        if self.m == 0:
-            raise ValueError("floor_log2 of zero")
-        return abs(self.m).bit_length() - 1 + self.e
-
-    def is_power_of_two(self) -> bool:
-        return self.m == 1
-
     def to_fraction(self) -> Fraction:
         if self.e >= 0:
             return Fraction(self.m << self.e)
         return Fraction(self.m, 1 << -self.e)
-
-    def to_float(self) -> float:
-        """Nearest native double; may overflow to ``inf`` for display."""
-        try:
-            return float(self.to_fraction())
-        except OverflowError:
-            return float("inf") if self.m > 0 else float("-inf")
 
     def scaled(self, e: int) -> int:
         """Integer ``self / 2**e``; raises if the quotient is fractional."""
@@ -105,68 +71,10 @@ class Dyadic:
             return 0
         raise ValueError(f"{self} is not a multiple of 2^{e}")
 
-    def divides_grid(self, e: int) -> bool:
-        """True when self is an integer multiple of ``2**e``."""
-        return self.m == 0 or self.e >= e
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        if self.m == 0:
-            return other
-        if other.m == 0:
-            return self
-        e = min(self.e, other.e)
-        return Dyadic((self.m << (self.e - e)) + (other.m << (other.e - e)), e)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.m, self.e)
-
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.m), self.e)
-
-    def __mul__(self, other):
-        if isinstance(other, Dyadic):
-            return Dyadic(self.m * other.m, self.e + other.e)
-        if isinstance(other, int):
-            return Dyadic(self.m * other, self.e)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- comparisons -----------------------------------------------------
-
-    def _cmp(self, other: "Dyadic") -> int:
-        d = self - other
-        return d.sign
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dyadic):
             return NotImplemented
         return self.m == other.m and self.e == other.e
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
         return hash((self.m, self.e))
@@ -176,7 +84,3 @@ class Dyadic:
 
     def __str__(self) -> str:
         return f"{self.m}*2^{self.e}"
-
-
-DYADIC_ZERO = Dyadic(0)
-DYADIC_ONE = Dyadic(1)

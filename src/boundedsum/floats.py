@@ -247,15 +247,7 @@ class SimFloat:
         and gaps of values are integer arithmetic on these counts.
         Infinities read as ``±2^(emax+1)`` by convention.
         """
-        k, emin, emax, sign, inf = self.fmt._kernel
-        mag = self.bits & (sign - 1)
-        if mag == inf:
-            mag = 1 << (emax + 1 - emin + k)
-        else:
-            f = mag >> k  # biased exponent field; 0 for subnormals and zero
-            if f > 1:
-                mag = (mag - ((f - 1) << k)) << (f - 1)
-        return -mag if self.bits & sign else mag
+        return _bits_grid(self.fmt._kernel, self.bits)
 
     def to_dyadic(self) -> Dyadic:
         """Exact value; infinities map to ``±2^(emax+1)`` by convention."""
@@ -265,11 +257,6 @@ class SimFloat:
         if not self.is_finite():
             raise ValueError("infinity has no rational value")
         return self.fmt.grid_fraction(self.to_grid())
-
-    def __float__(self) -> float:
-        if self.kind == "inf":
-            return float("inf") * self.sign
-        return self.to_dyadic().to_float()
 
     def to_hex(self) -> str:
         width = -(-self.fmt.total_bits // 4)
@@ -313,6 +300,20 @@ def _from_bits(fmt: FloatFormat, bits: int) -> SimFloat:
     return x
 
 
+def _bits_grid(kernel: tuple, bits: int) -> int:
+    """Grid count of the pattern ``bits`` (see :meth:`SimFloat.to_grid`):
+    the inverse of :func:`_grid_bits`.  A ``-0`` pattern reads as 0."""
+    k, emin, emax, sign, inf = kernel
+    mag = bits & (sign - 1)
+    if mag == inf:
+        mag = 1 << (emax + 1 - emin + k)
+    else:
+        f = mag >> k  # biased exponent field; 0 for subnormals and zero
+        if f > 1:
+            mag = (mag - ((f - 1) << k)) << (f - 1)
+    return -mag if bits & sign else mag
+
+
 def _grid_bits(kernel: tuple, g: int):
     """Bit pattern of ``g`` grid units (see :meth:`SimFloat.to_grid`), or
     None when no value of the format has that grid count.
@@ -350,22 +351,17 @@ def ulp(x: SimFloat) -> Dyadic:
 
 
 def is_representable(value, fmt: FloatFormat) -> bool:
-    """True when ``value`` (Dyadic, Fraction or int) is a finite float of ``fmt``."""
-    if isinstance(value, int):
-        value = Dyadic(value)
-    elif isinstance(value, Fraction):
-        den = value.denominator
-        if den & (den - 1):
-            return False
-        value = Dyadic.from_fraction(value)
-    if value.is_zero():
-        return True
-    a = abs(value)
-    if a > fmt.max_finite:
+    """True when ``value`` (Dyadic, Fraction or int) is a finite float of
+    ``fmt``: a whole number of grid units that :func:`_grid_bits` packs
+    into a finite pattern."""
+    q = value.to_fraction() if isinstance(value, Dyadic) else Fraction(value)
+    g = q * (1 << (fmt.k - fmt.emin))
+    if g.denominator != 1:
         return False
-    b = a.floor_log2()
-    grid = (max(b, fmt.emin)) - fmt.mantissa_bits
-    return a.divides_grid(grid)
+    kernel = fmt._kernel
+    _, _, _, sign, inf = kernel
+    bits = _grid_bits(kernel, g.numerator)
+    return bits is not None and bits & (sign - 1) != inf
 
 
 # ---------------------------------------------------------------------------

@@ -59,14 +59,9 @@ def d_sym(u, v):
 
 def d_co(u, v):
     """Substitution count between equal-length multisets; INFINITE otherwise."""
-    ru, rv = _runs(u), _runs(v)
-    if _length(ru) != _length(rv):
+    hu, hv = histogram(u), histogram(v)
+    if sum(hu.values()) != sum(hv.values()):
         return INFINITE
-    hu, hv = Counter(), Counter()
-    for val, c in ru:
-        hu[val] += c
-    for val, c in rv:
-        hv[val] += c
     return sum((hu - hv).values())
 
 

@@ -51,13 +51,13 @@ from typing import Dict, List, Optional, Tuple, Union
 from .data import (Dataset, ElementFormat, Value, check_materialize,
                    exact_value, order_key)
 from .dyadic import Dyadic, floor_log2_fraction
-from .floats import FloatFormat, SimFloat, _pattern_ranges, is_representable
+from .floats import (FloatFormat, SimFloat, _bits_grid, _pattern_ranges,
+                     add_bits, is_representable)
 from .ints import IntFormat, KInt
 from .metrics import histogram
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
-                        _add_run_float, _add_run_int, _fisher_yates,
-                        _zero_of, check_multiplication, float_overflow_check,
-                        kahan_step, run_sum)
+                        _fisher_yates, _kahan_bits, check_multiplication,
+                        float_overflow_check, run_sum)
 
 __all__ = [
     "METRICS", "SensSpec", "SensitivityBound", "BruteForceResult",
@@ -526,10 +526,12 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
 
     - ``iterative``, and ``kahan`` on floats, with no transforms: prefix
       states.  A tuple's fold state is one step of the algorithm's own
-      fold (``_add_run_float``/``_add_run_int`` for one element,
-      :func:`~boundedsum.summation.kahan_step`) from its prefix's state,
-      and equal states step alike, so each distinct state steps through
-      the domain once;
+      fold from its prefix's state, and equal states step alike, so each
+      distinct state steps through the domain once.  The states are plain
+      ints: a float sum's bit pattern, stepped by
+      :func:`~boundedsum.floats.add_bits`; a Kahan ``(total, comp)`` pair
+      of patterns, stepped by ``summation._kahan_bits``; an integer sum,
+      stepped by ``IntFormat.settle``;
     - ``split`` and ``exact`` with no transforms: one release per sorted
       multiset, which is all their release depends on;
     - anything else: :func:`run_sum` per tuple.
@@ -617,23 +619,25 @@ def _releases(spec: SensSpec, frame: Dataset, modulus: Optional[int],
         return read(run_sum(frame.replace_elements_unchecked(values),
                             method).value)
 
-    is_float = isinstance(fmt, FloatFormat)
     if not method.transforms:
         rounding = method.rounding
-        if method.algorithm == "iterative":
-            if is_float:
-                def step(acc, v):
-                    return _add_run_float(acc, v, 1, rounding)
-            else:
-                def step(acc, v):
-                    return _add_run_int(acc, v, 1)
-            return _prefix_releases(step, read, _zero_of(frame), domain,
-                                    sizes)
-        if method.algorithm == "kahan" and is_float:
-            zero = SimFloat.zero(fmt)
+        if isinstance(fmt, FloatFormat):
+            kernel = fmt._kernel
+            codes = [v.bits for v in domain]
+            if method.algorithm == "iterative":
+                return _prefix_releases(
+                    lambda acc, v: add_bits(kernel, acc, v, rounding),
+                    lambda acc: _bits_grid(kernel, acc), 0, codes, sizes)
+            if method.algorithm == "kahan":
+                return _prefix_releases(
+                    lambda state, v: _kahan_bits(kernel, *state, v, rounding),
+                    lambda state: _bits_grid(kernel, state[0]), (0, 0),
+                    codes, sizes)
+        elif method.algorithm == "iterative":
             return _prefix_releases(
-                lambda state, v: kahan_step(*state, v, rounding),
-                lambda state: read(state[0]), (zero, zero), domain, sizes)
+                lambda acc, v: fmt.settle(acc + v),
+                lambda acc: acc % modulus if modulus else acc, 0,
+                [v.value for v in domain], sizes)
         if method.algorithm in ("split", "exact"):
             return (_multiset_releases(release, domain, length)
                     for length in sizes)

@@ -39,7 +39,7 @@ milliseconds without a single approximation:
 
 * ``iterative`` and ``split`` fold each run at once: integer runs have
   closed forms, and float runs jump once the fold enters a provably
-  periodic regime (``_add_run_float``: absorption, or equal consecutive
+  periodic regime (``_add_run``: absorption, or equal consecutive
   displacements inside one rounding region);
 * ``pairwise`` sums a subtree that lies inside one run as a memoized
   block of ``(value, count)``, and recurses on positions only where a
@@ -50,14 +50,16 @@ milliseconds without a single approximation:
   literally, up to ``MATERIALIZE_LIMIT`` steps;
 * ``exact`` multiplies each value by its count.
 
-Dense data, where most runs hold one element, is folded on bit patterns:
-the float state of every algorithm lives in local ints, a run of one is
-one :func:`~boundedsum.floats.add_bits` (a Kahan step four of them, with
-negation a flip of the sign bit), and a ``SimFloat`` is built only for
-the release and for the runs longer than one that go through
-``_add_run_float`` and ``_kahan_run``.  Integer releases are plain-int
-closed forms: wraparound addition is associative, so every algorithm
-releases the wrapped exact sum, and saturating folds clamp plain ints.
+Every fold runs on ints.  The float state of every algorithm is a bit
+pattern, a run of one is one :func:`~boundedsum.floats.add_bits` (a
+Kahan step four of them, with negation a flip of the sign bit), and the
+run folds ``_add_run`` and ``_kahan_run`` watch exact values as integer
+counts of the finest spacing (:meth:`SimFloat.to_grid`).  A ``SimFloat``
+is built only for the release and where a jump lands
+(:meth:`SimFloat.from_grid`, which checks that the count is a value).
+Integer releases are plain-int closed forms: wraparound addition is
+associative, so every algorithm releases the wrapped exact sum, and
+saturating folds clamp plain ints.
 
 The module also houses the dataset transforms (truncation, seeded random
 permutation, bound shifting) and the two overflow precondition checks.
@@ -74,14 +76,15 @@ from typing import List, Optional, Tuple, Union
 
 from .data import Dataset, MATERIALIZE_LIMIT, exact_value, order_key
 from .dyadic import Dyadic
-from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _check_mode,
-                     _from_bits, _grid_bits, add_bits, add_float, round_dyadic)
+from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
+                     _check_mode, _from_bits, _grid_bits, add_bits,
+                     round_dyadic)
 from .ints import IntFormat, KInt
 
 __all__ = [
     "SumMethod", "SumOutcome", "Truncate", "RandomPermutation", "ShiftBounds",
     "bs_exact", "bs_iterative", "bs_pairwise", "bs_kahan", "bs_split",
-    "kahan_step", "run_sum", "truncate", "random_permutation",
+    "run_sum", "truncate", "random_permutation",
     "check_multiplication", "float_overflow_check",
     "PERMUTATION_ALGORITHM", "ALGORITHMS",
 ]
@@ -205,12 +208,14 @@ def _region_of_exact(q: int, fmt: FloatFormat) -> Tuple[int, int]:
     return (lo, 2 * lo) if q > 0 else (-2 * lo, -lo)
 
 
-def _add_run_float(s: SimFloat, c: SimFloat, count: int, mode: str) -> SimFloat:
-    """Fold ``count`` copies of ``c`` into ``s`` with per-add rounding.
+def _add_run(fmt: FloatFormat, s: int, c: int, count: int, mode: str) -> int:
+    """Fold ``count`` copies of the pattern ``c`` into the pattern ``s``
+    with per-add rounding.
 
-    Semantically identical to ``for _ in range(count): s = s (+) c`` but
-    detects the two stationary regimes a constant addend produces and
-    jumps across them:
+    Semantically identical to ``for _ in range(count): s = s (+) c``, and
+    a run of one is exactly one :func:`~boundedsum.floats.add_bits`.  A
+    longer run detects the two stationary regimes a constant addend
+    produces and jumps across them:
 
     * absorption — one add leaves ``s`` unchanged, so all remaining adds
       do too;
@@ -222,30 +227,34 @@ def _add_run_float(s: SimFloat, c: SimFloat, count: int, mode: str) -> SimFloat:
       of in-region steps has a closed form; they are applied at once.
 
     Values are compared as integer counts of the format's finest spacing,
-    and a run's last add (a run of one included) only adds.
+    and a run's last add only adds.
     """
+    kernel = fmt._kernel
+    if count == 1:
+        return add_bits(kernel, s, c, mode)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0 or not s.is_finite():
+    _, _, _, sign, inf = kernel
+    if count == 0 or s & (sign - 1) == inf:
         return s  # saturated: finite addends cannot leave infinity
-    fmt = s.fmt
+    c_g, s_g = _bits_grid(kernel, c), _bits_grid(kernel, s)
     prev = None  # (delta, exact-sum region) observed on the last step
     while True:
-        t = add_float(s, c, mode)
+        t = add_bits(kernel, s, c, mode)
         count -= 1
-        if count == 0 or t == s or not t.is_finite():
+        if count == 0 or t == s or t & (sign - 1) == inf:
             return t
-        s_g, t_g, c_g = s.to_grid(), t.to_grid(), c.to_grid()
+        t_g = _bits_grid(kernel, t)
         delta = t_g - s_g
         region = _region_of_exact(s_g + c_g, fmt)
-        s = t
+        s, s_g = t, t_g
         if prev == (delta, region):
             # Two consecutive adds moved by the same delta while the exact
             # sums shared one rounding region: equal displacements force
             # equal grid offsets, so the motion is linear until the exact
             # sum leaves the region.  Staying strictly below the infinity
             # point keeps saturation out of the batch.
-            inf_g = SimFloat.inf(fmt).to_grid()
+            inf_g = _bits_grid(kernel, inf)
             lo = max(region[0] - c_g, -inf_g)
             hi = min(region[1] - c_g, inf_g)
             if lo < t_g < hi:
@@ -253,23 +262,14 @@ def _add_run_float(s: SimFloat, c: SimFloat, count: int, mode: str) -> SimFloat:
                 room = hi - t_g if delta > 0 else t_g - lo
                 j = min((room - 1) // abs(delta), count)
                 if j > 0:
-                    s = SimFloat.from_grid(fmt, t_g + delta * j)
+                    s_g = t_g + delta * j
+                    s = SimFloat.from_grid(fmt, s_g).bits
                     count -= j
                     if count == 0:
                         return s
                     prev = None
                     continue
         prev = (delta, region)
-
-
-def _add_run_bits(fmt: FloatFormat, s: int, v: int, count: int,
-                  mode: str) -> int:
-    """:func:`_add_run_float` on bit patterns: a run of one is one
-    :func:`~boundedsum.floats.add_bits`, and builds no object."""
-    if count == 1:
-        return add_bits(fmt._kernel, s, v, mode)
-    return _add_run_float(_from_bits(fmt, s), _from_bits(fmt, v), count,
-                          mode).bits
 
 
 def _int_fold(fmt: IntFormat, runs) -> int:
@@ -289,20 +289,9 @@ def _int_fold(fmt: IntFormat, runs) -> int:
     return acc
 
 
-def _add_run_int(s: KInt, c: KInt, count: int) -> KInt:
-    """:func:`_int_fold`'s step: ``count`` copies of ``c`` added to ``s``."""
-    return KInt(s.fmt, s.fmt.settle(s.value + c.value * count))
-
-
 # ---------------------------------------------------------------------------
 # The four algorithms
 # ---------------------------------------------------------------------------
-
-def _zero_of(dataset: Dataset):
-    if isinstance(dataset.fmt, FloatFormat):
-        return SimFloat.zero(dataset.fmt)
-    return KInt(dataset.fmt, 0)
-
 
 def bs_iterative(dataset: Dataset, rounding: str = "banker"):
     """Left fold with one rounded add per element."""
@@ -312,7 +301,7 @@ def bs_iterative(dataset: Dataset, rounding: str = "banker"):
     _check_mode(rounding)
     acc = 0
     for v, count in dataset.runs:
-        acc = _add_run_bits(fmt, acc, v.bits, count, rounding)
+        acc = _add_run(fmt, acc, v.bits, count, rounding)
     return _from_bits(fmt, acc)
 
 
@@ -406,25 +395,19 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     would drive the next running sum to an infinity of the opposite
     sign.
 
-    The state is a pair of bit patterns.  A run of one is one
-    :func:`_kahan_bits` step; a longer run is folded by
-    :func:`_kahan_run`, which jumps across the periodic stretches a
-    constant addend produces.
+    The state is a pair of bit patterns, and each run is folded by
+    :func:`_kahan_run`: a run of one is one :func:`_kahan_bits` step, and
+    a longer run jumps across the periodic stretches a constant addend
+    produces.
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
         raise TypeError("compensated summation is defined for float formats")
     _check_mode(rounding)
-    kernel = fmt._kernel
-    _, _, _, sign, inf = kernel
+    _, _, _, sign, inf = fmt._kernel
     total = comp = 0
     for v, count in dataset.runs:
-        if count == 1:
-            total, comp = _kahan_bits(kernel, total, comp, v.bits, rounding)
-        else:
-            t, c = _kahan_run(_from_bits(fmt, total), _from_bits(fmt, comp),
-                              v, count, rounding)
-            total, comp = t.bits, c.bits
+        total, comp = _kahan_run(fmt, total, comp, v.bits, count, rounding)
         if total & (sign - 1) == inf:
             break  # the step keeps an infinite total as it is
     return _from_bits(fmt, total)
@@ -452,25 +435,16 @@ def _kahan_bits(kernel: tuple, total: int, comp: int, v: int,
     return t, comp
 
 
-def kahan_step(total: SimFloat, comp: SimFloat, v: SimFloat,
-               rounding: str) -> Tuple[SimFloat, SimFloat]:
-    """One element of compensated summation: the next ``(total, comp)``;
-    :func:`_kahan_bits` on the values' patterns."""
-    fmt = v.fmt
-    _check_mode(rounding)
-    t, c = _kahan_bits(fmt._kernel, total.bits, comp.bits, v.bits, rounding)
-    return _from_bits(fmt, t), _from_bits(fmt, c)
-
-
 # the longest period, in steps, that the Kahan run fold looks for
 _KAHAN_MAX_PERIOD = 4
 
 
-def _kahan_run(total: SimFloat, comp: SimFloat, v: SimFloat, count: int,
-               mode: str) -> Tuple[SimFloat, SimFloat]:
-    """Fold ``count`` copies of ``v`` into the Kahan state ``(total, comp)``.
+def _kahan_run(fmt: FloatFormat, total: int, comp: int, v: int, count: int,
+               mode: str) -> Tuple[int, int]:
+    """Fold ``count`` copies of the pattern ``v`` into the Kahan state
+    ``(total, comp)`` of patterns.
 
-    Semantically identical to ``count`` calls of :func:`kahan_step`, and
+    Semantically identical to ``count`` calls of :func:`_kahan_bits`, and
     a run of one is exactly one call.  Longer runs step literally while
     watching the state ``S = (T, C)`` and the step's four adds in grid
     units (see :meth:`SimFloat.to_grid`), and jump across whole periods
@@ -492,7 +466,7 @@ def _kahan_run(total: SimFloat, comp: SimFloat, v: SimFloat, count: int,
     continues literally.  With ``dT = dC = 0`` the state itself repeats,
     and every remaining whole period is skipped.
 
-    This is :func:`_add_run_float`'s argument, for four adds instead of
+    This is :func:`_add_run`'s argument, for four adds instead of
     one, a period of ``p`` steps instead of one, and rounding errors that
     may drift: the compensation absorbs the part of ``v`` that ``T``
     cannot hold, a little more each step, so ``q1``'s error and ``q2``'s
@@ -504,27 +478,30 @@ def _kahan_run(total: SimFloat, comp: SimFloat, v: SimFloat, count: int,
     ``MATERIALIZE_LIMIT`` literal steps in one run the fold gives up
     with ``ValueError`` rather than hang.
     """
+    kernel = fmt._kernel
     if count == 1:
-        return kahan_step(total, comp, v, mode)
-    fmt = v.fmt
-    v_g = v.to_grid()
-    states = [(total.to_grid(), comp.to_grid())]  # since the last jump
+        return _kahan_bits(kernel, total, comp, v, mode)
+    _, _, _, sign, inf = kernel
+    v_g = _bits_grid(kernel, v)
+    # since the last jump
+    states = [(_bits_grid(kernel, total), _bits_grid(kernel, comp))]
     steps = []  # each step's four (exact sum, result) pairs
     literal = 0
-    while count and total.is_finite():
+    while count and total & (sign - 1) != inf:
         if literal == MATERIALIZE_LIMIT:
             raise ValueError(
                 f"compensated summation found no period of at most "
-                f"{_KAHAN_MAX_PERIOD} steps in {literal} copies of {v}")
+                f"{_KAHAN_MAX_PERIOD} steps in {literal} copies of "
+                f"{_from_bits(fmt, v)}")
         literal += 1
-        y = add_float(v, -comp, mode)  # the step's first add, watched
-        t, c = kahan_step(total, comp, v, mode)
+        y = add_bits(kernel, v, comp ^ sign, mode)  # the step's first add
+        t, c = _kahan_bits(kernel, total, comp, v, mode)
         count -= 1
-        if count == 0 or not t.is_finite():
+        if count == 0 or t & (sign - 1) == inf:
             return t, c
-        d_g = add_float(t, -total, mode).to_grid()  # and its third
+        d = add_bits(kernel, t, total ^ sign, mode)  # and its third
         T, C = states[-1]
-        y_g, t_g, c_g = y.to_grid(), t.to_grid(), c.to_grid()
+        y_g, t_g, c_g, d_g = (_bits_grid(kernel, x) for x in (y, t, c, d))
         total, comp = t, c
         states.append((t_g, c_g))
         if c_g == 0 and d_g != y_g:  # the compensation overflowed
@@ -541,7 +518,7 @@ def _kahan_run(total: SimFloat, comp: SimFloat, v: SimFloat, count: int,
         periods, p, (d_t, d_c) = jump
         count -= periods * p
         state = (t_g + periods * d_t, c_g + periods * d_c)
-        total, comp = (SimFloat.from_grid(fmt, g) for g in state)
+        total, comp = (SimFloat.from_grid(fmt, g).bits for g in state)
         states = [state]
         steps = []
     return total, comp
@@ -669,9 +646,9 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     pos = neg = 0
     for v, count in runs:
         if v & sign:
-            neg = _add_run_bits(fmt, neg, v, count, "toward_zero")
+            neg = _add_run(fmt, neg, v, count, "toward_zero")
         else:
-            pos = _add_run_bits(fmt, pos, v, count, "toward_zero")
+            pos = _add_run(fmt, pos, v, count, "toward_zero")
     if pos == inf:
         pos = inf - 1  # the largest finite value
         if events is not None:

@@ -1,6 +1,7 @@
 """Dataset container, value codecs, and file round-trips."""
 
 import json
+from pathlib import Path
 
 from pytest import raises
 from hypothesis import given
@@ -17,9 +18,14 @@ from boundedsum import (
     format_from_json,
     format_to_json,
     load_dataset,
+    couple_co,
+    couple_sym,
     parse_value,
+    random_permutation,
     save_dataset,
+    truncate,
 )
+from boundedsum.summation import _shift_dataset
 
 F44 = FloatFormat(4, 4)
 I8 = IntFormat(8, False, "wraparound")
@@ -58,6 +64,24 @@ def test_float_elements_must_be_in_range():
         Dataset.from_elements(F44, lo, hi, [parse_value(F44, "2")])
     with raises(ValueError):
         Dataset.from_elements(F44, lo, hi, [SimFloat.inf(F44)])
+
+
+def test_len_is_the_sum_of_run_counts_however_a_dataset_is_built():
+    instances = Path(__file__).with_name("golden") / "instances"
+    dense = load_dataset(instances / "dense" / "f10_5.json")
+    long_runs = load_dataset(instances / "ov8" / "u.json")
+    built = [dense, long_runs,
+             dense.replace_elements_unchecked([v for v, _ in dense.runs] * 3),
+             truncate(dense, 7), truncate(long_runs, 40),
+             _shift_dataset(dense), _shift_dataset(long_runs),
+             random_permutation(dense, 5)]
+    built += couple_sym(int_ds([3, 3, 5]), int_ds([3, 5, 9, 3]), seed=1)
+    built += couple_sym(int_ds([3, 3, 5]), int_ds([5, 3, 3]), seed=2)
+    built += couple_co(int_ds([3, 3, 5, 7]), int_ds([7, 5, 5, 3]), seed=3)
+    for ds in built:
+        assert len(ds) == sum(c for _, c in ds.runs) > 0
+    assert [len(ds) for ds in built[2:5]] == [3 * len(dense.runs), 7, 40]
+    assert [len(ds) for ds in built[8:]] == [3, 4, 3, 3, 4, 4]
 
 
 def test_replace_elements_keeps_the_frame():

@@ -32,6 +32,7 @@ from boundedsum import (
     ulp,
     values_in_range,
 )
+from boundedsum.dyadic import floor_log2_fraction
 from boundedsum.floats import _pattern_ranges, add_bits
 
 F23 = FloatFormat(2, 3)
@@ -110,7 +111,7 @@ reasonable_doubles = floats(allow_nan=False, allow_infinity=False)
 
 @given(reasonable_doubles)
 def test_float64_bit_pattern_roundtrip(x):
-    assert float(from_double(x)) == x or (x == 0.0)
+    assert float(from_double(x).to_fraction()) == x
 
 
 @given(reasonable_doubles, reasonable_doubles)
@@ -322,6 +323,61 @@ def test_is_representable_agrees_with_enumeration():
         assert is_representable(q, F23) == (q in reachable), q
 
 
+def representable_in_binade(value, fmt):
+    """Reference: the binade rule ``is_representable`` used before it
+    asked ``_grid_bits``, on Fractions.  A nonzero dyadic value is a float
+    when its magnitude is at most ``n_max`` and a multiple of its binade's
+    spacing ``2^(max(floor(log2 |value|), emin) - k)``."""
+    q = value.to_fraction() if isinstance(value, Dyadic) else Fraction(value)
+    if q.denominator & (q.denominator - 1):
+        return False
+    if q == 0:
+        return True
+    a = abs(q)
+    if a > fmt.max_finite.to_fraction():
+        return False
+    grid = max(floor_log2_fraction(a), fmt.emin) - fmt.k
+    return (a / Fraction(2) ** grid).denominator == 1
+
+
+@mark.parametrize("fmt", [F23, F34], ids=["F23", "F34"])
+def test_is_representable_matches_the_binade_rule_at_every_edge(fmt):
+    # every grid count within 40 units of each power of two up to the
+    # infinity point, both signs: subnormals, binade edges, n_max and past
+    top = fmt.emax + 1 - fmt.emin + fmt.k
+    counts = {g for j in range(top + 1)
+              for g in range((1 << j) - 40, (1 << j) + 41)}
+    for g in counts | {-g for g in counts}:
+        q = fmt.grid_fraction(g)
+        assert is_representable(q, fmt) == representable_in_binade(q, fmt), g
+
+
+@mark.parametrize("fmt", [FLOAT32, FLOAT64], ids=["f32", "f64"])
+def test_is_representable_matches_the_binade_rule_at_native_edges(fmt):
+    n_max = fmt.max_finite.to_fraction()
+    tiny = fmt.min_subnormal.to_fraction()
+    half_ulp = Fraction(2) ** (fmt.emax - fmt.k - 1)
+    edges = [n_max, n_max + half_ulp, fmt.inf_value.to_fraction(), tiny,
+             tiny / 2, fmt.min_normal.to_fraction(), n_max - 2 * half_ulp]
+    for q in edges + [-q for q in edges]:
+        assert is_representable(q, fmt) == representable_in_binade(q, fmt), q
+        assert is_representable(Dyadic.from_fraction(q), fmt) == \
+            representable_in_binade(q, fmt), q
+    assert [is_representable(q, fmt) for q in edges] == [
+        True, False, False, True, False, True, True]
+
+
+def test_is_representable_matches_the_binade_rule_off_the_dyadics():
+    values = [Fraction(1, 3), Fraction(-5, 6), Fraction(1, 48),
+              Fraction(7, 10), 0, 1, -3, 14, 15, 16, 17, -14, 1 << 200,
+              Dyadic(3, -2), Dyadic(-7, -4), Dyadic(1, -5), Dyadic(0),
+              Dyadic(7, 1), Dyadic(1, 4), Dyadic(-1, 300)]
+    for fmt in (F23, F34, FLOAT32):
+        for q in values:
+            assert is_representable(q, fmt) == \
+                representable_in_binade(q, fmt), (q, fmt)
+
+
 def test_values_in_range_normal_only():
     lo, hi = parse_value(F23, "-2"), parse_value(F23, "2")
     got = values_in_range(F23, lo, hi)
@@ -339,8 +395,9 @@ def test_values_in_range_normal_only():
 
 
 def walk_values_in_range(fmt, lo, hi, include_subnormals):
-    """Reference: visit every finite bit pattern, keep those in range."""
-    lo_d, hi_d = lo.to_dyadic(), hi.to_dyadic()
+    """Reference: visit every finite bit pattern, keep those in range.
+    The bounds may be infinite, so values compare as grid counts."""
+    lo_g, hi_g = lo.to_grid(), hi.to_grid()
     out = []
     k, l = fmt.mantissa_bits, fmt.exponent_bits
     for sign_bit in (1, 0):
@@ -352,9 +409,9 @@ def walk_values_in_range(fmt, lo, hi, include_subnormals):
                     continue
                 if sign_bit and x.is_zero():
                     continue
-                if lo_d <= x.to_dyadic() <= hi_d:
+                if lo_g <= x.to_grid() <= hi_g:
                     out.append(x)
-    out.sort(key=lambda f: f.to_dyadic().to_fraction())
+    out.sort(key=lambda f: f.to_grid())
     return out
 
 
