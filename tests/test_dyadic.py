@@ -35,6 +35,14 @@ def test_value_preserved_by_normalization(m, e):
     assert dy(m, e).to_fraction() == Fraction(m) * Fraction(2) ** e
 
 
+def test_from_int():
+    # an int is the mantissa with the default exponent 0
+    assert Dyadic(10).to_fraction() == 10
+    assert Dyadic(-7) == Dyadic(-7, 0)
+    assert (Dyadic(-7).m, Dyadic(-7).e) == (-7, 0)
+    assert (Dyadic(0).m, Dyadic(0).e) == (0, 0)
+
+
 @given(fractions(max_denominator=1 << 20))
 def test_from_fraction_accepts_exactly_the_dyadics(f):
     den = f.denominator
@@ -57,9 +65,37 @@ def test_equality_and_hash_follow_the_value(ma, ea, mb, eb):
     assert a == dy(ma << 3, ea - 3) and hash(a) == hash(dy(ma << 3, ea - 3))
 
 
+@given(mantissas, exponents, mantissas, exponents)
+def test_comparisons_match_fractions(ma, ea, mb, eb):
+    # equality follows the value; a Dyadic has no order of its own, so an
+    # ordering must go through to_fraction()
+    a, b = dy(ma, ea), dy(mb, eb)
+    fa, fb = a.to_fraction(), b.to_fraction()
+    assert (a == b) == (fa == fb)
+    assert (a != b) == (fa != fb)
+    for compare in (lambda: a < b, lambda: a <= b, lambda: a > b,
+                    lambda: a >= b):
+        with raises(TypeError):
+            compare()
+
+
 # ---------------------------------------------------------------------------
 # Structure queries
 # ---------------------------------------------------------------------------
+
+@given(mantissas, exponents)
+def test_floor_log2(m, e):
+    # the binade of a dyadic value, as the sensitivity bounds read it
+    a = dy(m, e)
+    mag = abs(a.to_fraction())
+    if mag == 0:
+        with raises(ValueError):
+            floor_log2_fraction(mag)
+        return
+    b = floor_log2_fraction(mag)
+    assert Fraction(2) ** b <= mag < Fraction(2) ** (b + 1)
+    assert b == a.e + abs(a.m).bit_length() - 1
+
 
 @given(fractions(max_denominator=10 ** 9, min_value=Fraction(1, 10 ** 9)))
 def test_floor_log2_fraction(f):

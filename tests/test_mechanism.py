@@ -16,12 +16,14 @@ import numpy as np
 from pytest import mark, raises
 
 from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec,
-                        dp_violation_log2_bound, exact_dp_check)
+                        dp_violation_log2_bound, exact_dp_check,
+                        generate_attack, run_mechanism, run_sum)
 from boundedsum.cli import main
 from boundedsum.data import Dataset
 from boundedsum.ints import IntFormat, KInt
 from boundedsum.mechanism import (_folded_pmf, _log_upper_tail,
-                                  _saturated_pmf, certified_leq_exp)
+                                  _sample_dlap, _saturated_pmf,
+                                  certified_leq_exp)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -92,6 +94,31 @@ def test_violation_bound_verdicts_of_the_benchmark_tables():
 # ---------------------------------------------------------------------------
 # Modular noise on the format's own ring
 # ---------------------------------------------------------------------------
+
+def overflow_pair():
+    inst = generate_attack("overflow", IntFormat(8, False, "wraparound"),
+                           upper=1)
+    return inst.u, inst.v
+
+
+def test_matching_modulus_is_the_default():
+    # sampler and checker both reduce modulo the format's 2^8
+    u, v = overflow_pair()
+    spec = MechanismSpec(noise="discrete_laplace_mod", scale=40)
+    su = run_sum(u, spec.method).value.value
+    sv = run_sum(v, spec.method).value.value
+    wrapped = 0
+    for seed in range(40):
+        z = _sample_dlap(spec.alpha, random.Random(seed))
+        assert run_mechanism(spec, u, seed).value == (su + z) % 256
+        wrapped += not 0 <= su + z < 256
+    assert wrapped  # some draws leave [0, 256), so the reduction shows
+    got = exact_dp_check(spec, u, v, 1)
+    wu, wv = _folded_pmf(spec.alpha, su, 256), _folded_pmf(spec.alpha, sv, 256)
+    best = max(wu(z) / wv(z) for z in range(256))
+    assert got.max_ratio == best
+    assert wu(got.witness) / wv(got.witness) == best
+
 
 def test_cli_dpcheck_exits_2_on_a_mismatched_modulus(tmp_path, capsys):
     # the modulus is the format's 2^bits; there is no option to set another

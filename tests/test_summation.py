@@ -50,7 +50,8 @@ from boundedsum import (
     values_in_range,
 )
 from boundedsum.floats import add_bits
-from boundedsum.summation import _shift_dataset
+from boundedsum.summation import (_add_run, _kahan_bits, _kahan_run,
+                                  _shift_dataset)
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -416,6 +417,49 @@ def test_saturating_run_pins_to_rail():
                   [(KInt(fmt, -100), 50), (KInt(fmt, 1), 3)])
     assert bs_iterative(ds2).value == -125
     assert bs_iterative(ds2) == ref_iterative(ds2)
+
+
+def _patterns(fmt, finite):
+    """Every pattern of ``fmt`` that is not a NaN (``+0`` but no ``-0``),
+    or every finite one."""
+    _, _, _, sign, inf = fmt._kernel
+    top = inf - 1 if finite else inf
+    return [0] + [m | s for m in range(1, top + 1) for s in (0, sign)]
+
+
+@mark.parametrize("mode", ROUNDING_MODES)
+def test_add_run_on_patterns_matches_stepwise_add_bits(mode):
+    # every start (infinities too), every finite addend of (2,3)
+    kernel = F23._kernel
+    counts = (0, 1, 2, 3, 40)
+    for s in _patterns(F23, finite=False):
+        for c in _patterns(F23, finite=True):
+            want = s
+            for count in range(counts[-1] + 1):
+                if count in counts:
+                    assert _add_run(F23, s, c, count, mode) == want, \
+                        (s, c, count)
+                want = add_bits(kernel, want, c, mode)
+
+
+@mark.parametrize("mode", ROUNDING_MODES)
+def test_kahan_run_on_patterns_matches_stepwise_kahan_bits(mode):
+    # every total and element of (2,3); no compensation, the smallest
+    # negative subnormal and a normal value; runs long enough for a jump
+    # across whole periods of the longest length looked for
+    kernel = F23._kernel
+    comps = (0, 1 | kernel[3], 9)
+    counts = (0, 1, 2, 3, 16)
+    for total in _patterns(F23, finite=False):
+        for comp in comps:
+            for v in _patterns(F23, finite=True):
+                want = (total, comp)
+                for count in range(counts[-1] + 1):
+                    if count in counts:
+                        assert _kahan_run(F23, total, comp, v, count,
+                                          mode) == want, (total, comp, v,
+                                                          count)
+                    want = _kahan_bits(kernel, *want, v, mode)
 
 
 # ---------------------------------------------------------------------------
