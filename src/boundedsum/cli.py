@@ -537,8 +537,17 @@ def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
                              "(F<1 deliberately under-noises)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes long options only as spelled in full, and so
+    does every subparser it adds (``add_subparsers`` builds them from the
+    parser's own class)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boundedsum",
         description="Bounded sums over finite arithmetic: sensitivity "
                     "bounds, attacks, and repaired mechanisms.")

@@ -48,9 +48,9 @@ SCHEMA_VERSION = 1
 # the run-aware code paths exist precisely to avoid it.  Every summation
 # algorithm reads runs; the callers that still build the element list are
 # ``summation.random_permutation`` and the couplings ``couple_sym`` and
-# ``couple_co`` in ``sensitivity``.  Kahan's run fold
-# (``summation._kahan_run``) also gives up past this many literal steps
-# in one run.
+# ``couple_co`` in ``sensitivity``.  The float run fold
+# (``summation._fold_run``, which iterative, split and Kahan runs share)
+# also gives up past this many literal steps in one run.
 MATERIALIZE_LIMIT = 1 << 22
 
 

@@ -54,8 +54,7 @@ from .summation import SumMethod, run_sum
 
 __all__ = [
     "NOISE_KINDS", "MechanismSpec", "ExperimentReport", "ExactDPReport",
-    "rational_alpha", "sample_discrete_laplace", "modular_noise_add",
-    "calibrate", "run_mechanism", "midpoint_threshold",
+    "rational_alpha", "modular_noise_add", "calibrate", "run_mechanism",
     "distinguishing_experiment", "dp_violation_log2_bound",
     "exact_dp_check", "certified_leq_exp",
     "VERDICT_CUTOFF_LOG2", "SUPPORT_LIMIT",
@@ -122,20 +121,6 @@ def _sample_dlap(alpha: Fraction, rng: random.Random) -> int:
         return int(math.log1p(-rng.random()) / ln_alpha)
 
     return geometric() - geometric()
-
-
-def sample_discrete_laplace(scale: Union[Fraction, int],
-                            seed: Optional[int] = None,
-                            rng: Optional[random.Random] = None) -> int:
-    """One draw of ``Z`` with ``Pr[Z = z] ~ alpha^|z|``, deterministic per seed.
-
-    ``Z = G1 - G2`` for two independent geometric variables, which gives
-    the two-sided geometric exactly.  Statistical quality only — the
-    inverse-CDF step goes through doubles.
-    """
-    if rng is None:
-        rng = random.Random(seed)
-    return _sample_dlap(rational_alpha(scale), rng)
 
 
 def _sample_laplace_float(scale: float, rng: random.Random) -> float:
@@ -307,12 +292,6 @@ def _trial_seed(master_seed: int, role: str, index: int) -> int:
 
 def _midpoint(base_u, base_v) -> Fraction:
     return Fraction(exact_value(base_u) + exact_value(base_v), 2)
-
-
-def midpoint_threshold(spec: MechanismSpec, u: Dataset, v: Dataset) -> Fraction:
-    """Halfway between the two noiseless releases — the default test."""
-    return _midpoint(run_sum(u, spec.method).value,
-                     run_sum(v, spec.method).value)
 
 
 def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,

@@ -630,7 +630,8 @@ def _releases(spec: SensSpec, frame: Dataset, modulus: Optional[int],
                     lambda acc: _bits_grid(kernel, acc), 0, codes, sizes)
             if method.algorithm == "kahan":
                 return _prefix_releases(
-                    lambda state, v: _kahan_bits(kernel, *state, v, rounding),
+                    lambda state, v: _kahan_bits(kernel, *state, v,
+                                                   rounding)[:2],
                     lambda state: _bits_grid(kernel, state[0]), (0, 0),
                     codes, sizes)
         elif method.algorithm == "iterative":

@@ -37,26 +37,25 @@ All of them consume run-length encoded datasets and never build the
 element list, so attack datasets with billions of repeats sum in
 milliseconds without a single approximation:
 
-* ``iterative`` and ``split`` fold each run at once: integer runs have
-  closed forms, and float runs jump once the fold enters a provably
-  periodic regime (``_add_run``: absorption, or equal consecutive
-  displacements inside one rounding region);
+* ``iterative``, ``split`` and ``kahan`` fold a float run with one
+  engine, ``_fold_run``: it steps literally and jumps whole periods of up
+  to four steps once the state and every add of a step provably move
+  linearly (an absorbed addend ends the run at once).  Iterative and
+  split steps make one add (``_add_run``), a Kahan step four
+  (``_kahan_run``); a run with no such period steps literally, up to
+  ``MATERIALIZE_LIMIT`` steps.  Integer runs have closed forms;
 * ``pairwise`` sums a subtree that lies inside one run as a memoized
   block of ``(value, count)``, and recurses on positions only where a
   subtree straddles a run boundary: O(runs * log n) adds;
-* ``kahan`` folds each run with ``_kahan_run``, which jumps whole periods
-  of up to four steps once the ``(total, comp)`` state and all four adds
-  of a step provably move linearly; a run with no such period steps
-  literally, up to ``MATERIALIZE_LIMIT`` steps;
 * ``exact`` multiplies each value by its count.
 
 Every fold runs on ints.  The float state of every algorithm is a bit
 pattern, a run of one is one :func:`~boundedsum.floats.add_bits` (a
-Kahan step four of them, with negation a flip of the sign bit), and the
-run folds ``_add_run`` and ``_kahan_run`` watch exact values as integer
-counts of the finest spacing (:meth:`SimFloat.to_grid`).  A ``SimFloat``
-is built only for the release and where a jump lands
-(:meth:`SimFloat.from_grid`, which checks that the count is a value).
+Kahan step four of them, with negation a flip of the sign bit), and
+``_fold_run`` watches exact values as integer counts of the finest
+spacing (:meth:`SimFloat.to_grid`).  A ``SimFloat`` is built only for
+the release and where a jump lands (:meth:`SimFloat.from_grid`, which
+checks that the count is a value).
 Integer releases are plain-int closed forms: wraparound addition is
 associative, so every algorithm releases the wrapped exact sum, and
 saturating folds clamp plain ints.
@@ -72,6 +71,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import sub
 from typing import List, Optional, Tuple, Union
 
 from .data import Dataset, MATERIALIZE_LIMIT, exact_value, order_key
@@ -195,15 +196,16 @@ def bs_exact(dataset: Dataset):
 
 
 # ---------------------------------------------------------------------------
-# Float run fast-forward
+# Float run folds
 # ---------------------------------------------------------------------------
 
-def _region_of_exact(q: int, fmt: FloatFormat) -> Tuple[int, int]:
+def _region_of_exact(q: int, k: int) -> Tuple[int, int]:
     """The rounding region of the exact sum ``q`` (in grid units, see
-    :meth:`SimFloat.to_grid`): its signed binade, or the subnormal band."""
+    :meth:`SimFloat.to_grid`) in a format of ``k`` mantissa bits: its
+    signed binade, or the subnormal band."""
     a = abs(q)
-    if a < 1 << fmt.k:  # below 2^emin
-        return (-(1 << fmt.k), 1 << fmt.k)
+    if a < 1 << k:  # below 2^emin
+        return (-(1 << k), 1 << k)
     lo = 1 << (a.bit_length() - 1)
     return (lo, 2 * lo) if q > 0 else (-2 * lo, -lo)
 
@@ -214,62 +216,256 @@ def _add_run(fmt: FloatFormat, s: int, c: int, count: int, mode: str) -> int:
 
     Semantically identical to ``for _ in range(count): s = s (+) c``, and
     a run of one is exactly one :func:`~boundedsum.floats.add_bits`.  A
-    longer run detects the two stationary regimes a constant addend
-    produces and jumps across them:
-
-    * absorption — one add leaves ``s`` unchanged, so all remaining adds
-      do too;
-    * periodic drift — two consecutive adds move ``s`` by the same exact
-      ``delta``.  Equal consecutive displacements force the addend's
-      offset against the rounding grid to repeat, so the motion stays
-      linear while the fold remains inside the region where both the
-      accumulator's and the exact sum's grids are constant.  The number
-      of in-region steps has a closed form; they are applied at once.
-
-    Values are compared as integer counts of the format's finest spacing,
-    and a run's last add only adds.
+    longer run is a :func:`_fold_run` of one add per step, whose exact sum
+    is ``s + c``: an absorbed addend leaves ``s`` unchanged and ends the
+    run, and a steady drift is a period that moves ``s`` by the same exact
+    delta each step.
     """
     kernel = fmt._kernel
     if count == 1:
         return add_bits(kernel, s, c, mode)
+    step = partial(_watched_add, kernel, c, _bits_grid(kernel, c), mode)
+    return _fold_run(fmt, "summation", step, (s,), c, count, mode)[0]
+
+
+def _watched_add(kernel: tuple, c: int, c_g: int, mode: str, state: tuple,
+                 grid: Optional[tuple]):
+    """The step of :func:`_add_run`, watched for :func:`_fold_run`: the
+    pattern ``c`` (``c_g`` grid units) added to the state ``(s,)``."""
+    t = add_bits(kernel, state[0], c, mode)
+    if grid is None:
+        return (t,), None, None
+    t_g = _bits_grid(kernel, t)
+    return (t,), (t_g,), ((grid[0] + c_g, t_g),)
+
+
+def _kahan_bits(kernel: tuple, total: int, comp: int, v: int,
+                mode: str) -> Tuple[int, int, Optional[int], Optional[int]]:
+    """One element of compensated summation on bit patterns: the next
+    ``(total, comp)``, then the step's first and third results ``y = v -
+    comp`` and ``d = t - total``.  Negation flips the sign bit.
+
+    An infinite running sum is final: it is kept, with its compensation,
+    whatever ``v`` is.  A result past one (``y`` and ``d`` of a step from
+    one, ``d`` of a step to one) is None.  See :func:`bs_kahan` for the
+    overflow rules.
+    """
+    _, _, _, sign, inf = kernel
+    if total & (sign - 1) == inf:
+        return total, comp, None, None
+    y = add_bits(kernel, v, comp ^ sign, mode)
+    t = add_bits(kernel, total, y, mode)
+    if t & (sign - 1) == inf:
+        return t, comp, y, None
+    d = add_bits(kernel, t, total ^ sign, mode)
+    c = add_bits(kernel, d, y ^ sign, mode)
+    if c & (sign - 1) == inf:
+        c = 0
+    return t, c, y, d
+
+
+def _kahan_run(fmt: FloatFormat, total: int, comp: int, v: int, count: int,
+               mode: str) -> Tuple[int, int]:
+    """Fold ``count`` copies of the pattern ``v`` into the Kahan state
+    ``(total, comp)`` of patterns.
+
+    Semantically identical to ``count`` calls of :func:`_kahan_bits`, and
+    a run of one is exactly one call.  A longer run is a :func:`_fold_run`
+    of one Kahan step each.  A step from ``(T, C)`` makes four adds, whose
+    exact sums are ``q1 = v - C``, ``q2 = T + y``, ``q3 = t - T`` and ``q4
+    = d - y``, where ``y, t, d, c`` are the rounded results and ``(t, c)``
+    is the next state.  The errors may drift: the compensation absorbs the
+    part of ``v`` that ``T`` cannot hold, a little more each step, so
+    ``q1``'s error and ``q2``'s offset against its grid change linearly
+    until a rounding flips.  A step whose compensation overflowed (and was
+    dropped) is not watched.
+    """
+    kernel = fmt._kernel
+    if count == 1:
+        return _kahan_bits(kernel, total, comp, v, mode)[:2]
+    step = partial(_watched_kahan, kernel, v, _bits_grid(kernel, v), mode)
+    return _fold_run(fmt, "compensated summation", step, (total, comp), v,
+                     count, mode)
+
+
+def _watched_kahan(kernel: tuple, v: int, v_g: int, mode: str,
+                   state: tuple, grid: Optional[tuple]):
+    """The :func:`_kahan_bits` step of :func:`_kahan_run`, watched for
+    :func:`_fold_run`: the pattern ``v`` (``v_g`` grid units) folded into
+    the state ``(total, comp)``."""
+    t, c, y, d = _kahan_bits(kernel, *state, v, mode)
+    if grid is None or d is None:  # d is None past an infinite sum
+        return (t, c), None, None
+    T, C = grid
+    y_g, t_g, d_g, c_g = [_bits_grid(kernel, x) for x in (y, t, d, c)]
+    if c_g == 0 and d_g != y_g:  # the compensation overflowed
+        return (t, c), (t_g, c_g), None
+    return (t, c), (t_g, c_g), ((v_g - C, y_g), (T + y_g, t_g),
+                                (t_g - T, d_g), (d_g - y_g, c_g))
+
+
+# the longest period, in steps, that a run fold looks for
+_MAX_PERIOD = 4
+
+
+def _fold_run(fmt: FloatFormat, name: str, step, state: tuple, v: int,
+              count: int, mode: str) -> tuple:
+    """``count`` steps of a fold over one run of the pattern ``v``, from
+    ``state``.
+
+    The state is a tuple of patterns, the running sum first.  ``step(state,
+    grid)`` takes it with its grid counts (see :meth:`SimFloat.to_grid`)
+    and returns the next state, its grid counts and the step's watched
+    adds as ``(exact sum, result)`` pairs in grid units, as many each
+    step, or None for a step that must not be watched.  Each exact sum
+    must be affine in the state and the earlier results of its step, and
+    the next state must be made of results.  Given None for the grid
+    counts, a step returns only the next state (the rest is None).
+
+    The fold steps literally and jumps across whole periods of at most
+    ``_MAX_PERIOD`` steps once one is established: when the last ``2p``
+    steps moved the state by the same ``D`` over any ``p`` of them
+    (``S[i+p] - S[i]`` is constant for ``i = 0 .. p``).  Then in the next
+    period each add's exact sum moves by the same ``a`` as in the last
+    one, and if its rounding behaves the same way its result moves by the
+    same ``b``: by induction over the later steps the state keeps moving
+    by ``D`` per period.  :func:`_linear_room` bounds how long each add's
+    rounding provably does; the jump takes the fewest whole periods any
+    add allows, and the fold continues literally.  With ``D = 0`` the
+    state repeats, and every remaining whole period is skipped.  A period
+    is looked for only while at least two of it remain, since a jump over
+    one period costs more than its steps; so no jump follows the last two
+    steps of a run, and they are not watched.  An unwatched step starts
+    the watch over.
+
+    A step is a function of the state, so a state that one step keeps
+    (an absorbed addend, say) is the fold's result, and so is an infinite
+    running sum, which the steps keep as it is.  Past
+    ``MATERIALIZE_LIMIT`` literal steps in one run the fold gives up with
+    ``ValueError`` rather than hang.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    kernel = fmt._kernel
     _, _, _, sign, inf = kernel
-    if count == 0 or s & (sign - 1) == inf:
-        return s  # saturated: finite addends cannot leave infinity
-    c_g, s_g = _bits_grid(kernel, c), _bits_grid(kernel, s)
-    prev = None  # (delta, exact-sum region) observed on the last step
-    while True:
-        t = add_bits(kernel, s, c, mode)
+    if count > 2:
+        grid = tuple([_bits_grid(kernel, x) for x in state])
+    # since the last jump: each step's state move, and all their adds
+    moves, adds = [], []
+    literal = 0
+    while count > 2:
+        if state[0] & (sign - 1) == inf:
+            return state  # the steps keep an infinite running sum
+        if literal == MATERIALIZE_LIMIT:
+            raise ValueError(
+                f"{name} found no period of at most {_MAX_PERIOD} steps in "
+                f"{literal} copies of {_from_bits(fmt, v)}")
+        literal += 1
+        state, new, watched = step(state, grid)
         count -= 1
-        if count == 0 or t == s or t & (sign - 1) == inf:
-            return t
-        t_g = _bits_grid(kernel, t)
-        delta = t_g - s_g
-        region = _region_of_exact(s_g + c_g, fmt)
-        s, s_g = t, t_g
-        if prev == (delta, region):
-            # Two consecutive adds moved by the same delta while the exact
-            # sums shared one rounding region: equal displacements force
-            # equal grid offsets, so the motion is linear until the exact
-            # sum leaves the region.  Staying strictly below the infinity
-            # point keeps saturation out of the batch.
-            inf_g = _bits_grid(kernel, inf)
-            lo = max(region[0] - c_g, -inf_g)
-            hi = min(region[1] - c_g, inf_g)
-            if lo < t_g < hi:
-                # the most whole steps that stay strictly inside (lo, hi)
-                room = hi - t_g if delta > 0 else t_g - lo
-                j = min((room - 1) // abs(delta), count)
-                if j > 0:
-                    s_g = t_g + delta * j
-                    s = SimFloat.from_grid(fmt, s_g).bits
-                    count -= j
-                    if count == 0:
-                        return s
-                    prev = None
-                    continue
-        prev = (delta, region)
+        if new == grid:
+            return state  # a state that a step keeps, every later one keeps
+        if watched is None:
+            grid, moves, adds = new, [], []
+            continue
+        moves.append(tuple(map(sub, new, grid)))
+        adds += watched
+        grid = new
+        w, n = len(watched), len(moves)
+        # the first period of p steps that the last 2p steps establish
+        periods = 0
+        for p in range(1, min(_MAX_PERIOD, n // 2, count // 2) + 1):
+            if moves[-p:] == moves[-2 * p:-p]:
+                periods = count // p
+                for then, now in zip(adds[-2 * p * w:-p * w], adds[-p * w:]):
+                    periods = min(periods,
+                                  _linear_room(then, now, kernel, mode))
+                break
+        if periods > 0:
+            count -= periods * p
+            grid = tuple([g + periods * sum(d)
+                          for g, d in zip(grid, zip(*moves[-p:]))])
+            state = tuple([_grid_bits(kernel, g) for g in grid])
+            if None in state:
+                raise ValueError(f"a run fold jumped off the values of {fmt}")
+            moves, adds = [], []
+        elif n > 2 * _MAX_PERIOD:
+            del moves[0], adds[:w]
+    # no jump can follow the last two steps: they go unwatched
+    for _ in range(count):
+        state = step(state, None)[0]
+    return state
+
+
+def _linear_room(then: Tuple[int, int], now: Tuple[int, int],
+                 kernel: tuple, mode: str):
+    """How many more periods one add of a :func:`_fold_run` step can keep
+    moving linearly.
+
+    The add's exact sum moved from ``q0`` to ``q`` over the last period
+    and its result from ``r0`` to ``r`` (grid units); the next ``j``
+    periods would give ``q + j*a`` and ``r + j*b``.  These are the true
+    rounded results for as long as:
+
+    * the result stays strictly below the infinity point, so no overflow
+      rule fires (inside a binade below the top one, every rounded value
+      does);
+    * an exact add (``r = q`` both times) keeps an exact sum that is
+      representable: ``q`` and ``a`` are multiples of ``2^s``, and every
+      multiple of ``2^s`` below ``2^(k+1+s)`` grid units and the infinity
+      point is a float;
+    * otherwise the exact sum stays strictly inside the rounding region
+      (signed binade, or subnormal band) it had both times, where
+      rounding is ``q -> u*rnd(q/u)`` for the region's spacing ``u``.  The
+      two results, both on that grid, show that ``b`` is a multiple of
+      ``u``, so every later result is on the grid too, and it is the
+      rounded value while the error ``r - q`` stays in the errors the
+      mode makes there: ``[0, u)`` rounding up, ``(-u, 0]`` rounding down
+      (toward zero is down above zero and up below it), ``(-u/2, u/2)``
+      to nearest.  When ``a = b`` the error never changes and needs no
+      check, ties included: two equal banker's errors at a tie ``b``
+      apart make ``b/u`` even, so the grid index keeps its parity.  In
+      the subnormal band ``u`` is one grid unit and every add is exact.
+
+    Each condition is linear in ``j``, so the answer is a closed form.
+    """
+    (q0, r0), (q, r) = then, now
+    a, b = q - q0, r - r0
+    k, emin, emax, _, _ = kernel
+    inf_g = 1 << (emax + 1 - emin + k)
+    if r == q and r0 == q0:
+        if not a:
+            return math.inf
+        s = ((q | a) & -(q | a)).bit_length() - 1
+        top = min(1 << (k + 1 + s), inf_g)
+        return _room(q, a, 1 - top, top - 1)
+    region = _region_of_exact(q, k)
+    if region != _region_of_exact(q0, k):
+        return 0
+    lo, hi = region
+    room = _room(q, a, lo + 1, hi - 1)
+    if hi >= inf_g or lo <= -inf_g:  # a result may round to infinity
+        room = min(room, _room(r, b, 1 - inf_g, inf_g - 1))
+    if a != b:
+        u = min(abs(lo), abs(hi)) >> k
+        if mode == "banker":
+            half = u // 2 - 1 if u > 1 else 0
+            errors = (-half, half)
+        elif mode == "toward_pos" or (mode == "toward_zero" and q < 0):
+            errors = (0, u - 1)
+        else:
+            errors = (1 - u, 0)
+        room = min(room, _room(r - q, b - a, *errors))
+    return room
+
+
+def _room(x: int, step: int, lo: int, hi: int):
+    """The most steps ``x + j*step`` can take and stay in ``[lo, hi]``."""
+    if step > 0:
+        return (hi - x) // step
+    if step < 0:
+        return (x - lo) // -step
+    return math.inf
 
 
 def _int_fold(fmt: IntFormat, runs) -> int:
@@ -411,209 +607,6 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
         if total & (sign - 1) == inf:
             break  # the step keeps an infinite total as it is
     return _from_bits(fmt, total)
-
-
-def _kahan_bits(kernel: tuple, total: int, comp: int, v: int,
-                mode: str) -> Tuple[int, int]:
-    """One element of compensated summation on bit patterns: the next
-    ``(total, comp)``.  Negation flips the sign bit.
-
-    An infinite running sum is final: it is kept, with its compensation,
-    whatever ``v`` is.  See :func:`bs_kahan` for the overflow rules.
-    """
-    _, _, _, sign, inf = kernel
-    if total & (sign - 1) == inf:
-        return total, comp
-    y = add_bits(kernel, v, comp ^ sign, mode)
-    t = add_bits(kernel, total, y, mode)
-    if t & (sign - 1) == inf:
-        return t, comp
-    comp = add_bits(kernel, add_bits(kernel, t, total ^ sign, mode),
-                    y ^ sign, mode)
-    if comp & (sign - 1) == inf:
-        comp = 0
-    return t, comp
-
-
-# the longest period, in steps, that the Kahan run fold looks for
-_KAHAN_MAX_PERIOD = 4
-
-
-def _kahan_run(fmt: FloatFormat, total: int, comp: int, v: int, count: int,
-               mode: str) -> Tuple[int, int]:
-    """Fold ``count`` copies of the pattern ``v`` into the Kahan state
-    ``(total, comp)`` of patterns.
-
-    Semantically identical to ``count`` calls of :func:`_kahan_bits`, and
-    a run of one is exactly one call.  Longer runs step literally while
-    watching the state ``S = (T, C)`` and the step's four adds in grid
-    units (see :meth:`SimFloat.to_grid`), and jump across whole periods
-    of at most ``_KAHAN_MAX_PERIOD`` steps once one is established.
-
-    A step from ``(T, C)`` makes four adds.  Their exact sums are
-    ``q1 = v - C``, ``q2 = T + y``, ``q3 = t - T`` and ``q4 = d - y``,
-    where ``y, t, d, c`` are the rounded results and ``(t, c)`` is the
-    next state.  A period of ``p`` steps is established when the last
-    ``2p`` steps moved the state by the same ``(dT, dC)`` over any ``p``
-    of them (``S[i+p] - S[i]`` is constant for ``i = 0 .. p``).  Every
-    exact sum is affine in the state and the earlier results of its step,
-    so in the next period each add's exact sum moves by the same ``a`` as
-    in the last one, and if its rounding behaves the same way its result
-    moves by the same ``b``: by induction over the later steps the state
-    then keeps moving by ``(dT, dC)`` per period.  See
-    :func:`_linear_room` for how long each add's rounding provably does;
-    the jump takes the fewest whole periods any add allows, and the fold
-    continues literally.  With ``dT = dC = 0`` the state itself repeats,
-    and every remaining whole period is skipped.
-
-    This is :func:`_add_run`'s argument, for four adds instead of
-    one, a period of ``p`` steps instead of one, and rounding errors that
-    may drift: the compensation absorbs the part of ``v`` that ``T``
-    cannot hold, a little more each step, so ``q1``'s error and ``q2``'s
-    offset against its grid change linearly until a rounding flips.
-    A step whose compensation overflowed (and was dropped) is not
-    watched at all.
-
-    Runs with no period this short step literally; past
-    ``MATERIALIZE_LIMIT`` literal steps in one run the fold gives up
-    with ``ValueError`` rather than hang.
-    """
-    kernel = fmt._kernel
-    if count == 1:
-        return _kahan_bits(kernel, total, comp, v, mode)
-    _, _, _, sign, inf = kernel
-    v_g = _bits_grid(kernel, v)
-    # since the last jump
-    states = [(_bits_grid(kernel, total), _bits_grid(kernel, comp))]
-    steps = []  # each step's four (exact sum, result) pairs
-    literal = 0
-    while count and total & (sign - 1) != inf:
-        if literal == MATERIALIZE_LIMIT:
-            raise ValueError(
-                f"compensated summation found no period of at most "
-                f"{_KAHAN_MAX_PERIOD} steps in {literal} copies of "
-                f"{_from_bits(fmt, v)}")
-        literal += 1
-        y = add_bits(kernel, v, comp ^ sign, mode)  # the step's first add
-        t, c = _kahan_bits(kernel, total, comp, v, mode)
-        count -= 1
-        if count == 0 or t & (sign - 1) == inf:
-            return t, c
-        d = add_bits(kernel, t, total ^ sign, mode)  # and its third
-        T, C = states[-1]
-        y_g, t_g, c_g, d_g = (_bits_grid(kernel, x) for x in (y, t, c, d))
-        total, comp = t, c
-        states.append((t_g, c_g))
-        if c_g == 0 and d_g != y_g:  # the compensation overflowed
-            del states[:-1]
-            steps.clear()
-            continue
-        steps.append(((v_g - C, y_g), (T + y_g, t_g), (t_g - T, d_g),
-                      (d_g - y_g, c_g)))
-        jump = _kahan_period(states, steps, fmt, mode, count)
-        if jump is None:
-            del states[:-2 * _KAHAN_MAX_PERIOD - 1]
-            del steps[:-2 * _KAHAN_MAX_PERIOD]
-            continue
-        periods, p, (d_t, d_c) = jump
-        count -= periods * p
-        state = (t_g + periods * d_t, c_g + periods * d_c)
-        total, comp = (SimFloat.from_grid(fmt, g).bits for g in state)
-        states = [state]
-        steps = []
-    return total, comp
-
-
-def _kahan_period(states: list, steps: list, fmt: FloatFormat, mode: str,
-                  count: int):
-    """``(periods, p, (dT, dC))`` for the jump :func:`_kahan_run` may
-    take now, or None.
-
-    ``states`` ends with the current state, ``steps`` holds the watched
-    adds of each step between them, and ``count`` steps are left.  Tries
-    ``p = 1 .. _KAHAN_MAX_PERIOD`` and takes the first period that the
-    last ``2p`` steps establish.
-    """
-    n = len(steps)
-    for p in range(1, min(_KAHAN_MAX_PERIOD, n // 2, count) + 1):
-        d_t = states[n][0] - states[n - p][0]
-        d_c = states[n][1] - states[n - p][1]
-        if any(states[n - i][0] - states[n - p - i][0] != d_t
-               or states[n - i][1] - states[n - p - i][1] != d_c
-               for i in range(1, p + 1)):
-            continue
-        periods = min(_linear_room(then, now, fmt, mode)
-                      for i in range(n - p, n)
-                      for then, now in zip(steps[i - p], steps[i]))
-        periods = min(periods, count // p)
-        return (periods, p, (d_t, d_c)) if periods > 0 else None
-    return None
-
-
-def _linear_room(then: Tuple[int, int], now: Tuple[int, int],
-                 fmt: FloatFormat, mode: str):
-    """How many more periods one add can keep moving linearly.
-
-    The add's exact sum moved from ``q0`` to ``q`` over the last period
-    and its result from ``r0`` to ``r`` (grid units); the next ``j``
-    periods would give ``q + j*a`` and ``r + j*b``.  These are the true
-    rounded results for as long as:
-
-    * the result stays strictly below the infinity point, so no overflow
-      rule fires;
-    * an exact add (``r = q`` both times) keeps an exact sum that is
-      representable: ``q`` and ``a`` are multiples of ``2^s``, and every
-      multiple of ``2^s`` below ``2^(k+1+s)`` grid units is a float;
-    * otherwise the exact sum stays strictly inside the rounding region
-      (signed binade, or subnormal band) it had both times, where
-      rounding is ``q -> u*rnd(q/u)`` for the region's spacing ``u``.  The
-      two results, both on that grid, show that ``b`` is a multiple of
-      ``u``, so every later result is on the grid too, and it is the
-      rounded value while the error ``r - q`` stays in the errors the
-      mode makes there: ``[0, u)`` rounding up, ``(-u, 0]`` rounding down
-      (toward zero is down above zero and up below it), ``(-u/2, u/2)``
-      to nearest.  When ``a = b`` the error never changes and needs no
-      check, ties included: two equal banker's errors at a tie ``b``
-      apart make ``b/u`` even, so the grid index keeps its parity.  In
-      the subnormal band ``u`` is one grid unit and every add is exact.
-
-    Each condition is linear in ``j``, so the answer is a closed form.
-    """
-    (q0, r0), (q, r) = then, now
-    a, b = q - q0, r - r0
-    inf_g = 1 << (fmt.emax + 1 - fmt.emin + fmt.k)
-    room = _room(r, b, 1 - inf_g, inf_g - 1)
-    if r == q and r0 == q0:
-        if a:
-            s = ((q | a) & -(q | a)).bit_length() - 1
-            top = 1 << (fmt.k + 1 + s)
-            room = min(room, _room(q, a, 1 - top, top - 1))
-        return room
-    region = _region_of_exact(q, fmt)
-    if region != _region_of_exact(q0, fmt):
-        return 0
-    lo, hi = region
-    room = min(room, _room(q, a, lo + 1, hi - 1))
-    if a != b:
-        u = min(abs(lo), abs(hi)) >> fmt.k
-        if mode == "banker":
-            half = u // 2 - 1 if u > 1 else 0
-            errors = (-half, half)
-        elif mode == "toward_pos" or (mode == "toward_zero" and q < 0):
-            errors = (0, u - 1)
-        else:
-            errors = (1 - u, 0)
-        room = min(room, _room(r - q, b - a, *errors))
-    return room
-
-
-def _room(x: int, step: int, lo: int, hi: int):
-    """The most steps ``x + j*step`` can take and stay in ``[lo, hi]``."""
-    if step > 0:
-        return (hi - x) // step
-    if step < 0:
-        return (x - lo) // -step
-    return math.inf
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):

@@ -31,7 +31,7 @@ import re
 import sys
 from pathlib import Path
 
-from pytest import mark
+from pytest import mark, raises
 
 from boundedsum.cli import main
 from boundedsum.sensitivity import METRICS
@@ -386,6 +386,15 @@ def test_attack_gen_is_byte_identical(name, tmp_path):
 def test_refusal_is_byte_identical(name):
     expected = (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
     assert _refusal_stderr(name) == expected
+
+
+def test_an_abbreviated_option_is_refused(capsys):
+    # a unique prefix of a long option is not that option: ``--m`` would
+    # otherwise run as ``--method``
+    with _in_golden(), raises(SystemExit) as refused:
+        main(["sum", "--in", "instances/dense/f10_5.json", "--m", "kahan"])
+    assert refused.value.code == 2
+    assert "--m" in capsys.readouterr().err
 
 
 def test_every_golden_file_has_a_command():

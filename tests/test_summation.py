@@ -10,6 +10,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 from pytest import mark, raises
 from hypothesis import example, given, settings
@@ -42,6 +43,7 @@ from boundedsum import (
     float_overflow_check,
     generate_attack,
     is_representable,
+    load_dataset,
     parse_value,
     random_permutation,
     round_dyadic,
@@ -57,6 +59,8 @@ F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
 F46 = FloatFormat(4, 6)
 F105 = FloatFormat(10, 5)
+
+GOLDEN_INSTANCES = Path(__file__).with_name("golden") / "instances"
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +335,8 @@ def test_repeated_rounding_pairs_match_the_literal_folds(algorithm):
         assert run_sum(ds, SumMethod(algorithm)).value == reference(ds)
 
 
-def test_pairwise_adds_once_per_block_size(monkeypatch):
-    # two runs of 4,096: one memoized block chain per run and the root add
+def count_adds(monkeypatch) -> list:
+    """A list that grows by one on each ``add_bits`` call of the folds."""
     import boundedsum.summation as summation
     calls = []
 
@@ -341,10 +345,52 @@ def test_pairwise_adds_once_per_block_size(monkeypatch):
         return add_bits(kernel, x, y, mode)
 
     monkeypatch.setattr(summation, "add_bits", counting)
+    return calls
+
+
+def test_pairwise_adds_once_per_block_size(monkeypatch):
+    # two runs of 4,096: one memoized block chain per run and the root add
+    calls = count_adds(monkeypatch)
     for ds in (FR32X_U, FR32X_V):
         calls.clear()
         bs_pairwise(ds)
         assert 0 < len(calls) <= 32  # the literal tree adds 8,191 times
+
+
+def test_kahan_steps_make_four_adds(monkeypatch):
+    # 4,098 elements in 5 runs, folded in 42 literal steps: each makes the
+    # four adds of one Kahan step and none more to watch them
+    ds = load_dataset(GOLDEN_INSTANCES / "rr1_10_5" / "u.json")
+    calls = count_adds(monkeypatch)
+    bs_kahan(ds)
+    assert len(calls) == 42 * 4
+
+
+def test_kahan_runs_jump_whole_periods(monkeypatch):
+    # runs of 4,096 with periods of one step and of four: a few literal
+    # steps each, then whole periods at once
+    calls = count_adds(monkeypatch)
+    for ds in (FR32X_U, FR32X_V):
+        calls.clear()
+        bs_kahan(ds)
+        assert 0 < len(calls) <= 64
+
+
+@mark.parametrize("algorithm", ["iterative", "split"])
+def test_one_add_runs_jump_across_binades(monkeypatch, algorithm):
+    # 2^62 copies of float64's 1.0 add exactly up to 2^53, and of its
+    # smallest subnormal up to 2^-1021; there the spacing is twice the
+    # addend, so banker's and toward-zero rounding both absorb it.  The
+    # exact adds jump across every binade in one period.
+    f64 = FloatFormat(52, 11)
+    zero = SimFloat.zero(f64)
+    calls = count_adds(monkeypatch)
+    for v, want in ((parse_value(f64, "1"), Fraction(2 ** 53)),
+                    (SimFloat(f64, 1), Fraction(1, 2 ** 1021))):
+        ds = Dataset(f64, zero, v, [(v, 1 << 62)])
+        calls.clear()
+        assert run_sum(ds, SumMethod(algorithm)).value.to_fraction() == want
+        assert len(calls) <= 32
 
 
 def test_kahan_gives_up_past_the_literal_step_limit(monkeypatch):
@@ -459,7 +505,7 @@ def test_kahan_run_on_patterns_matches_stepwise_kahan_bits(mode):
                         assert _kahan_run(F23, total, comp, v, count,
                                           mode) == want, (total, comp, v,
                                                           count)
-                    want = _kahan_bits(kernel, *want, v, mode)
+                    want = _kahan_bits(kernel, *want, v, mode)[:2]
 
 
 # ---------------------------------------------------------------------------
