@@ -18,11 +18,14 @@ whose verdict is an epsilon violation.
 
 Every report is JSON with sorted keys; numbers that must stay exact
 travel as strings (bit patterns, decimal integers, ``m*2^e`` dyadics,
-fractions).  Each report embeds a manifest recording the command, its
-parameters, the seeds consumed, module versions, and the bound rules the
-numbers rest on, so outputs are auditable and byte-identical across
-reruns.  Timestamps are fixed to the epoch unless ``--stamp`` is given —
-wall-clock stamps are the one thing that would break reproducibility.
+fractions).  Subcommands only compute: one function, ``_report``, writes
+every report.  It adds the schema version and a manifest recording the
+command, every flag that can change the numbers, the seeds consumed,
+module versions, and the bound rules the numbers rest on, so outputs are
+auditable and byte-identical across reruns.  ``--out DIR`` writes the
+same bytes as stdout into a file in DIR.  Timestamps are fixed to the
+epoch unless ``--stamp`` is given — wall-clock stamps are the one thing
+that would break reproducibility.
 
 Dataset files are accepted unchanged between subcommands: the pair
 written by ``attack gen`` feeds ``sum``, ``dpcheck exact``, and so on.
@@ -138,57 +141,58 @@ def _method_from_args(args, default: Optional[SumMethod] = None) -> SumMethod:
     )
 
 
-def _permutation_seeds(method: SumMethod) -> List[int]:
-    return [t.seed for t in method.transforms
-            if isinstance(t, RandomPermutation)]
-
-
 # ---------------------------------------------------------------------------
 # Report plumbing
 # ---------------------------------------------------------------------------
 
-def _manifest(command: str, parameters: dict, seeds: dict,
-              citations: List[str], stamp: bool) -> dict:
-    if stamp:
-        ts = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    else:
-        ts = FIXED_TIMESTAMP
-    return {
-        "command": command,
-        "parameters": parameters,
-        "seeds": seeds,
-        "versions": {"boundedsum": __version__},
-        "citations": sorted(set(citations)),
-        "timestamp": ts,
+def _report(args, command: str, filename: str, body: dict, flags=(),
+            computed: Optional[dict] = None,
+            method: Optional[SumMethod] = None, seeds: Optional[dict] = None,
+            citations=(), code: int = EXIT_OK) -> int:
+    """Write one subcommand's report and return its exit code.
+
+    The report is ``body`` plus ``schema`` and a manifest.  The manifest's
+    parameters are the values of the named ``flags``, the ``computed``
+    entries and, given a ``method``, its JSON (whose permutation seeds
+    join ``seeds``); Fractions are recorded as strings.  Citations that
+    are None are dropped.  The same bytes go to stdout and, with
+    ``--out``, to ``filename`` in that directory.
+    """
+    parameters = {name: getattr(args, name) for name in flags}
+    parameters.update(computed or {})
+    seeds = dict(seeds or {})
+    if method is not None:
+        parameters["method"] = method.to_json()
+        seeds["permutation"] = [t.seed for t in method.transforms
+                                if isinstance(t, RandomPermutation)]
+    report = {
+        **body,
+        "schema": SCHEMA_VERSION,
+        "manifest": {
+            "command": command,
+            "parameters": {k: str(v) if isinstance(v, Fraction) else v
+                           for k, v in parameters.items()},
+            "seeds": seeds,
+            "versions": {"boundedsum": __version__},
+            "citations": sorted({c for c in citations if c is not None}),
+            "timestamp": (datetime.now(timezone.utc).strftime(
+                "%Y-%m-%dT%H:%M:%SZ") if args.stamp else FIXED_TIMESTAMP),
+        },
     }
-
-
-def _dump(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(report: dict, out_dir, filename: str) -> None:
-    text = _dump(report)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
-    if out_dir is not None:
-        path = Path(out_dir)
+    if args.out is not None:
+        path = Path(args.out)
         path.mkdir(parents=True, exist_ok=True)
         (path / filename).write_text(text, encoding="utf-8")
-
-
-def _released(value):
-    """(display, exact) strings for a release of any supported type."""
-    if isinstance(value, SimFloat):
-        return value.to_hex(), str(value)
-    return str(value), str(value)
+    return code
 
 
 def _load_instance(path) -> AttackInstance:
     p = Path(path)
     if p.is_dir():
         p = p / "instance.json"
-    with open(p, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(p.read_text(encoding="utf-8"))
     return AttackInstance.from_json(doc["instance"])
 
 
@@ -205,16 +209,16 @@ def _sens_spec_from_args(args) -> SensSpec:
     )
 
 
-def _calibrated_spec(args, fmt, lower, upper, method, base_metric: str):
-    """Mechanism spec from --calibrate/--scale flags; returns (spec, rule)."""
+def _calibrated_spec(args, dataset, method, base_metric: str):
+    """Mechanism spec from --calibrate/--scale flags for the format and
+    bounds of ``dataset``; returns (spec, rule)."""
     if args.scale is not None:
         spec = MechanismSpec(method=method, noise=args.noise,
                              scale=args.scale, epsilon=args.epsilon)
         return spec, None
-    metric = getattr(args, "metric", None) or base_metric
-    n = args.n if getattr(args, "n", None) is not None else None
-    sens_spec = SensSpec(fmt=fmt, lower=lower, upper=upper, metric=metric,
-                         method=method, n=n)
+    sens_spec = SensSpec(fmt=dataset.fmt, lower=dataset.lower,
+                         upper=dataset.upper, metric=args.metric or base_metric,
+                         method=method, n=args.n)
     bound = _CALIBRATION_RULES[args.calibrate](sens_spec)
     factor = args.scale_factor
     if factor == 1:
@@ -237,11 +241,11 @@ def _cmd_sum(args) -> int:
     dataset = load_dataset(args.infile)
     method = _method_from_args(args)
     outcome = run_sum(dataset, method)
-    display, exact = _released(outcome.value)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "value": display,
-        "exact": exact,
+    value = outcome.value
+    return _report(args, "sum", "sum.json", {
+        # a float release shows its bit pattern, and its exact value apart
+        "value": value.to_hex() if isinstance(value, SimFloat) else str(value),
+        "exact": str(value),
         "n": len(dataset),
         "method": method.to_json(),
         "clamp_events": list(outcome.clamp_events),
@@ -250,14 +254,7 @@ def _cmd_sum(args) -> int:
             "lower": encode_value(outcome.offset[0]),
             "count": outcome.offset[1],
         },
-        "manifest": _manifest(
-            "sum",
-            {"in": str(args.infile), "method": method.to_json()},
-            {"permutation": _permutation_seeds(method)},
-            [], args.stamp),
-    }
-    _emit(report, args.out, "sum.json")
-    return EXIT_OK
+    }, computed={"in": args.infile}, method=method)
 
 
 def _cmd_sens_bound(args) -> int:
@@ -271,21 +268,12 @@ def _cmd_sens_bound(args) -> int:
         citations.append(implemented.rule)
     except (PreconditionFailed, UnsupportedCombination) as exc:
         reason = str(exc)
-    report = {
-        "schema": SCHEMA_VERSION,
+    return _report(args, "sens bound", "bound.json", {
         "idealized": ideal.to_json(),
         "implemented": None if implemented is None else implemented.to_json(),
         "implemented_error": reason,
-        "manifest": _manifest(
-            "sens bound",
-            {"format": args.format, "lower": args.lower, "upper": args.upper,
-             "metric": args.metric, "n": args.n, "checked": args.checked,
-             "method": spec.method.to_json()},
-            {"permutation": _permutation_seeds(spec.method)},
-            citations, args.stamp),
-    }
-    _emit(report, args.out, "bound.json")
-    return EXIT_OK
+    }, ("format", "lower", "upper", "metric", "n", "checked"),
+        method=spec.method, citations=citations)
 
 
 def _cmd_sens_bruteforce(args) -> int:
@@ -296,23 +284,13 @@ def _cmd_sens_bruteforce(args) -> int:
     if result.witness is not None:
         witness = {"u": [encode_value(v) for v in result.witness[0]],
                    "v": [encode_value(v) for v in result.witness[1]]}
-    report = {
-        "schema": SCHEMA_VERSION,
+    return _report(args, "sens bruteforce", "bruteforce.json", {
         "value": str(result.value),
         "output_metric": result.output_metric,
         "datasets": result.datasets,
         "witness": witness,
-        "manifest": _manifest(
-            "sens bruteforce",
-            {"format": args.format, "lower": args.lower, "upper": args.upper,
-             "metric": args.metric, "n": args.n,
-             "include_subnormals": args.include_subnormals,
-             "method": spec.method.to_json()},
-            {"permutation": _permutation_seeds(spec.method)},
-            [f"brute-force-{args.metric}"], args.stamp),
-    }
-    _emit(report, args.out, "bruteforce.json")
-    return EXIT_OK
+    }, ("format", "lower", "upper", "metric", "n", "include_subnormals"),
+        method=spec.method, citations=[f"brute-force-{args.metric}"])
 
 
 def _cmd_sens_recommend(args) -> int:
@@ -321,18 +299,10 @@ def _cmd_sens_recommend(args) -> int:
     upper = decode_value(fmt, args.upper)
     recs = recommend(fmt, lower, upper, args.metric, n=args.n,
                      n_max=args.n_max)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "recommendations": [r.to_json() for r in recs],
-        "manifest": _manifest(
-            "sens recommend",
-            {"format": args.format, "lower": args.lower, "upper": args.upper,
-             "metric": args.metric, "n": args.n, "n_max": args.n_max},
-            {},
-            [r.bound.rule for r in recs], args.stamp),
-    }
-    _emit(report, args.out, "recommend.json")
-    return EXIT_OK
+    return _report(args, "sens recommend", "recommend.json",
+                   {"recommendations": [r.to_json() for r in recs]},
+                   ("format", "lower", "upper", "metric", "n", "n_max"),
+                   citations=[r.bound.rule for r in recs])
 
 
 _ATTACK_PARAM_NAMES = ("j", "a", "d", "m", "upper", "lower", "metric")
@@ -385,112 +355,66 @@ def _cmd_attack_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(instance.u, out / "u.json")
     save_dataset(instance.v, out / "v.json")
-    report = {
-        "schema": SCHEMA_VERSION,
-        "instance": instance.to_json(),
-        "manifest": _manifest(
-            "attack gen",
-            {"theorem": args.theorem, "format": format_to_json(fmt),
-             **{k: (str(v) if isinstance(v, Fraction) else v)
-                for k, v in sorted(params.items())}},
-            {}, [], args.stamp),
-    }
-    text = _dump(report)
-    sys.stdout.write(text)
-    (out / "instance.json").write_text(text, encoding="utf-8")
-    return EXIT_OK
+    return _report(args, "attack gen", "instance.json",
+                   {"instance": instance.to_json()}, ("theorem",),
+                   computed={"format": format_to_json(fmt), **params})
 
 
 def _cmd_attack_verify(args) -> int:
     instance = _load_instance(args.instance)
-    method = _method_from_args(args, default=None)
-    native = (args.method is None and args.rounding is None
-              and not args.transform)
+    method = _method_from_args(args, default=instance.method)
+    native = method is instance.method
     result = verify_attack(instance, method=None if native else method)
-    used = instance.method if native else method
-    report = {
-        "schema": SCHEMA_VERSION,
+    return _report(args, "attack verify", "verify.json", {
         "name": instance.name,
         "native_method": native,
-        "method": used.to_json(),
+        "method": method.to_json(),
         **result.to_json(),
-        "manifest": _manifest(
-            "attack verify",
-            {"instance": str(args.instance), "method": used.to_json(),
-             "native": native},
-            {"permutation": _permutation_seeds(used)},
-            [], args.stamp),
-    }
-    _emit(report, args.out, "verify.json")
-    return EXIT_OK if result.matches_prediction else EXIT_VERIFICATION
+    }, ("instance",), computed={"native": native}, method=method,
+        code=EXIT_OK if result.matches_prediction else EXIT_VERIFICATION)
 
 
 def _cmd_experiment_run(args) -> int:
     instance = _load_instance(args.instance)
     method = _method_from_args(args, default=instance.method)
-    u = instance.u
-    spec, rule = _calibrated_spec(args, u.fmt, u.lower, u.upper, method,
+    spec, rule = _calibrated_spec(args, instance.u, method,
                                   base_metric=instance.metric)
     result = distinguishing_experiment(instance, spec, args.trials,
                                        master_seed=args.seed,
                                        threshold=args.threshold)
-    report = {
-        "schema": SCHEMA_VERSION,
+    return _report(args, "experiment run", "experiment.json", {
         **result.to_json(),
         "mechanism": spec.to_json(),
         "calibration_rule": rule,
-        "manifest": _manifest(
-            "experiment run",
-            {"instance": str(args.instance), "epsilon": str(args.epsilon),
-             "trials": args.trials, "noise": args.noise,
-             "calibrate": args.calibrate,
-             "scale": None if args.scale is None else str(args.scale),
-             "scale_factor": str(args.scale_factor),
-             "threshold": None if args.threshold is None
-             else str(args.threshold),
-             "method": method.to_json()},
-            {"master": args.seed,
-             "permutation": _permutation_seeds(method)},
-            [rule] if rule else [], args.stamp),
-    }
-    _emit(report, args.out, "experiment.json")
-    return (EXIT_VERIFICATION if result.verdict == "epsilon-violation"
-            else EXIT_OK)
+    }, ("instance", "epsilon", "trials", "noise", "calibrate", "scale",
+        "scale_factor", "threshold"),
+        method=method, seeds={"master": args.seed}, citations=[rule],
+        code=(EXIT_VERIFICATION if result.verdict == "epsilon-violation"
+              else EXIT_OK))
 
 
 def _cmd_dpcheck_exact(args) -> int:
     u = load_dataset(args.u)
     v = load_dataset(args.v)
     method = _method_from_args(args)
-    spec, rule = _calibrated_spec(args, u.fmt, u.lower, u.upper, method,
-                                  base_metric=args.metric)
+    spec, rule = _calibrated_spec(args, u, method, base_metric=args.metric)
     result = exact_dp_check(spec, u, v, args.epsilon)
-    report = {
-        "schema": SCHEMA_VERSION,
+    return _report(args, "dpcheck exact", "dpcheck.json", {
         **result.to_json(),
         "mechanism": spec.to_json(),
         "calibration_rule": rule,
-        "manifest": _manifest(
-            "dpcheck exact",
-            {"u": str(args.u), "v": str(args.v),
-             "epsilon": str(args.epsilon), "noise": args.noise,
-             "calibrate": args.calibrate,
-             "scale": None if args.scale is None else str(args.scale),
-             "scale_factor": str(args.scale_factor),
-             "metric": args.metric, "method": method.to_json()},
-            {"permutation": _permutation_seeds(method)},
-            [rule] if rule else [], args.stamp),
-    }
-    _emit(report, args.out, "dpcheck.json")
-    return EXIT_OK if result.satisfied else EXIT_VERIFICATION
+    }, ("u", "v", "epsilon", "noise", "calibrate", "scale", "scale_factor",
+        "metric"),
+        method=method, citations=[rule],
+        code=EXIT_OK if result.satisfied else EXIT_VERIFICATION)
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, metavar="DIR",
+def _add_common(parser: argparse.ArgumentParser, out=None) -> None:
+    parser.add_argument("--out", default=out, metavar="DIR",
                         help="also write the report into this directory")
     parser.add_argument("--stamp", action="store_true",
                         help="embed the wall-clock time instead of the fixed "
@@ -581,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-subnormals", action="store_true",
                    help="enumerate subnormal float values too")
     _add_common(p)
-    p.set_defaults(func=_cmd_sens_bruteforce, checked=False)
+    p.set_defaults(func=_cmd_sens_bruteforce)
 
     p = sens_sub.add_parser("recommend",
                             help="rank certifiable configurations")
@@ -594,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     attack = top.add_parser("attack", help="generate and verify attacks")
     attack_sub = attack.add_subparsers(dest="attack_command", required=True)
 
-    p = attack_sub.add_parser("gen", help="write an adjacent attack pair")
+    p = attack_sub.add_parser(
+        "gen", help="write an adjacent attack pair (u.json, v.json) and "
+                    "its report (instance.json) into --out")
     p.add_argument("--theorem", required=True, choices=ATTACK_NAMES)
     p.add_argument("--k", type=int, default=None,
                    help="mantissa bits (float formats)")
@@ -618,11 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-last", action="store_true",
                    help="float_reorder: drop one element instead of only "
                         "reordering")
-    p.add_argument("--out", default=".", metavar="DIR",
-                   help="directory for u.json, v.json, instance.json")
-    p.add_argument("--stamp", action="store_true",
-                   help="embed the wall-clock time instead of the fixed "
-                        "epoch timestamp (breaks byte-identical reruns)")
+    _add_common(p, out=".")
     p.set_defaults(func=_cmd_attack_gen)
 
     p = attack_sub.add_parser("verify", help="replay an instance")
@@ -681,13 +603,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PreconditionFailed, UnsupportedCombination) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except KeyError as exc:
         print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ValueError, TypeError, OSError) as exc:
+        # PreconditionFailed and UnsupportedCombination are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
