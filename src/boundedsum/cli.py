@@ -20,12 +20,13 @@ Every report is JSON with sorted keys; numbers that must stay exact
 travel as strings (bit patterns, decimal integers, ``m*2^e`` dyadics,
 fractions).  Subcommands only compute: one function, ``_report``, writes
 every report.  It adds the schema version and a manifest recording the
-command, every flag that can change the numbers, the seeds consumed,
-module versions, and the bound rules the numbers rest on, so outputs are
-auditable and byte-identical across reruns.  ``--out DIR`` writes the
-same bytes as stdout into a file in DIR.  Timestamps are fixed to the
-epoch unless ``--stamp`` is given — wall-clock stamps are the one thing
-that would break reproducibility.
+command, every flag that can change the numbers (the calibration bound's
+``--metric`` and ``--n`` included), the seeds consumed, module versions,
+and the bound rules the numbers rest on, so outputs are auditable and
+byte-identical across reruns.  ``--out DIR`` writes the same bytes as
+stdout into a file in DIR.  Timestamps are fixed to the epoch unless
+``--stamp`` is given — wall-clock stamps are the one thing that would
+break reproducibility.
 
 Dataset files are accepted unchanged between subcommands: the pair
 written by ``attack gen`` feeds ``sum``, ``dpcheck exact``, and so on.
@@ -387,7 +388,7 @@ def _cmd_experiment_run(args) -> int:
         "mechanism": spec.to_json(),
         "calibration_rule": rule,
     }, ("instance", "epsilon", "trials", "noise", "calibrate", "scale",
-        "scale_factor", "threshold"),
+        "scale_factor", "threshold", "metric", "n"),
         method=method, seeds={"master": args.seed}, citations=[rule],
         code=(EXIT_VERIFICATION if result.verdict == "epsilon-violation"
               else EXIT_OK))
@@ -404,7 +405,7 @@ def _cmd_dpcheck_exact(args) -> int:
         "mechanism": spec.to_json(),
         "calibration_rule": rule,
     }, ("u", "v", "epsilon", "noise", "calibrate", "scale", "scale_factor",
-        "metric"),
+        "metric", "n"),
         method=method, citations=[rule],
         code=EXIT_OK if result.satisfied else EXIT_VERIFICATION)
 

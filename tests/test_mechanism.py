@@ -136,6 +136,25 @@ def test_cli_dpcheck_exits_2_on_a_mismatched_modulus(tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_cli_manifest_records_the_calibration_flags(tmp_path, capsys):
+    # --metric and --n choose the bound the noise is calibrated to, so the
+    # manifest must record them
+    pair = tmp_path / "ov8"
+    assert main(["attack", "gen", "--theorem", "overflow", "--bits", "8",
+                 "--upper", "1", "--out", str(pair)]) == 0
+    for argv in (["experiment", "run", "--instance", str(pair), "--trials",
+                  "10", "--seed", "1"],
+                 ["dpcheck", "exact", "--u", str(pair / "u.json"), "--v",
+                  str(pair / "v.json")]):
+        capsys.readouterr()
+        assert main(argv + ["--epsilon", "1", "--calibrate", "idealized",
+                            "--metric", "co", "--n", "3"]) in (0, 3)
+        report = json.loads(capsys.readouterr().out)
+        assert report["calibration_rule"] == "idealized-co"
+        parameters = report["manifest"]["parameters"]
+        assert (parameters["metric"], parameters["n"]) == ("co", 3), argv
+
+
 # ---------------------------------------------------------------------------
 # Breakpoint search against full enumeration
 # ---------------------------------------------------------------------------
