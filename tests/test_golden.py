@@ -25,10 +25,12 @@ byte.
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 from pytest import mark, raises
@@ -88,6 +90,11 @@ CASES["bruteforce-float23-shift-co-pairwise"] = [
 CASES["bruteforce-int4-wraparound-sym-exact"] = [
     "sens", "bruteforce", "--format", "int:4:signed:wraparound", "--lower",
     "-4", "--upper", "3", "--metric", "sym", "--n", "3", "--method", "exact"]
+# the one small case found where a group's high end, not its low end,
+# gives the witness (u=[3, 3, -4, -3], v=[-3, 3, 3], gap 7)
+CASES["bruteforce-int3-saturating-sym-n4-iterative"] = [
+    "sens", "bruteforce", "--format", "int:3:signed:saturating", "--lower",
+    "-4", "--upper", "3", "--metric", "sym", "--n", "4"]
 
 # name -> (argv, exit code) of a refused scan; the golden is its stderr
 REFUSAL_CASES = {
@@ -132,12 +139,28 @@ CASES["bound-id-kahan-shift-truncate"] = _BOUND + [
     "--metric", "id", "--method", "kahan", "--transform", "shift",
     "--transform", "truncate:3"]
 CASES["bound-id-split"] = _BOUND + ["--metric", "id", "--method", "split"]
+# a fresh shuffle lets a saturating fold take the ordered bound
+CASES["bound-int4-saturating-sym-permute"] = [
+    "sens", "bound", "--format", "int:4:signed:saturating", "--lower", "-4",
+    "--upper", "3", "--metric", "sym", "--n", "3", "--transform", "permute:1"]
 CASES["recommend-float10_5-ham-n1000"] = [
     "sens", "recommend", "--format", "float:10,5", "--lower", "-1",
     "--upper", "1", "--metric", "ham", "--n", "1000"]
 CASES["recommend-int16-wraparound-sym-n4096"] = [
     "sens", "recommend", "--format", "int:16:signed:wraparound", "--lower",
     "-16", "--upper", "16", "--metric", "sym", "--n", "4096"]
+# saturating ints: shuffled for an unordered metric, ordered otherwise
+CASES["recommend-int8-saturating-sym-n16"] = [
+    "sens", "recommend", "--format", "int:8:signed:saturating", "--lower",
+    "-4", "--upper", "3", "--metric", "sym", "--n", "16"]
+CASES["recommend-int8-saturating-id"] = [
+    "sens", "recommend", "--format", "int:8:signed:saturating", "--lower",
+    "-4", "--upper", "3", "--metric", "id"]
+# floats of unknown size: the truncated routes under a cap
+for metric in ("sym", "id"):
+    CASES[f"recommend-float10_5-{metric}-nmax64"] = [
+        "sens", "recommend", "--format", "float:10,5", "--lower", "-1",
+        "--upper", "1", "--metric", metric, "--n-max", "64"]
 
 # one small instance of each attack family: name -> ``attack gen`` flags.
 # The long one-value runs (up to 4,096 elements) exercise the run-aware
@@ -239,7 +262,7 @@ MECHANISM_CASES = {
 REPLAY_CASES = {}
 for _tag in GEN_CASES:
     _is_float = not _tag.startswith(("ov", "sr"))
-    for _alg in ("native", "pairwise", "kahan", "split"):
+    for _alg in ("native", "pairwise", "kahan", "split", "exact"):
         if _alg == "kahan" and not _is_float:
             continue
         _argv = ["attack", "verify", "--instance", f"instances/{_tag}"]
@@ -285,6 +308,8 @@ REPLAY_EXIT = {name: 3 for name in (
     "verify-rr1_10_5-split", "verify-rr1_10_5-kahan-toward_pos",
     "verify-rr2_4_6-pairwise", "verify-rr2_4_6-kahan",
     "verify-rr2_4_6-split")}
+# the exact sum releases the idealized sums, below every predicted gap
+REPLAY_EXIT.update((f"verify-{_tag}-exact", 3) for _tag in GEN_CASES)
 
 # numpy builds may differ in the last digits of the log-sum-exp
 _LOG2_BOUND = re.compile(r'"log2_probability_bound": (\S+?),\n')
@@ -386,6 +411,39 @@ def test_attack_gen_is_byte_identical(name, tmp_path):
 def test_refusal_is_byte_identical(name):
     expected = (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
     assert _refusal_stderr(name) == expected
+
+
+# one command of each kind -> (argv, exit code, the file --out writes)
+OUT_CASES = {
+    "sum": (REPLAY_CASES["sum-dense_f10_5-kahan"], 0, "sum.json"),
+    "sens bound": (CASES["bound-id-split"], 0, "bound.json"),
+    "sens bruteforce": (CASES["bruteforce-float23-n3-sym-iterative"], 0,
+                        "bruteforce.json"),
+    "sens recommend": (CASES["recommend-float10_5-ham-n1000"], 0,
+                       "recommend.json"),
+    "attack gen": (["attack", "gen", *GEN_CASES["ov16"]], 0,
+                   "instance.json"),
+    "attack verify": (REPLAY_CASES["verify-ov16-native"], 0, "verify.json"),
+    "experiment run": (*MECHANISM_CASES["experiment-rr2-laplace"],
+                       "experiment.json"),
+    "dpcheck exact": (*MECHANISM_CASES["dpcheck-ov8-clamped-idealized"],
+                      "dpcheck.json"),
+}
+
+
+@mark.parametrize("name", sorted(OUT_CASES))
+def test_out_copy_is_stdout_and_stamp_reads_the_clock(name, tmp_path):
+    argv, exit_code, filename = OUT_CASES[name]
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    with _in_golden():
+        code, out = _run([*argv, "--out", str(tmp_path), "--stamp"])
+    after = datetime.now(timezone.utc)
+    assert code == exit_code
+    assert (tmp_path / filename).read_bytes() == out.encode("utf-8")
+    stamp = json.loads(out)["manifest"]["timestamp"]
+    when = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")
+    assert before <= when.replace(tzinfo=timezone.utc) <= after
+    assert stamp != "1970-01-01T00:00:00Z"
 
 
 def test_an_abbreviated_option_is_refused(capsys):
