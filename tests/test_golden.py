@@ -95,6 +95,11 @@ CASES["bruteforce-int4-wraparound-sym-exact"] = [
 CASES["bruteforce-int3-saturating-sym-n4-iterative"] = [
     "sens", "bruteforce", "--format", "int:3:signed:saturating", "--lower",
     "-4", "--upper", "3", "--metric", "sym", "--n", "4"]
+# the ring of the bruteforce-exhaustive workload: 24 residues of 64, so a
+# release's farthest residue is the one nearest its antipode
+CASES["bruteforce-int6-wraparound-ham-n3-iterative"] = [
+    "sens", "bruteforce", "--format", "int:6:signed:wraparound", "--lower",
+    "-12", "--upper", "11", "--metric", "ham", "--n", "3"]
 
 # name -> (argv, exit code) of a refused scan; the golden is its stderr
 REFUSAL_CASES = {
