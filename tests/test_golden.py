@@ -73,8 +73,8 @@ for metric, alg in (("ham", "kahan"), ("sym", "pairwise"), ("co", "split"),
         "--upper", "1", "--metric", metric, "--n", "2", "--method", alg,
         "--include-subnormals"]
 
-# the engine's other release paths: directed rounding through the prefix
-# folds, the transforms through run_sum, exact releases on the ring
+# the engine's other release paths: directed rounding through the step
+# tables, a truncated prefix, a shifted domain, exact releases on the ring
 _F23_N3 = ["sens", "bruteforce", "--format", "float:2,3", "--lower", "-1",
            "--upper", "1", "--n", "3"]
 CASES["bruteforce-float23-toward_neg-ham-kahan"] = _F23_N3 + [

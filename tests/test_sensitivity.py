@@ -14,6 +14,8 @@ import random
 import re
 import time
 
+import numpy as np
+
 from pytest import mark, raises
 
 from boundedsum import (ALGORITHMS, Dataset, FloatFormat, IntFormat, KInt,
@@ -25,7 +27,8 @@ from boundedsum import (ALGORITHMS, Dataset, FloatFormat, IntFormat, KInt,
 from boundedsum.cli import main, parse_format
 from boundedsum.data import exact_value, order_key
 from boundedsum.dyadic import Dyadic
-from boundedsum.sensitivity import METRICS, _RingRace
+from boundedsum import sensitivity
+from boundedsum.sensitivity import METRICS, _Ring
 
 FMT = IntFormat(8, True, "saturating")
 
@@ -335,14 +338,19 @@ def _spec(fmt_text, lower, upper, metric, n, algorithm, rounding="banker",
 
 
 # (format, lower, upper, n, rounding, subnormals): small domains, so the
-# per-tuple reference stays quick; [4, 14] overflows under toward_pos
+# per-tuple reference stays quick; [4, 14] overflows under toward_pos.  At
+# n <= 3 pairwise adds in the left fold's order; [0.5, 1.5] at n = 4 is
+# where the two trees part (see below).  [0, 0] has one value, so every
+# gap is 0 and only the order of offers picks the witness.
 FRAMES = [
     ("float:2,3", "-0.5", "0.5", 3, "banker", False),
     ("float:2,3", "-0.5", "0.5", 2, "toward_pos", True),
     ("float:2,3", "4", "14", 3, "toward_pos", False),
     ("float:2,3", "-14", "14", 2, "banker", False),
+    ("float:2,3", "0.5", "1.5", 4, "banker", False),
     ("int:4:signed:wraparound", "-4", "3", 3, "banker", False),
     ("int:4:signed:saturating", "-4", "3", 3, "banker", False),
+    ("int:4:signed:saturating", "0", "0", 2, "banker", False),
 ]
 
 ORACLE = [(*frame, metric, alg) for frame in FRAMES for metric in METRICS
@@ -369,6 +377,19 @@ def test_bruteforce_matches_the_per_tuple_scan(
     _assert_same_as_reference(spec, subnormals)
 
 
+def test_the_n4_frame_tells_pairwise_from_the_left_fold():
+    spec = _spec("float:2,3", "0.5", "1.5", "ham", 4, "pairwise")
+    frame = Dataset(spec.fmt, spec.lower, spec.upper, ())
+    domain = values_in_range(spec.fmt, spec.lower, spec.upper)
+
+    def release(tup, algorithm):
+        return run_sum(frame.replace_elements(tup), SumMethod(algorithm)).value
+
+    differ = sum(release(t, "pairwise") != release(t, "iterative")
+                 for t in itertools.product(domain, repeat=4))
+    assert (len(domain), differ) == (7, 558)
+
+
 TRANSFORMED = [
     ("float:2,3", "-0.5", "0.5", (Truncate(2),)),
     ("float:2,3", "0.25", "1.75", (ShiftBounds(),)),
@@ -389,6 +410,34 @@ def test_bruteforce_with_transforms_matches_the_per_tuple_scan(
     _assert_same_as_reference(spec)
 
 
+def _outcome(spec, subnormals=False):
+    """A scan's value, witness and dataset count, or its refusal."""
+    try:
+        got = brute_force_sensitivity(spec, subnormals)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return got.value, got.witness, got.datasets
+
+
+SEAMS = ([(_spec(fmt, lower, upper, metric, n, alg, rounding), subnormals)
+          for fmt, lower, upper, n, rounding, subnormals, metric, alg
+          in ORACLE]
+         + [(_spec(fmt, lower, upper, metric, 2, alg, transforms=transforms),
+             False)
+            for fmt, lower, upper, transforms in TRANSFORMED
+            for metric, alg in (("ham", "iterative"), ("co", "kahan"),
+                                ("sym", "split"), ("id", "pairwise"),
+                                ("sym", "exact"))])
+
+
+def test_chunk_seams_change_nothing(monkeypatch):
+    # a budget of a few tuples puts seams inside groups and between the
+    # halves of a pairwise tree; every scan must come out the same
+    want = [_outcome(*case) for case in SEAMS]
+    monkeypatch.setattr(sensitivity, "_CHUNK", 5)
+    assert [_outcome(*case) for case in SEAMS] == want
+
+
 def test_kahan_on_ints_is_refused_like_the_per_tuple_scan():
     spec = _spec("int:4:signed:wraparound", "-4", "3", "ham", 2, "kahan")
     with raises(TypeError, match="defined for float formats"):
@@ -396,15 +445,26 @@ def test_kahan_on_ints_is_refused_like_the_per_tuple_scan():
     _assert_same_as_reference(spec)
 
 
+class _Frame:
+    """What a ring race reads off the releases: the modulus, the dtype and
+    the layout of a group key."""
+
+    def __init__(self, modulus):
+        self.modulus, self.dt, self.width, self.offset = (modulus, np.int64,
+                                                          modulus, 0)
+
+
 @mark.parametrize("modulus", [8, 16, 64])
 def test_ring_race_picks_the_residue_an_all_pairs_race_picks(modulus):
+    # one group of random residues, ties planted: a residue's arrival
+    # races it against every earlier residue, a probe against all of them,
+    # each in insertion order, and the first strictly largest gap wins
     rng = random.Random(modulus)
     half = modulus // 2
     for trial in range(100):
-        race, groups = _RingRace(modulus), {}
-        ref = _RefTracker(modulus)
-        members = {}                   # residue -> first tuple, in order
-        for step in range(rng.randint(1, modulus)):
+        members = {}                   # residue -> first key, in order
+        arrivals = []
+        for key in range(rng.randint(1, modulus)):
             s = rng.randrange(modulus)
             if len(members) > 1 and rng.random() < 0.4:
                 # plant a tie: s's antipode halfway between two members,
@@ -412,17 +472,24 @@ def test_ring_race_picks_the_residue_an_all_pairs_race_picks(modulus):
                 a, b = rng.sample(list(members), 2)
                 if (a - b) % 2 == 0:
                     s = ((a + b) // 2 + rng.choice((0, half)) + half) % modulus
-            t = (trial, step)
-            probe = members and rng.random() < 0.5
-            if probe:
-                race.probe(groups["g"], s, t)
-                for sb, tb in members.items():
-                    ref.offer(s, t, sb, tb)
-            else:
-                race.join(groups, "g", s, t)
-                if s not in members:
-                    for sb, tb in members.items():
-                        ref.offer(s, t, sb, tb)
-                    members[s] = t
-            assert (race.pair, max(race.best, 0)) == (ref.pair,
-                                                      ref.best or 0)
+            arrivals.append((s, key))
+            members.setdefault(s, key)
+        race, ref = _Ring(_Frame(modulus), 0), _RefTracker(modulus)
+        codes = np.zeros(len(arrivals), np.int64)
+        s, key = (np.array(x, np.int64) for x in zip(*arrivals))
+        groups = race.merge(race.part(codes, key, s))
+        race.joins(groups, 1)
+        seen = {}
+        for r, k in arrivals:
+            if r not in seen:
+                for sb, tb in seen.items():
+                    ref.offer(r, k, sb, tb)
+                seen[r] = k
+        probes = [rng.randrange(modulus) for _ in range(rng.randint(1, 4))]
+        race.probes(groups, 2, np.zeros(len(probes), np.int64),
+                    np.arange(len(probes)) + modulus, np.array(probes))
+        for k, r in enumerate(probes):
+            for sb, tb in members.items():
+                ref.offer(r, k + modulus, sb, tb)
+        got = race.pair and (int(race.pair[0][1]), int(race.pair[1][1]))
+        assert (got, max(race.event[0], 0)) == (ref.pair, ref.best or 0)
