@@ -216,7 +216,7 @@ def test_bruteforce_stays_below_the_certified_bound(
 
 
 # ---------------------------------------------------------------------------
-# The shared-work scan against the per-tuple scan it replaced
+# The array scan against the per-tuple scan
 # ---------------------------------------------------------------------------
 
 class _RefTracker:
@@ -431,8 +431,9 @@ SEAMS = ([(_spec(fmt, lower, upper, metric, n, alg, rounding), subnormals)
 
 
 def test_chunk_seams_change_nothing(monkeypatch):
-    # a budget of a few tuples puts seams inside groups and between the
-    # halves of a pairwise tree; every scan must come out the same
+    # a budget of a few tuples cuts every length into many chunks, so
+    # groups span chunks and merge part by part; every scan must come out
+    # the same
     want = [_outcome(*case) for case in SEAMS]
     monkeypatch.setattr(sensitivity, "_CHUNK", 5)
     assert [_outcome(*case) for case in SEAMS] == want
