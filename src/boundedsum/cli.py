@@ -30,6 +30,13 @@ break reproducibility.
 
 Dataset files are accepted unchanged between subcommands: the pair
 written by ``attack gen`` feeds ``sum``, ``dpcheck exact``, and so on.
+
+numpy and mpmath are imported where they are first used, not when the
+package loads: ``sens bruteforce`` loads numpy, ``dpcheck exact`` loads
+mpmath, ``experiment run`` loads both, and ``sum``, ``sens bound``,
+``sens recommend``, ``attack gen`` and ``attack verify`` load neither.
+The argument parser is built once per process, on the first
+:func:`main` call.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import List, Optional
 
@@ -122,7 +130,10 @@ def _seed64(text) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # argparse reports only a ValueError as such
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _method_from_args(args, default: Optional[SumMethod] = None) -> SumMethod:
@@ -599,9 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except KeyError as exc:

@@ -41,9 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple, Union
 
-import mpmath
-import numpy as np
-
 from .data import Dataset, exact_value
 from .floats import add_float, round_dyadic
 from .dyadic import Dyadic
@@ -81,6 +78,7 @@ _ALPHA_GRID_BITS = 80
 
 @lru_cache(maxsize=None)
 def _rational_alpha_cached(num: int, den: int) -> Fraction:
+    import mpmath
     scale = Fraction(num, den)
     with mpmath.workprec(_ALPHA_GRID_BITS + 48):
         a = mpmath.exp(-mpmath.mpf(scale.denominator) / mpmath.mpf(
@@ -353,6 +351,7 @@ def _log_upper_tail(k: int, n: int, p: np.ndarray) -> np.ndarray:
     summed by a log-sum-exp shifted by each row's largest term, which
     keeps every magnitude representable.
     """
+    import numpy as np
     p = np.asarray(p, dtype=float)
     if k <= 0:
         return np.zeros_like(p)
@@ -408,9 +407,17 @@ def dp_violation_log2_bound(counts, epsilon) -> float:
     if u1 * nv < v1 * nu:
         (u0, u1), (v0, v1) = (v0, v1), (u0, u1)
         nu, nv = nv, nu
-    eps = float(epsilon)
-    e_pos, e_neg = math.exp(eps), math.exp(-eps)
+    try:
+        eps = float(epsilon)
+        e_pos, e_neg = math.exp(eps), math.exp(-eps)
+    except OverflowError:
+        # past eps = 709.78, e^eps is beyond the largest double.  The
+        # constraints have all but vanished by then (at eps = 700 the
+        # bound on ((3, 0), (0, 3)) is -2.2e-6), so the bound is 0.0, the
+        # log of a probability of 1, which no table exceeds
+        return 0.0
     log2e = 1.0 / math.log(2.0)
+    import numpy as np
 
     def evaluate(pu: np.ndarray) -> np.ndarray:
         pv = np.maximum(pu * e_neg, 1.0 - e_pos * (1.0 - pu))
@@ -486,6 +493,7 @@ def certified_leq_exp(ratio: Fraction, exponent: Fraction) -> bool:
     ratio, exponent = Fraction(ratio), Fraction(exponent)
     if exponent == 0:
         return ratio <= 1
+    import mpmath
     iv = mpmath.iv
     saved = iv.prec
     try:

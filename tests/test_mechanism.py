@@ -91,6 +91,15 @@ def test_violation_bound_verdicts_of_the_benchmark_tables():
     assert dp_violation_log2_bound(((5, 0), (0, 5)), 2) > VERDICT_CUTOFF_LOG2
 
 
+def test_violation_bound_past_the_double_range_is_zero():
+    # e^eps is past the largest double from eps = 709.78 on, and 1e400
+    # is past it before the exponential
+    counts = ((3, 0), (0, 3))
+    at_700 = dp_violation_log2_bound(counts, 700)
+    for epsilon in (710, Fraction(10) ** 400):
+        assert dp_violation_log2_bound(counts, epsilon) == 0.0 >= at_700
+
+
 # ---------------------------------------------------------------------------
 # Modular noise on the format's own ring
 # ---------------------------------------------------------------------------

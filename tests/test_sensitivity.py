@@ -27,8 +27,9 @@ from boundedsum import (ALGORITHMS, Dataset, FloatFormat, IntFormat, KInt,
 from boundedsum.cli import main, parse_format
 from boundedsum.data import exact_value, order_key
 from boundedsum.dyadic import Dyadic
-from boundedsum import sensitivity
-from boundedsum.sensitivity import METRICS, _Ring
+from boundedsum import bruteforce as engine
+from boundedsum.bruteforce import _Ring
+from boundedsum.sensitivity import METRICS
 
 FMT = IntFormat(8, True, "saturating")
 
@@ -435,7 +436,7 @@ def test_chunk_seams_change_nothing(monkeypatch):
     # groups span chunks and merge part by part; every scan must come out
     # the same
     want = [_outcome(*case) for case in SEAMS]
-    monkeypatch.setattr(sensitivity, "_CHUNK", 5)
+    monkeypatch.setattr(engine, "_CHUNK", 5)
     assert [_outcome(*case) for case in SEAMS] == want
 
 
