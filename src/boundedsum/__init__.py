@@ -40,8 +40,7 @@ from .mechanism import (NOISE_KINDS, SUPPORT_LIMIT, VERDICT_CUTOFF_LOG2,
                         ExactDPReport, ExperimentReport, MechanismSpec,
                         calibrate, certified_leq_exp,
                         distinguishing_experiment, dp_violation_log2_bound,
-                        exact_dp_check, modular_noise_add, rational_alpha,
-                        run_mechanism)
+                        exact_dp_check, rational_alpha, run_mechanism)
 
 __version__ = "0.1.0"
 
@@ -78,7 +77,7 @@ __all__ = [
     "repeated_rounding_attack_2", "generate_attack", "verify_attack",
     # mechanism
     "NOISE_KINDS", "MechanismSpec", "ExperimentReport", "ExactDPReport",
-    "rational_alpha", "modular_noise_add", "calibrate", "run_mechanism",
+    "rational_alpha", "calibrate", "run_mechanism",
     "distinguishing_experiment", "dp_violation_log2_bound", "exact_dp_check",
     "certified_leq_exp", "VERDICT_CUTOFF_LOG2", "SUPPORT_LIMIT",
 ]

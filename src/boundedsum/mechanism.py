@@ -2,11 +2,12 @@
 
 Three layers, in increasing order of rigor:
 
-1. Samplers and :func:`run_mechanism` — draw Laplace-family noise and add
-   it to a bounded-sum release the way a real library would (float add,
-   clamp into the integer type, or modular reduction).  The continuous
-   sampler is reference plumbing with *statistical* quality only; nothing
-   security-critical consumes its draws.
+1. The sampler and :func:`run_mechanism` — draw Laplace-family noise and
+   add it to a bounded-sum release the way a real library would (float
+   add, clamp into the integer type, or modular reduction).  One sampler,
+   built once per release, serves both a single run and every trial of an
+   experiment.  Its draws have *statistical* quality only; nothing
+   security-critical consumes them.
 
 2. :func:`distinguishing_experiment` and :func:`dp_violation_log2_bound`
    — the hypothesis-testing harness.  Run a mechanism many times on an
@@ -26,8 +27,11 @@ Three layers, in increasing order of rigor:
 
 The discrete noise distribution is pinned down by a *rational* decay
 parameter ``alpha`` chosen just above ``exp(-1/scale)`` (more noise than
-requested, never less), so the sampled mechanism and the exact checker
-analyse literally the same distribution.
+requested, never less), which the exact checker analyses.  The sampler
+does not draw from exactly that distribution: it draws each geometric by
+inverse CDF through doubles, so its PMF is the checker's only up to
+double rounding, the flaw class of Mironov (CCS 2012).  An exact sampler
+is ROADMAP item 4.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from .data import Dataset, exact_value
-from .floats import add_float, round_dyadic
+from .floats import SimFloat, add_float, round_dyadic
 from .dyadic import Dyadic
 from .ints import IntFormat, KInt
 from .sensitivity import (PreconditionFailed, UnsupportedCombination,
@@ -51,7 +55,7 @@ from .summation import SumMethod, run_sum
 
 __all__ = [
     "NOISE_KINDS", "MechanismSpec", "ExperimentReport", "ExactDPReport",
-    "rational_alpha", "modular_noise_add", "calibrate", "run_mechanism",
+    "rational_alpha", "calibrate", "run_mechanism",
     "distinguishing_experiment", "dp_violation_log2_bound",
     "exact_dp_check", "certified_leq_exp",
     "VERDICT_CUTOFF_LOG2", "SUPPORT_LIMIT",
@@ -104,36 +108,6 @@ def rational_alpha(scale: Union[Fraction, int]) -> Fraction:
     if scale <= 0:
         raise PreconditionFailed("scale must be positive")
     return _rational_alpha_cached(scale.numerator, scale.denominator)
-
-
-# ---------------------------------------------------------------------------
-# Samplers
-# ---------------------------------------------------------------------------
-
-def _sample_dlap(alpha: Fraction, rng: random.Random) -> int:
-    # difference of two geometric draws; inverse CDF through doubles,
-    # which is fine here because nothing exact ever consumes samples
-    ln_alpha = math.log(float(alpha))
-
-    def geometric() -> int:
-        return int(math.log1p(-rng.random()) / ln_alpha)
-
-    return geometric() - geometric()
-
-
-def _sample_laplace_float(scale: float, rng: random.Random) -> float:
-    while True:
-        w = rng.random() - 0.5
-        if abs(w) < 0.5:
-            return -scale * math.copysign(math.log1p(-2.0 * abs(w)), w)
-
-
-def modular_noise_add(value: KInt, noise: int) -> KInt:
-    """``(value + noise) mod 2^k`` back into the wraparound format."""
-    if value.fmt.overflow != "wraparound":
-        raise PreconditionFailed("modular noise addition needs a wraparound "
-                                 "format")
-    return KInt(value.fmt, value.fmt.wrap(value.value + noise))
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +200,77 @@ def _refuse_exact(spec: MechanismSpec) -> None:
 def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int):
     """One mechanism run: ``BS*(dataset)`` plus one noise draw."""
     _refuse_exact(spec)
-    return _add_noise(spec, run_sum(dataset, spec.method).value, seed)
-
-
-def _add_noise(spec: MechanismSpec, base, seed: int):
-    """The noisy release of the noiseless release ``base``."""
-    rng = random.Random(seed)
+    base = run_sum(dataset, spec.method).value
+    units = _sampler(spec, base)[0](seed)
     if isinstance(base, KInt):
-        if spec.noise == "laplace":
-            raise UnsupportedCombination(
-                "continuous noise on an integer release; use a discrete kind")
-        z = _sample_dlap(spec.alpha, rng)
-        if spec.noise == "discrete_laplace_mod":
-            return modular_noise_add(base, z)
-        return KInt(base.fmt, base.fmt.clamp(base.value + z))
-    # float release
-    fmt = base.fmt
-    if spec.noise == "discrete_laplace_mod":
+        return KInt(base.fmt, units)
+    return SimFloat.from_grid(base.fmt, units)
+
+
+def _sampler(spec: MechanismSpec, base) -> Tuple[Callable[[int], int], int]:
+    """``(draw, grid)``: ``draw(seed)`` is the noisy release of the
+    noiseless release ``base``, as its exact value times ``grid``.
+
+    An integer release counts ones (``grid`` is 1) and a float release
+    counts its format's finest spacing, so either compares with a
+    threshold as an int.  Everything that does not depend on the seed is
+    settled here, once: the refusals, ``alpha`` and its log, the Laplace
+    scale and the format's rails.  A draw reseeds one generator, which
+    gives the state of a fresh ``random.Random(seed)``, then draws its
+    noise and adds it: clamped or wrapped into an integer format, rounded
+    and added in a float format.  Discrete noise is the difference of two
+    geometric draws by inverse CDF through doubles, which nothing exact
+    consumes.
+    """
+    fmt, noise, integer = base.fmt, spec.noise, isinstance(base, KInt)
+    if integer and noise == "laplace":
+        raise UnsupportedCombination(
+            "continuous noise on an integer release; use a discrete kind")
+    if noise == "discrete_laplace_mod" and not integer:
         raise UnsupportedCombination("modular noise needs an integer format")
-    if spec.noise == "laplace":
-        z_fr = Fraction(_sample_laplace_float(float(spec.scale), rng))
+    if noise == "discrete_laplace_mod" and fmt.overflow != "wraparound":
+        raise PreconditionFailed("modular noise addition needs a wraparound "
+                                 "format")
+    rng = random.Random()
+    reseed, uniform, log1p = rng.seed, rng.random, math.log1p
+    if noise == "laplace":
+        scale = float(spec.scale)
+
+        def draw_noise():
+            while True:
+                w = uniform() - 0.5
+                if abs(w) < 0.5:
+                    return -scale * math.copysign(log1p(-2.0 * abs(w)), w)
     else:
-        z_fr = Fraction(_sample_dlap(spec.alpha, rng))
-    if z_fr == 0:
-        return base
-    noise_f = round_dyadic(Dyadic.from_fraction(z_fr), fmt, "banker")
-    return add_float(base, noise_f, "banker")
+        alpha = spec.alpha
+        # from scale 2^53 on, float(alpha) is 1.0, whose log is 0.0.  Below
+        # that the log of the double stays: the log1p form can differ from
+        # it in the last bit, which could move a recorded count
+        ln_alpha = math.log(float(alpha)) or log1p(-float(1 - alpha))
+
+        def draw_noise():
+            return (int(log1p(-uniform()) / ln_alpha)
+                    - int(log1p(-uniform()) / ln_alpha))
+    if not integer:
+        def draw(seed: int) -> int:
+            reseed(seed)
+            z = Dyadic.from_fraction(Fraction(draw_noise()))
+            return add_float(base, round_dyadic(z, fmt, "banker"),
+                             "banker").to_grid()
+        return draw, 1 << (fmt.k - fmt.emin)
+    lo, hi, value = fmt.min_value, fmt.max_value, base.value
+    if noise == "discrete_laplace_mod":
+        # (value + z) mod 2^bits, read into [lo, lo + 2^bits)
+        mask, offset = fmt.modulus - 1, value - lo
+
+        def draw(seed: int) -> int:
+            reseed(seed)
+            return ((offset + draw_noise()) & mask) + lo
+    else:
+        def draw(seed: int) -> int:
+            reseed(seed)
+            return min(max(value + draw_noise(), lo), hi)
+    return draw, 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +302,6 @@ class ExperimentReport:
         }
 
 
-def _trial_seed(master_seed: int, role: str, index: int) -> int:
-    digest = hashlib.sha256(f"{master_seed}:{role}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _midpoint(base_u, base_v) -> Fraction:
     return Fraction(exact_value(base_u) + exact_value(base_v), 2)
 
@@ -300,12 +314,17 @@ def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
 
     ``instance`` is an attack instance (anything with ``u``/``v`` dataset
     attributes).  The base sum is deterministic, so each dataset is summed
-    once and every trial only draws and adds its noise.  Per-trial seeds
-    derive from ``master_seed`` through a hash counter, so trials are
-    reproducible and order-independent.  The
-    report's bound is :func:`dp_violation_log2_bound` of the table under
-    ``spec.epsilon``, and the verdict flips to ``"epsilon-violation"``
-    below ``VERDICT_CUTOFF_LOG2``.
+    once, and one sampler is built per side: every refusal, ``alpha``, its
+    log and the format's rails are settled before the first trial, so a
+    refusal does not depend on ``trials``.  A trial is then its seed (the
+    first 8 bytes, big-endian, of ``sha256(f"{master_seed}:{role}:{i}")``,
+    hashed on from a copy of the hashed prefix), one reseed, two uniforms
+    for discrete noise, the add with its clamp, wrap or rounding, and one
+    int comparison against the threshold on the release's grid.  Trials
+    are reproducible and order-independent.  The report's bound is
+    :func:`dp_violation_log2_bound` of the table under ``spec.epsilon``,
+    and the verdict flips to ``"epsilon-violation"`` below
+    ``VERDICT_CUTOFF_LOG2``.
     """
     if trials < 0:
         raise PreconditionFailed("trials must be nonnegative")
@@ -320,12 +339,16 @@ def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
         threshold = Fraction(threshold)
     table = []
     for role, base in (("u", base_u), ("v", base_v)):
+        draw, grid = _sampler(spec, base)
+        # a release of ``units / grid`` is above the threshold exactly when
+        # the int ``units`` is above this floor
+        cut = math.floor(threshold * grid)
+        prefix = hashlib.sha256(f"{master_seed}:{role}:".encode())
         ones = 0
         for i in range(trials):
-            released = _add_noise(spec, base, _trial_seed(master_seed,
-                                                          role, i))
-            if exact_value(released) > threshold:
-                ones += 1
+            h = prefix.copy()
+            h.update(b"%d" % i)
+            ones += draw(int.from_bytes(h.digest()[:8], "big")) > cut
         table.append((trials - ones, ones))
     counts = (table[0], table[1])
     bound = dp_violation_log2_bound(counts, spec.epsilon)
@@ -340,6 +363,16 @@ def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
 # ---------------------------------------------------------------------------
 # Likelihood bound for the 2x2 table
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=4)
+def _log_factorials(n: int):
+    """``log j!`` for ``j`` in ``0..n``, read-only: a bound asks four
+    times for the same table (two tails, each on two grids)."""
+    import numpy as np
+    table = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    table.flags.writeable = False
+    return table
+
 
 def _log_upper_tail(k: int, n: int, p: np.ndarray) -> np.ndarray:
     """``log P[Binomial(n, p) >= k]`` held in log space the whole way.
@@ -358,7 +391,7 @@ def _log_upper_tail(k: int, n: int, p: np.ndarray) -> np.ndarray:
     if k > n:
         return np.full_like(p, -np.inf)
     i = np.arange(k, n + 1)
-    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    log_fact = _log_factorials(n)
     log_comb = log_fact[n] - log_fact[i] - log_fact[n - i]
     out = np.full_like(p, -np.inf)
     interior = (p > 0.0) & (p < 1.0)

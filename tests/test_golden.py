@@ -13,8 +13,8 @@ review the diff.
 The mechanism, replay and sum commands read the dataset pairs under
 ``tests/golden/instances/`` and run from ``tests/golden/``, so the paths
 their manifests record are relative.  Those pairs are inputs, not
-outputs: ``ov6``, ``ov8``, ``ov8s``, ``rr2`` and ``sat8`` were written by
-``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``; the three
+outputs: ``ov6``, ``ov8``, ``ov8s``, ``ov64``, ``rr2`` and ``sat8`` were
+written by ``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``; the three
 files under ``instances/dense/`` (one run per element, apart from one run
 of three and a ``-0`` pattern) and the malformed files under
 ``instances/refused/`` were written by hand.  The six pairs
@@ -251,6 +251,11 @@ MECHANISM_CASES = {
         "--calibrate", "idealized", "--threshold", "0"), 3),
     "experiment-sat8-idealized": (_experiment(
         "sat8", "--trials", "100", "--seed", "5", "--epsilon", "1",
+        "--calibrate", "idealized"), 3),
+    # the paper's int64 overflow pair at scale 2^62, where float(alpha)
+    # rounds to 1.0 and the log of alpha must come from 1 - alpha
+    "experiment-ov64-idealized": (_experiment(
+        "ov64", "--trials", "1000", "--seed", "1", "--epsilon", "1",
         "--calibrate", "idealized"), 3),
     "experiment-rr2-laplace": (_experiment(
         "rr2", "--trials", "40", "--seed", "3", "--epsilon", "2",

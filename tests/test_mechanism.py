@@ -1,7 +1,9 @@
 """Mechanism layer: the log-space binomial tail, the violation bound, the
-modulus of modular noise, and the exact checker's breakpoint search
-against full enumeration."""
+modulus of modular noise, the sampler against the per-trial draws it
+replaced, and the exact checker's breakpoint search against full
+enumeration."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,19 +12,25 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
+from hypothesis import given, settings
+from hypothesis.strategies import integers
 from pytest import mark, raises
 
 from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec,
-                        dp_violation_log2_bound, exact_dp_check,
-                        generate_attack, run_mechanism, run_sum)
+                        distinguishing_experiment, dp_violation_log2_bound,
+                        exact_dp_check, exact_value, generate_attack,
+                        run_mechanism, run_sum)
 from boundedsum.cli import main
 from boundedsum.data import Dataset
+from boundedsum.dyadic import Dyadic
+from boundedsum.floats import FloatFormat, SimFloat, add_float, round_dyadic
 from boundedsum.ints import IntFormat, KInt
-from boundedsum.mechanism import (_folded_pmf, _log_upper_tail,
-                                  _sample_dlap, _saturated_pmf,
+from boundedsum.mechanism import (_folded_pmf, _log_factorials,
+                                  _log_upper_tail, _saturated_pmf,
                                   certified_leq_exp)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -118,7 +126,7 @@ def test_matching_modulus_is_the_default():
     sv = run_sum(v, spec.method).value.value
     wrapped = 0
     for seed in range(40):
-        z = _sample_dlap(spec.alpha, random.Random(seed))
+        z = oracle_dlap(spec.alpha, random.Random(seed))
         assert run_mechanism(spec, u, seed).value == (su + z) % 256
         wrapped += not 0 <= su + z < 256
     assert wrapped  # some draws leave [0, 256), so the reduction shows
@@ -127,6 +135,184 @@ def test_matching_modulus_is_the_default():
     best = max(wu(z) / wv(z) for z in range(256))
     assert got.max_ratio == best
     assert wu(got.witness) / wv(got.witness) == best
+
+
+# ---------------------------------------------------------------------------
+# The sampler against the per-trial draws it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_trial_seed(master_seed, role, index):
+    digest = hashlib.sha256(f"{master_seed}:{role}:{index}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def oracle_dlap(alpha, rng, ln_alpha=None):
+    """Two geometric draws by inverse CDF, as each trial made them."""
+    if ln_alpha is None:
+        ln_alpha = math.log(float(alpha))
+    first = int(math.log1p(-rng.random()) / ln_alpha)
+    return first - int(math.log1p(-rng.random()) / ln_alpha)
+
+
+def oracle_release(spec, base, seed, ln_alpha=None):
+    """One noisy release from a fresh generator, rebuilding every constant
+    per draw: clamp or wrap an integer release, round the noise into a
+    float release and add it."""
+    rng = random.Random(seed)
+    if isinstance(base, KInt):
+        z = oracle_dlap(spec.alpha, rng, ln_alpha)
+        if spec.noise == "discrete_laplace_mod":
+            return KInt(base.fmt, base.fmt.wrap(base.value + z))
+        return KInt(base.fmt, base.fmt.clamp(base.value + z))
+    if spec.noise == "laplace":
+        scale = float(spec.scale)
+        while True:
+            w = rng.random() - 0.5
+            if abs(w) < 0.5:
+                break
+        z = Fraction(-scale * math.copysign(math.log1p(-2.0 * abs(w)), w))
+    else:
+        z = Fraction(oracle_dlap(spec.alpha, rng))
+    if z == 0:
+        return base
+    noise = round_dyadic(Dyadic.from_fraction(z), base.fmt, "banker")
+    return add_float(base, noise, "banker")
+
+
+def oracle_counts(instance, spec, trials, master_seed, threshold,
+                  ln_alpha=None):
+    """The experiment's table from one oracle release per trial, each
+    compared with the threshold as a Fraction."""
+    table = []
+    for role, dataset in (("u", instance.u), ("v", instance.v)):
+        base = run_sum(dataset, spec.method).value
+        ones = sum(exact_value(oracle_release(
+            spec, base, oracle_trial_seed(master_seed, role, i), ln_alpha))
+            > threshold for i in range(trials))
+        table.append((trials - ones, ones))
+    return tuple(table)
+
+
+def one_element(fmt, value):
+    lo, hi = KInt(fmt, fmt.min_value), KInt(fmt, fmt.max_value)
+    return Dataset(fmt, lo, hi, [(KInt(fmt, value), 1)])
+
+
+def int_pair(fmt, su, sv):
+    return SimpleNamespace(u=one_element(fmt, su), v=one_element(fmt, sv))
+
+
+def float_pair(fmt, su, sv):
+    top = round_dyadic(fmt.max_finite, fmt, "banker")
+    return SimpleNamespace(**{
+        side: Dataset(fmt, -top, top, [(round_dyadic(Dyadic.from_fraction(
+            Fraction(x)), fmt, "banker"), 1)])
+        for side, x in (("u", su), ("v", sv))})
+
+
+HALF, SEVEN_THIRDS = Fraction(1, 2), Fraction(7, 3)
+
+# (pair, noise, scale, thresholds): None is the midpoint of the two sums.
+# Every pair has its centres at or near the rails, so draws clamp, wrap or
+# round to infinity, and each list holds integers, halves, 7/3 and values
+# outside the format's range (a float infinity reads as 2^(emax+1), which
+# is 16 at (4, 3)).
+ORACLE_CASES = {
+    "u8-clamped": (int_pair(IntFormat(8, False, "wraparound"), 255, 0),
+                   "discrete_laplace", Fraction(40),
+                   [None, 0, 255, 128, 255 - HALF, HALF, SEVEN_THIRDS, -1,
+                    256, 1000]),
+    "u8-modular": (int_pair(IntFormat(8, False, "wraparound"), 255, 0),
+                   "discrete_laplace_mod", Fraction(40),
+                   [None, 0, 254, HALF, -HALF, SEVEN_THIRDS, -SEVEN_THIRDS,
+                    256]),
+    "s6-modular": (int_pair(IntFormat(6, True, "wraparound"), 31, -32),
+                   "discrete_laplace_mod", Fraction(5, 2),
+                   [None, 0, -1, 31, -32, HALF, -HALF, SEVEN_THIRDS, -33,
+                    32]),
+    "s6-saturating": (int_pair(IntFormat(6, True, "saturating"), 30, -3),
+                      "discrete_laplace", Fraction(7),
+                      [None, 30, 31, -32, 30 + HALF, -HALF, SEVEN_THIRDS,
+                       -40, 31 + HALF]),
+    "f4_3-laplace": (float_pair(FloatFormat(4, 3), 12, -Fraction(3, 4)),
+                     "laplace", Fraction(3),
+                     [None, 0, 12, HALF, -HALF, SEVEN_THIRDS, 16, -16, 100,
+                      -100]),
+    "f4_3-discrete": (float_pair(FloatFormat(4, 3), 12, -Fraction(3, 4)),
+                      "discrete_laplace", Fraction(5, 2),
+                      [None, 0, 12, HALF, -HALF, SEVEN_THIRDS, 16, -16,
+                       100]),
+    "f10_5-laplace": (float_pair(FloatFormat(10, 5), Fraction(21, 64),
+                                 -Fraction(1, 1024)),
+                      "laplace", Fraction(1, 3),
+                      [None, 0, HALF, -HALF, SEVEN_THIRDS, 1 << 16,
+                       -(1 << 17)]),
+}
+
+
+@mark.parametrize("name", sorted(ORACLE_CASES))
+@settings(max_examples=15, deadline=None)
+@given(master_seed=integers(0, (1 << 64) - 1))
+def test_experiment_counts_match_the_per_trial_oracle(name, master_seed):
+    pair, noise, scale, thresholds = ORACLE_CASES[name]
+    spec = MechanismSpec(noise=noise, scale=scale, epsilon=1)
+    for threshold in thresholds:
+        got = distinguishing_experiment(pair, spec, 12, master_seed,
+                                        threshold=threshold)
+        if threshold is None:
+            threshold = got.threshold
+        assert got.counts == oracle_counts(pair, spec, 12, master_seed,
+                                           threshold), (name, threshold)
+
+
+@mark.parametrize("name", sorted(ORACLE_CASES))
+def test_run_mechanism_is_one_oracle_draw(name):
+    pair, noise, scale, _ = ORACLE_CASES[name]
+    spec = MechanismSpec(noise=noise, scale=scale)
+    base = run_sum(pair.u, spec.method).value
+    for seed in range(60):
+        got = run_mechanism(spec, pair.u, seed)
+        assert type(got) is type(base) and got.fmt == base.fmt
+        assert got == oracle_release(spec, base, seed), (name, seed)
+
+
+def test_a_scale_past_2_to_the_53_takes_its_log_from_1_minus_alpha():
+    # float(alpha) rounds to 1.0, so the log of alpha is the log1p of
+    # -(1 - alpha); it used to divide by zero
+    pair = int_pair(IntFormat(64, False, "wraparound"), (1 << 64) - 1, 0)
+    for scale in (Fraction(1 << 54), Fraction(1 << 62)):
+        spec = MechanismSpec(noise="discrete_laplace", scale=scale,
+                             epsilon=1)
+        assert math.log(float(spec.alpha)) == 0.0
+        ln_alpha = math.log1p(-float(1 - spec.alpha))
+        got = distinguishing_experiment(pair, spec, 50, 9)
+        assert got.counts == oracle_counts(pair, spec, 50, 9, got.threshold,
+                                           ln_alpha)
+    # at 2^62 the noise is as wide as the type, so the draws do move
+    assert 0 < got.counts[0][1] < 50
+
+
+@mark.parametrize("trials", [0, 3])
+@mark.parametrize("tag,noise,message", [
+    ("sat8", "discrete_laplace_mod", "needs a wraparound format"),
+    ("ov8", "laplace", "continuous noise on an integer release"),
+])
+def test_experiment_refusal_does_not_depend_on_the_trials(
+        tag, noise, message, trials, capsys):
+    instance = Path(__file__).with_name("golden") / "instances" / tag
+    assert main(["experiment", "run", "--instance", str(instance),
+                 "--trials", str(trials), "--seed", "1", "--epsilon", "1",
+                 "--noise", noise, "--scale", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_log_factorials_are_built_once_and_read_only():
+    table = _log_factorials(40)
+    assert _log_factorials(40) is table
+    assert list(table) == [math.lgamma(j + 1) for j in range(41)]
+    with raises(ValueError):
+        table[3] = 0.0
 
 
 def test_cli_dpcheck_exits_2_on_a_mismatched_modulus(tmp_path, capsys):
@@ -190,11 +376,6 @@ def enumerated_max_ratio(spec, fmt, su, sv):
         if best is None or ratio > best:
             best, witness = ratio, z
     return best, witness
-
-
-def one_element(fmt, value):
-    lo, hi = KInt(fmt, fmt.min_value), KInt(fmt, fmt.max_value)
-    return Dataset(fmt, lo, hi, [(KInt(fmt, value), 1)])
 
 
 def assert_matches_enumeration(fmt, noise, scale, su, sv, epsilon):
