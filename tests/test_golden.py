@@ -14,9 +14,9 @@ The mechanism, replay and sum commands read the dataset pairs under
 ``tests/golden/instances/`` and run from ``tests/golden/``, so the paths
 their manifests record are relative.  Those pairs are inputs, not
 outputs: ``ov6``, ``ov8``, ``ov8s``, ``ov64``, ``rr2`` and ``sat8`` were
-written by ``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``; the three
-files under ``instances/dense/`` (one run per element, apart from one run
-of three and a ``-0`` pattern) and the malformed files under
+written by ``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``;
+the three files under ``instances/dense/`` (one run per element, apart
+from one run of three and a ``-0`` pattern) and the malformed files under
 ``instances/refused/`` were written by hand.  The six pairs
 of ``GEN_CASES``, one per attack family, are outputs too: ``attack gen``
 must write their ``instance.json``, ``u.json`` and ``v.json`` byte for
