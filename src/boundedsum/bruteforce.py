@@ -97,7 +97,7 @@ class _Releases:
         if isinstance(fmt, FloatFormat):
             kernel, grid = fmt._kernel, partial(_bits_grid, fmt._kernel)
             sign, inf = kernel[3:]
-            leaves = [v.bits for v in frame.iter_values()]
+            leaves = frame.codes()
             top, exact, self.read = grid(inf), [grid(c) for c in leaves], grid
             step = partial(add_bits, kernel, mode="toward_zero")
             neg = lambda c: c & sign
@@ -107,8 +107,7 @@ class _Releases:
             op = lambda a, b: (a if a & (sign - 1) == inf else
                                add_bits(kernel, a, b, mode))
         else:
-            leaves = exact = [v.value % m if m else v.value
-                              for v in frame.iter_values()]
+            leaves = exact = [x % m if m else x for x in frame.codes()]
             top, neg = max(-fmt.min_value, fmt.max_value), lambda c: c < 0
             op = step = join = lambda a, b: fmt.clamp(a + b)
         if alg == "exact" or m:  # the exact sum, or its residue

@@ -2,37 +2,42 @@
 
 A dataset carries its element format and the inclusive bounds ``[lower,
 upper]`` that every element is checked against.  Elements are stored as
-runs ``(value, count)`` so that the attack constructions with billions of
-repeated elements stay materialization-free; the summation routines know
-how to consume runs directly.
+runs ``(code, count)`` of ints, so that the attack constructions with
+billions of repeated elements stay materialization-free and the
+summation routines fold the runs directly.  An element's code is what the
+arithmetic works on: a float's bit pattern, with ``-0`` folded into
+``+0``, and an integer's value.  Equal codes are equal values.
 
 The JSON form keeps every value exact: floats travel as their bit
 patterns (hex strings), integers as decimal strings.  Counts are plain
-JSON integers.
+JSON integers.  Each text has one spelling: ``0x`` and hex digits for a
+pattern, ASCII ``-?[0-9]+`` for an integer; other float literals are read
+by :func:`~boundedsum.floats.parse_value`.
 
-Validation happens once, when a dataset is built, and always the same
-way: each element and both bounds must be values of the dataset's own
-format (its type and format checked, a float also finite), each count
-an integer of at least one, and each element inside the bounds.
-Elements are compared as their integer order keys (:func:`order_key`),
-read off the bit pattern or the integer, so no exact value is built;
-equal keys are equal values, so adjacent runs merge on the key.  A
-``0x..`` pattern is decoded with one ``int(text, 16)``, and the pattern
-itself is checked: in range, not a NaN, ``-0`` folded into ``+0``.
-Datasets derived from a checked one (shuffles, shifts, brute-force
-tuples over its frame) skip the checks.
+Validation happens once, on codes, by :func:`check_runs`: each code must
+be a finite value of the format (a pattern in range, not a NaN, not an
+infinity; an integer in range), each count an integer of at least one,
+and each element inside the bounds.  Elements are compared by their
+integer order keys (:func:`code_key`), so no exact value is built, and
+adjacent runs of equal codes merge.  A file is decoded straight to codes;
+value objects enter through ``Dataset(...)`` and :meth:`from_elements`,
+and leave through :meth:`iter_values` and :meth:`to_list`.  Datasets
+whose codes are valid by construction (cut, shifted or shuffled from a
+checked dataset, or brute force's domain and tuples) are built from code
+runs by :meth:`Dataset.unchecked`.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from operator import index
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from .dyadic import Dyadic
-from .floats import FloatFormat, SimFloat, parse_value
+from .floats import _PATTERN_RE, FloatFormat, SimFloat, parse_value
 from .ints import IntFormat, KInt
 
 __all__ = ["Dataset", "ElementFormat", "Value", "encode_value", "decode_value",
@@ -46,12 +51,15 @@ SCHEMA_VERSION = 1
 
 # Materializing more elements than this is almost certainly a mistake —
 # the run-aware code paths exist precisely to avoid it.  Every summation
-# algorithm reads runs; the callers that still build the element list are
-# ``summation.random_permutation`` and the couplings ``couple_sym`` and
-# ``couple_co`` in ``sensitivity``.  The float run fold
-# (``summation._fold_run``, which iterative, split and Kahan runs share)
-# also gives up past this many literal steps in one run.
+# algorithm reads code runs.  The lists still built are the element codes
+# of ``summation.random_permutation`` and of the couplings ``couple_sym``
+# and ``couple_co`` in ``sensitivity`` (``Dataset.codes``), and the values
+# of ``Dataset.to_list``.  The float run fold (``summation._fold_run``,
+# which iterative, split and Kahan runs share) also gives up past this
+# many literal steps in one run.
 MATERIALIZE_LIMIT = 1 << 22
+
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def check_materialize(n: int) -> None:
@@ -68,7 +76,7 @@ def exact_value(value) -> Union[int, Fraction]:
     Dyadic or an int).  Integers stay Python ints, which subtract far
     faster than Fractions.  An infinite SimFloat reads as its working
     value ``±2^(emax+1)``, so a saturated release still has a size to
-    compare.  To order elements, use :func:`order_key`, which builds no
+    compare.  To order elements, use :func:`code_key`, which builds no
     Fraction.
     """
     if isinstance(value, SimFloat):
@@ -80,86 +88,117 @@ def exact_value(value) -> Union[int, Fraction]:
     return value
 
 
-def order_key(value: Value) -> int:
-    """An int that orders elements exactly as their values do.
+def code_key(fmt: ElementFormat, code: int) -> int:
+    """An int that orders codes of ``fmt`` exactly as their values.
 
-    For a SimFloat it is read off the bit pattern: minus the magnitude
-    bits for negatives, the pattern itself otherwise.  Within one sign the
-    patterns are ordered by magnitude, and ``-0`` is folded into ``+0``,
-    so equal keys mean equal values; infinities sort at the ends.  For a
-    KInt it is the value.
+    For a float it is read off the bit pattern: minus the magnitude bits
+    for negatives, the pattern itself otherwise.  Within one sign the
+    patterns are ordered by magnitude, and ``-0`` keys as ``+0``, so equal
+    keys mean equal values; infinities sort at the ends.  For an integer
+    it is the value.
     """
-    if isinstance(value, KInt):
-        return value.value
-    bits = value.bits
-    sign = value.fmt._kernel[3]
-    return -(bits ^ sign) if bits & sign else bits
+    sign = fmt._kernel[3] if isinstance(fmt, FloatFormat) else 0
+    return -(code ^ sign) if code & sign else code
+
+
+def order_key(value: Value) -> int:
+    """The :func:`code_key` of a value."""
+    return code_key(value.fmt, value_code(value.fmt, value))
+
+
+def value_code(fmt: ElementFormat, v, what: str = "element") -> int:
+    """The code of a value of ``fmt``: a SimFloat's pattern, a KInt's
+    value.  Anything else is a ``TypeError``; the code is not checked."""
+    kind = SimFloat if isinstance(fmt, FloatFormat) else KInt
+    if not isinstance(v, kind) or (v.fmt is not fmt and v.fmt != fmt):
+        raise TypeError(f"{what} must be a {kind.__name__} of {fmt}")
+    return v.bits if kind is SimFloat else v.value
+
+
+def code_value(fmt: ElementFormat, code: int) -> Value:
+    """The value of a code of ``fmt``; its constructor checks the code."""
+    return (SimFloat if isinstance(fmt, FloatFormat) else KInt)(fmt, code)
+
+
+def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
+               runs: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The one check of a dataset: its runs ``(code, count)``, each float
+    ``-0`` folded into ``+0``, once the bounds are finite values of ``fmt``
+    in order and each run has an integer count of at least one (a float or
+    a boolean count is refused, not cut) and a code inside the bounds.
+
+    A code is compared by its :func:`code_key` alone: a key between two
+    finite keys is a finite value's (a pattern out of range, a NaN or an
+    infinity keys past every finite one), so only a code outside the
+    bounds is decoded, to say what is wrong with it.
+    """
+    for what, v in (("lower bound", lower), ("upper bound", upper)):
+        value_code(fmt, v, what)
+        if isinstance(v, SimFloat) and not v.is_finite():
+            raise ValueError(f"{what} must be finite")
+    lo, hi = order_key(lower), order_key(upper)
+    if lo > hi:
+        raise ValueError("lower bound exceeds upper bound")
+    sign = fmt._kernel[3] if isinstance(fmt, FloatFormat) else 0
+    out = []
+    for x, c in runs:
+        if isinstance(c, bool):
+            raise TypeError(f"run count {c!r} is not an integer")
+        c = index(c)
+        k = -(x ^ sign) if x & sign else x
+        if not lo <= k <= hi:
+            v = code_value(fmt, x)
+            if isinstance(v, SimFloat) and not v.is_finite():
+                raise ValueError("element must be finite")
+            raise ValueError(f"element {v} outside bounds [{lower}, {upper}]")
+        if c < 1:
+            raise ValueError("run counts must be positive")
+        out.append((x if k else 0, c))
+    return out
+
+
+def merge_runs(runs: Iterable[tuple]) -> tuple:
+    """Runs ``(element, count)`` with adjacent equal elements merged."""
+    merged = []
+    for x, c in runs:
+        if merged and merged[-1][0] == x:
+            merged[-1] = (x, merged[-1][1] + c)
+        else:
+            merged.append((x, c))
+    return tuple(merged)
 
 
 class Dataset:
     """An ordered sequence of in-range values plus its bounds.
 
-    Runs are kept maximal — adjacent runs of the same value merge on
-    construction — so two datasets are ``==`` exactly when they hold the
-    same element sequence, however their encodings chose to chunk it.
-    The element count is taken when the dataset is built.
+    ``runs`` holds ``(code, count)`` int pairs (see the module docstring),
+    kept maximal — adjacent runs of the same code merge on construction —
+    so two datasets are ``==`` exactly when they hold the same element
+    sequence, however their encodings chose to chunk it.  The bounds are
+    values.  The element count is taken when the dataset is built.
     """
 
     __slots__ = ("fmt", "lower", "upper", "runs", "_n")
 
     def __init__(self, fmt: ElementFormat, lower: Value, upper: Value,
                  runs: Iterable[Tuple[Value, int]]):
-        check = self._check_value
-        lo_key = check(fmt, lower, "lower bound")
-        hi_key = check(fmt, upper, "upper bound")
-        if lo_key > hi_key:
-            raise ValueError("lower bound exceeds upper bound")
-        merged = []
-        last = None  # the order key of the last run
-        n = 0
-        for v, c in runs:
-            c = index(c)  # an integer: a float count is refused, not cut
-            key = check(fmt, v, "element")
-            if c < 1:
-                raise ValueError("run counts must be positive")
-            if not lo_key <= key <= hi_key:
-                raise ValueError(f"element {v} outside bounds [{lower}, {upper}]")
-            n += c
-            if key == last:
-                merged[-1] = (v, merged[-1][1] + c)
-            else:
-                merged.append((v, c))
-                last = key
-        self.fmt = fmt
-        self.lower = lower
-        self.upper = upper
-        self.runs = tuple(merged)
-        self._n = n
+        self._fill(fmt, lower, upper, check_runs(fmt, lower, upper, [
+            (value_code(fmt, v), c) for v, c in runs]))
 
-    @staticmethod
-    def _check_value(fmt: ElementFormat, v, what: str) -> int:
-        """The :func:`order_key` of ``v``, once it is checked to be a
-        finite value of ``fmt``: the one check of elements and bounds."""
-        if isinstance(fmt, FloatFormat):
-            if not isinstance(v, SimFloat) or (v.fmt is not fmt
-                                               and v.fmt != fmt):
-                raise TypeError(f"{what} must be a SimFloat of {fmt}")
-            key = order_key(v)
-            if abs(key) == fmt._kernel[4]:  # infinity's magnitude pattern
-                raise ValueError(f"{what} must be finite")
-            return key
-        if not isinstance(v, KInt) or (v.fmt is not fmt and v.fmt != fmt):
-            raise TypeError(f"{what} must be a KInt of {fmt}")
-        return v.value
+    def _fill(self, fmt, lower, upper, runs) -> "Dataset":
+        self.fmt, self.lower, self.upper = fmt, lower, upper
+        self.runs = merge_runs(runs)
+        self._n = sum(c for _, c in self.runs)
+        return self
 
     @classmethod
-    def _trusted(cls, fmt: ElementFormat, lower: Value, upper: Value,
-                 runs: tuple) -> "Dataset":
-        """A dataset whose maximal runs are known to be valid: no checks."""
-        out = object.__new__(cls)
-        out.fmt, out.lower, out.upper, out.runs = fmt, lower, upper, runs
-        out._n = sum(c for _, c in runs)
-        return out
+    def unchecked(cls, fmt: ElementFormat, lower: Value, upper: Value,
+                  runs: Iterable[Tuple[int, int]]) -> "Dataset":
+        """A dataset of code runs known to be valid inside its bounds
+        (checked by :func:`check_runs`, or cut, shifted or reordered from
+        a checked dataset): adjacent equal codes merge, and nothing is
+        checked."""
+        return object.__new__(cls)._fill(fmt, lower, upper, runs)
 
     @classmethod
     def from_elements(cls, fmt: ElementFormat, lower: Value, upper: Value,
@@ -170,9 +209,13 @@ class Dataset:
         return self._n
 
     def iter_values(self) -> Iterator[Value]:
-        for v, c in self.runs:
-            for _ in range(c):
-                yield v
+        return itertools.chain.from_iterable(itertools.repeat(
+            code_value(self.fmt, x), c) for x, c in self.runs)
+
+    def codes(self) -> List[int]:
+        """The element codes, in order, as one list."""
+        check_materialize(len(self))
+        return [x for x, c in self.runs for _ in range(c)]
 
     def to_list(self) -> list:
         check_materialize(len(self))
@@ -180,17 +223,6 @@ class Dataset:
 
     def replace_elements(self, elements: Iterable[Value]) -> "Dataset":
         return Dataset.from_elements(self.fmt, self.lower, self.upper, elements)
-
-    def replace_elements_unchecked(self, elements: Iterable[Value]
-                                   ) -> "Dataset":
-        """:meth:`replace_elements` for elements drawn from a dataset over
-        this one's frame, which were checked there: the runs are merged,
-        and nothing is checked again."""
-        return Dataset._trusted(self.fmt, self.lower, self.upper, tuple(
-            (v, len(list(run))) for v, run in itertools.groupby(elements)))
-
-    def replace_runs(self, runs: Iterable[Tuple[Value, int]]) -> "Dataset":
-        return Dataset(self.fmt, self.lower, self.upper, runs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -205,13 +237,15 @@ class Dataset:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        # a code's text is its value's (see encode_value), built from the int
+        text = str if isinstance(self.fmt, IntFormat) else (
+            f"0x{{:0{-(-self.fmt.total_bits // 4)}x}}".format)
         return {
             "schema": SCHEMA_VERSION,
             "format": format_to_json(self.fmt),
             "bounds": {"lower": encode_value(self.lower),
                        "upper": encode_value(self.upper)},
-            "elements": [{"value": encode_value(v), "count": c}
-                         for v, c in self.runs],
+            "elements": [{"value": text(x), "count": c} for x, c in self.runs],
         }
 
     @classmethod
@@ -221,27 +255,35 @@ class Dataset:
         fmt = format_from_json(d["format"])
         lower = decode_value(fmt, d["bounds"]["lower"])
         upper = decode_value(fmt, d["bounds"]["upper"])
-        runs = [(decode_value(fmt, entry), 1) if isinstance(entry, str)
-                else (decode_value(fmt, entry["value"]), entry["count"])
+        runs = [(decode_code(fmt, entry), 1) if isinstance(entry, str)
+                else (decode_code(fmt, entry["value"]), entry["count"])
                 for entry in d["elements"]]
-        return cls(fmt, lower, upper, runs)
+        return cls.unchecked(fmt, lower, upper,
+                             check_runs(fmt, lower, upper, runs))
 
 
 def encode_value(v: Value) -> str:
     return v.to_hex() if isinstance(v, SimFloat) else str(v.value)
 
 
-def decode_value(fmt: ElementFormat, text: str) -> Value:
-    """A value from its JSON text: a ``0x..`` bit pattern or any literal
-    :func:`~boundedsum.floats.parse_value` reads for floats, a decimal
-    integer for ints."""
+def decode_code(fmt: ElementFormat, text: str) -> int:
+    """The code of an element's JSON text, not yet checked: a ``0x..``
+    bit pattern, or any other literal
+    :func:`~boundedsum.floats.parse_value` reads, for floats; an ASCII
+    decimal integer for ints."""
     if not isinstance(text, str):
         raise TypeError(f"value {text!r} is not a string")
     if isinstance(fmt, FloatFormat):
-        if text.startswith(("0x", "0X")):
-            return SimFloat(fmt, int(text, 16))
-        return parse_value(fmt, text)
-    return KInt(fmt, int(text))
+        return (int(text, 16) if _PATTERN_RE.fullmatch(text)
+                else parse_value(fmt, text).bits)
+    if _INT_RE.fullmatch(text):
+        return int(text)
+    raise ValueError(f"{text!r} is not a decimal integer")
+
+
+def decode_value(fmt: ElementFormat, text: str) -> Value:
+    """A value from its JSON text (see :func:`decode_code`)."""
+    return code_value(fmt, decode_code(fmt, text))
 
 
 def format_to_json(fmt: ElementFormat) -> dict:
@@ -254,10 +296,21 @@ def format_to_json(fmt: ElementFormat) -> dict:
 
 def format_from_json(d: dict) -> ElementFormat:
     if d["kind"] == "float":
-        return FloatFormat(int(d["mantissa_bits"]), int(d["exponent_bits"]))
+        return FloatFormat(_field(d, "mantissa_bits", int),
+                           _field(d, "exponent_bits", int))
     if d["kind"] == "int":
-        return IntFormat(int(d["bits"]), bool(d["signed"]), d["overflow"])
+        return IntFormat(_field(d, "bits", int), _field(d, "signed", bool),
+                         d["overflow"])
     raise ValueError(f"unknown format kind {d['kind']!r}")
+
+
+def _field(d: dict, name: str, kind: type):
+    """A format field of exactly the type ``kind``: an int that is not a
+    boolean, or a boolean.  Nothing is converted."""
+    if d[name].__class__ is not kind:
+        raise TypeError(f"format field {name!r} must be {kind.__name__}, "
+                        f"not {d[name]!r}")
+    return d[name]
 
 
 def load_dataset(path) -> Dataset:

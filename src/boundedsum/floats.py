@@ -187,10 +187,6 @@ class SimFloat:
         return cls(fmt, bits)
 
     @classmethod
-    def from_hex(cls, fmt: FloatFormat, text: str) -> "SimFloat":
-        return cls(fmt, int(text, 16))
-
-    @classmethod
     def from_grid(cls, fmt: FloatFormat, g: int) -> "SimFloat":
         """The value of ``g`` units of the finest spacing: the inverse of
         :meth:`to_grid`, infinities included.  Raises ``ValueError`` when
@@ -534,22 +530,25 @@ def values_in_range(fmt: FloatFormat, lo: SimFloat, hi: SimFloat,
 
 
 _DYADIC_RE = re.compile(r"^(-?\d+)\*2\^(-?\d+)$")
+# a bit pattern's one spelling
+_PATTERN_RE = re.compile(r"0[xX][0-9a-fA-F]+")
 
 
 def parse_value(fmt: FloatFormat, text: str) -> SimFloat:
     """Parse ``0x..`` bit patterns, ``m*2^e`` literals, ``inf``, or decimals.
 
-    Non-pattern inputs must be exactly representable in ``fmt``.
+    A bit pattern is ``0x`` and hex digits, nothing else.  Non-pattern
+    inputs must be exactly representable in ``fmt``.
     """
+    if _PATTERN_RE.fullmatch(text):
+        return SimFloat(fmt, int(text, 16))
     text = text.strip()
     if text.lower() in ("inf", "+inf"):
         return SimFloat.inf(fmt, 1)
     if text.lower() == "-inf":
         return SimFloat.inf(fmt, -1)
-    if text.lower().startswith(("0x", "-0x")):
-        if text.startswith("-"):
-            raise ValueError("sign belongs inside the bit pattern")
-        return SimFloat.from_hex(fmt, text)
+    if text.lower().startswith("-0x"):
+        raise ValueError("sign belongs inside the bit pattern")
     m = _DYADIC_RE.match(text)
     if m:
         q = Dyadic(int(m.group(1)), int(m.group(2)))

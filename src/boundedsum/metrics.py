@@ -9,9 +9,11 @@ Four neighbouring relations, two order-insensitive and two ordered:
 * ``d_id``  — insert/delete edit distance, i.e. ``len(u) + len(v)`` minus
   twice the longest common subsequence.
 
-Length mismatches for ``d_co``/``d_ham`` return :data:`INFINITE`, which
-is ``math.inf``: greater than every finite distance.  ``d_mod`` is the
-wrap distance between residues used by modular mechanisms.
+Each takes two datasets of one format, compared on their code runs, or
+two sequences of values; a dataset with a sequence is refused.  Length
+mismatches for ``d_co``/``d_ham`` return :data:`INFINITE`, which is
+``math.inf``: greater than every finite distance.  ``d_mod`` is the wrap
+distance between residues used by modular mechanisms.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .data import Dataset
+from .data import Dataset, merge_runs
 from .ints import KInt
 
 __all__ = ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id", "d_mod"]
@@ -27,39 +29,39 @@ __all__ = ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id", "d_mod"]
 INFINITE = math.inf
 
 
-def _runs(x):
-    if isinstance(x, Dataset):
-        return x.runs
-    out = []
-    for v in x:
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + 1)
-        else:
-            out.append((v, 1))
-    return tuple(out)
+def _runs(*xs) -> list:
+    """Each of ``xs`` as runs: datasets of one format as their code runs,
+    sequences as runs of their values.  A dataset with a sequence, or
+    datasets of two formats, are refused: their elements do not compare."""
+    if len({x.fmt if isinstance(x, Dataset) else None for x in xs}) > 1:
+        raise TypeError("a distance is between two datasets of one format "
+                        "or two sequences of values")
+    return [x.runs if isinstance(x, Dataset)
+            else merge_runs((v, 1) for v in x) for x in xs]
 
 
-def _length(runs):
-    return sum(c for _, c in runs)
-
-
-def histogram(x) -> Counter:
-    """Multiset view: value -> multiplicity."""
+def _counter(runs) -> Counter:
     h = Counter()
-    for v, c in _runs(x):
+    for v, c in runs:
         h[v] += c
     return h
 
 
+def histogram(x) -> Counter:
+    """Multiset view: element -> multiplicity.  A dataset's elements are
+    its codes, a sequence's its values."""
+    return _counter(*_runs(x))
+
+
 def d_sym(u, v):
     """Total multiplicity of the symmetric difference of the histograms."""
-    hu, hv = histogram(u), histogram(v)
+    hu, hv = map(_counter, _runs(u, v))
     return sum(abs(hu[z] - hv[z]) for z in hu.keys() | hv.keys())
 
 
 def d_co(u, v):
     """Substitution count between equal-length multisets; INFINITE otherwise."""
-    hu, hv = histogram(u), histogram(v)
+    hu, hv = map(_counter, _runs(u, v))
     if sum(hu.values()) != sum(hv.values()):
         return INFINITE
     return sum((hu - hv).values())
@@ -67,8 +69,8 @@ def d_co(u, v):
 
 def d_ham(u, v):
     """Positions where the ordered sequences differ; INFINITE if lengths do."""
-    ru, rv = _runs(u), _runs(v)
-    if _length(ru) != _length(rv):
+    ru, rv = _runs(u, v)
+    if sum(c for _, c in ru) != sum(c for _, c in rv):
         return INFINITE
     # lockstep walk over both run lists
     diff = 0
@@ -95,8 +97,7 @@ _ID_TABLE_LIMIT = 16_000_000
 
 def d_id(u, v) -> int:
     """Insertions plus deletions to turn ``u`` into ``v`` (order matters)."""
-    a = [val for val, c in _runs(u) for _ in range(c)]
-    b = [val for val, c in _runs(v) for _ in range(c)]
+    a, b = ([x for x, c in r for _ in range(c)] for r in _runs(u, v))
     if len(a) * len(b) > _ID_TABLE_LIMIT:
         raise ValueError("sequences too long for the edit-distance table")
     if len(a) < len(b):

@@ -43,13 +43,13 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .data import (Dataset, ElementFormat, Value, check_materialize,
-                   exact_value, order_key)
+                   check_runs, code_key, code_value, exact_value)
 from .dyadic import Dyadic, floor_log2_fraction
-from .floats import FloatFormat, SimFloat, _pattern_ranges, is_representable
-from .ints import IntFormat, KInt
+from .floats import FloatFormat, _pattern_ranges, is_representable
+from .ints import IntFormat
 from .metrics import histogram
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
-                        _fisher_yates, check_multiplication,
+                        _arranged, _fisher_yates, check_multiplication,
                         float_overflow_check, run_sum)
 
 __all__ = [
@@ -105,9 +105,7 @@ class SensSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if (Dataset._check_value(self.fmt, self.lower, "lower bound")
-                > Dataset._check_value(self.fmt, self.upper, "upper bound")):
-            raise ValueError("lower bound exceeds upper bound")
+        check_runs(self.fmt, self.lower, self.upper, ())
         if self.n is not None and self.n < 0:
             raise ValueError("n must be nonnegative")
 
@@ -479,15 +477,6 @@ class BruteForceResult:
     output_metric: str
 
 
-def _domain(spec: SensSpec, include_subnormals: bool):
-    """Ranges of element codes inside the bounds, and the code's decoder."""
-    fmt, lo, hi = spec.fmt, spec.lower, spec.upper
-    if isinstance(fmt, FloatFormat):
-        return (_pattern_ranges(fmt, lo, hi, include_subnormals),
-                lambda bits: SimFloat(fmt, bits))
-    return [range(lo.value, hi.value + 1)], lambda v: KInt(fmt, v)
-
-
 def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
                             ) -> BruteForceResult:
     """Exact sensitivity of a deterministic method by full enumeration.
@@ -547,7 +536,10 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
         raise PreconditionFailed(
             "brute force maximizes over a deterministic release; strip the "
             "permutation (its couplings are checked separately)")
-    (codes, decode), n = _domain(spec, include_subnormals), spec.n
+    fmt, lo, hi, n = spec.fmt, spec.lower, spec.upper, spec.n
+    # the codes inside the bounds, as ranges of ascending values
+    codes = ([range(lo.value, hi.value + 1)] if isinstance(fmt, IntFormat)
+             else _pattern_ranges(fmt, lo, hi, include_subnormals))
     size = sum(map(len, codes))
     sizes = [n] if spec.metric in KNOWN_N_METRICS else list(range(n + 1))
     work = sum(max(s, 1) * size ** s for s in sizes)
@@ -556,11 +548,10 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
             f"estimated {work} release/grouping steps exceed the "
             f"brute-force work guard ({WORK_GUARD})")
     # n == 0 enumerates only the empty dataset, whatever the domain
-    domain = [decode(c) for r in codes for c in r] if n else []
-    frame = Dataset.from_elements(spec.fmt, spec.lower, spec.upper, domain)
+    domain = [c for r in codes for c in r] if n else []
+    frame = Dataset.unchecked(fmt, lo, hi, [(c, 1) for c in domain])
     if domain or not sizes[0]:  # every tuple refuses what the first does
-        run_sum(frame.replace_elements_unchecked(domain[:1] * sizes[0]),
-                spec.method)
+        run_sum(_arranged(frame, domain[:1] * sizes[0]), spec.method)
     from .bruteforce import _Releases, _scan
     releases = _Releases(spec, frame, n, work)
     # a length with no tuple (an empty domain) has no groups
@@ -571,12 +562,12 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
         # joining tuple 0's group: 0 between tuple 0 and itself
         race.pair = ((n, 0), (n, 0))
     # a tuple's key is its index, shifted; its digits are domain positions
-    witness = race.pair and tuple(tuple(
-        domain[(int(key) >> race.shift) // len(domain) ** p % len(domain)]
+    witness = race.pair and tuple(tuple(code_value(fmt, domain[
+        (int(key) >> race.shift) // len(domain) ** p % len(domain)])
         for p in reversed(range(k))) for k, key in race.pair)
     value = max(int(race.event[0]), 0)
-    if isinstance(spec.fmt, FloatFormat):
-        value = spec.fmt.grid_fraction(value)
+    if isinstance(fmt, FloatFormat):
+        value = fmt.grid_fraction(value)
     return BruteForceResult(value=value, witness=witness,
                             datasets=sum(len(domain) ** s for s in sizes),
                             output_metric="mod" if releases.modulus else "abs")
@@ -614,19 +605,16 @@ def couple_sym(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     check_materialize(max(len(u), len(v)))
     rng = random.Random(seed)
     if d == 0:
-        order = _fisher_yates(u.to_list(), rng)
-        return (u.replace_elements_unchecked(order),
-                v.replace_elements_unchecked(order))
+        order = _fisher_yates(u.codes(), rng)
+        return _arranged(u, order), _arranged(v, order)
     extra = next(iter(extra_u or extra_v))
     shorter = v if extra_u else u
-    base = _fisher_yates(shorter.to_list(), rng)
+    base = _fisher_yates(shorter.codes(), rng)
     inserted = list(base)
     inserted.insert(rng.randrange(len(base) + 1), extra)
     if extra_u:
-        return (u.replace_elements_unchecked(inserted),
-                v.replace_elements_unchecked(base))
-    return (u.replace_elements_unchecked(base),
-            v.replace_elements_unchecked(inserted))
+        return _arranged(u, inserted), _arranged(v, base)
+    return _arranged(u, base), _arranged(v, inserted)
 
 
 def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
@@ -650,15 +638,16 @@ def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
         raise PreconditionFailed("datasets are not co-adjacent")
     check_materialize(len(u))
     common = hu & hv
-    a = [x for x in sorted(common, key=order_key) for _ in range(common[x])]
+    a = [x for x in sorted(common, key=lambda x: code_key(u.fmt, x))
+         for _ in range(common[x])]
     b = list(a)
     if extra_u:
         a.append(next(iter(extra_u)))
         b.append(next(iter(extra_v)))
     rng = random.Random(seed)
     perm = _fisher_yates(list(range(len(a))), rng)
-    return (u.replace_elements_unchecked(a[i] for i in perm),
-            v.replace_elements_unchecked(b[i] for i in perm))
+    return (_arranged(u, [a[i] for i in perm]),
+            _arranged(v, [b[i] for i in perm]))
 
 
 # ---------------------------------------------------------------------------

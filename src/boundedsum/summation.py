@@ -45,20 +45,21 @@ milliseconds without a single approximation:
   (``_kahan_run``); a run with no such period steps literally, up to
   ``MATERIALIZE_LIMIT`` steps.  Integer runs have closed forms;
 * ``pairwise`` sums a subtree that lies inside one run as a memoized
-  block of ``(value, count)``, and recurses on positions only where a
+  block of ``(code, count)``, and recurses on positions only where a
   subtree straddles a run boundary: O(runs * log n) adds;
 * ``exact`` multiplies each value by its count.
 
-Every fold runs on ints.  The float state of every algorithm is a bit
-pattern, a run of one is one :func:`~boundedsum.floats.add_bits` (a
-Kahan step four of them, with negation a flip of the sign bit), and
-``_fold_run`` watches exact values as integer counts of the finest
-spacing (:meth:`SimFloat.to_grid`).  A ``SimFloat`` is built only for
-the release and where a jump lands (:meth:`SimFloat.from_grid`, which
-checks that the count is a value).
+Every fold runs on the dataset's own code runs (see
+:mod:`boundedsum.data`): a float's bit pattern, an integer's value.  The
+float state of every algorithm is a bit pattern, a run of one is one
+:func:`~boundedsum.floats.add_bits` (a Kahan step four of them, with
+negation a flip of the sign bit), and ``_fold_run`` watches exact values
+as integer counts of the finest spacing (:meth:`SimFloat.to_grid`).  A
+value object is built only for the release.
 Integer releases are plain-int closed forms: wraparound addition is
 associative, so every algorithm releases the wrapped exact sum, and
-saturating folds clamp plain ints.
+saturating folds clamp plain ints.  The transforms map code runs to code
+runs too, and build their datasets unchecked.
 
 The module also houses the dataset transforms (truncation, seeded random
 permutation, bound shifting) and the two overflow precondition checks.
@@ -75,7 +76,8 @@ from functools import partial
 from operator import sub
 from typing import List, Optional, Tuple, Union
 
-from .data import Dataset, MATERIALIZE_LIMIT, exact_value, order_key
+from .data import (Dataset, MATERIALIZE_LIMIT, code_key, code_value,
+                   exact_value)
 from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
                      _check_mode, _from_bits, _grid_bits, add_bits,
@@ -190,9 +192,9 @@ def bs_exact(dataset: Dataset):
     """Infinite-precision sum: a Dyadic for floats, an int for integers."""
     fmt = dataset.fmt
     if isinstance(fmt, FloatFormat):
-        return Dyadic(sum(v.to_grid() * c for v, c in dataset.runs),
-                      fmt.emin - fmt.k)
-    return sum(v.value * c for v, c in dataset.runs)
+        return Dyadic(sum(_bits_grid(fmt._kernel, x) * c
+                          for x, c in dataset.runs), fmt.emin - fmt.k)
+    return sum(x * c for x, c in dataset.runs)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +471,7 @@ def _room(x: int, step: int, lo: int, hi: int):
 
 
 def _int_fold(fmt: IntFormat, runs) -> int:
-    """The left fold from 0 of KInt runs ``(v, count)`` under ``fmt``'s
+    """The left fold from 0 of int runs ``(x, count)`` under ``fmt``'s
     overflow policy, as a plain int.
 
     Wraparound addition is associative, so every fold order (and every
@@ -478,10 +480,10 @@ def _int_fold(fmt: IntFormat, runs) -> int:
     so each run clamps the true partial sum once.
     """
     if fmt.overflow == "wraparound":
-        return fmt.wrap(sum(v.value * c for v, c in runs))
+        return fmt.wrap(sum(x * c for x, c in runs))
     acc = 0
-    for v, c in runs:
-        acc = fmt.clamp(acc + v.value * c)
+    for x, c in runs:
+        acc = fmt.clamp(acc + x * c)
     return acc
 
 
@@ -496,8 +498,8 @@ def bs_iterative(dataset: Dataset, rounding: str = "banker"):
         return KInt(fmt, _int_fold(fmt, dataset.runs))
     _check_mode(rounding)
     acc = 0
-    for v, count in dataset.runs:
-        acc = _add_run(fmt, acc, v.bits, count, rounding)
+    for x, count in dataset.runs:
+        acc = _add_run(fmt, acc, x, count, rounding)
     return _from_bits(fmt, acc)
 
 
@@ -528,17 +530,16 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
         kernel = fmt._kernel
         _, _, _, sign, inf = kernel
         return _from_bits(fmt, _cascade(
-            [(v.bits, c) for v, c in dataset.runs],
-            lambda a, b: add_bits(kernel, a, b, rounding),
+            dataset.runs, lambda a, b: add_bits(kernel, a, b, rounding),
             lambda x: x & (sign - 1) == inf))
     if fmt.overflow == "wraparound":
         return KInt(fmt, _int_fold(fmt, dataset.runs))
     clamp = fmt.clamp
-    return KInt(fmt, _cascade([(v.value, c) for v, c in dataset.runs],
-                              lambda a, b: clamp(a + b), lambda x: False))
+    return KInt(fmt, _cascade(dataset.runs, lambda a, b: clamp(a + b),
+                              lambda x: False))
 
 
-def _cascade(runs: list, add, final) -> int:
+def _cascade(runs: tuple, add, final) -> int:
     """The cascade of :func:`bs_pairwise` over runs ``(x, count)`` of
     ints, under ``add``; a left operand that is ``final`` is returned
     without its sibling.  No runs sum to 0."""
@@ -602,8 +603,8 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     _check_mode(rounding)
     _, _, _, sign, inf = fmt._kernel
     total = comp = 0
-    for v, count in dataset.runs:
-        total, comp = _kahan_run(fmt, total, comp, v.bits, count, rounding)
+    for x, count in dataset.runs:
+        total, comp = _kahan_run(fmt, total, comp, x, count, rounding)
         if total & (sign - 1) == inf:
             break  # the step keeps an infinite total as it is
     return _from_bits(fmt, total)
@@ -629,19 +630,18 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
-        pos = sum(v.value * c for v, c in dataset.runs if v.value >= 0)
-        neg = sum(v.value * c for v, c in dataset.runs if v.value < 0)
+        pos = sum(x * c for x, c in dataset.runs if x >= 0)
+        neg = sum(x * c for x, c in dataset.runs if x < 0)
         return KInt(fmt, fmt.settle(fmt.settle(pos) + fmt.settle(neg)))
     kernel = fmt._kernel
     _, _, _, sign, inf = kernel
     # within one sign the patterns ascend with the magnitude
-    runs = sorted((v.bits, c) for v, c in dataset.runs)
     pos = neg = 0
-    for v, count in runs:
-        if v & sign:
-            neg = _add_run(fmt, neg, v, count, "toward_zero")
+    for x, count in sorted(dataset.runs):
+        if x & sign:
+            neg = _add_run(fmt, neg, x, count, "toward_zero")
         else:
-            pos = _add_run(fmt, pos, v, count, "toward_zero")
+            pos = _add_run(fmt, pos, x, count, "toward_zero")
     if pos == inf:
         pos = inf - 1  # the largest finite value
         if events is not None:
@@ -663,13 +663,13 @@ def truncate(dataset: Dataset, n_max: int) -> Dataset:
         raise ValueError("n_max must be nonnegative")
     out = []
     left = n_max
-    for v, c in dataset.runs:
+    for x, c in dataset.runs:
         if left == 0:
             break
         take = min(c, left)
-        out.append((v, take))
+        out.append((x, take))
         left -= take
-    return dataset.replace_runs(out)
+    return Dataset.unchecked(dataset.fmt, dataset.lower, dataset.upper, out)
 
 
 def random_permutation(dataset: Dataset, seed: int) -> Dataset:
@@ -685,11 +685,16 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
     """
     if len(dataset) > MATERIALIZE_LIMIT:
         raise ValueError("dataset too large to materialize for permutation")
-    values = [v for v, c in sorted(dataset.runs,
-                                   key=lambda run: order_key(run[0]))
-              for _ in range(c)]
-    return dataset.replace_elements_unchecked(
-        _fisher_yates(values, random.Random(seed)))
+    runs = sorted(dataset.runs, key=lambda run: code_key(dataset.fmt, run[0]))
+    codes = [x for x, c in runs for _ in range(c)]
+    return _arranged(dataset, _fisher_yates(codes, random.Random(seed)))
+
+
+def _arranged(frame: Dataset, codes: List[int]) -> Dataset:
+    """The dataset of ``codes``, in order, over the frame of ``frame``,
+    whose runs they were drawn from: nothing is checked."""
+    return Dataset.unchecked(frame.fmt, frame.lower, frame.upper,
+                             [(x, 1) for x in codes])
 
 
 def _fisher_yates(items: list, rng: random.Random) -> list:
@@ -716,33 +721,33 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
-        span = dataset.upper.value - dataset.lower.value
+        lo = dataset.lower.value
+        span = dataset.upper.value - lo
         if span > fmt.max_value:
             raise ValueError("shifted upper bound U - L exceeds the type range")
-        lo = dataset.lower.value
-        return Dataset._trusted(fmt, KInt(fmt, 0), KInt(fmt, span), tuple(
-            (KInt(fmt, v.value - lo), c) for v, c in dataset.runs))
+        return Dataset.unchecked(fmt, KInt(fmt, 0), KInt(fmt, span),
+                                 [(x - lo, c) for x, c in dataset.runs])
     kernel = fmt._kernel
     _, _, _, sign, inf = kernel
     lo = dataset.lower.to_grid()
 
-    def shifted(v: SimFloat):
-        """The pattern of ``v - lower``, or None if it is not finite."""
-        bits = _grid_bits(kernel, v.to_grid() - lo)
+    def shifted(x: int):
+        """The pattern of ``x - lower``, or None if it is not finite."""
+        bits = _grid_bits(kernel, _bits_grid(kernel, x) - lo)
         return None if bits is None or bits & (sign - 1) == inf else bits
 
-    upper = shifted(dataset.upper)
+    upper = shifted(dataset.upper.bits)
     if upper is None:
         raise ValueError("shifted upper bound U - L is not representable")
     runs = []
-    for v, c in dataset.runs:
-        bits = shifted(v)
+    for x, c in dataset.runs:
+        bits = shifted(x)
         if bits is None:
-            raise ValueError(f"shifted element {v} - {dataset.lower} "
-                             "is not representable")
-        runs.append((_from_bits(fmt, bits), c))
-    return Dataset._trusted(fmt, _from_bits(fmt, 0), _from_bits(fmt, upper),
-                            tuple(runs))
+            raise ValueError(f"shifted element {code_value(fmt, x)} - "
+                             f"{dataset.lower} is not representable")
+        runs.append((bits, c))
+    return Dataset.unchecked(fmt, _from_bits(fmt, 0), _from_bits(fmt, upper),
+                             runs)
 
 
 # ---------------------------------------------------------------------------

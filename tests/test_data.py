@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from pytest import raises
+from pytest import mark, raises
 from hypothesis import given
 from hypothesis.strategies import integers, lists
 
@@ -25,10 +25,12 @@ from boundedsum import (
     save_dataset,
     truncate,
 )
+from boundedsum.data import check_runs, order_key
 from boundedsum.summation import _shift_dataset
 
 F44 = FloatFormat(4, 4)
 I8 = IntFormat(8, False, "wraparound")
+INSTANCES = Path(__file__).with_name("golden") / "instances"
 
 
 def int_ds(elems, lo=0, hi=200):
@@ -42,7 +44,7 @@ def int_ds(elems, lo=0, hi=200):
 
 def test_from_elements_merges_consecutive_runs():
     ds = int_ds([7, 7, 7, 3, 7, 7])
-    assert [(v.value, c) for v, c in ds.runs] == [(7, 3), (3, 1), (7, 2)]
+    assert ds.runs == ((7, 3), (3, 1), (7, 2))
     assert len(ds) == 6
     assert [v.value for v in ds.iter_values()] == [7, 7, 7, 3, 7, 7]
     assert [v.value for v in ds.to_list()] == [7, 7, 7, 3, 7, 7]
@@ -67,11 +69,11 @@ def test_float_elements_must_be_in_range():
 
 
 def test_len_is_the_sum_of_run_counts_however_a_dataset_is_built():
-    instances = Path(__file__).with_name("golden") / "instances"
-    dense = load_dataset(instances / "dense" / "f10_5.json")
-    long_runs = load_dataset(instances / "ov8" / "u.json")
+    dense = load_dataset(INSTANCES / "dense" / "f10_5.json")
+    long_runs = load_dataset(INSTANCES / "ov8" / "u.json")
     built = [dense, long_runs,
-             dense.replace_elements_unchecked([v for v, _ in dense.runs] * 3),
+             Dataset.unchecked(dense.fmt, dense.lower, dense.upper,
+                               [(x, 1) for x, _ in dense.runs] * 3),
              truncate(dense, 7), truncate(long_runs, 40),
              _shift_dataset(dense), _shift_dataset(long_runs),
              random_permutation(dense, 5)]
@@ -82,6 +84,45 @@ def test_len_is_the_sum_of_run_counts_however_a_dataset_is_built():
         assert len(ds) == sum(c for _, c in ds.runs) > 0
     assert [len(ds) for ds in built[2:5]] == [3 * len(dense.runs), 7, 40]
     assert [len(ds) for ds in built[8:]] == [3, 4, 3, 3, 4, 4]
+
+
+@mark.parametrize("fmt", [F44, FloatFormat(2, 3), I8,
+                         IntFormat(4, True, "saturating")])
+def test_code_check_accepts_exactly_the_finite_codes_inside_the_bounds(fmt):
+    # every int near the format's codes, including patterns out of range,
+    # NaNs, infinities, -0 and negative ints, against every pair of bounds
+    # of a few finite values: the check compares order keys only
+    floats = isinstance(fmt, FloatFormat)
+    span = 1 << (fmt.total_bits if floats else fmt.bits)
+    kind = SimFloat if floats else KInt
+    values = []
+    for x in range(-span, span):
+        try:
+            values.append(kind(fmt, x))
+        except ValueError:
+            pass
+    values = [v for v in values if not floats or v.is_finite()]
+    values.sort(key=order_key)
+    bounds = values[::max(len(values) // 5, 1)] + values[-1:]
+    for lo in bounds:
+        for hi in bounds:
+            if order_key(lo) > order_key(hi):
+                continue
+            for x in range(-span - 3, 2 * span + 3):
+                try:
+                    v = kind(fmt, x)
+                except ValueError:
+                    ok = False
+                else:
+                    ok = (not floats or v.is_finite()) and (
+                        order_key(lo) <= order_key(v) <= order_key(hi))
+                try:
+                    runs = check_runs(fmt, lo, hi, [(x, 2)])
+                except ValueError:
+                    assert not ok, (lo, hi, x)
+                else:
+                    assert ok, (lo, hi, x)
+                    assert runs == [(v.bits if floats else v.value, 2)]
 
 
 def test_replace_elements_keeps_the_frame():
@@ -119,6 +160,18 @@ def test_format_codec_roundtrip():
 def test_format_codec_rejects_unknown_kind():
     with raises(ValueError):
         format_from_json({"kind": "decimal", "digits": 10})
+
+
+def test_format_fields_are_type_checked_not_converted():
+    # "false" is not a boolean, 8.9 and True are not integers
+    i8 = format_to_json(I8)
+    f44 = format_to_json(F44)
+    for bad in (dict(i8, signed="false"), dict(i8, signed=0),
+                dict(i8, bits=8.9), dict(i8, bits=8.0), dict(i8, bits=True),
+                dict(i8, bits="8"), dict(f44, mantissa_bits=3.7),
+                dict(f44, exponent_bits=True)):
+        with raises(TypeError):
+            format_from_json(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +238,8 @@ def test_json_numbers_are_refused_not_truncated():
     # a JSON number where a string value or an integer count belongs
     base = int_ds([1]).to_json_dict()
     for entry in ({"value": 1.5, "count": 1}, {"value": 1, "count": 1},
-                  {"value": "1", "count": 2.7}, 1):
+                  {"value": "1", "count": 2.7}, {"value": "1", "count": True},
+                  1):
         doc = dict(base, elements=[entry])
         with raises(TypeError):
             Dataset.from_json_dict(doc)
@@ -194,6 +248,32 @@ def test_json_numbers_are_refused_not_truncated():
     doc["elements"] = [{"value": 0.0, "count": 1}]
     with raises(TypeError):
         Dataset.from_json_dict(doc)
+
+
+def test_element_texts_have_one_spelling():
+    # an int is ASCII -?[0-9]+ and a pattern 0x and hex digits; Python's
+    # int() would also read underscores, padding and other scripts' digits
+    doc = int_ds([1]).to_json_dict()
+    for text in ("1_0", " 7 ", "7\n", "\u0663", "+7", "0x7", "7.0", ""):
+        for spot in ("element", "lower", "upper"):
+            bad = json.loads(json.dumps(doc))
+            if spot == "element":
+                bad["elements"] = [text]
+            else:
+                bad["bounds"][spot] = text
+            with raises(ValueError):
+                Dataset.from_json_dict(bad)
+    assert Dataset.from_json_dict(dict(doc, elements=["-0", "007"])) == int_ds(
+        [0, 7])
+    lo, hi = parse_value(F44, "-2"), parse_value(F44, "2")
+    doc = Dataset.from_elements(F44, lo, hi, ()).to_json_dict()
+    for text in ("0x3_0", " 0x30", "0x30 ", "0x\u0663", "0x", "0x-30",
+                 "-0x30"):
+        with raises(ValueError):
+            Dataset.from_json_dict(dict(doc, elements=[text]))
+    one = Dataset.from_json_dict(dict(doc, elements=["0X30"]))
+    assert one.runs == ((0x30, 1),)
+    assert one == Dataset.from_json_dict(dict(doc, elements=["1*2^-4"]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +298,36 @@ def test_file_roundtrip_float(tmp_path):
     ds = Dataset(F44, lo, hi, [(parse_value(F44, "1.5"), 12)])
     save_dataset(ds, tmp_path / "f.json")
     assert load_dataset(tmp_path / "f.json") == ds
+
+
+# every committed dataset file: the attack pairs and the dense files
+DATASET_FILES = sorted(
+    p for p in INSTANCES.rglob("*.json")
+    if p.parent.name != "refused" and p.name != "instance.json")
+
+
+@mark.parametrize("path", DATASET_FILES,
+                  ids=lambda p: p.relative_to(INSTANCES).as_posix())
+def test_committed_dataset_files_round_trip(path, tmp_path):
+    ds = load_dataset(path)
+    save_dataset(ds, tmp_path / "once.json")
+    again = load_dataset(tmp_path / "once.json")
+    assert again == ds
+    save_dataset(again, tmp_path / "twice.json")
+    once = (tmp_path / "once.json").read_bytes()
+    assert (tmp_path / "twice.json").read_bytes() == once
+    # the hand-written dense file has a -0 pattern and a bare string; every
+    # other file was written by save_dataset and re-saves unchanged
+    if path.relative_to(INSTANCES).as_posix() != "dense/f10_5.json":
+        assert once == path.read_bytes()
+
+
+def test_minus_zero_pattern_loads_as_code_zero():
+    doc = json.loads((INSTANCES / "dense" / "f10_5.json").read_text())
+    entries = [(e, 1) if isinstance(e, str) else (e["value"], e["count"])
+               for e in doc["elements"]]
+    at = [text for text, _ in entries].index("0x8000")
+    position = sum(c for _, c in entries[:at])
+    ds = Dataset.from_json_dict(doc)
+    assert ds.codes()[position] == 0
+    assert all(x != 0x8000 for x, _ in ds.runs)

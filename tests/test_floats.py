@@ -508,7 +508,7 @@ def test_hex_roundtrip(bits):
         x = SimFloat(F23, bits)
     except ValueError:
         return
-    assert SimFloat.from_hex(F23, x.to_hex()) == x
+    assert parse_value(F23, x.to_hex()) == x
 
 
 @mark.parametrize("text want".split(),

@@ -111,18 +111,18 @@ REFUSAL_CASES = {
     "bruteforce-float23-shift-refused": (_F23_N3 + [
         "--metric", "co", "--method", "pairwise", "--transform", "shift"], 2),
 }
-# files refused on load, and the two shifts that are not exact, run from
-# tests/golden/ like the sums above
-for _name in ("pattern-out-of-range", "nan-pattern", "inf-element",
-              "out-of-bounds", "count-zero", "int-out-of-range",
-              "negative-pattern", "not-representable", "not-dyadic"):
-    REFUSAL_CASES[f"sum-refused-{_name}"] = (
-        ["sum", "--in", f"instances/refused/{_name}.json"], 2)
+# every file under instances/refused/ is refused on load, apart from
+# shift-inexact, which loads and is refused by its shift (as in CI); with
+# the shift of rr2_4_6, run from tests/golden/ like the sums above
+for _file in sorted((GOLDEN / "instances" / "refused").glob("*.json")):
+    _argv = ["sum", "--in", f"instances/refused/{_file.name}"]
+    if _file.stem == "shift-inexact":
+        REFUSAL_CASES["sum-shift-inexact-refused"] = (
+            _argv + ["--transform", "shift"], 2)
+    else:
+        REFUSAL_CASES[f"sum-refused-{_file.stem}"] = (_argv, 2)
 REFUSAL_CASES["sum-rr2_4_6-shift-refused"] = (
     ["sum", "--in", "instances/rr2_4_6/u.json", "--transform", "shift"], 2)
-REFUSAL_CASES["sum-shift-inexact-refused"] = (
-    ["sum", "--in", "instances/refused/shift-inexact.json", "--transform",
-     "shift"], 2)
 
 _BOUND = ["sens", "bound", "--format", "float:2,3", "--lower", "-1",
           "--upper", "1"]

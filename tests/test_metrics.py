@@ -10,6 +10,7 @@ from hypothesis.strategies import integers, lists
 from boundedsum import (
     INFINITE,
     Dataset,
+    FloatFormat,
     IntFormat,
     KInt,
     d_co,
@@ -18,6 +19,7 @@ from boundedsum import (
     d_mod,
     d_sym,
     histogram,
+    parse_value,
 )
 
 small_lists = lists(integers(min_value=0, max_value=4), max_size=8)
@@ -100,6 +102,30 @@ def test_run_length_inputs_match_materialized():
 def test_histogram():
     h = histogram([3, 1, 3, 3])
     assert h == Counter({3: 3, 1: 1})
+
+
+def test_a_dataset_is_compared_only_with_a_dataset_of_its_format():
+    # a dataset holds codes, so its elements would not equal the values of
+    # a plain list; a list of bare ints equal to its codes would pass as
+    # equal.  Both mixes are refused, as are two formats whose codes meet.
+    fmt = FloatFormat(4, 4)
+    lo, hi = parse_value(fmt, "-2"), parse_value(fmt, "2")
+    values = [parse_value(fmt, t) for t in ("0.5", "-1.25", "0.5")]
+    ds = Dataset.from_elements(fmt, lo, hi, values)
+    codes = [v.bits for v in values]
+    assert ds.codes() == codes
+    i8 = IntFormat(8, True, "wraparound")
+    ints = Dataset.from_elements(i8, KInt(i8, 0), KInt(i8, 99),
+                                 [KInt(i8, codes[0])])
+    one = ds.replace_elements(values[:1])
+    for d in (d_sym, d_co, d_ham, d_id):
+        for u, v in ((ds, values), (values, ds), (ds, codes), (one, ints)):
+            with raises(TypeError):
+                d(u, v)
+        assert d(ds, ds) == d(values, values) == 0
+        assert d(ds, ds.replace_elements(values[::-1])) == d(values,
+                                                               values[::-1])
+    assert histogram(ds) == Counter({codes[0]: 2, codes[1]: 1})
 
 
 # ---------------------------------------------------------------------------
