@@ -89,6 +89,9 @@ class AttackInstance:
     blowup: Fraction
 
     def to_json(self) -> dict:
+        """The JSON form, with ``u`` and ``v`` left as Datasets:
+        :func:`~boundedsum.data.json_text` writes each as its
+        ``to_json_dict()``."""
         return {
             "name": self.name, "metric": self.metric,
             "adjacency_distance": self.adjacency_distance,
@@ -98,7 +101,7 @@ class AttackInstance:
             "predicted_gap": str(self.predicted_gap),
             "idealized": str(self.idealized),
             "blowup": str(self.blowup),
-            "u": self.u.to_json_dict(), "v": self.v.to_json_dict(),
+            "u": self.u, "v": self.v,
         }
 
     @classmethod

@@ -54,7 +54,7 @@ from typing import List, Optional
 from . import __version__
 from .attacks import _GENERATORS, ATTACK_NAMES, AttackInstance, verify_attack
 from .data import (SCHEMA_VERSION, decode_value, encode_value, format_to_json,
-                   load_dataset, save_dataset)
+                   json_text, load_dataset, save_dataset)
 from .floats import ROUNDING_MODES, FloatFormat, SimFloat
 from .ints import IntFormat
 from .mechanism import (NOISE_KINDS, MechanismSpec, calibrate,
@@ -191,7 +191,7 @@ def _report(args, command: str, filename: str, body: dict, flags=(),
                 "%Y-%m-%dT%H:%M:%SZ") if args.stamp else FIXED_TIMESTAMP),
         },
     }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json_text(report) + "\n"
     sys.stdout.write(text)
     if args.out is not None:
         path = Path(args.out)

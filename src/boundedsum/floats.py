@@ -529,7 +529,7 @@ def values_in_range(fmt: FloatFormat, lo: SimFloat, hi: SimFloat,
             for bits in r]
 
 
-_DYADIC_RE = re.compile(r"^(-?\d+)\*2\^(-?\d+)$")
+_DYADIC_RE = re.compile(r"(-?[0-9]+)\*2\^(-?[0-9]+)")
 # a bit pattern's one spelling
 _PATTERN_RE = re.compile(r"0[xX][0-9a-fA-F]+")
 
@@ -537,19 +537,23 @@ _PATTERN_RE = re.compile(r"0[xX][0-9a-fA-F]+")
 def parse_value(fmt: FloatFormat, text: str) -> SimFloat:
     """Parse ``0x..`` bit patterns, ``m*2^e`` literals, ``inf``, or decimals.
 
-    A bit pattern is ``0x`` and hex digits, nothing else.  Non-pattern
-    inputs must be exactly representable in ``fmt``.
+    A bit pattern is ``0x`` and hex digits, nothing else.  Every other
+    literal has one spelling too: ASCII with no ``_``, no surrounding
+    whitespace and no leading ``+``.  Non-pattern inputs must be exactly
+    representable in ``fmt``.
     """
     if _PATTERN_RE.fullmatch(text):
         return SimFloat(fmt, int(text, 16))
-    text = text.strip()
-    if text.lower() in ("inf", "+inf"):
+    if (not text.isascii() or "_" in text or text != text.strip()
+            or text.startswith("+")):
+        raise ValueError(f"{text!r} is not a float literal")
+    if text.lower() == "inf":
         return SimFloat.inf(fmt, 1)
     if text.lower() == "-inf":
         return SimFloat.inf(fmt, -1)
     if text.lower().startswith("-0x"):
         raise ValueError("sign belongs inside the bit pattern")
-    m = _DYADIC_RE.match(text)
+    m = _DYADIC_RE.fullmatch(text)
     if m:
         q = Dyadic(int(m.group(1)), int(m.group(2)))
     else:

@@ -105,7 +105,7 @@ class SensSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        check_runs(self.fmt, self.lower, self.upper, ())
+        check_runs(self.fmt, self.lower, self.upper, (), ())
         if self.n is not None and self.n < 0:
             raise ValueError("n must be nonnegative")
 

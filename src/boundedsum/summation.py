@@ -73,11 +73,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import sub
+from operator import itemgetter, sub
 from typing import List, Optional, Tuple, Union
 
 from .data import (Dataset, MATERIALIZE_LIMIT, code_key, code_value,
-                   exact_value)
+                   exact_value, merge_runs)
 from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
                      _check_mode, _from_bits, _grid_bits, add_bits,
@@ -637,7 +637,9 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     _, _, _, sign, inf = kernel
     # within one sign the patterns ascend with the magnitude
     pos = neg = 0
-    for x, count in sorted(dataset.runs):
+    # sorting brings equal codes together; merged, a run of them is one
+    # _add_run, not one per element
+    for x, count in merge_runs(sorted(dataset.runs, key=itemgetter(0))):
         if x & sign:
             neg = _add_run(fmt, neg, x, count, "toward_zero")
         else:

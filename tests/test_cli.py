@@ -126,3 +126,17 @@ def test_an_experiment_past_the_double_range_reports_its_verdict(epsilon):
     assert report["log2_probability_bound"] == 0.0
     assert report["verdict"] == "consistent-with-epsilon"
     assert code == 0
+
+
+@mark.parametrize("flag, text", [("--lower", "+0.5"), ("--lower", " -1"),
+                                 ("--upper", "1_0"), ("--upper", "+inf")])
+def test_a_bound_flag_has_one_float_spelling(flag, text, capsys):
+    argv = {"--lower": "-1", "--upper": "1", flag: text}
+    code, out = _run(["sens", "bound", "--format", "float:10,5", "--lower",
+                      argv["--lower"], "--upper", argv["--upper"],
+                      "--metric", "ham", "--n", "4"])
+    assert code == 2 and out == ""
+    assert f"{text!r} is not a float literal" in capsys.readouterr().err
+    code, _ = _run(["sens", "bound", "--format", "float:10,5", "--lower",
+                    "-1", "--upper", "1", "--metric", "ham", "--n", "4"])
+    assert code == 0

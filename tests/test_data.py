@@ -1,11 +1,14 @@
 """Dataset container, value codecs, and file round-trips."""
 
 import json
+from operator import index
 from pathlib import Path
 
 from pytest import mark, raises
-from hypothesis import given
-from hypothesis.strategies import integers, lists
+from hypothesis import given, settings
+from hypothesis.strategies import (booleans, composite, data, dictionaries,
+                                   floats, integers, just, lists, none,
+                                   recursive, sampled_from, text, tuples)
 
 from boundedsum import (
     Dataset,
@@ -22,10 +25,14 @@ from boundedsum import (
     couple_sym,
     parse_value,
     random_permutation,
+    round_dyadic,
     save_dataset,
     truncate,
+    values_in_range,
 )
-from boundedsum.data import check_runs, order_key
+from boundedsum import data
+from boundedsum.data import (check_runs, decode_code, json_text, order_key,
+                             value_code)
 from boundedsum.summation import _shift_dataset
 
 F44 = FloatFormat(4, 4)
@@ -117,12 +124,40 @@ def test_code_check_accepts_exactly_the_finite_codes_inside_the_bounds(fmt):
                     ok = (not floats or v.is_finite()) and (
                         order_key(lo) <= order_key(v) <= order_key(hi))
                 try:
-                    runs = check_runs(fmt, lo, hi, [(x, 2)])
+                    runs = check_runs(fmt, lo, hi, [x], [2])
                 except ValueError:
                     assert not ok, (lo, hi, x)
                 else:
                     assert ok, (lo, hi, x)
-                    assert runs == [(v.bits if floats else v.value, 2)]
+                    assert runs == ((v.bits if floats else v.value, 2),)
+
+
+@mark.parametrize("fmt", [F44, FloatFormat(2, 3), I8,
+                         IntFormat(4, True, "saturating")])
+def test_in_bounds_codes_pass_the_bulk_check_alone(fmt, monkeypatch):
+    # the per-run loop only words refusals: codes inside the bounds, up to
+    # and including both bounds' own codes and -0, never reach it
+    def per_run(*args):
+        raise AssertionError("the bulk check sent valid runs run by run")
+
+    monkeypatch.setattr(data, "_check_each", per_run)
+    floats = isinstance(fmt, FloatFormat)
+    if floats:
+        top = round_dyadic(fmt.max_finite, fmt, "toward_zero")
+        values = values_in_range(fmt, -top, top, include_subnormals=True)
+    else:
+        values = [KInt(fmt, x) for x in range(fmt.min_value,
+                                              fmt.max_value + 1)]
+    values.sort(key=order_key)
+    bounds = values[::max(len(values) // 6, 1)] + values[-1:]
+    for i, lo in enumerate(bounds):
+        for hi in bounds[i:]:
+            inside = [value_code(fmt, v) for v in values
+                      if order_key(lo) <= order_key(v) <= order_key(hi)]
+            if floats and order_key(lo) <= 0 <= order_key(hi):
+                inside.append(fmt._kernel[3])                  # -0
+            for codes in (inside, inside[::-1], inside[:1] + inside[-1:]):
+                check_runs(fmt, lo, hi, codes, [1] * len(codes))
 
 
 def test_replace_elements_keeps_the_frame():
@@ -331,3 +366,223 @@ def test_minus_zero_pattern_loads_as_code_zero():
     ds = Dataset.from_json_dict(doc)
     assert ds.codes()[position] == 0
     assert all(x != 0x8000 for x, _ in ds.runs)
+
+
+# ---------------------------------------------------------------------------
+# The bulk writer against the stdlib
+# ---------------------------------------------------------------------------
+
+_WRITE_FORMATS = [F44, I8, IntFormat(16, True, "saturating"),
+                  FloatFormat(23, 8)]
+
+
+@composite
+def datasets(draw):
+    fmt = draw(sampled_from(_WRITE_FORMATS))
+    if isinstance(fmt, FloatFormat):
+        top = fmt._kernel[4] - 1  # the largest finite magnitude pattern
+        value = tuples(integers(0, top), booleans()).map(
+            lambda mb: SimFloat(fmt, mb[0] | fmt._kernel[3] * mb[1]))
+        lo, hi = SimFloat(fmt, top | fmt._kernel[3]), SimFloat(fmt, top)
+    else:
+        value = integers(fmt.min_value, fmt.max_value).map(
+            lambda x: KInt(fmt, x))
+        lo, hi = KInt(fmt, fmt.min_value), KInt(fmt, fmt.max_value)
+    runs = draw(lists(tuples(value, integers(1, 1 << 40)), max_size=8))
+    return Dataset(fmt, lo, hi, runs)
+
+
+_JSON = recursive(
+    none() | booleans() | integers() | floats() | text(),
+    lambda inner: lists(inner, max_size=4)
+    | dictionaries(text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+@composite
+def nested(draw, inner, depth):
+    """``inner`` under ``depth`` levels of dicts and lists that also hold
+    other JSON."""
+    x = draw(inner)
+    for _ in range(depth):
+        if draw(booleans()):
+            x = {**draw(dictionaries(text(max_size=6), _JSON, max_size=3)),
+                 draw(text(max_size=6)): x}
+        else:
+            at = draw(integers(0, 2))
+            others = draw(lists(_JSON, max_size=2))
+            x = others[:at] + [x] + others[at:]
+    return x
+
+
+def _stdlib_text(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True,
+                      default=lambda ds: ds.to_json_dict())
+
+
+@given(integers(0, 3).flatmap(lambda d: nested(datasets(), d)))
+@settings(max_examples=200, deadline=None)
+def test_json_text_writes_datasets_as_the_stdlib_would(x):
+    assert json_text(x) == _stdlib_text(x)
+
+
+@given(_JSON)
+@settings(max_examples=200, deadline=None)
+def test_json_text_writes_plain_json_as_the_stdlib_would(x):
+    assert json_text(x) == json.dumps(x, indent=2, sort_keys=True)
+
+
+@given(lists(integers(0, 3).flatmap(lambda d: nested(datasets(), d)),
+             max_size=3), _JSON)
+@settings(max_examples=100, deadline=None)
+def test_json_text_writes_several_datasets_among_other_json(xs, other):
+    x = {"a": xs, "b": other, "c": xs[:1]}
+    assert json_text(x) == _stdlib_text(x)
+
+
+def test_json_text_edge_cases():
+    empty = int_ds([])
+    ds = int_ds([3, 3, 200, 0])
+    # the placeholder json_text writes in place of an element list, as
+    # a string of the document's own, and an empty list
+    for x in (empty, [empty], {"u": ds, "v": empty},
+              {"\0elements\0": ds}, ["\0elements\0", ds],
+              {"x": {"y": [ds, {"z": "é\n\x01\"", "w": [None, 1.5, True]}]}}):
+        assert json_text(x) == _stdlib_text(x)
+    with raises(TypeError, match="not JSON serializable"):
+        json_text({"x": object()})
+
+
+def test_save_dataset_writes_the_stdlib_text(tmp_path):
+    lo, hi = parse_value(F44, "-2"), parse_value(F44, "2")
+    ds = Dataset(F44, lo, hi, [(parse_value(F44, "0.5"), 3),
+                               (parse_value(F44, "-1.25"), 1)])
+    save_dataset(ds, tmp_path / "f.json")
+    assert (tmp_path / "f.json").read_text() == _stdlib_text(ds) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The bulk loader against the per-run path
+# ---------------------------------------------------------------------------
+
+def per_run_load(d: dict) -> Dataset:
+    """Dataset.from_json_dict entry by entry, with one check per run and
+    one merge per run: the reference for the bulk loader."""
+    fmt = format_from_json(d["format"])
+    lower = decode_value(fmt, d["bounds"]["lower"])
+    upper = decode_value(fmt, d["bounds"]["upper"])
+    runs = [(decode_code(fmt, entry), 1) if isinstance(entry, str)
+            else (decode_code(fmt, entry["value"]), entry["count"])
+            for entry in d["elements"]]
+    for what, v in (("lower bound", lower), ("upper bound", upper)):
+        if isinstance(v, SimFloat) and not v.is_finite():
+            raise ValueError(f"{what} must be finite")
+    lo, hi = order_key(lower), order_key(upper)
+    if lo > hi:
+        raise ValueError("lower bound exceeds upper bound")
+    sign = fmt._kernel[3] if isinstance(fmt, FloatFormat) else 0
+    merged = []
+    for x, c in runs:
+        if isinstance(c, bool):
+            raise TypeError(f"run count {c!r} is not an integer")
+        c = index(c)
+        k = -(x ^ sign) if x & sign else x
+        if not lo <= k <= hi:
+            v = (SimFloat if sign else KInt)(fmt, x)
+            if isinstance(v, SimFloat) and not v.is_finite():
+                raise ValueError("element must be finite")
+            raise ValueError(f"element {v} outside bounds [{lower}, {upper}]")
+        if c < 1:
+            raise ValueError("run counts must be positive")
+        x = x if k else 0
+        if merged and merged[-1][0] == x:
+            merged[-1] = (x, merged[-1][1] + c)
+        else:
+            merged.append((x, c))
+    return Dataset.unchecked(fmt, lower, upper, merged)
+
+
+def _outcome(load, doc):
+    try:
+        ds = load(doc)
+    except Exception as e:
+        return type(e), str(e)
+    return ds.fmt, ds.lower, ds.upper, ds.runs, len(ds)
+
+
+_FLOAT_POINTS = ("-2", "-1.5", "-1", "-0.5", "-0.25", "0", "0.25", "0.5",
+                 "1", "1.5", "2")
+
+
+def _faulty_texts(fmt):
+    """Element texts the loader refuses, or reads only as other literals."""
+    if isinstance(fmt, FloatFormat):
+        width = -(-fmt.total_bits // 4)
+        sign, inf = fmt._kernel[3], fmt._kernel[4]
+        patterns = integers(0, 2 * sign + 3).map(
+            lambda x: f"0x{x:0{width}x}")
+        return patterns | sampled_from([
+            f"0x{inf:x}", f"0x{inf | sign:x}", f"0x{inf + 1:x}",   # inf, NaN
+            "0X3800", "0x3_800", " 0x3800", "0x", "-0x3800", "0.5", "-0.25",
+            "1*2^-1", "inf", "0.1", "0.2_5", "+0.5", "٣", "", "7"])
+    return integers(fmt.min_value - 3, fmt.max_value + 3).map(
+        str) | sampled_from(["-0", "007", "1_0", " 7", "+7", "٣", "7.0",
+                             "0x7", "", "-", "9" * 5])
+
+
+@composite
+def documents(draw, fmt):
+    """A dataset document of ``fmt``: mostly runs of a few in-bounds codes
+    in their one spelling (a float ``-0`` among them), with repeats, then
+    up to two entries of any kind, faults included."""
+    if isinstance(fmt, FloatFormat):
+        points = [parse_value(fmt, t) for t in _FLOAT_POINTS]
+        spell = "0x{:0%dx}" % -(-fmt.total_bits // 4)
+    else:
+        points = [KInt(fmt, x) for x in (fmt.min_value, -5, 0, 7, 100,
+                                         fmt.max_value)
+                  if fmt.min_value <= x <= fmt.max_value]
+        spell = "{}"
+    points.sort(key=order_key)
+    lo, hi = draw(sampled_from(points)), draw(sampled_from(points))
+    inside = [spell.format(value_code(fmt, v)) for v in points
+              if order_key(lo) <= order_key(v) <= order_key(hi)]
+    if isinstance(fmt, FloatFormat) and order_key(lo) <= 0 <= order_key(hi):
+        inside.append(spell.format(fmt._kernel[3]))          # -0
+    good = sampled_from(inside) if inside else _faulty_texts(fmt)
+    elements = draw(lists(tuples(good, integers(1, 5)).map(
+        lambda tc: {"value": tc[0], "count": tc[1]}), max_size=10))
+    if elements and draw(booleans()):
+        elements.insert(draw(integers(0, len(elements))),
+                        dict(draw(sampled_from(elements))))
+    texts = good | _faulty_texts(fmt)
+    counts = integers(1, 5) | sampled_from([0, -1, True, False, 2.0, "1",
+                                            None, 1 << 70])
+    entry = (tuples(texts, counts).map(
+        lambda tc: {"value": tc[0], "count": tc[1]})
+        | texts      # a bare string is one element
+        | sampled_from([{"count": 1}, {"value": inside[0] if inside else "0"},
+                        5, None, {"value": 5, "count": 1}]))
+    for _ in range(draw(integers(0, 2)) if draw(booleans()) else 0):
+        elements.insert(draw(integers(0, len(elements))), draw(entry))
+    doc = Dataset.from_elements(fmt, lo, lo, ()).to_json_dict()
+    doc["bounds"]["upper"] = encode_value(hi)
+    doc["elements"] = elements
+    return doc
+
+
+@given(sampled_from([F44, FloatFormat(10, 5), I8,
+                     IntFormat(8, True, "saturating")]).flatmap(documents))
+@settings(max_examples=400, deadline=None)
+def test_bulk_loader_matches_the_per_run_path(doc):
+    assert _outcome(Dataset.from_json_dict, doc) == _outcome(per_run_load,
+                                                             doc)
+
+
+def test_bulk_loader_matches_the_per_run_path_on_every_committed_file():
+    for path in sorted(INSTANCES.rglob("*.json")):
+        doc = json.loads(path.read_text())
+        for d in ([doc["instance"]["u"], doc["instance"]["v"]]
+                  if path.name == "instance.json" else [doc]):
+            assert _outcome(Dataset.from_json_dict, d) == _outcome(
+                per_run_load, d), path

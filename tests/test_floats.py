@@ -529,6 +529,30 @@ def test_parse_value_special_and_hex():
     assert parse_value(F23, x.to_hex()) == x
 
 
+# second spellings of values the format holds, which Fraction() and \d
+# would read: underscores, other scripts' digits, surrounding whitespace
+# and a leading "+"
+@mark.parametrize("text", ["1_0", "0.2_5", "٣", "٣*2^-1",
+                           "3*2^-١", " 0.5 ", " 0.5", "0.5\n", "\t1",
+                           "+0.5", "+3*2^-1", "+inf", " inf", "-inf "])
+def test_parse_value_refuses_second_spellings(text):
+    fmt = FloatFormat(10, 5)
+    with raises(ValueError, match="is not a float literal"):
+        parse_value(fmt, text)
+
+
+def test_parse_value_keeps_the_one_spelling():
+    fmt = FloatFormat(10, 5)
+    assert parse_value(fmt, "10").bits == 0x4900
+    assert parse_value(fmt, "3").bits == 0x4200
+    assert parse_value(fmt, "3*2^-1").bits == 0x3e00
+    assert parse_value(fmt, "0.5").bits == parse_value(fmt, "1*2^-1").bits
+    assert parse_value(fmt, "-0.5").bits == 0xb800
+    assert parse_value(fmt, "1e1").bits == 0x4900
+    assert parse_value(fmt, "inf") == SimFloat.inf(fmt)
+    assert parse_value(fmt, "-inf") == SimFloat.inf(fmt, -1)
+
+
 @mark.parametrize("text", ["0.1", "15", "1/3", "0.03125"])
 def test_parse_value_rejects_unrepresentable(text):
     with raises(ValueError):

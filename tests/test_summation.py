@@ -51,6 +51,7 @@ from boundedsum import (
     truncate,
     values_in_range,
 )
+from boundedsum.attacks import repeated_rounding_attack_2
 from boundedsum.floats import add_bits
 from boundedsum.summation import (_add_run, _kahan_bits, _kahan_run,
                                   _shift_dataset)
@@ -183,6 +184,72 @@ def test_iterative_runs_equal_elementwise_fold(ds, mode):
 @settings(max_examples=150, deadline=None)
 def test_split_runs_equal_elementwise_fold(ds):
     assert bs_split(ds) == ref_split(ds)
+
+
+def unmerged_split(ds, events=None):
+    """bs_split folding its sorted runs one by one, equal codes unmerged:
+    the reference for the merged fold."""
+    fmt = ds.fmt
+    _, _, _, sign, inf = fmt._kernel
+    pos = neg = 0
+    for x, count in sorted(ds.runs):
+        if x & sign:
+            neg = _add_run(fmt, neg, x, count, "toward_zero")
+        else:
+            pos = _add_run(fmt, pos, x, count, "toward_zero")
+    if pos == inf:
+        pos = inf - 1
+        if events is not None:
+            events.append("positive_partial_clamped")
+    if neg == inf | sign:
+        neg = (inf - 1) | sign
+        if events is not None:
+            events.append("negative_partial_clamped")
+    return SimFloat(fmt, add_bits(fmt._kernel, pos, neg, "banker"))
+
+
+@composite
+def repeating_float_datasets(draw):
+    # many runs over few values, so sorting puts equal codes side by side;
+    # the full finite range lets either partial saturate
+    fmt = draw(sampled_from([F23, F34]))
+    hi = round_dyadic(fmt.max_finite, fmt, "toward_zero")
+    domain = values_in_range(fmt, -hi, hi, include_subnormals=True)
+    values = draw(lists(sampled_from(domain), min_size=1, max_size=4))
+    runs = draw(lists(sampled_from(values).flatmap(
+        lambda v: integers(1, 40).map(lambda c: (v, c))), max_size=24))
+    return Dataset(fmt, -hi, hi, runs)
+
+
+@given(repeating_float_datasets())
+@settings(max_examples=200, deadline=None)
+def test_split_merging_equal_codes_keeps_the_unmerged_release(ds):
+    events, want_events = [], []
+    assert bs_split(ds, events) == unmerged_split(ds, want_events)
+    assert events == want_events
+
+
+def test_split_adds_a_run_of_equal_codes_as_one_run(monkeypatch):
+    # the repeated_rounding_2 tail alternates two codes, one run each, so
+    # its sorted runs are two long stretches of equal codes: merged, the
+    # fold jumps each one, unmerged it made one add per element
+    import boundedsum.summation as summation
+    instance = repeated_rounding_attack_2(FloatFormat(23, 8), 12, 0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return add_bits(*args)
+
+    monkeypatch.setattr(summation, "add_bits", counted)
+    for ds in (instance.u, instance.v):
+        calls.clear()
+        assert len(ds.runs) > 2000
+        got = bs_split(ds)
+        assert len(calls) < 100
+        monkeypatch.setattr(summation, "add_bits", add_bits)
+        assert got == unmerged_split(ds)
+        monkeypatch.setattr(summation, "add_bits", counted)
 
 
 # the running sum overflows, and the next compensation step would add
