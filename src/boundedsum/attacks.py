@@ -383,7 +383,7 @@ def _distance(metric: str, u: Dataset, v: Dataset) -> Optional[int]:
     elif metric == "ham":
         d = d_ham(u, v)
     else:
-        if len(u) + len(v) > _ID_RECHECK_LIMIT:
+        if u.n + v.n > _ID_RECHECK_LIMIT:
             return None
         d = d_id(u, v)
     return None if not isinstance(d, int) else d

@@ -258,7 +258,7 @@ def _cmd_sum(args) -> int:
         # a float release shows its bit pattern, and its exact value apart
         "value": value.to_hex() if isinstance(value, SimFloat) else str(value),
         "exact": str(value),
-        "n": len(dataset),
+        "n": dataset.n,
         "method": method.to_json(),
         "clamp_events": list(outcome.clamp_events),
         "permutation": outcome.permutation,

@@ -255,10 +255,11 @@ class Dataset:
     kept maximal — adjacent runs of the same code merge on construction —
     so two datasets are ``==`` exactly when they hold the same element
     sequence, however their encodings chose to chunk it.  The bounds are
-    values.  The element count is taken when the dataset is built.
+    values.  The element count ``n`` is taken when the dataset is built;
+    ``len()`` gives it too, but only up to ``sys.maxsize``.
     """
 
-    __slots__ = ("fmt", "lower", "upper", "runs", "_n")
+    __slots__ = ("fmt", "lower", "upper", "runs", "n")
 
     def __init__(self, fmt: ElementFormat, lower: Value, upper: Value,
                  runs: Iterable[Tuple[Value, int]]):
@@ -277,7 +278,7 @@ class Dataset:
         """Set the fields from maximal runs."""
         self.fmt, self.lower, self.upper = fmt, lower, upper
         self.runs = runs
-        self._n = sum(map(itemgetter(1), runs))
+        self.n = sum(map(itemgetter(1), runs))
         return self
 
     @classmethod
@@ -297,7 +298,7 @@ class Dataset:
                                             [1] * len(values))
 
     def __len__(self) -> int:
-        return self._n
+        return self.n
 
     def iter_values(self) -> Iterator[Value]:
         return itertools.chain.from_iterable(itertools.repeat(
@@ -305,11 +306,11 @@ class Dataset:
 
     def codes(self) -> List[int]:
         """The element codes, in order, as one list."""
-        check_materialize(len(self))
+        check_materialize(self.n)
         return [x for x, c in self.runs for _ in range(c)]
 
     def to_list(self) -> list:
-        check_materialize(len(self))
+        check_materialize(self.n)
         return list(self.iter_values())
 
     def replace_elements(self, elements: Iterable[Value]) -> "Dataset":
@@ -323,7 +324,7 @@ class Dataset:
 
     def __repr__(self) -> str:
         return (f"Dataset({self.fmt!r}, lower={self.lower}, upper={self.upper}, "
-                f"n={len(self)}, runs={len(self.runs)})")
+                f"n={self.n}, runs={len(self.runs)})")
 
     # -- serialization -----------------------------------------------------
 

@@ -602,7 +602,7 @@ def couple_sym(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     d = sum(extra_u.values()) + sum(extra_v.values())
     if d > 1:
         raise PreconditionFailed(f"datasets are not sym-adjacent (distance {d})")
-    check_materialize(max(len(u), len(v)))
+    check_materialize(max(u.n, v.n))
     rng = random.Random(seed)
     if d == 0:
         order = _fisher_yates(u.codes(), rng)
@@ -629,14 +629,14 @@ def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     past ``MATERIALIZE_LIMIT`` elements is refused before any list.
     """
     _check_same_frame(u, v)
-    if len(u) != len(v):
+    if u.n != v.n:
         raise PreconditionFailed("co-adjacent datasets must share a length")
     hu, hv = histogram(u), histogram(v)
     extra_u = hu - hv
     extra_v = hv - hu
     if sum(extra_u.values()) > 1:
         raise PreconditionFailed("datasets are not co-adjacent")
-    check_materialize(len(u))
+    check_materialize(u.n)
     common = hu & hv
     a = [x for x in sorted(common, key=lambda x: code_key(u.fmt, x))
          for _ in range(common[x])]

@@ -685,7 +685,7 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
     would still tell them apart.  Uniformity is unaffected — Fisher-Yates
     is uniform from any fixed starting arrangement.
     """
-    if len(dataset) > MATERIALIZE_LIMIT:
+    if dataset.n > MATERIALIZE_LIMIT:
         raise ValueError("dataset too large to materialize for permutation")
     runs = sorted(dataset.runs, key=lambda run: code_key(dataset.fmt, run[0]))
     codes = [x for x, c in runs for _ in range(c)]
@@ -768,7 +768,7 @@ def run_sum(dataset: Dataset, method: SumMethod) -> SumOutcome:
         elif isinstance(tr, Truncate):
             ds = truncate(ds, tr.n_max)
         elif isinstance(tr, ShiftBounds):
-            offset = (ds.lower, len(ds))
+            offset = (ds.lower, ds.n)
             ds = _shift_dataset(ds)
         else:
             raise TypeError(f"unknown transform {tr!r}")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from pytest import mark, raises
 
-from boundedsum import cli
+from boundedsum import Dataset, IntFormat, KInt, cli, save_dataset
 from boundedsum.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,3 +140,16 @@ def test_a_bound_flag_has_one_float_spelling(flag, text, capsys):
     code, _ = _run(["sens", "bound", "--format", "float:10,5", "--lower",
                     "-1", "--upper", "1", "--metric", "ham", "--n", "4"])
     assert code == 0
+
+
+def test_a_sum_past_sys_maxsize_elements_reports_its_count(tmp_path):
+    # ``len()`` of a dataset stops at sys.maxsize; the report's n does not
+    fmt = IntFormat(8, True, "saturating")
+    count = 1 << 70
+    path = tmp_path / "huge.json"
+    save_dataset(Dataset(fmt, KInt(fmt, -1), KInt(fmt, 1),
+                         [(KInt(fmt, 1), count)]), path)
+    code, out = _run(["sum", "--in", str(path)])
+    report = json.loads(out)
+    assert code == 0
+    assert (report["n"], report["value"]) == (count, "127")

@@ -507,7 +507,7 @@ def _outcome(load, doc):
         ds = load(doc)
     except Exception as e:
         return type(e), str(e)
-    return ds.fmt, ds.lower, ds.upper, ds.runs, len(ds)
+    return ds.fmt, ds.lower, ds.upper, ds.runs, ds.n
 
 
 _FLOAT_POINTS = ("-2", "-1.5", "-1", "-0.5", "-0.25", "0", "0.25", "0.5",
