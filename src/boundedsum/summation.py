@@ -43,7 +43,13 @@ milliseconds without a single approximation:
   linearly (an absorbed addend ends the run at once).  Iterative and
   split steps make one add (``_add_run``), a Kahan step four
   (``_kahan_run``); a run with no such period steps literally, up to
-  ``MATERIALIZE_LIMIT`` steps.  Integer runs have closed forms;
+  ``MATERIALIZE_LIMIT`` steps.  Iterative and Kahan fold a stretch of
+  runs that repeats a short block of them (the alternating tail of
+  ``repeated_rounding_2``, say) with the same engine, one step per copy
+  of the block (``_segments``, ``_fold_block``): a block's step is its
+  elements' steps in order, and each of its adds is still affine in the
+  state and the step's earlier results, which is all the period argument
+  needs.  A run is the block of one code.  Integer runs have closed forms;
 * ``pairwise`` sums a subtree that lies inside one run as a memoized
   block of ``(code, count)``, and recurses on positions only where a
   subtree straddles a run boundary: O(runs * log n) adds;
@@ -73,7 +79,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter, sub
+from operator import eq, itemgetter, sub
 from typing import List, Optional, Tuple, Union
 
 from .data import (Dataset, MATERIALIZE_LIMIT, code_key, code_value,
@@ -218,22 +224,22 @@ def _add_run(fmt: FloatFormat, s: int, c: int, count: int, mode: str) -> int:
 
     Semantically identical to ``for _ in range(count): s = s (+) c``, and
     a run of one is exactly one :func:`~boundedsum.floats.add_bits`.  A
-    longer run is a :func:`_fold_run` of one add per step, whose exact sum
-    is ``s + c``: an absorbed addend leaves ``s`` unchanged and ends the
-    run, and a steady drift is a period that moves ``s`` by the same exact
-    delta each step.
+    longer run is a :func:`_fold_block` of the block ``(c,)``: one add per
+    step, whose exact sum is ``s + c``.  An absorbed addend leaves ``s``
+    unchanged and ends the run, and a steady drift is a period that moves
+    ``s`` by the same exact delta each step.
     """
-    kernel = fmt._kernel
     if count == 1:
-        return add_bits(kernel, s, c, mode)
-    step = partial(_watched_add, kernel, c, _bits_grid(kernel, c), mode)
-    return _fold_run(fmt, "summation", step, (s,), c, count, mode)[0]
+        return add_bits(fmt._kernel, s, c, mode)
+    return _fold_block(fmt, "summation", _watched_add, (s,), (c,), count,
+                       mode)[0]
 
 
 def _watched_add(kernel: tuple, c: int, c_g: int, mode: str, state: tuple,
                  grid: Optional[tuple]):
-    """The step of :func:`_add_run`, watched for :func:`_fold_run`: the
-    pattern ``c`` (``c_g`` grid units) added to the state ``(s,)``."""
+    """The iterative fold's step of one element, watched for
+    :func:`_fold_run` (see :func:`_fold_block`): the pattern ``c`` (``c_g``
+    grid units) added to the state ``(s,)``."""
     t = add_bits(kernel, state[0], c, mode)
     if grid is None:
         return (t,), None, None
@@ -272,29 +278,27 @@ def _kahan_run(fmt: FloatFormat, total: int, comp: int, v: int, count: int,
     ``(total, comp)`` of patterns.
 
     Semantically identical to ``count`` calls of :func:`_kahan_bits`, and
-    a run of one is exactly one call.  A longer run is a :func:`_fold_run`
-    of one Kahan step each.  A step from ``(T, C)`` makes four adds, whose
-    exact sums are ``q1 = v - C``, ``q2 = T + y``, ``q3 = t - T`` and ``q4
-    = d - y``, where ``y, t, d, c`` are the rounded results and ``(t, c)``
-    is the next state.  The errors may drift: the compensation absorbs the
-    part of ``v`` that ``T`` cannot hold, a little more each step, so
-    ``q1``'s error and ``q2``'s offset against its grid change linearly
-    until a rounding flips.  A step whose compensation overflowed (and was
-    dropped) is not watched.
+    a run of one is exactly one call.  A longer run is a :func:`_fold_block`
+    of the block ``(v,)``: one Kahan step each.  A step from ``(T, C)``
+    makes four adds, whose exact sums are ``q1 = v - C``, ``q2 = T + y``,
+    ``q3 = t - T`` and ``q4 = d - y``, where ``y, t, d, c`` are the rounded
+    results and ``(t, c)`` is the next state.  The errors may drift: the
+    compensation absorbs the part of ``v`` that ``T`` cannot hold, a little
+    more each step, so ``q1``'s error and ``q2``'s offset against its grid
+    change linearly until a rounding flips.  A step whose compensation
+    overflowed (and was dropped) is not watched.
     """
-    kernel = fmt._kernel
     if count == 1:
-        return _kahan_bits(kernel, total, comp, v, mode)[:2]
-    step = partial(_watched_kahan, kernel, v, _bits_grid(kernel, v), mode)
-    return _fold_run(fmt, "compensated summation", step, (total, comp), v,
-                     count, mode)
+        return _kahan_bits(fmt._kernel, total, comp, v, mode)[:2]
+    return _fold_block(fmt, "compensated summation", _watched_kahan,
+                       (total, comp), (v,), count, mode)
 
 
 def _watched_kahan(kernel: tuple, v: int, v_g: int, mode: str,
                    state: tuple, grid: Optional[tuple]):
-    """The :func:`_kahan_bits` step of :func:`_kahan_run`, watched for
-    :func:`_fold_run`: the pattern ``v`` (``v_g`` grid units) folded into
-    the state ``(total, comp)``."""
+    """The :func:`_kahan_bits` step of one element, watched for
+    :func:`_fold_run` (see :func:`_fold_block`): the pattern ``v`` (``v_g``
+    grid units) folded into the state ``(total, comp)``."""
     t, c, y, d = _kahan_bits(kernel, *state, v, mode)
     if grid is None or d is None:  # d is None past an infinite sum
         return (t, c), None, None
@@ -306,14 +310,90 @@ def _watched_kahan(kernel: tuple, v: int, v_g: int, mode: str,
                                 (t_g - T, d_g), (d_g - y_g, c_g))
 
 
+# a block is at most this many runs, of at most this many elements in all
+_MAX_BLOCK_RUNS = 4
+_MAX_BLOCK_SIZE = 12
+
+
+def _segments(runs: tuple) -> list:
+    """``runs`` cut into pieces ``(plain, block, reps)``: the runs
+    ``plain``, then ``reps`` copies of the tuple of patterns ``block``.
+    The last piece has no block, and ``reps`` 0: its fold is no step.
+
+    A block is a stretch of at least three copies in a row of the same
+    ``b <= _MAX_BLOCK_RUNS`` runs, of at most ``_MAX_BLOCK_SIZE`` elements
+    in all, such as the alternating tail of ``repeated_rounding_2``.  Runs
+    are merged, so ``b >= 2``.  A stretch is a run of ``2b`` or more
+    ``True`` in ``run i == run i + b``, found by C-level scans; among
+    overlapping stretches the earliest wins, then the shortest block, and
+    the later one keeps the whole blocks past it (any ``b`` runs in a row
+    of a stretch are a block of it).  A run list with no run twice (dense
+    data, say) is one plain piece after one C-level check.
+    """
+    if len(set(runs)) == len(runs):
+        return [(runs, (), 0)]
+    found = []
+    for b in range(2, _MAX_BLOCK_RUNS + 1):
+        same = bytes(map(eq, runs, runs[b:])) + b"\0"
+        least = b"\1" * (2 * b)
+        i = same.find(least)
+        while i >= 0:
+            j = same.find(0, i)
+            found.append((i, b, j + b))  # runs[i:j+b] repeat runs[i:i+b]
+            i = same.find(least, j)
+    pieces, end = [], 0
+    for start, b, stop in sorted(found):
+        start = max(start, end)
+        reps = (stop - start) // b
+        block = tuple([x for x, c in runs[start:start + b] for _ in range(c)])
+        if reps >= 3 and len(block) <= _MAX_BLOCK_SIZE:
+            pieces.append((runs[end:start], block, reps))
+            end = start + b * reps
+    pieces.append((runs[end:], (), 0))
+    return pieces
+
+
+def _fold_block(fmt: FloatFormat, name: str, watched, state: tuple,
+                block: tuple, count: int, mode: str) -> tuple:
+    """``count`` copies of the tuple of patterns ``block`` folded into
+    ``state`` by :func:`_fold_run`, one step per copy.
+
+    ``watched(kernel, x, x_g, mode, state, grid)`` is the fold's step of
+    one element, the pattern ``x`` of ``x_g`` grid units (:func:`_watched_add`
+    or :func:`_watched_kahan`).  A block's step runs it over the elements
+    in order, chaining the grid counts, and its watched adds are theirs,
+    in order.  Each add's exact sum is affine in its element's state and
+    the earlier results of that element, and that state is made of the
+    results of the elements before; so it is affine in the block step's
+    state and earlier results, as :func:`_fold_run` asks, and the next
+    state is made of results.  A block with an unwatched element is not
+    watched.
+    """
+    kernel = fmt._kernel
+    steps = [partial(watched, kernel, x, _bits_grid(kernel, x), mode)
+             for x in block]
+    step = steps[0] if len(steps) == 1 else partial(_block_step, steps)
+    return _fold_run(fmt, name, step, state, block, count, mode)
+
+
+def _block_step(steps: list, state: tuple, grid: Optional[tuple]):
+    """One pass of the element ``steps`` of :func:`_fold_block`."""
+    adds = ()
+    for step in steps:
+        state, grid, watched = step(state, grid)
+        adds = None if adds is None or watched is None else adds + watched
+    return state, grid, adds
+
+
 # the longest period, in steps, that a run fold looks for
 _MAX_PERIOD = 4
 
 
-def _fold_run(fmt: FloatFormat, name: str, step, state: tuple, v: int,
-              count: int, mode: str) -> tuple:
-    """``count`` steps of a fold over one run of the pattern ``v``, from
-    ``state``.
+def _fold_run(fmt: FloatFormat, name: str, step, state: tuple,
+              block: tuple, count: int, mode: str) -> tuple:
+    """``count`` steps of a fold from ``state``, one per copy of the tuple
+    of patterns ``block``: a run's one pattern, or a block of
+    :func:`_fold_block`.
 
     The state is a tuple of patterns, the running sum first.  ``step(state,
     grid)`` takes it with its grid counts (see :meth:`SimFloat.to_grid`)
@@ -343,8 +423,8 @@ def _fold_run(fmt: FloatFormat, name: str, step, state: tuple, v: int,
     A step is a function of the state, so a state that one step keeps
     (an absorbed addend, say) is the fold's result, and so is an infinite
     running sum, which the steps keep as it is.  Past
-    ``MATERIALIZE_LIMIT`` literal steps in one run the fold gives up with
-    ``ValueError`` rather than hang.
+    ``MATERIALIZE_LIMIT`` literal steps in one fold it gives up with
+    ``ValueError``, naming the block's values, rather than hang.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -359,9 +439,11 @@ def _fold_run(fmt: FloatFormat, name: str, step, state: tuple, v: int,
         if state[0] & (sign - 1) == inf:
             return state  # the steps keep an infinite running sum
         if literal == MATERIALIZE_LIMIT:
+            values = ", ".join([str(_from_bits(fmt, x)) for x in block])
             raise ValueError(
                 f"{name} found no period of at most {_MAX_PERIOD} steps in "
-                f"{literal} copies of {_from_bits(fmt, v)}")
+                f"{literal} copies of "
+                f"{values if len(block) == 1 else f'the block ({values})'}")
         literal += 1
         state, new, watched = step(state, grid)
         count -= 1
@@ -492,14 +574,23 @@ def _int_fold(fmt: IntFormat, runs) -> int:
 # ---------------------------------------------------------------------------
 
 def bs_iterative(dataset: Dataset, rounding: str = "banker"):
-    """Left fold with one rounded add per element."""
+    """Left fold with one rounded add per element.
+
+    Floats are added as bit patterns.  Each run is folded by
+    :func:`_add_run`, and each stretch of runs that repeats a short block
+    (see :func:`_segments`) by one :func:`_fold_block` over copies of the
+    block, so that both jump whole periods of a steady drift.
+    """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
         return KInt(fmt, _int_fold(fmt, dataset.runs))
     _check_mode(rounding)
     acc = 0
-    for x, count in dataset.runs:
-        acc = _add_run(fmt, acc, x, count, rounding)
+    for plain, block, reps in _segments(dataset.runs):
+        for x, count in plain:
+            acc = _add_run(fmt, acc, x, count, rounding)
+        acc = _fold_block(fmt, "summation", _watched_add, (acc,), block, reps,
+                          rounding)[0]
     return _from_bits(fmt, acc)
 
 
@@ -595,18 +686,21 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     The state is a pair of bit patterns, and each run is folded by
     :func:`_kahan_run`: a run of one is one :func:`_kahan_bits` step, and
     a longer run jumps across the periodic stretches a constant addend
-    produces.
+    produces.  A stretch of runs that repeats a short block (see
+    :func:`_segments`) is one :func:`_fold_block` over copies of the
+    block, one Kahan step per element, and jumps the same way.
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
         raise TypeError("compensated summation is defined for float formats")
     _check_mode(rounding)
-    _, _, _, sign, inf = fmt._kernel
+    # every later step keeps an infinite total, after one check of it
     total = comp = 0
-    for x, count in dataset.runs:
-        total, comp = _kahan_run(fmt, total, comp, x, count, rounding)
-        if total & (sign - 1) == inf:
-            break  # the step keeps an infinite total as it is
+    for plain, block, reps in _segments(dataset.runs):
+        for x, count in plain:
+            total, comp = _kahan_run(fmt, total, comp, x, count, rounding)
+        total, comp = _fold_block(fmt, "compensated summation", _watched_kahan,
+                                  (total, comp), block, reps, rounding)
     return _from_bits(fmt, total)
 
 

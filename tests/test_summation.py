@@ -15,7 +15,7 @@ from pathlib import Path
 from pytest import mark, raises
 from hypothesis import example, given, settings
 from hypothesis.strategies import (booleans, composite, data, integers,
-                                   lists, one_of, sampled_from)
+                                   lists, one_of, sampled_from, tuples)
 
 from boundedsum import (
     ALGORITHMS,
@@ -54,7 +54,7 @@ from boundedsum import (
 from boundedsum.attacks import repeated_rounding_attack_2
 from boundedsum.floats import add_bits
 from boundedsum.summation import (_add_run, _kahan_bits, _kahan_run,
-                                  _shift_dataset)
+                                  _segments, _shift_dataset)
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -839,6 +839,105 @@ def test_dense_int_folds_match_the_literal_add_int_folds(ds):
     assert bs_iterative(ds) == ref_iterative(ds)
     assert bs_pairwise(ds) == ref_pairwise(ds)
     assert bs_split(ds) == ref_split(ds)
+
+
+# ---------------------------------------------------------------------------
+# Repeating blocks of runs vs the literal folds
+# ---------------------------------------------------------------------------
+
+def literal_bits(ds, mode):
+    """The iterative and the Kahan running sum of ``ds`` as patterns, one
+    ``add_bits`` and one ``_kahan_bits`` step per element."""
+    kernel = ds.fmt._kernel
+    acc, state = 0, (0, 0)
+    for x in ds.codes():
+        acc = add_bits(kernel, acc, x, mode)
+        state = _kahan_bits(kernel, *state, x, mode)[:2]
+    return acc, state[0]
+
+
+def _blocks(fmt, runs):
+    """The code ``runs`` over the whole finite range of ``fmt``."""
+    _, _, _, sign, inf = fmt._kernel
+    return Dataset.unchecked(fmt, SimFloat(fmt, (inf - 1) | sign),
+                             SimFloat(fmt, inf - 1), runs)
+
+
+@composite
+def block_datasets(draw):
+    """A block of 2-4 runs of distinct codes, 1-3 copies each, repeated
+    3-200 times and then cut partway through one more copy, between a few
+    runs before and after, over formats of 2-4 mantissa bits.  The codes
+    are subnormal, top-binade or any, so the folds drift across binades,
+    stay in the subnormal band or overflow."""
+    fmt = draw(sampled_from([F23, F34, F46]))
+    codes = _finite_patterns(fmt)
+    block = list(zip(draw(lists(codes, min_size=2, max_size=4, unique=True)),
+                     draw(lists(integers(1, 3), min_size=4, max_size=4))))
+    reps = draw(integers(3, 200))
+    cut = draw(integers(0, len(block) - 1))
+    prefix, suffix = (draw(lists(tuples(codes, integers(1, 5)), max_size=3))
+                      for _ in range(2))
+    return _blocks(fmt, prefix + block * reps + block[:cut] + suffix)
+
+
+_F46_ONE = parse_value(F46, "1").bits
+
+
+@given(block_datasets(), sampled_from(ROUNDING_MODES))
+# +1, -0.25, -0.25 climbs across binades until the adds round
+@example(_blocks(F46, [(_F46_ONE, 1), (parse_value(F46, "-0.25").bits, 2)]
+                 * 200), "banker")
+# +3, -2 grid units: exact in the subnormal band, then out of it
+@example(_blocks(F46, [(3, 1), (2 | _F46_SIGN, 1)] * 12), "toward_zero")
+@example(_blocks(F46, [(3, 1), (2 | _F46_SIGN, 1)] * 200), "toward_pos")
+# +14, -1 overflows at a +14, inside a block
+@example(_blocks(F23, [(parse_value(F23, "14").bits, 1),
+                       (parse_value(F23, "-1").bits, 1)] * 40), "banker")
+# +1, -1 keeps the state: D = 0
+@example(_blocks(F46, [(7, 2), (_F46_ONE, 1), (_F46_ONE | _F46_SIGN, 1)]
+                 * 100), "toward_neg")
+@settings(max_examples=150, deadline=None)
+def test_block_folds_match_the_literal_folds(ds, mode):
+    pieces = _segments(ds.runs)
+    assert [x for plain, block, reps in pieces
+            for x in [x for x, c in plain for _ in range(c)]
+            + list(block) * reps] == ds.codes()
+    acc, total = literal_bits(ds, mode)
+    assert bs_iterative(ds, mode).bits == acc
+    assert bs_kahan(ds, mode).bits == total
+
+
+def test_block_folds_add_a_few_times(monkeypatch):
+    # the repeated_rounding_2 pair at float32 j=12: 2,048 copies of 1, then
+    # 1,024 copies of a two-element block; a literal fold of u makes 4,096
+    # adds, and a literal Kahan fold 16,384
+    inst = repeated_rounding_attack_2(FLOAT32, 12, 0)
+    calls = count_adds(monkeypatch)
+    for ds in (inst.u, inst.v):
+        assert max(reps for _, _, reps in _segments(ds.runs)) == 1024
+        for fold in (bs_iterative, bs_kahan):
+            calls.clear()
+            fold(ds)
+            assert 0 < len(calls) <= 100
+    # no code twice: one add per element, in the per-run loop
+    dense = load_dataset(GOLDEN_INSTANCES / "dense" / "f10_5.json")
+    assert _segments(dense.runs) == [(dense.runs, (), 0)]
+    calls.clear()
+    bs_iterative(dense)
+    assert len(calls) == len(dense)
+
+
+@mark.parametrize("fold", [bs_iterative, bs_kahan])
+def test_a_block_fold_names_its_values_when_it_gives_up(monkeypatch, fold):
+    import boundedsum.summation as summation
+    monkeypatch.setattr(summation, "MATERIALIZE_LIMIT", 1)
+    ds = float_ds(F46, [("0.5", 1), ("0.25", 1)] * 50, lo="0", hi="1")
+    half, quarter = (parse_value(F46, t) for t in ("0.5", "0.25"))
+    with raises(ValueError, match=re.escape(
+            f"no period of at most 4 steps in 1 copies of the block "
+            f"({half}, {quarter})")):
+        fold(ds)
 
 
 @given(sampled_from([F23, F34, F46, FloatFormat(23, 8)]), data())
