@@ -310,9 +310,13 @@ def _watched_kahan(kernel: tuple, v: int, v_g: int, mode: str,
                                 (t_g - T, d_g), (d_g - y_g, c_g))
 
 
-# a block is at most this many runs, of at most this many elements in all
+# a block is at most this many runs, of at most this many elements in all,
+# and a stretch at least this many copies of it: _fold_run watches two
+# steps before it can jump, so three copies never jump, and four jump only
+# over the last two, where the watch and the jump cost more than the steps
 _MAX_BLOCK_RUNS = 4
 _MAX_BLOCK_SIZE = 12
+_MIN_BLOCK_COPIES = 5
 
 
 def _segments(runs: tuple) -> list:
@@ -320,22 +324,24 @@ def _segments(runs: tuple) -> list:
     ``plain``, then ``reps`` copies of the tuple of patterns ``block``.
     The last piece has no block, and ``reps`` 0: its fold is no step.
 
-    A block is a stretch of at least three copies in a row of the same
-    ``b <= _MAX_BLOCK_RUNS`` runs, of at most ``_MAX_BLOCK_SIZE`` elements
-    in all, such as the alternating tail of ``repeated_rounding_2``.  Runs
-    are merged, so ``b >= 2``.  A stretch is a run of ``2b`` or more
-    ``True`` in ``run i == run i + b``, found by C-level scans; among
-    overlapping stretches the earliest wins, then the shortest block, and
-    the later one keeps the whole blocks past it (any ``b`` runs in a row
-    of a stretch are a block of it).  A run list with no run twice (dense
-    data, say) is one plain piece after one C-level check.
+    A block is a stretch of at least ``_MIN_BLOCK_COPIES`` copies in a row
+    of the same ``b <= _MAX_BLOCK_RUNS`` runs, of at most
+    ``_MAX_BLOCK_SIZE`` elements in all, such as the alternating tail of
+    ``repeated_rounding_2``.  Runs are merged, so ``b >= 2``.  A stretch
+    is a run of ``(_MIN_BLOCK_COPIES - 1) * b`` or more ``True`` in ``run
+    i == run i + b``, found by C-level scans; among overlapping stretches
+    the earliest wins, then the shortest block, and the later one keeps
+    the whole blocks past it (any ``b`` runs in a row of a stretch are a
+    block of it).  A block's size is summed from its counts before its
+    elements are listed.  A run list with no run twice (dense data, say)
+    is one plain piece after one C-level check.
     """
     if len(set(runs)) == len(runs):
         return [(runs, (), 0)]
     found = []
     for b in range(2, _MAX_BLOCK_RUNS + 1):
         same = bytes(map(eq, runs, runs[b:])) + b"\0"
-        least = b"\1" * (2 * b)
+        least = b"\1" * ((_MIN_BLOCK_COPIES - 1) * b)
         i = same.find(least)
         while i >= 0:
             j = same.find(0, i)
@@ -345,8 +351,11 @@ def _segments(runs: tuple) -> list:
     for start, b, stop in sorted(found):
         start = max(start, end)
         reps = (stop - start) // b
-        block = tuple([x for x, c in runs[start:start + b] for _ in range(c)])
-        if reps >= 3 and len(block) <= _MAX_BLOCK_SIZE:
+        copy = runs[start:start + b]
+        # the size first: a count may be far past any list
+        if (reps >= _MIN_BLOCK_COPIES
+                and sum(map(itemgetter(1), copy)) <= _MAX_BLOCK_SIZE):
+            block = tuple([x for x, c in copy for _ in range(c)])
             pieces.append((runs[end:start], block, reps))
             end = start + b * reps
     pieces.append((runs[end:], (), 0))

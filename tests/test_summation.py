@@ -928,6 +928,28 @@ def test_block_folds_add_a_few_times(monkeypatch):
     assert len(calls) == len(dense)
 
 
+def test_a_stretch_is_five_copies_of_its_block():
+    # four copies can jump only over the last two: they fold run by run
+    block = [("1", 1), ("0.25", 2)]
+    for copies, blocks in ((4, 0), (5, 1)):
+        pieces = _segments(float_ds(F46, block * copies).runs)
+        assert len(pieces) - 1 == blocks
+
+
+def test_a_block_past_the_size_cap_folds_run_by_run():
+    # 2^60 + 1 elements a copy, far past any list: the stretch stays runs,
+    # and each run folds in its own period jumps
+    ds = float_ds(F46, [("0.5", 1 << 60), ("-0.25", 1)] * 6)
+    assert _segments(ds.runs) == [(ds.runs, (), 0)]
+    for mode in ROUNDING_MODES:
+        acc, state = 0, (0, 0)
+        for x, c in ds.runs:
+            acc = _add_run(F46, acc, x, c, mode)
+            state = _kahan_run(F46, *state, x, c, mode)
+        assert bs_iterative(ds, mode).bits == acc
+        assert bs_kahan(ds, mode).bits == state[0]
+
+
 @mark.parametrize("fold", [bs_iterative, bs_kahan])
 def test_a_block_fold_names_its_values_when_it_gives_up(monkeypatch, fold):
     import boundedsum.summation as summation
