@@ -15,9 +15,11 @@ The mechanism, replay and sum commands read the dataset pairs under
 their manifests record are relative.  Those pairs are inputs, not
 outputs: ``ov6``, ``ov8``, ``ov8s``, ``ov64``, ``rr2`` and ``sat8`` were
 written by ``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``;
-the three files under ``instances/dense/`` (one run per element, apart
-from one run of three and a ``-0`` pattern) and the malformed files under
-``instances/refused/`` were written by hand.  The six pairs
+the three small files under ``instances/dense/`` (one run per element,
+apart from one run of three and a ``-0`` pattern) and the malformed files
+under ``instances/refused/`` were written by hand, and the float32 and
+float64 files there (``f32.json``, ``f64.json``: 256 elements, one run
+each) were drawn once from a seeded generator.  The six pairs
 of ``GEN_CASES``, one per attack family, are outputs too: ``attack gen``
 must write their ``instance.json``, ``u.json`` and ``v.json`` byte for
 byte.
@@ -304,6 +306,17 @@ for _tag, (_path, _half, _algs) in _SUM_INPUTS.items():
     if _tag != "rr2_4_6":
         REPLAY_CASES[f"sum-{_tag}-shift"] = [
             "sum", "--in", _path, "--transform", "shift"]
+# float32 and float64 files of 256 elements, one run each: top-binade
+# values whose pair overflows pairwise (f32) or the running sum (f64)
+# and otherwise cancel to +0, subnormals of both signs, then values whose
+# exponents lie up to 40 (f32) or 60 (f64) binades apart
+for _tag in ("f32", "f64"):
+    _path = f"instances/dense/{_tag}.json"
+    for _alg in ("iterative", "pairwise", "kahan"):
+        REPLAY_CASES[f"sum-dense_{_tag}-{_alg}"] = [
+            "sum", "--in", _path, "--method", _alg]
+    REPLAY_CASES[f"sum-dense_{_tag}-permute"] = [
+        "sum", "--in", _path, "--transform", "permute:7"]
 for _alg in ("iterative", "kahan"):
     REPLAY_CASES[f"sum-dense_f10_5-{_alg}-toward_neg"] = [
         "sum", "--in", "instances/dense/f10_5.json", "--method", _alg,
