@@ -33,7 +33,9 @@ construction rather than by emulation tricks.
 
 from __future__ import annotations
 
+import operator
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -478,6 +480,74 @@ def add_float(x: SimFloat, y: SimFloat, mode: str = "banker") -> SimFloat:
         raise ValueError("operands have different formats")
     _check_mode(mode)
     return _from_bits(fmt, add_bits(fmt._kernel, x.bits, y.bits, mode))
+
+
+# ---------------------------------------------------------------------------
+# The machine's own floats
+# ---------------------------------------------------------------------------
+
+# (float, pattern) array typecodes of the formats the machine has: IEEE
+# binary32 and binary64, whose patterns are this module's patterns
+_MACHINE = {(23, 8): ("f", "I"), (52, 11): ("d", "Q")}
+# float32's smallest subnormal, a normal double; float64's
+_TINY32 = float.fromhex("0x1p-149")
+_TINY64 = float.fromhex("0x1p-1074")
+
+
+def _keeps_subnormals() -> bool:
+    """True when this process's floats keep subnormals: the smallest
+    subnormals of float64, and of float32 through a float32 array, add
+    to a nonzero sum.  A library built with fast-math can set
+    flush-to-zero for the whole process, at any point, so each selection
+    asks again."""
+    return (_TINY64 + _TINY64 != 0
+            and array("f", [_TINY32 + _TINY32])[0] != 0)
+
+
+def _native(fmt: FloatFormat, mode: str):
+    """The array typecodes ``(float, pattern)`` of the machine's own float
+    for ``fmt`` under ``mode``, or None.
+
+    Only float32 ``('f', 'I')`` and float64 ``('d', 'Q')`` under
+    ``banker`` have one: IEEE round-to-nearest-even is the model's
+    ``banker``, overflow included (a tie at ``n_max + ulp/2`` goes to
+    infinity in both), on a machine that keeps subnormals.  Every other
+    format or mode, or a process that flushes subnormals, has only
+    :func:`add_bits`.
+    """
+    if mode != "banker":
+        return None
+    codes = _MACHINE.get((fmt.mantissa_bits, fmt.exponent_bits))
+    return codes if codes is not None and _keeps_subnormals() else None
+
+
+def _to_floats(native: tuple, patterns) -> array:
+    """The ints ``patterns`` as the machine's floats of the typecodes
+    ``native`` (see :func:`_native`), cast in bulk."""
+    ftype, itype = native
+    return array(ftype, array(itype, patterns).tobytes())
+
+
+def _to_patterns(native: tuple, floats) -> tuple:
+    """The inverse of :func:`_to_floats`: the patterns of ``floats``."""
+    ftype, itype = native
+    return tuple(array(itype, array(ftype, floats).tobytes()))
+
+
+def _machine_add(ftype: str):
+    """The machine's rounded add of two floats of the array typecode
+    ``ftype``: float64's ``+``, or float32's, which is the double sum
+    rounded once more to float32 through a one-slot array.  That double
+    rounding is harmless: a double's 53 bits are at least ``2*24 + 2``
+    (Figueroa 1995), and both operands are float32 values."""
+    if ftype == "d":
+        return operator.add
+    slot = array("f", [0.0])
+
+    def add(a: float, b: float) -> float:
+        slot[0] = a + b
+        return slot[0]
+    return add
 
 
 # ---------------------------------------------------------------------------

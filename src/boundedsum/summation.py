@@ -57,11 +57,37 @@ milliseconds without a single approximation:
 
 Every fold runs on the dataset's own code runs (see
 :mod:`boundedsum.data`): a float's bit pattern, an integer's value.  The
-float state of every algorithm is a bit pattern, a run of one is one
-:func:`~boundedsum.floats.add_bits` (a Kahan step four of them, with
-negation a flip of the sign bit), and ``_fold_run`` watches exact values
-as integer counts of the finest spacing (:meth:`SimFloat.to_grid`).  A
-value object is built only for the release.
+float state of every algorithm is a bit pattern, a run of fewer than
+``_MIN_BLOCK_COPIES`` is one :func:`~boundedsum.floats.add_bits` per
+copy (a Kahan step four of them, with negation a flip of the sign bit),
+and ``_fold_run`` watches exact values as integer counts of the finest
+spacing (:meth:`SimFloat.to_grid`).  A value object is built only for
+the release.
+
+The machine's own floats: on float32 and float64 under ``banker`` (see
+:func:`~boundedsum.floats._native`), iterative and Kahan fold each
+stretch of runs of at most ``_NATIVE_RUN`` copies on Python floats, and
+pairwise walks its whole tree on them (``_fold_plain``, ``_cascade``).
+This is exact:
+
+* the model's ``banker`` is IEEE round-to-nearest-even, overflow to
+  infinity included (a tie at ``n_max + ulp/2`` goes to infinity in
+  both), and a float32 add is the double sum rounded once more, which
+  is correct because 53 >= 2*24 + 2 (Figueroa 1995);
+* no native value is ``-0``: every state starts at ``+0``, no element
+  is ``-0``, and an exact cancellation gives ``+0``, as in the model;
+* in IEEE arithmetic an infinity never becomes finite again, so a
+  finite state after a stretch means no add of it overflowed, and none
+  of the model's overflow rules applied (Kahan's final infinite sum and
+  dropped infinite compensation, the ``inf + (-inf)`` refusal).  A
+  stretch is therefore taken only when every component of its state is
+  finite, and otherwise folded again on patterns from the state before
+  it, which gives the model's result or its exception.  Pairwise's walk
+  returns an infinite left operand as the model does, so it is taken
+  as it is.
+
+Every other format and mode, longer runs and repeating blocks keep the
+bit kernel, which is also the reference the tests compare against.
 Integer releases are plain-int closed forms: wraparound addition is
 associative, so every algorithm releases the wrapped exact sum, and
 saturating folds clamp plain ints.  The transforms map code runs to code
@@ -78,7 +104,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from operator import eq, itemgetter, sub
 from typing import List, Optional, Tuple, Union
 
@@ -86,7 +112,8 @@ from .data import (Dataset, MATERIALIZE_LIMIT, code_key, code_value,
                    exact_value, merge_runs)
 from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
-                     _check_mode, _from_bits, _grid_bits, add_bits,
+                     _check_mode, _from_bits, _grid_bits, _machine_add,
+                     _native, _to_floats, _to_patterns, add_bits,
                      round_dyadic)
 from .ints import IntFormat, KInt
 
@@ -223,14 +250,18 @@ def _add_run(fmt: FloatFormat, s: int, c: int, count: int, mode: str) -> int:
     with per-add rounding.
 
     Semantically identical to ``for _ in range(count): s = s (+) c``, and
-    a run of one is exactly one :func:`~boundedsum.floats.add_bits`.  A
+    so is a run of fewer than ``_MIN_BLOCK_COPIES``, which no period jump
+    can shorten: one :func:`~boundedsum.floats.add_bits` per copy.  A
     longer run is a :func:`_fold_block` of the block ``(c,)``: one add per
     step, whose exact sum is ``s + c``.  An absorbed addend leaves ``s``
     unchanged and ends the run, and a steady drift is a period that moves
     ``s`` by the same exact delta each step.
     """
-    if count == 1:
-        return add_bits(fmt._kernel, s, c, mode)
+    if 0 <= count < _MIN_BLOCK_COPIES:
+        kernel = fmt._kernel
+        for _ in range(count):
+            s = add_bits(kernel, s, c, mode)
+        return s
     return _fold_block(fmt, "summation", _watched_add, (s,), (c,), count,
                        mode)[0]
 
@@ -278,8 +309,9 @@ def _kahan_run(fmt: FloatFormat, total: int, comp: int, v: int, count: int,
     ``(total, comp)`` of patterns.
 
     Semantically identical to ``count`` calls of :func:`_kahan_bits`, and
-    a run of one is exactly one call.  A longer run is a :func:`_fold_block`
-    of the block ``(v,)``: one Kahan step each.  A step from ``(T, C)``
+    so is a run of fewer than ``_MIN_BLOCK_COPIES``, which no period jump
+    can shorten.  A longer run is a :func:`_fold_block` of the block
+    ``(v,)``: one Kahan step each.  A step from ``(T, C)``
     makes four adds, whose exact sums are ``q1 = v - C``, ``q2 = T + y``,
     ``q3 = t - T`` and ``q4 = d - y``, where ``y, t, d, c`` are the rounded
     results and ``(t, c)`` is the next state.  The errors may drift: the
@@ -288,8 +320,11 @@ def _kahan_run(fmt: FloatFormat, total: int, comp: int, v: int, count: int,
     change linearly until a rounding flips.  A step whose compensation
     overflowed (and was dropped) is not watched.
     """
-    if count == 1:
-        return _kahan_bits(fmt._kernel, total, comp, v, mode)[:2]
+    if 0 <= count < _MIN_BLOCK_COPIES:
+        kernel = fmt._kernel
+        for _ in range(count):
+            total, comp = _kahan_bits(kernel, total, comp, v, mode)[:2]
+        return total, comp
     return _fold_block(fmt, "compensated summation", _watched_kahan,
                        (total, comp), (v,), count, mode)
 
@@ -561,6 +596,75 @@ def _room(x: int, step: int, lo: int, hi: int):
     return math.inf
 
 
+# a run of at most this many copies is expanded into a stretch folded on
+# the machine's floats: 64 native float32 adds take about 8 us, while a
+# _fold_run of 64 copies takes about 70 us whatever the count, so a longer
+# run gains nothing by expanding and keeps its period jumps
+_NATIVE_RUN = 64
+
+
+def _fold_plain(fmt: FloatFormat, runs: tuple, state: tuple, run_fold,
+                machine_fold, mode: str) -> tuple:
+    """The runs ``runs`` folded into ``state``, a tuple of patterns, one
+    ``run_fold(fmt, state, x, count, mode)`` per run.
+
+    Where the format and mode have the machine's own floats (see
+    :func:`~boundedsum.floats._native`), each maximal stretch of runs of
+    at most ``_NATIVE_RUN`` copies is instead one ``machine_fold(add,
+    state, xs)`` on floats: ``xs`` iterates over the stretch's elements,
+    each run's float repeated, and ``add`` is the machine's rounded add.
+    It is taken only when every component of its state is finite.  An
+    infinity never becomes finite again in IEEE arithmetic, so then no
+    add of the stretch overflowed, and no overflow rule of the model
+    applied.  Otherwise the stretch is folded again run by run from the
+    state before it, which gives the model's result or its exception.
+    """
+    native = _native(fmt, mode)
+    if native is None:
+        cuts = b"\1" * len(runs)  # every run folds alone
+    else:
+        cuts = bytes(map(_NATIVE_RUN.__lt__, map(itemgetter(1), runs)))
+        add = _machine_add(native[0])
+    cuts += b"\1"
+    start = 0
+    while start < len(runs):
+        stop = cuts.find(1, start)
+        bits = runs[stop:stop + 1]  # the run past the stretch, if any
+        if stop > start:
+            stretch = runs[start:stop]
+            xs = itertools.chain.from_iterable(itertools.starmap(
+                itertools.repeat,
+                zip(_to_floats(native, map(itemgetter(0), stretch)),
+                    map(itemgetter(1), stretch))))
+            got = machine_fold(add, _to_floats(native, state), xs)
+            if all(map(math.isfinite, got)):
+                state = _to_patterns(native, got)
+            else:
+                bits = runs[start:stop + 1]
+        for x, count in bits:
+            state = run_fold(fmt, state, x, count, mode)
+        start = stop + 1
+    return state
+
+
+def _iterate(add, state, xs) -> tuple:
+    """The iterative fold of the floats ``xs`` into the state ``(s,)``."""
+    return (reduce(add, xs, state[0]),)
+
+
+def _kahan_floats(add, state, xs) -> tuple:
+    """The Kahan fold of the floats ``xs`` into the state ``(total,
+    comp)``: :func:`_kahan_bits`'s four adds per element, on floats with
+    no overflow rule (see :func:`_fold_plain`)."""
+    total, comp = state
+    for v in xs:
+        y = add(v, -comp)
+        t = add(total, y)
+        comp = add(add(t, -total), -y)
+        total = t
+    return total, comp
+
+
 def _int_fold(fmt: IntFormat, runs) -> int:
     """The left fold from 0 of int runs ``(x, count)`` under ``fmt``'s
     overflow policy, as a plain int.
@@ -588,19 +692,28 @@ def bs_iterative(dataset: Dataset, rounding: str = "banker"):
     Floats are added as bit patterns.  Each run is folded by
     :func:`_add_run`, and each stretch of runs that repeats a short block
     (see :func:`_segments`) by one :func:`_fold_block` over copies of the
-    block, so that both jump whole periods of a steady drift.
+    block, so that both jump whole periods of a steady drift.  On float32
+    and float64 under ``banker``, a stretch of runs of at most
+    ``_NATIVE_RUN`` copies is added on the machine's floats instead, and
+    refolded on patterns if its sum is not finite (see
+    :func:`_fold_plain`).
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
         return KInt(fmt, _int_fold(fmt, dataset.runs))
     _check_mode(rounding)
-    acc = 0
+    acc = (0,)
     for plain, block, reps in _segments(dataset.runs):
-        for x, count in plain:
-            acc = _add_run(fmt, acc, x, count, rounding)
-        acc = _fold_block(fmt, "summation", _watched_add, (acc,), block, reps,
-                          rounding)[0]
-    return _from_bits(fmt, acc)
+        acc = _fold_plain(fmt, plain, acc, _add_run_state, _iterate, rounding)
+        acc = _fold_block(fmt, "summation", _watched_add, acc, block, reps,
+                          rounding)
+    return _from_bits(fmt, acc[0])
+
+
+def _add_run_state(fmt: FloatFormat, state: tuple, x: int, count: int,
+                   mode: str) -> tuple:
+    """:func:`_add_run` on the state ``(s,)``."""
+    return (_add_run(fmt, state[0], x, count, mode),)
 
 
 def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
@@ -620,13 +733,24 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     position is a cursor carried down the left-to-right walk, so dense
     data (runs of one) costs one comparison per node on top of its add.
 
-    Floats are added as bit patterns.  Wraparound integers release the
-    wrapped exact sum, which every tree shape gives; saturating integers
-    walk the tree on plain ints.
+    Floats are added as bit patterns, or on float32 and float64 under
+    ``banker`` as the machine's floats with its rounded add (see
+    :func:`~boundedsum.floats._native`).  That walk is the model's even
+    when it overflows: it returns an infinite left operand the same way,
+    so it never adds two infinities, and a finite operand added to an
+    infinite one gives that infinity in both.  Wraparound integers
+    release the wrapped exact sum, which every tree shape gives;
+    saturating integers walk the tree on plain ints.
     """
     fmt = dataset.fmt
     if isinstance(fmt, FloatFormat):
         _check_mode(rounding)
+        native = _native(fmt, rounding)
+        if native is not None:
+            xs = _to_floats(native, map(itemgetter(0), dataset.runs))
+            got = _cascade(list(zip(xs, map(itemgetter(1), dataset.runs))),
+                           _machine_add(native[0]), math.isinf)
+            return _from_bits(fmt, _to_patterns(native, (got,))[0])
         kernel = fmt._kernel
         _, _, _, sign, inf = kernel
         return _from_bits(fmt, _cascade(
@@ -697,20 +821,31 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     a longer run jumps across the periodic stretches a constant addend
     produces.  A stretch of runs that repeats a short block (see
     :func:`_segments`) is one :func:`_fold_block` over copies of the
-    block, one Kahan step per element, and jumps the same way.
+    block, one Kahan step per element, and jumps the same way.  On float32
+    and float64 under ``banker``, a stretch of runs of at most
+    ``_NATIVE_RUN`` copies is folded on the machine's floats instead, and
+    refolded on patterns unless its total and compensation are both
+    finite (see :func:`_fold_plain`): then neither the final infinite sum
+    nor the dropped infinite compensation can have applied.
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
         raise TypeError("compensated summation is defined for float formats")
     _check_mode(rounding)
     # every later step keeps an infinite total, after one check of it
-    total = comp = 0
+    state = (0, 0)
     for plain, block, reps in _segments(dataset.runs):
-        for x, count in plain:
-            total, comp = _kahan_run(fmt, total, comp, x, count, rounding)
-        total, comp = _fold_block(fmt, "compensated summation", _watched_kahan,
-                                  (total, comp), block, reps, rounding)
-    return _from_bits(fmt, total)
+        state = _fold_plain(fmt, plain, state, _kahan_run_state,
+                            _kahan_floats, rounding)
+        state = _fold_block(fmt, "compensated summation", _watched_kahan,
+                            state, block, reps, rounding)
+    return _from_bits(fmt, state[0])
+
+
+def _kahan_run_state(fmt: FloatFormat, state: tuple, v: int, count: int,
+                     mode: str) -> tuple:
+    """:func:`_kahan_run` on the state ``(total, comp)``."""
+    return _kahan_run(fmt, *state, v, count, mode)
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):

@@ -403,15 +403,26 @@ def test_repeated_rounding_pairs_match_the_literal_folds(algorithm):
 
 
 def count_adds(monkeypatch) -> list:
-    """A list that grows by one on each ``add_bits`` call of the folds."""
+    """A list that grows on each add of the folds: by ``"bits"`` on an
+    ``add_bits`` call, by ``"machine"`` on an add of the machine's floats."""
     import boundedsum.summation as summation
     calls = []
+    machine_add = summation._machine_add
 
     def counting(kernel, x, y, mode):
-        calls.append(1)
+        calls.append("bits")
         return add_bits(kernel, x, y, mode)
 
+    def counting_machine(ftype):
+        add = machine_add(ftype)
+
+        def counted(a, b):
+            calls.append("machine")
+            return add(a, b)
+        return counted
+
     monkeypatch.setattr(summation, "add_bits", counting)
+    monkeypatch.setattr(summation, "_machine_add", counting_machine)
     return calls
 
 
@@ -925,7 +936,7 @@ def test_block_folds_add_a_few_times(monkeypatch):
     assert _segments(dense.runs) == [(dense.runs, (), 0)]
     calls.clear()
     bs_iterative(dense)
-    assert len(calls) == len(dense)
+    assert len(calls) == dense.n
 
 
 def test_a_stretch_is_five_copies_of_its_block():
@@ -960,6 +971,132 @@ def test_a_block_fold_names_its_values_when_it_gives_up(monkeypatch, fold):
             f"no period of at most 4 steps in 1 copies of the block "
             f"({half}, {quarter})")):
         fold(ds)
+
+
+# ---------------------------------------------------------------------------
+# Stretches on the machine's floats vs the literal folds
+# ---------------------------------------------------------------------------
+
+F32, F64 = FLOAT32, FloatFormat(52, 11)
+
+
+@composite
+def machine_datasets(draw):
+    """Runs of 1-70 copies, across the ``_NATIVE_RUN`` cut, over float32
+    or float64.  Codes lie at most 60 binades below a drawn exponent
+    (subnormals included), where a double sum of two float32 values with
+    exponents over 29 bits apart is inexact, and far enough below the top
+    binade that they do not overflow; in half the datasets they may also
+    be subnormal, top-binade or any.  A run may be followed by its
+    negation, so sums cancel exactly."""
+    fmt = draw(sampled_from([F32, F64]))
+    k = fmt.mantissa_bits
+    _, _, _, sign, inf = fmt._kernel
+    top = draw(integers(1, (inf >> k) - 8))
+    near = integers(max(top - 60, 0) << k, (top << k) - 1).flatmap(
+        lambda m: booleans().map(lambda neg: m | sign if neg and m else m))
+    if draw(booleans()):
+        near = one_of(near, _finite_patterns(fmt))
+    runs = []
+    for x, count, cancel in draw(lists(
+            tuples(near, integers(1, 70), booleans()), max_size=10)):
+        runs.append((x, count))
+        if cancel and x:
+            runs.append((x ^ sign, count))
+    return _blocks(fmt, runs)
+
+
+def _f32(text):
+    return parse_value(F32, text).bits
+
+
+def _f64(text):
+    return parse_value(F64, text).bits
+
+
+@given(machine_datasets(), sampled_from(["banker", *ROUNDING_MODES]))
+# n_max + ulp/2 is a tie, which goes to infinity; just below, to n_max
+@example(_blocks(F32, [(_f32("16777215*2^104"), 1), (_f32("1*2^103"), 1)]),
+         "banker")
+@example(_blocks(F32, [(_f32("16777215*2^104"), 1),
+                       (_f32("8388607*2^80"), 1)]), "banker")
+@example(_blocks(F64, [(_f64("9007199254740991*2^971"), 1),
+                       (_f64("1*2^970"), 1)]), "banker")
+@example(_blocks(F64, [(_f64("9007199254740991*2^971"), 1),
+                       (_f64("4503599627370495*2^918"), 1)]), "banker")
+# 1 + 2^-24 + 2^-54: the double sum of the first two is exact, the next
+# is not, and float32 rounds each to 1
+@example(_blocks(F32, [(_f32("1"), 1), (_f32("1*2^-24"), 1),
+                       (_f32("1*2^-54"), 1), (_f32("-1*2^-24"), 3)]), "banker")
+# an exact cancellation gives +0, then the runs past the cut
+@example(_blocks(F64, [(_f64("0.375"), 3), (_f64("-0.375"), 3), (1, 64),
+                       (_f64("-0.75"), 65)]), "banker")
+# overflow on both sides of a Kahan state
+@example(_blocks(F32, [(_f32("16777215*2^104"), 2),
+                       (_f32("-16777215*2^104"), 2), (_f32("3"), 70)]),
+         "banker")
+@settings(max_examples=150, deadline=None)
+def test_machine_stretches_match_the_literal_folds(ds, mode):
+    acc, total = literal_bits(ds, mode)
+    assert bs_iterative(ds, mode).bits == acc
+    assert bs_kahan(ds, mode).bits == total
+    assert bs_pairwise(ds, mode) == ref_pairwise(ds, mode)
+
+
+def test_only_float32_and_float64_to_nearest_have_machine_floats():
+    import boundedsum.floats as floats
+    assert floats._native(F32, "banker") == ("f", "I")
+    assert floats._native(F64, "banker") == ("d", "Q")
+    for fmt, mode in ((F32, "toward_zero"), (F64, "toward_pos"),
+                      (F105, "banker"), (FloatFormat(23, 9), "banker")):
+        assert floats._native(fmt, mode) is None
+
+
+def test_a_dense_float32_file_adds_on_the_machine(monkeypatch):
+    # one float add per element in the iterative fold and four per Kahan
+    # step, and no add_bits; any other mode adds on patterns only
+    ds = load_dataset(GOLDEN_INSTANCES / "dense" / "f32.json")
+    calls = count_adds(monkeypatch)
+    for fold, adds in ((bs_iterative, 1), (bs_kahan, 4)):
+        calls.clear()
+        fold(ds)
+        assert calls == ["machine"] * (adds * ds.n)
+        calls.clear()
+        fold(ds, "toward_neg")
+        assert calls == ["bits"] * (adds * ds.n)
+
+
+def test_a_process_that_flushes_subnormals_folds_on_patterns(monkeypatch):
+    import boundedsum.floats as floats
+    ds = load_dataset(GOLDEN_INSTANCES / "dense" / "f32.json")
+    folds = (bs_iterative, bs_kahan, bs_pairwise)
+    want = [fold(ds) for fold in folds]
+    monkeypatch.setattr(floats, "_keeps_subnormals", lambda: False)
+    assert floats._native(F32, "banker") is None
+    calls = count_adds(monkeypatch)
+    for fold, value in zip(folds, want):
+        calls.clear()
+        assert fold(ds) == value
+        assert calls and "machine" not in calls
+
+
+def test_short_runs_step_literally(monkeypatch):
+    # fewer than five copies cannot jump: one add_bits each (four per
+    # Kahan step), and no _fold_run
+    import boundedsum.summation as summation
+    fold_run, jumps = summation._fold_run, []
+    monkeypatch.setattr(summation, "_fold_run",
+                        lambda *args: jumps.append(1) or fold_run(*args))
+    calls = count_adds(monkeypatch)
+    half = parse_value(F46, "0.5").bits
+    _add_run(F46, 0, half, 4, "banker")
+    assert calls == ["bits"] * 4
+    calls.clear()
+    _kahan_run(F46, 0, 0, half, 4, "banker")
+    assert calls == ["bits"] * 16 and not jumps
+    _add_run(F46, 0, half, 5, "banker")
+    _kahan_run(F46, 0, 0, half, 5, "banker")
+    assert jumps == [1, 1]
 
 
 @given(sampled_from([F23, F34, F46, FloatFormat(23, 8)]), data())
