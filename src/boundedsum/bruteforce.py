@@ -86,7 +86,7 @@ class _Releases:
         fmt, method = spec.fmt, spec.method
         wrap = isinstance(fmt, IntFormat) and fmt.overflow == "wraparound"
         m = self.modulus = fmt.modulus if wrap else None
-        self.size, self.cut = len(frame), longest
+        self.size, self.cut = frame.n, longest
         for tr in method.transforms:
             if isinstance(tr, Truncate):
                 self.cut = min(self.cut, tr.n_max)

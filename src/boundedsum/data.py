@@ -255,8 +255,9 @@ class Dataset:
     kept maximal — adjacent runs of the same code merge on construction —
     so two datasets are ``==`` exactly when they hold the same element
     sequence, however their encodings chose to chunk it.  The bounds are
-    values.  The element count ``n`` is taken when the dataset is built;
-    ``len()`` gives it too, but only up to ``sys.maxsize``.
+    values.  The element count ``n`` is taken when the dataset is built,
+    and the package reads it there; ``len()`` gives it too, but only up
+    to ``sys.maxsize``, and is kept for ``perfbench/tracer.py``.
     """
 
     __slots__ = ("fmt", "lower", "upper", "runs", "n")

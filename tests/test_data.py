@@ -52,7 +52,7 @@ def int_ds(elems, lo=0, hi=200):
 def test_from_elements_merges_consecutive_runs():
     ds = int_ds([7, 7, 7, 3, 7, 7])
     assert ds.runs == ((7, 3), (3, 1), (7, 2))
-    assert len(ds) == 6
+    assert ds.n == 6
     assert [v.value for v in ds.iter_values()] == [7, 7, 7, 3, 7, 7]
     assert [v.value for v in ds.to_list()] == [7, 7, 7, 3, 7, 7]
 
@@ -88,9 +88,9 @@ def test_len_is_the_sum_of_run_counts_however_a_dataset_is_built():
     built += couple_sym(int_ds([3, 3, 5]), int_ds([5, 3, 3]), seed=2)
     built += couple_co(int_ds([3, 3, 5, 7]), int_ds([7, 5, 5, 3]), seed=3)
     for ds in built:
-        assert len(ds) == sum(c for _, c in ds.runs) > 0
-    assert [len(ds) for ds in built[2:5]] == [3 * len(dense.runs), 7, 40]
-    assert [len(ds) for ds in built[8:]] == [3, 4, 3, 3, 4, 4]
+        assert ds.n == sum(c for _, c in ds.runs) > 0
+    assert [ds.n for ds in built[2:5]] == [3 * len(dense.runs), 7, 40]
+    assert [ds.n for ds in built[8:]] == [3, 4, 3, 3, 4, 4]
 
 
 @mark.parametrize("fmt", [F44, FloatFormat(2, 3), I8,
@@ -238,7 +238,7 @@ def test_json_run_length_entries():
     doc = int_ds([]).to_json_dict()
     doc["elements"] = [{"value": "7", "count": 1000}]
     ds = Dataset.from_json_dict(doc)
-    assert len(ds) == 1000
+    assert ds.n == 1000
     assert ds.runs[0][1] == 1000
 
 
