@@ -606,7 +606,7 @@ _NATIVE_RUN = 64
 def _fold_plain(fmt: FloatFormat, runs: tuple, state: tuple, run_fold,
                 machine_fold, mode: str) -> tuple:
     """The runs ``runs`` folded into ``state``, a tuple of patterns, one
-    ``run_fold(fmt, state, x, count, mode)`` per run.
+    ``run_fold(fmt, *state, x, count, mode)`` per run.
 
     Where the format and mode have the machine's own floats (see
     :func:`~boundedsum.floats._native`), each maximal stretch of runs of
@@ -642,7 +642,7 @@ def _fold_plain(fmt: FloatFormat, runs: tuple, state: tuple, run_fold,
             else:
                 bits = runs[start:stop + 1]
         for x, count in bits:
-            state = run_fold(fmt, state, x, count, mode)
+            state = run_fold(fmt, *state, x, count, mode)
         start = stop + 1
     return state
 
@@ -710,10 +710,10 @@ def bs_iterative(dataset: Dataset, rounding: str = "banker"):
     return _from_bits(fmt, acc[0])
 
 
-def _add_run_state(fmt: FloatFormat, state: tuple, x: int, count: int,
+def _add_run_state(fmt: FloatFormat, s: int, x: int, count: int,
                    mode: str) -> tuple:
-    """:func:`_add_run` on the state ``(s,)``."""
-    return (_add_run(fmt, state[0], x, count, mode),)
+    """:func:`_add_run` with its result as the state ``(s,)``."""
+    return (_add_run(fmt, s, x, count, mode),)
 
 
 def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
@@ -835,17 +835,12 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     # every later step keeps an infinite total, after one check of it
     state = (0, 0)
     for plain, block, reps in _segments(dataset.runs):
-        state = _fold_plain(fmt, plain, state, _kahan_run_state,
-                            _kahan_floats, rounding)
+        state = _fold_plain(fmt, plain, state, _kahan_run, _kahan_floats,
+                            rounding)
         state = _fold_block(fmt, "compensated summation", _watched_kahan,
                             state, block, reps, rounding)
     return _from_bits(fmt, state[0])
 
-
-def _kahan_run_state(fmt: FloatFormat, state: tuple, v: int, count: int,
-                     mode: str) -> tuple:
-    """:func:`_kahan_run` on the state ``(total, comp)``."""
-    return _kahan_run(fmt, *state, v, count, mode)
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
