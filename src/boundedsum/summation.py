@@ -257,6 +257,8 @@ def _add_run(fmt: FloatFormat, s: int, c: int, count: int, mode: str) -> int:
     unchanged and ends the run, and a steady drift is a period that moves
     ``s`` by the same exact delta each step.
     """
+    if count == 1:
+        return add_bits(fmt._kernel, s, c, mode)
     if 0 <= count < _MIN_BLOCK_COPIES:
         kernel = fmt._kernel
         for _ in range(count):
@@ -320,6 +322,8 @@ def _kahan_run(fmt: FloatFormat, total: int, comp: int, v: int, count: int,
     change linearly until a rounding flips.  A step whose compensation
     overflowed (and was dropped) is not watched.
     """
+    if count == 1:
+        return _kahan_bits(fmt._kernel, total, comp, v, mode)[:2]
     if 0 <= count < _MIN_BLOCK_COPIES:
         kernel = fmt._kernel
         for _ in range(count):
