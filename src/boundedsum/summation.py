@@ -79,12 +79,11 @@ This is exact:
 * in IEEE arithmetic an infinity never becomes finite again, so a
   finite state after a stretch means no add of it overflowed, and none
   of the model's overflow rules applied (Kahan's final infinite sum and
-  dropped infinite compensation, the ``inf + (-inf)`` refusal).  A
-  stretch is therefore taken only when every component of its state is
-  finite, and otherwise folded again on patterns from the state before
-  it, which gives the model's result or its exception.  Pairwise's walk
-  returns an infinite left operand as the model does, so it is taken
-  as it is.
+  its dropped infinite compensation).  A stretch is therefore taken only
+  when every component of its state is finite, and otherwise folded
+  again on patterns from the state before it.  Pairwise's walk returns
+  an infinite left operand as the model does, so it never adds two
+  infinities and is taken as it is.
 
 Every other format and mode, longer runs and repeating blocks keep the
 bit kernel, which is also the reference the tests compare against.
@@ -621,7 +620,7 @@ def _fold_plain(fmt: FloatFormat, runs: tuple, state: tuple, run_fold,
     infinity never becomes finite again in IEEE arithmetic, so then no
     add of the stretch overflowed, and no overflow rule of the model
     applied.  Otherwise the stretch is folded again run by run from the
-    state before it, which gives the model's result or its exception.
+    state before it, which gives the model's result.
     """
     native = _native(fmt, mode)
     if native is None:
@@ -844,7 +843,6 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
         state = _fold_block(fmt, "compensated summation", _watched_kahan,
                             state, block, reps, rounding)
     return _from_bits(fmt, state[0])
-
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
