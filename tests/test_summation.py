@@ -983,11 +983,11 @@ F32, F64 = FLOAT32, FloatFormat(52, 11)
 @composite
 def machine_datasets(draw):
     """Runs of 1-70 copies, across the ``_NATIVE_RUN`` cut, over float32
-    or float64.  Codes lie at most 60 binades below a drawn exponent
-    (subnormals included), where a double sum of two float32 values with
-    exponents over 29 bits apart is inexact, and far enough below the top
-    binade that they do not overflow; in half the datasets they may also
-    be subnormal, top-binade or any.  A run may be followed by its
+    or float64.  Codes lie at most 60 binades below a drawn exponent 8
+    binades or more under the top (subnormals included), where a double
+    sum of two float32 values with exponents over 29 bits apart is
+    inexact; in half the datasets they may also be subnormal, top-binade
+    or any, so that more sums overflow.  A run may be followed by its
     negation, so sums cancel exactly."""
     fmt = draw(sampled_from([F32, F64]))
     k = fmt.mantissa_bits
