@@ -40,10 +40,11 @@ import hashlib
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .data import Dataset, exact_value
 from .floats import SimFloat, add_float, round_dyadic
@@ -475,24 +476,71 @@ def dp_violation_log2_bound(counts, epsilon) -> float:
 # Exact verification over finite supports
 # ---------------------------------------------------------------------------
 
-def _exact_str(fr: Fraction) -> str:
-    """``str()`` for fractions that can exceed the int-to-str digit guard.
+# Past this many bits an int is written by halves through ``decimal``, whose
+# multiply is subquadratic; ``str()`` is quadratic in CPython and faster only
+# below it (the two cross between 32,000 and 36,000 bits, best of 7 on a
+# 2-vCPU x86-64 VM, Python 3.11).
+_DECIMAL_BITS = 1 << 15
+# Leaves of that split are converted by ``Decimal(int)`` directly.
+_DECIMAL_LEAF_BITS = 2048
 
-    The exact PMF ratios carry numerators of tens of thousands of bits
-    (``alpha`` lives on a ``2^-80`` grid and gets raised to the modulus),
-    which trips CPython's conversion limit.  The report still owes the
-    auditable exact value, so the limit is raised just for this call.
-    """
-    need = max(fr.numerator.bit_length(), fr.denominator.bit_length()) // 3 + 3
+
+def _decimal_digits(n: int) -> str:
+    """``str(n)`` for ``n >= 0``: the halves ``n = hi * 2^h + lo`` are
+    written recursively as Decimals and joined with a cached ``2^h``, the
+    split of CPython 3.12's ``_pylong.int_to_decimal_string``."""
+    import decimal
+    two = decimal.Decimal(2)
+    powers = {}
+
+    def power(w: int):
+        if w not in powers:
+            powers[w] = (two ** w if w <= _DECIMAL_LEAF_BITS
+                         else power(w >> 1) * power(w - (w >> 1)))
+        return powers[w]
+
+    def halves(n: int, w: int):
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(n)
+        h = w >> 1
+        hi = n >> h
+        return halves(n - (hi << h), h) + halves(hi, w - h) * power(h)
+
+    with decimal.localcontext() as ctx:
+        # exact integers: no rounding, no exponent limit
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(halves(n, n.bit_length()))
+
+
+def _int_str(n: int) -> str:
+    """``str(n)`` for ``n >= 0``, past the int-to-str digit guard."""
+    if n.bit_length() > _DECIMAL_BITS:
+        return _decimal_digits(n)
+    need = n.bit_length() // 3 + 3
     if (hasattr(sys, "get_int_max_str_digits")
             and need > sys.get_int_max_str_digits()):
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(need)
         try:
-            return str(fr)
+            return str(n)
         finally:
             sys.set_int_max_str_digits(saved)
-    return str(fr)
+    return str(n)
+
+
+def _exact_str(fr: Fraction) -> str:
+    """``str()`` of a nonnegative fraction, digit for digit, at any size.
+
+    The exact PMF ratios carry numerators of millions of bits (``alpha``
+    lives on a ``2^-80`` grid and gets raised to the modulus).  ``str()``
+    refuses them past CPython's int-to-str digit guard and is quadratic
+    below it, so long numerators and denominators are written by halves
+    (:func:`_decimal_digits`) and short ones by ``str()`` with the guard
+    raised just for that call.
+    """
+    num = _int_str(fr.numerator)
+    return num if fr.denominator == 1 else f"{num}/{_int_str(fr.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -543,51 +591,116 @@ def certified_leq_exp(ratio: Fraction, exponent: Fraction) -> bool:
     raise ArithmeticError("could not separate the ratio from e^exponent")
 
 
-def _folded_pmf(alpha: Fraction, center: int, modulus: int):
-    """PMF of ``(center + Z) mod modulus`` as exact Fractions by residue.
+# Modular breakpoints are ranked by a double estimate of the log2 of their
+# ratio, and only those within this margin of the largest estimate are
+# compared exactly.  The margin's derivation: alpha = P/Q with Q = 2^s <=
+# 2^80 and alpha >= 2^-79, so log2 Q is exact and the double l = log2 P - s
+# is within 2^-44 of log2 alpha (P rounded to a double, then an ulp of
+# log2 P < 2^7), with |l| < 2^7.  A weight's estimate a*l + log2(1 +
+# 2^(n*l)) has a <= m/2 <= 2^15 and n <= m <= 2^16 (SUPPORT_LIMIT): a*l is
+# off by at most 2^15 * 2^-44 plus a rounding of 2^-31, and the second
+# term, whose slope in n*l is below 1, by at most 2^16 * 2^-44 plus 2^-30
+# and a few ulps of 1.  That is under 2^-27 per weight and 2^-26 per
+# ratio, so an estimate more than 2^-25 (3e-8) below another belongs to
+# the smaller exact ratio; the margin is thirty times that.
+_LOG2_MARGIN = 1e-6
 
-    Folding the two-sided geometric over the wrap gives, for the residue
-    ``r = (z - center) mod modulus`` in ``[0, m)``::
 
-        W(r) = c * (alpha^r + alpha^(m-r)) / (1 - alpha^m)
+if hasattr(Fraction, "_from_coprime_ints"):       # Python 3.12 and later
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+        """``Fraction(numerator, denominator)`` for a coprime pair with a
+        positive denominator, without the gcd the public constructor runs
+        (at 16 bits the numbers run to millions of bits)."""
+        return Fraction(numerator, denominator, _normalize=False)
 
-    with ``c = (1-alpha)/(1+alpha)`` (at ``r = 0`` that is ``1 + alpha^m``).
-    The common positive factor ``c / (1 - alpha^m)`` cancels in every
-    ratio, so it is omitted.
+
+def _folded_greater(alpha: Fraction, m: int, first: Tuple[int, int],
+                    second: Tuple[int, int]) -> bool:
+    """``W(a)/W(b) > W(c)/W(d)`` exactly, for ``first = (a, b)``,
+    ``second = (c, d)`` and the folded weight ``W(a) = alpha^a +
+    alpha^(m-a)``.
+
+    The two cross products ``W(a) W(d)`` and ``W(c) W(b)`` are sums of four
+    powers of alpha each.  The powers they share cancel; the rest are
+    scaled by ``Q^e`` to ints, with ``e`` the spread of their exponents.
+    The near ties the estimate leaves, such as ``W(0)/W(1)`` against
+    ``W(1)/W(2)``, cancel down to exponents a few apart, where the full
+    cross products would run to millions of bits.
     """
+    def exponents(a: int, b: int) -> Counter:     # of W(a) * W(b)
+        return Counter(x + y for x in (a, m - a) for y in (b, m - b))
 
-    def weight(z: int) -> Fraction:
-        r = (z - center) % modulus
-        return alpha ** r + alpha ** (modulus - r)
+    (a, b), (c, d) = first, second
+    left, right = exponents(a, d), exponents(c, b)
+    left, right = left - right, right - left
+    if not left:
+        return False
+    low = min(left | right)
+    spread = max(left | right) - low
+    p, q = alpha.numerator, alpha.denominator
 
-    return weight
+    def scaled(terms: Counter) -> int:
+        return sum(count * p ** (e - low) * q ** (spread - e + low)
+                   for e, count in terms.items())
+
+    return scaled(left) > scaled(right)
 
 
-def _saturated_pmf(alpha: Fraction, center: int, lo: int, hi: int):
-    """PMF of ``clamp(center + Z, lo, hi)`` — rails absorb the tails.
+def _folded_ratio(alpha: Fraction, m: int, a: int, b: int) -> Fraction:
+    """``W(a) / W(b)`` in lowest terms, ``W(a) = alpha^a + alpha^(m-a)``,
+    for ``0 <= a, b <= m/2`` and ``alpha = P/2^s`` in lowest terms.
 
-    With ``Pr[Z = z] = c*alpha^|z|`` and ``c = (1-alpha)/(1+alpha)``, the
-    upper rail receives ``Pr[Z >= hi-center] = alpha^d/(1+alpha)`` for
-    ``d >= 1`` (and ``1/(1+alpha) + c`` worth of mass when the center sits
-    on the rail).  All weights below are the true PMF times ``(1+alpha)``,
-    another common factor that cancels in ratios.
+    With ``Q = 2^s`` and ``G(n) = Q^n + P^n``, ``Q^m W(a) = (PQ)^a
+    G(m-2a)``.  For ``n >= 1``, ``G(n)`` is odd and prime to ``P``, so prime
+    to ``PQ``; for ``n1, n2 >= 1`` and ``g = gcd(n1, n2)``, ``gcd(G(n1),
+    G(n2))`` is ``G(g)`` when ``n1/g`` and ``n2/g`` are both odd and 1
+    otherwise.  ``G(0) = 2`` belongs to ``a = m/2``, the largest ``a``, so
+    it sits on the side that also takes the power of ``PQ``, where the other
+    side is odd.  The pair below is therefore coprime, and no gcd of the
+    million-bit numbers is ever taken.
     """
-    one = Fraction(1)
+    if a == b:
+        return Fraction(1)
+    p, s = alpha.numerator, alpha.denominator.bit_length() - 1
+    n1, n2 = m - 2 * a, m - 2 * b
+    num, den = (1 << s * n1) + p ** n1, (1 << s * n2) + p ** n2
+    g = math.gcd(n1, n2)
+    if n1 and n2 and (n1 // g) % 2 and (n2 // g) % 2:
+        common = (1 << s * g) + p ** g
+        num, den = num // common, den // common
+    if a > b:
+        num = p ** (a - b) * num << s * (a - b)
+    else:
+        den = p ** (b - a) * den << s * (b - a)
+    return _coprime_fraction(num, den)
 
-    def tail(d: int) -> Fraction:
-        # (1+alpha) * Pr[Z >= d]
-        if d <= 0:
-            return (one + alpha) - alpha ** (1 - d)
-        return alpha ** d
 
-    def weight(z: int) -> Fraction:
-        if z == hi:
-            return tail(hi - center)
-        if z == lo:
-            return tail(center - lo)  # symmetry: Pr[Z <= -d] = Pr[Z >= d]
-        return (one - alpha) * alpha ** abs(z - center)
+def _folded_max(alpha: Fraction, m: int, cu: int, cv: int,
+                outputs: List[int]) -> Tuple[Fraction, int]:
+    """Largest ratio of the folded weights centred at ``cu`` and ``cv``
+    over ``outputs`` (ascending), and the first output that attains it."""
+    log2_alpha = math.log2(alpha.numerator) - math.log2(alpha.denominator)
 
-    return weight
+    def log2_weight(a: int) -> float:
+        return a * log2_alpha + math.log2(1 + 2 ** ((m - 2 * a) * log2_alpha))
+
+    # an output's weights depend only on its folded distances to the centres
+    pairs = [(min((z - cu) % m, (cu - z) % m), min((z - cv) % m, (cv - z) % m))
+             for z in outputs]
+    estimates = [log2_weight(a) - log2_weight(b) for a, b in pairs]
+    top = max(estimates)
+    # An estimate more than the margin below the top has a strictly smaller
+    # ratio than the top's.  The rest are compared exactly, where an equal
+    # ratio is not greater, so a tie keeps the earlier (smaller) output.
+    best, witness = None, 0
+    for z, pair, estimate in zip(outputs, pairs, estimates):
+        if estimate >= top - _LOG2_MARGIN and (
+                best is None or _folded_greater(alpha, m, pair, best)):
+            best, witness = pair, z
+    assert best is not None
+    return _folded_ratio(alpha, m, *best), witness
 
 
 def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
@@ -598,8 +711,8 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
     support is the residue ring) or clamped integer noise (the support is
     the type's range).  Every output weight is an exact rational built
     from the spec's rational ``alpha``; the returned ratio is their exact
-    maximum over the support, with the first (smallest) output that
-    attains it as the witness, and ``satisfied`` settles
+    maximum over the support, in lowest terms, with the first (smallest)
+    output that attains it as the witness, and ``satisfied`` settles
     ``max_ratio <= e^epsilon`` by certified interval comparison.
 
     The ratio is evaluated only at the ends of the pieces on which it is
@@ -608,18 +721,25 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
     one of its ends, so this gives the same maximum and witness as
     enumerating the whole support.  With centres ``su``, ``sv``:
 
-    * clamped, support ``[lo, hi]``: inside the rails the ratio is
-      ``alpha^(|z-su| - |z-sv|)``, whose exponent is constant below
-      ``min(su, sv)``, linear between the centres and constant above, so
-      the pieces are ``{lo}``, ``[lo+1, min]``, ``[min, max]``,
-      ``[max, hi-1]`` and ``{hi}``;
+    * clamped, support ``[lo, hi]``: a rail at distance ``d`` from a centre
+      inside the range weighs ``alpha^d`` (``(1+alpha) - alpha = 1`` at
+      ``d = 0``) and an inner output ``(1-alpha) alpha^|z-c|``, so at every
+      output the ratio is ``alpha^(|z-su| - |z-sv|)``.  The exponent is
+      constant below ``min(su, sv)``, linear between the centres and
+      constant above, so the pieces are ``{lo}``, ``[lo+1, min]``,
+      ``[min, max]``, ``[max, hi-1]`` and ``{hi}``, and the largest ratio
+      is the smallest exponent, compared as an integer;
     * modular, support ``[0, m)``: ``alpha^r + alpha^(m-r)`` is
       ``2 alpha^(m/2) cosh((r - m/2) ln alpha)`` for every residue ``r``,
       so between the wraps at ``su mod m`` and ``sv mod m`` the ratio is
       ``cosh(A)/cosh(B) = cosh(A-B) + sinh(A-B) tanh(B)`` with ``A - B``
       constant and ``B`` linear in ``z``; ``tanh`` is increasing, so each
       of ``[0, c-1]``, ``[c, c'-1]``, ``[c', m-1]`` (``c <= c'`` the
-      centres' residues) is monotone.
+      centres' residues) is monotone.  The weight depends only on the
+      folded distance ``min(r, m-r)``; the ends are ranked by a double
+      estimate of their log2 ratio, compared exactly only within
+      ``_LOG2_MARGIN`` of the best (:func:`_folded_greater`), and the
+      winner is reduced in closed form (:func:`_folded_ratio`).
     """
     epsilon = Fraction(epsilon)
     if not isinstance(u.fmt, IntFormat) or u.fmt != v.fmt:
@@ -639,30 +759,18 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
         raise PreconditionFailed(f"support {size} exceeds {SUPPORT_LIMIT}")
     if modular:
         cu, cv = su % size, sv % size
-        wu = _folded_pmf(alpha, cu, size)
-        wv = _folded_pmf(alpha, cv, size)
         lo, hi = 0, size - 1
         breaks = (cu - 1, cu, cv - 1, cv)
     else:
         lo, hi = fmt.min_value, fmt.max_value
-        wu = _saturated_pmf(alpha, su, lo, hi)
-        wv = _saturated_pmf(alpha, sv, lo, hi)
         breaks = (lo + 1, su, sv, hi - 1)
-    # The weights' numerators run to a million bits at 14 bits, where a gcd
-    # costs far more than a product.  Candidates are compared by
-    # cross-multiplying the weights' numerators and denominators, and only
-    # the winning ratio is divided out, which reduces it.
-    best: Optional[Tuple[Fraction, Fraction]] = None
-    witness = 0
-    for z in sorted({lo, hi, *(z for z in breaks if lo <= z <= hi)}):
-        a, b = wu(z), wv(z)
-        if best is None or (a.numerator * b.denominator
-                            * best[0].denominator * best[1].numerator
-                            > best[0].numerator * best[1].denominator
-                            * a.denominator * b.numerator):
-            best, witness = (a, b), z
-    assert best is not None
-    ratio = best[0] / best[1]
+    outputs = sorted({lo, hi, *(z for z in breaks if lo <= z <= hi)})
+    if modular:
+        ratio, witness = _folded_max(alpha, size, cu, cv, outputs)
+    else:
+        exponent, witness = min((abs(z - su) - abs(z - sv), z)
+                                for z in outputs)
+        ratio = alpha ** exponent
     return ExactDPReport(max_ratio=ratio, witness=witness, epsilon=epsilon,
                          satisfied=certified_leq_exp(ratio, epsilon),
                          support=size)

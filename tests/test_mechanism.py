@@ -29,9 +29,11 @@ from boundedsum.data import Dataset
 from boundedsum.dyadic import Dyadic
 from boundedsum.floats import FloatFormat, SimFloat, add_float, round_dyadic
 from boundedsum.ints import IntFormat, KInt
-from boundedsum.mechanism import (_folded_pmf, _log_factorials,
-                                  _log_upper_tail, _saturated_pmf,
-                                  certified_leq_exp)
+from boundedsum import mechanism
+from boundedsum.mechanism import (_DECIMAL_BITS, _coprime_fraction,
+                                  _decimal_digits, _exact_str, _folded_ratio,
+                                  _int_str, _log_factorials, _log_upper_tail,
+                                  certified_leq_exp, rational_alpha)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -106,6 +108,57 @@ def test_violation_bound_past_the_double_range_is_zero():
     at_700 = dp_violation_log2_bound(counts, 700)
     for epsilon in (710, Fraction(10) ** 400):
         assert dp_violation_log2_bound(counts, epsilon) == 0.0 >= at_700
+
+
+# ---------------------------------------------------------------------------
+# The exact PMFs: the reference the checker is enumerated against
+# ---------------------------------------------------------------------------
+
+def _folded_pmf(alpha: Fraction, center: int, modulus: int):
+    """PMF of ``(center + Z) mod modulus`` as exact Fractions by residue.
+
+    Folding the two-sided geometric over the wrap gives, for the residue
+    ``r = (z - center) mod modulus`` in ``[0, m)``::
+
+        W(r) = c * (alpha^r + alpha^(m-r)) / (1 - alpha^m)
+
+    with ``c = (1-alpha)/(1+alpha)`` (at ``r = 0`` that is ``1 + alpha^m``).
+    The common positive factor ``c / (1 - alpha^m)`` cancels in every
+    ratio, so it is omitted.
+    """
+
+    def weight(z: int) -> Fraction:
+        r = (z - center) % modulus
+        return alpha ** r + alpha ** (modulus - r)
+
+    return weight
+
+
+def _saturated_pmf(alpha: Fraction, center: int, lo: int, hi: int):
+    """PMF of ``clamp(center + Z, lo, hi)`` — rails absorb the tails.
+
+    With ``Pr[Z = z] = c*alpha^|z|`` and ``c = (1-alpha)/(1+alpha)``, the
+    upper rail receives ``Pr[Z >= hi-center] = alpha^d/(1+alpha)`` for
+    ``d >= 1`` (and ``1/(1+alpha) + c`` worth of mass when the center sits
+    on the rail).  All weights below are the true PMF times ``(1+alpha)``,
+    another common factor that cancels in ratios.
+    """
+    one = Fraction(1)
+
+    def tail(d: int) -> Fraction:
+        # (1+alpha) * Pr[Z >= d]
+        if d <= 0:
+            return (one + alpha) - alpha ** (1 - d)
+        return alpha ** d
+
+    def weight(z: int) -> Fraction:
+        if z == hi:
+            return tail(hi - center)
+        if z == lo:
+            return tail(center - lo)  # symmetry: Pr[Z <= -d] = Pr[Z >= d]
+        return (one - alpha) * alpha ** abs(z - center)
+
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +474,135 @@ def test_breakpoints_match_enumeration_at_8_bits():
                 sv = rng.randint(fmt.min_value, fmt.max_value)
                 assert_matches_enumeration(fmt, noise, rng.choice(
                     CHECK_SCALES), su, sv, Fraction(rng.randint(1, 30), 10))
+
+
+@mark.parametrize("bits", [2, 3])
+def test_exact_comparisons_alone_match_enumeration_on_every_pair(
+        bits, monkeypatch):
+    # a margin this wide sends every modular end to the exact comparison
+    monkeypatch.setattr(mechanism, "_LOG2_MARGIN", math.inf)
+    test_breakpoints_match_enumeration_on_every_pair(bits)
+
+
+def cross_multiplied_max_ratio(spec, fmt, su, sv):
+    """Worst ratio and witness by the breakpoint loop ``exact_dp_check`` ran
+    before it ranked the ends by estimate: the reference PMFs' weights at
+    the same ends, compared by cross-multiplying, the winner divided out."""
+    alpha = spec.alpha
+    if spec.noise == "discrete_laplace_mod":
+        m = fmt.modulus
+        cu, cv = su % m, sv % m
+        wu, wv = _folded_pmf(alpha, cu, m), _folded_pmf(alpha, cv, m)
+        lo, hi = 0, m - 1
+        breaks = (cu - 1, cu, cv - 1, cv)
+    else:
+        lo, hi = fmt.min_value, fmt.max_value
+        wu = _saturated_pmf(alpha, su, lo, hi)
+        wv = _saturated_pmf(alpha, sv, lo, hi)
+        breaks = (lo + 1, su, sv, hi - 1)
+    best, witness = None, 0
+    for z in sorted({lo, hi, *(z for z in breaks if lo <= z <= hi)}):
+        a, b = wu(z), wv(z)
+        if best is None or (a.numerator * b.denominator
+                            * best[0].denominator * best[1].numerator
+                            > best[0].numerator * best[1].denominator
+                            * a.denominator * b.numerator):
+            best, witness = (a, b), z
+    return best[0] / best[1], witness
+
+
+@mark.parametrize("bits", [10, 12])
+def test_breakpoints_match_the_cross_multiplied_loop(bits):
+    rng = random.Random(bits)
+    fmt = IntFormat(bits, False, "wraparound")
+    # the overflow pair's centres on the two rails, whose modular ends
+    # W(0)/W(1) and W(1)/W(2) differ by a factor of about 1 + alpha^m; one
+    # centre twice, where every ratio is 1; and a random pair
+    pairs = ((fmt.max_value, 0), (fmt.max_value, fmt.max_value),
+             (rng.randint(0, fmt.max_value), rng.randint(0, fmt.max_value)))
+    for noise in ("discrete_laplace", "discrete_laplace_mod"):
+        for su, sv in pairs:
+            spec = MechanismSpec(noise=noise, scale=rng.choice(CHECK_SCALES))
+            got = exact_dp_check(spec, one_element(fmt, su),
+                                 one_element(fmt, sv), 1)
+            assert (got.max_ratio, got.witness) == cross_multiplied_max_ratio(
+                spec, fmt, su, sv), (noise, su, sv, spec.scale)
+
+
+# alpha = P/2^s for s = 1..12, then three alphas of the 2^-80 grid
+FOLD_ALPHAS = ([Fraction(random.Random(s).randrange(1, 1 << s, 2), 1 << s)
+                for s in range(1, 13)]
+               + [rational_alpha(x) for x in (Fraction(1, 4), 4, 40)])
+
+
+@mark.parametrize("alpha", FOLD_ALPHAS, ids=str)
+def test_folded_ratio_is_the_reduced_quotient_of_the_weights(alpha):
+    for m in (*range(1, 41), 64, 128, 256):
+        w = _folded_pmf(alpha, 0, m)
+        weights = [w(r) for r in range(m)]
+        # a residue weighs as its folded distance, so the folded pairs
+        # below cover every pair of residues
+        assert all(weights[r] == weights[m - r] for r in range(1, m))
+        distances = range(m // 2 + 1)
+        if m > 64:
+            # the reference divisions of 20,000-bit weights take a
+            # millisecond each: pair every distance with the wraps and the
+            # rails, where G(0) = 2 and the small G(n) sit
+            edges = {0, 1, 2, m // 2 - 2, m // 2 - 1, m // 2}
+            pairs = {(a, b) for a in distances for b in edges}
+            pairs |= {(b, a) for a, b in pairs}
+        else:
+            pairs = [(a, b) for a in distances for b in distances]
+        for a, b in pairs:
+            got, want = _folded_ratio(alpha, m, a, b), weights[a] / weights[b]
+            # want is in lowest terms, so equal parts make got coprime
+            assert (got.numerator, got.denominator) == (
+                want.numerator, want.denominator), (m, a, b)
+
+
+@given(integers(0, 1 << 200), integers(1, 1 << 200))
+def test_coprime_fraction_is_the_normalised_fraction(n, d):
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    got = _coprime_fraction(n, d)
+    assert type(got) is Fraction
+    assert (got, got.numerator, got.denominator) == (Fraction(n, d), n, d)
+
+
+def unlimited_str(x):
+    """``str(x)`` with the int-to-str digit limit lifted just for it, so
+    that ``str()`` is the reference at every size."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def assert_written_as_str(n):
+    want = unlimited_str(n)
+    assert _decimal_digits(n) == want
+    assert _int_str(n) == want
+    assert _exact_str(Fraction(n)) == want      # denominator 1: no "/"
+
+
+def test_decimal_writer_is_str_at_the_edges():
+    ks = (_DECIMAL_BITS - 1, _DECIMAL_BITS, _DECIMAL_BITS + 1, 100_000)
+    for n in (0, 1, 9, 10,
+              *(2 ** k + e for k in ks for e in (-1, 0, 1)),
+              *(10 ** int(k * math.log10(2)) + e for k in ks for e in (-1, 1)),
+              2 ** 1_000_000 - 1, 10 ** 301_030 + 1):
+        assert_written_as_str(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(integers(1, 150_000), integers(0, 2 ** 64))
+def test_decimal_writer_is_str_on_drawn_sizes(bits, seed):
+    rng = random.Random(seed)
+    assert_written_as_str(rng.getrandbits(bits))
+    ratio = Fraction(rng.getrandbits(bits), rng.getrandbits(bits) + 1)
+    assert _exact_str(ratio) == unlimited_str(ratio)
 
 
 def test_cli_dpcheck_reports_a_ratio_past_the_double_range(tmp_path,
