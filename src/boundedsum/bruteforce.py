@@ -3,11 +3,12 @@
 
 The releases of one length are an int array over the tuples in
 ``itertools.product`` order, read off step tables of the summation's own
-adds (:class:`_Releases`), and adjacent datasets meet in groups that are
-reductions of that array (:func:`_scan`), raced for the largest gap
-(:class:`_Race`, :class:`_Ring`).  This is the one module that imports
-numpy at its top; brute force imports it when it first runs, so the
-commands that never enumerate do not load numpy.
+rules (:func:`boundedsum.summation._rules`, in :class:`_Releases`), and
+adjacent datasets meet in groups that are reductions of that array
+(:func:`_scan`), raced for the largest gap (:class:`_Race`,
+:class:`_Ring`).  This is the one module that imports numpy at its top;
+brute force imports it when it first runs, so the commands that never
+enumerate do not load numpy.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import List
 import numpy as np
 
 from .data import Dataset
-from .floats import FloatFormat, _bits_grid, add_bits
+from .floats import FloatFormat, _bits_grid
 from .ints import IntFormat
 from .sensitivity import SensSpec
-from .summation import Truncate, _kahan_bits, _shift_dataset
+from .summation import Truncate, _rules, _shift_dataset
 
 # Most tuples (for ham: groups times domain size) one chunk of the scan
 # holds; it bounds the arrays of a length's releases and groupings.
@@ -66,15 +67,12 @@ class _Releases:
     first elements, or for ``pairwise`` the largest power of two below
     ``k``.  A part's states are ids into its distinct states, kept whole
     for every part length, and a parent's step table takes every pair of
-    part states once: by :func:`~boundedsum.floats.add_bits` (an infinite
-    left operand is final), by ``summation._kahan_bits`` on a ``(total,
-    comp)`` pair of patterns, or by ``IntFormat.clamp``.  ``exact`` and
-    every wraparound sum add grid ints (mod ``m``).  ``split`` folds a
-    pair of sign partials, toward zero for floats and clamped for
-    integers, over the tuple sorted by bit pattern, which takes each sign
-    class from its smallest magnitude up as ``bs_split`` does; each
-    distinct pair is joined by one add (banker's for floats) when its
-    release is read.
+    part states once.  Every state, step and release is the method's own,
+    from the rule table (:func:`boundedsum.summation._rules`); a float
+    release is read in grid units.  ``split`` folds over the tuple sorted
+    by bit pattern, which takes each sign class from its smallest
+    magnitude up as ``bs_split`` does.  ``exact`` and every wraparound sum
+    add grid ints (mod ``m``), a shortcut that needs no table.
 
     ``truncate:t`` reads the releases at length ``min(t, k)``, and
     ``shift`` maps the domain before the fold.  Releases are int64 when
@@ -92,36 +90,25 @@ class _Releases:
                 self.cut = min(self.cut, tr.n_max)
             elif self.cut > 0 and self.size:  # a shift that sees an element
                 frame = _shift_dataset(frame)  # (a second one maps nothing)
-        alg, mode, start = method.algorithm, method.rounding, 0
-        self.tree, self.read, self.rank = alg == "pairwise", int, None
+        alg, codes = method.algorithm, frame.codes()
+        self.tree, self.rank = alg == "pairwise", None
         if isinstance(fmt, FloatFormat):
-            kernel, grid = fmt._kernel, partial(_bits_grid, fmt._kernel)
-            sign, inf = kernel[3:]
-            leaves = frame.codes()
-            top, exact, self.read = grid(inf), [grid(c) for c in leaves], grid
-            step = partial(add_bits, kernel, mode="toward_zero")
-            neg = lambda c: c & sign
-            # split clamps a saturated partial to the largest finite value
-            join = lambda a, b: add_bits(kernel, min(a, inf - 1),
-                                         min(b, inf - 1 | sign), "banker")
-            op = lambda a, b: (a if a & (sign - 1) == inf else
-                               add_bits(kernel, a, b, mode))
+            grid = partial(_bits_grid, fmt._kernel)
+            top = grid(fmt._kernel[4])
         else:
-            leaves = exact = [x % m if m else x for x in frame.codes()]
-            top, neg = max(-fmt.min_value, fmt.max_value), lambda c: c < 0
-            op = step = join = lambda a, b: fmt.clamp(a + b)
+            grid, top = int, max(-fmt.min_value, fmt.max_value)
         if alg == "exact" or m:  # the exact sum, or its residue
-            leaves, self.read = exact, int
+            leaves = [grid(c) % m if m else grid(c) for c in codes]
+            start, self.read = 0, int
             op = lambda a, b: (a + b) % m if m else a + b
-        elif alg == "kahan":
-            leaves, start = [(c, 0) for c in leaves], (0, 0)
-            op = lambda st, one: _kahan_bits(kernel, *st, one[0], mode)[:2]
-            self.read = lambda st: grid(st[0])
-        elif alg == "split":  # a pair of sign partials, smallest first
-            read, self.rank = self.read, np.argsort(np.argsort(leaves))
-            leaves = [(0, c) if neg(c) else (c, 0) for c in sorted(leaves)]
-            start, self.read = (0, 0), lambda st: read(join(*st))
-            op = lambda a, b: (step(a[0], b[0]), step(a[1], b[1]))
+        else:
+            rules = _rules(fmt, alg, method.rounding)
+            if alg == "split":  # a pair of sign partials, smallest first
+                self.rank = np.argsort(np.argsort(codes))
+                codes = sorted(codes)
+            start, op = rules.start, rules.op
+            leaves = [*map(rules.leaf, codes)]
+            self.read = lambda state: grid(rules.release(state))
         # a release's bound, and so a group key's: ``code * width + offset
         # + release``; int64 holds every one, and every gap, or Python ints do
         self.op, top = op, top * max(longest, 1)

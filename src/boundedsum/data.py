@@ -449,11 +449,12 @@ def format_from_json(d: dict) -> ElementFormat:
     raise ValueError(f"unknown format kind {d['kind']!r}")
 
 
-def _field(d: dict, name: str, kind: type):
-    """A format field of exactly the type ``kind``: an int that is not a
-    boolean, or a boolean.  Nothing is converted."""
+def _field(d: dict, name: str, kind: type, what: str = "format"):
+    """The field ``name`` of a ``what``'s JSON object ``d``, of exactly the
+    type ``kind``: an int that is not a boolean, or a boolean.  Nothing is
+    converted."""
     if d[name].__class__ is not kind:
-        raise TypeError(f"format field {name!r} must be {kind.__name__}, "
+        raise TypeError(f"{what} field {name!r} must be {kind.__name__}, "
                         f"not {d[name]!r}")
     return d[name]
 

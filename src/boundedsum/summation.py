@@ -19,19 +19,12 @@ A fifth pseudo-algorithm, ``exact``, releases the unrounded sum itself
 and serves as the idealized reference every attack is measured against.
 
 Overflow: the float model has no NaN, so an add of opposite infinities
-is undefined (``add_float`` raises).  Kahan and pairwise could reach one
-on in-range data — Kahan's compensation step subtracts an overflowed
-running sum, and pairwise can overflow its two halves in opposite
-directions — where IEEE hardware would produce NaN.  Both instead
-release the first infinite partial sum the computation reaches: Kahan
-returns the running sum as soon as it is infinite, and pairwise returns
-a left operand that is already infinite without adding its sibling.
-This is the iterative fold's rule too (finite addends cannot leave
-infinity).  Kahan's compensation is not a partial sum: it estimates the
-rounding error of the running sum, which is finite, and overflows only
-when the intermediate ``t - total`` rounds past the largest finite
-value.  An infinite compensation is therefore dropped and the fold
-continues, so no release takes a sign that no running sum had.  These rules change no result that does not overflow.
+is undefined (``add_float`` raises), and Kahan and pairwise, which could
+reach one on in-range data, release the first infinite partial sum
+instead.  Every rule of this kind, with each algorithm's state and
+release, is stated once, in the rule table :func:`_rules`, which the
+folds here and brute force (:mod:`boundedsum.bruteforce`) read.  These
+rules change no result that does not overflow.
 
 All of them consume run-length encoded datasets and never build the
 element list, so attack datasets with billions of repeats sum in
@@ -40,16 +33,18 @@ milliseconds without a single approximation:
 * ``iterative``, ``split`` and ``kahan`` fold a float run with one
   engine, ``_fold_run``: it steps literally and jumps whole periods of up
   to four steps once the state and every add of a step provably move
-  linearly (an absorbed addend ends the run at once).  Iterative and
-  split steps make one add (``_add_run``), a Kahan step four
-  (``_kahan_run``); a run with no such period steps literally, up to
-  ``MATERIALIZE_LIMIT`` steps.  Iterative and Kahan fold a stretch of
-  runs that repeats a short block of them (the alternating tail of
-  ``repeated_rounding_2``, say) with the same engine, one step per copy
-  of the block (``_segments``, ``_fold_block``): a block's step is its
-  elements' steps in order, and each of its adds is still affine in the
-  state and the step's earlier results, which is all the period argument
-  needs.  A run is the block of one code.  Integer runs have closed forms;
+  linearly (an absorbed addend ends the run at once).  Runs are folded
+  by one copies-fold, :func:`_fold_plain`, by the algorithm's rules
+  (split's partials by the iterative rules toward zero): runs too short
+  to jump step the rules' ``op`` literally, and a run with no such
+  period steps literally up to ``MATERIALIZE_LIMIT`` steps.  Iterative and
+  Kahan fold a stretch of runs that repeats a short block of them (the
+  alternating tail of ``repeated_rounding_2``, say) with the same engine,
+  one step per copy of the block (``_segments``, ``_fold_block``): a
+  block's step is its elements' steps in order, and each of its adds is
+  still affine in the state and the step's earlier results, which is all
+  the period argument needs.  A run is the block of one code.  Integer
+  runs have closed forms;
 * ``pairwise`` sums a subtree that lies inside one run as a memoized
   block of ``(code, count)``, and recurses on positions only where a
   subtree straddles a run boundary: O(runs * log n) adds;
@@ -57,8 +52,8 @@ milliseconds without a single approximation:
 
 Every fold runs on the dataset's own code runs (see
 :mod:`boundedsum.data`): a float's bit pattern, an integer's value.  The
-float state of every algorithm is a bit pattern, a run of fewer than
-``_MIN_BLOCK_COPIES`` is one :func:`~boundedsum.floats.add_bits` per
+float state of every algorithm is made of bit patterns, a run of fewer
+than ``_MIN_BLOCK_COPIES`` is one :func:`~boundedsum.floats.add_bits` per
 copy (a Kahan step four of them, with negation a flip of the sign bit),
 and ``_fold_run`` watches exact values as integer counts of the finest
 spacing (:meth:`SimFloat.to_grid`).  A value object is built only for
@@ -78,12 +73,10 @@ This is exact:
   is ``-0``, and an exact cancellation gives ``+0``, as in the model;
 * in IEEE arithmetic an infinity never becomes finite again, so a
   finite state after a stretch means no add of it overflowed, and none
-  of the model's overflow rules applied (Kahan's final infinite sum and
-  its dropped infinite compensation).  A stretch is therefore taken only
-  when every component of its state is finite, and otherwise folded
-  again on patterns from the state before it.  Pairwise's walk returns
-  an infinite left operand as the model does, so it never adds two
-  infinities and is taken as it is.
+  of the model's overflow rules applied.  A stretch, or pairwise's whole
+  walk, is therefore taken only when every component of its state is
+  finite, and otherwise folded again on patterns, by the rules, from the
+  state before it.
 
 Every other format and mode, longer runs and repeating blocks keep the
 bit kernel, which is also the reference the tests compare against.
@@ -101,14 +94,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from operator import eq, itemgetter, sub
 from typing import List, Optional, Tuple, Union
 
-from .data import (Dataset, MATERIALIZE_LIMIT, code_key, code_value,
-                   exact_value, merge_runs)
+from .data import (Dataset, ElementFormat, MATERIALIZE_LIMIT, _field,
+                   code_key, code_value, exact_value, merge_runs)
 from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
                      _check_mode, _from_bits, _grid_bits, _machine_add,
@@ -159,11 +154,13 @@ Transform = Union[Truncate, RandomPermutation, ShiftBounds]
 
 
 def transform_from_json(d: dict) -> Transform:
+    """A transform from its JSON object; ``n_max`` and ``seed`` must be ints,
+    not booleans, floats or strings."""
     kind = d["kind"]
     if kind == "truncate":
-        return Truncate(int(d["n_max"]))
+        return Truncate(_field(d, "n_max", int, "transform"))
     if kind == "random_permutation":
-        return RandomPermutation(int(d["seed"]))
+        return RandomPermutation(_field(d, "seed", int, "transform"))
     if kind == "shift_bounds":
         return ShiftBounds()
     raise ValueError(f"unknown transform kind {kind!r}")
@@ -230,6 +227,96 @@ def bs_exact(dataset: Dataset):
 
 
 # ---------------------------------------------------------------------------
+# The rule table
+# ---------------------------------------------------------------------------
+
+# One summation algorithm's rules on one format and rounding mode (see
+# _rules).  A fold joins states: ``start`` is the state of no elements,
+# ``leaf(code)`` the state of one element, and ``op(a, b)`` the state of a
+# part ``a`` followed by a part ``b`` (one element for a left fold, a
+# subtree for pairwise's cascade); ``release(state)`` is the released code.
+# ``fast`` holds, for the float iterative and Kahan folds, the pieces of
+# their fast paths: the fold's name for its errors, its watched step for
+# _fold_run (_watched_add, _watched_kahan) and its fold on the machine's
+# floats for _fold_plain (_iterate, _kahan_floats).
+_Rules = namedtuple("_Rules", "start leaf op release fast", defaults=(None,))
+
+
+def _rules(fmt: ElementFormat, algorithm: str, mode: str = "banker"
+           ) -> _Rules:
+    """The rules of ``algorithm`` (not ``exact``) on ``fmt`` under ``mode``:
+    the one statement of each, read by this module's folds and by brute
+    force's step tables.
+
+    Float states are bit patterns: a pattern for the iterative and
+    pairwise folds, a ``(total, comp)`` pair for Kahan's, a ``(positive,
+    negative)`` pair of partials for split's.  Integer states are plain
+    ints.  Where a state is a code, ``leaf`` and ``release`` are ``int``,
+    which gives the code back.  The rules on overflow:
+
+    * iterative: none is needed, as a finite addend keeps an infinite sum;
+    * pairwise: an infinite left operand is final, returned without its
+      sibling, so two halves that overflow in opposite directions never
+      meet in an ``inf + (-inf)`` add (IEEE would give NaN there);
+    * kahan: a step is :func:`_kahan_bits`, which keeps the first
+      infinite running sum, with its compensation, before the next step
+      would subtract it from a finite one, and drops an infinite
+      compensation (``t - total`` rounded past the largest finite value:
+      kept, it would drive the next running sum to an infinity of the
+      opposite sign, which no running sum had);
+    * split: each partial adds toward zero and the release clamps a
+      partial that saturated to the largest finite value of its sign,
+      then joins the two with one banker's add;
+    * integers: every add, and split's join, is clamped or wrapped by the
+      format's policy.
+
+    ``mode`` is the rounding of the iterative, pairwise and Kahan float
+    adds; split ignores it.  Compensated summation is float-only.
+    """
+    if isinstance(fmt, IntFormat):
+        if algorithm == "kahan":
+            raise TypeError(
+                "compensated summation is defined for float formats")
+        settle = fmt.wrap if fmt.overflow == "wraparound" else fmt.clamp
+        add = lambda a, b: settle(a + b)
+        if algorithm == "split":
+            return _split_rules(add, (0).__gt__, add)
+        return _Rules(0, int, add, int)
+    _check_mode(mode)
+    kernel = fmt._kernel
+    _, _, _, sign, inf = kernel
+    if algorithm == "iterative":
+        return _Rules(0, int, lambda a, b: add_bits(kernel, a, b, mode), int,
+                      ("summation", _watched_add, _iterate))
+    if algorithm == "pairwise":
+        return _Rules(0, int, lambda a, b: (
+            a if a & (sign - 1) == inf else add_bits(kernel, a, b, mode)),
+            int)
+    if algorithm == "kahan":
+        return _Rules((0, 0), lambda x: (x, 0),
+                      lambda s, x: _kahan_bits(kernel, *s, x[0], mode)[:2],
+                      itemgetter(0), ("compensated summation",
+                                      _watched_kahan, _kahan_floats))
+    if algorithm == "split":
+        return _split_rules(
+            lambda a, b: add_bits(kernel, a, b, "toward_zero"), sign.__and__,
+            lambda p, n: add_bits(kernel, min(p, inf - 1),
+                                  min(n, inf - 1 | sign), "banker"))
+    raise ValueError(f"no fold rules for {algorithm!r}")
+
+
+def _split_rules(add, negative, join) -> _Rules:
+    """Split's rules from its partials' ``add``, the ``negative`` codes and
+    the ``join`` of the two partials.  A part adds each nonzero partial of
+    the part after it; a zero one, the partial of no element, leaves it
+    as it is, so one element's step makes one add."""
+    return _Rules((0, 0), lambda x: (0, x) if negative(x) else (x, 0),
+                  lambda a, b: (add(a[0], b[0]) if b[0] else a[0],
+                                add(a[1], b[1]) if b[1] else a[1]),
+                  lambda s: join(*s))
+
+
+# ---------------------------------------------------------------------------
 # Float run folds
 # ---------------------------------------------------------------------------
 
@@ -244,34 +331,12 @@ def _region_of_exact(q: int, k: int) -> Tuple[int, int]:
     return (lo, 2 * lo) if q > 0 else (-2 * lo, -lo)
 
 
-def _add_run(fmt: FloatFormat, s: int, c: int, count: int, mode: str) -> int:
-    """Fold ``count`` copies of the pattern ``c`` into the pattern ``s``
-    with per-add rounding.
-
-    Semantically identical to ``for _ in range(count): s = s (+) c``, and
-    so is a run of fewer than ``_MIN_BLOCK_COPIES``, which no period jump
-    can shorten: one :func:`~boundedsum.floats.add_bits` per copy.  A
-    longer run is a :func:`_fold_block` of the block ``(c,)``: one add per
-    step, whose exact sum is ``s + c``.  An absorbed addend leaves ``s``
-    unchanged and ends the run, and a steady drift is a period that moves
-    ``s`` by the same exact delta each step.
-    """
-    if count == 1:
-        return add_bits(fmt._kernel, s, c, mode)
-    if 0 <= count < _MIN_BLOCK_COPIES:
-        kernel = fmt._kernel
-        for _ in range(count):
-            s = add_bits(kernel, s, c, mode)
-        return s
-    return _fold_block(fmt, "summation", _watched_add, (s,), (c,), count,
-                       mode)[0]
-
-
 def _watched_add(kernel: tuple, c: int, c_g: int, mode: str, state: tuple,
                  grid: Optional[tuple]):
     """The iterative fold's step of one element, watched for
     :func:`_fold_run` (see :func:`_fold_block`): the pattern ``c`` (``c_g``
-    grid units) added to the state ``(s,)``."""
+    grid units) added to the running sum ``s``, which the run fold holds
+    as the state ``(s,)``."""
     t = add_bits(kernel, state[0], c, mode)
     if grid is None:
         return (t,), None, None
@@ -287,7 +352,7 @@ def _kahan_bits(kernel: tuple, total: int, comp: int, v: int,
 
     An infinite running sum is final: it is kept, with its compensation,
     whatever ``v`` is.  A result past one (``y`` and ``d`` of a step from
-    one, ``d`` of a step to one) is None.  See :func:`bs_kahan` for the
+    one, ``d`` of a step to one) is None.  See :func:`_rules` for the
     overflow rules.
     """
     _, _, _, sign, inf = kernel
@@ -304,39 +369,21 @@ def _kahan_bits(kernel: tuple, total: int, comp: int, v: int,
     return t, c, y, d
 
 
-def _kahan_run(fmt: FloatFormat, total: int, comp: int, v: int, count: int,
-               mode: str) -> Tuple[int, int]:
-    """Fold ``count`` copies of the pattern ``v`` into the Kahan state
-    ``(total, comp)`` of patterns.
-
-    Semantically identical to ``count`` calls of :func:`_kahan_bits`, and
-    so is a run of fewer than ``_MIN_BLOCK_COPIES``, which no period jump
-    can shorten.  A longer run is a :func:`_fold_block` of the block
-    ``(v,)``: one Kahan step each.  A step from ``(T, C)``
-    makes four adds, whose exact sums are ``q1 = v - C``, ``q2 = T + y``,
-    ``q3 = t - T`` and ``q4 = d - y``, where ``y, t, d, c`` are the rounded
-    results and ``(t, c)`` is the next state.  The errors may drift: the
-    compensation absorbs the part of ``v`` that ``T`` cannot hold, a little
-    more each step, so ``q1``'s error and ``q2``'s offset against its grid
-    change linearly until a rounding flips.  A step whose compensation
-    overflowed (and was dropped) is not watched.
-    """
-    if count == 1:
-        return _kahan_bits(fmt._kernel, total, comp, v, mode)[:2]
-    if 0 <= count < _MIN_BLOCK_COPIES:
-        kernel = fmt._kernel
-        for _ in range(count):
-            total, comp = _kahan_bits(kernel, total, comp, v, mode)[:2]
-        return total, comp
-    return _fold_block(fmt, "compensated summation", _watched_kahan,
-                       (total, comp), (v,), count, mode)
-
-
 def _watched_kahan(kernel: tuple, v: int, v_g: int, mode: str,
                    state: tuple, grid: Optional[tuple]):
     """The :func:`_kahan_bits` step of one element, watched for
     :func:`_fold_run` (see :func:`_fold_block`): the pattern ``v`` (``v_g``
-    grid units) folded into the state ``(total, comp)``."""
+    grid units) folded into the state ``(total, comp)``.
+
+    A step from ``(T, C)`` makes four adds, whose exact sums are ``q1 = v
+    - C``, ``q2 = T + y``, ``q3 = t - T`` and ``q4 = d - y``, where ``y, t,
+    d, c`` are the rounded results and ``(t, c)`` is the next state.  The
+    errors may drift: the compensation absorbs the part of ``v`` that
+    ``T`` cannot hold, a little more each step, so ``q1``'s error and
+    ``q2``'s offset against its grid change linearly until a rounding
+    flips.  A step whose compensation overflowed (and was dropped) is not
+    watched.
+    """
     t, c, y, d = _kahan_bits(kernel, *state, v, mode)
     if grid is None or d is None:  # d is None past an infinite sum
         return (t, c), None, None
@@ -400,27 +447,31 @@ def _segments(runs: tuple) -> list:
     return pieces
 
 
-def _fold_block(fmt: FloatFormat, name: str, watched, state: tuple,
-                block: tuple, count: int, mode: str) -> tuple:
+def _fold_block(fmt: FloatFormat, rules: _Rules, state, block: tuple,
+                count: int, mode: str):
     """``count`` copies of the tuple of patterns ``block`` folded into
     ``state`` by :func:`_fold_run`, one step per copy.
 
-    ``watched(kernel, x, x_g, mode, state, grid)`` is the fold's step of
-    one element, the pattern ``x`` of ``x_g`` grid units (:func:`_watched_add`
-    or :func:`_watched_kahan`).  A block's step runs it over the elements
-    in order, chaining the grid counts, and its watched adds are theirs,
-    in order.  Each add's exact sum is affine in its element's state and
-    the earlier results of that element, and that state is made of the
-    results of the elements before; so it is affine in the block step's
-    state and earlier results, as :func:`_fold_run` asks, and the next
-    state is made of results.  A block with an unwatched element is not
-    watched.
+    The watched step of the float iterative or Kahan ``rules`` (see
+    :func:`_rules`), ``watched(kernel, x, x_g, mode, state, grid)``, is
+    the fold's step of one element, the pattern ``x`` of ``x_g`` grid
+    units.  A block's step runs it over the elements in order, chaining
+    the grid counts, and its watched adds are theirs, in order.  Each
+    add's exact sum is affine in its element's state and the earlier
+    results of that element, and that state is made of the results of
+    the elements before; so it is affine in the block step's state and
+    earlier results, as :func:`_fold_run` asks, and the next state is
+    made of results.  A block with an unwatched element is not watched.
     """
+    name, watched, _ = rules.fast
     kernel = fmt._kernel
     steps = [partial(watched, kernel, x, _bits_grid(kernel, x), mode)
              for x in block]
     step = steps[0] if len(steps) == 1 else partial(_block_step, steps)
-    return _fold_run(fmt, name, step, state, block, count, mode)
+    if isinstance(state, tuple):
+        return _fold_run(fmt, name, step, state, block, count, mode)
+    # the iterative fold's pattern, which _fold_run holds as a 1-tuple
+    return _fold_run(fmt, name, step, (state,), block, count, mode)[0]
 
 
 def _block_step(steps: list, state: tuple, grid: Optional[tuple]):
@@ -606,66 +657,89 @@ def _room(x: int, step: int, lo: int, hi: int):
 _NATIVE_RUN = 64
 
 
-def _fold_plain(fmt: FloatFormat, runs: tuple, state: tuple, run_fold,
-                machine_fold, mode: str) -> tuple:
-    """The runs ``runs`` folded into ``state``, a tuple of patterns, one
-    ``run_fold(fmt, *state, x, count, mode)`` per run.
+def _fold_plain(fmt: FloatFormat, rules: _Rules, runs: tuple, state,
+                mode: str):
+    """The runs ``runs`` folded into ``state`` by the float iterative or
+    Kahan ``rules`` (see :func:`_rules`): the one fold of runs of copies.
+
+    Semantically identical to ``state = op(state, leaf(x))`` for each
+    element ``x`` in order.  Each maximal stretch of runs of fewer than
+    ``_MIN_BLOCK_COPIES`` copies, which no period jump can shorten, is one
+    :func:`_literal` fold, and each longer run one :func:`_fold_block` of
+    the block ``(x,)``: an absorbed addend leaves the state unchanged and
+    ends the run, and a steady drift is a period that moves it by the same
+    exact deltas each step.
 
     Where the format and mode have the machine's own floats (see
-    :func:`~boundedsum.floats._native`), each maximal stretch of runs of
-    at most ``_NATIVE_RUN`` copies is instead one ``machine_fold(add,
-    state, xs)`` on floats: ``xs`` iterates over the stretch's elements,
-    each run's float repeated, and ``add`` is the machine's rounded add.
-    It is taken only when every component of its state is finite.  An
-    infinity never becomes finite again in IEEE arithmetic, so then no
-    add of the stretch overflowed, and no overflow rule of the model
-    applied.  Otherwise the stretch is folded again run by run from the
-    state before it, which gives the model's result.
+    :func:`~boundedsum.floats._native`), a stretch holds the runs of at
+    most ``_NATIVE_RUN`` copies, and is first the rules' fold on the
+    machine's floats, ``machine_fold(native, add, state, xs)``: ``xs``
+    iterates over the stretch's elements, each run's float repeated, and
+    ``add`` is the machine's rounded add.  It is taken only when every
+    component of its state is finite (the machine fold gives None
+    otherwise).  An infinity never becomes finite again in IEEE
+    arithmetic, so then no add of the stretch overflowed, and no overflow
+    rule of the model applied.  Otherwise the stretch is folded again
+    literally from the state before it, which gives the model's result.
     """
     native = _native(fmt, mode)
-    if native is None:
-        cuts = b"\1" * len(runs)  # every run folds alone
-    else:
-        cuts = bytes(map(_NATIVE_RUN.__lt__, map(itemgetter(1), runs)))
-        add = _machine_add(native[0])
-    cuts += b"\1"
+    longest = _MIN_BLOCK_COPIES - 1 if native is None else _NATIVE_RUN
+    add = native and _machine_add(native[0])
+    cuts = bytes(map(longest.__lt__, map(itemgetter(1), runs))) + b"\1"
     start = 0
     while start < len(runs):
         stop = cuts.find(1, start)
-        bits = runs[stop:stop + 1]  # the run past the stretch, if any
         if stop > start:
             stretch = runs[start:stop]
-            xs = itertools.chain.from_iterable(itertools.starmap(
-                itertools.repeat,
-                zip(_to_floats(native, map(itemgetter(0), stretch)),
-                    map(itemgetter(1), stretch))))
-            got = machine_fold(add, _to_floats(native, state), xs)
-            if all(map(math.isfinite, got)):
-                state = _to_patterns(native, got)
-            else:
-                bits = runs[start:stop + 1]
-        for x, count in bits:
-            state = run_fold(fmt, *state, x, count, mode)
+            got = native and rules.fast[2](native, add, state, _expand(
+                _to_floats(native, map(itemgetter(0), stretch)), stretch))
+            state = _literal(rules, stretch, state) if got is None else got
+        for x, count in runs[stop:stop + 1]:  # the run past the stretch
+            state = _fold_block(fmt, rules, state, (x,), count, mode)
         start = stop + 1
     return state
 
 
-def _iterate(add, state, xs) -> tuple:
-    """The iterative fold of the floats ``xs`` into the state ``(s,)``."""
-    return (reduce(add, xs, state[0]),)
+def _literal(rules: _Rules, runs, state):
+    """The runs ``runs`` folded into ``state`` literally: one ``op`` of the
+    ``rules`` per element, driven by :func:`functools.reduce`."""
+    return reduce(rules.op, _expand(map(rules.leaf, map(itemgetter(0), runs)),
+                                    runs), state)
 
 
-def _kahan_floats(add, state, xs) -> tuple:
-    """The Kahan fold of the floats ``xs`` into the state ``(total,
-    comp)``: :func:`_kahan_bits`'s four adds per element, on floats with
-    no overflow rule (see :func:`_fold_plain`)."""
-    total, comp = state
+def _expand(values, runs):
+    """One value per run of ``runs``, each repeated by its run's count: a
+    lazy iterator over the elements, by C-level ``chain``/``starmap``, or
+    the values themselves when every run is one element (dense data)."""
+    if max(map(itemgetter(1), runs), default=1) == 1:
+        return values
+    return itertools.chain.from_iterable(itertools.starmap(
+        itertools.repeat, zip(values, map(itemgetter(1), runs))))
+
+
+def _iterate(native: tuple, add, s: int, xs):
+    """The iterative fold of the floats ``xs`` into the pattern ``s`` on the
+    machine's floats of the typecodes ``native``, or None if its sum is not
+    finite (see :func:`_fold_plain`)."""
+    got = reduce(add, xs, _to_floats(native, (s,))[0])
+    return _to_patterns(native, (got,))[0] if math.isfinite(got) else None
+
+
+def _kahan_floats(native: tuple, add, state: tuple, xs):
+    """The Kahan fold of the floats ``xs`` into the state ``(total, comp)``
+    of patterns on the machine's floats of the typecodes ``native``:
+    :func:`_kahan_bits`'s four adds per element, with no overflow rule, or
+    None unless the total and the compensation are finite (see
+    :func:`_fold_plain`)."""
+    total, comp = _to_floats(native, state)
     for v in xs:
         y = add(v, -comp)
         t = add(total, y)
         comp = add(add(t, -total), -y)
         total = t
-    return total, comp
+    if math.isfinite(total) and math.isfinite(comp):
+        return _to_patterns(native, (total, comp))
+    return None
 
 
 def _int_fold(fmt: IntFormat, runs) -> int:
@@ -692,40 +766,37 @@ def _int_fold(fmt: IntFormat, runs) -> int:
 def bs_iterative(dataset: Dataset, rounding: str = "banker"):
     """Left fold with one rounded add per element.
 
-    Floats are added as bit patterns.  Each run is folded by
-    :func:`_add_run`, and each stretch of runs that repeats a short block
-    (see :func:`_segments`) by one :func:`_fold_block` over copies of the
-    block, so that both jump whole periods of a steady drift.  On float32
-    and float64 under ``banker``, a stretch of runs of at most
-    ``_NATIVE_RUN`` copies is added on the machine's floats instead, and
-    refolded on patterns if its sum is not finite (see
-    :func:`_fold_plain`).
+    Floats are folded by their rules (see :func:`_rules`) in :func:`_fold`,
+    which jumps whole periods of a steady drift and adds short runs on the
+    machine's floats where it can.  Integers are a closed form.
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
         return KInt(fmt, _int_fold(fmt, dataset.runs))
-    _check_mode(rounding)
-    acc = (0,)
+    return _fold(dataset, "iterative", rounding)
+
+
+def _fold(dataset: Dataset, algorithm: str, mode: str):
+    """The float iterative or Kahan fold of ``dataset`` by its rules (see
+    :func:`_rules`): each plain piece of :func:`_segments` by
+    :func:`_fold_plain`, and each stretch of runs that repeats a short
+    block by one :func:`_fold_block` over copies of the block, so that both
+    jump whole periods of a steady drift.  On float32 and float64 under
+    ``banker``, a stretch of runs of at most ``_NATIVE_RUN`` copies is
+    folded on the machine's floats instead, and folded again on patterns
+    unless every component of its state is finite (see
+    :func:`_fold_plain`)."""
+    fmt = dataset.fmt
+    rules = _rules(fmt, algorithm, mode)
+    state = rules.start
     for plain, block, reps in _segments(dataset.runs):
-        acc = _fold_plain(fmt, plain, acc, _add_run_state, _iterate, rounding)
-        acc = _fold_block(fmt, "summation", _watched_add, acc, block, reps,
-                          rounding)
-    return _from_bits(fmt, acc[0])
-
-
-def _add_run_state(fmt: FloatFormat, s: int, x: int, count: int,
-                   mode: str) -> tuple:
-    """:func:`_add_run` with its result as the state ``(s,)``."""
-    return (_add_run(fmt, s, x, count, mode),)
+        state = _fold_plain(fmt, rules, plain, state, mode)
+        state = _fold_block(fmt, rules, state, block, reps, mode)
+    return _from_bits(fmt, rules.release(state))
 
 
 def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     """Cascade summation: split at the largest power of two below ``n``.
-
-    Float overflow releases the first infinity reached: a left operand
-    that is already infinite is returned without adding its sibling, so
-    two halves that overflow in opposite directions never meet in an
-    ``inf + (-inf)`` add (IEEE would give NaN there).
 
     The tree is walked on the runs, never on a list.  A subtree that lies
     inside one run sums ``c`` copies of one value ``v``, so its release
@@ -736,55 +807,45 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     position is a cursor carried down the left-to-right walk, so dense
     data (runs of one) costs one comparison per node on top of its add.
 
-    Floats are added as bit patterns, or on float32 and float64 under
-    ``banker`` as the machine's floats with its rounded add (see
-    :func:`~boundedsum.floats._native`).  That walk is the model's even
-    when it overflows: it returns an infinite left operand the same way,
-    so it never adds two infinities, and a finite operand added to an
-    infinite one gives that infinity in both.  Wraparound integers
-    release the wrapped exact sum, which every tree shape gives;
-    saturating integers walk the tree on plain ints.
+    Each add is the rules' ``op`` (see :func:`_rules`; a float overflow
+    releases the first infinity reached).  On float32 and float64 under
+    ``banker`` the walk is first made on the machine's floats with their
+    rounded add (see :func:`~boundedsum.floats._native`), and taken if its
+    sum is finite: then no add overflowed.  Wraparound integers release
+    the wrapped exact sum, which every tree shape gives.
     """
     fmt = dataset.fmt
-    if isinstance(fmt, FloatFormat):
-        _check_mode(rounding)
-        native = _native(fmt, rounding)
-        if native is not None:
-            xs = _to_floats(native, map(itemgetter(0), dataset.runs))
-            got = _cascade(list(zip(xs, map(itemgetter(1), dataset.runs))),
-                           _machine_add(native[0]), math.isinf)
-            return _from_bits(fmt, _to_patterns(native, (got,))[0])
-        kernel = fmt._kernel
-        _, _, _, sign, inf = kernel
-        return _from_bits(fmt, _cascade(
-            dataset.runs, lambda a, b: add_bits(kernel, a, b, rounding),
-            lambda x: x & (sign - 1) == inf))
-    if fmt.overflow == "wraparound":
+    if isinstance(fmt, IntFormat) and fmt.overflow == "wraparound":
         return KInt(fmt, _int_fold(fmt, dataset.runs))
-    clamp = fmt.clamp
-    return KInt(fmt, _cascade(dataset.runs, lambda a, b: clamp(a + b),
-                              lambda x: False))
+    rules = _rules(fmt, "pairwise", rounding)
+    if isinstance(fmt, IntFormat):
+        return KInt(fmt, _cascade(dataset.runs, rules.op))
+    native = _native(fmt, rounding)
+    if native is not None:
+        xs = _to_floats(native, map(itemgetter(0), dataset.runs))
+        got = _cascade(list(zip(xs, map(itemgetter(1), dataset.runs))),
+                       _machine_add(native[0]))
+        if math.isfinite(got):
+            return _from_bits(fmt, _to_patterns(native, (got,))[0])
+    return _from_bits(fmt, _cascade(dataset.runs, rules.op))
 
 
-def _cascade(runs: tuple, add, final) -> int:
+def _cascade(runs: tuple, op):
     """The cascade of :func:`bs_pairwise` over runs ``(x, count)`` of
-    ints, under ``add``; a left operand that is ``final`` is returned
-    without its sibling.  No runs sum to 0."""
+    states, each a code, joined by ``op``.  No runs sum to 0."""
     if not runs:
         return 0
     ends = list(itertools.accumulate(c for _, c in runs))
     memo = {}
 
     def block(v, c: int):
-        """``c >= 2`` copies of ``v`` summed by the cascade.  Both operands
-        of each add have ``v``'s sign, so an infinite left operand absorbs
-        its sibling: no overflow check is needed here."""
+        """``c >= 2`` copies of ``v`` summed by the cascade."""
         key = (v, c)
         got = memo.get(key)
         if got is None:
             m = 1 << ((c - 1).bit_length() - 1)
-            got = add(block(v, m) if m > 1 else v,
-                      block(v, c - m) if c - m > 1 else v)
+            got = op(block(v, m) if m > 1 else v,
+                     block(v, c - m) if c - m > 1 else v)
             memo[key] = got
         return got
 
@@ -800,9 +861,7 @@ def _cascade(runs: tuple, add, final) -> int:
             return v if hi - lo == 1 else block(v, hi - lo)
         m = 1 << ((hi - lo - 1).bit_length() - 1)
         left = rec(lo, lo + m)
-        if final(left):
-            return left  # the cursor is not read again
-        return add(left, rec(lo + m, hi))
+        return op(left, rec(lo + m, hi))
 
     return rec(0, ends[-1])
 
@@ -810,39 +869,13 @@ def _cascade(runs: tuple, add, final) -> int:
 def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     """Compensated summation; returns the running sum only.
 
-    Float overflow releases the first infinite running sum: as soon as
-    ``t = total (+) y`` is infinite it is returned, before the
-    compensation step would subtract it from the finite ``total`` and
-    later add opposite infinities (IEEE would give NaN there).  A
-    compensation that overflows (``t - total`` rounded past the largest
-    finite value) is dropped, so that step goes uncompensated; kept, it
-    would drive the next running sum to an infinity of the opposite
-    sign.
-
-    The state is a pair of bit patterns, and each run is folded by
-    :func:`_kahan_run`: a run of one is one :func:`_kahan_bits` step, and
-    a longer run jumps across the periodic stretches a constant addend
-    produces.  A stretch of runs that repeats a short block (see
-    :func:`_segments`) is one :func:`_fold_block` over copies of the
-    block, one Kahan step per element, and jumps the same way.  On float32
-    and float64 under ``banker``, a stretch of runs of at most
-    ``_NATIVE_RUN`` copies is folded on the machine's floats instead, and
-    refolded on patterns unless its total and compensation are both
-    finite (see :func:`_fold_plain`): then neither the final infinite sum
-    nor the dropped infinite compensation can have applied.
+    The state is a ``(total, comp)`` pair of bit patterns, and a step is
+    :func:`_kahan_bits`, with its overflow rules (see :func:`_rules`).
+    The fold is :func:`_fold`'s, as for :func:`bs_iterative`: a run jumps
+    across the periodic stretches a constant addend produces, and so does
+    a stretch of runs that repeats a short block.
     """
-    fmt = dataset.fmt
-    if not isinstance(fmt, FloatFormat):
-        raise TypeError("compensated summation is defined for float formats")
-    _check_mode(rounding)
-    # every later step keeps an infinite total, after one check of it
-    state = (0, 0)
-    for plain, block, reps in _segments(dataset.runs):
-        state = _fold_plain(fmt, plain, state, _kahan_run, _kahan_floats,
-                            rounding)
-        state = _fold_block(fmt, "compensated summation", _watched_kahan,
-                            state, block, reps, rounding)
-    return _from_bits(fmt, state[0])
+    return _fold(dataset, "kahan", rounding)
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
@@ -854,40 +887,38 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     is therefore a function of the element multiset alone, which is what
     lets this method shut down reordering attacks by construction.
 
-    Floats: both partials accumulate with round-toward-zero; a partial
-    that saturates to infinity is clamped back to the largest finite
-    value of its sign (recorded in ``events``); the two partials combine
-    with a single round-to-nearest add.  Integers: partials and combine
-    all use the format's own overflow policy.  The schedule is irrelevant
-    to the value there: same-sign integer adds give the wrapped or
-    clamped exact sum of their class in any order, so each partial is
+    Floats: both partials accumulate with round-toward-zero, each sign's
+    runs by :func:`_fold_plain` and the iterative rules; the release is
+    the split rules' join (see :func:`_rules`), which clamps a partial
+    that saturated to infinity (recorded here in ``events``) and combines
+    the two with a single round-to-nearest add.  Integers: partials and
+    combine all use the format's own overflow policy.  The schedule is
+    irrelevant to the value there: same-sign integer adds give the wrapped
+    or clamped exact sum of their class in any order, so each partial is
     that closed form.
     """
     fmt = dataset.fmt
+    join = _rules(fmt, "split").release
     if not isinstance(fmt, FloatFormat):
         pos = sum(x * c for x, c in dataset.runs if x >= 0)
         neg = sum(x * c for x, c in dataset.runs if x < 0)
-        return KInt(fmt, fmt.settle(fmt.settle(pos) + fmt.settle(neg)))
-    kernel = fmt._kernel
-    _, _, _, sign, inf = kernel
-    # within one sign the patterns ascend with the magnitude
-    pos = neg = 0
-    # sorting brings equal codes together; merged, a run of them is one
-    # _add_run, not one per element
-    for x, count in merge_runs(sorted(dataset.runs, key=itemgetter(0))):
-        if x & sign:
-            neg = _add_run(fmt, neg, x, count, "toward_zero")
-        else:
-            pos = _add_run(fmt, pos, x, count, "toward_zero")
-    if pos == inf:
-        pos = inf - 1  # the largest finite value
-        if events is not None:
+        return KInt(fmt, join((fmt.settle(pos), fmt.settle(neg))))
+    _, _, _, sign, inf = fmt._kernel
+    part = _rules(fmt, "iterative", "toward_zero")
+    # sorted, the positive patterns come first, and within one sign the
+    # patterns ascend with the magnitude; merged, a run of equal codes can
+    # jump its periods
+    runs = merge_runs(sorted(dataset.runs, key=itemgetter(0)))
+    cut = bisect_left(runs, sign, key=itemgetter(0))
+    pos, neg = (part.release(_fold_plain(fmt, part, side, part.start,
+                                         "toward_zero"))
+                for side in (runs[:cut], runs[cut:]))
+    if events is not None:
+        if pos == inf:
             events.append("positive_partial_clamped")
-    if neg == inf | sign:
-        neg = (inf - 1) | sign
-        if events is not None:
+        if neg == inf | sign:
             events.append("negative_partial_clamped")
-    return _from_bits(fmt, add_bits(kernel, pos, neg, "banker"))
+    return _from_bits(fmt, join((pos, neg)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,13 @@ their manifests record are relative.  Those pairs are inputs, not
 outputs: ``ov6``, ``ov8``, ``ov8s``, ``ov64``, ``rr2`` and ``sat8`` were
 written by ``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``;
 the three small files under ``instances/dense/`` (one run per element,
-apart from one run of three and a ``-0`` pattern) and the malformed files
-under ``instances/refused/`` were written by hand, and the float32 and
-float64 files there (``f32.json``, ``f64.json``: 256 elements, one run
-each) were drawn once from a seeded generator.  The six pairs
+apart from one run of three and a ``-0`` pattern), the malformed files
+under ``instances/refused/`` and the instances under
+``instances/refused-method/`` (an ``instance.json`` each, whose one
+transform has a field that is not an int) were written by hand, and the
+float32 and float64 files under ``instances/dense/`` (``f32.json``,
+``f64.json``: 256 elements, one run each) were drawn once from a seeded
+generator.  The six pairs
 of ``GEN_CASES``, one per attack family, are outputs too: ``attack gen``
 must write their ``instance.json``, ``u.json`` and ``v.json`` byte for
 byte.
@@ -125,6 +128,12 @@ for _file in sorted((GOLDEN / "instances" / "refused").glob("*.json")):
         REFUSAL_CASES[f"sum-refused-{_file.stem}"] = (_argv, 2)
 REFUSAL_CASES["sum-rr2_4_6-shift-refused"] = (
     ["sum", "--in", "instances/rr2_4_6/u.json", "--transform", "shift"], 2)
+# an instance whose method's transform field is not an int: a float, a
+# boolean or a string is refused, not cut or cast
+for _dir in sorted((GOLDEN / "instances" / "refused-method").iterdir()):
+    REFUSAL_CASES[f"verify-refused-{_dir.name}"] = (
+        ["attack", "verify", "--instance",
+         f"instances/refused-method/{_dir.name}"], 2)
 
 _BOUND = ["sens", "bound", "--format", "float:2,3", "--lower", "-1",
           "--upper", "1"]

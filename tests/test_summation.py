@@ -53,7 +53,7 @@ from boundedsum import (
 )
 from boundedsum.attacks import repeated_rounding_attack_2
 from boundedsum.floats import add_bits
-from boundedsum.summation import (_add_run, _kahan_bits, _kahan_run,
+from boundedsum.summation import (_fold_plain, _kahan_bits, _rules,
                                   _segments, _shift_dataset)
 
 F23 = FloatFormat(2, 3)
@@ -153,6 +153,12 @@ def ref_split(ds):
     return add_int(pos, neg)
 
 
+def fold_copies(fmt, rules, state, x, count, mode):
+    """``count`` copies of the pattern ``x`` folded into ``state`` by the
+    run fold of the program, as one run."""
+    return _fold_plain(fmt, rules, ((x, count),), state, mode)
+
+
 def float_ds(fmt, runs, lo="-8", hi="8"):
     lo, hi = parse_value(fmt, lo), parse_value(fmt, hi)
     return Dataset(fmt, lo, hi, [(parse_value(fmt, v), c) for v, c in runs])
@@ -191,12 +197,13 @@ def unmerged_split(ds, events=None):
     the reference for the merged fold."""
     fmt = ds.fmt
     _, _, _, sign, inf = fmt._kernel
-    pos = neg = 0
+    rules = _rules(fmt, "iterative", "toward_zero")
+    partials = [0, 0]
     for x, count in sorted(ds.runs):
-        if x & sign:
-            neg = _add_run(fmt, neg, x, count, "toward_zero")
-        else:
-            pos = _add_run(fmt, pos, x, count, "toward_zero")
+        side = 1 if x & sign else 0
+        partials[side] = fold_copies(fmt, rules, partials[side], x, count,
+                                     "toward_zero")
+    pos, neg = partials
     if pos == inf:
         pos = inf - 1
         if events is not None:
@@ -552,26 +559,28 @@ def _patterns(fmt, finite):
 
 
 @mark.parametrize("mode", ROUNDING_MODES)
-def test_add_run_on_patterns_matches_stepwise_add_bits(mode):
+def test_iterative_copies_fold_matches_stepwise_add_bits(mode):
     # every start (infinities too), every finite addend of (2,3)
     kernel = F23._kernel
+    rules = _rules(F23, "iterative", mode)
     counts = (0, 1, 2, 3, 40)
     for s in _patterns(F23, finite=False):
         for c in _patterns(F23, finite=True):
             want = s
             for count in range(counts[-1] + 1):
                 if count in counts:
-                    assert _add_run(F23, s, c, count, mode) == want, \
-                        (s, c, count)
+                    assert fold_copies(F23, rules, s, c, count,
+                                       mode) == want, (s, c, count)
                 want = add_bits(kernel, want, c, mode)
 
 
 @mark.parametrize("mode", ROUNDING_MODES)
-def test_kahan_run_on_patterns_matches_stepwise_kahan_bits(mode):
+def test_kahan_copies_fold_matches_stepwise_kahan_bits(mode):
     # every total and element of (2,3); no compensation, the smallest
     # negative subnormal and a normal value; runs long enough for a jump
     # across whole periods of the longest length looked for
     kernel = F23._kernel
+    rules = _rules(F23, "kahan", mode)
     comps = (0, 1 | kernel[3], 9)
     counts = (0, 1, 2, 3, 16)
     for total in _patterns(F23, finite=False):
@@ -580,10 +589,99 @@ def test_kahan_run_on_patterns_matches_stepwise_kahan_bits(mode):
                 want = (total, comp)
                 for count in range(counts[-1] + 1):
                     if count in counts:
-                        assert _kahan_run(F23, total, comp, v, count,
-                                          mode) == want, (total, comp, v,
-                                                          count)
+                        assert fold_copies(F23, rules, (total, comp), v,
+                                           count, mode) == want, (
+                            total, comp, v, count)
                     want = _kahan_bits(kernel, *want, v, mode)[:2]
+
+
+# ---------------------------------------------------------------------------
+# The rule table, folded literally, vs the reference folds
+# ---------------------------------------------------------------------------
+
+I4S = IntFormat(4, True, "saturating")
+I4W = IntFormat(4, True, "wraparound")
+
+
+def table_fold(rules, codes, tree):
+    """The release of ``codes`` folded literally by ``rules``: a left fold
+    of their leaves from ``start``, or for ``tree`` the cascade, split at
+    the largest power of two below the length."""
+    def cascade(states):
+        if len(states) == 1:
+            return states[0]
+        m = 1 << ((len(states) - 1).bit_length() - 1)
+        return rules.op(cascade(states[:m]), cascade(states[m:]))
+
+    states = [rules.leaf(x) for x in codes]
+    if tree and states:
+        return rules.release(cascade(states))
+    state = rules.start
+    for one in states:
+        state = rules.op(state, one)
+    return rules.release(state)
+
+
+def _whole_range(fmt, values):
+    """A dataset of ``values`` over the whole finite range of ``fmt``."""
+    if isinstance(fmt, FloatFormat):
+        return _dense(fmt, values)
+    return Dataset.from_elements(fmt, KInt(fmt, fmt.min_value),
+                                 KInt(fmt, fmt.max_value),
+                                 [KInt(fmt, v) for v in values])
+
+
+@composite
+def rule_cases(draw):
+    """A format, an algorithm, a mode and up to ten codes.  Float codes
+    are subnormal, top-binade or any, so sums overflow, partials saturate
+    and pairwise's halves meet infinities; int codes span a 4-bit range."""
+    fmt = draw(sampled_from([F23, F34, I4S, I4W]))
+    if isinstance(fmt, FloatFormat):
+        algorithm = draw(sampled_from(["iterative", "pairwise", "kahan",
+                                       "split"]))
+        codes = draw(lists(_finite_patterns(fmt), max_size=10))
+    else:
+        algorithm = draw(sampled_from(["iterative", "pairwise", "split"]))
+        codes = draw(lists(integers(fmt.min_value, fmt.max_value),
+                           max_size=10))
+    return fmt, algorithm, draw(sampled_from(ROUNDING_MODES)), codes
+
+
+_F23_14 = parse_value(F23, "14").bits
+_F23_SIGN = F23._kernel[3]
+
+
+@given(rule_cases())
+# the running sum overflows
+@example((F23, "iterative", "banker", [_F23_14, _F23_14, 3]))
+# the halves overflow in opposite directions
+@example((F23, "pairwise", "banker",
+          [_F23_14] * 2 + [_F23_14 | _F23_SIGN] * 2))
+# the first infinite running sum, and a compensation past the range
+@example((F23, "kahan", "banker", [_F23_14, _F23_14, _F23_14 | _F23_SIGN]))
+@example((F23, "kahan", "toward_pos",
+          [parse_value(F23, t).bits for t in ("-0.5", "14", "0", "14")]))
+# both partials saturate and are clamped
+@example((F23, "split", "banker", [_F23_14] * 3 + [_F23_14 | _F23_SIGN] * 3))
+@example((I4S, "iterative", "banker", [7, 7, -8, -8, -8]))
+@example((I4S, "split", "banker", [7, 7, -8, -8]))
+@example((I4W, "pairwise", "banker", [7, 7, 7, -8]))
+@settings(max_examples=400, deadline=None)
+def test_the_rule_table_folds_as_the_reference_folds(case):
+    fmt, algorithm, mode, values = case
+    ds = _whole_range(fmt, values)
+    codes = ds.codes()
+    if algorithm == "split":  # each sign class from its smallest magnitude
+        codes, want = sorted(codes), ref_split(ds)
+    else:
+        reference = {"iterative": ref_iterative, "pairwise": ref_pairwise,
+                     "kahan": ref_kahan}[algorithm]
+        want = reference(ds, mode)
+    got = table_fold(_rules(fmt, algorithm, mode), codes,
+                     algorithm == "pairwise")
+    assert got == (want.bits if isinstance(fmt, FloatFormat)
+                   else want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -953,10 +1051,12 @@ def test_a_block_past_the_size_cap_folds_run_by_run():
     ds = float_ds(F46, [("0.5", 1 << 60), ("-0.25", 1)] * 6)
     assert _segments(ds.runs) == [(ds.runs, (), 0)]
     for mode in ROUNDING_MODES:
+        iterative, kahan = (_rules(F46, alg, mode)
+                            for alg in ("iterative", "kahan"))
         acc, state = 0, (0, 0)
         for x, c in ds.runs:
-            acc = _add_run(F46, acc, x, c, mode)
-            state = _kahan_run(F46, *state, x, c, mode)
+            acc = fold_copies(F46, iterative, acc, x, c, mode)
+            state = fold_copies(F46, kahan, state, x, c, mode)
         assert bs_iterative(ds, mode).bits == acc
         assert bs_kahan(ds, mode).bits == state[0]
 
@@ -1089,13 +1189,14 @@ def test_short_runs_step_literally(monkeypatch):
                         lambda *args: jumps.append(1) or fold_run(*args))
     calls = count_adds(monkeypatch)
     half = parse_value(F46, "0.5").bits
-    _add_run(F46, 0, half, 4, "banker")
+    iterative, kahan = (_rules(F46, alg) for alg in ("iterative", "kahan"))
+    fold_copies(F46, iterative, 0, half, 4, "banker")
     assert calls == ["bits"] * 4
     calls.clear()
-    _kahan_run(F46, 0, 0, half, 4, "banker")
+    fold_copies(F46, kahan, (0, 0), half, 4, "banker")
     assert calls == ["bits"] * 16 and not jumps
-    _add_run(F46, 0, half, 5, "banker")
-    _kahan_run(F46, 0, 0, half, 5, "banker")
+    fold_copies(F46, iterative, 0, half, 5, "banker")
+    fold_copies(F46, kahan, (0, 0), half, 5, "banker")
     assert jumps == [1, 1]
 
 
