@@ -53,8 +53,8 @@ from typing import List, Optional
 
 from . import __version__
 from .attacks import _GENERATORS, ATTACK_NAMES, AttackInstance, verify_attack
-from .data import (SCHEMA_VERSION, decode_value, encode_value, format_to_json,
-                   json_text, load_dataset, save_dataset)
+from .data import (SCHEMA_VERSION, _decimal, decode_value, encode_value,
+                   format_to_json, json_text, load_dataset, save_dataset)
 from .floats import ROUNDING_MODES, FloatFormat, SimFloat
 from .ints import IntFormat
 from .mechanism import (NOISE_KINDS, MechanismSpec, calibrate,
@@ -108,10 +108,11 @@ def parse_format(text: str):
 
 
 def parse_transform(text: str):
-    """``truncate:N``, ``permute:SEED``, or ``shift``."""
+    """``truncate:N``, ``permute:SEED``, or ``shift``; ``N`` and ``SEED``
+    are decimal integers as the dataset files write them."""
     head, _, rest = text.partition(":")
     if head == "truncate":
-        return Truncate(int(rest))
+        return Truncate(_decimal(rest))
     if head == "permute":
         return RandomPermutation(_seed64(rest))
     if head == "shift":
@@ -123,7 +124,7 @@ def parse_transform(text: str):
 
 
 def _seed64(text) -> int:
-    seed = int(text)
+    seed = _decimal(text)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
     return seed

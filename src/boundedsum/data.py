@@ -402,6 +402,12 @@ def decode_code(fmt: ElementFormat, text: str) -> int:
     if isinstance(fmt, FloatFormat):
         return (int(text, 16) if _PATTERN_RE.fullmatch(text)
                 else parse_value(fmt, text).bits)
+    return _decimal(text)
+
+
+def _decimal(text: str) -> int:
+    """The int of an ASCII decimal text with an optional minus sign; no
+    plus sign, underscore, space or other digits."""
     if _INT_RE.fullmatch(text):
         return int(text)
     raise ValueError(f"{text!r} is not a decimal integer")
@@ -451,8 +457,8 @@ def format_from_json(d: dict) -> ElementFormat:
 
 def _field(d: dict, name: str, kind: type, what: str = "format"):
     """The field ``name`` of a ``what``'s JSON object ``d``, of exactly the
-    type ``kind``: an int that is not a boolean, or a boolean.  Nothing is
-    converted."""
+    type ``kind``: an int that is not a boolean, a boolean, or a list.
+    Nothing is converted."""
     if d[name].__class__ is not kind:
         raise TypeError(f"{what} field {name!r} must be {kind.__name__}, "
                         f"not {d[name]!r}")

@@ -14,7 +14,9 @@ Three layers live here:
    outside the proven territory raises :class:`UnsupportedCombination`
    rather than guessing, and a combination whose premise fails (overflow
    not excluded, size unknown, missing permutation) raises
-   :class:`PreconditionFailed`.
+   :class:`PreconditionFailed`.  The iterative, cascade and compensated
+   float sums share one accuracy route (see :func:`_float_bound`):
+   ``co``/``ham`` at the known size, ``sym``/``id`` at a truncation cap.
 
 3. :func:`brute_force_sensitivity` — the ground truth: enumerate every
    dataset over the representable values inside the bounds, release each
@@ -44,12 +46,12 @@ from typing import List, Optional, Tuple, Union
 
 from .data import (Dataset, ElementFormat, Value, check_materialize,
                    check_runs, code_key, code_value, exact_value)
-from .dyadic import Dyadic, floor_log2_fraction
+from .dyadic import floor_log2_fraction
 from .floats import FloatFormat, _pattern_ranges, is_representable
 from .ints import IntFormat
 from .metrics import histogram
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
-                        _arranged, _fisher_yates, check_multiplication,
+                        _arranged, check_multiplication,
                         float_overflow_check, run_sum)
 
 __all__ = [
@@ -129,7 +131,7 @@ class SensitivityBound:
 
     def to_json(self) -> dict:
         def enc(v):
-            return str(v) if isinstance(v, (Fraction, Dyadic)) else v
+            return str(v) if isinstance(v, Fraction) else v
         return {"value": str(self.value), "rule": self.rule,
                 "output_metric": self.output_metric,
                 "details": {k: enc(v) for k, v in sorted(self.details.items())}}
@@ -221,10 +223,6 @@ def _has(method: SumMethod, kind) -> bool:
     return any(isinstance(t, kind) for t in method.transforms)
 
 
-def _get(method: SumMethod, kind):
-    return next((t for t in method.transforms if isinstance(t, kind)), None)
-
-
 def _only_transforms(method: SumMethod, *allowed) -> bool:
     return all(isinstance(t, allowed) for t in method.transforms)
 
@@ -296,6 +294,26 @@ def _int_bound(spec: SensSpec) -> SensitivityBound:
 
 
 def _float_bound(spec: SensSpec) -> SensitivityBound:
+    """Float bounds: the split algorithm's own, or the accuracy route.
+
+    The iterative, cascade and compensated sums share one route.  The
+    exact sums of two adjacent datasets differ by at most a first term;
+    the accuracy theorem bounds each computed sum's distance to its exact
+    sum, in any element order, at a size; the triangle inequality does the
+    rest, provided no intermediate result can saturate to infinity, which
+    the directed-rounding overflow certificate establishes first.
+
+    - ``co``/``ham`` (rule ``accuracy``): replace-one adjacency moves the
+      exact sum by at most ``U - L``, at the known size ``n``.
+    - ``sym``/``id`` (rule ``truncated``): without a size cap the
+      accumulated rounding error is unbounded, so these need a
+      ``Truncate(n_max)``.  Inserting one element before the cap evicts
+      at most one other, so the exact sums of the truncated prefixes
+      differ by at most ``max(|L|, U, U - L)``, at ``n_max``.  ``sym``
+      adjacency says nothing about positions, so it also needs a random
+      permutation ahead of the truncation (the shuffle couples unordered
+      adjacency into insert/delete adjacency).
+    """
     method = spec.method
     if spec.checked:
         raise UnsupportedCombination(
@@ -309,8 +327,43 @@ def _float_bound(spec: SensSpec) -> SensitivityBound:
     if method.algorithm not in ("iterative", "pairwise", "kahan"):
         raise UnsupportedCombination(f"unknown algorithm {method.algorithm!r}")
     if spec.metric in KNOWN_N_METRICS:
-        return _float_accuracy_bound(spec)
-    return _float_truncated_bound(spec)
+        if not _only_transforms(method, RandomPermutation, ShiftBounds):
+            raise UnsupportedCombination(
+                "the replace-one accuracy route covers plain, shuffled, or "
+                "shifted sums; truncation changes which elements are summed")
+        if spec.n is None:
+            raise PreconditionFailed("co/ham accuracy bounds need a known size")
+        size, route, key = spec.n, "accuracy", "n"
+        overflow = ("these parameters admit overflow to infinity; the "
+                    "accuracy route requires the overflow certificate to pass")
+    else:
+        kinds = [type(t) for t in method.transforms]
+        if Truncate not in kinds:
+            raise UnsupportedCombination(
+                "sym/id bounds for iterative/pairwise/kahan float sums need a "
+                "truncation transform (or use the split algorithm)")
+        if not _only_transforms(method, RandomPermutation, ShiftBounds,
+                                Truncate):
+            raise UnsupportedCombination("unrecognized transform combination")
+        cut = kinds.index(Truncate)
+        if spec.metric == "sym" and RandomPermutation not in kinds[:cut]:
+            raise PreconditionFailed(
+                "the sym bound for truncated summation needs a random "
+                "permutation applied before the truncation")
+        size, route, key = method.transforms[cut].n_max, "truncated", "n_max"
+        overflow = ("these parameters admit overflow to infinity at the "
+                    "truncation cap; the accuracy route requires the overflow "
+                    "certificate")
+    lo, hi, suffix = _effective_float_bounds(spec)
+    acc = accuracy_bound(method.algorithm, size, spec.fmt, lo, hi)
+    if not float_overflow_check(lo, hi, size, acc, spec.fmt):
+        raise PreconditionFailed(overflow)
+    first = (hi - lo if spec.metric in KNOWN_N_METRICS
+             else max(abs(lo), abs(hi), hi - lo))
+    return SensitivityBound(
+        value=first + 2 * acc,
+        rule=f"float-{method.algorithm}-{route}{suffix}",
+        details={"accuracy": acc, key: size})
 
 
 def _effective_float_bounds(spec: SensSpec) -> Tuple[Fraction, Fraction, str]:
@@ -324,76 +377,6 @@ def _effective_float_bounds(spec: SensSpec) -> Tuple[Fraction, Fraction, str]:
                 "would compute a different function")
         return Fraction(0), span, "+shift"
     return lo, hi, ""
-
-
-def _float_accuracy_bound(spec: SensSpec) -> SensitivityBound:
-    """``co``/``ham`` for iterative, cascade, or compensated float sums.
-
-    Replace-one adjacency leaves the exact sum within ``U - L``; the
-    accuracy theorem bounds each computed sum's distance to its exact sum
-    in any element order; the triangle inequality does the rest —
-    provided no intermediate result can saturate to infinity, which the
-    directed-rounding overflow certificate establishes first.
-    """
-    method = spec.method
-    if not _only_transforms(method, RandomPermutation, ShiftBounds):
-        raise UnsupportedCombination(
-            "the replace-one accuracy route covers plain, shuffled, or "
-            "shifted sums; truncation changes which elements are summed")
-    if spec.n is None:
-        raise PreconditionFailed("co/ham accuracy bounds need a known size")
-    lo, hi, suffix = _effective_float_bounds(spec)
-    acc = accuracy_bound(method.algorithm, spec.n, spec.fmt, lo, hi)
-    if not float_overflow_check(lo, hi, spec.n, acc, spec.fmt):
-        raise PreconditionFailed(
-            "these parameters admit overflow to infinity; the accuracy "
-            "route requires the overflow certificate to pass")
-    return SensitivityBound(
-        value=(hi - lo) + 2 * acc,
-        rule=f"float-{method.algorithm}-accuracy{suffix}",
-        details={"accuracy": acc, "n": spec.n})
-
-
-def _float_truncated_bound(spec: SensSpec) -> SensitivityBound:
-    """``sym``/``id`` for plain float algorithms, via a truncation cap.
-
-    Without a size cap the accumulated rounding error is unbounded, so
-    these metrics require a ``Truncate(n_max)`` transform.  Inserting one
-    element before the cap evicts at most one other, so the exact sums of
-    the truncated prefixes differ by at most ``max(|L|, U, U - L)``; the
-    accuracy theorem at ``n_max`` covers the rest.  ``sym`` adjacency
-    says nothing about positions, so it additionally needs a random
-    permutation ahead of the truncation (the shuffle couples unordered
-    adjacency into insert/delete adjacency).
-    """
-    method = spec.method
-    trunc = _get(method, Truncate)
-    if trunc is None:
-        raise UnsupportedCombination(
-            "sym/id bounds for iterative/pairwise/kahan float sums need a "
-            "truncation transform (or use the split algorithm)")
-    if not _only_transforms(method, RandomPermutation, ShiftBounds, Truncate):
-        raise UnsupportedCombination("unrecognized transform combination")
-    if spec.metric == "sym":
-        idx_rp = next((i for i, t in enumerate(method.transforms)
-                       if isinstance(t, RandomPermutation)), None)
-        idx_tr = next(i for i, t in enumerate(method.transforms)
-                      if isinstance(t, Truncate))
-        if idx_rp is None or idx_rp > idx_tr:
-            raise PreconditionFailed(
-                "the sym bound for truncated summation needs a random "
-                "permutation applied before the truncation")
-    n_max = trunc.n_max
-    lo, hi, suffix = _effective_float_bounds(spec)
-    acc = accuracy_bound(method.algorithm, n_max, spec.fmt, lo, hi)
-    if not float_overflow_check(lo, hi, n_max, acc, spec.fmt):
-        raise PreconditionFailed(
-            "these parameters admit overflow to infinity at the truncation "
-            "cap; the accuracy route requires the overflow certificate")
-    value = max(abs(lo), abs(hi), hi - lo) + 2 * acc
-    return SensitivityBound(
-        value=value, rule=f"float-{method.algorithm}-truncated{suffix}",
-        details={"accuracy": acc, "n_max": n_max})
 
 
 def _split_rtz_bound(spec: SensSpec) -> SensitivityBound:
@@ -605,11 +588,12 @@ def couple_sym(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     check_materialize(max(u.n, v.n))
     rng = random.Random(seed)
     if d == 0:
-        order = _fisher_yates(u.codes(), rng)
+        order = u.codes()
+        rng.shuffle(order)
         return _arranged(u, order), _arranged(v, order)
     extra = next(iter(extra_u or extra_v))
-    shorter = v if extra_u else u
-    base = _fisher_yates(shorter.codes(), rng)
+    base = (v if extra_u else u).codes()
+    rng.shuffle(base)
     inserted = list(base)
     inserted.insert(rng.randrange(len(base) + 1), extra)
     if extra_u:
@@ -644,8 +628,8 @@ def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     if extra_u:
         a.append(next(iter(extra_u)))
         b.append(next(iter(extra_v)))
-    rng = random.Random(seed)
-    perm = _fisher_yates(list(range(len(a))), rng)
+    perm = list(range(len(a)))
+    random.Random(seed).shuffle(perm)
     return (_arranged(u, [a[i] for i in perm]),
             _arranged(v, [b[i] for i in perm]))
 
@@ -666,10 +650,6 @@ class Recommendation:
                 "notes": list(self.notes)}
 
 
-_FRESH_SEED_NOTE = ("replace the placeholder permutation seed with a fresh "
-                    "secret draw for every release")
-
-
 def recommend(fmt: ElementFormat, lower: Value, upper: Value, metric: str,
               n: Optional[int] = None,
               n_max: Optional[int] = None) -> List[Recommendation]:
@@ -677,82 +657,66 @@ def recommend(fmt: ElementFormat, lower: Value, upper: Value, metric: str,
 
     Returns every method this library can put a certified bound on, in
     preference order; each entry carries the bound it would ship with and
-    any operational caveats (modular noise, fresh permutation seeds,
-    truncation caps).  An empty list means nothing here is certifiable —
-    which is itself the advice.
+    the operational caveats its method and bound bring (see :func:`_try`).
+    An empty list means nothing here is certifiable — which is itself the
+    advice.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    out: List[Recommendation] = []
+
+    def certified(methods, size=n, checked=False):
+        specs = (SensSpec(fmt, lower, upper, metric, m, n=size,
+                          checked=checked) for m in methods)
+        return [r for r in map(_try, specs) if r is not None]
+
+    # the split, saturating and truncated bounds of an unordered metric are
+    # proven for a freshly shuffled release
+    order = (RandomPermutation(0),) if metric in UNORDERED_METRICS else ()
+    split = SumMethod("split", transforms=order)
+    algorithms = ("kahan", "pairwise", "iterative")
     if isinstance(fmt, IntFormat):
-        _recommend_int(fmt, lower, upper, metric, n, out)
-    else:
-        _recommend_float(fmt, lower, upper, metric, n, n_max, out)
-    return out
+        out = certified([SumMethod()], checked=True) if n is not None else []
+        if fmt.overflow == "wraparound":
+            return out + certified([SumMethod()])
+        return out + certified([SumMethod("split"),
+                                SumMethod(transforms=order)])
+    if metric in KNOWN_N_METRICS:
+        ranked = [] if n is None else certified(
+            SumMethod(alg, transforms=shift) for alg in algorithms
+            for shift in ((), (ShiftBounds(),)))
+        return sorted(ranked, key=lambda r: r.bound.value) + certified([split])
+    # sym / id: no fixed size to lean on
+    capped = [] if n_max is None else certified(
+        (SumMethod(alg, transforms=order + (Truncate(n_max),))
+         for alg in algorithms), size=None)
+    return capped + certified([split], size=None)
 
 
-def _try(out: List[Recommendation], spec: SensSpec, *notes: str) -> None:
+def _try(spec: SensSpec) -> Optional[Recommendation]:
+    """The recommendation of ``spec``'s method, or None when it has no
+    certified bound.  Its notes come from the method and the bound, in
+    this order: a checked size, each truncation cap, a permutation's seed,
+    a shift, and residue outputs."""
     try:
         bound = implemented_sensitivity_bound(spec)
     except (PreconditionFailed, UnsupportedCombination):
-        return
+        return None
+    method = spec.method
+    notes = []
+    if spec.checked:
+        notes.append("verify the dataset size before every release; "
+                     "overflow is then impossible and the idealized bound "
+                     "is exact")
+    notes += [f"datasets longer than {t.n_max} are cut off; pick the cap "
+              "above any plausible size"
+              for t in method.transforms if isinstance(t, Truncate)]
+    if _has(method, RandomPermutation):
+        notes.append("replace the placeholder permutation seed with a fresh "
+                     "secret draw for every release")
+    if _has(method, ShiftBounds):
+        notes.append("elements are shifted by -L before summing; add L*n "
+                     "back onto the noisy release")
     if bound.output_metric == "mod":
-        notes += ("noise must be folded onto the same residue circle and "
-                  "the release read as a residue",)
-    out.append(Recommendation(spec.method, bound, notes))
-
-
-def _recommend_int(fmt, lower, upper, metric, n, out):
-    if n is not None:
-        _try(out, SensSpec(fmt, lower, upper, metric, SumMethod(), n=n,
-                           checked=True),
-             "verify the dataset size before every release; overflow is "
-             "then impossible and the idealized bound is exact")
-    if fmt.overflow == "wraparound":
-        _try(out, SensSpec(fmt, lower, upper, metric, SumMethod(), n=n))
-        return
-    _try(out, SensSpec(fmt, lower, upper, metric, SumMethod("split"), n=n))
-    if metric in UNORDERED_METRICS:
-        _try(out, SensSpec(fmt, lower, upper, metric,
-                           SumMethod(transforms=(RandomPermutation(0),)), n=n),
-             _FRESH_SEED_NOTE)
-    else:
-        _try(out, SensSpec(fmt, lower, upper, metric, SumMethod(), n=n))
-
-
-def _recommend_float(fmt, lower, upper, metric, n, n_max, out):
-    span_ok = is_representable(exact_value(upper) - exact_value(lower), fmt)
-    if metric in KNOWN_N_METRICS:
-        if n is not None:
-            ranked: List[Recommendation] = []
-            for alg in ("kahan", "pairwise", "iterative"):
-                _try(ranked, SensSpec(fmt, lower, upper, metric,
-                                      SumMethod(alg), n=n))
-                if span_ok:
-                    _try(ranked,
-                         SensSpec(fmt, lower, upper, metric,
-                                  SumMethod(alg, transforms=(ShiftBounds(),)),
-                                  n=n),
-                         "elements are shifted by -L before summing; add "
-                         "L*n back onto the noisy release")
-            ranked.sort(key=lambda r: r.bound.value)
-            out.extend(ranked)
-        split_tr = () if metric == "ham" else (RandomPermutation(0),)
-        _try(out, SensSpec(fmt, lower, upper, metric,
-                           SumMethod("split", transforms=split_tr), n=n),
-             *((_FRESH_SEED_NOTE,) if split_tr else ()))
-        return
-    # sym / id: no fixed size to lean on
-    if n_max is not None:
-        transforms = (Truncate(n_max),) if metric == "id" else \
-            (RandomPermutation(0), Truncate(n_max))
-        for alg in ("kahan", "pairwise", "iterative"):
-            _try(out, SensSpec(fmt, lower, upper, metric,
-                               SumMethod(alg, transforms=transforms)),
-                 f"datasets longer than {n_max} are cut off; pick the cap "
-                 "above any plausible size",
-                 *((_FRESH_SEED_NOTE,) if metric == "sym" else ()))
-    split_tr = () if metric == "id" else (RandomPermutation(0),)
-    _try(out, SensSpec(fmt, lower, upper, metric,
-                       SumMethod("split", transforms=split_tr)),
-         *((_FRESH_SEED_NOTE,) if split_tr else ()))
+        notes.append("noise must be folded onto the same residue circle and "
+                     "the release read as a residue")
+    return Recommendation(method, bound, tuple(notes))

@@ -121,6 +121,8 @@ __all__ = [
 
 ALGORITHMS = ("iterative", "pairwise", "kahan", "split", "exact")
 
+# random.Random.shuffle makes, per position i from the last down to 1, the
+# draw randrange(i + 1) makes: the Fisher-Yates this name records
 PERMUTATION_ALGORITHM = "sorted+fisher-yates/mt19937-randrange"
 
 
@@ -193,9 +195,13 @@ class SumMethod:
 
     @classmethod
     def from_json(cls, d: dict) -> "SumMethod":
+        """A method from its JSON object; ``transforms``, when present,
+        must be a list."""
+        transforms = (_field(d, "transforms", list, "method")
+                      if "transforms" in d else [])
         return cls(d.get("algorithm", "iterative"),
                    d.get("rounding", "banker"),
-                   tuple(transform_from_json(t) for t in d.get("transforms", ())))
+                   tuple(map(transform_from_json, transforms)))
 
 
 @dataclass
@@ -941,7 +947,8 @@ def truncate(dataset: Dataset, n_max: int) -> Dataset:
 
 
 def random_permutation(dataset: Dataset, seed: int) -> Dataset:
-    """Uniformly shuffle element order (Fisher-Yates over a seeded MT).
+    """Uniformly shuffle element order (``random.Random(seed).shuffle``,
+    a Fisher-Yates over the seeded Mersenne Twister).
 
     The values are brought into their canonical sorted order before the
     shuffle, so the output depends only on the element multiset and the
@@ -955,7 +962,8 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
         raise ValueError("dataset too large to materialize for permutation")
     runs = sorted(dataset.runs, key=lambda run: code_key(dataset.fmt, run[0]))
     codes = [x for x, c in runs for _ in range(c)]
-    return _arranged(dataset, _fisher_yates(codes, random.Random(seed)))
+    random.Random(seed).shuffle(codes)
+    return _arranged(dataset, codes)
 
 
 def _arranged(frame: Dataset, codes: List[int]) -> Dataset:
@@ -963,15 +971,6 @@ def _arranged(frame: Dataset, codes: List[int]) -> Dataset:
     whose runs they were drawn from: nothing is checked."""
     return Dataset.unchecked(frame.fmt, frame.lower, frame.upper,
                              [(x, 1) for x in codes])
-
-
-def _fisher_yates(items: list, rng: random.Random) -> list:
-    """Shuffle ``items`` in place and return it: one ``randrange(i + 1)``
-    per position ``i`` from the last down to 1."""
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        items[i], items[j] = items[j], items[i]
-    return items
 
 
 def _shift_dataset(dataset: Dataset) -> Dataset:

@@ -116,6 +116,16 @@ def test_a_zero_denominator_is_refused_by_the_parser(flag, capsys):
     assert f"{flag}: invalid _fraction value: '1/0'" in capsys.readouterr().err
 
 
+@mark.parametrize("seed", ["1_0", "+7", " 7", "\u0667"])
+def test_a_seed_has_one_int_spelling(seed, capsys):
+    # --seed reads ints as the dataset files and --transform permute:SEED do
+    with raises(SystemExit) as exc:
+        main(_EXPERIMENT + ["--epsilon", "1", "--seed", seed])
+    assert exc.value.code == 2
+    assert f"--seed: invalid _seed64 value: {seed!r}" in \
+        capsys.readouterr().err
+
+
 @mark.parametrize("epsilon", ["710", "1e400"])
 def test_an_experiment_past_the_double_range_reports_its_verdict(epsilon):
     # at epsilon 1 this pair is a certain violation (see the golden

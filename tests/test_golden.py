@@ -18,8 +18,9 @@ written by ``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``;
 the three small files under ``instances/dense/`` (one run per element,
 apart from one run of three and a ``-0`` pattern), the malformed files
 under ``instances/refused/`` and the instances under
-``instances/refused-method/`` (an ``instance.json`` each, whose one
-transform has a field that is not an int) were written by hand, and the
+``instances/refused-method/`` (an ``instance.json`` each, whose method's
+transforms are not a list, or whose one transform has a field that is not
+an int) were written by hand, and the
 float32 and float64 files under ``instances/dense/`` (``f32.json``,
 ``f64.json``: 256 elements, one run each) were drawn once from a seeded
 generator.  The six pairs
@@ -128,8 +129,17 @@ for _file in sorted((GOLDEN / "instances" / "refused").glob("*.json")):
         REFUSAL_CASES[f"sum-refused-{_file.stem}"] = (_argv, 2)
 REFUSAL_CASES["sum-rr2_4_6-shift-refused"] = (
     ["sum", "--in", "instances/rr2_4_6/u.json", "--transform", "shift"], 2)
-# an instance whose method's transform field is not an int: a float, a
-# boolean or a string is refused, not cut or cast
+# a transform's N or SEED is read as the files write ints: other spellings
+# of a number are refused, not cast
+for _tag, _spec in (("truncate-underscore", "truncate:1_0"),
+                    ("truncate-arabic-indic", "truncate:\u0663"),
+                    ("truncate-plus", "truncate:+3"),
+                    ("permute-space", "permute: 7")):
+    REFUSAL_CASES[f"sum-refused-{_tag}"] = (
+        ["sum", "--in", "instances/dense/f10_5.json", "--transform", _spec], 2)
+# an instance whose method's transforms are not a list, or whose transform
+# field is not an int: a float, a boolean or a string is refused, not cut
+# or cast
 for _dir in sorted((GOLDEN / "instances" / "refused-method").iterdir()):
     REFUSAL_CASES[f"verify-refused-{_dir.name}"] = (
         ["attack", "verify", "--instance",
@@ -162,6 +172,11 @@ CASES["bound-int4-saturating-sym-permute"] = [
 CASES["recommend-float10_5-ham-n1000"] = [
     "sens", "recommend", "--format", "float:10,5", "--lower", "-1",
     "--upper", "1", "--metric", "ham", "--n", "1000"]
+# a span U - L that is not representable: the shift candidates drop, and
+# the co split takes a permutation and its fresh-seed note
+CASES["recommend-float10_5-co-n100"] = [
+    "sens", "recommend", "--format", "float:10,5", "--lower", "-1",
+    "--upper", "1*2^-11", "--metric", "co", "--n", "100"]
 CASES["recommend-int16-wraparound-sym-n4096"] = [
     "sens", "recommend", "--format", "int:16:signed:wraparound", "--lower",
     "-16", "--upper", "16", "--metric", "sym", "--n", "4096"]

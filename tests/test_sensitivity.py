@@ -1,10 +1,10 @@
 """Seeded couplings and brute-force values, pinned to recorded outputs.
 
-The couplings and ``random_permutation`` share one Fisher-Yates, and brute
-force reads every float release as an integer count of the format's finest
-spacing; the values below were recorded before either was shared or the
-releases were read that way, so any change in the draws or in how a
-release is read shows up here.  Brute force is also checked against the
+The couplings and ``random_permutation`` draw with
+``random.Random.shuffle``, and brute force reads every float release as an
+integer count of the format's finest spacing; the values below were
+recorded before either drew that way or the releases were read that way,
+so any change in the draws or in how a release is read shows up here.  Brute force is also checked against the
 certified bounds it sandwiches, and on a format too wide to enumerate.
 """
 
@@ -172,13 +172,19 @@ def test_bruteforce_on_float32_sizes_the_domain_without_walking_it(
 F23 = FloatFormat(2, 3)
 
 
-def _f23_case(metric, algorithm, rule):
-    return (F23, "-1", "1", metric, algorithm, 2, False, rule)
+def _f23_case(metric, algorithm, rule, lower="-1", upper="1", n=2,
+              transforms=()):
+    return (F23, lower, upper, metric, algorithm, n, False, rule, transforms)
 
 
 def _int4_case(overflow, metric, algorithm, rule, bits=4, checked=False):
     return (IntFormat(bits, True, overflow), -4, 3, metric, algorithm, 3,
-            checked, rule)
+            checked, rule, ())
+
+
+# (2,3) [-2, -1] shifts to [0, 1], where every element maps exactly
+def _shift_case(metric, algorithm, rule):
+    return _f23_case(metric, algorithm, rule, "-2", "-1", 3, (ShiftBounds(),))
 
 
 SANDWICH = (
@@ -196,24 +202,48 @@ SANDWICH = (
     + [_int4_case("saturating", metric, "iterative", "int-checked-idealized",
                   bits=5, checked=True)
        for metric in ("sym", "co", "ham", "id")]
+    + [_f23_case("id", alg, f"float-{alg}-truncated", n=3,
+                 transforms=(Truncate(2),))
+       for alg in ("iterative", "pairwise", "kahan")]
+    + [_shift_case(metric, alg, f"float-{alg}-accuracy+shift")
+       for alg in ("iterative", "pairwise", "kahan") for metric in ("co", "ham")]
+    + [_shift_case("ham", "split", "float-split-known-n+shift"),
+       _shift_case("id", "split", "float-split-unknown-n+shift")]
 )
 
+# rule -> (certified bound, brute force) of the cases with transforms; the
+# accuracy+shift values hold for co and ham alike
+SANDWICH_VALUES = {
+    "float-iterative-truncated": ("3", "17/8"),
+    "float-pairwise-truncated": ("18/7", "17/8"),
+    "float-kahan-truncated": ("4", "17/8"),
+    "float-iterative-accuracy+shift": ("13/4", "5/4"),
+    "float-pairwise-accuracy+shift": ("3", "5/4"),
+    "float-kahan-accuracy+shift": ("19/4", "5/4"),
+    "float-split-known-n+shift": ("2", "1"),
+    "float-split-unknown-n+shift": ("3", "1"),
+}
 
-@mark.parametrize("fmt, lower, upper, metric, algorithm, n, checked, rule",
-                  SANDWICH, ids=[f"{c[7]}-{c[3]}-{c[4]}" for c in SANDWICH])
+
+@mark.parametrize(
+    "fmt, lower, upper, metric, algorithm, n, checked, rule, transforms",
+    SANDWICH, ids=[f"{c[7]}-{c[3]}-{c[4]}" for c in SANDWICH])
 def test_bruteforce_stays_below_the_certified_bound(
-        fmt, lower, upper, metric, algorithm, n, checked, rule):
+        fmt, lower, upper, metric, algorithm, n, checked, rule, transforms):
     if isinstance(fmt, FloatFormat):
         lo, hi = parse_value(fmt, lower), parse_value(fmt, upper)
     else:
         lo, hi = KInt(fmt, lower), KInt(fmt, upper)
-    spec = SensSpec(fmt, lo, hi, metric, SumMethod(algorithm), n=n,
+    spec = SensSpec(fmt, lo, hi, metric,
+                    SumMethod(algorithm, transforms=transforms), n=n,
                     checked=checked)
     bound = implemented_sensitivity_bound(spec)
     assert bound.rule == rule
     result = brute_force_sensitivity(spec)
     assert result.output_metric == bound.output_metric
     assert result.value <= bound.value
+    if transforms:
+        assert (str(bound.value), str(result.value)) == SANDWICH_VALUES[rule]
 
 
 # ---------------------------------------------------------------------------
