@@ -87,13 +87,15 @@ _CALIBRATION_RULES = {
 # ---------------------------------------------------------------------------
 
 def parse_format(text: str):
-    """``float:K,L`` or ``int:BITS:signed|unsigned:wraparound|saturating``."""
+    """``float:K,L`` or ``int:BITS:signed|unsigned:wraparound|saturating``;
+    ``K``, ``L`` and ``BITS`` are decimal integers as the dataset files
+    write them."""
     head, _, rest = text.partition(":")
     if head == "float":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError(f"bad format {text!r}: expected float:K,L")
-        return FloatFormat(int(parts[0]), int(parts[1]))
+        return FloatFormat(_decimal(parts[0]), _decimal(parts[1]))
     if head == "int":
         parts = rest.split(":")
         if len(parts) != 3:
@@ -103,7 +105,7 @@ def parse_format(text: str):
         if signedness not in ("signed", "unsigned"):
             raise ValueError(f"bad format {text!r}: signedness must be "
                              "'signed' or 'unsigned'")
-        return IntFormat(int(bits), signedness == "signed", overflow)
+        return IntFormat(_decimal(bits), signedness == "signed", overflow)
     raise ValueError(f"bad format {text!r}: must start with float: or int:")
 
 
@@ -454,7 +456,7 @@ def _add_sens_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--upper", required=True, help="upper bound")
     parser.add_argument("--metric", required=True, choices=METRICS,
                         help="adjacency metric")
-    parser.add_argument("--n", type=int, default=None,
+    parser.add_argument("--n", type=_decimal, default=None,
                         help="dataset size (exact for co/ham, cap otherwise)")
 
 
@@ -523,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sens_sub.add_parser("recommend",
                             help="rank certifiable configurations")
     _add_sens_spec_flags(p)
-    p.add_argument("--n-max", type=int, default=None,
+    p.add_argument("--n-max", type=_decimal, default=None,
                    help="truncation cap for size-unknown float datasets")
     _add_common(p)
     p.set_defaults(func=_cmd_sens_recommend)
@@ -535,22 +537,22 @@ def build_parser() -> argparse.ArgumentParser:
         "gen", help="write an adjacent attack pair (u.json, v.json) and "
                     "its report (instance.json) into --out")
     p.add_argument("--theorem", required=True, choices=ATTACK_NAMES)
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_decimal, default=None,
                    help="mantissa bits (float formats)")
-    p.add_argument("--l", type=int, default=None,
+    p.add_argument("--l", type=_decimal, default=None,
                    help="exponent bits (float formats)")
-    p.add_argument("--bits", type=int, default=None,
+    p.add_argument("--bits", type=_decimal, default=None,
                    help="width (integer formats)")
     p.add_argument("--signed", action="store_true",
                    help="signed integer format (overflow theorem only; "
                         "saturation_reorder is always signed)")
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--upper", type=int, default=None,
+    p.add_argument("--j", type=_decimal, default=None)
+    p.add_argument("--a", type=_decimal, default=None)
+    p.add_argument("--d", type=_decimal, default=None)
+    p.add_argument("--m", type=_decimal, default=None)
+    p.add_argument("--upper", type=_decimal, default=None,
                    help="element upper bound U (integer theorems)")
-    p.add_argument("--lower", type=int, default=None,
+    p.add_argument("--lower", type=_decimal, default=None,
                    help="element lower bound L (saturation_reorder)")
     p.add_argument("--metric", choices=METRICS, default=None,
                    help="adjacency flavour for the overflow pair")
@@ -574,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = exp_sub.add_parser("run", help="threshold trials on an attack pair")
     p.add_argument("--instance", required=True, metavar="PATH")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_decimal, required=True)
     p.add_argument("--seed", type=_seed64, required=True,
                    help="master seed; per-trial seeds derive from it")
     p.add_argument("--threshold", type=_fraction, default=None,
@@ -584,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=METRICS, default=None,
                    help="metric for the calibration bound "
                         "(default: the instance's)")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_decimal, default=None,
                    help="dataset size for the calibration bound")
     _add_method_flags(p)
     _add_common(p)
@@ -602,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_calibration_flags(p)
     p.add_argument("--metric", choices=METRICS, default="sym",
                    help="metric for the calibration bound (default: sym)")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_decimal, default=None,
                    help="dataset size for the calibration bound")
     _add_method_flags(p)
     _add_common(p)

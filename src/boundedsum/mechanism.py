@@ -6,8 +6,11 @@ Three layers, in increasing order of rigor:
    add it to a bounded-sum release the way a real library would (float
    add, clamp into the integer type, or modular reduction).  One sampler,
    built once per release, serves both a single run and every trial of an
-   experiment.  Its draws have *statistical* quality only; nothing
-   security-critical consumes them.
+   experiment.  Its discrete draws are exact: each is a sequence of
+   Bernoulli decisions on the bits of a sha256 stream, and every decision
+   compares those bits with the exact binary expansion of its rational
+   probability, so the sampled distribution is the one the checker
+   analyses, not an approximation of it through doubles.
 
 2. :func:`distinguishing_experiment` and :func:`dp_violation_log2_bound`
    — the hypothesis-testing harness.  Run a mechanism many times on an
@@ -27,18 +30,22 @@ Three layers, in increasing order of rigor:
 
 The discrete noise distribution is pinned down by a *rational* decay
 parameter ``alpha`` chosen just above ``exp(-1/scale)`` (more noise than
-requested, never less), which the exact checker analyses.  The sampler
-does not draw from exactly that distribution: it draws each geometric by
-inverse CDF through doubles, so its PMF is the checker's only up to
-double rounding, the flaw class of Mironov (CCS 2012).  An exact sampler
-is ROADMAP item 4.
+requested, never less).  The sampler draws from exactly that distribution,
+``Pr[Z = z] = (1-alpha)/(1+alpha) * alpha^|z|``, and the checker folds the
+same PMF, so a verdict of :func:`exact_dp_check` is a verdict on the draws
+of :func:`run_mechanism` and :func:`distinguishing_experiment`.  Sampling
+through doubles, as inverse CDF does, would break that link: the flaw
+class of Mironov (CCS 2012).  Continuous ``laplace`` noise keeps inverse
+CDF on purpose; it is the vulnerable reference path, and nothing exact
+analyses it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
-import random
+import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,8 +54,7 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Tuple, Union
 
 from .data import Dataset, exact_value
-from .floats import SimFloat, add_float, round_dyadic
-from .dyadic import Dyadic
+from .floats import SimFloat, _bits_grid, _round_bits, add_bits
 from .ints import IntFormat, KInt
 from .sensitivity import (PreconditionFailed, UnsupportedCombination,
                           SensitivityBound)
@@ -199,29 +205,199 @@ def _refuse_exact(spec: MechanismSpec) -> None:
 
 
 def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int):
-    """One mechanism run: ``BS*(dataset)`` plus one noise draw."""
+    """One mechanism run: ``BS*(dataset)`` plus one noise draw, whose bits
+    are the stream named ``b"%d" % seed`` (see :func:`_stream`)."""
     _refuse_exact(spec)
     base = run_sum(dataset, spec.method).value
-    units = _sampler(spec, base)[0](seed)
+    units = _sampler(spec, base)[0](_stream(hashlib.sha256(), b"%d" % seed))
     if isinstance(base, KInt):
         return KInt(base.fmt, units)
     return SimFloat.from_grid(base.fmt, units)
 
 
-def _sampler(spec: MechanismSpec, base) -> Tuple[Callable[[int], int], int]:
-    """``(draw, grid)``: ``draw(seed)`` is the noisy release of the
-    noiseless release ``base``, as its exact value times ``grid``.
+# ---------------------------------------------------------------------------
+# The exact sampler
+# ---------------------------------------------------------------------------
+
+# The stream is read in chunks of _W bits, each digest as eight big-endian
+# 32-bit words, and a Bernoulli decision compares whole chunks
+_W = 32
+_BLOCK_CHUNKS = struct.Struct(">8L").unpack
+# A probability (alpha, i, odds) as :func:`_scaled_floor` reads it: the
+# fair sign's is 1/2
+_FAIR = (Fraction(1, 2), 0, False)
+
+
+def _stream(prefix, label: bytes):
+    """The ``_W``-bit chunks of the stream named ``label`` under the hashed
+    ``prefix``, first to last: block 0 is ``sha256(prefix || label)`` and
+    block ``c >= 1`` is ``sha256(prefix || label || b":%d" % c)``, each
+    digest read as eight big-endian chunks."""
+    h = prefix.copy()
+    h.update(label)
+    yield from _BLOCK_CHUNKS(h.digest())
+    for block in itertools.count(1):
+        h = prefix.copy()
+        h.update(b"%s:%d" % (label, block))
+        yield from _BLOCK_CHUNKS(h.digest())
+
+
+@lru_cache(maxsize=1024)
+def _scaled_floor(alpha: Fraction, i: int, odds: bool, bits: int) -> int:
+    """``floor(x * 2^bits)`` for ``x = a`` or, with ``odds``, ``x = a / (1 +
+    a)``, where ``a = alpha^(2^i)``.
+
+    ``a`` is never built: ``alpha^(2^61)`` runs to ``80 * 2^61`` bits.  It
+    is enclosed by repeated squaring on ``bits + guard``-bit fixed point,
+    the lower end rounded down and the upper end up at every step, which
+    widens the enclosure to at most ``2^(i+1)`` units; both ends of ``x``
+    are increasing in ``a``.  When the two floors differ the guard doubles,
+    so the result is exact: for ``odds`` the value ``x * 2^bits`` is never
+    an integer (its denominator is odd), and for a power it is one only at
+    ``bits >= s * 2^i`` (``alpha = P / 2^s``), where the enclosure is the
+    value itself.
+    """
+    p, s = alpha.numerator, alpha.denominator.bit_length() - 1
+    guard = i + 16
+    while True:
+        prec = bits + guard
+        if prec >= s:
+            lo = hi = p << (prec - s)
+        else:                       # p is odd: the scaled alpha is inexact
+            lo = p >> (s - prec)
+            hi = lo + 1
+        for _ in range(i):
+            lo = lo * lo >> prec
+            hi = -(-hi * hi >> prec)
+        if odds:
+            one = 1 << prec
+            low, high = (lo << bits) // (one + lo), (hi << bits) // (one + hi)
+        else:
+            low, high = lo >> guard, hi >> guard
+        if low == high:
+            return low
+        guard *= 2
+
+
+def _tie(chunks, x: Tuple[Fraction, int, bool], u: int) -> bool:
+    """Finish a Bernoulli decision whose first chunk ``u`` equals ``floor(x
+    * 2^_W)``: read chunks until the stream's number ``U`` parts from ``x``.
+
+    ``U < x`` exactly when the first chunk that differs from ``x``'s
+    expansion is below it; if ``x``'s expansion ends first, ``U >= x``.
+    """
+    alpha, i, odds = x
+    bits, exact = _W, (alpha.denominator.bit_length() - 1) << i
+    while odds or bits < exact:    # x * 2^bits is not an integer
+        bits += _W
+        u = u << _W | next(chunks)
+        t = _scaled_floor(alpha, i, odds, bits)
+        if u != t:
+            return u < t
+    return False
+
+
+def _bernoulli(chunks, t: int, x: Tuple[Fraction, int, bool]) -> bool:
+    """True with probability exactly ``x = (alpha, i, odds)``, read as in
+    :func:`_scaled_floor`, with ``t = floor(x * 2^_W)``: the stream's next
+    chunks are the binary digits of a uniform ``U``, and the result is
+    ``U < x``.  The first chunk decides unless it equals ``t``."""
+    c = next(chunks)
+    return c < t or c == t and _tie(chunks, x, c)
+
+
+def _discrete_noise(alpha: Fraction, k: Optional[int], modular: bool):
+    """``draw(chunks)``: one discrete Laplace draw ``Z`` with ``Pr[Z = z] =
+    (1-alpha)/(1+alpha) * alpha^|z|``, exactly.
+
+    ``Z = +G`` or ``-G`` on a fair sign, with ``G ~ Geom(alpha)``, and the
+    pair ``(-, 0)`` is drawn again, which leaves ``Pr[Z = 0] = (1-alpha) /
+    (1+alpha)`` and halves the rest.  ``G = 2^j T + R`` with ``j`` the
+    smallest ``j`` with ``alpha^(2^j) <= 1/2``: ``R``'s ``j`` binary
+    digits are independent, digit ``i`` is 1 with probability
+    ``alpha^(2^i) / (1 + alpha^(2^i))``, and ``T ~ Geom(alpha^(2^j))`` is
+    a loop of Bernoulli draws, at most two on average.
+
+    With ``k``, the loop stops once ``G >= 2^k``: a clamped release is then
+    on a rail, and the draw returns ``Z`` with that ``G``.  A ``modular``
+    draw needs only ``G mod 2^k`` once ``G`` is known to be nonzero: past
+    the stop ``T - 2^(k-j)`` is again ``Geom(alpha^(2^j))``, so its
+    residue is read off ``G``'s digits ``j..k-1``, and the draw returns
+    ``Z`` modulo ``2^k``.  Each decision is one :func:`_bernoulli` call.
+    """
+    def threshold(i: int, odds: bool):
+        return _scaled_floor(alpha, i, odds, _W), (alpha, i, odds)
+
+    j = 0
+    if alpha > Fraction(1, 2):    # past j = 0 no power is exactly 1/2
+        j = 1
+        while _scaled_floor(alpha, j, False, 1):
+            j += 1
+    half = _scaled_floor(*_FAIR, _W)
+    low = [(*threshold(i, True), 1 << i) for i in range(j)]
+    beta, beta_x = threshold(j, False)
+    step = 1 << j
+    limit = math.inf if k is None else 1 << k
+    high = ([(*threshold(i, True), 1 << i) for i in range(j, k)]
+            if modular else [])
+    mask = limit - 1 if modular else 0
+
+    def draw(chunks) -> int:
+        while True:
+            positive = _bernoulli(chunks, half, _FAIR)
+            g = 0
+            for t, x, bit in low:
+                if _bernoulli(chunks, t, x):
+                    g += bit
+            while g < limit and _bernoulli(chunks, beta, beta_x):
+                g += step
+            if g >= limit:
+                if modular:
+                    g &= mask
+                    for t, x, bit in high:
+                        if _bernoulli(chunks, t, x):
+                            g += bit
+                return g if positive else -g
+            if g or positive:
+                return g if positive else -g
+    return draw
+
+
+def _laplace_noise(scale: float):
+    """``draw(chunks)``: continuous Laplace noise by inverse CDF on a
+    53-bit uniform read from the stream, through doubles.  This is the
+    deliberately vulnerable reference path: the checker never analyses it.
+    """
+    reads = -(-53 // _W)
+    excess = reads * _W - 53
+    log1p, copysign = math.log1p, math.copysign
+
+    def draw(chunks) -> float:
+        while True:
+            u = 0
+            for _ in range(reads):
+                u = u << _W | next(chunks)
+            w = (u >> excess) * 2.0 ** -53 - 0.5
+            if abs(w) < 0.5:
+                return -scale * copysign(log1p(-2.0 * abs(w)), w)
+    return draw
+
+
+def _sampler(spec: MechanismSpec, base) -> Tuple[Callable[[object], int],
+                                                   int]:
+    """``(draw, grid)``: ``draw(chunks)`` is the noisy release of the
+    noiseless release ``base``, as its exact value times ``grid``, with the
+    noise's bits read from the chunk stream ``chunks`` (:func:`_stream`).
 
     An integer release counts ones (``grid`` is 1) and a float release
     counts its format's finest spacing, so either compares with a
-    threshold as an int.  Everything that does not depend on the seed is
-    settled here, once: the refusals, ``alpha`` and its log, the Laplace
-    scale and the format's rails.  A draw reseeds one generator, which
-    gives the state of a fresh ``random.Random(seed)``, then draws its
-    noise and adds it: clamped or wrapped into an integer format, rounded
-    and added in a float format.  Discrete noise is the difference of two
-    geometric draws by inverse CDF through doubles, which nothing exact
-    consumes.
+    threshold as an int.  Everything that does not depend on the stream is
+    settled here, once: the refusals, ``alpha`` and every Bernoulli
+    threshold of :func:`_discrete_noise`, the Laplace scale and the
+    format's rails.  Discrete noise is exact, so the releases are
+    distributed as :func:`exact_dp_check` analyses them: clamped into the
+    integer format, wrapped modulo its ``2^bits``, or rounded to a float
+    pattern and added with one rounded add.
     """
     fmt, noise, integer = base.fmt, spec.noise, isinstance(base, KInt)
     if integer and noise == "laplace":
@@ -232,45 +408,34 @@ def _sampler(spec: MechanismSpec, base) -> Tuple[Callable[[int], int], int]:
     if noise == "discrete_laplace_mod" and fmt.overflow != "wraparound":
         raise PreconditionFailed("modular noise addition needs a wraparound "
                                  "format")
-    rng = random.Random()
-    reseed, uniform, log1p = rng.seed, rng.random, math.log1p
     if noise == "laplace":
-        scale = float(spec.scale)
-
-        def draw_noise():
-            while True:
-                w = uniform() - 0.5
-                if abs(w) < 0.5:
-                    return -scale * math.copysign(log1p(-2.0 * abs(w)), w)
+        draw_noise = _laplace_noise(float(spec.scale))
     else:
-        alpha = spec.alpha
-        # from scale 2^53 on, float(alpha) is 1.0, whose log is 0.0.  Below
-        # that the log of the double stays: the log1p form can differ from
-        # it in the last bit, which could move a recorded count
-        ln_alpha = math.log(float(alpha)) or log1p(-float(1 - alpha))
-
-        def draw_noise():
-            return (int(log1p(-uniform()) / ln_alpha)
-                    - int(log1p(-uniform()) / ln_alpha))
+        draw_noise = _discrete_noise(
+            spec.alpha, fmt.bits if integer else None,
+            noise == "discrete_laplace_mod")
     if not integer:
-        def draw(seed: int) -> int:
-            reseed(seed)
-            z = Dyadic.from_fraction(Fraction(draw_noise()))
-            return add_float(base, round_dyadic(z, fmt, "banker"),
-                             "banker").to_grid()
+        kernel, bits = fmt._kernel, base.bits
+
+        def draw(chunks) -> int:
+            z = draw_noise(chunks)
+            zb = 0
+            if z:
+                m, d = z.as_integer_ratio()
+                zb = _round_bits(kernel, m < 0, abs(m), 1 - d.bit_length(),
+                                 "banker")
+            return _bits_grid(kernel, add_bits(kernel, bits, zb, "banker"))
         return draw, 1 << (fmt.k - fmt.emin)
     lo, hi, value = fmt.min_value, fmt.max_value, base.value
     if noise == "discrete_laplace_mod":
         # (value + z) mod 2^bits, read into [lo, lo + 2^bits)
         mask, offset = fmt.modulus - 1, value - lo
 
-        def draw(seed: int) -> int:
-            reseed(seed)
-            return ((offset + draw_noise()) & mask) + lo
+        def draw(chunks) -> int:
+            return ((offset + draw_noise(chunks)) & mask) + lo
     else:
-        def draw(seed: int) -> int:
-            reseed(seed)
-            return min(max(value + draw_noise(), lo), hi)
+        def draw(chunks) -> int:
+            return min(max(value + draw_noise(chunks), lo), hi)
     return draw, 1
 
 
@@ -315,14 +480,18 @@ def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
 
     ``instance`` is an attack instance (anything with ``u``/``v`` dataset
     attributes).  The base sum is deterministic, so each dataset is summed
-    once, and one sampler is built per side: every refusal, ``alpha``, its
-    log and the format's rails are settled before the first trial, so a
-    refusal does not depend on ``trials``.  A trial is then its seed (the
-    first 8 bytes, big-endian, of ``sha256(f"{master_seed}:{role}:{i}")``,
-    hashed on from a copy of the hashed prefix), one reseed, two uniforms
-    for discrete noise, the add with its clamp, wrap or rounding, and one
-    int comparison against the threshold on the release's grid.  Trials
-    are reproducible and order-independent.  The report's bound is
+    once, and one sampler is built per side: every refusal, ``alpha`` and
+    every Bernoulli threshold and the format's rails are settled before
+    the first trial, so a refusal does not depend on ``trials``.  Trial
+    ``i`` of side ``role`` reads its bits from its own stream
+    (:func:`_stream`): block 0 is ``sha256(f"{master_seed}:{role}:{i}")``,
+    hashed on from a copy of the hashed prefix, and block ``c`` is the
+    hash of that text and ``f":{c}"``.  A trial is its noise draw from
+    that stream, the add with its clamp, wrap or rounding, and one int
+    comparison against the threshold on the release's grid.  Trials are
+    reproducible and order-independent, and since each discrete draw is
+    exact, the table's cells are binomial with exactly the probabilities
+    of the PMF :func:`exact_dp_check` folds.  The report's bound is
     :func:`dp_violation_log2_bound` of the table under ``spec.epsilon``,
     and the verdict flips to ``"epsilon-violation"`` below
     ``VERDICT_CUTOFF_LOG2``.
@@ -347,9 +516,7 @@ def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
         prefix = hashlib.sha256(f"{master_seed}:{role}:".encode())
         ones = 0
         for i in range(trials):
-            h = prefix.copy()
-            h.update(b"%d" % i)
-            ones += draw(int.from_bytes(h.digest()[:8], "big")) > cut
+            ones += draw(_stream(prefix, b"%d" % i)) > cut
         table.append((trials - ones, ones))
     counts = (table[0], table[1])
     bound = dp_violation_log2_bound(counts, spec.epsilon)

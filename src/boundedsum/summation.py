@@ -158,6 +158,9 @@ Transform = Union[Truncate, RandomPermutation, ShiftBounds]
 def transform_from_json(d: dict) -> Transform:
     """A transform from its JSON object; ``n_max`` and ``seed`` must be ints,
     not booleans, floats or strings."""
+    if d.__class__ is not dict:
+        raise TypeError(f"method field 'transforms' must hold objects, "
+                        f"not {d!r}")
     kind = d["kind"]
     if kind == "truncate":
         return Truncate(_field(d, "n_max", int, "transform"))

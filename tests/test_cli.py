@@ -126,6 +126,41 @@ def test_a_seed_has_one_int_spelling(seed, capsys):
         capsys.readouterr().err
 
 
+def _bound(fmt="float:10,5", n="4"):
+    return ["sens", "bound", "--format", fmt, "--lower", "-1", "--upper", "1",
+            "--metric", "ham", "--n", n]
+
+
+def _gen(upper):
+    return ["attack", "gen", "--theorem", "saturation_reorder", "--bits",
+            "16", "--lower", "-16", "--upper", upper]
+
+
+@mark.parametrize("plain, refused", [
+    # epsilon 710 makes the table consistent, so the plain run exits 0
+    (_EXPERIMENT + ["--epsilon", "710", "--trials", "1000"],
+     _EXPERIMENT + ["--epsilon", "710", "--trials", "1_000"]),
+    (_bound(n="4"), _bound(n="+4")),
+    (_bound(fmt="float:10,5"), _bound(fmt="float:1_0,\u0665")),
+    (_bound(fmt="int:8:signed:wraparound"),
+     _bound(fmt="int: 8:signed:wraparound")),
+    (_gen("16"), _gen("+16")),
+])
+def test_an_int_flag_has_one_spelling(plain, refused, tmp_path, capsys):
+    # integer flags and format fields read ints as the dataset files,
+    # --seed and truncate:N do: one ASCII decimal spelling, minus allowed
+    def exit_code(argv):
+        try:
+            return _run(argv + ["--out", str(tmp_path)])[0]
+        except SystemExit as exc:       # refused by the parser
+            return exc.code
+
+    assert exit_code(refused) == 2
+    err = capsys.readouterr().err
+    assert "invalid _decimal value" in err or "not a decimal integer" in err
+    assert exit_code(plain) == 0
+
+
 @mark.parametrize("epsilon", ["710", "1e400"])
 def test_an_experiment_past_the_double_range_reports_its_verdict(epsilon):
     # at epsilon 1 this pair is a certain violation (see the golden

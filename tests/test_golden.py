@@ -19,8 +19,8 @@ the three small files under ``instances/dense/`` (one run per element,
 apart from one run of three and a ``-0`` pattern), the malformed files
 under ``instances/refused/`` and the instances under
 ``instances/refused-method/`` (an ``instance.json`` each, whose method's
-transforms are not a list, or whose one transform has a field that is not
-an int) were written by hand, and the
+transforms are not a list, whose one transform is not an object, or whose
+one transform has a field that is not an int) were written by hand, and the
 float32 and float64 files under ``instances/dense/`` (``f32.json``,
 ``f64.json``: 256 elements, one run each) were drawn once from a seeded
 generator.  The six pairs
@@ -137,9 +137,9 @@ for _tag, _spec in (("truncate-underscore", "truncate:1_0"),
                     ("permute-space", "permute: 7")):
     REFUSAL_CASES[f"sum-refused-{_tag}"] = (
         ["sum", "--in", "instances/dense/f10_5.json", "--transform", _spec], 2)
-# an instance whose method's transforms are not a list, or whose transform
-# field is not an int: a float, a boolean or a string is refused, not cut
-# or cast
+# an instance whose method's transforms are not a list, whose transform is
+# not an object, or whose transform field is not an int: a float, a boolean
+# or a string is refused, not cut or cast
 for _dir in sorted((GOLDEN / "instances" / "refused-method").iterdir()):
     REFUSAL_CASES[f"verify-refused-{_dir.name}"] = (
         ["attack", "verify", "--instance",

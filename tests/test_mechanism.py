@@ -1,15 +1,18 @@
 """Mechanism layer: the log-space binomial tail, the violation bound, the
-modulus of modular noise, the sampler against the per-trial draws it
-replaced, and the exact checker's breakpoint search against full
-enumeration."""
+modulus of modular noise, the sampler against a slow exact reference on the
+same stream and against the exact PMFs by exhaustive enumeration, and the
+exact checker's breakpoint search against full enumeration."""
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -162,6 +165,140 @@ def _saturated_pmf(alpha: Fraction, center: int, lo: int, hi: int):
 
 
 # ---------------------------------------------------------------------------
+# A slow reference sampler: the same stream, one exact Bernoulli at a time
+# ---------------------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+
+
+def reference_chunks(name: bytes):
+    """The 32-bit chunks of the stream ``name``: block 0 is
+    ``sha256(name)``, block ``c`` is ``sha256(name + b":c")``, and each
+    digest is read as one big-endian number, eight chunks from the top."""
+    for block in itertools.count():
+        digest = hashlib.sha256(name + b":%d" % block if block else name)
+        word = int.from_bytes(digest.digest(), "big")
+        for shift in range(224, -32, -32):
+            yield word >> shift & 0xFFFFFFFF
+
+
+@functools.lru_cache(maxsize=None)
+def reference_floor(alpha, i, odds, bits):
+    """``floor(x * 2^bits)`` for ``x = a`` or ``a / (1 + a)``, ``a =
+    alpha^(2^i)``: on exact Fractions while ``a`` has at most 2^14 bits,
+    and past that by squaring ``alpha`` on mpmath's outward-rounded
+    intervals, at a precision that doubles until the floor is decided."""
+    s = alpha.denominator.bit_length() - 1
+    if s << i <= 1 << 14:
+        a = alpha ** (1 << i)
+        return math.floor((a / (1 + a) if odds else a) * (1 << bits))
+    iv, saved = mpmath.iv, mpmath.iv.prec
+    try:
+        iv.prec = 2 * bits + 2 * i + 80
+        while True:
+            a = iv.mpf(alpha.numerator) / iv.mpf(alpha.denominator)
+            for _ in range(i):
+                a = a * a
+            x = (a / (1 + a) if odds else a) * iv.mpf(2) ** bits
+            low, high = int(mpmath.floor(x.a)), int(mpmath.floor(x.b))
+            if low == high:
+                return low
+            iv.prec *= 2
+    finally:
+        iv.prec = saved
+
+
+def reference_bernoulli(chunks, alpha, i, odds):
+    """``U < x`` for the uniform ``U`` whose binary digits are the next
+    chunks, ``x`` as in :func:`reference_floor`: the chunks are read until
+    they part from ``x``'s expansion, or it ends (a power of ``alpha``
+    has ``s * 2^i`` bits) and ``U >= x``."""
+    u = bits = 0
+    end = None if odds else (alpha.denominator.bit_length() - 1) << i
+    while True:
+        u = u << 32 | next(chunks)
+        bits += 32
+        t = reference_floor(alpha, i, odds, bits)
+        if u != t:
+            return u < t
+        if end is not None and bits >= end:
+            return False
+
+
+def reference_noise(alpha, chunks, k=None, modular=False):
+    """One discrete Laplace draw as the sampler makes it, decision by
+    decision: a fair sign, the ``j`` digits of ``R``, the loop of ``T``
+    (stopped at ``2^k``), the residue digits past the stop for modular
+    noise, and a fresh draw on ``(-, 0)``."""
+    j = 0
+    while not (alpha ** (1 << j) <= HALF if j < 8
+               else reference_floor(alpha, j, False, 1) == 0):
+        j += 1
+    limit = math.inf if k is None else 1 << k
+    while True:
+        positive = reference_bernoulli(chunks, HALF, 0, False)
+        g = sum(1 << i for i in range(j)
+                if reference_bernoulli(chunks, alpha, i, True))
+        while g < limit and reference_bernoulli(chunks, alpha, j, False):
+            g += 1 << j
+        if g >= limit and modular:
+            g = g % limit + sum(1 << i for i in range(j, k)
+                                if reference_bernoulli(chunks, alpha, i,
+                                                       True))
+        elif not (g or positive):
+            continue
+        return g if positive else -g
+
+
+def reference_laplace(scale, chunks):
+    """Continuous Laplace noise by inverse CDF on the stream's next 53
+    bits, through doubles."""
+    while True:
+        w = (next(chunks) << 21 | next(chunks) >> 11) * 2.0 ** -53 - 0.5
+        if abs(w) < 0.5:
+            return -scale * math.copysign(math.log1p(-2.0 * abs(w)), w)
+
+
+def oracle_release(spec, base, name):
+    """One noisy release from the stream ``name``, rebuilding every
+    constant per draw: clamp or wrap an integer release, round the noise
+    into a float release and add it with the checked adder."""
+    chunks = reference_chunks(name)
+    if isinstance(base, KInt):
+        fmt, modular = base.fmt, spec.noise == "discrete_laplace_mod"
+        z = reference_noise(spec.alpha, chunks, fmt.bits, modular)
+        return KInt(fmt, fmt.wrap(base.value + z) if modular
+                    else fmt.clamp(base.value + z))
+    if spec.noise == "laplace":
+        z = Fraction(reference_laplace(float(spec.scale), chunks))
+    else:
+        z = Fraction(reference_noise(spec.alpha, chunks))
+    if z == 0:
+        return base
+    noise = round_dyadic(Dyadic.from_fraction(z), base.fmt, "banker")
+    return add_float(base, noise, "banker")
+
+
+def oracle_releases(instance, spec, trials, master_seed):
+    """The exact values of the experiment's releases, by side, one oracle
+    release per trial stream ``f"{master_seed}:{role}:{i}"``."""
+    return [[exact_value(oracle_release(
+        spec, run_sum(dataset, spec.method).value,
+        f"{master_seed}:{role}:{i}".encode())) for i in range(trials)]
+        for role, dataset in (("u", instance.u), ("v", instance.v))]
+
+
+def oracle_counts(releases, threshold):
+    """The experiment's table of the releases, each compared with the
+    threshold as a Fraction."""
+    table = []
+    for side in releases:
+        ones = sum(value > threshold for value in side)
+        table.append((len(side) - ones, ones))
+    return tuple(table)
+
+
+# ---------------------------------------------------------------------------
 # Modular noise on the format's own ring
 # ---------------------------------------------------------------------------
 
@@ -179,7 +316,8 @@ def test_matching_modulus_is_the_default():
     sv = run_sum(v, spec.method).value.value
     wrapped = 0
     for seed in range(40):
-        z = oracle_dlap(spec.alpha, random.Random(seed))
+        z = reference_noise(spec.alpha, reference_chunks(b"%d" % seed), 8,
+                            True)
         assert run_mechanism(spec, u, seed).value == (su + z) % 256
         wrapped += not 0 <= su + z < 256
     assert wrapped  # some draws leave [0, 256), so the reduction shows
@@ -191,60 +329,8 @@ def test_matching_modulus_is_the_default():
 
 
 # ---------------------------------------------------------------------------
-# The sampler against the per-trial draws it replaced
+# The sampler against the reference, trial by trial
 # ---------------------------------------------------------------------------
-
-def oracle_trial_seed(master_seed, role, index):
-    digest = hashlib.sha256(f"{master_seed}:{role}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def oracle_dlap(alpha, rng, ln_alpha=None):
-    """Two geometric draws by inverse CDF, as each trial made them."""
-    if ln_alpha is None:
-        ln_alpha = math.log(float(alpha))
-    first = int(math.log1p(-rng.random()) / ln_alpha)
-    return first - int(math.log1p(-rng.random()) / ln_alpha)
-
-
-def oracle_release(spec, base, seed, ln_alpha=None):
-    """One noisy release from a fresh generator, rebuilding every constant
-    per draw: clamp or wrap an integer release, round the noise into a
-    float release and add it."""
-    rng = random.Random(seed)
-    if isinstance(base, KInt):
-        z = oracle_dlap(spec.alpha, rng, ln_alpha)
-        if spec.noise == "discrete_laplace_mod":
-            return KInt(base.fmt, base.fmt.wrap(base.value + z))
-        return KInt(base.fmt, base.fmt.clamp(base.value + z))
-    if spec.noise == "laplace":
-        scale = float(spec.scale)
-        while True:
-            w = rng.random() - 0.5
-            if abs(w) < 0.5:
-                break
-        z = Fraction(-scale * math.copysign(math.log1p(-2.0 * abs(w)), w))
-    else:
-        z = Fraction(oracle_dlap(spec.alpha, rng))
-    if z == 0:
-        return base
-    noise = round_dyadic(Dyadic.from_fraction(z), base.fmt, "banker")
-    return add_float(base, noise, "banker")
-
-
-def oracle_counts(instance, spec, trials, master_seed, threshold,
-                  ln_alpha=None):
-    """The experiment's table from one oracle release per trial, each
-    compared with the threshold as a Fraction."""
-    table = []
-    for role, dataset in (("u", instance.u), ("v", instance.v)):
-        base = run_sum(dataset, spec.method).value
-        ones = sum(exact_value(oracle_release(
-            spec, base, oracle_trial_seed(master_seed, role, i), ln_alpha))
-            > threshold for i in range(trials))
-        table.append((trials - ones, ones))
-    return tuple(table)
-
 
 def one_element(fmt, value):
     lo, hi = KInt(fmt, fmt.min_value), KInt(fmt, fmt.max_value)
@@ -263,7 +349,7 @@ def float_pair(fmt, su, sv):
         for side, x in (("u", su), ("v", sv))})
 
 
-HALF, SEVEN_THIRDS = Fraction(1, 2), Fraction(7, 3)
+SEVEN_THIRDS = Fraction(7, 3)
 
 # (pair, noise, scale, thresholds): None is the midpoint of the two sums.
 # Every pair has its centres at or near the rails, so draws clamp, wrap or
@@ -309,40 +395,199 @@ ORACLE_CASES = {
 def test_experiment_counts_match_the_per_trial_oracle(name, master_seed):
     pair, noise, scale, thresholds = ORACLE_CASES[name]
     spec = MechanismSpec(noise=noise, scale=scale, epsilon=1)
+    releases = oracle_releases(pair, spec, 12, master_seed)
     for threshold in thresholds:
         got = distinguishing_experiment(pair, spec, 12, master_seed,
                                         threshold=threshold)
         if threshold is None:
             threshold = got.threshold
-        assert got.counts == oracle_counts(pair, spec, 12, master_seed,
-                                           threshold), (name, threshold)
+        assert got.counts == oracle_counts(releases, threshold), \
+            (name, threshold)
 
 
 @mark.parametrize("name", sorted(ORACLE_CASES))
 def test_run_mechanism_is_one_oracle_draw(name):
+    # on the float cases the oracle adds the noise with add_float of its
+    # round_dyadic, the checked reference of the sampler's pattern add
     pair, noise, scale, _ = ORACLE_CASES[name]
     spec = MechanismSpec(noise=noise, scale=scale)
     base = run_sum(pair.u, spec.method).value
     for seed in range(60):
         got = run_mechanism(spec, pair.u, seed)
         assert type(got) is type(base) and got.fmt == base.fmt
-        assert got == oracle_release(spec, base, seed), (name, seed)
+        assert got == oracle_release(spec, base, b"%d" % seed), (name, seed)
 
 
-def test_a_scale_past_2_to_the_53_takes_its_log_from_1_minus_alpha():
-    # float(alpha) rounds to 1.0, so the log of alpha is the log1p of
-    # -(1 - alpha); it used to divide by zero
+def test_scales_past_2_to_the_53_draw_on_certified_thresholds():
+    # float(alpha) rounds to 1.0 and alpha^(2^j) has 80 * 2^j bits, so the
+    # thresholds of j = 54 and 62 digits come from enclosures; the
+    # reference decides them on mpmath intervals instead
     pair = int_pair(IntFormat(64, False, "wraparound"), (1 << 64) - 1, 0)
     for scale in (Fraction(1 << 54), Fraction(1 << 62)):
         spec = MechanismSpec(noise="discrete_laplace", scale=scale,
                              epsilon=1)
         assert math.log(float(spec.alpha)) == 0.0
-        ln_alpha = math.log1p(-float(1 - spec.alpha))
         got = distinguishing_experiment(pair, spec, 50, 9)
-        assert got.counts == oracle_counts(pair, spec, 50, 9, got.threshold,
-                                           ln_alpha)
+        assert got.counts == oracle_counts(
+            oracle_releases(pair, spec, 50, 9), got.threshold)
     # at 2^62 the noise is as wide as the type, so the draws do move
     assert 0 < got.counts[0][1] < 50
+
+
+class CountingChunks:
+    """An iterator over ``chunks`` that counts what it hands out."""
+
+    def __init__(self, chunks):
+        self.chunks, self.read = chunks, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.read += 1
+        return next(self.chunks)
+
+
+def test_a_draw_reads_on_into_the_next_block():
+    # one digest holds eight chunks; at scale 1/3 a draw that redraws
+    # (-, 0) four times reads past them, and at 2^62 every draw does
+    cases = [(IntFormat(8, False, "saturating"), Fraction(1, 3), 128),
+             (IntFormat(64, False, "wraparound"), Fraction(1 << 62), 0)]
+    for fmt, scale, value in cases:
+        spec = MechanismSpec(scale=scale)
+        dataset = one_element(fmt, value)
+        crossed = 0
+        for seed in range(120):
+            chunks = CountingChunks(reference_chunks(b"%d" % seed))
+            z = reference_noise(spec.alpha, chunks, fmt.bits)
+            if chunks.read > 8:
+                crossed += 1
+                assert run_mechanism(spec, dataset, seed).value \
+                    == fmt.clamp(value + z), (scale, seed)
+        assert crossed, scale
+
+
+# ---------------------------------------------------------------------------
+# The sampler's exact distribution, every chunk value enumerated
+# ---------------------------------------------------------------------------
+
+class _PathEnds(Exception):
+    """The draw asks for a choice past the end of its path."""
+
+    def __init__(self, key):
+        super().__init__(key)
+        self.key = key
+
+
+class PathSource:
+    """A chunk source that replays one path of choices: chunk values for
+    ``next``, Bernoulli outcomes for ``choose``."""
+
+    def __init__(self, path):
+        self.path, self.used = path, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.choose(None)
+
+    def choose(self, key):
+        if self.used == len(self.path):
+            raise _PathEnds(key)
+        self.used += 1
+        return self.path[self.used - 1]
+
+
+def push_forward(run, options, depth):
+    """``({result: mass}, residual)``: ``run(source)`` over every path of
+    choices, each extended by ``options(key) = (branches, lost)`` where it
+    ends, with ``lost`` and every path cut at ``depth`` choices counted as
+    residual mass."""
+    masses, residual = Counter(), Fraction(0)
+    stack = [((), Fraction(1))]
+    while stack:
+        path, mass = stack.pop()
+        source = PathSource(path)
+        try:
+            result = run(source)
+        except _PathEnds as end:
+            if len(path) == depth:
+                residual += mass
+                continue
+            branches, lost = options(end.key)
+            residual += mass * lost
+            stack.extend((path + (choice, ), mass * weight)
+                         for choice, weight in branches)
+            continue
+        assert source.used == len(path)
+        masses[result] += mass
+    return masses, residual
+
+
+def exhaustive_pmf(monkeypatch, spec, base, width):
+    """The release's PMF under the sampler, with ``width``-bit chunks.
+
+    Each Bernoulli decision of the sampler is pushed forward on its own,
+    reading every value of every chunk, its ties refined until a path has
+    mass 2^-40; the draw is then pushed forward over the decisions'
+    outcomes with those masses, up to 80 decisions.  A decision's only effect on
+    the rest of the draw is its outcome (the chunks it reads are fresh),
+    so this is the draw's pushforward, without one path per combination
+    of chunk values.
+    """
+    monkeypatch.setattr(mechanism, "_W", width)
+    bernoulli = mechanism._bernoulli
+    values = [(c, Fraction(1, 1 << width)) for c in range(1 << width)]
+
+    @functools.lru_cache(maxsize=None)
+    def decision(t, x):
+        masses, lost = push_forward(
+            lambda chunks: bernoulli(chunks, t, x), lambda _: (values, 0),
+            -(-40 // width))
+        return list(masses.items()), lost
+
+    monkeypatch.setattr(mechanism, "_bernoulli",
+                        lambda chunks, t, x: chunks.choose((t, x)))
+    draw = mechanism._sampler(spec, base)[0]
+    return push_forward(draw, lambda key: decision(*key), 80)
+
+
+def exact_pmf(spec, fmt, center):
+    """The release's PMF from the tests' weights, normalised."""
+    outputs = range(fmt.min_value, fmt.max_value + 1)
+    if spec.noise == "discrete_laplace_mod":
+        weight = _folded_pmf(spec.alpha, center, fmt.modulus)
+    else:
+        weight = _saturated_pmf(spec.alpha, center, fmt.min_value,
+                                fmt.max_value)
+    total = sum(map(weight, outputs))
+    return {z: weight(z) / total for z in outputs}
+
+
+EXHAUSTIVE_FORMATS = [IntFormat(2, False, "wraparound"),
+                      IntFormat(3, True, "wraparound"),
+                      IntFormat(4, False, "wraparound")]
+
+
+@mark.parametrize("width", [2, 3])
+@mark.parametrize("noise", ["discrete_laplace", "discrete_laplace_mod"])
+@mark.parametrize("scale", [Fraction(1, 3), Fraction(1), Fraction(5, 2),
+                            Fraction(40)])
+def test_sampler_pushes_forward_to_the_exact_pmf(scale, noise, width,
+                                                 monkeypatch):
+    for fmt in EXHAUSTIVE_FORMATS:
+        spec = MechanismSpec(noise=noise, scale=scale)
+        for center in (fmt.min_value, fmt.max_value - 1):
+            masses, residual = exhaustive_pmf(
+                monkeypatch, spec, KInt(fmt, center), width)
+            monkeypatch.undo()
+            assert residual < Fraction(1, 1 << 30), (fmt, center)
+            want = exact_pmf(spec, fmt, center)
+            assert set(masses) <= set(want)
+            for z, p in want.items():
+                assert masses[z] <= p <= masses[z] + residual, \
+                    (fmt, center, z)
 
 
 @mark.parametrize("trials", [0, 3])
