@@ -329,7 +329,8 @@ def _discrete_noise(alpha: Fraction, k: Optional[int], modular: bool):
         return _scaled_floor(alpha, i, odds, _W), (alpha, i, odds)
 
     j = 0
-    if alpha > Fraction(1, 2):    # past j = 0 no power is exactly 1/2
+    if alpha > Fraction(1, 2):
+        # alpha^(2^j) is not 1/2 for j >= 1, so floor(2 alpha^(2^j)) decides
         j = 1
         while _scaled_floor(alpha, j, False, 1):
             j += 1
@@ -340,7 +341,6 @@ def _discrete_noise(alpha: Fraction, k: Optional[int], modular: bool):
     limit = math.inf if k is None else 1 << k
     high = ([(*threshold(i, True), 1 << i) for i in range(j, k)]
             if modular else [])
-    mask = limit - 1 if modular else 0
 
     def draw(chunks) -> int:
         while True:
@@ -353,13 +353,13 @@ def _discrete_noise(alpha: Fraction, k: Optional[int], modular: bool):
                 g += step
             if g >= limit:
                 if modular:
-                    g &= mask
+                    g &= limit - 1
                     for t, x, bit in high:
                         if _bernoulli(chunks, t, x):
                             g += bit
-                return g if positive else -g
-            if g or positive:
-                return g if positive else -g
+            elif not (g or positive):
+                continue
+            return g if positive else -g
     return draw
 
 
@@ -368,16 +368,13 @@ def _laplace_noise(scale: float):
     53-bit uniform read from the stream, through doubles.  This is the
     deliberately vulnerable reference path: the checker never analyses it.
     """
-    reads = -(-53 // _W)
-    excess = reads * _W - 53
     log1p, copysign = math.log1p, math.copysign
 
     def draw(chunks) -> float:
         while True:
-            u = 0
-            for _ in range(reads):
-                u = u << _W | next(chunks)
-            w = (u >> excess) * 2.0 ** -53 - 0.5
+            # a 32-bit chunk and the top 21 bits of the next
+            u = next(chunks) << 21 | next(chunks) >> 11
+            w = u * 2.0 ** -53 - 0.5
             if abs(w) < 0.5:
                 return -scale * copysign(log1p(-2.0 * abs(w)), w)
     return draw

@@ -531,10 +531,12 @@ def exhaustive_pmf(monkeypatch, spec, base, width):
     Each Bernoulli decision of the sampler is pushed forward on its own,
     reading every value of every chunk, its ties refined until a path has
     mass 2^-40; the draw is then pushed forward over the decisions'
-    outcomes with those masses, up to 80 decisions.  A decision's only effect on
-    the rest of the draw is its outcome (the chunks it reads are fresh),
-    so this is the draw's pushforward, without one path per combination
-    of chunk values.
+    outcomes with those masses (and over every value of a chunk it reads
+    itself), up to 80 choices.  A decision's only effect on the rest of
+    the draw is its outcome (the chunks it reads are fresh), so this is
+    the draw's pushforward, without one path per combination of chunk
+    values, which ties in independent decisions multiply past what a test
+    can walk to a residual of 2^-30.
     """
     monkeypatch.setattr(mechanism, "_W", width)
     bernoulli = mechanism._bernoulli
@@ -550,7 +552,8 @@ def exhaustive_pmf(monkeypatch, spec, base, width):
     monkeypatch.setattr(mechanism, "_bernoulli",
                         lambda chunks, t, x: chunks.choose((t, x)))
     draw = mechanism._sampler(spec, base)[0]
-    return push_forward(draw, lambda key: decision(*key), 80)
+    return push_forward(
+        draw, lambda key: (values, 0) if key is None else decision(*key), 80)
 
 
 def exact_pmf(spec, fmt, center):
