@@ -35,8 +35,9 @@ value then fails to hide the change.  The six families:
 
 Every instance carries its closed-form predicted releases and gap;
 :func:`verify_attack` replays the pair under any method and reports the
-realized gap.  Datasets are built as runs, so the integer attacks with
-``2^17`` repeated elements stay tiny in memory.
+realized gap.  Datasets are built as runs and blocks, so the integer
+attacks with ``2^17`` repeated elements and the alternating tail of
+``2^50`` pairs stay tiny in memory.
 """
 
 from __future__ import annotations
@@ -342,9 +343,9 @@ def repeated_rounding_attack_2(fmt: FloatFormat, j: int,
     U = _float_of(fmt, u_fr)
     X = _float_of(fmt, x_fr)
     L = _float_of(fmt, l_fr)
-    tail = [(X, 1), (L, 1)] * (half // 2)
-    u = Dataset(fmt, L, U, [(U, half)] + tail)
-    v = Dataset(fmt, L, U, [(U, half - 1)] + tail)
+    tail = ((X, L), half // 2)  # one block, however long the tail
+    u = Dataset(fmt, L, U, [(U, half), tail])
+    v = Dataset(fmt, L, U, [(U, half - 1), tail])
     sum_u = half * u_fr + Fraction(half * half) * u_fr / _pow2(k + 1)
     sum_v = (half - 1) * u_fr
     return _mk_instance("repeated_rounding_2", "id", 1, u, v, SumMethod(),

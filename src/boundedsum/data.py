@@ -2,49 +2,72 @@
 
 A dataset carries its element format and the inclusive bounds ``[lower,
 upper]`` that every element is checked against.  Elements are stored as
-runs ``(code, count)`` of ints, so that the attack constructions with
-billions of repeated elements stay materialization-free and the
-summation routines fold the runs directly.  An element's code is what the
-arithmetic works on: a float's bit pattern, with ``-0`` folded into
-``+0``, and an integer's value.  Equal codes are equal values.
+entries of ints, so that the attack constructions with billions of
+repeated elements stay materialization-free and the summation routines
+fold the entries directly.  An entry is a run ``(code, count)``, ``count``
+copies of one element, or a block ``(codes, count)``: ``count`` copies in a
+row of the tuple ``codes`` of 1 to ``_MAX_BLOCK_SIZE`` elements, such as
+the alternating tail of a repeated-rounding attack.  An element's code is
+what the arithmetic works on: a float's bit pattern, with ``-0`` folded
+into ``+0``, and an integer's value.  Equal codes are equal values.
+
+A block is held only at ``_MIN_BLOCK_COPIES`` copies or more, and only if
+it holds two codes or more: a shorter stretch is held as its runs, and a
+block of one code as one run.  These are the thresholds at which the
+summation folds find a block among runs (``summation._segments``), so the
+one definition of a block serves both.  Adjacent runs of one code merge,
+and so do adjacent blocks of one tuple.  Datasets are ``==`` when they
+hold the same element sequence, however their entries chunk it.
 
 The JSON form keeps every value exact: floats travel as their bit
 patterns (hex strings), integers as decimal strings.  Counts are plain
 JSON integers.  Each text has one spelling: ``0x`` and hex digits for a
 pattern, ASCII ``-?[0-9]+`` for an integer; other float literals are read
-by :func:`~boundedsum.floats.parse_value`.
+by :func:`~boundedsum.floats.parse_value`.  An element entry is a bare
+text (one element), a run ``{"count": c, "value": text}``, or a block
+``{"block": [text, ...], "count": c}``, whose list holds 1 to
+``_MAX_BLOCK_SIZE`` texts; an entry with both ``value`` and ``block`` is
+refused.  Blocks are an additive form of schema 1: files of runs read as
+before, and a dataset is written with a block entry wherever it holds
+one.
 
 Validation happens once per file or constructor call, on codes, by
 :func:`check_runs`: each code must be a finite value of the format (a
 pattern in range, not a NaN, not an infinity; an integer in range), each
-count an integer of at least one, and each element inside the bounds.
-Elements are compared by their integer order keys (:func:`code_key`), so
-no exact value is built, and adjacent runs of equal codes merge.  The
-checks are made in bulk, by C-level builtins over whole lists: a file's
-texts are matched by one regular expression and read by ``map(int,
-...)``; the count types are one set and the counts have one minimum; the
-codes are bounded by their extremes on each side of the sign bit; the
-``-0`` fold and the merge run only when a ``-0`` or two adjacent equal
-codes are there.  The per-run loop (:func:`_check_each`) only words
-refusals: runs that fail the bulk check (or whose counts are of another
-integer type) go through it, and it names the first bad run.  Texts outside the regular expression go one by one
-through :func:`decode_code`, which reads other float literals and names
-the first text it refuses.  A file is
-decoded straight to codes; value objects enter through ``Dataset(...)``
-and :meth:`from_elements`, and leave through :meth:`iter_values` and
-:meth:`to_list`.  Datasets whose codes are valid by construction (cut,
-shifted or shuffled from a checked dataset, or brute force's domain and
-tuples) are built from code runs by :meth:`Dataset.unchecked`.
+count an integer of at least one, each block of 1 to ``_MAX_BLOCK_SIZE``
+codes, and each element inside the bounds.  A block's codes are checked
+once, not once a copy.  Elements are compared by their integer order
+keys (:func:`code_key`), so no exact value is built, and adjacent runs of
+equal codes merge.  The checks are made in bulk, by C-level builtins
+over whole lists: a file's texts are matched by one regular expression
+and read by ``map(int, ...)``; the count types are one set and the counts
+have one minimum; the codes are bounded by their extremes on each side
+of the sign bit; the ``-0`` fold and the merge run only when a ``-0`` or
+two adjacent equal codes are there.  A file of runs alone takes this
+path, with one more C-level pass that sees each entry holds only its two
+keys; a file with a block, or an entry of another shape, is read entry
+by entry.  The per-entry loop (:func:`_check_each`) only words refusals:
+entries that fail the bulk check (or whose counts are of another integer
+type) go through it, and it names the first bad one.  Texts outside the
+regular expression go one by one through :func:`decode_code`, which
+reads other float literals and names the first text it refuses.  A file
+is decoded straight to codes; value objects enter through
+``Dataset(...)`` (a block as a tuple of values) and :meth:`from_elements`,
+and leave through :meth:`iter_values` and :meth:`to_list`.  Datasets
+whose codes are valid by construction (cut, shifted or shuffled from a
+checked dataset, or brute force's domain and tuples) are built from code
+entries by :meth:`Dataset.unchecked`.
 
 Files are written by :func:`json_text`, which gives exactly the text of
 ``json.dumps(..., indent=2, sort_keys=True)`` but formats each element
-list straight from the code runs, one ``%`` format per run.
+list straight from the entries, one ``%`` format per run.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from operator import eq, index, itemgetter
 from fractions import Fraction
@@ -65,13 +88,22 @@ SCHEMA_VERSION = 1
 
 # Materializing more elements than this is almost certainly a mistake —
 # the run-aware code paths exist precisely to avoid it.  Every summation
-# algorithm reads code runs.  The lists still built are the element codes
-# of ``summation.random_permutation`` and of the couplings ``couple_sym``
-# and ``couple_co`` in ``sensitivity`` (``Dataset.codes``), and the values
-# of ``Dataset.to_list``.  The float run fold (``summation._fold_run``,
-# which iterative, split and Kahan runs share) also gives up past this
-# many literal steps in one run.
+# algorithm, the histograms and the Hamming distance read entries, blocks
+# included.  The lists still built are the element codes of
+# ``summation.random_permutation`` and of the couplings ``couple_sym`` and
+# ``couple_co`` in ``sensitivity`` (``Dataset.codes``), and the values of
+# ``Dataset.to_list``; ``metrics.d_id`` builds both sequences under its own
+# table limit.  The float run fold (``summation._fold_run``, which
+# iterative, split and Kahan runs and blocks share) also gives up past
+# this many literal steps in one run or block.
 MATERIALIZE_LIMIT = 1 << 22
+
+# a block is a tuple of at most this many codes, held at this many copies
+# or more (see the module docstring): summation._fold_run watches two steps
+# before it can jump, so three copies never jump, and four jump only over
+# the last two, where the watch and the jump cost more than the steps
+_MAX_BLOCK_SIZE = 12
+_MIN_BLOCK_COPIES = 5
 
 _INT_RE = re.compile(r"-?[0-9]+")
 # every text of a file at once, joined by newlines (see _decode_codes)
@@ -142,21 +174,23 @@ def code_value(fmt: ElementFormat, code: int) -> Value:
 
 
 def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
-               codes: List[int], counts: list) -> Tuple[Tuple[int, int], ...]:
+               codes: List, counts: list, blocks: bool = False) -> tuple:
     """The one check of a dataset, given as the codes and counts of its
-    runs: once the bounds are finite values of ``fmt`` in order, each run
-    must have an integer count of at least one (a float or a boolean count
-    is refused, not cut) and a code inside the bounds.  Returns the
-    maximal runs ``(code, count)``, each float ``-0`` folded into ``+0``.
+    entries: once the bounds are finite values of ``fmt`` in order, each
+    entry must have an integer count of at least one (a float or a
+    boolean count is refused, not cut) and codes inside the bounds.  With
+    ``blocks``, an entry's code may be a tuple of 1 to ``_MAX_BLOCK_SIZE``
+    codes, a block, whose codes are checked once.  Returns the entries as
+    held (see :func:`_settle`), each float ``-0`` folded into ``+0``.
 
     The check is made in bulk: the count types as one set, the smallest
     count, and the extreme codes on each side of the sign bit.  A code is
     compared by its :func:`code_key` alone: a key between two finite keys
     is a finite value's (a pattern out of range, a NaN or an infinity keys
     past every finite one).  The ``-0`` fold runs only when a ``-0`` is
-    there, the merge only when two adjacent codes are equal.  Runs that
+    there, the merge only when two adjacent codes are equal.  Entries that
     fail the bulk check (or have counts of another integer type) go
-    through :func:`_check_each`, which names the first bad run.
+    through :func:`_check_each`, which names the first bad one.
     """
     for what, v in (("lower bound", lower), ("upper bound", upper)):
         value_code(fmt, v, what)
@@ -166,11 +200,21 @@ def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
     if lo > hi:
         raise ValueError("lower bound exceeds upper bound")
     sign = fmt._kernel[3] if isinstance(fmt, FloatFormat) else 0
-    if not (set(map(type, counts)) <= {int} and _inside(codes, sign, lo, hi)
-            and (not counts or min(counts) >= 1)):
-        return merge_runs(_check_each(fmt, lower, upper, codes, counts))
-    if sign and sign in codes:
-        codes = [0 if x == sign else x for x in codes]
+    flat = codes
+    if blocks:
+        flat = list(itertools.chain.from_iterable(
+            x if x.__class__ is tuple else (x,) for x in codes))
+    if not (set(map(type, counts)) <= {int} and _inside(flat, sign, lo, hi)
+            and (not counts or min(counts) >= 1)
+            and (not blocks or all(1 <= len(x) <= _MAX_BLOCK_SIZE
+                                   for x in codes if x.__class__ is tuple))):
+        return _settle(_check_each(fmt, lower, upper, codes, counts))
+    if sign and sign in flat:
+        codes = [tuple([0 if y == sign else y for y in x])
+                 if x.__class__ is tuple else 0 if x == sign else x
+                 for x in codes]
+    if blocks:
+        return _settle(zip(codes, counts))
     return merge_runs(zip(codes, counts))
 
 
@@ -198,34 +242,66 @@ def _inside(codes: List[int], sign: int, lo: int, hi: int) -> bool:
 
 
 def _check_each(fmt: ElementFormat, lower: Value, upper: Value,
-                codes: List[int], counts: list) -> List[Tuple[int, int]]:
-    """:func:`check_runs` run by run, for runs its bulk check doubts: the
-    first bad run is refused, or every run passes with its count read
-    through ``operator.index`` and its ``-0`` folded."""
+                codes: list, counts: list) -> List[tuple]:
+    """:func:`check_runs` entry by entry, for entries its bulk check
+    doubts: the first bad entry is refused, or every entry passes with its
+    count read through ``operator.index`` and its ``-0`` folded."""
     lo, hi = order_key(lower), order_key(upper)
     sign = fmt._kernel[3] if isinstance(fmt, FloatFormat) else 0
-    out = []
-    for x, c in zip(codes, counts):
-        if isinstance(c, bool):
-            raise TypeError(f"run count {c!r} is not an integer")
-        c = index(c)
+
+    def checked(x: int) -> int:
         k = -(x ^ sign) if x & sign else x
         if not lo <= k <= hi:
             v = code_value(fmt, x)
             if isinstance(v, SimFloat) and not v.is_finite():
                 raise ValueError("element must be finite")
             raise ValueError(f"element {v} outside bounds [{lower}, {upper}]")
+        return x if k else 0
+
+    out = []
+    for x, c in zip(codes, counts):
+        what = "block" if x.__class__ is tuple else "run"
+        if isinstance(c, bool) or what == "block" and not isinstance(c, int):
+            raise TypeError(f"{what} count {c!r} is not an integer")
+        c = index(c)
+        if what == "run":
+            x = checked(x)
+        elif not 1 <= len(x) <= _MAX_BLOCK_SIZE:
+            raise ValueError(f"a block holds 1 to {_MAX_BLOCK_SIZE} "
+                             f"elements, not {len(x)}")
+        else:
+            x = tuple(map(checked, x))
         if c < 1:
-            raise ValueError("run counts must be positive")
-        out.append((x if k else 0, c))
+            raise ValueError(f"{what} counts must be positive")
+        out.append((x, c))
     return out
 
 
-def _codes(fmt: ElementFormat, values: list) -> List[int]:
+def _settle(entries: Iterable[tuple]) -> tuple:
+    """Entries of runs and blocks as a dataset holds them: a block of
+    fewer than ``_MIN_BLOCK_COPIES`` copies is its runs, a block of one
+    code is one run, and adjacent equal entries merge (see
+    :func:`merge_runs`)."""
+    out = []
+    for x, c in entries:
+        if x.__class__ is not tuple:
+            out.append((x, c))
+        elif len(set(x)) == 1:
+            out.append((x[0], len(x) * c))
+        elif c < _MIN_BLOCK_COPIES:
+            out += zip(x * c, itertools.repeat(1))
+        else:
+            out.append((x, c))
+    return merge_runs(out)
+
+
+def _codes(fmt: ElementFormat, values: list) -> Tuple[list, bool]:
     """The codes of a list of values of ``fmt``, in one pass that keeps
-    the values of ``fmt``'s kind and of ``fmt`` itself.  If it drops one,
-    the values go one by one through :func:`value_code`, which also takes
-    an equal format object and names the first stray value."""
+    the values of ``fmt``'s kind and of ``fmt`` itself, and False.  If it
+    drops one, the values go one by one through :func:`value_code`, which
+    also takes an equal format object and names the first stray value; a
+    tuple of values is a block, whose codes are a tuple, and the flag says
+    whether there is one."""
     if isinstance(fmt, FloatFormat):
         codes = [v.bits for v in values
                  if v.__class__ is SimFloat and v.fmt is fmt]
@@ -233,13 +309,16 @@ def _codes(fmt: ElementFormat, values: list) -> List[int]:
         codes = [v.value for v in values
                  if v.__class__ is KInt and v.fmt is fmt]
     if len(codes) == len(values):
-        return codes
-    return [value_code(fmt, v) for v in values]
+        return codes, False
+    codes = [tuple([value_code(fmt, y) for y in v]) if v.__class__ is tuple
+             else value_code(fmt, v) for v in values]
+    return codes, tuple in map(type, codes)
 
 
 def merge_runs(runs: Iterable[tuple]) -> tuple:
-    """Runs ``(element, count)`` with adjacent equal elements merged.  The
-    runs are grouped only if two adjacent elements are equal."""
+    """Entries ``(element, count)`` with adjacent equal elements merged
+    (two copies of one block in a row are one block).  The entries are
+    grouped only if two adjacent elements are equal."""
     runs = tuple(runs)
     xs = list(map(itemgetter(0), runs))
     if not any(map(eq, xs, itertools.islice(xs, 1, None))):
@@ -248,19 +327,79 @@ def merge_runs(runs: Iterable[tuple]) -> tuple:
                  for x, group in itertools.groupby(runs, itemgetter(0)))
 
 
+def entry_size(x) -> int:
+    """The elements of one copy of an entry's code: a block's length, or 1
+    for a run's one code."""
+    return len(x) if x.__class__ is tuple else 1
+
+
+def element_codes(runs: Iterable[tuple]) -> Iterator:
+    """The elements of entries, in order, as a lazy iterator."""
+    return itertools.chain.from_iterable(
+        itertools.repeat(x, c) if x.__class__ is not tuple
+        else itertools.chain.from_iterable(itertools.repeat(x, c))
+        for x, c in runs)
+
+
+def aligned(a: Iterable[tuple], b: Iterable[tuple]) -> Iterator[tuple]:
+    """The positions of two element sequences, given as entries, side by
+    side while both last: triples ``(x, y, count)``, ``count`` positions
+    where ``a`` holds ``x`` and ``b`` holds ``y``.
+
+    Each entry is read as a periodic stretch: a run of period one, a block
+    of its length.  Where both sides are inside stretches for ``m`` more
+    positions, one common period (their lengths' least common multiple,
+    at most 132 elements) is walked: each of its positions stands for
+    itself in every whole period in ``m``, and once more if it lies in
+    the part period past them.  So two runs side by side are one triple,
+    and the triples come in order only up to the periods they fold.
+    """
+    a, b = iter(a), iter(b)
+    xa = xb = ()
+    left_a = left_b = phase_a = phase_b = 0
+    while True:
+        if not left_a:
+            x, c = next(a, ((), 0))
+            if not c:
+                return
+            xa = x if x.__class__ is tuple else (x,)
+            left_a, phase_a = len(xa) * c, 0
+        if not left_b:
+            x, c = next(b, ((), 0))
+            if not c:
+                return
+            xb = x if x.__class__ is tuple else (x,)
+            left_b, phase_b = len(xb) * c, 0
+        m = min(left_a, left_b)
+        la, lb = len(xa), len(xb)
+        if la == lb == 1:
+            yield xa[0], xb[0], m
+        else:
+            period = math.lcm(la, lb)
+            whole, rest = divmod(m, period)
+            for t in range(min(m, period)):
+                yield (xa[(phase_a + t) % la], xb[(phase_b + t) % lb],
+                       whole + (t < rest))
+        phase_a, phase_b = (phase_a + m) % la, (phase_b + m) % lb
+        left_a -= m
+        left_b -= m
+
+
 class Dataset:
     """An ordered sequence of in-range values plus its bounds.
 
-    ``runs`` holds ``(code, count)`` int pairs (see the module docstring),
-    kept maximal — adjacent runs of the same code merge on construction —
-    so two datasets are ``==`` exactly when they hold the same element
-    sequence, however their encodings chose to chunk it.  The bounds are
-    values.  The element count ``n`` is taken when the dataset is built,
-    and the package reads it there; ``len()`` gives it too, but only up
-    to ``sys.maxsize``, and is kept for ``perfbench/tracer.py``.
+    ``runs`` holds the entries (see the module docstring): runs ``(code,
+    count)`` and blocks ``(codes, count)`` of ints, with adjacent equal
+    entries merged.  ``blocks`` says whether one entry is a block; the
+    readers that only take runs take a dataset without one as before.
+    Two datasets are ``==`` exactly when they hold the same element
+    sequence, however their entries chunk it.  The bounds are values.  The
+    element count ``n`` is taken when the dataset is built, and the
+    package reads it there; ``len()`` gives it too, but only up to
+    ``sys.maxsize``, and is kept for ``perfbench/tracer.py``.
     """
 
-    __slots__ = ("fmt", "lower", "upper", "runs", "n")
+    __slots__ = ("fmt", "lower", "upper", "runs", "n", "blocks")
 
     def __init__(self, fmt: ElementFormat, lower: Value, upper: Value,
                  runs: Iterable[Tuple[Value, int]]):
@@ -270,26 +409,37 @@ class Dataset:
 
     def _checked(self, fmt, lower, upper, values: list,
                  counts: list) -> "Dataset":
-        """Set the fields from runs of values once :func:`check_runs`
-        passes them."""
+        """Set the fields from entries of values (a block's a tuple of
+        them) once :func:`check_runs` passes them."""
+        codes, blocks = _codes(fmt, values)
         return self._fill(fmt, lower, upper, check_runs(
-            fmt, lower, upper, _codes(fmt, values), counts))
+            fmt, lower, upper, codes, counts, blocks), blocks)
 
-    def _fill(self, fmt, lower, upper, runs: tuple) -> "Dataset":
-        """Set the fields from maximal runs."""
+    def _fill(self, fmt, lower, upper, runs: tuple,
+              blocks: bool = False) -> "Dataset":
+        """Set the fields from entries as held; ``blocks`` says whether
+        they may hold a block."""
         self.fmt, self.lower, self.upper = fmt, lower, upper
         self.runs = runs
-        self.n = sum(map(itemgetter(1), runs))
+        if blocks:
+            blocks = tuple in map(type, map(itemgetter(0), runs))
+        self.blocks = blocks
+        self.n = (sum(len(x) * c if x.__class__ is tuple else c
+                      for x, c in runs) if blocks
+                  else sum(map(itemgetter(1), runs)))
         return self
 
     @classmethod
     def unchecked(cls, fmt: ElementFormat, lower: Value, upper: Value,
-                  runs: Iterable[Tuple[int, int]]) -> "Dataset":
-        """A dataset of code runs known to be valid inside its bounds
+                  runs: Iterable[tuple], blocks: bool = False) -> "Dataset":
+        """A dataset of code entries known to be valid inside its bounds
         (checked by :func:`check_runs`, or cut, shifted or reordered from
-        a checked dataset): adjacent equal codes merge, and nothing is
-        checked."""
-        return object.__new__(cls)._fill(fmt, lower, upper, merge_runs(runs))
+        a checked dataset): adjacent equal entries merge, and with
+        ``blocks`` a short block becomes its runs (see :func:`_settle`);
+        nothing is checked."""
+        return object.__new__(cls)._fill(
+            fmt, lower, upper, _settle(runs) if blocks else merge_runs(runs),
+            blocks)
 
     @classmethod
     def from_elements(cls, fmt: ElementFormat, lower: Value, upper: Value,
@@ -301,14 +451,26 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
+    def multiset(self) -> tuple:
+        """The element multiset as runs ``(code, count)``: the runs, and
+        each code of a block with the block's count.  A code may be in
+        more than one run, and the runs are in no useful order."""
+        if not self.blocks:
+            return self.runs
+        return tuple((y, c) for x, c in self.runs
+                     for y in (x if x.__class__ is tuple else (x,)))
+
     def iter_values(self) -> Iterator[Value]:
-        return itertools.chain.from_iterable(itertools.repeat(
-            code_value(self.fmt, x), c) for x, c in self.runs)
+        fmt = self.fmt
+        return element_codes(
+            (tuple([code_value(fmt, y) for y in x])
+             if x.__class__ is tuple else code_value(fmt, x), c)
+            for x, c in self.runs)
 
     def codes(self) -> List[int]:
         """The element codes, in order, as one list."""
         check_materialize(self.n)
-        return [x for x, c in self.runs for _ in range(c)]
+        return list(element_codes(self.runs))
 
     def to_list(self) -> list:
         check_materialize(self.n)
@@ -320,8 +482,14 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (self.fmt == other.fmt and self.lower == other.lower
-                and self.upper == other.upper and self.runs == other.runs)
+        if (self.fmt != other.fmt or self.lower != other.lower
+                or self.upper != other.upper or self.n != other.n):
+            return False
+        if self.runs == other.runs:
+            return True
+        # maximal runs chunk a sequence one way; with a block, in others
+        return (self.blocks or other.blocks) and all(
+            x == y for x, y, _ in aligned(self.runs, other.runs))
 
     def __repr__(self) -> str:
         return (f"Dataset({self.fmt!r}, lower={self.lower}, upper={self.upper}, "
@@ -348,22 +516,31 @@ class Dataset:
 
     def to_json_dict(self) -> dict:
         text = self._code_field().__mod__
-        return self._json_head([{"value": text(x), "count": c}
-                                for x, c in self.runs])
+        return self._json_head([
+            {"block": list(map(text, x)), "count": c}
+            if x.__class__ is tuple else {"value": text(x), "count": c}
+            for x, c in self.runs])
 
     def _elements_text(self, indent: int) -> str:
         """The text ``json.dumps(..., indent=2)`` writes for the element
         list of :meth:`to_json_dict` when its key is indented by
-        ``indent`` spaces: one ``%`` format per run."""
+        ``indent`` spaces: one ``%`` format per run, and a block's text
+        written from its codes."""
         if not self.runs:
             return "[]"
-        end, item, field = ("\n" + " " * n for n in (indent, indent + 2,
-                                                      indent + 4))
-        run = (f'{item}{{{field}"count": %d,{field}"value": '
-               f'"{self._code_field()}"{item}}}')
-        counts_codes = zip(map(itemgetter(1), self.runs),
-                           map(itemgetter(0), self.runs))
-        return "[" + ",".join(map(run.__mod__, counts_codes)) + end + "]"
+        end, item, field, inner = ("\n" + " " * n for n in (
+            indent, indent + 2, indent + 4, indent + 6))
+        code = f'"{self._code_field()}"'
+        run = f'{item}{{{field}"count": %d,{field}"value": {code}{item}}}'
+        if not self.blocks:
+            counts_codes = zip(map(itemgetter(1), self.runs),
+                               map(itemgetter(0), self.runs))
+            return "[" + ",".join(map(run.__mod__, counts_codes)) + end + "]"
+        code = (inner + code).__mod__
+        return "[" + ",".join([
+            f'{item}{{{field}"block": [{",".join(map(code, x))}{field}],'
+            f'{field}"count": {c}{item}}}' if x.__class__ is tuple
+            else run % (c, x) for x, c in self.runs]) + end + "]"
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dataset":
@@ -376,16 +553,36 @@ class Dataset:
         try:
             texts = list(map(itemgetter("value"), elements))
             counts = list(map(itemgetter("count"), elements))
+            # a run entry holds these two keys and no other
+            bulk = max(map(len, elements), default=2) == 2
         except (TypeError, KeyError):
-            # bare strings, or entries that are not objects: one by one
-            runs = [(decode_code(fmt, entry), 1) if isinstance(entry, str)
-                    else (decode_code(fmt, entry["value"]), entry["count"])
-                    for entry in elements]
-            codes, counts = [x for x, _ in runs], [c for _, c in runs]
+            bulk = False
+        if bulk:
+            codes, blocks = _decode_codes(fmt, texts), False
         else:
-            codes = _decode_codes(fmt, texts)
-        return object.__new__(cls)._fill(
-            fmt, lower, upper, check_runs(fmt, lower, upper, codes, counts))
+            # bare strings, blocks, entries that are not objects or that
+            # hold other keys: one by one
+            entries = [_entry(fmt, entry) for entry in elements]
+            codes, counts = [x for x, _ in entries], [c for _, c in entries]
+            blocks = tuple in map(type, codes)
+        return object.__new__(cls)._fill(fmt, lower, upper, check_runs(
+            fmt, lower, upper, codes, counts, blocks), blocks)
+
+
+def _entry(fmt: ElementFormat, entry) -> tuple:
+    """One entry of a file's element list as ``(code, count)``, or
+    ``(codes, count)`` for a block, decoded but not yet checked."""
+    if isinstance(entry, str):
+        return decode_code(fmt, entry), 1
+    if isinstance(entry, dict) and "block" in entry:
+        if "value" in entry:
+            raise ValueError("an element entry holds both a 'value' and a "
+                             "'block'")
+        block = entry["block"]
+        if block.__class__ is not list:
+            raise TypeError(f"block {block!r} is not a list")
+        return tuple([decode_code(fmt, t) for t in block]), entry["count"]
+    return decode_code(fmt, entry["value"]), entry["count"]
 
 
 def encode_value(v: Value) -> str:

@@ -9,8 +9,9 @@ Four neighbouring relations, two order-insensitive and two ordered:
 * ``d_id``  — insert/delete edit distance, i.e. ``len(u) + len(v)`` minus
   twice the longest common subsequence.
 
-Each takes two datasets of one format, compared on their code runs, or
-two sequences of values; a dataset with a sequence is refused.  Length
+Each takes two datasets of one format, compared on their entries (runs
+and blocks, see :mod:`boundedsum.data`), or two sequences of values; a
+dataset with a sequence is refused.  Length
 mismatches for ``d_co``/``d_ham`` return :data:`INFINITE`, which is
 ``math.inf``: greater than every finite distance.  ``d_mod`` is the wrap
 distance between residues used by modular mechanisms.
@@ -21,7 +22,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .data import Dataset, merge_runs
+from .data import (Dataset, aligned, element_codes, entry_size,
+                   merge_runs)
 from .ints import KInt
 
 __all__ = ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id", "d_mod"]
@@ -30,9 +32,10 @@ INFINITE = math.inf
 
 
 def _runs(*xs) -> list:
-    """Each of ``xs`` as runs: datasets of one format as their code runs,
-    sequences as runs of their values.  A dataset with a sequence, or
-    datasets of two formats, are refused: their elements do not compare."""
+    """Each of ``xs`` as entries: datasets of one format as their code
+    entries, sequences as runs of their values.  A dataset with a
+    sequence, or datasets of two formats, are refused: their elements do
+    not compare."""
     if len({x.fmt if isinstance(x, Dataset) else None for x in xs}) > 1:
         raise TypeError("a distance is between two datasets of one format "
                         "or two sequences of values")
@@ -40,10 +43,17 @@ def _runs(*xs) -> list:
             else merge_runs((v, 1) for v in x) for x in xs]
 
 
+def _length(runs) -> int:
+    return sum(entry_size(x) * c for x, c in runs)
+
+
 def _counter(runs) -> Counter:
+    """The multiset of entries: each code of a block counts the block's
+    copies."""
     h = Counter()
-    for v, c in runs:
-        h[v] += c
+    for x, c in runs:
+        for v in x if x.__class__ is tuple else (x,):
+            h[v] += c
     return h
 
 
@@ -68,27 +78,13 @@ def d_co(u, v):
 
 
 def d_ham(u, v):
-    """Positions where the ordered sequences differ; INFINITE if lengths do."""
+    """Positions where the ordered sequences differ; INFINITE if lengths do.
+    The sequences are walked side by side on their entries, a period of
+    two blocks at a time (see :func:`~boundedsum.data.aligned`)."""
     ru, rv = _runs(u, v)
-    if sum(c for _, c in ru) != sum(c for _, c in rv):
+    if _length(ru) != _length(rv):
         return INFINITE
-    # lockstep walk over both run lists
-    diff = 0
-    i = j = 0
-    left_i, left_j = (ru[0][1], rv[0][1]) if ru else (0, 0)
-    while i < len(ru):
-        step = min(left_i, left_j)
-        if ru[i][0] != rv[j][0]:
-            diff += step
-        left_i -= step
-        left_j -= step
-        if left_i == 0:
-            i += 1
-            left_i = ru[i][1] if i < len(ru) else 0
-        if left_j == 0:
-            j += 1
-            left_j = rv[j][1] if j < len(rv) else 0
-    return diff
+    return sum(c for x, y, c in aligned(ru, rv) if x != y)
 
 # d_id materializes both sequences: LCS is inherently quadratic, so cap the
 # table size rather than trying to be clever about runs.
@@ -97,9 +93,10 @@ _ID_TABLE_LIMIT = 16_000_000
 
 def d_id(u, v) -> int:
     """Insertions plus deletions to turn ``u`` into ``v`` (order matters)."""
-    a, b = ([x for x, c in r for _ in range(c)] for r in _runs(u, v))
-    if len(a) * len(b) > _ID_TABLE_LIMIT:
+    ru, rv = _runs(u, v)
+    if _length(ru) * _length(rv) > _ID_TABLE_LIMIT:
         raise ValueError("sequences too long for the edit-distance table")
+    a, b = list(element_codes(ru)), list(element_codes(rv))
     if len(a) < len(b):
         a, b = b, a
     if not b:

@@ -28,34 +28,39 @@ rules change no result that does not overflow.
 
 All of them consume run-length encoded datasets and never build the
 element list, so attack datasets with billions of repeats sum in
-milliseconds without a single approximation:
+milliseconds without a single approximation.  A dataset's entries are
+runs and blocks (see :mod:`boundedsum.data`); every reader takes a block
+as it is held, never as its elements:
 
 * ``iterative``, ``split`` and ``kahan`` fold a float run with one
   engine, ``_fold_run``: it steps literally and jumps whole periods of up
   to four steps once the state and every add of a step provably move
   linearly (an absorbed addend ends the run at once).  Runs are folded
   by one copies-fold, :func:`_fold_plain`, by the algorithm's rules
-  (split's partials by the iterative rules toward zero): runs too short
-  to jump step the rules' ``op`` literally, and a run with no such
+  (split's partials by the iterative rules toward zero, over the
+  multiset, where a block is its codes each with its count): runs too
+  short to jump step the rules' ``op`` literally, and a run with no such
   period steps literally up to ``MATERIALIZE_LIMIT`` steps.  Iterative and
-  Kahan fold a stretch of runs that repeats a short block of them (the
-  alternating tail of ``repeated_rounding_2``, say) with the same engine,
-  one step per copy of the block (``_segments``, ``_fold_block``): a
-  block's step is its elements' steps in order, and each of its adds is
-  still affine in the state and the step's earlier results, which is all
-  the period argument needs.  A run is the block of one code.  Integer
-  runs have closed forms;
-* ``pairwise`` sums a subtree that lies inside one run as a memoized
-  block of ``(code, count)``, and recurses on positions only where a
-  subtree straddles a run boundary: O(runs * log n) adds;
+  Kahan fold each block the dataset holds with the same engine, one step
+  per copy of the block (``_fold_block``), and so a stretch of runs that
+  repeats a short block of them (``_segments`` finds it among the runs
+  between two held blocks): a block's step is its elements' steps in
+  order, and each of its adds is still affine in the state and the
+  step's earlier results, which is all the period argument needs.  A run
+  is the block of one code.  Integer runs have closed forms, and a
+  saturating block jumps the copies that clamp no add;
+* ``pairwise`` sums a subtree that lies inside one entry as a memoized
+  ``(block, phase, length)``, a run being the block of its one code, and
+  recurses on positions only where a subtree straddles an entry boundary:
+  O(entries * log n) adds;
 * ``exact`` multiplies each value by its count.
 
-Every fold runs on the dataset's own code runs (see
-:mod:`boundedsum.data`): a float's bit pattern, an integer's value.  The
-float state of every algorithm is made of bit patterns, a run of fewer
-than ``_MIN_BLOCK_COPIES`` is one :func:`~boundedsum.floats.add_bits` per
-copy (a Kahan step four of them, with negation a flip of the sign bit),
-and ``_fold_run`` watches exact values as integer counts of the finest
+Every fold runs on the dataset's own codes (see :mod:`boundedsum.data`):
+a float's bit pattern, an integer's value.  The float state of every
+algorithm is made of bit patterns, a run of fewer than
+``_MIN_BLOCK_COPIES`` is one :func:`~boundedsum.floats.add_bits` per copy
+(a Kahan step four of them, with negation a flip of the sign bit), and
+``_fold_run`` watches exact values as integer counts of the finest
 spacing (:meth:`SimFloat.to_grid`).  A value object is built only for
 the release.
 
@@ -82,8 +87,9 @@ Every other format and mode, longer runs and repeating blocks keep the
 bit kernel, which is also the reference the tests compare against.
 Integer releases are plain-int closed forms: wraparound addition is
 associative, so every algorithm releases the wrapped exact sum, and
-saturating folds clamp plain ints.  The transforms map code runs to code
-runs too, and build their datasets unchecked.
+saturating folds clamp plain ints.  The transforms map code entries to
+code entries too (a truncation keeps a block's whole copies and the first
+elements of the copy it cuts), and build their datasets unchecked.
 
 The module also houses the dataset transforms (truncation, seeded random
 permutation, bound shifting) and the two overflow precondition checks.
@@ -102,8 +108,9 @@ from functools import partial, reduce
 from operator import eq, itemgetter, sub
 from typing import List, Optional, Tuple, Union
 
-from .data import (Dataset, ElementFormat, MATERIALIZE_LIMIT, _field,
-                   code_key, code_value, exact_value, merge_runs)
+from .data import (Dataset, ElementFormat, MATERIALIZE_LIMIT,
+                   _MIN_BLOCK_COPIES, _MAX_BLOCK_SIZE, _field, code_key,
+                   code_value, entry_size, exact_value, merge_runs)
 from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
                      _check_mode, _from_bits, _grid_bits, _machine_add,
@@ -227,12 +234,13 @@ class SumOutcome:
 # ---------------------------------------------------------------------------
 
 def bs_exact(dataset: Dataset):
-    """Infinite-precision sum: a Dyadic for floats, an int for integers."""
+    """Infinite-precision sum: a Dyadic for floats, an int for integers.
+    It is a sum over the element multiset (see :meth:`Dataset.multiset`)."""
     fmt = dataset.fmt
     if isinstance(fmt, FloatFormat):
         return Dyadic(sum(_bits_grid(fmt._kernel, x) * c
-                          for x, c in dataset.runs), fmt.emin - fmt.k)
-    return sum(x * c for x, c in dataset.runs)
+                          for x, c in dataset.multiset()), fmt.emin - fmt.k)
+    return sum(x * c for x, c in dataset.multiset())
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +412,19 @@ def _watched_kahan(kernel: tuple, v: int, v_g: int, mode: str,
                                 (t_g - T, d_g), (d_g - y_g, c_g))
 
 
-# a block is at most this many runs, of at most this many elements in all,
-# and a stretch at least this many copies of it: _fold_run watches two
-# steps before it can jump, so three copies never jump, and four jump only
-# over the last two, where the watch and the jump cost more than the steps
+# a block found among runs is at most this many of them; its size and
+# copies have the limits of a block a dataset holds (_MAX_BLOCK_SIZE and
+# _MIN_BLOCK_COPIES, see boundedsum.data)
 _MAX_BLOCK_RUNS = 4
-_MAX_BLOCK_SIZE = 12
-_MIN_BLOCK_COPIES = 5
 
 
 def _segments(runs: tuple) -> list:
-    """``runs`` cut into pieces ``(plain, block, reps)``: the runs
-    ``plain``, then ``reps`` copies of the tuple of patterns ``block``.
-    The last piece has no block, and ``reps`` 0: its fold is no step.
+    """The plain runs ``runs`` cut into pieces ``(plain, block, reps)``:
+    the runs ``plain``, then ``reps`` copies of the tuple of patterns
+    ``block``.  The last piece has no block, and ``reps`` 0: its fold is
+    no step.  It finds the blocks a dataset holds as runs (a file written
+    before blocks, or a stretch built run by run); a block the dataset
+    holds as an entry never comes here (see :func:`_fold`).
 
     A block is a stretch of at least ``_MIN_BLOCK_COPIES`` copies in a row
     of the same ``b <= _MAX_BLOCK_RUNS`` runs, of at most
@@ -751,21 +759,63 @@ def _kahan_floats(native: tuple, add, state: tuple, xs):
     return None
 
 
-def _int_fold(fmt: IntFormat, runs) -> int:
-    """The left fold from 0 of int runs ``(x, count)`` under ``fmt``'s
-    overflow policy, as a plain int.
+def _int_fold(dataset: Dataset) -> int:
+    """The left fold from 0 of an int dataset under its format's overflow
+    policy, as a plain int.
 
     Wraparound addition is associative, so every fold order (and every
-    tree shape) gives the wrapped exact sum.  A saturating fold of a
-    constant addend moves monotonically toward one rail and stays there,
-    so each run clamps the true partial sum once.
+    tree shape) gives the wrapped exact sum, read off the multiset.  A
+    saturating fold of a constant addend moves monotonically toward one
+    rail and stays there, so each run clamps the true partial sum once;
+    a block folds by :func:`_saturating_block`.
     """
+    fmt = dataset.fmt
     if fmt.overflow == "wraparound":
-        return fmt.wrap(sum(x * c for x, c in runs))
+        return fmt.wrap(sum(x * c for x, c in dataset.multiset()))
     acc = 0
-    for x, c in runs:
-        acc = fmt.clamp(acc + x * c)
+    for x, c in dataset.runs:
+        acc = (_saturating_block(fmt, acc, x, c) if x.__class__ is tuple
+               else fmt.clamp(acc + x * c))
     return acc
+
+
+def _saturating_block(fmt: IntFormat, s: int, block: tuple,
+                      count: int) -> int:
+    """``count`` copies of the int ``block`` folded into ``s`` by
+    saturating adds.
+
+    A copy is a nondecreasing map of the state (each clamped add is), so
+    the states copy after copy move one way.  A copy that clamps no add
+    moves the state by the block's sum, and the copies in a row from
+    which no add clamps are read off the block's prefix sums at once.  A
+    copy that clamps is made literally.  Once the states rise, a copy
+    whose first clamp is at the top rail is followed by copies whose
+    first clamp is there too, at the same position or an earlier one, and
+    one at the same position gives the same state, where the fold stays;
+    a first clamp at the bottom rail can only move later or stop.  So a
+    fold makes at most about twice the block's length of literal copies
+    (falling states are the mirror image).
+    """
+    prefix = list(itertools.accumulate(block))
+    net, low, high = prefix[-1], min(prefix), max(prefix)
+    lo, hi = fmt.min_value - low, fmt.max_value - high
+    while count:
+        if lo <= s <= hi:  # no add of this copy clamps
+            if not net:
+                return s
+            clean = min(count, 1 + ((hi - s) // net if net > 0
+                                    else (s - lo) // -net))
+            s += clean * net
+            count -= clean
+            continue
+        t = s
+        for x in block:
+            t = fmt.clamp(t + x)
+        count -= 1
+        if t == s:
+            return s
+        s = t
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -781,40 +831,52 @@ def bs_iterative(dataset: Dataset, rounding: str = "banker"):
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
-        return KInt(fmt, _int_fold(fmt, dataset.runs))
+        return KInt(fmt, _int_fold(dataset))
     return _fold(dataset, "iterative", rounding)
 
 
 def _fold(dataset: Dataset, algorithm: str, mode: str):
     """The float iterative or Kahan fold of ``dataset`` by its rules (see
-    :func:`_rules`): each plain piece of :func:`_segments` by
+    :func:`_rules`).  Each block the dataset holds is one
+    :func:`_fold_block` over its copies, with no scan.  The runs between
+    two of them are cut by :func:`_segments`: each plain piece is folded by
     :func:`_fold_plain`, and each stretch of runs that repeats a short
-    block by one :func:`_fold_block` over copies of the block, so that both
-    jump whole periods of a steady drift.  On float32 and float64 under
-    ``banker``, a stretch of runs of at most ``_NATIVE_RUN`` copies is
-    folded on the machine's floats instead, and folded again on patterns
-    unless every component of its state is finite (see
-    :func:`_fold_plain`)."""
+    block by one :func:`_fold_block`, so that all of them jump whole
+    periods of a steady drift.  On float32 and float64 under ``banker``, a
+    stretch of runs of at most ``_NATIVE_RUN`` copies is folded on the
+    machine's floats instead, and folded again on patterns unless every
+    component of its state is finite (see :func:`_fold_plain`)."""
     fmt = dataset.fmt
     rules = _rules(fmt, algorithm, mode)
     state = rules.start
-    for plain, block, reps in _segments(dataset.runs):
-        state = _fold_plain(fmt, rules, plain, state, mode)
-        state = _fold_block(fmt, rules, state, block, reps, mode)
+    runs = dataset.runs
+    stored = [i for i, (x, _) in enumerate(runs) if x.__class__ is tuple
+              ] if dataset.blocks else []
+    start = 0
+    for stop in stored + [len(runs)]:
+        for plain, block, reps in _segments(runs[start:stop]):
+            state = _fold_plain(fmt, rules, plain, state, mode)
+            state = _fold_block(fmt, rules, state, block, reps, mode)
+        for block, reps in runs[stop:stop + 1]:
+            state = _fold_block(fmt, rules, state, block, reps, mode)
+        start = stop + 1
     return _from_bits(fmt, rules.release(state))
 
 
 def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     """Cascade summation: split at the largest power of two below ``n``.
 
-    The tree is walked on the runs, never on a list.  A subtree that lies
-    inside one run sums ``c`` copies of one value ``v``, so its release
-    depends only on ``(v, c)``: it is ``block(v, c) = block(v, m) (+)
-    block(v, c - m)`` by the same split, memoized, which is O(log c) adds
-    for a whole run.  Only subtrees that straddle a run boundary recurse on
-    positions, O(log n) of them per boundary.  The run holding the next
-    position is a cursor carried down the left-to-right walk, so dense
-    data (runs of one) costs one comparison per node on top of its add.
+    The tree is walked on the entries, never on a list.  A subtree that
+    lies inside one entry sums ``c`` elements of a periodic sequence from
+    a phase, so its release depends only on ``(block, phase, c)``, where a
+    run is the block of its one code at phase 0: it is the subtree of the
+    first ``m`` of them joined with the subtree of the rest from phase
+    ``phase + m``, by the same split, memoized, which is O(log c) adds for
+    a whole run and O(len(block) * log c) for a whole block.  Only
+    subtrees that straddle an entry boundary recurse on positions, O(log
+    n) of them per boundary.  The entry holding the next position is a
+    cursor carried down the left-to-right walk, so dense data (runs of
+    one) costs one comparison per node on top of its add.
 
     Each add is the rules' ``op`` (see :func:`_rules`; a float overflow
     releases the first infinity reached).  On float32 and float64 under
@@ -825,49 +887,62 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     """
     fmt = dataset.fmt
     if isinstance(fmt, IntFormat) and fmt.overflow == "wraparound":
-        return KInt(fmt, _int_fold(fmt, dataset.runs))
+        return KInt(fmt, _int_fold(dataset))
     rules = _rules(fmt, "pairwise", rounding)
+    runs = dataset.runs
     if isinstance(fmt, IntFormat):
-        return KInt(fmt, _cascade(dataset.runs, rules.op))
+        return KInt(fmt, _cascade(runs, rules.op))
     native = _native(fmt, rounding)
     if native is not None:
-        xs = _to_floats(native, map(itemgetter(0), dataset.runs))
-        got = _cascade(list(zip(xs, map(itemgetter(1), dataset.runs))),
+        codes = map(itemgetter(0), runs)
+        if dataset.blocks:  # a block's floats in a tuple
+            xs = [tuple(_to_floats(native, x)) if x.__class__ is tuple
+                  else _to_floats(native, (x,))[0] for x in codes]
+        else:
+            xs = _to_floats(native, codes)
+        got = _cascade(list(zip(xs, map(itemgetter(1), runs))),
                        _machine_add(native[0]))
         if math.isfinite(got):
             return _from_bits(fmt, _to_patterns(native, (got,))[0])
-    return _from_bits(fmt, _cascade(dataset.runs, rules.op))
+    return _from_bits(fmt, _cascade(runs, rules.op))
 
 
 def _cascade(runs: tuple, op):
-    """The cascade of :func:`bs_pairwise` over runs ``(x, count)`` of
-    states, each a code, joined by ``op``.  No runs sum to 0."""
+    """The cascade of :func:`bs_pairwise` over entries of states, each
+    state a code: runs ``(x, count)`` and blocks ``(xs, count)``, joined
+    by ``op``.  No entries sum to 0."""
     if not runs:
         return 0
-    ends = list(itertools.accumulate(c for _, c in runs))
+    ends = list(itertools.accumulate(entry_size(x) * c for x, c in runs))
     memo = {}
 
-    def block(v, c: int):
-        """``c >= 2`` copies of ``v`` summed by the cascade."""
-        key = (v, c)
+    def block(xs: tuple, phase: int, c: int):
+        """``c >= 2`` elements of the block ``xs`` repeated, from its
+        element ``phase`` on, summed by the cascade."""
+        key = (xs, phase, c)
         got = memo.get(key)
         if got is None:
             m = 1 << ((c - 1).bit_length() - 1)
-            got = op(block(v, m) if m > 1 else v,
-                     block(v, c - m) if c - m > 1 else v)
+            rest = (phase + m) % len(xs)
+            got = op(block(xs, phase, m) if m > 1 else xs[phase],
+                     block(xs, rest, c - m) if c - m > 1 else xs[rest])
             memo[key] = got
         return got
 
-    r = 0  # cursor: the run holding position ``lo`` of the next call
+    r = 0  # cursor: the entry holding position ``lo`` of the next call
 
     def rec(lo: int, hi: int):
         nonlocal r
         end = ends[r]
-        if hi <= end:  # inside run r
-            v = runs[r][0]
+        if hi <= end:  # inside entry r
+            x = runs[r][0]
             if hi == end:
                 r += 1
-            return v if hi - lo == 1 else block(v, hi - lo)
+            if x.__class__ is not tuple:
+                return x if hi - lo == 1 else block((x,), 0, hi - lo)
+            # the entry ends at a whole copy, so lo's phase is read off end
+            phase = (lo - end) % len(x)
+            return x[phase] if hi - lo == 1 else block(x, phase, hi - lo)
         m = 1 << ((hi - lo - 1).bit_length() - 1)
         left = rec(lo, lo + m)
         return op(left, rec(lo + m, hi))
@@ -897,27 +972,28 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     lets this method shut down reordering attacks by construction.
 
     Floats: both partials accumulate with round-toward-zero, each sign's
-    runs by :func:`_fold_plain` and the iterative rules; the release is
-    the split rules' join (see :func:`_rules`), which clamps a partial
-    that saturated to infinity (recorded here in ``events``) and combines
-    the two with a single round-to-nearest add.  Integers: partials and
-    combine all use the format's own overflow policy.  The schedule is
-    irrelevant to the value there: same-sign integer adds give the wrapped
-    or clamped exact sum of their class in any order, so each partial is
-    that closed form.
+    runs of the multiset (see :meth:`Dataset.multiset`, a block's codes
+    each with its count) by :func:`_fold_plain` and the iterative rules;
+    the release is the split rules' join (see :func:`_rules`), which
+    clamps a partial that saturated to infinity (recorded here in
+    ``events``) and combines the two with a single round-to-nearest add.
+    Integers: partials and combine all use the format's own overflow
+    policy.  The schedule is irrelevant to the value there: same-sign
+    integer adds give the wrapped or clamped exact sum of their class in
+    any order, so each partial is that closed form.
     """
     fmt = dataset.fmt
     join = _rules(fmt, "split").release
     if not isinstance(fmt, FloatFormat):
-        pos = sum(x * c for x, c in dataset.runs if x >= 0)
-        neg = sum(x * c for x, c in dataset.runs if x < 0)
+        pos = sum(x * c for x, c in dataset.multiset() if x >= 0)
+        neg = sum(x * c for x, c in dataset.multiset() if x < 0)
         return KInt(fmt, join((fmt.settle(pos), fmt.settle(neg))))
     _, _, _, sign, inf = fmt._kernel
     part = _rules(fmt, "iterative", "toward_zero")
     # sorted, the positive patterns come first, and within one sign the
     # patterns ascend with the magnitude; merged, a run of equal codes can
     # jump its periods
-    runs = merge_runs(sorted(dataset.runs, key=itemgetter(0)))
+    runs = merge_runs(sorted(dataset.multiset(), key=itemgetter(0)))
     cut = bisect_left(runs, sign, key=itemgetter(0))
     pos, neg = (part.release(_fold_plain(fmt, part, side, part.start,
                                          "toward_zero"))
@@ -935,7 +1011,9 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
 # ---------------------------------------------------------------------------
 
 def truncate(dataset: Dataset, n_max: int) -> Dataset:
-    """Keep the first ``n_max`` elements."""
+    """Keep the first ``n_max`` elements: whole entries, then of the entry
+    the cut falls in the whole copies before it and the first elements of
+    the copy it cuts."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     out = []
@@ -943,10 +1021,16 @@ def truncate(dataset: Dataset, n_max: int) -> Dataset:
     for x, c in dataset.runs:
         if left == 0:
             break
-        take = min(c, left)
-        out.append((x, take))
-        left -= take
-    return Dataset.unchecked(dataset.fmt, dataset.lower, dataset.upper, out)
+        size = entry_size(x)
+        take = min(c, left // size)
+        if take:
+            out.append((x, take))
+        left -= take * size
+        if take < c and left:  # the cut falls inside a block's copy
+            out += zip(x[:left], itertools.repeat(1))
+            left = 0
+    return Dataset.unchecked(dataset.fmt, dataset.lower, dataset.upper, out,
+                             dataset.blocks)
 
 
 def random_permutation(dataset: Dataset, seed: int) -> Dataset:
@@ -959,11 +1043,14 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
     through a shared seed: two arrangements of the same elements would
     land in different final orders and an order-sensitive fold downstream
     would still tell them apart.  Uniformity is unaffected — Fisher-Yates
-    is uniform from any fixed starting arrangement.
+    is uniform from any fixed starting arrangement.  The sorted order is
+    expanded from the multiset (see :meth:`Dataset.multiset`), the same
+    list however the entries chunk the elements.
     """
     if dataset.n > MATERIALIZE_LIMIT:
         raise ValueError("dataset too large to materialize for permutation")
-    runs = sorted(dataset.runs, key=lambda run: code_key(dataset.fmt, run[0]))
+    runs = sorted(dataset.multiset(),
+                  key=lambda run: code_key(dataset.fmt, run[0]))
     codes = [x for x, c in runs for _ in range(c)]
     random.Random(seed).shuffle(codes)
     return _arranged(dataset, codes)
@@ -987,7 +1074,8 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
     Floats are shifted on the format's finest grid (see
     :meth:`SimFloat.to_grid`), and each difference is packed by
     :meth:`SimFloat.from_grid`'s rule.  The shift is one-to-one and keeps
-    the order, so the shifted runs need no checks.
+    the order, so the shifted entries need no checks, and a block stays a
+    block.
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
@@ -995,8 +1083,9 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
         span = dataset.upper.value - lo
         if span > fmt.max_value:
             raise ValueError("shifted upper bound U - L exceeds the type range")
-        return Dataset.unchecked(fmt, KInt(fmt, 0), KInt(fmt, span),
-                                 [(x - lo, c) for x, c in dataset.runs])
+        return Dataset.unchecked(fmt, KInt(fmt, 0), KInt(fmt, span), [
+            (tuple([y - lo for y in x]) if x.__class__ is tuple else x - lo,
+             c) for x, c in dataset.runs], dataset.blocks)
     kernel = fmt._kernel
     _, _, _, sign, inf = kernel
     lo = dataset.lower.to_grid()
@@ -1009,15 +1098,17 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
     upper = shifted(dataset.upper.bits)
     if upper is None:
         raise ValueError("shifted upper bound U - L is not representable")
-    runs = []
-    for x, c in dataset.runs:
+    def checked(x: int) -> int:
         bits = shifted(x)
         if bits is None:
             raise ValueError(f"shifted element {code_value(fmt, x)} - "
                              f"{dataset.lower} is not representable")
-        runs.append((bits, c))
+        return bits
+
+    runs = [(tuple(map(checked, x)) if x.__class__ is tuple else checked(x),
+             c) for x, c in dataset.runs]
     return Dataset.unchecked(fmt, _from_bits(fmt, 0), _from_bits(fmt, upper),
-                             runs)
+                             runs, dataset.blocks)
 
 
 # ---------------------------------------------------------------------------

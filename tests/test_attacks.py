@@ -2,10 +2,13 @@
 certified bounds.
 
 The replays run at the sizes the paper's attacks need: each side of the
-float32 ``float_reorder`` pair holds 12,582,912 elements in two runs, and
+float32 ``float_reorder`` pair holds 12,582,912 elements in two runs,
 each side of the float64 ``repeated_rounding_1`` pair 40 runs of 2^52
-copies after its leading elements.  Every algorithm reads those runs
-without expanding them, so each replay must finish well inside a second.
+copies after its leading elements, and each side of the float64
+``repeated_rounding_2`` pair at j = 51 about 2^50 copies of one value
+followed by 2^49 copies of a two-element block.  Every algorithm reads
+those runs and blocks without expanding them, so each replay must finish
+well inside a second.
 At those sizes every family's native replay must show its predicted gap,
 and every method with a certified bound must stay within it.
 """
@@ -101,23 +104,31 @@ def test_kahan_step_limit_is_reported_as_a_refusal(monkeypatch, tmp_path):
 # The paper's attacks at the paper's sizes against the certified bounds
 # ---------------------------------------------------------------------------
 
-# each family at two of the paper's formats: (name, bits) -> (format,
-# generator parameters)
+# each family at two of the paper's formats, by tag: (name, tag) ->
+# (format, generator parameters).  repeated_rounding_2 also runs at the
+# largest j its generator takes (j < k), a tail of 2^20 (float32) and 2^49
+# (float64) copies of its two-element block, which the datasets hold as one
+# block entry; its j = 12 pairs are kept for the shuffled replay, which
+# expands the elements.
 PAPER_SIZE = {
-    ("overflow", 32): (IntFormat(32, True, "wraparound"), {"upper": 1 << 20}),
-    ("overflow", 64): (IntFormat(64, True, "wraparound"), {"upper": 1 << 52}),
-    ("saturation_reorder", 32): (IntFormat(32, True, "saturating"),
-                                 {"lower": -(1 << 20), "upper": 1 << 20}),
-    ("saturation_reorder", 64): (IntFormat(64, True, "saturating"),
-                                 {"lower": -(1 << 52), "upper": 1 << 52}),
-    ("float_reorder", 32): (FLOAT32, {"j": 0, "a": 1, "d": 2}),
-    ("float_reorder", 64): (FLOAT64, {"j": 0, "a": 1, "d": 2}),
-    ("rounding", 32): (FLOAT32, {"j": 5, "m": 0}),
-    ("rounding", 64): (FLOAT64, {"j": 20, "m": 0}),
-    ("repeated_rounding_1", 32): (FLOAT32, {"j": 20, "m": 0}),
-    ("repeated_rounding_1", 64): (FLOAT64, {"j": 40, "m": 0}),
-    ("repeated_rounding_2", 32): (FLOAT32, {"j": 12, "a": 0}),
-    ("repeated_rounding_2", 64): (FLOAT64, {"j": 12, "a": 0}),
+    ("overflow", "32"): (IntFormat(32, True, "wraparound"),
+                         {"upper": 1 << 20}),
+    ("overflow", "64"): (IntFormat(64, True, "wraparound"),
+                         {"upper": 1 << 52}),
+    ("saturation_reorder", "32"): (IntFormat(32, True, "saturating"),
+                                   {"lower": -(1 << 20), "upper": 1 << 20}),
+    ("saturation_reorder", "64"): (IntFormat(64, True, "saturating"),
+                                   {"lower": -(1 << 52), "upper": 1 << 52}),
+    ("float_reorder", "32"): (FLOAT32, {"j": 0, "a": 1, "d": 2}),
+    ("float_reorder", "64"): (FLOAT64, {"j": 0, "a": 1, "d": 2}),
+    ("rounding", "32"): (FLOAT32, {"j": 5, "m": 0}),
+    ("rounding", "64"): (FLOAT64, {"j": 20, "m": 0}),
+    ("repeated_rounding_1", "32"): (FLOAT32, {"j": 20, "m": 0}),
+    ("repeated_rounding_1", "64"): (FLOAT64, {"j": 40, "m": 0}),
+    ("repeated_rounding_2", "32"): (FLOAT32, {"j": 12, "a": 0}),
+    ("repeated_rounding_2", "64"): (FLOAT64, {"j": 12, "a": 0}),
+    ("repeated_rounding_2", "32-j22"): (FLOAT32, {"j": 22, "a": 0}),
+    ("repeated_rounding_2", "64-j51"): (FLOAT64, {"j": 51, "a": 0}),
 }
 
 
@@ -173,6 +184,9 @@ def test_every_family_has_paper_size_pairs():
 @mark.parametrize("name bits".split(), sorted(PAPER_SIZE))
 def test_the_native_replay_is_the_predicted_vulnerability(name, bits):
     instance = _paper_pair(name, bits)
+    if bits.endswith(("-j22", "-j51")):
+        # the whole tail is one block entry, however long
+        assert [len(ds.runs) for ds in (instance.u, instance.v)] == [2, 2]
     report = verify_attack(instance)
     assert report.realized_gap == instance.predicted_gap
     assert report.realized_gap > instance.idealized

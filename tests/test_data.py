@@ -466,14 +466,28 @@ def test_save_dataset_writes_the_stdlib_text(tmp_path):
 # ---------------------------------------------------------------------------
 
 def per_run_load(d: dict) -> Dataset:
-    """Dataset.from_json_dict entry by entry, with one check per run and
-    one merge per run: the reference for the bulk loader."""
+    """Dataset.from_json_dict entry by entry, with one check per element
+    of an entry and one merge per entry: the reference for the bulk
+    loader.  A block of fewer than five copies is its runs, and a block of
+    one code one run."""
     fmt = format_from_json(d["format"])
     lower = decode_value(fmt, d["bounds"]["lower"])
     upper = decode_value(fmt, d["bounds"]["upper"])
-    runs = [(decode_code(fmt, entry), 1) if isinstance(entry, str)
-            else (decode_code(fmt, entry["value"]), entry["count"])
-            for entry in d["elements"]]
+    entries = []
+    for entry in d["elements"]:
+        if isinstance(entry, str):
+            entries.append((decode_code(fmt, entry), 1))
+        elif isinstance(entry, dict) and "block" in entry:
+            if "value" in entry:
+                raise ValueError("an element entry holds both a 'value' "
+                                 "and a 'block'")
+            if not isinstance(entry["block"], list):
+                raise TypeError(f"block {entry['block']!r} is not a list")
+            entries.append(([decode_code(fmt, t) for t in entry["block"]],
+                            entry["count"]))
+        else:
+            entries.append((decode_code(fmt, entry["value"]),
+                            entry["count"]))
     for what, v in (("lower bound", lower), ("upper bound", upper)):
         if isinstance(v, SimFloat) and not v.is_finite():
             raise ValueError(f"{what} must be finite")
@@ -481,25 +495,46 @@ def per_run_load(d: dict) -> Dataset:
     if lo > hi:
         raise ValueError("lower bound exceeds upper bound")
     sign = fmt._kernel[3] if isinstance(fmt, FloatFormat) else 0
-    merged = []
-    for x, c in runs:
-        if isinstance(c, bool):
-            raise TypeError(f"run count {c!r} is not an integer")
-        c = index(c)
+
+    def checked(x):
         k = -(x ^ sign) if x & sign else x
         if not lo <= k <= hi:
             v = (SimFloat if sign else KInt)(fmt, x)
             if isinstance(v, SimFloat) and not v.is_finite():
                 raise ValueError("element must be finite")
             raise ValueError(f"element {v} outside bounds [{lower}, {upper}]")
-        if c < 1:
-            raise ValueError("run counts must be positive")
-        x = x if k else 0
-        if merged and merged[-1][0] == x:
-            merged[-1] = (x, merged[-1][1] + c)
+        return x if k else 0
+
+    merged = []
+    for x, c in entries:
+        what = "block" if isinstance(x, list) else "run"
+        if isinstance(c, bool):
+            raise TypeError(f"{what} count {c!r} is not an integer")
+        if what == "run":
+            c = index(c)
+            pieces = [(checked(x), c)]
         else:
-            merged.append((x, c))
-    return Dataset.unchecked(fmt, lower, upper, merged)
+            if not isinstance(c, int):
+                raise TypeError(f"block count {c!r} is not an integer")
+            if not 1 <= len(x) <= 12:
+                raise ValueError(f"a block holds 1 to 12 elements, not "
+                                 f"{len(x)}")
+            x = tuple(checked(y) for y in x)
+            if len(set(x)) == 1:
+                pieces = [(x[0], len(x) * c)]
+            elif c < 5:
+                pieces = [(y, 1) for y in x * c]
+            else:
+                pieces = [(x, c)]
+        if c < 1:
+            raise ValueError(f"{what} counts must be positive")
+        for x, c in pieces:
+            if merged and merged[-1][0] == x:
+                merged[-1] = (x, merged[-1][1] + c)
+            else:
+                merged.append((x, c))
+    return Dataset.unchecked(fmt, lower, upper, merged,
+                             any(isinstance(x, tuple) for x, _ in merged))
 
 
 def _outcome(load, doc):
@@ -532,9 +567,9 @@ def _faulty_texts(fmt):
 
 @composite
 def documents(draw, fmt):
-    """A dataset document of ``fmt``: mostly runs of a few in-bounds codes
-    in their one spelling (a float ``-0`` among them), with repeats, then
-    up to two entries of any kind, faults included."""
+    """A dataset document of ``fmt``: mostly runs and blocks of a few
+    in-bounds codes in their one spelling (a float ``-0`` among them), with
+    repeats, then up to two entries of any kind, faults included."""
     if isinstance(fmt, FloatFormat):
         points = [parse_value(fmt, t) for t in _FLOAT_POINTS]
         spell = "0x{:0%dx}" % -(-fmt.total_bits // 4)
@@ -551,18 +586,27 @@ def documents(draw, fmt):
         inside.append(spell.format(fmt._kernel[3]))          # -0
     good = sampled_from(inside) if inside else _faulty_texts(fmt)
     elements = draw(lists(tuples(good, integers(1, 5)).map(
-        lambda tc: {"value": tc[0], "count": tc[1]}), max_size=10))
+        lambda tc: {"value": tc[0], "count": tc[1]})
+        | tuples(lists(good, min_size=1, max_size=3),
+                 integers(1, 7)).map(
+        lambda bc: {"block": bc[0], "count": bc[1]}), max_size=10))
     if elements and draw(booleans()):
         elements.insert(draw(integers(0, len(elements))),
                         dict(draw(sampled_from(elements))))
     texts = good | _faulty_texts(fmt)
     counts = integers(1, 5) | sampled_from([0, -1, True, False, 2.0, "1",
                                             None, 1 << 70])
+    some = inside[0] if inside else "0"
     entry = (tuples(texts, counts).map(
         lambda tc: {"value": tc[0], "count": tc[1]})
         | texts      # a bare string is one element
-        | sampled_from([{"count": 1}, {"value": inside[0] if inside else "0"},
-                        5, None, {"value": 5, "count": 1}]))
+        | tuples(lists(texts, max_size=14), counts).map(
+            lambda bc: {"block": bc[0], "count": bc[1]})
+        | sampled_from([{"count": 1}, {"value": some},
+                        5, None, {"value": 5, "count": 1},
+                        {"block": [some], "value": some, "count": 5},
+                        {"block": some, "count": 5},
+                        {"value": some, "count": 1, "other": 0}]))
     for _ in range(draw(integers(0, 2)) if draw(booleans()) else 0):
         elements.insert(draw(integers(0, len(elements))), draw(entry))
     doc = Dataset.from_elements(fmt, lo, lo, ()).to_json_dict()

@@ -23,10 +23,10 @@ transforms are not a list, whose one transform is not an object, or whose
 one transform has a field that is not an int) were written by hand, and the
 float32 and float64 files under ``instances/dense/`` (``f32.json``,
 ``f64.json``: 256 elements, one run each) were drawn once from a seeded
-generator.  The six pairs
-of ``GEN_CASES``, one per attack family, are outputs too: ``attack gen``
-must write their ``instance.json``, ``u.json`` and ``v.json`` byte for
-byte.
+generator.  The seven pairs
+of ``GEN_CASES``, one per attack family and a second ``repeated_rounding_2``
+pair whose tail is a block entry, are outputs too: ``attack gen`` must
+write their ``instance.json``, ``u.json`` and ``v.json`` byte for byte.
 """
 
 import contextlib
@@ -208,6 +208,10 @@ GEN_CASES = {
                  "--j", "4", "--m", "-4"],
     "rr2_4_6": ["--theorem", "repeated_rounding_2", "--k", "4", "--l", "6",
                 "--j", "3", "--a", "0"],
+    # a tail of 64 copies of its two-element block, which the files hold
+    # as one block entry; its replays were recorded from files of runs
+    "rr2_10_5": ["--theorem", "repeated_rounding_2", "--k", "10", "--l",
+                 "5", "--j", "8", "--a", "0"],
 }
 
 
@@ -354,7 +358,8 @@ REPLAY_EXIT = {name: 3 for name in (
     "verify-rr1_10_5-pairwise", "verify-rr1_10_5-kahan",
     "verify-rr1_10_5-split", "verify-rr1_10_5-kahan-toward_pos",
     "verify-rr2_4_6-pairwise", "verify-rr2_4_6-kahan",
-    "verify-rr2_4_6-split")}
+    "verify-rr2_4_6-split", "verify-rr2_10_5-pairwise",
+    "verify-rr2_10_5-kahan", "verify-rr2_10_5-split")}
 # the exact sum releases the idealized sums, below every predicted gap
 REPLAY_EXIT.update((f"verify-{_tag}-exact", 3) for _tag in GEN_CASES)
 

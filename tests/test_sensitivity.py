@@ -209,6 +209,9 @@ SANDWICH = (
        for alg in ("iterative", "pairwise", "kahan") for metric in ("co", "ham")]
     + [_shift_case("ham", "split", "float-split-known-n+shift"),
        _shift_case("id", "split", "float-split-unknown-n+shift")]
+    + [_f23_case("id", alg, f"float-{alg}-truncated+shift", "-2", "-1", 3,
+                 (ShiftBounds(), Truncate(2)))
+       for alg in ("iterative", "pairwise", "kahan")]
 )
 
 # rule -> (certified bound, brute force) of the cases with transforms; the
@@ -222,6 +225,9 @@ SANDWICH_VALUES = {
     "float-kahan-accuracy+shift": ("19/4", "5/4"),
     "float-split-known-n+shift": ("2", "1"),
     "float-split-unknown-n+shift": ("3", "1"),
+    "float-iterative-truncated+shift": ("2", "1"),
+    "float-pairwise-truncated+shift": ("11/7", "1"),
+    "float-kahan-truncated+shift": ("3", "1"),
 }
 
 

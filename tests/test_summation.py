@@ -236,10 +236,17 @@ def test_split_merging_equal_codes_keeps_the_unmerged_release(ds):
     assert events == want_events
 
 
+def as_runs(ds):
+    """``ds`` with each element one run: its blocks' copies spelled out."""
+    return Dataset.unchecked(ds.fmt, ds.lower, ds.upper,
+                             [(x, 1) for x in ds.codes()])
+
+
 def test_split_adds_a_run_of_equal_codes_as_one_run(monkeypatch):
-    # the repeated_rounding_2 tail alternates two codes, one run each, so
-    # its sorted runs are two long stretches of equal codes: merged, the
-    # fold jumps each one, unmerged it made one add per element
+    # the repeated_rounding_2 tail spelled out as runs alternates two codes,
+    # one run each, so its sorted runs are two long stretches of equal
+    # codes: merged, the fold jumps each one, unmerged it made one add per
+    # element
     import boundedsum.summation as summation
     instance = repeated_rounding_attack_2(FloatFormat(23, 8), 12, 0)
     calls = []
@@ -249,7 +256,7 @@ def test_split_adds_a_run_of_equal_codes_as_one_run(monkeypatch):
         return add_bits(*args)
 
     monkeypatch.setattr(summation, "add_bits", counted)
-    for ds in (instance.u, instance.v):
+    for ds in map(as_runs, (instance.u, instance.v)):
         calls.clear()
         assert len(ds.runs) > 2000
         got = bs_split(ds)
@@ -1020,12 +1027,18 @@ def test_block_folds_match_the_literal_folds(ds, mode):
 def test_block_folds_add_a_few_times(monkeypatch):
     # the repeated_rounding_2 pair at float32 j=12: 2,048 copies of 1, then
     # 1,024 copies of a two-element block; a literal fold of u makes 4,096
-    # adds, and a literal Kahan fold 16,384
+    # adds, and a literal Kahan fold 16,384.  The generator holds the tail
+    # as one block; spelled out as runs, _segments finds the same block
+    # among them.
     inst = repeated_rounding_attack_2(FLOAT32, 12, 0)
     calls = count_adds(monkeypatch)
-    for ds in (inst.u, inst.v):
-        assert max(reps for _, _, reps in _segments(ds.runs)) == 1024
-        for fold in (bs_iterative, bs_kahan):
+    for held in (inst.u, inst.v):
+        assert held.blocks and len(held.runs[-1][0]) == 2
+        assert held.runs[-1][1] == 1024
+        spelled = as_runs(held)
+        assert max(reps for _, _, reps in _segments(spelled.runs)) == 1024
+        for ds, fold in itertools.product((held, spelled),
+                                          (bs_iterative, bs_kahan)):
             calls.clear()
             fold(ds)
             assert 0 < len(calls) <= 100
