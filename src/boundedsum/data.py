@@ -11,13 +11,16 @@ the alternating tail of a repeated-rounding attack.  An element's code is
 what the arithmetic works on: a float's bit pattern, with ``-0`` folded
 into ``+0``, and an integer's value.  Equal codes are equal values.
 
-A block is held only at ``_MIN_BLOCK_COPIES`` copies or more, and only if
-it holds two codes or more: a shorter stretch is held as its runs, and a
-block of one code as one run.  These are the thresholds at which the
-summation folds find a block among runs (``summation._segments``), so the
-one definition of a block serves both.  Adjacent runs of one code merge,
-and so do adjacent blocks of one tuple.  Datasets are ``==`` when they
-hold the same element sequence, however their entries chunk it.
+Blocks are found in one place, :func:`_settle`, the normaliser every
+constructor calls: a block entry of fewer than ``_MIN_BLOCK_COPIES``
+copies is held as its runs, and one of a single code as one run; adjacent
+equal entries merge; and a stretch of runs that repeats a block of at most
+``_MAX_BLOCK_RUNS`` runs and ``_MAX_BLOCK_SIZE`` elements
+``_MIN_BLOCK_COPIES`` times or more is held as one block entry.  So a file
+of runs written before blocks, or a dataset built run by run, holds its
+blocks as a generated one does, and every reader takes one kind of entry.
+Datasets are ``==`` when they hold the same element sequence, however
+their entries chunk it.
 
 The JSON form keeps every value exact: floats travel as their bit
 patterns (hex strings), integers as decimal strings.  Counts are plain
@@ -29,7 +32,7 @@ text (one element), a run ``{"count": c, "value": text}``, or a block
 ``_MAX_BLOCK_SIZE`` texts; an entry with both ``value`` and ``block`` is
 refused.  Blocks are an additive form of schema 1: files of runs read as
 before, and a dataset is written with a block entry wherever it holds
-one.
+one, found among its runs or not.
 
 Validation happens once per file or constructor call, on codes, by
 :func:`check_runs`: each code must be a finite value of the format (a
@@ -42,13 +45,14 @@ equal codes merge.  The checks are made in bulk, by C-level builtins
 over whole lists: a file's texts are matched by one regular expression
 and read by ``map(int, ...)``; the count types are one set and the counts
 have one minimum; the codes are bounded by their extremes on each side
-of the sign bit; the ``-0`` fold and the merge run only when a ``-0`` or
-two adjacent equal codes are there.  A file of runs alone takes this
-path, with one more C-level pass that sees each entry holds only its two
-keys; a file with a block, or an entry of another shape, is read entry
-by entry.  The per-entry loop (:func:`_check_each`) only words refusals:
-entries that fail the bulk check (or whose counts are of another integer
-type) go through it, and it names the first bad one.  Texts outside the
+of the sign bit; the ``-0`` fold runs only when a ``-0`` is there, and
+the merge and the block scan only when a code is there twice.  A file of
+runs alone takes this path, with one more C-level pass that sees each
+entry holds only its two keys; a file with a block, or an entry of
+another shape, is read entry by entry.  The per-entry loop
+(:func:`_check_each`) only words refusals: entries that fail the bulk
+check (or whose counts are of another integer type) go through it, and
+it names the first bad one.  Texts outside the
 regular expression go one by one through :func:`decode_code`, which
 reads other float literals and names the first text it refuses.  A file
 is decoded straight to codes; value objects enter through
@@ -88,8 +92,9 @@ SCHEMA_VERSION = 1
 
 # Materializing more elements than this is almost certainly a mistake —
 # the run-aware code paths exist precisely to avoid it.  Every summation
-# algorithm, the histograms and the Hamming distance read entries, blocks
-# included.  The lists still built are the element codes of
+# algorithm, the histograms and the Hamming distance read entries, and
+# each block as the one entry _settle made of it, whether it came as a
+# block or as runs.  The lists still built are the element codes of
 # ``summation.random_permutation`` and of the couplings ``couple_sym`` and
 # ``couple_co`` in ``sensitivity`` (``Dataset.codes``), and the values of
 # ``Dataset.to_list``; ``metrics.d_id`` builds both sequences under its own
@@ -104,6 +109,9 @@ MATERIALIZE_LIMIT = 1 << 22
 # the last two, where the watch and the jump cost more than the steps
 _MAX_BLOCK_SIZE = 12
 _MIN_BLOCK_COPIES = 5
+# and a stretch of runs is found as a block when one copy is at most this
+# many runs; _settle scans once for each length, up to this one
+_MAX_BLOCK_RUNS = 4
 
 _INT_RE = re.compile(r"-?[0-9]+")
 # every text of a file at once, joined by newlines (see _decode_codes)
@@ -174,23 +182,23 @@ def code_value(fmt: ElementFormat, code: int) -> Value:
 
 
 def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
-               codes: List, counts: list, blocks: bool = False) -> tuple:
+               codes: List, counts: list) -> tuple:
     """The one check of a dataset, given as the codes and counts of its
     entries: once the bounds are finite values of ``fmt`` in order, each
     entry must have an integer count of at least one (a float or a
-    boolean count is refused, not cut) and codes inside the bounds.  With
-    ``blocks``, an entry's code may be a tuple of 1 to ``_MAX_BLOCK_SIZE``
-    codes, a block, whose codes are checked once.  Returns the entries as
-    held (see :func:`_settle`), each float ``-0`` folded into ``+0``.
+    boolean count is refused, not cut) and codes inside the bounds.  An
+    entry's code may be a tuple of 1 to ``_MAX_BLOCK_SIZE`` codes, a
+    block, whose codes are checked once.  Returns the entries, each float
+    ``-0`` folded into ``+0``, for :func:`_settle` to hold.
 
     The check is made in bulk: the count types as one set, the smallest
     count, and the extreme codes on each side of the sign bit.  A code is
     compared by its :func:`code_key` alone: a key between two finite keys
     is a finite value's (a pattern out of range, a NaN or an infinity keys
     past every finite one).  The ``-0`` fold runs only when a ``-0`` is
-    there, the merge only when two adjacent codes are equal.  Entries that
-    fail the bulk check (or have counts of another integer type) go
-    through :func:`_check_each`, which names the first bad one.
+    there.  Entries that fail the bulk check (or have counts of another
+    integer type) go through :func:`_check_each`, which names the first
+    bad one.
     """
     for what, v in (("lower bound", lower), ("upper bound", upper)):
         value_code(fmt, v, what)
@@ -201,6 +209,7 @@ def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
         raise ValueError("lower bound exceeds upper bound")
     sign = fmt._kernel[3] if isinstance(fmt, FloatFormat) else 0
     flat = codes
+    blocks = tuple in set(map(type, codes))
     if blocks:
         flat = list(itertools.chain.from_iterable(
             x if x.__class__ is tuple else (x,) for x in codes))
@@ -208,14 +217,12 @@ def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
             and (not counts or min(counts) >= 1)
             and (not blocks or all(1 <= len(x) <= _MAX_BLOCK_SIZE
                                    for x in codes if x.__class__ is tuple))):
-        return _settle(_check_each(fmt, lower, upper, codes, counts))
+        return _check_each(fmt, lower, upper, codes, counts)
     if sign and sign in flat:
         codes = [tuple([0 if y == sign else y for y in x])
                  if x.__class__ is tuple else 0 if x == sign else x
                  for x in codes]
-    if blocks:
-        return _settle(zip(codes, counts))
-    return merge_runs(zip(codes, counts))
+    return tuple(zip(codes, counts))
 
 
 def _inside(codes: List[int], sign: int, lo: int, hi: int) -> bool:
@@ -277,31 +284,87 @@ def _check_each(fmt: ElementFormat, lower: Value, upper: Value,
     return out
 
 
-def _settle(entries: Iterable[tuple]) -> tuple:
-    """Entries of runs and blocks as a dataset holds them: a block of
+def _settle(entries: Iterable[tuple]) -> Tuple[tuple, bool]:
+    """Entries of runs and blocks as a dataset holds them, and whether one
+    is a block: the one place where blocks are found.  A block entry of
     fewer than ``_MIN_BLOCK_COPIES`` copies is its runs, a block of one
-    code is one run, and adjacent equal entries merge (see
-    :func:`merge_runs`)."""
-    out = []
-    for x, c in entries:
-        if x.__class__ is not tuple:
-            out.append((x, c))
-        elif len(set(x)) == 1:
-            out.append((x[0], len(x) * c))
-        elif c < _MIN_BLOCK_COPIES:
-            out += zip(x * c, itertools.repeat(1))
-        else:
-            out.append((x, c))
-    return merge_runs(out)
+    code is one run, adjacent equal entries merge (see
+    :func:`merge_runs`), and each stretch of runs that repeats a block is
+    one block entry (see :func:`_found`).  Runs with no code twice (dense
+    data) are held as they are after C-level checks alone."""
+    runs = tuple(entries)
+    xs = list(map(itemgetter(0), runs))
+    if tuple in set(map(type, xs)):
+        out = []
+        for x, c in runs:
+            if x.__class__ is not tuple:
+                out.append((x, c))
+            elif len(set(x)) == 1:
+                out.append((x[0], len(x) * c))
+            elif c < _MIN_BLOCK_COPIES:
+                out += zip(x * c, itertools.repeat(1))
+            else:
+                out.append((x, c))
+        runs = out
+    elif len(set(xs)) == len(xs):  # nothing merges, no block is there
+        return runs, False
+    runs = _found(merge_runs(runs))
+    return runs, tuple in set(map(type, map(itemgetter(0), runs)))
 
 
-def _codes(fmt: ElementFormat, values: list) -> Tuple[list, bool]:
+def _found(runs: tuple) -> tuple:
+    """The merged entries ``runs`` with each stretch of runs that repeats
+    a block held as one block entry.
+
+    A block is a stretch of at least ``_MIN_BLOCK_COPIES`` copies in a row
+    of the same ``b <= _MAX_BLOCK_RUNS`` runs, of at most
+    ``_MAX_BLOCK_SIZE`` elements in all, such as the alternating tail of
+    ``repeated_rounding_2`` written as runs.  Runs are merged, so ``b >=
+    2``.  A stretch is a run of ``(_MIN_BLOCK_COPIES - 1) * b`` or more
+    ``True`` in ``entry i == entry i + b``, found by C-level scans; among
+    overlapping stretches the earliest wins, then the shortest block, and
+    the later one keeps the whole blocks past it (any ``b`` entries in a
+    row of a stretch are a copy of it).  Every copy of a stretch through a
+    block entry holds that entry, so it is passed over: blocks are found
+    only among the runs between block entries.  A block's size is summed
+    from its counts before its elements are listed.  Entries with fewer
+    than ``2 * (_MIN_BLOCK_COPIES - 1)`` equal to earlier ones are returned
+    after one C-level check: ``c`` copies of ``b >= 2`` entries hold ``(c -
+    1) * b`` of them.
+    """
+    if len(runs) - len(set(runs)) < 2 * (_MIN_BLOCK_COPIES - 1):
+        return runs
+    found = []
+    for b in range(2, _MAX_BLOCK_RUNS + 1):
+        same = bytes(map(eq, runs, runs[b:])) + b"\0"
+        least = b"\1" * ((_MIN_BLOCK_COPIES - 1) * b)
+        i = same.find(least)
+        while i >= 0:
+            j = same.find(0, i)
+            found.append((i, b, j + b))  # runs[i:j+b] repeat runs[i:i+b]
+            i = same.find(least, j)
+    out, end = [], 0
+    for start, b, stop in sorted(found):
+        start = max(start, end)
+        reps = (stop - start) // b
+        copy = runs[start:start + b]
+        # the size first: a count may be far past any list
+        if (reps >= _MIN_BLOCK_COPIES
+                and tuple not in map(type, map(itemgetter(0), copy))
+                and sum(map(itemgetter(1), copy)) <= _MAX_BLOCK_SIZE):
+            out += runs[end:start]
+            out.append((tuple([x for x, c in copy for _ in range(c)]), reps))
+            end = start + b * reps
+    # a block found next to a block entry of the same codes merges with it
+    return merge_runs(out + list(runs[end:]))
+
+
+def _codes(fmt: ElementFormat, values: list) -> list:
     """The codes of a list of values of ``fmt``, in one pass that keeps
-    the values of ``fmt``'s kind and of ``fmt`` itself, and False.  If it
-    drops one, the values go one by one through :func:`value_code`, which
-    also takes an equal format object and names the first stray value; a
-    tuple of values is a block, whose codes are a tuple, and the flag says
-    whether there is one."""
+    the values of ``fmt``'s kind and of ``fmt`` itself.  If it drops one,
+    the values go one by one through :func:`value_code`, which also takes
+    an equal format object and names the first stray value; a tuple of
+    values is a block, whose codes are a tuple."""
     if isinstance(fmt, FloatFormat):
         codes = [v.bits for v in values
                  if v.__class__ is SimFloat and v.fmt is fmt]
@@ -309,10 +372,9 @@ def _codes(fmt: ElementFormat, values: list) -> Tuple[list, bool]:
         codes = [v.value for v in values
                  if v.__class__ is KInt and v.fmt is fmt]
     if len(codes) == len(values):
-        return codes, False
-    codes = [tuple([value_code(fmt, y) for y in v]) if v.__class__ is tuple
-             else value_code(fmt, v) for v in values]
-    return codes, tuple in map(type, codes)
+        return codes
+    return [tuple([value_code(fmt, y) for y in v]) if v.__class__ is tuple
+            else value_code(fmt, v) for v in values]
 
 
 def merge_runs(runs: Iterable[tuple]) -> tuple:
@@ -389,11 +451,12 @@ class Dataset:
     """An ordered sequence of in-range values plus its bounds.
 
     ``runs`` holds the entries (see the module docstring): runs ``(code,
-    count)`` and blocks ``(codes, count)`` of ints, with adjacent equal
-    entries merged.  ``blocks`` says whether one entry is a block; the
-    readers that only take runs take a dataset without one as before.
-    Two datasets are ``==`` exactly when they hold the same element
-    sequence, however their entries chunk it.  The bounds are values.  The
+    count)`` and blocks ``(codes, count)`` of ints, as every constructor
+    settles them (:func:`_settle`, where blocks are found).  ``blocks``
+    says whether one entry is a block, as read off the entries there; the
+    readers that only take runs take a dataset without one as before.  Two
+    datasets are ``==`` exactly when they hold the same element sequence,
+    however their entries chunk it.  The bounds are values.  The
     element count ``n`` is taken when the dataset is built, and the
     package reads it there; ``len()`` gives it too, but only up to
     ``sys.maxsize``, and is kept for ``perfbench/tracer.py``.
@@ -411,19 +474,15 @@ class Dataset:
                  counts: list) -> "Dataset":
         """Set the fields from entries of values (a block's a tuple of
         them) once :func:`check_runs` passes them."""
-        codes, blocks = _codes(fmt, values)
         return self._fill(fmt, lower, upper, check_runs(
-            fmt, lower, upper, codes, counts, blocks), blocks)
+            fmt, lower, upper, _codes(fmt, values), counts))
 
-    def _fill(self, fmt, lower, upper, runs: tuple,
-              blocks: bool = False) -> "Dataset":
-        """Set the fields from entries as held; ``blocks`` says whether
-        they may hold a block."""
+    def _fill(self, fmt, lower, upper, entries: Iterable[tuple]
+              ) -> "Dataset":
+        """Set the fields from valid code entries, held as :func:`_settle`
+        holds them."""
         self.fmt, self.lower, self.upper = fmt, lower, upper
-        self.runs = runs
-        if blocks:
-            blocks = tuple in map(type, map(itemgetter(0), runs))
-        self.blocks = blocks
+        self.runs, self.blocks = runs, blocks = _settle(entries)
         self.n = (sum(len(x) * c if x.__class__ is tuple else c
                       for x, c in runs) if blocks
                   else sum(map(itemgetter(1), runs)))
@@ -431,15 +490,12 @@ class Dataset:
 
     @classmethod
     def unchecked(cls, fmt: ElementFormat, lower: Value, upper: Value,
-                  runs: Iterable[tuple], blocks: bool = False) -> "Dataset":
+                  runs: Iterable[tuple]) -> "Dataset":
         """A dataset of code entries known to be valid inside its bounds
         (checked by :func:`check_runs`, or cut, shifted or reordered from
-        a checked dataset): adjacent equal entries merge, and with
-        ``blocks`` a short block becomes its runs (see :func:`_settle`);
-        nothing is checked."""
-        return object.__new__(cls)._fill(
-            fmt, lower, upper, _settle(runs) if blocks else merge_runs(runs),
-            blocks)
+        a checked dataset), settled by :func:`_settle`; nothing is
+        checked."""
+        return object.__new__(cls)._fill(fmt, lower, upper, runs)
 
     @classmethod
     def from_elements(cls, fmt: ElementFormat, lower: Value, upper: Value,
@@ -558,15 +614,14 @@ class Dataset:
         except (TypeError, KeyError):
             bulk = False
         if bulk:
-            codes, blocks = _decode_codes(fmt, texts), False
+            codes = _decode_codes(fmt, texts)
         else:
             # bare strings, blocks, entries that are not objects or that
             # hold other keys: one by one
             entries = [_entry(fmt, entry) for entry in elements]
             codes, counts = [x for x, _ in entries], [c for _, c in entries]
-            blocks = tuple in map(type, codes)
         return object.__new__(cls)._fill(fmt, lower, upper, check_runs(
-            fmt, lower, upper, codes, counts, blocks), blocks)
+            fmt, lower, upper, codes, counts))
 
 
 def _entry(fmt: ElementFormat, entry) -> tuple:

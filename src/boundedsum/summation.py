@@ -29,25 +29,23 @@ rules change no result that does not overflow.
 All of them consume run-length encoded datasets and never build the
 element list, so attack datasets with billions of repeats sum in
 milliseconds without a single approximation.  A dataset's entries are
-runs and blocks (see :mod:`boundedsum.data`); every reader takes a block
-as it is held, never as its elements:
+runs and blocks, and blocks are found once, when the dataset is built
+(see :mod:`boundedsum.data`); every reader takes a block as it is held,
+never as its elements, and looks for none among the runs:
 
-* ``iterative``, ``split`` and ``kahan`` fold a float run with one
-  engine, ``_fold_run``: it steps literally and jumps whole periods of up
-  to four steps once the state and every add of a step provably move
-  linearly (an absorbed addend ends the run at once).  Runs are folded
-  by one copies-fold, :func:`_fold_plain`, by the algorithm's rules
-  (split's partials by the iterative rules toward zero, over the
-  multiset, where a block is its codes each with its count): runs too
-  short to jump step the rules' ``op`` literally, and a run with no such
-  period steps literally up to ``MATERIALIZE_LIMIT`` steps.  Iterative and
-  Kahan fold each block the dataset holds with the same engine, one step
-  per copy of the block (``_fold_block``), and so a stretch of runs that
-  repeats a short block of them (``_segments`` finds it among the runs
-  between two held blocks): a block's step is its elements' steps in
-  order, and each of its adds is still affine in the state and the
-  step's earlier results, which is all the period argument needs.  A run
-  is the block of one code.  Integer runs have closed forms, and a
+* ``iterative``, ``split`` and ``kahan`` fold floats by one fold over
+  entries, :func:`_fold`, by the algorithm's rules (split's partials by
+  the iterative rules toward zero, over the multiset, where a block is
+  its codes each with its count).  Runs too short to jump step the
+  rules' ``op`` literally; each block, and each longer run as the block
+  of its one code, goes to one engine, ``_fold_run``, one step per copy
+  (``_fold_block``).  It steps literally and jumps whole periods of up to
+  four steps once the state and every add of a step provably move
+  linearly (an absorbed addend ends the run at once), and with no such
+  period steps literally up to ``MATERIALIZE_LIMIT`` steps.  A block's
+  step is its elements' steps in order, and each of its adds is still
+  affine in the state and the step's earlier results, which is all the
+  period argument needs.  Integer runs have closed forms, and a
   saturating block jumps the copies that clamp no add;
 * ``pairwise`` sums a subtree that lies inside one entry as a memoized
   ``(block, phase, length)``, a run being the block of its one code, and
@@ -67,7 +65,7 @@ the release.
 The machine's own floats: on float32 and float64 under ``banker`` (see
 :func:`~boundedsum.floats._native`), iterative and Kahan fold each
 stretch of runs of at most ``_NATIVE_RUN`` copies on Python floats, and
-pairwise walks its whole tree on them (``_fold_plain``, ``_cascade``).
+pairwise walks its whole tree on them (``_fold``, ``_cascade``).
 This is exact:
 
 * the model's ``banker`` is IEEE round-to-nearest-even, overflow to
@@ -83,8 +81,8 @@ This is exact:
   finite, and otherwise folded again on patterns, by the rules, from the
   state before it.
 
-Every other format and mode, longer runs and repeating blocks keep the
-bit kernel, which is also the reference the tests compare against.
+Every other format and mode, longer runs and blocks keep the bit
+kernel, which is also the reference the tests compare against.
 Integer releases are plain-int closed forms: wraparound addition is
 associative, so every algorithm releases the wrapped exact sum, and
 saturating folds clamp plain ints.  The transforms map code entries to
@@ -105,12 +103,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from operator import eq, itemgetter, sub
+from operator import itemgetter, sub
 from typing import List, Optional, Tuple, Union
 
 from .data import (Dataset, ElementFormat, MATERIALIZE_LIMIT,
-                   _MIN_BLOCK_COPIES, _MAX_BLOCK_SIZE, _field, code_key,
-                   code_value, entry_size, exact_value, merge_runs)
+                   _MIN_BLOCK_COPIES, _field, code_key, code_value,
+                   entry_size, exact_value, merge_runs)
 from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
                      _check_mode, _from_bits, _grid_bits, _machine_add,
@@ -255,7 +253,7 @@ def bs_exact(dataset: Dataset):
 # ``fast`` holds, for the float iterative and Kahan folds, the pieces of
 # their fast paths: the fold's name for its errors, its watched step for
 # _fold_run (_watched_add, _watched_kahan) and its fold on the machine's
-# floats for _fold_plain (_iterate, _kahan_floats).
+# floats for _fold (_iterate, _kahan_floats).
 _Rules = namedtuple("_Rules", "start leaf op release fast", defaults=(None,))
 
 
@@ -410,58 +408,6 @@ def _watched_kahan(kernel: tuple, v: int, v_g: int, mode: str,
         return (t, c), (t_g, c_g), None
     return (t, c), (t_g, c_g), ((v_g - C, y_g), (T + y_g, t_g),
                                 (t_g - T, d_g), (d_g - y_g, c_g))
-
-
-# a block found among runs is at most this many of them; its size and
-# copies have the limits of a block a dataset holds (_MAX_BLOCK_SIZE and
-# _MIN_BLOCK_COPIES, see boundedsum.data)
-_MAX_BLOCK_RUNS = 4
-
-
-def _segments(runs: tuple) -> list:
-    """The plain runs ``runs`` cut into pieces ``(plain, block, reps)``:
-    the runs ``plain``, then ``reps`` copies of the tuple of patterns
-    ``block``.  The last piece has no block, and ``reps`` 0: its fold is
-    no step.  It finds the blocks a dataset holds as runs (a file written
-    before blocks, or a stretch built run by run); a block the dataset
-    holds as an entry never comes here (see :func:`_fold`).
-
-    A block is a stretch of at least ``_MIN_BLOCK_COPIES`` copies in a row
-    of the same ``b <= _MAX_BLOCK_RUNS`` runs, of at most
-    ``_MAX_BLOCK_SIZE`` elements in all, such as the alternating tail of
-    ``repeated_rounding_2``.  Runs are merged, so ``b >= 2``.  A stretch
-    is a run of ``(_MIN_BLOCK_COPIES - 1) * b`` or more ``True`` in ``run
-    i == run i + b``, found by C-level scans; among overlapping stretches
-    the earliest wins, then the shortest block, and the later one keeps
-    the whole blocks past it (any ``b`` runs in a row of a stretch are a
-    block of it).  A block's size is summed from its counts before its
-    elements are listed.  A run list with no run twice (dense data, say)
-    is one plain piece after one C-level check.
-    """
-    if len(set(runs)) == len(runs):
-        return [(runs, (), 0)]
-    found = []
-    for b in range(2, _MAX_BLOCK_RUNS + 1):
-        same = bytes(map(eq, runs, runs[b:])) + b"\0"
-        least = b"\1" * ((_MIN_BLOCK_COPIES - 1) * b)
-        i = same.find(least)
-        while i >= 0:
-            j = same.find(0, i)
-            found.append((i, b, j + b))  # runs[i:j+b] repeat runs[i:i+b]
-            i = same.find(least, j)
-    pieces, end = [], 0
-    for start, b, stop in sorted(found):
-        start = max(start, end)
-        reps = (stop - start) // b
-        copy = runs[start:start + b]
-        # the size first: a count may be far past any list
-        if (reps >= _MIN_BLOCK_COPIES
-                and sum(map(itemgetter(1), copy)) <= _MAX_BLOCK_SIZE):
-            block = tuple([x for x, c in copy for _ in range(c)])
-            pieces.append((runs[end:start], block, reps))
-            end = start + b * reps
-    pieces.append((runs[end:], (), 0))
-    return pieces
 
 
 def _fold_block(fmt: FloatFormat, rules: _Rules, state, block: tuple,
@@ -674,18 +620,18 @@ def _room(x: int, step: int, lo: int, hi: int):
 _NATIVE_RUN = 64
 
 
-def _fold_plain(fmt: FloatFormat, rules: _Rules, runs: tuple, state,
-                mode: str):
-    """The runs ``runs`` folded into ``state`` by the float iterative or
-    Kahan ``rules`` (see :func:`_rules`): the one fold of runs of copies.
+def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str):
+    """The entries ``runs`` folded into ``state`` by the float iterative or
+    Kahan ``rules`` (see :func:`_rules`): the one float fold.
 
     Semantically identical to ``state = op(state, leaf(x))`` for each
     element ``x`` in order.  Each maximal stretch of runs of fewer than
     ``_MIN_BLOCK_COPIES`` copies, which no period jump can shorten, is one
-    :func:`_literal` fold, and each longer run one :func:`_fold_block` of
-    the block ``(x,)``: an absorbed addend leaves the state unchanged and
-    ends the run, and a steady drift is a period that moves it by the same
-    exact deltas each step.
+    :func:`_literal` fold.  Each block entry, and each longer run as the
+    block ``(x,)``, is one :func:`_fold_block`: an absorbed addend leaves
+    the state unchanged and ends it, and a steady drift is a period that
+    moves it by the same exact deltas each step.  The entries are taken as
+    the dataset holds them: blocks are found when it is built.
 
     Where the format and mode have the machine's own floats (see
     :func:`~boundedsum.floats._native`), a stretch holds the runs of at
@@ -702,7 +648,13 @@ def _fold_plain(fmt: FloatFormat, rules: _Rules, runs: tuple, state,
     native = _native(fmt, mode)
     longest = _MIN_BLOCK_COPIES - 1 if native is None else _NATIVE_RUN
     add = native and _machine_add(native[0])
-    cuts = bytes(map(longest.__lt__, map(itemgetter(1), runs))) + b"\1"
+    cuts = bytearray(map(longest.__lt__, map(itemgetter(1), runs)))
+    # a block is held at _MIN_BLOCK_COPIES copies or more, so its count
+    # ends a stretch of literal runs, but not always a machine's stretch
+    if native and tuple in set(map(type, map(itemgetter(0), runs))):
+        cuts = bytearray([x.__class__ is tuple or c > longest
+                          for x, c in runs])
+    cuts.append(1)
     start = 0
     while start < len(runs):
         stop = cuts.find(1, start)
@@ -711,8 +663,9 @@ def _fold_plain(fmt: FloatFormat, rules: _Rules, runs: tuple, state,
             got = native and rules.fast[2](native, add, state, _expand(
                 _to_floats(native, map(itemgetter(0), stretch)), stretch))
             state = _literal(rules, stretch, state) if got is None else got
-        for x, count in runs[stop:stop + 1]:  # the run past the stretch
-            state = _fold_block(fmt, rules, state, (x,), count, mode)
+        for x, count in runs[stop:stop + 1]:  # the entry past the stretch
+            state = _fold_block(fmt, rules, state, x if x.__class__ is tuple
+                                else (x,), count, mode)
         start = stop + 1
     return state
 
@@ -737,7 +690,7 @@ def _expand(values, runs):
 def _iterate(native: tuple, add, s: int, xs):
     """The iterative fold of the floats ``xs`` into the pattern ``s`` on the
     machine's floats of the typecodes ``native``, or None if its sum is not
-    finite (see :func:`_fold_plain`)."""
+    finite (see :func:`_fold`)."""
     got = reduce(add, xs, _to_floats(native, (s,))[0])
     return _to_patterns(native, (got,))[0] if math.isfinite(got) else None
 
@@ -747,7 +700,7 @@ def _kahan_floats(native: tuple, add, state: tuple, xs):
     of patterns on the machine's floats of the typecodes ``native``:
     :func:`_kahan_bits`'s four adds per element, with no overflow rule, or
     None unless the total and the compensation are finite (see
-    :func:`_fold_plain`)."""
+    :func:`_fold`)."""
     total, comp = _to_floats(native, state)
     for v in xs:
         y = add(v, -comp)
@@ -826,41 +779,16 @@ def bs_iterative(dataset: Dataset, rounding: str = "banker"):
     """Left fold with one rounded add per element.
 
     Floats are folded by their rules (see :func:`_rules`) in :func:`_fold`,
-    which jumps whole periods of a steady drift and adds short runs on the
-    machine's floats where it can.  Integers are a closed form.
+    which jumps whole periods of a steady drift in long runs and blocks,
+    and adds short runs on the machine's floats where it can.  Integers
+    are a closed form.
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
         return KInt(fmt, _int_fold(dataset))
-    return _fold(dataset, "iterative", rounding)
-
-
-def _fold(dataset: Dataset, algorithm: str, mode: str):
-    """The float iterative or Kahan fold of ``dataset`` by its rules (see
-    :func:`_rules`).  Each block the dataset holds is one
-    :func:`_fold_block` over its copies, with no scan.  The runs between
-    two of them are cut by :func:`_segments`: each plain piece is folded by
-    :func:`_fold_plain`, and each stretch of runs that repeats a short
-    block by one :func:`_fold_block`, so that all of them jump whole
-    periods of a steady drift.  On float32 and float64 under ``banker``, a
-    stretch of runs of at most ``_NATIVE_RUN`` copies is folded on the
-    machine's floats instead, and folded again on patterns unless every
-    component of its state is finite (see :func:`_fold_plain`)."""
-    fmt = dataset.fmt
-    rules = _rules(fmt, algorithm, mode)
-    state = rules.start
-    runs = dataset.runs
-    stored = [i for i, (x, _) in enumerate(runs) if x.__class__ is tuple
-              ] if dataset.blocks else []
-    start = 0
-    for stop in stored + [len(runs)]:
-        for plain, block, reps in _segments(runs[start:stop]):
-            state = _fold_plain(fmt, rules, plain, state, mode)
-            state = _fold_block(fmt, rules, state, block, reps, mode)
-        for block, reps in runs[stop:stop + 1]:
-            state = _fold_block(fmt, rules, state, block, reps, mode)
-        start = stop + 1
-    return _from_bits(fmt, rules.release(state))
+    rules = _rules(fmt, "iterative", rounding)
+    return _from_bits(fmt, _fold(fmt, rules, dataset.runs, rules.start,
+                                 rounding))
 
 
 def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
@@ -955,11 +883,14 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
 
     The state is a ``(total, comp)`` pair of bit patterns, and a step is
     :func:`_kahan_bits`, with its overflow rules (see :func:`_rules`).
-    The fold is :func:`_fold`'s, as for :func:`bs_iterative`: a run jumps
+    The fold is :func:`_fold`, as for :func:`bs_iterative`: a run jumps
     across the periodic stretches a constant addend produces, and so does
-    a stretch of runs that repeats a short block.
+    a block.
     """
-    return _fold(dataset, "kahan", rounding)
+    fmt = dataset.fmt
+    rules = _rules(fmt, "kahan", rounding)
+    return _from_bits(fmt, rules.release(_fold(fmt, rules, dataset.runs,
+                                               rules.start, rounding)))
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
@@ -973,7 +904,7 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
 
     Floats: both partials accumulate with round-toward-zero, each sign's
     runs of the multiset (see :meth:`Dataset.multiset`, a block's codes
-    each with its count) by :func:`_fold_plain` and the iterative rules;
+    each with its count) by :func:`_fold` and the iterative rules;
     the release is the split rules' join (see :func:`_rules`), which
     clamps a partial that saturated to infinity (recorded here in
     ``events``) and combines the two with a single round-to-nearest add.
@@ -995,8 +926,8 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     # jump its periods
     runs = merge_runs(sorted(dataset.multiset(), key=itemgetter(0)))
     cut = bisect_left(runs, sign, key=itemgetter(0))
-    pos, neg = (part.release(_fold_plain(fmt, part, side, part.start,
-                                         "toward_zero"))
+    pos, neg = (part.release(_fold(fmt, part, side, part.start,
+                                   "toward_zero"))
                 for side in (runs[:cut], runs[cut:]))
     if events is not None:
         if pos == inf:
@@ -1029,8 +960,7 @@ def truncate(dataset: Dataset, n_max: int) -> Dataset:
         if take < c and left:  # the cut falls inside a block's copy
             out += zip(x[:left], itertools.repeat(1))
             left = 0
-    return Dataset.unchecked(dataset.fmt, dataset.lower, dataset.upper, out,
-                             dataset.blocks)
+    return Dataset.unchecked(dataset.fmt, dataset.lower, dataset.upper, out)
 
 
 def random_permutation(dataset: Dataset, seed: int) -> Dataset:
@@ -1069,7 +999,7 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
     Every shifted element, and the shifted upper bound, must be exactly
     representable; anything else raises, because an inexact shift
     silently changes the function being privatized.  ``run_sum`` records
-    ``(lower, n)`` as the offset the caller adds back after the noise.
+    the offset the caller adds back after the noise.
 
     Floats are shifted on the format's finest grid (see
     :meth:`SimFloat.to_grid`), and each difference is packed by
@@ -1085,7 +1015,7 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
             raise ValueError("shifted upper bound U - L exceeds the type range")
         return Dataset.unchecked(fmt, KInt(fmt, 0), KInt(fmt, span), [
             (tuple([y - lo for y in x]) if x.__class__ is tuple else x - lo,
-             c) for x, c in dataset.runs], dataset.blocks)
+             c) for x, c in dataset.runs])
     kernel = fmt._kernel
     _, _, _, sign, inf = kernel
     lo = dataset.lower.to_grid()
@@ -1108,7 +1038,7 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
     runs = [(tuple(map(checked, x)) if x.__class__ is tuple else checked(x),
              c) for x, c in dataset.runs]
     return Dataset.unchecked(fmt, _from_bits(fmt, 0), _from_bits(fmt, upper),
-                             runs, dataset.blocks)
+                             runs)
 
 
 # ---------------------------------------------------------------------------
@@ -1116,9 +1046,15 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def run_sum(dataset: Dataset, method: SumMethod) -> SumOutcome:
-    """Apply the method's transforms in order, then its algorithm."""
+    """Apply the method's transforms in order, then its algorithm.
+
+    With a shift, the offset is ``(lower, n)``: the lower bound that the
+    first shift subtracts (a later one subtracts 0) and the count of the
+    dataset the algorithm sums, so that the release plus ``lower * n`` is
+    the sum of the elements summed, whatever the transforms' order.
+    """
     ds = dataset
-    offset = None
+    lower = None
     permutation = None
     for tr in method.transforms:
         if isinstance(tr, RandomPermutation):
@@ -1127,7 +1063,8 @@ def run_sum(dataset: Dataset, method: SumMethod) -> SumOutcome:
         elif isinstance(tr, Truncate):
             ds = truncate(ds, tr.n_max)
         elif isinstance(tr, ShiftBounds):
-            offset = (ds.lower, ds.n)
+            if lower is None:
+                lower = ds.lower
             ds = _shift_dataset(ds)
         else:
             raise TypeError(f"unknown transform {tr!r}")
@@ -1143,7 +1080,8 @@ def run_sum(dataset: Dataset, method: SumMethod) -> SumOutcome:
     else:
         value = bs_split(ds, events)
     return SumOutcome(value=value, clamp_events=tuple(events),
-                      offset=offset, permutation=permutation)
+                      offset=None if lower is None else (lower, ds.n),
+                      permutation=permutation)
 
 
 # ---------------------------------------------------------------------------

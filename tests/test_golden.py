@@ -345,6 +345,10 @@ for _tag in ("f32", "f64"):
             "sum", "--in", _path, "--method", _alg]
     REPLAY_CASES[f"sum-dense_{_tag}-permute"] = [
         "sum", "--in", _path, "--transform", "permute:7"]
+# the shift, then a cut: the offset adds back the count summed, 2
+REPLAY_CASES["sum-dense_f10_5-shift-truncate"] = [
+    "sum", "--in", "instances/dense/f10_5.json", "--transform", "shift",
+    "--transform", "truncate:2"]
 for _alg in ("iterative", "kahan"):
     REPLAY_CASES[f"sum-dense_f10_5-{_alg}-toward_neg"] = [
         "sum", "--in", "instances/dense/f10_5.json", "--method", _alg,

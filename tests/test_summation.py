@@ -7,6 +7,7 @@ element-by-element fold.
 """
 
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -53,8 +54,7 @@ from boundedsum import (
 )
 from boundedsum.attacks import repeated_rounding_attack_2
 from boundedsum.floats import add_bits
-from boundedsum.summation import (_fold_plain, _kahan_bits, _rules,
-                                  _segments, _shift_dataset)
+from boundedsum.summation import _fold, _kahan_bits, _rules, _shift_dataset
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -156,7 +156,7 @@ def ref_split(ds):
 def fold_copies(fmt, rules, state, x, count, mode):
     """``count`` copies of the pattern ``x`` folded into ``state`` by the
     run fold of the program, as one run."""
-    return _fold_plain(fmt, rules, ((x, count),), state, mode)
+    return _fold(fmt, rules, ((x, count),), state, mode)
 
 
 def float_ds(fmt, runs, lo="-8", hi="8"):
@@ -236,17 +236,12 @@ def test_split_merging_equal_codes_keeps_the_unmerged_release(ds):
     assert events == want_events
 
 
-def as_runs(ds):
-    """``ds`` with each element one run: its blocks' copies spelled out."""
-    return Dataset.unchecked(ds.fmt, ds.lower, ds.upper,
-                             [(x, 1) for x in ds.codes()])
-
-
 def test_split_adds_a_run_of_equal_codes_as_one_run(monkeypatch):
-    # the repeated_rounding_2 tail spelled out as runs alternates two codes,
-    # one run each, so its sorted runs are two long stretches of equal
-    # codes: merged, the fold jumps each one, unmerged it made one add per
-    # element
+    # the two codes of the repeated_rounding_2 tail alternate in runs of 1,
+    # 2 and 3 copies, six runs a period, which is no block (a block found
+    # among runs is at most four of them), so its sorted runs are two long
+    # stretches of equal codes: merged, the fold jumps each one, unmerged
+    # it made one add per copy
     import boundedsum.summation as summation
     instance = repeated_rounding_attack_2(FloatFormat(23, 8), 12, 0)
     calls = []
@@ -256,9 +251,13 @@ def test_split_adds_a_run_of_equal_codes_as_one_run(monkeypatch):
         return add_bits(*args)
 
     monkeypatch.setattr(summation, "add_bits", counted)
-    for ds in map(as_runs, (instance.u, instance.v)):
+    for held in (instance.u, instance.v):
+        (block, copies), = held.runs[-1:]
+        tail = [(block[i % 2], 1 + i // 2 % 3) for i in range(2 * copies)]
+        ds = Dataset.unchecked(held.fmt, held.lower, held.upper,
+                               held.runs[:-1] + tuple(tail))
         calls.clear()
-        assert len(ds.runs) > 2000
+        assert len(ds.runs) > 2000 and not ds.blocks
         got = bs_split(ds)
         assert len(calls) < 100
         monkeypatch.setattr(summation, "add_bits", add_bits)
@@ -865,6 +864,20 @@ def test_run_sum_shift_bounds():
     assert out.value.value == (10 - 10) + (15 - 10) + (20 - 10)
     # the caller reconstructs the true sum in post-processing
     assert out.value.value + lower.value * count == 45
+    # the offset is the lower bound the first shift subtracts and the
+    # count summed, whatever the order: the release plus lower * count is
+    # the sum of the elements summed
+    ds = float_ds(F105, [("-1.5", 1), ("-1.25", 1), ("-1", 1)], lo="-2",
+                  hi="-1")
+    for transforms, summed in (
+            ((ShiftBounds(), Truncate(2)), ("-1.5", "-1.25")),
+            ((Truncate(2), ShiftBounds()), ("-1.5", "-1.25")),
+            ((ShiftBounds(), ShiftBounds()), ("-1.5", "-1.25", "-1"))):
+        out = run_sum(ds, SumMethod(transforms=transforms))
+        lower, count = out.offset
+        assert (lower.to_fraction(), count) == (-2, len(summed))
+        assert out.value.to_fraction() + lower.to_fraction() * count == sum(
+            parse_value(F105, t).to_fraction() for t in summed)
 
 
 def test_shift_bounds_demands_exactness():
@@ -958,7 +971,7 @@ def test_dense_int_folds_match_the_literal_add_int_folds(ds):
 
 
 # ---------------------------------------------------------------------------
-# Repeating blocks of runs vs the literal folds
+# Blocks found among runs vs the literal folds
 # ---------------------------------------------------------------------------
 
 def literal_bits(ds, mode):
@@ -980,12 +993,13 @@ def _blocks(fmt, runs):
 
 
 @composite
-def block_datasets(draw):
-    """A block of 2-4 runs of distinct codes, 1-3 copies each, repeated
-    3-200 times and then cut partway through one more copy, between a few
-    runs before and after, over formats of 2-4 mantissa bits.  The codes
-    are subnormal, top-binade or any, so the folds drift across binades,
-    stay in the subnormal band or overflow."""
+def block_runs(draw):
+    """A format and code runs over it: a block of 2-4 runs of distinct
+    codes, 1-3 copies each, repeated 3-200 times and then cut partway
+    through one more copy, between a few runs before and after, over
+    formats of 2-4 mantissa bits.  The codes are subnormal, top-binade or
+    any, so the folds drift across binades, stay in the subnormal band or
+    overflow."""
     fmt = draw(sampled_from([F23, F34, F46]))
     codes = _finite_patterns(fmt)
     block = list(zip(draw(lists(codes, min_size=2, max_size=4, unique=True)),
@@ -994,31 +1008,43 @@ def block_datasets(draw):
     cut = draw(integers(0, len(block) - 1))
     prefix, suffix = (draw(lists(tuples(codes, integers(1, 5)), max_size=3))
                       for _ in range(2))
-    return _blocks(fmt, prefix + block * reps + block[:cut] + suffix)
+    return fmt, prefix + block * reps + block[:cut] + suffix
+
+
+def assert_held(ds):
+    """``ds``'s entries are as a dataset holds them: no two equal entries
+    in a row, and each block of 2-12 codes, not all one, at 5 copies or
+    more."""
+    assert all(a != b for a, b in zip(ds.runs, ds.runs[1:]))
+    for x, c in ds.runs:
+        assert c >= 1
+        if isinstance(x, tuple):
+            assert 2 <= len(x) <= 12 and len(set(x)) > 1 and c >= 5
 
 
 _F46_ONE = parse_value(F46, "1").bits
 
 
-@given(block_datasets(), sampled_from(ROUNDING_MODES))
+@given(block_runs(), sampled_from(ROUNDING_MODES))
 # +1, -0.25, -0.25 climbs across binades until the adds round
-@example(_blocks(F46, [(_F46_ONE, 1), (parse_value(F46, "-0.25").bits, 2)]
-                 * 200), "banker")
+@example((F46, [(_F46_ONE, 1), (parse_value(F46, "-0.25").bits, 2)] * 200),
+         "banker")
 # +3, -2 grid units: exact in the subnormal band, then out of it
-@example(_blocks(F46, [(3, 1), (2 | _F46_SIGN, 1)] * 12), "toward_zero")
-@example(_blocks(F46, [(3, 1), (2 | _F46_SIGN, 1)] * 200), "toward_pos")
+@example((F46, [(3, 1), (2 | _F46_SIGN, 1)] * 12), "toward_zero")
+@example((F46, [(3, 1), (2 | _F46_SIGN, 1)] * 200), "toward_pos")
 # +14, -1 overflows at a +14, inside a block
-@example(_blocks(F23, [(parse_value(F23, "14").bits, 1),
-                       (parse_value(F23, "-1").bits, 1)] * 40), "banker")
+@example((F23, [(parse_value(F23, "14").bits, 1),
+                (parse_value(F23, "-1").bits, 1)] * 40), "banker")
 # +1, -1 keeps the state: D = 0
-@example(_blocks(F46, [(7, 2), (_F46_ONE, 1), (_F46_ONE | _F46_SIGN, 1)]
-                 * 100), "toward_neg")
+@example((F46, [(7, 2), (_F46_ONE, 1), (_F46_ONE | _F46_SIGN, 1)] * 100),
+         "toward_neg")
 @settings(max_examples=150, deadline=None)
-def test_block_folds_match_the_literal_folds(ds, mode):
-    pieces = _segments(ds.runs)
-    assert [x for plain, block, reps in pieces
-            for x in [x for x, c in plain for _ in range(c)]
-            + list(block) * reps] == ds.codes()
+def test_block_folds_match_the_literal_folds(spec, mode):
+    # the entries found among the runs spell the runs' elements
+    fmt, runs = spec
+    ds = _blocks(fmt, runs)
+    assert ds.codes() == [x for x, c in runs for _ in range(c)]
+    assert_held(ds)
     acc, total = literal_bits(ds, mode)
     assert bs_iterative(ds, mode).bits == acc
     assert bs_kahan(ds, mode).bits == total
@@ -1027,42 +1053,51 @@ def test_block_folds_match_the_literal_folds(ds, mode):
 def test_block_folds_add_a_few_times(monkeypatch):
     # the repeated_rounding_2 pair at float32 j=12: 2,048 copies of 1, then
     # 1,024 copies of a two-element block; a literal fold of u makes 4,096
-    # adds, and a literal Kahan fold 16,384.  The generator holds the tail
-    # as one block; spelled out as runs, _segments finds the same block
-    # among them.
+    # adds, a literal Kahan fold 16,384 and a literal pairwise tree 4,095.
+    # The generator holds the tail as one block, and the same elements
+    # spelled out as runs hold the same block: it is found when the
+    # dataset is built.
     inst = repeated_rounding_attack_2(FLOAT32, 12, 0)
     calls = count_adds(monkeypatch)
     for held in (inst.u, inst.v):
         assert held.blocks and len(held.runs[-1][0]) == 2
         assert held.runs[-1][1] == 1024
-        spelled = as_runs(held)
-        assert max(reps for _, _, reps in _segments(spelled.runs)) == 1024
-        for ds, fold in itertools.product((held, spelled),
-                                          (bs_iterative, bs_kahan)):
+        spelled = Dataset.unchecked(held.fmt, held.lower, held.upper,
+                                    [(x, 1) for x in held.codes()])
+        assert spelled.runs == held.runs
+        for fold in (bs_iterative, bs_kahan, bs_pairwise):
             calls.clear()
-            fold(ds)
+            fold(held)
             assert 0 < len(calls) <= 100
-    # no code twice: one add per element, in the per-run loop
-    dense = load_dataset(GOLDEN_INSTANCES / "dense" / "f10_5.json")
-    assert _segments(dense.runs) == [(dense.runs, (), 0)]
+    # the committed rr2 pair, written before blocks as one run per tail
+    # element, holds its 16-copy tail as one block when it is loaded
+    for side in ("u", "v"):
+        runs = load_dataset(GOLDEN_INSTANCES / "rr2" / f"{side}.json").runs
+        assert isinstance(runs[-1][0], tuple) and runs[-1][1] == 16
+    # no entry twice: one entry per run of the file, and one add per
+    # element, in the per-run loop
+    path = GOLDEN_INSTANCES / "dense" / "f10_5.json"
+    dense = load_dataset(path)
+    assert len(dense.runs) == len(json.loads(path.read_text())["elements"])
+    assert not dense.blocks
     calls.clear()
     bs_iterative(dense)
     assert len(calls) == dense.n
 
 
 def test_a_stretch_is_five_copies_of_its_block():
-    # four copies can jump only over the last two: they fold run by run
+    # four copies can jump only over the last two: they stay runs
     block = [("1", 1), ("0.25", 2)]
-    for copies, blocks in ((4, 0), (5, 1)):
-        pieces = _segments(float_ds(F46, block * copies).runs)
-        assert len(pieces) - 1 == blocks
+    one, quarter = (parse_value(F46, t).bits for t in ("1", "0.25"))
+    assert float_ds(F46, block * 4).runs == ((one, 1), (quarter, 2)) * 4
+    assert float_ds(F46, block * 5).runs == (((one, quarter, quarter), 5),)
 
 
 def test_a_block_past_the_size_cap_folds_run_by_run():
     # 2^60 + 1 elements a copy, far past any list: the stretch stays runs,
     # and each run folds in its own period jumps
     ds = float_ds(F46, [("0.5", 1 << 60), ("-0.25", 1)] * 6)
-    assert _segments(ds.runs) == [(ds.runs, (), 0)]
+    assert len(ds.runs) == 12 and not ds.blocks
     for mode in ROUNDING_MODES:
         iterative, kahan = (_rules(F46, alg, mode)
                             for alg in ("iterative", "kahan"))
@@ -1148,6 +1183,11 @@ def _f64(text):
 @example(_blocks(F32, [(_f32("16777215*2^104"), 2),
                        (_f32("-16777215*2^104"), 2), (_f32("3"), 70)]),
          "banker")
+# a block of six copies, held as one entry, between runs of the machine's
+# stretches: it ends a stretch though its count is below the cut
+@example(_blocks(F64, [(_f64("0.375"), 3)] + [(_f64("1"), 1),
+                                              (_f64("-0.5"), 2)] * 6
+                 + [(_f64("0.75"), 1)]), "banker")
 @settings(max_examples=150, deadline=None)
 def test_machine_stretches_match_the_literal_folds(ds, mode):
     acc, total = literal_bits(ds, mode)
