@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .data import Dataset, ElementFormat, exact_value
+from .data import Dataset, ElementFormat, _field, exact_value
 from .dyadic import Dyadic
 from .floats import FloatFormat, SimFloat, is_representable, round_dyadic
 from .ints import IntFormat, KInt
@@ -107,12 +107,16 @@ class AttackInstance:
 
     @classmethod
     def from_json(cls, d: dict) -> "AttackInstance":
+        """An instance from its JSON object: ``adjacency_distance`` must be
+        an int, not a boolean, float or string; ``u``, ``v`` and ``method``
+        objects; and each fraction a string.  Nothing is converted."""
         return cls(
             name=d["name"], metric=d["metric"],
-            adjacency_distance=int(d["adjacency_distance"]),
-            u=Dataset.from_json_dict(d["u"]),
-            v=Dataset.from_json_dict(d["v"]),
-            method=SumMethod.from_json(d["method"]),
+            adjacency_distance=_field(d, "adjacency_distance", int,
+                                      "instance"),
+            u=Dataset.from_json_dict(_field(d, "u", dict, "instance")),
+            v=Dataset.from_json_dict(_field(d, "v", dict, "instance")),
+            method=SumMethod.from_json(_field(d, "method", dict, "instance")),
             predicted_u=_fraction_field(d, "predicted_u"),
             predicted_v=_fraction_field(d, "predicted_v"),
             predicted_gap=_fraction_field(d, "predicted_gap"),
@@ -122,13 +126,17 @@ class AttackInstance:
 
 
 def _fraction_field(d: dict, name: str) -> Fraction:
-    """The instance field ``name``, a fraction's text; a zero denominator
-    is refused by the field's name."""
+    """The instance field ``name``, a fraction's text; a text that is no
+    fraction, or has a zero denominator, is refused by the field's name."""
+    text = _field(d, name, str, "instance")
     try:
-        return Fraction(d[name])
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"instance field {name!r} has a zero denominator: "
-                         f"{d[name]!r}") from None
+                         f"{text!r}") from None
+    except ValueError:
+        raise ValueError(f"instance field {name!r} is not a fraction: "
+                         f"{text!r}") from None
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,9 @@ from typing import List, Optional
 
 from . import __version__
 from .attacks import _GENERATORS, ATTACK_NAMES, AttackInstance, verify_attack
-from .data import (SCHEMA_VERSION, _decimal, decode_value, encode_value,
-                   format_to_json, json_text, load_dataset, save_dataset)
+from .data import (SCHEMA_VERSION, _decimal, _field, decode_value,
+                   encode_value, format_to_json, json_text, load_dataset,
+                   save_dataset)
 from .floats import ROUNDING_MODES, FloatFormat, SimFloat
 from .ints import IntFormat
 from .mechanism import (NOISE_KINDS, MechanismSpec, calibrate,
@@ -208,7 +209,8 @@ def _load_instance(path) -> AttackInstance:
     if p.is_dir():
         p = p / "instance.json"
     doc = json.loads(p.read_text(encoding="utf-8"))
-    return AttackInstance.from_json(doc["instance"])
+    return AttackInstance.from_json(_field(doc, "instance", dict,
+                                           "instance file"))
 
 
 def _sens_spec_from_args(args) -> SensSpec:

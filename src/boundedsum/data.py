@@ -11,16 +11,16 @@ the alternating tail of a repeated-rounding attack.  An element's code is
 what the arithmetic works on: a float's bit pattern, with ``-0`` folded
 into ``+0``, and an integer's value.  Equal codes are equal values.
 
-Blocks are found in one place, :func:`_settle`, the normaliser every
-constructor calls: a block entry of fewer than ``_MIN_BLOCK_COPIES``
-copies is held as its runs, and one of a single code as one run; adjacent
-equal entries merge; and a stretch of runs that repeats a block of at most
-``_MAX_BLOCK_RUNS`` runs and ``_MAX_BLOCK_SIZE`` elements
-``_MIN_BLOCK_COPIES`` times or more is held as one block entry.  So a file
-of runs written before blocks, or a dataset built run by run, holds its
-blocks as a generated one does, and every reader takes one kind of entry.
-Datasets are ``==`` when they hold the same element sequence, however
-their entries chunk it.
+The entries are a function of the element sequence alone.  They are made
+in one place, :func:`_settle`, the normaliser every constructor calls: the
+elements are read as maximal runs of one code, and each stretch of runs
+that repeats a block of at most ``_MAX_BLOCK_SIZE`` elements
+``_MIN_BLOCK_COPIES`` times or more is held as one block entry, by the
+rule of :func:`_found`.  A block entry that comes in is read as its runs,
+without listing billions of copies.  So a dataset given as blocks, built
+run by run or read from a file holds one entry list for one element
+sequence: datasets are ``==`` exactly when their formats, bounds and
+entries are, and :func:`json_text` writes equal datasets as one text.
 
 The JSON form keeps every value exact: floats travel as their bit
 patterns (hex strings), integers as decimal strings.  Counts are plain
@@ -69,9 +69,9 @@ list straight from the entries, one ``%`` format per run.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
-import math
 import re
 from operator import eq, index, itemgetter
 from fractions import Fraction
@@ -109,9 +109,10 @@ MATERIALIZE_LIMIT = 1 << 22
 # the last two, where the watch and the jump cost more than the steps
 _MAX_BLOCK_SIZE = 12
 _MIN_BLOCK_COPIES = 5
-# and a stretch of runs is found as a block when one copy is at most this
-# many runs; _settle scans once for each length, up to this one
-_MAX_BLOCK_RUNS = 4
+# _settle scans a block entry of more copies as this many, and adds the
+# rest to the entry found over their middle copy (see _settle for why
+# this many are enough)
+_SCAN_COPIES = 16
 
 _INT_RE = re.compile(r"-?[0-9]+")
 # every text of a file at once, joined by newlines (see _decode_codes)
@@ -189,7 +190,8 @@ def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
     boolean count is refused, not cut) and codes inside the bounds.  An
     entry's code may be a tuple of 1 to ``_MAX_BLOCK_SIZE`` codes, a
     block, whose codes are checked once.  Returns the entries, each float
-    ``-0`` folded into ``+0``, for :func:`_settle` to hold.
+    ``-0`` folded into ``+0``, and whether one is a block, for
+    :func:`_settle` to hold.
 
     The check is made in bulk: the count types as one set, the smallest
     count, and the extreme codes on each side of the sign bit.  A code is
@@ -217,12 +219,12 @@ def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
             and (not counts or min(counts) >= 1)
             and (not blocks or all(1 <= len(x) <= _MAX_BLOCK_SIZE
                                    for x in codes if x.__class__ is tuple))):
-        return _check_each(fmt, lower, upper, codes, counts)
+        return _check_each(fmt, lower, upper, codes, counts), blocks
     if sign and sign in flat:
         codes = [tuple([0 if y == sign else y for y in x])
                  if x.__class__ is tuple else 0 if x == sign else x
                  for x in codes]
-    return tuple(zip(codes, counts))
+    return tuple(zip(codes, counts)), blocks
 
 
 def _inside(codes: List[int], sign: int, lo: int, hi: int) -> bool:
@@ -284,58 +286,78 @@ def _check_each(fmt: ElementFormat, lower: Value, upper: Value,
     return out
 
 
-def _settle(entries: Iterable[tuple]) -> Tuple[tuple, bool]:
+def _settle(entries: Iterable[tuple], blocks: bool) -> Tuple[tuple, bool]:
     """Entries of runs and blocks as a dataset holds them, and whether one
-    is a block: the one place where blocks are found.  A block entry of
-    fewer than ``_MIN_BLOCK_COPIES`` copies is its runs, a block of one
-    code is one run, adjacent equal entries merge (see
-    :func:`merge_runs`), and each stretch of runs that repeats a block is
-    one block entry (see :func:`_found`).  Runs with no code twice (dense
-    data) are held as they are after C-level checks alone."""
+    is a block: :func:`_found` over the maximal runs of the element
+    sequence, so that one sequence is held one way.  ``blocks`` says
+    whether ``entries`` holds a block entry.  Runs with no code twice
+    (dense data) are held as they are after one C-level check.
+
+    A block entry is read as the runs of its copies, and past
+    ``_SCAN_COPIES`` copies as that many, the rest being added to the
+    entry found over the middle one.  That count is exact.  Let the copies
+    repeat with a shortest period of ``q`` runs.  In the scan, a stretch
+    of ``b`` runs that meets the copies in ``q + b`` runs or more has the
+    period ``gcd(q, b)`` there (Fine and Wilf), so ``q`` divides ``b``,
+    and the stretch of ``q`` runs over the copies starts no later.  So
+    each entry held before that stretch ends within ``q + 11`` runs of the
+    copies' start.  Sixteen copies of a block of two or more codes hold at
+    least ``6 * q + 12`` runs, so the stretch is held as a block from
+    there over the middle copy to the copies' end, and a further copy in
+    the middle adds to its count and leaves every other entry as it was.
+    Sixteen copies of one code are a run longer than any block, which
+    takes the rest.
+    """
     runs = tuple(entries)
-    xs = list(map(itemgetter(0), runs))
-    if tuple in set(map(type, xs)):
-        out = []
+    flat, rest, at = runs, [], 0
+    if blocks:
+        flat = []
         for x, c in runs:
-            if x.__class__ is not tuple:
-                out.append((x, c))
-            elif len(set(x)) == 1:
-                out.append((x[0], len(x) * c))
-            elif c < _MIN_BLOCK_COPIES:
-                out += zip(x * c, itertools.repeat(1))
+            if x.__class__ is tuple:
+                if c > _SCAN_COPIES:
+                    rest.append((at + _SCAN_COPIES // 2 * len(x),
+                                 (c - _SCAN_COPIES) * len(x)))
+                    c = _SCAN_COPIES
+                flat += zip(x * c, itertools.repeat(1))
             else:
-                out.append((x, c))
-        runs = out
-    elif len(set(xs)) == len(xs):  # nothing merges, no block is there
-        return runs, False
-    runs = _found(merge_runs(runs))
-    return runs, tuple in set(map(type, map(itemgetter(0), runs)))
+                flat.append((x, c))
+            at += entry_size(x) * c
+    elif len(set(map(itemgetter(0), runs))) == len(runs):
+        return runs, False  # nothing merges, no block is there
+    runs, found = _found(merge_runs(flat))
+    if rest:
+        ends = list(itertools.accumulate(entry_size(x) * c for x, c in runs))
+        more = [0] * len(runs)
+        for at, size in rest:
+            more[bisect.bisect_right(ends, at)] += size
+        runs = tuple((x, c + m // entry_size(x))
+                     for (x, c), m in zip(runs, more))
+    return runs, found
 
 
-def _found(runs: tuple) -> tuple:
-    """The merged entries ``runs`` with each stretch of runs that repeats
-    a block held as one block entry.
+def _found(runs: tuple) -> Tuple[tuple, bool]:
+    """The merged runs ``runs`` with each stretch that repeats a block held
+    as one block entry, and whether one is.
 
     A block is a stretch of at least ``_MIN_BLOCK_COPIES`` copies in a row
-    of the same ``b <= _MAX_BLOCK_RUNS`` runs, of at most
-    ``_MAX_BLOCK_SIZE`` elements in all, such as the alternating tail of
-    ``repeated_rounding_2`` written as runs.  Runs are merged, so ``b >=
-    2``.  A stretch is a run of ``(_MIN_BLOCK_COPIES - 1) * b`` or more
-    ``True`` in ``entry i == entry i + b``, found by C-level scans; among
-    overlapping stretches the earliest wins, then the shortest block, and
-    the later one keeps the whole blocks past it (any ``b`` entries in a
-    row of a stretch are a copy of it).  Every copy of a stretch through a
-    block entry holds that entry, so it is passed over: blocks are found
-    only among the runs between block entries.  A block's size is summed
-    from its counts before its elements are listed.  Entries with fewer
-    than ``2 * (_MIN_BLOCK_COPIES - 1)`` equal to earlier ones are returned
-    after one C-level check: ``c`` copies of ``b >= 2`` entries hold ``(c -
-    1) * b`` of them.
+    of the same ``b`` runs, of at most ``_MAX_BLOCK_SIZE`` elements in all,
+    such as the alternating tail of ``repeated_rounding_2`` written as
+    runs.  Runs are merged, so ``2 <= b <= _MAX_BLOCK_SIZE``.  A stretch
+    is a run of ``(_MIN_BLOCK_COPIES - 1) * b`` or more ``True`` in ``entry
+    i == entry i + b``, found by C-level scans, one for each ``b`` whose
+    copies fit in ``runs``; among overlapping stretches the earliest wins,
+    then the shortest block, and the later one keeps the whole blocks past
+    it (any ``b`` entries in a row of a stretch are a copy of it).  A
+    block's size is summed from its counts before its elements are
+    listed.  Runs with fewer than ``2 * (_MIN_BLOCK_COPIES - 1)`` equal to
+    earlier ones are returned after one C-level check: ``c`` copies of ``b
+    >= 2`` runs hold ``(c - 1) * b`` of them.
     """
     if len(runs) - len(set(runs)) < 2 * (_MIN_BLOCK_COPIES - 1):
-        return runs
+        return runs, False
     found = []
-    for b in range(2, _MAX_BLOCK_RUNS + 1):
+    for b in range(2, min(_MAX_BLOCK_SIZE, len(runs) // _MIN_BLOCK_COPIES)
+                   + 1):
         same = bytes(map(eq, runs, runs[b:])) + b"\0"
         least = b"\1" * ((_MIN_BLOCK_COPIES - 1) * b)
         i = same.find(least)
@@ -350,13 +372,11 @@ def _found(runs: tuple) -> tuple:
         copy = runs[start:start + b]
         # the size first: a count may be far past any list
         if (reps >= _MIN_BLOCK_COPIES
-                and tuple not in map(type, map(itemgetter(0), copy))
                 and sum(map(itemgetter(1), copy)) <= _MAX_BLOCK_SIZE):
             out += runs[end:start]
             out.append((tuple([x for x, c in copy for _ in range(c)]), reps))
             end = start + b * reps
-    # a block found next to a block entry of the same codes merges with it
-    return merge_runs(out + list(runs[end:]))
+    return (*out, *runs[end:]), end > 0
 
 
 def _codes(fmt: ElementFormat, values: list) -> list:
@@ -378,9 +398,8 @@ def _codes(fmt: ElementFormat, values: list) -> list:
 
 
 def merge_runs(runs: Iterable[tuple]) -> tuple:
-    """Entries ``(element, count)`` with adjacent equal elements merged
-    (two copies of one block in a row are one block).  The entries are
-    grouped only if two adjacent elements are equal."""
+    """Runs ``(element, count)`` with adjacent equal elements merged.  The
+    runs are grouped only if two adjacent elements are equal."""
     runs = tuple(runs)
     xs = list(map(itemgetter(0), runs))
     if not any(map(eq, xs, itertools.islice(xs, 1, None))):
@@ -403,60 +422,17 @@ def element_codes(runs: Iterable[tuple]) -> Iterator:
         for x, c in runs)
 
 
-def aligned(a: Iterable[tuple], b: Iterable[tuple]) -> Iterator[tuple]:
-    """The positions of two element sequences, given as entries, side by
-    side while both last: triples ``(x, y, count)``, ``count`` positions
-    where ``a`` holds ``x`` and ``b`` holds ``y``.
-
-    Each entry is read as a periodic stretch: a run of period one, a block
-    of its length.  Where both sides are inside stretches for ``m`` more
-    positions, one common period (their lengths' least common multiple,
-    at most 132 elements) is walked: each of its positions stands for
-    itself in every whole period in ``m``, and once more if it lies in
-    the part period past them.  So two runs side by side are one triple,
-    and the triples come in order only up to the periods they fold.
-    """
-    a, b = iter(a), iter(b)
-    xa = xb = ()
-    left_a = left_b = phase_a = phase_b = 0
-    while True:
-        if not left_a:
-            x, c = next(a, ((), 0))
-            if not c:
-                return
-            xa = x if x.__class__ is tuple else (x,)
-            left_a, phase_a = len(xa) * c, 0
-        if not left_b:
-            x, c = next(b, ((), 0))
-            if not c:
-                return
-            xb = x if x.__class__ is tuple else (x,)
-            left_b, phase_b = len(xb) * c, 0
-        m = min(left_a, left_b)
-        la, lb = len(xa), len(xb)
-        if la == lb == 1:
-            yield xa[0], xb[0], m
-        else:
-            period = math.lcm(la, lb)
-            whole, rest = divmod(m, period)
-            for t in range(min(m, period)):
-                yield (xa[(phase_a + t) % la], xb[(phase_b + t) % lb],
-                       whole + (t < rest))
-        phase_a, phase_b = (phase_a + m) % la, (phase_b + m) % lb
-        left_a -= m
-        left_b -= m
-
-
 class Dataset:
     """An ordered sequence of in-range values plus its bounds.
 
     ``runs`` holds the entries (see the module docstring): runs ``(code,
     count)`` and blocks ``(codes, count)`` of ints, as every constructor
-    settles them (:func:`_settle`, where blocks are found).  ``blocks``
-    says whether one entry is a block, as read off the entries there; the
-    readers that only take runs take a dataset without one as before.  Two
-    datasets are ``==`` exactly when they hold the same element sequence,
-    however their entries chunk it.  The bounds are values.  The
+    settles them (:func:`_settle`, where blocks are found), one entry list
+    for one element sequence.  ``blocks`` says whether one entry is a
+    block; the readers that only take runs take a dataset without one as
+    before.  Two datasets are ``==`` exactly when their formats, bounds
+    and entries are, which is when they hold the same element sequence
+    between the same bounds.  The bounds are values.  The
     element count ``n`` is taken when the dataset is built, and the
     package reads it there; ``len()`` gives it too, but only up to
     ``sys.maxsize``, and is kept for ``perfbench/tracer.py``.
@@ -474,17 +450,16 @@ class Dataset:
                  counts: list) -> "Dataset":
         """Set the fields from entries of values (a block's a tuple of
         them) once :func:`check_runs` passes them."""
-        return self._fill(fmt, lower, upper, check_runs(
+        return self._fill(fmt, lower, upper, *check_runs(
             fmt, lower, upper, _codes(fmt, values), counts))
 
-    def _fill(self, fmt, lower, upper, entries: Iterable[tuple]
-              ) -> "Dataset":
+    def _fill(self, fmt, lower, upper, entries: Iterable[tuple],
+              blocks: bool) -> "Dataset":
         """Set the fields from valid code entries, held as :func:`_settle`
-        holds them."""
+        holds them; ``blocks`` says whether one entry is a block."""
         self.fmt, self.lower, self.upper = fmt, lower, upper
-        self.runs, self.blocks = runs, blocks = _settle(entries)
-        self.n = (sum(len(x) * c if x.__class__ is tuple else c
-                      for x, c in runs) if blocks
+        self.runs, self.blocks = runs, blocks = _settle(entries, blocks)
+        self.n = (sum(entry_size(x) * c for x, c in runs) if blocks
                   else sum(map(itemgetter(1), runs)))
         return self
 
@@ -495,7 +470,9 @@ class Dataset:
         (checked by :func:`check_runs`, or cut, shifted or reordered from
         a checked dataset), settled by :func:`_settle`; nothing is
         checked."""
-        return object.__new__(cls)._fill(fmt, lower, upper, runs)
+        runs = tuple(runs)
+        blocks = tuple in set(map(type, map(itemgetter(0), runs)))
+        return object.__new__(cls)._fill(fmt, lower, upper, runs, blocks)
 
     @classmethod
     def from_elements(cls, fmt: ElementFormat, lower: Value, upper: Value,
@@ -538,14 +515,8 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        if (self.fmt != other.fmt or self.lower != other.lower
-                or self.upper != other.upper or self.n != other.n):
-            return False
-        if self.runs == other.runs:
-            return True
-        # maximal runs chunk a sequence one way; with a block, in others
-        return (self.blocks or other.blocks) and all(
-            x == y for x, y, _ in aligned(self.runs, other.runs))
+        return (self.fmt == other.fmt and self.lower == other.lower
+                and self.upper == other.upper and self.runs == other.runs)
 
     def __repr__(self) -> str:
         return (f"Dataset({self.fmt!r}, lower={self.lower}, upper={self.upper}, "
@@ -600,11 +571,17 @@ class Dataset:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dataset":
+        """A dataset from its JSON object, whose ``format`` and ``bounds``
+        must be objects."""
+        if d.__class__ is not dict:
+            raise TypeError(f"a dataset must be an object, not "
+                            f"{d.__class__.__name__}")
         if d.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema {d.get('schema')!r}")
-        fmt = format_from_json(d["format"])
-        lower = decode_value(fmt, d["bounds"]["lower"])
-        upper = decode_value(fmt, d["bounds"]["upper"])
+        fmt = format_from_json(_field(d, "format", dict, "dataset"))
+        bounds = _field(d, "bounds", dict, "dataset")
+        lower = decode_value(fmt, bounds["lower"])
+        upper = decode_value(fmt, bounds["upper"])
         elements = d["elements"]
         try:
             texts = list(map(itemgetter("value"), elements))
@@ -620,7 +597,7 @@ class Dataset:
             # hold other keys: one by one
             entries = [_entry(fmt, entry) for entry in elements]
             codes, counts = [x for x, _ in entries], [c for _, c in entries]
-        return object.__new__(cls)._fill(fmt, lower, upper, check_runs(
+        return object.__new__(cls)._fill(fmt, lower, upper, *check_runs(
             fmt, lower, upper, codes, counts))
 
 
@@ -709,8 +686,8 @@ def format_from_json(d: dict) -> ElementFormat:
 
 def _field(d: dict, name: str, kind: type, what: str = "format"):
     """The field ``name`` of a ``what``'s JSON object ``d``, of exactly the
-    type ``kind``: an int that is not a boolean, a boolean, or a list.
-    Nothing is converted."""
+    type ``kind``: an int that is not a boolean, a boolean, a string, a
+    list or an object.  Nothing is converted."""
     if d[name].__class__ is not kind:
         raise TypeError(f"{what} field {name!r} must be {kind.__name__}, "
                         f"not {d[name]!r}")

@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .data import (Dataset, aligned, element_codes, entry_size,
-                   merge_runs)
+from .data import Dataset, element_codes, entry_size, merge_runs
 from .ints import KInt
 
 __all__ = ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id", "d_mod"]
@@ -79,12 +78,38 @@ def d_co(u, v):
 
 def d_ham(u, v):
     """Positions where the ordered sequences differ; INFINITE if lengths do.
-    The sequences are walked side by side on their entries, a period of
-    two blocks at a time (see :func:`~boundedsum.data.aligned`)."""
-    ru, rv = _runs(u, v)
+
+    A dataset holds one entry list for one element sequence (see
+    :mod:`boundedsum.data`), but the entries of two different sequences
+    need not line up, so they are walked side by side, each read as a
+    periodic stretch: a run of period one, a block of its length.  Where
+    both sides are inside stretches for ``m`` more positions, one common
+    period (their lengths' least common multiple, at most 132 elements)
+    is compared: each of its positions stands for itself in every whole
+    period in ``m``, and once more if it lies in the part period past
+    them.
+    """
+    ru, rv = ([(x if x.__class__ is tuple else (x,), c) for x, c in runs]
+              for runs in _runs(u, v))
     if _length(ru) != _length(rv):
         return INFINITE
-    return sum(c for x, y, c in aligned(ru, rv) if x != y)
+    rv = iter(rv)
+    left_b = phase_b = differ = 0
+    for xa, c in ru:
+        left_a, phase_a, la = len(xa) * c, 0, len(xa)
+        while left_a:
+            if not left_b:
+                xb, c = next(rv)
+                left_b, phase_b, lb = len(xb) * c, 0, len(xb)
+            m = min(left_a, left_b)
+            period = math.lcm(la, lb)
+            whole, rest = divmod(m, period)
+            differ += sum(whole + (t < rest) for t in range(min(m, period))
+                          if xa[(phase_a + t) % la] != xb[(phase_b + t) % lb])
+            phase_a, phase_b = (phase_a + m) % la, (phase_b + m) % lb
+            left_a -= m
+            left_b -= m
+    return differ
 
 # d_id materializes both sequences: LCS is inherently quadratic, so cap the
 # table size rather than trying to be clever about runs.
@@ -99,19 +124,14 @@ def d_id(u, v) -> int:
     a, b = list(element_codes(ru)), list(element_codes(rv))
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
     prev = [0] * (len(b) + 1)
     for x in a:
         cur = [0] * (len(b) + 1)
         for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
+            cur[j] = prev[j - 1] + 1 if x == y else (
+                cur[j - 1] if cur[j - 1] >= prev[j] else prev[j])
         prev = cur
-    lcs = prev[len(b)]
-    return len(a) + len(b) - 2 * lcs
+    return len(a) + len(b) - 2 * prev[-1]
 
 
 def d_mod(x, y, modulus: int | None = None) -> int:

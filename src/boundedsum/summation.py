@@ -620,9 +620,11 @@ def _room(x: int, step: int, lo: int, hi: int):
 _NATIVE_RUN = 64
 
 
-def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str):
+def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str,
+          blocks: bool = False):
     """The entries ``runs`` folded into ``state`` by the float iterative or
-    Kahan ``rules`` (see :func:`_rules`): the one float fold.
+    Kahan ``rules`` (see :func:`_rules`): the one float fold.  ``blocks``
+    says whether an entry is a block, as :attr:`Dataset.blocks` does.
 
     Semantically identical to ``state = op(state, leaf(x))`` for each
     element ``x`` in order.  Each maximal stretch of runs of fewer than
@@ -651,7 +653,7 @@ def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str):
     cuts = bytearray(map(longest.__lt__, map(itemgetter(1), runs)))
     # a block is held at _MIN_BLOCK_COPIES copies or more, so its count
     # ends a stretch of literal runs, but not always a machine's stretch
-    if native and tuple in set(map(type, map(itemgetter(0), runs))):
+    if native and blocks:
         cuts = bytearray([x.__class__ is tuple or c > longest
                           for x, c in runs])
     cuts.append(1)
@@ -788,7 +790,7 @@ def bs_iterative(dataset: Dataset, rounding: str = "banker"):
         return KInt(fmt, _int_fold(dataset))
     rules = _rules(fmt, "iterative", rounding)
     return _from_bits(fmt, _fold(fmt, rules, dataset.runs, rules.start,
-                                 rounding))
+                                 rounding, dataset.blocks))
 
 
 def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
@@ -890,7 +892,8 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     fmt = dataset.fmt
     rules = _rules(fmt, "kahan", rounding)
     return _from_bits(fmt, rules.release(_fold(fmt, rules, dataset.runs,
-                                               rules.start, rounding)))
+                                               rules.start, rounding,
+                                               dataset.blocks)))
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):

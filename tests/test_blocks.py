@@ -1,21 +1,24 @@
 """Blocks held in a dataset against its elements read with no entries.
 
 A dataset holds ``count`` copies of a tuple of up to 12 codes as one block
-entry, whether it was given as a block or as runs: blocks are found when a
-dataset is built (see :mod:`boundedsum.data`).  Every reader takes the
-block as it is held, so each must give what the element sequence gives
-read with no entry at all: the equality against the element codes, the
-element count, every sum under every algorithm, rounding mode and
-transform against literal transforms and folds over ``codes()``, the four
-distances against lists of values, and the file text.
+entry, whether it was given as a block, as runs or in a file: its entries
+are a function of its element sequence (see :mod:`boundedsum.data`).
+Every reader takes the block as it is held, so each must give what the
+element sequence gives read with no entry at all: the entries and the
+file text of the dataset built run by run, the element count, every sum
+under every algorithm, rounding mode and transform against literal
+transforms and folds over ``codes()``, the four distances against lists
+of values, and the file text.
 """
 
 import json
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis.strategies import (booleans, composite, data, integers, just,
                                    lists, one_of, sampled_from, tuples)
+from pytest import mark
 
 from boundedsum import (ALGORITHMS, FLOAT32, PERMUTATION_ALGORITHM, Dataset,
                         Dyadic, FloatFormat, IntFormat, KInt,
@@ -23,8 +26,9 @@ from boundedsum import (ALGORITHMS, FLOAT32, PERMUTATION_ALGORITHM, Dataset,
                         SimFloat, SumMethod, Truncate, add_int, d_co, d_ham,
                         d_id, d_sym, exact_value, is_representable,
                         round_dyadic, run_sum, truncate)
-from boundedsum.data import code_key, json_text
-from boundedsum.floats import add_bits
+from boundedsum.data import (_SCAN_COPIES, _settle, code_key, encode_value,
+                             json_text)
+from boundedsum.floats import add_bits, parse_value
 
 FORMATS = [FloatFormat(2, 3), FloatFormat(4, 6), FLOAT32,
            IntFormat(8, True, "wraparound"), IntFormat(8, True, "saturating"),
@@ -237,6 +241,7 @@ def test_a_held_block_is_its_runs(pair):
         codes = held.codes()
         runs = by_runs(held)
         assert held == runs and runs == held
+        assert held.runs == runs.runs and json_text(held) == json_text(runs)
         assert held.n == runs.n == len(codes)
         text = json_text(held)
         assert text == json.dumps(held.to_json_dict(), indent=2,
@@ -274,3 +279,156 @@ def test_a_held_block_sums_as_its_elements(pair, mode, data):
         if not isinstance(got, tuple):
             got = released(got)
         assert got == literal_sum(held, method)
+
+
+# ---------------------------------------------------------------------------
+# One element sequence, one entry list
+# ---------------------------------------------------------------------------
+
+def _expanded(entries):
+    """Code ``entries`` as runs of one element each."""
+    return [(y, 1) for x, c in entries
+            for y in (x * c if isinstance(x, tuple) else (x,) * c)]
+
+
+@composite
+def spelled_pairs(draw):
+    """A frame and two lists of code entries over 2-4 of its codes.  Each
+    holds a block of 1-12 codes at 1 to ``_SCAN_COPIES + 25`` copies,
+    between two sides that are runs, or copies of a window of the block's
+    repetition with maybe one code changed (a stretch that may reach into
+    the block's copies), and maybe one more block.  The second list is
+    the first, the first with one code changed, or another such list."""
+    fmt = draw(sampled_from(FORMATS))
+    pool = draw(lists(_codes(fmt), min_size=2, max_size=4, unique=True))
+    key = lambda x: code_key(fmt, x)
+    lo, hi = (_value(fmt, x) for x in (min(pool, key=key),
+                                       max(pool, key=key)))
+    some = lists(sampled_from(pool), min_size=1, max_size=12).map(tuple)
+
+    def spelling():
+        block = draw(some)
+        copies = draw(one_of(integers(1, _SCAN_COPIES),
+                             integers(_SCAN_COPIES + 1, _SCAN_COPIES + 25)))
+
+        def side():
+            if draw(booleans()):
+                return draw(lists(tuples(sampled_from(pool), integers(1, 3)),
+                                  max_size=6))
+            start = draw(integers(0, len(block) - 1))
+            window = list((block * 24)[start:start + draw(integers(1, 12))])
+            if draw(booleans()):
+                window[draw(integers(0, len(window) - 1))] = draw(
+                    sampled_from(pool))
+            cut = draw(integers(0, len(window)))
+            return [(x, 1) for x in window * draw(integers(3, 7))
+                    + window[:cut]]
+
+        entries = side() + [(block, copies)] + side()
+        if draw(booleans()):
+            entries.insert(draw(integers(0, len(entries))),
+                           (draw(some), draw(integers(1, 40))))
+        return entries
+
+    first = spelling()
+    how = draw(sampled_from(["same", "changed", "other"]))
+    if how == "same":
+        second = first
+    elif how == "other":
+        second = spelling()
+    else:
+        i = draw(integers(0, len(first) - 1))
+        x, c = first[i]
+        new = draw(sampled_from(pool))
+        if isinstance(x, tuple):
+            at = draw(integers(0, len(x) - 1))
+            x = x[:at] + (new,) + x[at + 1:]
+        else:
+            x = new
+        second = first[:i] + [(x, c)] + first[i + 1:]
+    return fmt, lo, hi, first, second
+
+
+def built(fmt, lo, hi, entries):
+    """The dataset of code ``entries`` built three ways: from the entries
+    as values, element by element, and from a file of the entries."""
+    value = lambda x: _value(fmt, x)
+    given_ = Dataset(fmt, lo, hi, [
+        (tuple(map(value, x)) if isinstance(x, tuple) else value(x), c)
+        for x, c in entries])
+    by_element = Dataset.from_elements(fmt, lo, hi, [
+        value(x) for x, _ in _expanded(entries)])
+    text = lambda x: encode_value(value(x))
+    doc = given_.to_json_dict()
+    doc["elements"] = [
+        {"block": list(map(text, x)), "count": c} if isinstance(x, tuple)
+        else {"value": text(x), "count": c} for x, c in entries]
+    return given_, by_element, Dataset.from_json_dict(json.loads(
+        json.dumps(doc)))
+
+
+@given(spelled_pairs())
+@settings(max_examples=150, deadline=None)
+def test_one_element_sequence_is_one_entry_list(spec):
+    fmt, lo, hi, first, second = spec
+    for entries in (first, second):
+        assert _settle(entries, True) == _settle(_expanded(entries), False)
+    datasets = built(fmt, lo, hi, first) + built(fmt, lo, hi, second)
+    for a in datasets:
+        for b in datasets:
+            assert ((a == b) == (a.runs == b.runs)
+                    == (json_text(a) == json_text(b))
+                    == (a.codes() == b.codes()))
+
+
+_F46 = FloatFormat(4, 6)
+_A, _B, _C = (parse_value(_F46, t).bits for t in ("1", "0.5", "0.25"))
+_SIX = tuple(parse_value(_F46, t).bits for t in "123456")
+# each list of code entries, and the entries it is held as, whether given
+# so or run by run
+SHAPES = {
+    "a-block-then-a-copy-in-runs": (
+        [((_A, _B), 5), (_A, 1), (_B, 1)], (((_A, _B), 6),)),
+    "a-copy-in-runs-then-a-block": (
+        [(_B, 1), ((_A, _B), 5)], (((_B, _A), 5), (_B, 1))),
+    "a-block-of-a-shorter-block": (
+        [((_A, _B, _A, _B), 5)], (((_A, _B), 10),)),
+    "six-codes-held-five-times": ([(_SIX, 5)], ((_SIX, 5),)),
+    # a stretch of five elements a copy takes the block's first copy and
+    # two elements of the next, so a scan of six copies would leave four of
+    # the rest, which stay runs
+    "a-stretch-into-the-copies": (
+        [(x, 1) for x in (_A, _B, _C, _A, _B)] * 4 + [((_A, _B, _C), 40)],
+        (((_A, _B, _C, _A, _B), 5), ((_C, _A, _B), 38), (_C, 1))),
+    # a stretch of eleven elements a copy takes five of the block's copies,
+    # so a scan of ten copies would leave too few
+    "a-long-stretch-into-the-copies": (
+        [(x, 1) for x in (_A, _B) * 5 + (_A,)] * 5
+        + [((_A, _B), 26), (_B, 6), (_C, 1)],
+        (((_A, _B), 5), (((_A,) + (_A, _B) * 5), 5), ((_A, _B), 20),
+         (_A, 1), (_B, 7), (_C, 1))),
+}
+
+
+@mark.parametrize("entries, held", SHAPES.values(), ids=SHAPES)
+def test_a_shape_is_held_as_its_elements(entries, held):
+    lo, hi = parse_value(_F46, "-8"), parse_value(_F46, "8")
+    given_ = Dataset.unchecked(_F46, lo, hi, entries)
+    by_runs = Dataset.unchecked(_F46, lo, hi, _expanded(entries))
+    assert given_.runs == by_runs.runs == held
+    assert json_text(given_) == json_text(by_runs)
+
+
+def test_a_block_of_2_49_copies_settles_without_expanding():
+    # the length of the repeated_rounding_2 tail at float64: a listed copy
+    # would never finish
+    lo, hi = parse_value(_F46, "-8"), parse_value(_F46, "8")
+    start = time.perf_counter()
+    held = Dataset.unchecked(_F46, lo, hi,
+                             [(_A, 3), ((_A, _B), 1 << 49), (_B, 2)])
+    text = json_text(held)
+    again = Dataset.from_json_dict(json.loads(text))
+    assert time.perf_counter() - start < 1.0
+    assert held.runs == ((_A, 4), ((_B, _A), (1 << 49) - 1), (_B, 3))
+    assert held.n == 5 + (1 << 50)
+    assert again.runs == held.runs and json_text(again) == text

@@ -198,3 +198,17 @@ def test_a_sum_past_sys_maxsize_elements_reports_its_count(tmp_path):
     report = json.loads(out)
     assert code == 0
     assert (report["n"], report["value"]) == (count, "127")
+
+
+@mark.parametrize("instance", ["ov8", [1], 3])
+def test_an_instance_file_whose_instance_is_no_object_is_refused(
+        instance, tmp_path, capsys):
+    doc = json.loads((INSTANCES / "ov8" / "instance.json").read_text())
+    doc["instance"] = instance
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(["attack", "verify", "--instance", str(path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: instance file field 'instance' must be dict, "
+        f"not {instance!r}\n")

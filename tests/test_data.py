@@ -124,7 +124,7 @@ def test_code_check_accepts_exactly_the_finite_codes_inside_the_bounds(fmt):
                     ok = (not floats or v.is_finite()) and (
                         order_key(lo) <= order_key(v) <= order_key(hi))
                 try:
-                    runs = check_runs(fmt, lo, hi, [x], [2])
+                    runs, _ = check_runs(fmt, lo, hi, [x], [2])
                 except ValueError:
                     assert not ok, (lo, hi, x)
                 else:
@@ -480,6 +480,13 @@ def per_run_load(d: dict) -> Dataset:
     loader.  A block of fewer than five copies is its runs, and a block of
     one code one run; the entries are then built unchecked, which finds
     the blocks among the runs."""
+    if not isinstance(d, dict):
+        raise TypeError(f"a dataset must be an object, not "
+                        f"{type(d).__name__}")
+    for name in ("format", "bounds"):
+        if not isinstance(d[name], dict):
+            raise TypeError(f"dataset field {name!r} must be dict, not "
+                            f"{d[name]!r}")
     fmt = format_from_json(d["format"])
     lower = decode_value(fmt, d["bounds"]["lower"])
     upper = decode_value(fmt, d["bounds"]["upper"])

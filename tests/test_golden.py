@@ -18,9 +18,12 @@ written by ``attack gen``, ``mid8`` and ``same7`` by ``save_dataset``;
 the three small files under ``instances/dense/`` (one run per element,
 apart from one run of three and a ``-0`` pattern), the malformed files
 under ``instances/refused/`` and the instances under
-``instances/refused-method/`` (an ``instance.json`` each, whose method's
-transforms are not a list, whose one transform is not an object, or whose
-one transform has a field that is not an int) were written by hand, and the
+``instances/refused-method/`` (an ``instance.json`` each, whose method is
+not an object, whose method's transforms are not a list, whose one
+transform is not an object, or whose one transform has a field that is not
+an int) and ``instances/refused-instance/`` (a dataset that is not an
+object, an adjacency distance that is not an int, a fraction that is not a
+string or not a fraction) were written by hand, and the
 float32 and float64 files under ``instances/dense/`` (``f32.json``,
 ``f64.json``: 256 elements, one run each) were drawn once from a seeded
 generator.  The seven pairs
@@ -145,10 +148,12 @@ for _tag, _fmt in (("float-exponent-bits", "float:10,1000000"),
     REFUSAL_CASES[f"bound-refused-{_tag}"] = (
         ["sens", "bound", "--format", _fmt, "--lower", "-1", "--upper", "1",
          "--metric", "ham", "--n", "4"], 2)
-# an instance whose method's transforms are not a list, whose transform is
-# not an object, or whose transform field is not an int: a float, a boolean
-# or a string is refused, not cut or cast; and an instance whose predicted
-# release is a fraction with a zero denominator
+# an instance whose method is not an object, whose method's transforms are
+# not a list, whose transform is not an object, or whose transform field is
+# not an int: a float, a boolean or a string is refused, not cut or cast;
+# and an instance whose dataset is not an object, whose adjacency distance
+# is not an int, or whose fraction is not a string, not a fraction or has a
+# zero denominator
 for _group in ("refused-method", "refused-instance"):
     for _dir in sorted((GOLDEN / "instances" / _group).iterdir()):
         REFUSAL_CASES[f"verify-refused-{_dir.name}"] = (

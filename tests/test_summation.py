@@ -237,9 +237,9 @@ def test_split_merging_equal_codes_keeps_the_unmerged_release(ds):
 
 
 def test_split_adds_a_run_of_equal_codes_as_one_run(monkeypatch):
-    # the two codes of the repeated_rounding_2 tail alternate in runs of 1,
-    # 2 and 3 copies, six runs a period, which is no block (a block found
-    # among runs is at most four of them), so its sorted runs are two long
+    # the two codes of the repeated_rounding_2 tail alternate in runs of 1
+    # to 7 copies, fourteen runs and 56 elements a period, which is no block
+    # (a block is at most 12 elements), so its sorted runs are two long
     # stretches of equal codes: merged, the fold jumps each one, unmerged
     # it made one add per copy
     import boundedsum.summation as summation
@@ -253,7 +253,7 @@ def test_split_adds_a_run_of_equal_codes_as_one_run(monkeypatch):
     monkeypatch.setattr(summation, "add_bits", counted)
     for held in (instance.u, instance.v):
         (block, copies), = held.runs[-1:]
-        tail = [(block[i % 2], 1 + i // 2 % 3) for i in range(2 * copies)]
+        tail = [(block[i % 2], 1 + i // 2 % 7) for i in range(2 * copies)]
         ds = Dataset.unchecked(held.fmt, held.lower, held.upper,
                                held.runs[:-1] + tuple(tail))
         calls.clear()
