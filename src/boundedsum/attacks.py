@@ -51,7 +51,7 @@ from .dyadic import Dyadic
 from .floats import FloatFormat, SimFloat, is_representable, round_dyadic
 from .ints import IntFormat, KInt
 from .metrics import d_co, d_ham, d_id, d_sym
-from .sensitivity import PreconditionFailed, _pow2
+from .sensitivity import METRICS, PreconditionFailed, _pow2
 from .summation import SumMethod, run_sum
 
 __all__ = [
@@ -107,36 +107,24 @@ class AttackInstance:
 
     @classmethod
     def from_json(cls, d: dict) -> "AttackInstance":
-        """An instance from its JSON object: ``adjacency_distance`` must be
-        an int, not a boolean, float or string; ``u``, ``v`` and ``method``
-        objects; and each fraction a string.  Nothing is converted."""
+        """An instance from its JSON object: ``name`` must be a string,
+        ``metric`` one of ``METRICS``, ``adjacency_distance`` an int (not a
+        boolean, float or string), ``u``, ``v`` and ``method`` objects, and
+        each fraction a string holding one.  Nothing is converted."""
+        def field(name, kind):
+            return _field(d, name, kind, "instance")
         return cls(
-            name=d["name"], metric=d["metric"],
-            adjacency_distance=_field(d, "adjacency_distance", int,
-                                      "instance"),
-            u=Dataset.from_json_dict(_field(d, "u", dict, "instance")),
-            v=Dataset.from_json_dict(_field(d, "v", dict, "instance")),
-            method=SumMethod.from_json(_field(d, "method", dict, "instance")),
-            predicted_u=_fraction_field(d, "predicted_u"),
-            predicted_v=_fraction_field(d, "predicted_v"),
-            predicted_gap=_fraction_field(d, "predicted_gap"),
-            idealized=_fraction_field(d, "idealized"),
-            blowup=_fraction_field(d, "blowup"),
+            name=field("name", str), metric=field("metric", METRICS),
+            adjacency_distance=field("adjacency_distance", int),
+            u=Dataset.from_json_dict(field("u", dict)),
+            v=Dataset.from_json_dict(field("v", dict)),
+            method=SumMethod.from_json(field("method", dict)),
+            predicted_u=field("predicted_u", Fraction),
+            predicted_v=field("predicted_v", Fraction),
+            predicted_gap=field("predicted_gap", Fraction),
+            idealized=field("idealized", Fraction),
+            blowup=field("blowup", Fraction),
         )
-
-
-def _fraction_field(d: dict, name: str) -> Fraction:
-    """The instance field ``name``, a fraction's text; a text that is no
-    fraction, or has a zero denominator, is refused by the field's name."""
-    text = _field(d, name, str, "instance")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"instance field {name!r} has a zero denominator: "
-                         f"{text!r}") from None
-    except ValueError:
-        raise ValueError(f"instance field {name!r} is not a fraction: "
-                         f"{text!r}") from None
 
 
 @dataclass(frozen=True)

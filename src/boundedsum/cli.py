@@ -624,9 +624,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except (ValueError, TypeError, OSError) as exc:
         # PreconditionFailed and UnsupportedCombination are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

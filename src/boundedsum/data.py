@@ -26,13 +26,48 @@ The JSON form keeps every value exact: floats travel as their bit
 patterns (hex strings), integers as decimal strings.  Counts are plain
 JSON integers.  Each text has one spelling: ``0x`` and hex digits for a
 pattern, ASCII ``-?[0-9]+`` for an integer; other float literals are read
-by :func:`~boundedsum.floats.parse_value`.  An element entry is a bare
-text (one element), a run ``{"count": c, "value": text}``, or a block
-``{"block": [text, ...], "count": c}``, whose list holds 1 to
-``_MAX_BLOCK_SIZE`` texts; an entry with both ``value`` and ``block`` is
-refused.  Blocks are an additive form of schema 1: files of runs read as
-before, and a dataset is written with a block entry wherever it holds
-one, found among its runs or not.
+by :func:`~boundedsum.floats.parse_value`.  Blocks are an additive form of
+schema 1: files of runs read as before, and a dataset is written with a
+block entry wherever it holds one, found among its runs or not.
+
+The file grammar, for dataset files and for the ``instance.json`` that
+``attack gen`` writes and ``attack verify``, ``experiment run`` read.
+Each object and its fields, with their JSON types:
+
+- instance file: ``instance``, an instance.
+- instance: ``name``, a string; ``metric``, one of ``sym``, ``co``,
+  ``ham`` and ``id``; ``adjacency_distance``, an int; ``u`` and ``v``,
+  datasets; ``method``, a method; ``predicted_u``, ``predicted_v``,
+  ``predicted_gap``, ``idealized`` and ``blowup``, fractions (a string such
+  as ``"255/64"``).
+- method: ``algorithm``, one of ``summation.ALGORITHMS`` (default
+  ``iterative``); ``rounding``, one of ``floats.ROUNDING_MODES`` (default
+  ``banker``); ``transforms``, a list of transforms (default empty).
+- transform: ``kind``, ``truncate`` with ``n_max``, an int;
+  ``random_permutation`` with ``seed``, an int; or ``shift_bounds``.
+- dataset: ``schema``, 1; ``format``, a format; ``bounds``, bounds;
+  ``elements``, a list of element entries.
+- format: ``kind``, ``float`` with ``mantissa_bits`` and ``exponent_bits``,
+  ints; or ``int`` with ``bits``, an int, ``signed``, a boolean, and
+  ``overflow``, ``wraparound`` or ``saturating``.
+- bounds: ``lower`` and ``upper``, texts.
+- element entry: a bare text (one element); a run ``{"count": c, "value":
+  text}``; or a block ``{"block": [text, ...], "count": c}``, whose list
+  holds 1 to ``_MAX_BLOCK_SIZE`` texts.  An entry with both ``value`` and
+  ``block`` is refused.
+
+Every field is read by one reader, :func:`_field`, which matches a type
+exactly (an int is not a boolean, and nothing is converted) and refuses
+by the object's and the field's names: ``a dataset must be an object, not
+list``, or ``{object} field '{name}'`` followed by ``is missing``, ``must
+be int, not 2.5``, ``must be one of (...)``, ``must hold objects``, ``is
+not a fraction`` or ``has a zero denominator``.  Below the reader, a text
+that is not a string is refused as ``value 5 is not a string``, a text
+outside its grammar by its own text (``'x' is not a float literal``), and
+a count that is not an integer of at least one by :func:`check_runs`
+(``run count '3' is not an integer``), which checks the counts with the
+codes.  The bulk path below reads a file of runs without a reader call
+per entry.
 
 Validation happens once per file or constructor call, on codes, by
 :func:`check_runs`: each code must be a finite value of the format (a
@@ -79,7 +114,7 @@ from typing import Iterable, Iterator, List, Tuple, Union
 
 from .dyadic import Dyadic
 from .floats import _PATTERN_RE, FloatFormat, SimFloat, parse_value
-from .ints import IntFormat, KInt
+from .ints import OVERFLOW_POLICIES, IntFormat, KInt
 
 __all__ = ["Dataset", "ElementFormat", "Value", "encode_value", "decode_value",
            "exact_value", "order_key", "format_to_json", "format_from_json",
@@ -270,7 +305,7 @@ def _check_each(fmt: ElementFormat, lower: Value, upper: Value,
     out = []
     for x, c in zip(codes, counts):
         what = "block" if x.__class__ is tuple else "run"
-        if isinstance(c, bool) or what == "block" and not isinstance(c, int):
+        if isinstance(c, bool) or not hasattr(c, "__index__"):
             raise TypeError(f"{what} count {c!r} is not an integer")
         c = index(c)
         if what == "run":
@@ -571,18 +606,13 @@ class Dataset:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dataset":
-        """A dataset from its JSON object, whose ``format`` and ``bounds``
-        must be objects."""
-        if d.__class__ is not dict:
-            raise TypeError(f"a dataset must be an object, not "
-                            f"{d.__class__.__name__}")
-        if d.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema {d.get('schema')!r}")
+        """A dataset from its JSON object (see the module docstring)."""
+        _field(d, "schema", (SCHEMA_VERSION,), "dataset")
         fmt = format_from_json(_field(d, "format", dict, "dataset"))
         bounds = _field(d, "bounds", dict, "dataset")
-        lower = decode_value(fmt, bounds["lower"])
-        upper = decode_value(fmt, bounds["upper"])
-        elements = d["elements"]
+        lower = decode_value(fmt, _field(bounds, "lower", str, "bounds"))
+        upper = decode_value(fmt, _field(bounds, "upper", str, "bounds"))
+        elements = _field(d, "elements", list, "dataset")
         try:
             texts = list(map(itemgetter("value"), elements))
             counts = list(map(itemgetter("count"), elements))
@@ -603,18 +633,19 @@ class Dataset:
 
 def _entry(fmt: ElementFormat, entry) -> tuple:
     """One entry of a file's element list as ``(code, count)``, or
-    ``(codes, count)`` for a block, decoded but not yet checked."""
-    if isinstance(entry, str):
+    ``(codes, count)`` for a block, decoded but not yet checked: the codes
+    and the count are :func:`check_runs`' to check."""
+    if entry.__class__ is str:
         return decode_code(fmt, entry), 1
-    if isinstance(entry, dict) and "block" in entry:
-        if "value" in entry:
-            raise ValueError("an element entry holds both a 'value' and a "
-                             "'block'")
-        block = entry["block"]
-        if block.__class__ is not list:
-            raise TypeError(f"block {block!r} is not a list")
-        return tuple([decode_code(fmt, t) for t in block]), entry["count"]
-    return decode_code(fmt, entry["value"]), entry["count"]
+    count = _field(entry, "count", object, "element entry")
+    if "block" not in entry:
+        return decode_code(fmt, _field(entry, "value", object,
+                                       "element entry")), count
+    if "value" in entry:
+        raise ValueError("an element entry holds both a 'value' and a "
+                         "'block'")
+    block = _field(entry, "block", list, "element entry")
+    return tuple([decode_code(fmt, t) for t in block]), count
 
 
 def encode_value(v: Value) -> str:
@@ -675,23 +706,50 @@ def format_to_json(fmt: ElementFormat) -> dict:
 
 
 def format_from_json(d: dict) -> ElementFormat:
-    if d["kind"] == "float":
+    if _field(d, "kind", ("float", "int")) == "float":
         return FloatFormat(_field(d, "mantissa_bits", int),
                            _field(d, "exponent_bits", int))
-    if d["kind"] == "int":
-        return IntFormat(_field(d, "bits", int), _field(d, "signed", bool),
-                         d["overflow"])
-    raise ValueError(f"unknown format kind {d['kind']!r}")
+    return IntFormat(_field(d, "bits", int), _field(d, "signed", bool),
+                     _field(d, "overflow", OVERFLOW_POLICIES))
 
 
-def _field(d: dict, name: str, kind: type, what: str = "format"):
-    """The field ``name`` of a ``what``'s JSON object ``d``, of exactly the
-    type ``kind``: an int that is not a boolean, a boolean, a string, a
-    list or an object.  Nothing is converted."""
-    if d[name].__class__ is not kind:
-        raise TypeError(f"{what} field {name!r} must be {kind.__name__}, "
-                        f"not {d[name]!r}")
-    return d[name]
+def _field(d: dict, name: str, kind, what: str = "format", default=None):
+    """The field ``name`` of a ``what``'s JSON object ``d``: the one reader
+    of the file grammar (see the module docstring).  ``d`` must be an
+    object, and the field there unless a ``default`` is given in its
+    place.  ``kind`` is the field's type, matched exactly (an int is not a
+    boolean, and nothing is converted): ``int``, ``bool``, ``str``,
+    ``list``, ``dict`` or ``object`` (any); ``[dict]``, a list of objects;
+    ``Fraction``, a string holding a fraction, read as one; or a tuple of
+    the values of one type the field may take."""
+    if d.__class__ is not dict:
+        raise TypeError(f"{'an' if what[0] in 'aeiou' else 'a'} {what} must "
+                        f"be an object, not {d.__class__.__name__}")
+    if name not in d and default is None:
+        raise ValueError(f"{what} field {name!r} is missing")
+    v = d.get(name, default)
+    if kind.__class__ is tuple:
+        if v.__class__ is not kind[0].__class__ or v not in kind:
+            raise ValueError(f"{what} field {name!r} must be one of {kind}, "
+                             f"not {v!r}")
+        return v
+    # a fraction is read from a string, and a list of objects is a list
+    plain = str if kind is Fraction else list if kind == [dict] else kind
+    if v.__class__ is not plain and plain is not object:
+        raise TypeError(f"{what} field {name!r} must be {plain.__name__}, "
+                        f"not {v!r}")
+    if kind is Fraction:
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            fault = ("has a zero denominator" if exc.__class__ is
+                     ZeroDivisionError else "is not a fraction")
+            raise ValueError(f"{what} field {name!r} {fault}: {v!r}") from None
+    for x in v if kind == [dict] else ():
+        if x.__class__ is not dict:
+            raise TypeError(f"{what} field {name!r} must hold objects, "
+                            f"not {x!r}")
+    return v
 
 
 def load_dataset(path) -> Dataset:

@@ -639,6 +639,8 @@ def parse_value(fmt: FloatFormat, text: str) -> SimFloat:
         except ZeroDivisionError:
             raise ValueError(f"value {text!r} has a zero denominator") \
                 from None
+        except ValueError:
+            raise ValueError(f"{text!r} is not a float literal") from None
         den = q.denominator
         if den & (den - 1):
             raise ValueError(f"{text} is not a dyadic rational")

@@ -690,7 +690,8 @@ def _log_factorials(n: int):
     """``log j!`` for ``j`` in ``0..n``, read-only: a bound asks four
     times for the same table (two tails, each on two grids)."""
     import numpy as np
-    table = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    table = np.fromiter(map(math.lgamma, range(1, n + 2)), dtype=float,
+                        count=n + 1)
     table.flags.writeable = False
     return table
 

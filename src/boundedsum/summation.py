@@ -100,7 +100,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial, reduce
 from operator import itemgetter, sub
@@ -160,20 +160,16 @@ class ShiftBounds:
 Transform = Union[Truncate, RandomPermutation, ShiftBounds]
 
 
+_TRANSFORMS = {"truncate": Truncate, "random_permutation": RandomPermutation,
+               "shift_bounds": ShiftBounds}
+
+
 def transform_from_json(d: dict) -> Transform:
-    """A transform from its JSON object; ``n_max`` and ``seed`` must be ints,
-    not booleans, floats or strings."""
-    if d.__class__ is not dict:
-        raise TypeError(f"method field 'transforms' must hold objects, "
-                        f"not {d!r}")
-    kind = d["kind"]
-    if kind == "truncate":
-        return Truncate(_field(d, "n_max", int, "transform"))
-    if kind == "random_permutation":
-        return RandomPermutation(_field(d, "seed", int, "transform"))
-    if kind == "shift_bounds":
-        return ShiftBounds()
-    raise ValueError(f"unknown transform kind {kind!r}")
+    """A transform from its JSON object: its ``kind`` names the class, and
+    each of the class's fields (``n_max``, ``seed``) must be an int, not a
+    boolean, float or string."""
+    cls = _TRANSFORMS[_field(d, "kind", tuple(_TRANSFORMS), "transform")]
+    return cls(*[_field(d, f.name, int, "transform") for f in fields(cls)])
 
 
 @dataclass(frozen=True)
@@ -203,13 +199,12 @@ class SumMethod:
 
     @classmethod
     def from_json(cls, d: dict) -> "SumMethod":
-        """A method from its JSON object; ``transforms``, when present,
-        must be a list."""
-        transforms = (_field(d, "transforms", list, "method")
-                      if "transforms" in d else [])
-        return cls(d.get("algorithm", "iterative"),
-                   d.get("rounding", "banker"),
-                   tuple(map(transform_from_json, transforms)))
+        """A method from its JSON object; a field left out is ``iterative``,
+        ``banker`` or no transform."""
+        return cls(_field(d, "algorithm", ALGORITHMS, "method", "iterative"),
+                   _field(d, "rounding", ROUNDING_MODES, "method", "banker"),
+                   tuple(map(transform_from_json,
+                             _field(d, "transforms", [dict], "method", []))))
 
 
 @dataclass

@@ -3,13 +3,17 @@ mpmath, one parser reused by every ``main`` call, and flags the parser
 itself refuses."""
 
 import contextlib
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis.strategies import data, integers, just, sampled_from, tuples
 from pytest import mark, raises
 
 from boundedsum import Dataset, IntFormat, KInt, cli, save_dataset
@@ -212,3 +216,123 @@ def test_an_instance_file_whose_instance_is_no_object_is_refused(
     assert capsys.readouterr().err == (
         f"error: instance file field 'instance' must be dict, "
         f"not {instance!r}\n")
+
+
+# ---------------------------------------------------------------------------
+# Mutated files: every input gets a report or a named refusal
+# ---------------------------------------------------------------------------
+
+# Python's own wording of a fault, which names no field of the file
+_PYTHON_PHRASINGS = ("object is not subscriptable",
+                     "cannot be interpreted as an integer",
+                     "indices must be integers", "is not iterable",
+                     "Invalid literal for", "has no attribute")
+
+# what a mutated place becomes: other JSON types, edge values and texts,
+# each a fresh copy, since a second mutation may change the first in place
+_MUTANTS = sampled_from([
+    None, True, False, 0, -1, 1, 3, 1 << 70, 2.0, 0.5, "", "x", "-", "/",
+    "3", "1/0", "-0", "0x7c00", "inf", "sym", [], [1], ["x"], {},
+    {"count": 1}, {"kind": "truncate"}]).map(copy.deepcopy)
+_DELETE = object()
+
+# command -> (golden files its mutant may come from, a drawn argv tail);
+# each argv names its one mutated file through the placeholder FILE (an
+# instance directory, or a dataset), and dpcheck's pair through U and V
+_METHODS = sampled_from([[], ["--method", "pairwise"], ["--method", "kahan"],
+                         ["--method", "split"], ["--method", "exact"],
+                         ["--rounding", "toward_neg"]])
+_MUTATED_COMMANDS = {
+    "sum": (["dense/f10_5.json", "dense/i16-wraparound.json", "ov8/u.json",
+             "rr2_4_6/u.json", "sr16/v.json"],
+            tuples(_METHODS, sampled_from(
+                [[], ["--transform", "shift"], ["--transform", "truncate:2"],
+                 ["--transform", "permute:7"]])).map(
+                lambda mt: ["sum", "--in", "FILE", *mt[0], *mt[1]])),
+    "attack verify": (["ov8/instance.json", "rr2_4_6/instance.json",
+                       "fr10_5/instance.json", "sr16/instance.json"],
+                      _METHODS.map(lambda m: ["attack", "verify",
+                                              "--instance", "FILE", *m])),
+    "dpcheck exact": (["ov8/u.json", "ov8/v.json", "mid8/u.json",
+                       "mid8/v.json"],
+                      sampled_from([
+                          ["--calibrate", "idealized"],
+                          ["--noise", "discrete_laplace_mod", "--calibrate",
+                           "modular"],
+                          ["--scale", "40", "--metric", "ham"]]).map(
+                          lambda c: ["dpcheck", "exact", "--u", "U", "--v",
+                                     "V", "--epsilon", "1", *c])),
+    "experiment run": (["ov8/instance.json", "ov6/instance.json"],
+                       sampled_from([
+                           ["--calibrate", "idealized"],
+                           ["--noise", "discrete_laplace_mod",
+                            "--calibrate", "modular"]]).map(
+                           lambda c: ["experiment", "run", "--instance",
+                                      "FILE", "--trials", "20", "--seed",
+                                      "1", "--epsilon", "1", *c])),
+}
+
+
+def _places(doc, path=()):
+    """Every place in a JSON document: the root, each field of an object
+    and each item of a list, as the keys that lead to it."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from _places(value, path + (key,))
+
+
+def _mutate(doc, path, value):
+    """``doc`` with the place at ``path`` set to ``value``, or deleted for
+    ``_DELETE``; a deleted root is the document wrapped in a list."""
+    if not path:
+        return [doc] if value is _DELETE else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@given(command=sampled_from(sorted(_MUTATED_COMMANDS)), data=data())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_file_gets_a_report_or_one_named_refusal(command, data):
+    """A committed file with one or two places replaced or deleted, run
+    through a command that reads it: a report (exit 0 or 3) with nothing
+    on stderr, or one ``error:`` line in the program's own words (exit
+    2).  Anything else, a traceback included, is a fault."""
+    sources, argvs = _MUTATED_COMMANDS[command]
+    source = data.draw(sampled_from(sources), label="source")
+    doc = json.loads((INSTANCES / source).read_text())
+    for _ in range(data.draw(integers(1, 2), label="mutations")):
+        path = data.draw(sampled_from(list(_places(doc))), label="place")
+        doc = _mutate(doc, path, data.draw(_MUTANTS | just(_DELETE),
+                                           label="value"))
+    argv = data.draw(argvs, label="argv")
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / source
+        mutated.parent.mkdir()
+        mutated.write_text(json.dumps(doc))
+        # a pair's other side is its committed file
+        side = (INSTANCES / source).with_name
+        files = {"FILE": mutated.parent if source.endswith("instance.json")
+                 else mutated,
+                 "U": mutated if source.endswith("u.json") else side("u.json"),
+                 "V": mutated if source.endswith("v.json") else side("v.json")}
+        argv = [str(files.get(a, a)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if code != 2:
+        # a report, and nothing said beside it
+        assert err.getvalue() == "" and out.getvalue().startswith("{")
+        return
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not any(p in lines[0] for p in _PYTHON_PHRASINGS), lines[0]
+    assert out.getvalue() == ""

@@ -21,9 +21,11 @@ under ``instances/refused/`` and the instances under
 ``instances/refused-method/`` (an ``instance.json`` each, whose method is
 not an object, whose method's transforms are not a list, whose one
 transform is not an object, or whose one transform has a field that is not
-an int) and ``instances/refused-instance/`` (a dataset that is not an
-object, an adjacency distance that is not an int, a fraction that is not a
-string or not a fraction) were written by hand, and the
+an int) and ``instances/refused-instance/`` (an instance file that is not
+an object, a dataset that is not an object, a name that is not a string, a
+metric that is none of the metrics, an adjacency distance that is not an
+int, a fraction that is missing, not a string or not a fraction) were
+written by hand, and the
 float32 and float64 files under ``instances/dense/`` (``f32.json``,
 ``f64.json``: 256 elements, one run each) were drawn once from a seeded
 generator.  The seven pairs
@@ -151,9 +153,10 @@ for _tag, _fmt in (("float-exponent-bits", "float:10,1000000"),
 # an instance whose method is not an object, whose method's transforms are
 # not a list, whose transform is not an object, or whose transform field is
 # not an int: a float, a boolean or a string is refused, not cut or cast;
-# and an instance whose dataset is not an object, whose adjacency distance
-# is not an int, or whose fraction is not a string, not a fraction or has a
-# zero denominator
+# and an instance file that is not an object, an instance whose dataset is
+# not an object, whose name is not a string, whose metric is none of the
+# metrics, whose adjacency distance is not an int, or whose fraction is
+# missing, not a string, not a fraction or has a zero denominator
 for _group in ("refused-method", "refused-instance"):
     for _dir in sorted((GOLDEN / "instances" / _group).iterdir()):
         REFUSAL_CASES[f"verify-refused-{_dir.name}"] = (
