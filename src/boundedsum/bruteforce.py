@@ -127,6 +127,9 @@ class _Releases:
         if self.rank is not None:
             idx = _code(np.sort(self.rank[_digits(idx, k, self.size)], 1),
                         self.size)
+        if k not in self._nodes and not self.tree:
+            for j in range(2, k):  # a k-step fold nests k deep: bottom-up
+                self._ids(j)
         return self._node(k)[3][self._ids(k, idx)]
 
     def _node(self, k: int):

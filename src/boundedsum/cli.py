@@ -56,7 +56,7 @@ from .attacks import _GENERATORS, ATTACK_NAMES, AttackInstance, verify_attack
 from .data import (SCHEMA_VERSION, _decimal, _field, decode_value,
                    encode_value, format_to_json, json_text, load_dataset,
                    save_dataset)
-from .floats import ROUNDING_MODES, FloatFormat, SimFloat
+from .floats import ROUNDING_MODES, FloatFormat, SimFloat, parse_number
 from .ints import IntFormat
 from .mechanism import (NOISE_KINDS, MechanismSpec, calibrate,
                         distinguishing_experiment, exact_dp_check)
@@ -135,7 +135,7 @@ def _seed64(text) -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_number(text)
     except ZeroDivisionError:  # argparse reports only a ValueError as such
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -237,15 +237,13 @@ def _calibrated_spec(args, dataset, method, base_metric: str):
                          upper=dataset.upper, metric=args.metric or base_metric,
                          method=method, n=args.n)
     bound = _CALIBRATION_RULES[args.calibrate](sens_spec)
-    factor = args.scale_factor
-    if factor == 1:
-        spec = calibrate(args.noise, bound, args.epsilon, method=method)
-    else:
+    spec = calibrate(args.noise, bound, args.epsilon, method=method)
+    if args.scale_factor != 1:
         # deliberate mis-scaling (e.g. 0.9x to exercise the converse):
         # the spec's own sanity check would reject scale < bound/epsilon,
         # so the claim fields are left off and epsilon rides separately
-        scale = Fraction(bound.value) / args.epsilon * factor
-        spec = MechanismSpec(method=method, noise=args.noise, scale=scale,
+        spec = MechanismSpec(method=method, noise=args.noise,
+                             scale=spec.scale * args.scale_factor,
                              epsilon=args.epsilon)
     return spec, bound.rule
 
@@ -454,8 +452,12 @@ def _add_sens_spec_flags(parser: argparse.ArgumentParser) -> None:
                         help="float:K,L or int:BITS:signed|unsigned:"
                              "wraparound|saturating")
     parser.add_argument("--lower", required=True,
-                        help="lower bound (decimal, m*2^e, or 0x bit pattern)")
-    parser.add_argument("--upper", required=True, help="upper bound")
+                        help="lower bound: an integer (int formats), or a 0x "
+                             "bit pattern, inf, -inf or a number such as "
+                             "-1.25, 5e-1, 255/64 or 3*2^-2 that the float "
+                             "format holds")
+    parser.add_argument("--upper", required=True,
+                        help="upper bound, spelled as --lower")
     parser.add_argument("--metric", required=True, choices=METRICS,
                         help="adjacency metric")
     parser.add_argument("--n", type=_decimal, default=None,
@@ -464,18 +466,20 @@ def _add_sens_spec_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=_fraction, required=True,
-                        help="privacy parameter, as an exact fraction")
+                        help="privacy parameter, an exact number such as 1, "
+                             "0.5, 5e-1, 1/2 or 1*2^-1")
     parser.add_argument("--noise", choices=NOISE_KINDS,
                         default="discrete_laplace")
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--calibrate", choices=sorted(_CALIBRATION_RULES),
                        help="derive the noise scale from this bound rule")
     group.add_argument("--scale", type=_fraction, default=None,
-                       help="set the noise scale directly instead")
+                       help="set the noise scale directly instead, as an "
+                            "exact number (see --epsilon)")
     parser.add_argument("--scale-factor", type=_fraction,
                         default=Fraction(1), metavar="F",
-                        help="multiply the calibrated scale by F "
-                             "(F<1 deliberately under-noises)")
+                        help="multiply the calibrated scale by F, an exact "
+                             "number (F<1 deliberately under-noises)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -582,8 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed64, required=True,
                    help="master seed; per-trial seeds derive from it")
     p.add_argument("--threshold", type=_fraction, default=None,
-                   help="decision threshold (default: midpoint of the "
-                        "noiseless releases)")
+                   help="decision threshold, an exact number (see "
+                        "--epsilon; default: midpoint of the noiseless "
+                        "releases)")
     _add_calibration_flags(p)
     p.add_argument("--metric", choices=METRICS, default=None,
                    help="metric for the calibration bound "

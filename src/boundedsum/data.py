@@ -24,11 +24,29 @@ entries are, and :func:`json_text` writes equal datasets as one text.
 
 The JSON form keeps every value exact: floats travel as their bit
 patterns (hex strings), integers as decimal strings.  Counts are plain
-JSON integers.  Each text has one spelling: ``0x`` and hex digits for a
-pattern, ASCII ``-?[0-9]+`` for an integer; other float literals are read
-by :func:`~boundedsum.floats.parse_value`.  Blocks are an additive form of
-schema 1: files of runs read as before, and a dataset is written with a
-block entry wherever it holds one, found among its runs or not.
+JSON integers.  Blocks are an additive form of schema 1: files of runs
+read as before, and a dataset is written with a block entry wherever it
+holds one, found among its runs or not.
+
+The number grammar, for every text of a file and every number flag of
+the command line.  A value has one spelling in each notation: ASCII
+digits, and a leading minus the only sign (``+1``, ``1_0``, ``.5``,
+``Inf`` and a text with a space are refused).
+
+- integer: ``-?[0-9]+``.  An element or bound of an int format, and the
+  int flags, such as ``--n``, ``--trials`` and a format's sizes.
+- number: an integer with an optional ``.`` and digits, then an optional
+  exponent ``[eE][-+]?[0-9]+`` (``-1.25``, ``5e-1``); a ratio
+  ``-?[0-9]+/[0-9]+`` (``255/64``); or a dyadic ``-?[0-9]+*2^-?[0-9]+``
+  (``3*2^-2``).  Its exponent, of ten or of two, less a decimal's digits
+  after the point, is at most ``2^19`` in size, past the range of every
+  format.  :func:`~boundedsum.floats.parse_number` reads it, exactly, into
+  a ``Fraction``; an instance's fractions and the flags ``--epsilon``,
+  ``--scale``, ``--scale-factor`` and ``--threshold`` are numbers.
+- float text: ``0x`` and hex digits, a bit pattern; ``inf`` or ``-inf``;
+  or a number that is a value of the format exactly.  An element or bound
+  of a float format, and ``--lower`` and ``--upper`` of one, read by
+  :func:`~boundedsum.floats.parse_value`.
 
 The file grammar, for dataset files and for the ``instance.json`` that
 ``attack gen`` writes and ``attack verify``, ``experiment run`` read.
@@ -38,8 +56,8 @@ Each object and its fields, with their JSON types:
 - instance: ``name``, a string; ``metric``, one of ``sym``, ``co``,
   ``ham`` and ``id``; ``adjacency_distance``, an int; ``u`` and ``v``,
   datasets; ``method``, a method; ``predicted_u``, ``predicted_v``,
-  ``predicted_gap``, ``idealized`` and ``blowup``, fractions (a string such
-  as ``"255/64"``).
+  ``predicted_gap``, ``idealized`` and ``blowup``, fractions (a string
+  holding a number, such as ``"255/64"``).
 - method: ``algorithm``, one of ``summation.ALGORITHMS`` (default
   ``iterative``); ``rounding``, one of ``floats.ROUNDING_MODES`` (default
   ``banker``); ``transforms``, a list of transforms (default empty).
@@ -50,11 +68,12 @@ Each object and its fields, with their JSON types:
 - format: ``kind``, ``float`` with ``mantissa_bits`` and ``exponent_bits``,
   ints; or ``int`` with ``bits``, an int, ``signed``, a boolean, and
   ``overflow``, ``wraparound`` or ``saturating``.
-- bounds: ``lower`` and ``upper``, texts.
-- element entry: a bare text (one element); a run ``{"count": c, "value":
-  text}``; or a block ``{"block": [text, ...], "count": c}``, whose list
-  holds 1 to ``_MAX_BLOCK_SIZE`` texts.  An entry with both ``value`` and
-  ``block`` is refused.
+- bounds: ``lower`` and ``upper``, texts: float texts of a float format,
+  integers of an int format.
+- element entry: a bare text (one element), of the same grammar as the
+  bounds; a run ``{"count": c, "value": text}``; or a block ``{"block":
+  [text, ...], "count": c}``, whose list holds 1 to ``_MAX_BLOCK_SIZE``
+  texts.  An entry with both ``value`` and ``block`` is refused.
 
 Every field is read by one reader, :func:`_field`, which matches a type
 exactly (an int is not a boolean, and nothing is converted) and refuses
@@ -113,7 +132,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Tuple, Union
 
 from .dyadic import Dyadic
-from .floats import _PATTERN_RE, FloatFormat, SimFloat, parse_value
+from .floats import (_PATTERN_RE, FloatFormat, SimFloat, parse_number,
+                     parse_value)
 from .ints import OVERFLOW_POLICIES, IntFormat, KInt
 
 __all__ = ["Dataset", "ElementFormat", "Value", "encode_value", "decode_value",
@@ -720,8 +740,9 @@ def _field(d: dict, name: str, kind, what: str = "format", default=None):
     place.  ``kind`` is the field's type, matched exactly (an int is not a
     boolean, and nothing is converted): ``int``, ``bool``, ``str``,
     ``list``, ``dict`` or ``object`` (any); ``[dict]``, a list of objects;
-    ``Fraction``, a string holding a fraction, read as one; or a tuple of
-    the values of one type the field may take."""
+    ``Fraction``, a string holding a number, read exactly by
+    :func:`~boundedsum.floats.parse_number`; or a tuple of the values of
+    one type the field may take."""
     if d.__class__ is not dict:
         raise TypeError(f"{'an' if what[0] in 'aeiou' else 'a'} {what} must "
                         f"be an object, not {d.__class__.__name__}")
@@ -740,7 +761,7 @@ def _field(d: dict, name: str, kind, what: str = "format", default=None):
                         f"not {v!r}")
     if kind is Fraction:
         try:
-            return Fraction(v)
+            return parse_number(v)
         except (ValueError, ZeroDivisionError) as exc:
             fault = ("has a zero denominator" if exc.__class__ is
                      ZeroDivisionError else "is not a fraction")

@@ -54,6 +54,7 @@ __all__ = [
     "round_dyadic",
     "add_bits",
     "add_float",
+    "parse_number",
     "parse_value",
     "values_in_range",
 ]
@@ -606,45 +607,64 @@ def values_in_range(fmt: FloatFormat, lo: SimFloat, hi: SimFloat,
             for bits in r]
 
 
-_DYADIC_RE = re.compile(r"(-?[0-9]+)\*2\^(-?[0-9]+)")
 # a bit pattern's one spelling
 _PATTERN_RE = re.compile(r"0[xX][0-9a-fA-F]+")
+# the number grammar (written out in boundedsum.data): an integer, then a
+# decimal tail, a denominator or a power of two
+_NUMBER_RE = re.compile(r"(-?[0-9]+)(?:(?:\.([0-9]+))?(?:[eE]([-+]?[0-9]+))?"
+                        r"|/([0-9]+)|\*2\^(-?[0-9]+))")
+# the largest exponent a number text may carry, in either base: past the
+# range of every format, so no power larger than any format needs is built
+_MAX_TEXT_EXPONENT = 1 << FloatFormat.MAX_EXPONENT_BITS
+
+
+def parse_number(text: str) -> Fraction:
+    """The exact value of a number text: the one reader of every fraction
+    and float literal the program takes (the grammar is written in
+    :mod:`boundedsum.data`).
+
+    As ``Fraction(text)`` does, it raises ``ZeroDivisionError`` for a
+    ratio over 0 and ``ValueError`` for any other text outside the
+    grammar, an exponent past ``2^19`` among them.  No power is built for
+    such an exponent, nor for a zero.
+    """
+    if (m := _NUMBER_RE.fullmatch(text)) is None:
+        raise ValueError(f"{text!r} is not a number")
+    whole, point, e10, den, e2 = m.groups("")
+    if den:
+        return Fraction(int(whole), int(den))
+    # a decimal's digits after the point lower its exponent
+    base, e = (2, int(e2)) if e2 else (10, int(e10 or 0) - len(point))
+    if abs(e) > _MAX_TEXT_EXPONENT:
+        raise ValueError(f"{text!r} has an exponent past {_MAX_TEXT_EXPONENT}")
+    mant = int(whole + point)
+    # a zero builds no power
+    return mant * Fraction(base) ** e if mant else Fraction(0)
 
 
 def parse_value(fmt: FloatFormat, text: str) -> SimFloat:
-    """Parse ``0x..`` bit patterns, ``m*2^e`` literals, ``inf``, or decimals.
+    """The value of ``fmt`` a float text names: a ``0x..`` bit pattern,
+    ``inf``, ``-inf``, or a number text (:func:`parse_number`) that is a
+    value of ``fmt`` exactly.
 
-    A bit pattern is ``0x`` and hex digits, nothing else.  Every other
-    literal has one spelling too: ASCII with no ``_``, no surrounding
-    whitespace and no leading ``+``.  Non-pattern inputs must be exactly
-    representable in ``fmt``.
+    A bit pattern is ``0x`` and hex digits, nothing else, and a minus sign
+    before one is refused by its own message.  Every other text is refused
+    as no float literal, a ratio over 0 as a zero denominator.
     """
     if _PATTERN_RE.fullmatch(text):
         return SimFloat(fmt, int(text, 16))
-    if (not text.isascii() or "_" in text or text != text.strip()
-            or text.startswith("+")):
-        raise ValueError(f"{text!r} is not a float literal")
-    if text.lower() == "inf":
-        return SimFloat.inf(fmt, 1)
-    if text.lower() == "-inf":
-        return SimFloat.inf(fmt, -1)
-    if text.lower().startswith("-0x"):
+    if text in ("inf", "-inf"):
+        return SimFloat.inf(fmt, -1 if text[0] == "-" else 1)
+    if text[:1] == "-" and _PATTERN_RE.fullmatch(text[1:]):
         raise ValueError("sign belongs inside the bit pattern")
-    m = _DYADIC_RE.fullmatch(text)
-    if m:
-        q = Dyadic(int(m.group(1)), int(m.group(2)))
-    else:
-        try:
-            q = Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"value {text!r} has a zero denominator") \
-                from None
-        except ValueError:
-            raise ValueError(f"{text!r} is not a float literal") from None
-        den = q.denominator
-        if den & (den - 1):
-            raise ValueError(f"{text} is not a dyadic rational")
-        q = Dyadic.from_fraction(q)
+    try:
+        q = parse_number(text)
+    except ZeroDivisionError:
+        raise ValueError(f"value {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{text!r} is not a float literal") from None
+    if q.denominator & (q.denominator - 1):
+        raise ValueError(f"{text} is not a dyadic rational")
     if not is_representable(q, fmt):
         raise ValueError(f"{text} is not representable in {fmt}")
-    return round_dyadic(q, fmt, "toward_zero")
+    return round_dyadic(Dyadic.from_fraction(q), fmt, "toward_zero")

@@ -92,6 +92,10 @@ _ALPHA_GRID_BITS = 80
 
 @lru_cache(maxsize=None)
 def _rational_alpha_cached(num: int, den: int) -> Fraction:
+    if den >= 64 * num:
+        # exp(-64) < 2^-80 puts alpha two steps up the grid, as below, with
+        # no exp(-1/scale) of a huge 1/scale (ln 2 to as many bits)
+        return Fraction(2, 1 << _ALPHA_GRID_BITS)
     import mpmath
     scale = Fraction(num, den)
     with mpmath.workprec(_ALPHA_GRID_BITS + 48):
@@ -895,6 +899,11 @@ def certified_leq_exp(ratio: Fraction, exponent: Fraction) -> bool:
     ratio, exponent = Fraction(ratio), Fraction(exponent)
     if exponent == 0:
         return ratio <= 1
+    # e^x > 2^x for x > 0, and ratio < 2^(its bit lengths' difference + 1):
+    # a huge exponent needs no interval, whose ln 2 would need its bits
+    if exponent >= (ratio.numerator.bit_length()
+                    - ratio.denominator.bit_length() + 1):
+        return True
     import mpmath
     iv = mpmath.iv
     saved = iv.prec

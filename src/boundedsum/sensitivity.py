@@ -68,6 +68,12 @@ KNOWN_N_METRICS = ("co", "ham")
 
 # Largest dataset count times length that brute force will enumerate.
 WORK_GUARD = 10_000_000
+# What the scan's pass over one length's tuples at one position costs in
+# those steps, whatever the tuple count: its numpy calls take up to about
+# 0.35 ms (split's ranking grows with the length), a step about 0.2 us, on
+# a 2-vCPU VM.  It keeps a domain of one value from being scanned at
+# thousands of lengths.
+_PASS_STEPS = 2048
 
 # Constant in the compensated-summation error bound (2t + C*n*t^2)*n*max.
 # The classical analysis leaves the constant unnamed and no test pins it:
@@ -468,8 +474,10 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
     floats plus zero unless ``include_subnormals``) is released exactly
     once, size by size.  ``spec.n`` is the exact length for ``co``/``ham``
     and the length cap (sizes ``0..n``) for ``sym``/``id``.  The domain's
-    size is known before it is built, and a dataset count times length
-    above ``WORK_GUARD`` is refused.
+    size is known before it is built.  The work is summed length by
+    length, each length's tuple count plus ``_PASS_STEPS`` times the length
+    (at least 1), and a sum past ``WORK_GUARD`` is refused before the next
+    length is counted.
 
     The scan runs on numpy arrays, in :mod:`boundedsum.bruteforce`.  A
     tuple is its index in ``itertools.product`` order over the domain,
@@ -525,12 +533,20 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
              else _pattern_ranges(fmt, lo, hi, include_subnormals))
     # len() of a range stops at sys.maxsize; these step by 1 or -1
     size = sum(max(0, (r.stop - r.start) * r.step) for r in codes)
-    sizes = [n] if spec.metric in KNOWN_N_METRICS else list(range(n + 1))
-    work = sum(max(s, 1) * size ** s for s in sizes)
-    if work > WORK_GUARD:
-        raise PreconditionFailed(
-            f"estimated {work} release/grouping steps exceed the "
-            f"brute-force work guard ({WORK_GUARD})")
+    sizes = [n] if spec.metric in KNOWN_N_METRICS else range(n + 1)
+    # the tuples of each length, counted one length at a time up to the
+    # guard, so no length past it is listed or raised to
+    counts, work = {}, 0
+    for s in sizes:
+        count = _power_past(size, s, WORK_GUARD)
+        if not count:  # an empty domain has no tuple past the empty one
+            break
+        counts[s] = count
+        work += max(s, 1) * (count + _PASS_STEPS)
+        if work > WORK_GUARD:
+            raise PreconditionFailed(
+                f"brute force would take more than {WORK_GUARD} "
+                "release/grouping steps, its work guard")
     # n == 0 enumerates only the empty dataset, whatever the domain
     domain = [c for r in codes for c in r] if n else []
     frame = Dataset.unchecked(fmt, lo, hi, [(c, 1) for c in domain])
@@ -539,7 +555,7 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
     from .bruteforce import _Releases, _scan
     releases = _Releases(spec, frame, n, work)
     # a length with no tuple (an empty domain) has no groups
-    race = _scan(spec.metric, releases, [s for s in sizes if len(domain) ** s])
+    race = _scan(spec.metric, releases, list(counts))
     if race.pair is None and not releases.modulus and n and len(domain) > 1 \
             and spec.metric in KNOWN_N_METRICS:
         # every group's releases are equal, so the first offer is tuple 1
@@ -553,8 +569,20 @@ def brute_force_sensitivity(spec: SensSpec, include_subnormals: bool = False
     if isinstance(fmt, FloatFormat):
         value = fmt.grid_fraction(value)
     return BruteForceResult(value=value, witness=witness,
-                            datasets=sum(len(domain) ** s for s in sizes),
+                            datasets=sum(counts.values()),
                             output_metric="mod" if releases.modulus else "abs")
+
+
+def _power_past(base: int, e: int, cap: int) -> int:
+    """``base ** e`` when it is at most ``cap``; otherwise a number past
+    ``cap``, found without a product past ``cap * base``."""
+    power = base ** min(e, 1)
+    # past cap.bit_length() factors of 2 or more, the power is past cap
+    for _ in range(min(e, cap.bit_length()) - 1):
+        if power > cap:
+            break
+        power *= base
+    return power
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
-from hypothesis.strategies import data, integers, just, sampled_from, tuples
+from hypothesis.strategies import (data, fractions, integers, just,
+                                   sampled_from, tuples)
 from pytest import mark, raises
 
 from boundedsum import Dataset, IntFormat, KInt, cli, save_dataset
 from boundedsum.cli import main
+from test_golden import CASES, MECHANISM_CASES, REPLAY_CASES, _in_golden
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 INSTANCES = Path(__file__).with_name("golden") / "instances"
@@ -120,6 +123,15 @@ def test_a_zero_denominator_is_refused_by_the_parser(flag, capsys):
     assert f"{flag}: invalid _fraction value: '1/0'" in capsys.readouterr().err
 
 
+@mark.parametrize("factor", ["1", "1/5"])
+def test_a_zero_epsilon_is_refused_by_name(factor, capsys):
+    # a mis-scaled calibration divided by epsilon before the spec saw it
+    code, out = _run(_EXPERIMENT + ["--epsilon", "0", "--scale-factor",
+                                    factor])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: epsilon must be positive\n"
+
+
 @mark.parametrize("seed", ["1_0", "+7", " 7", "\u0667"])
 def test_a_seed_has_one_int_spelling(seed, capsys):
     # --seed reads ints as the dataset files and --transform permute:SEED do
@@ -189,6 +201,69 @@ def test_a_bound_flag_has_one_float_spelling(flag, text, capsys):
     code, _ = _run(["sens", "bound", "--format", "float:10,5", "--lower",
                     "-1", "--upper", "1", "--metric", "ham", "--n", "4"])
     assert code == 0
+
+
+# number texts whose exponent is past every format's range
+_HUGE_EXPONENTS = ["1e10000000", "-1e-10000000", "0e10000000",
+                   "1*2^100000000000", "1*2^-100000000000"]
+_OV8 = INSTANCES / "ov8"
+
+
+def _number_argv(place, text, tmp_path):
+    """A command that reads ``text`` at ``place``: a file's element, the
+    --lower flag, the --epsilon flag or the instance's fraction field
+    ``place``.  A flag's value follows ``=``, so that the parser reads
+    ``-1e-5`` as one."""
+    if place == "element":
+        doc = json.loads(Path(DENSE).read_text())
+        doc["elements"][0] = text
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(doc))
+        return ["sum", "--in", str(path)]
+    if place == "--lower":
+        return ["sens", "bound", "--format", "float:10,5", f"--lower={text}",
+                "--upper", "1", "--metric", "ham", "--n", "4"]
+    if place == "--epsilon":
+        return ["dpcheck", "exact", "--u", str(_OV8 / "u.json"), "--v",
+                str(_OV8 / "v.json"), f"--epsilon={text}", "--calibrate",
+                "idealized"]
+    doc = json.loads((_OV8 / "instance.json").read_text())
+    doc["instance"][place] = text
+    (tmp_path / "instance.json").write_text(json.dumps(doc))
+    return ["attack", "verify", "--instance", str(tmp_path)]
+
+
+def _exit_code(argv):
+    """``main(argv)``'s exit code, the parser's refusal included, with
+    its stdout and stderr dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@mark.parametrize("place, text, code", [
+    *((place, text, 2) for text in _HUGE_EXPONENTS
+      for place in ("element", "--lower", "--epsilon", "predicted_u")),
+    # the texts that read before still read, to the same value: an exit 2
+    # here is the command's refusal of the value, not of its text (-inf is
+    # no finite bound, and 10 is above --upper 1)
+    ("--lower", "1e1", 2), ("--lower", "-1.75", 0), ("--lower", "-5/2", 0),
+    ("--lower", "-1*2^-11", 0), ("--lower", "-inf", 2),
+    ("--epsilon", "1e400", 0), ("--epsilon", "5/2", 3),
+    ("--epsilon", "1.75", 3), ("predicted_gap", "255", 0),
+    ("predicted_gap", "2.55e2", 0), ("predicted_gap", "511/2", 3),
+    ("element", "0.75", 0), ("element", "-1*2^-11", 0)])
+def test_a_number_text_is_read_or_refused_at_once(place, text, code,
+                                                  tmp_path):
+    # a text whose exponent is past every format's range is refused before
+    # its power is built, wherever a number is read
+    argv = _number_argv(place, text, tmp_path)
+    start = time.perf_counter()
+    assert _exit_code(argv) == code
+    assert time.perf_counter() - start < 1
 
 
 def test_a_sum_past_sys_maxsize_elements_reports_its_count(tmp_path):
@@ -330,6 +405,98 @@ def test_a_mutated_file_gets_a_report_or_one_named_refusal(command, data):
     assert code in (0, 2, 3), (code, err.getvalue())
     if code != 2:
         # a report, and nothing said beside it
+        assert err.getvalue() == "" and out.getvalue().startswith("{")
+        return
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not any(p in lines[0] for p in _PYTHON_PHRASINGS), lines[0]
+    assert out.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# Mutated flags: every number flag gets a report or a named refusal
+# ---------------------------------------------------------------------------
+
+# number texts: other spellings of a value, edge values, values past a
+# format's range and exponents past every format's
+_NUMBER_TEXTS = [
+    "0", "-0", "1", "-1", "2", "0.5", "-0.5", "1.75", "14", "16", "-16",
+    "255", "65504", "1e38", "1e400", "1e-400", "1/2", "5/2", "-1/3", "1/0",
+    "0/1", "1*2^-11", "3*2^-2", "1*2^15", "1*2^16", "1*2^524288",
+    "1*2^-524288", "1e10000000", "-1e-10000000", "0e10000000",
+    "1*2^100000000000", "1*2^-100000000000", "inf", "-inf", "Inf", "nan",
+    "0x3c00", "0x7c00", "0xff", "-0x3c00", ".5", "1.", "+1", " 1", "1 ",
+    "1_0", "٣", "x", "", "-", "/", "0.1", "1.00048828125"]
+# int texts: other spellings, and edge values up to 10^60
+_INT_SPELLINGS = ["-1", "+3", "1_0", " 3", "3.0", "٣", "", "x"]
+_INT_TEXTS = _INT_SPELLINGS + [
+    "0", "1", "2", "3", "4", "7", "8", "65536", "4294967296",
+    "12345678901234567890", str(10 ** 60)]
+_FORMATS = [
+    "float:2,3", "float:1,2", "float:10,5", "float:23,8", "float:52,11",
+    "float:236,19", "float:237,19", "float:2,20", "float:0,3", "float:2,1",
+    "float:10,1000000", "float:100000,5", "float:2", "float:+2,3",
+    "float: 2,3", "float:2,3,4", "int:1:signed:wraparound",
+    "int:3:signed:saturating", "int:4:signed:wraparound",
+    "int:4:unsigned:saturating", "int:8:unsigned:wraparound",
+    "int:256:signed:saturating", "int:257:signed:wraparound",
+    "int:0:signed:wraparound", "int:100000:signed:wraparound",
+    "int:4:signed", "int:4:signed:bogus", "int:4:both:wraparound", "x", ""]
+_TRANSFORMS = [
+    "shift", "shift:1", "truncate:0", "truncate:1", "truncate:3",
+    f"truncate:{10 ** 60}", "truncate:-1", "truncate:+3", "truncate:1_0",
+    "truncate:", "permute:0", "permute:7", f"permute:{(1 << 64) - 1}",
+    f"permute:{1 << 64}", "permute:-1", "bogus", ""]
+_FLAG_VALUES = {
+    **dict.fromkeys(["--lower", "--upper", "--epsilon", "--scale",
+                     "--scale-factor", "--threshold"],
+                    sampled_from(_NUMBER_TEXTS) | integers(
+                        -(10 ** 60), 10 ** 60).map(str)
+                    | fractions().map(str)),
+    **dict.fromkeys(["--n", "--n-max"], sampled_from(_INT_TEXTS)
+                    | integers(0, 10 ** 60).map(str)),
+    # a long experiment is work, not a fault
+    "--trials": sampled_from(_INT_SPELLINGS) | integers(0, 300).map(str),
+    "--format": sampled_from(_FORMATS),
+    "--transform": sampled_from(_TRANSFORMS),
+}
+# the golden commands that carry a flag above, run from tests/golden/
+_FLAGGED_COMMANDS = sorted({
+    tuple(argv) for argv in (*CASES.values(), *REPLAY_CASES.values(),
+                             *(a for a, _ in MECHANISM_CASES.values()))
+    if set(argv) & set(_FLAG_VALUES)})
+
+
+@given(argv=sampled_from(_FLAGGED_COMMANDS), data=data())
+@settings(max_examples=200, deadline=None)
+def test_a_mutated_flag_gets_a_report_or_one_named_refusal(argv, data):
+    """A golden command with one or two number-flag values replaced:
+    within 2 s, a report (exit 0 or 3) with nothing on stderr, or a
+    refusal (exit 2), in the parser's usage form or as one ``error:`` line
+    in the program's own words.  Anything else, a traceback included, is a
+    fault."""
+    argv = list(argv)
+    flags = [i for i, a in enumerate(argv) if a in _FLAG_VALUES]
+    for _ in range(data.draw(integers(1, 2), label="mutations")):
+        i = data.draw(sampled_from(flags), label="flag")
+        argv[i + 1] = data.draw(_FLAG_VALUES[argv[i]], label=argv[i])
+    # "--flag=value", so that a value that starts with "-" is read as one
+    argv = [f"{a}={argv[i + 1]}" if i in flags else a
+            for i, a in enumerate(argv) if i - 1 not in flags]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with _in_golden(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # the parser's refusal
+            code = None if exc.code != 2 else "usage"
+    assert time.perf_counter() - start < 2, " ".join(argv)
+    if code == "usage":
+        assert ": error: " in err.getvalue().splitlines()[-1], err.getvalue()
+        return
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if code != 2:
         assert err.getvalue() == "" and out.getvalue().startswith("{")
         return
     lines = err.getvalue().splitlines()

@@ -10,12 +10,13 @@ finite value of the format and picks the right neighbour by definition.
 
 import random
 import struct
+import time
 from fractions import Fraction
 
 import numpy as np
 from pytest import mark, raises
 from hypothesis import given, settings
-from hypothesis.strategies import floats, integers, sampled_from
+from hypothesis.strategies import floats, fractions, integers, sampled_from
 
 from boundedsum import (
     FLOAT32,
@@ -33,7 +34,7 @@ from boundedsum import (
     values_in_range,
 )
 from boundedsum.dyadic import floor_log2_fraction
-from boundedsum.floats import _pattern_ranges, add_bits
+from boundedsum.floats import _pattern_ranges, add_bits, parse_number
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -551,6 +552,114 @@ def test_parse_value_keeps_the_one_spelling():
     assert parse_value(fmt, "1e1").bits == 0x4900
     assert parse_value(fmt, "inf") == SimFloat.inf(fmt)
     assert parse_value(fmt, "-inf") == SimFloat.inf(fmt, -1)
+
+
+# ---------------------------------------------------------------------------
+# The number grammar: one spelling per notation, and the program's own texts
+# ---------------------------------------------------------------------------
+
+@mark.parametrize("text, want", [
+    ("0", 0), ("-0", 0), ("007", 7), ("-12", -12), ("1.75", Fraction(7, 4)),
+    ("-0.5", Fraction(-1, 2)), ("5e-1", Fraction(1, 2)),
+    ("0.5E0", Fraction(1, 2)), ("1e+2", 100), ("1e400", 10 ** 400),
+    ("1.25e-3", Fraction(1, 800)), ("5/2", Fraction(5, 2)),
+    ("-254/2", -127), ("1*2^-11", Fraction(1, 2048)), ("3*2^2", 12),
+    ("-3*2^-2", Fraction(-3, 4)), ("0e524288", 0), ("0*2^-524288", 0)])
+def test_parse_number_reads_each_form_exactly(text, want):
+    assert parse_number(text) == want
+
+
+def test_parse_number_reads_an_exponent_up_to_its_bound():
+    assert parse_number("1*2^524288") == 1 << 524288
+    assert parse_number("-1*2^-524288") == Fraction(-1, 1 << 524288)
+    assert parse_number("1.5e524288") == 15 * 10 ** 524287
+
+
+# other spellings of one value, other scripts' digits, forms Fraction()
+# reads and texts that are no number
+@mark.parametrize("text", [
+    " 1 ", "1 ", "1\n", "1_0", "+4", "+4/2", "4/+2", "1/-2", "٣", "1*2^-١",
+    "Inf", "inf", "nan", ".5", "1.", "-.5", "1e", "e5", "1e5.5", "1.5/2",
+    "1/2/3", "1.5*2^3", "1*2^+3", "2^3", "1*3^2", "--1", "0x10", "1 /2",
+    "", "-", "/"])
+def test_parse_number_refuses_every_other_spelling(text):
+    with raises(ValueError):
+        parse_number(text)
+
+
+def test_parse_number_refuses_a_ratio_over_zero():
+    with raises(ZeroDivisionError):
+        parse_number("1/00")
+
+
+@mark.parametrize("text", ["1e10000000", "-1e-10000000", "0e10000000",
+                           "1*2^100000000000", "1*2^-100000000000",
+                           "1*2^524289", "0*2^-524289", "1.5e524290",
+                           "0.5e-524288"])
+def test_parse_number_refuses_an_exponent_past_every_format(text):
+    # refused before any power is built: each would take seconds or more
+    start = time.perf_counter()
+    with raises(ValueError):
+        parse_number(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_zero_builds_no_power():
+    # 10^524288 takes tens of milliseconds to build; a zero needs none
+    times = {}
+    for text in ("1e524288", "0e524288"):
+        start = time.perf_counter()
+        parse_number(text)
+        times[text] = time.perf_counter() - start
+    assert times["0e524288"] * 10 < times["1e524288"]
+
+
+def _reads_back(x: SimFloat) -> None:
+    """``x`` is read back from each text the program writes for it: its
+    value (``m*2^e``, ``0``, ``inf`` or ``-inf``) and its bit pattern."""
+    for text in (str(x), x.to_hex()):
+        assert parse_value(x.fmt, text) == x, text
+
+
+@mark.parametrize("k, l", [(k, l) for k in (2, 3, 4) for l in (2, 3, 4)])
+def test_every_pattern_of_a_small_format_reads_back(k, l):
+    fmt = FloatFormat(k, l)
+    for bits in range(1 << fmt.total_bits):
+        try:
+            x = SimFloat(fmt, bits)
+        except ValueError:
+            continue  # NaN patterns
+        _reads_back(x)
+
+
+@given(integers(0, (1 << 32) - 1), integers(0, (1 << 64) - 1))
+def test_random_float32_and_float64_patterns_read_back(b32, b64):
+    for fmt, bits in ((FLOAT32, b32), (FLOAT64, b64)):
+        try:
+            x = SimFloat(fmt, bits)
+        except ValueError:
+            continue  # NaN patterns
+        _reads_back(x)
+
+
+def test_the_extremes_of_the_widest_format_read_back():
+    fmt = FloatFormat(FloatFormat.MAX_MANTISSA_BITS,
+                      FloatFormat.MAX_EXPONENT_BITS)
+    inf = SimFloat.inf(fmt).bits
+    sign = 1 << (fmt.total_bits - 1)
+    # the smallest subnormal and normal, the largest subnormal and finite
+    # value, of both signs; zero and the infinities
+    for bits in (1, 1 << fmt.k, (1 << fmt.k) - 1, inf - 1):
+        _reads_back(SimFloat(fmt, bits))
+        _reads_back(SimFloat(fmt, bits | sign))
+    for bits in (0, inf, inf | sign):
+        _reads_back(SimFloat(fmt, bits))
+    assert str(SimFloat(fmt, 1)) == "1*2^-262378"
+
+
+@given(fractions())
+def test_a_fraction_reads_back_from_its_text(q):
+    assert parse_number(str(q)) == q
 
 
 @mark.parametrize("text", ["0.1", "15", "1/3", "0.03125"])

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -1034,3 +1035,37 @@ def test_import_does_not_load_scipy():
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# A huge epsilon: decided without ln 2 to its bits
+# ---------------------------------------------------------------------------
+
+@mark.parametrize("ratio", [Fraction(1), Fraction(255, 4), Fraction(3, 2),
+                            Fraction((1 << 100) + 1, 3)], ids=str)
+def test_an_exponent_near_the_ratios_bit_length_is_decided_exactly(ratio):
+    # e^x > 2^x decides the exponents from the ratio's bit lengths' gap up;
+    # the intervals of 1000 bits decide them all, below and above
+    gap = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+    for x in (Fraction(gap - 1), Fraction(2 * gap - 1, 2), Fraction(gap),
+              Fraction(gap + 1), Fraction(gap + 2)):
+        if x <= 0:
+            continue
+        with mpmath.workprec(1000):
+            want = mpmath.mpf(ratio.numerator) / ratio.denominator \
+                <= mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
+        assert certified_leq_exp(ratio, x) == want, x
+
+
+def test_a_huge_epsilon_or_a_tiny_scale_needs_no_digits_of_its_power():
+    # each took seconds of ln 2 to half a million bits in mpmath
+    start = time.perf_counter()
+    assert certified_leq_exp(Fraction(255, 4), Fraction(1 << 524288))
+    assert rational_alpha(Fraction(1, 1 << 524288)) == Fraction(2, 1 << 80)
+    assert time.perf_counter() - start < 1
+    # from 1/scale = 64 on, alpha is the 2-step of the grid mpmath gives
+    for scale in (Fraction(1, 64), Fraction(3, 192), Fraction(1, 65)):
+        with mpmath.workprec(128):
+            a = mpmath.exp(-mpmath.mpf(scale.denominator) / scale.numerator)
+            assert int(mpmath.floor(a * (1 << 80))) == 0
+        assert rational_alpha(scale) == Fraction(2, 1 << 80)

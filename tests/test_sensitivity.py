@@ -154,16 +154,40 @@ def test_bruteforce_refuses_a_domain_past_the_largest_len(capsys, fmt):
     assert "work guard" in capsys.readouterr().err
 
 
-@mark.parametrize("lower, upper, metric, n, datasets", [
-    ("1", "1", "ham", "1", 1),
-    ("-1", "1", "ham", "1", None),
-    ("-1", "1", "sym", "0", 1),
-], ids=["one-value", "guard", "empty-only"])
+_INT4 = "int:4:signed:wraparound"
+_BIG = str(10 ** 60)
+
+
+@mark.parametrize("fmt, lower, upper, metric, n, datasets", [
+    ("float:23,8", "1", "1", "ham", "1", 1),
+    ("float:23,8", "-1", "1", "ham", "1", None),
+    ("float:23,8", "-1", "1", "sym", "0", 1),
+    # sizes past the guard: none is listed, and no power past it is built
+    ("float:2,3", "-1", "1", "sym", "65536", None),
+    (_INT4, "-4", "3", "sym", "4294967296", None),
+    (_INT4, "-4", "3", "id", "4294967296", None),
+    (_INT4, "-4", "3", "sym", "12345678901234567890", None),
+    (_INT4, "-4", "3", "co", "12345678901234567890", None),
+    (_INT4, "-4", "3", "ham", _BIG, None),
+    # a domain of one value: its tuple counts never pass the guard, the
+    # lengths and their positions do
+    ("float:23,8", "1", "1", "sym", _BIG, None),
+    ("float:2,3", "1", "1", "id", "1000", None),
+    ("float:2,3", "1", "1", "ham", _BIG, None),
+    ("float:2,3", "1", "1", "co", "1000", 1),
+    # bounds inside the subnormal band hold no normal value: the empty
+    # dataset alone, or no dataset at a known size
+    ("float:2,3", "0.0625", "0.1875", "sym", _BIG, 1),
+    ("float:2,3", "0.0625", "0.1875", "ham", _BIG, 0),
+], ids=["one-value", "guard", "empty-only", "sym-65536", "sym-2^32",
+        "id-2^32", "sym-past-ssize", "co-past-ssize", "ham-10^60",
+        "one-value-sym-10^60", "one-value-id-1000", "one-value-ham-10^60",
+        "one-value-co-1000", "no-value-sym-10^60", "no-value-ham-10^60"])
 def test_bruteforce_on_float32_sizes_the_domain_without_walking_it(
-        capsys, lower, upper, metric, n, datasets):
+        capsys, fmt, lower, upper, metric, n, datasets):
     # [1, 1] holds one float32 value; [-1, 1] about 2^31, which the work
     # guard refuses before any value is built, and which size 0 never needs
-    argv = ["sens", "bruteforce", "--format", "float:23,8", "--lower", lower,
+    argv = ["sens", "bruteforce", "--format", fmt, "--lower", lower,
             "--upper", upper, "--metric", metric, "--n", n]
     start = time.perf_counter()
     code = main(argv)
