@@ -363,6 +363,17 @@ for _tag in ("f32", "f64"):
             "sum", "--in", _path, "--method", _alg]
     REPLAY_CASES[f"sum-dense_{_tag}-permute"] = [
         "sum", "--in", _path, "--transform", "permute:7"]
+    # split's partials and every fold under the directed modes, whose
+    # adds round toward zero or an infinity
+    REPLAY_CASES[f"sum-dense_{_tag}-split"] = [
+        "sum", "--in", _path, "--method", "split"]
+    for _alg in ("iterative", "pairwise", "kahan"):
+        for _mode in ("toward_zero", "toward_pos", "toward_neg"):
+            REPLAY_CASES[f"sum-dense_{_tag}-{_alg}-{_mode}"] = [
+                "sum", "--in", _path, "--method", _alg, "--rounding", _mode]
+    # the bounds span the whole finite range: U - L is past it
+    REFUSAL_CASES[f"sum-dense_{_tag}-shift-refused"] = (
+        ["sum", "--in", _path, "--transform", "shift"], 2)
 # the shift, then a cut: the offset adds back the count summed, 2
 REPLAY_CASES["sum-dense_f10_5-shift-truncate"] = [
     "sum", "--in", "instances/dense/f10_5.json", "--transform", "shift",
