@@ -48,7 +48,8 @@ from typing import Optional
 
 from .data import Dataset, ElementFormat, _field, exact_value
 from .dyadic import Dyadic
-from .floats import FloatFormat, SimFloat, is_representable, round_dyadic
+from .floats import (FloatFormat, SimFloat, is_representable, number_text,
+                     round_dyadic)
 from .ints import IntFormat, KInt
 from .metrics import d_co, d_ham, d_id, d_sym
 from .sensitivity import METRICS, PreconditionFailed, _pow2
@@ -97,11 +98,11 @@ class AttackInstance:
             "name": self.name, "metric": self.metric,
             "adjacency_distance": self.adjacency_distance,
             "method": self.method.to_json(),
-            "predicted_u": str(self.predicted_u),
-            "predicted_v": str(self.predicted_v),
-            "predicted_gap": str(self.predicted_gap),
-            "idealized": str(self.idealized),
-            "blowup": str(self.blowup),
+            "predicted_u": number_text(self.predicted_u),
+            "predicted_v": number_text(self.predicted_v),
+            "predicted_gap": number_text(self.predicted_gap),
+            "idealized": number_text(self.idealized),
+            "blowup": number_text(self.blowup),
             "u": self.u, "v": self.v,
         }
 
@@ -137,10 +138,10 @@ class VerificationReport:
     adjacency_distance: Optional[int]
 
     def to_json(self) -> dict:
-        return {"realized_u": str(self.realized_u),
-                "realized_v": str(self.realized_v),
-                "realized_gap": str(self.realized_gap),
-                "predicted_gap": str(self.predicted_gap),
+        return {"realized_u": number_text(self.realized_u),
+                "realized_v": number_text(self.realized_v),
+                "realized_gap": number_text(self.realized_gap),
+                "predicted_gap": number_text(self.predicted_gap),
                 "matches_prediction": self.matches_prediction,
                 "adjacency_distance": self.adjacency_distance}
 

@@ -56,8 +56,9 @@ from .attacks import _GENERATORS, ATTACK_NAMES, AttackInstance, verify_attack
 from .data import (SCHEMA_VERSION, _decimal, _field, decode_value,
                    encode_value, format_to_json, json_text, load_dataset,
                    save_dataset)
-from .floats import ROUNDING_MODES, FloatFormat, SimFloat, parse_number
-from .ints import IntFormat
+from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, number_text,
+                     parse_number)
+from .ints import IntFormat, KInt
 from .mechanism import (NOISE_KINDS, MechanismSpec, calibrate,
                         distinguishing_experiment, exact_dp_check)
 from .sensitivity import (METRICS, PreconditionFailed, SensSpec,
@@ -186,7 +187,7 @@ def _report(args, command: str, filename: str, body: dict, flags=(),
         "schema": SCHEMA_VERSION,
         "manifest": {
             "command": command,
-            "parameters": {k: str(v) if isinstance(v, Fraction) else v
+            "parameters": {k: number_text(v) if isinstance(v, Fraction) else v
                            for k, v in parameters.items()},
             "seeds": seeds,
             "versions": {"boundedsum": __version__},
@@ -257,10 +258,13 @@ def _cmd_sum(args) -> int:
     method = _method_from_args(args)
     outcome = run_sum(dataset, method)
     value = outcome.value
+    # the exact algorithm releases an int or a Dyadic, of any size
+    exact = (str(value) if isinstance(value, (SimFloat, KInt))
+             else number_text(value))
     return _report(args, "sum", "sum.json", {
         # a float release shows its bit pattern, and its exact value apart
-        "value": value.to_hex() if isinstance(value, SimFloat) else str(value),
-        "exact": str(value),
+        "value": value.to_hex() if isinstance(value, SimFloat) else exact,
+        "exact": exact,
         "n": dataset.n,
         "method": method.to_json(),
         "clamp_events": list(outcome.clamp_events),
@@ -300,7 +304,7 @@ def _cmd_sens_bruteforce(args) -> int:
         witness = {"u": [encode_value(v) for v in result.witness[0]],
                    "v": [encode_value(v) for v in result.witness[1]]}
     return _report(args, "sens bruteforce", "bruteforce.json", {
-        "value": str(result.value),
+        "value": number_text(result.value),
         "output_metric": result.output_metric,
         "datasets": result.datasets,
         "witness": witness,

@@ -168,6 +168,8 @@ _MIN_BLOCK_COPIES = 5
 # rest to the entry found over their middle copy (see _settle for why
 # this many are enough)
 _SCAN_COPIES = 16
+# a bytes.translate table that flags the zero bytes: 0 to 1, the rest to 0
+_ZERO_BYTES = bytes([1]) + bytes(255)
 
 _INT_RE = re.compile(r"-?[0-9]+")
 # every text of a file at once, joined by newlines (see _decode_codes)
@@ -400,7 +402,8 @@ def _found(runs: tuple) -> Tuple[tuple, bool]:
     runs.  Runs are merged, so ``2 <= b <= _MAX_BLOCK_SIZE``.  A stretch
     is a run of ``(_MIN_BLOCK_COPIES - 1) * b`` or more ``True`` in ``entry
     i == entry i + b``, found by C-level scans, one for each ``b`` whose
-    copies fit in ``runs``; among overlapping stretches the earliest wins,
+    copies fit in ``runs``: over one-byte run ids, by one XOR of two big
+    ints, when ``runs`` has at most 256 kinds, else run by run; among overlapping stretches the earliest wins,
     then the shortest block, and the later one keeps the whole blocks past
     it (any ``b`` entries in a row of a stretch are a copy of it).  A
     block's size is summed from its counts before its elements are
@@ -408,12 +411,22 @@ def _found(runs: tuple) -> Tuple[tuple, bool]:
     earlier ones are returned after one C-level check: ``c`` copies of ``b
     >= 2`` runs hold ``(c - 1) * b`` of them.
     """
-    if len(runs) - len(set(runs)) < 2 * (_MIN_BLOCK_COPIES - 1):
+    kinds = set(runs)
+    if len(runs) - len(kinds) < 2 * (_MIN_BLOCK_COPIES - 1):
         return runs, False
+    if len(kinds) <= 256:
+        # each run as a one-byte id: runs b apart are equal where the ids
+        # shifted by b bytes XOR to a zero byte
+        ids = bytes(map(dict(zip(kinds, range(256))).__getitem__, runs))
+        equal = lambda b: (int.from_bytes(ids[b:], "big") ^ int.from_bytes(
+            ids[:-b], "big")).to_bytes(len(ids) - b, "big").translate(
+                _ZERO_BYTES)
+    else:
+        equal = lambda b: bytes(map(eq, runs, runs[b:]))
     found = []
     for b in range(2, min(_MAX_BLOCK_SIZE, len(runs) // _MIN_BLOCK_COPIES)
                    + 1):
-        same = bytes(map(eq, runs, runs[b:])) + b"\0"
+        same = equal(b) + b"\0"
         least = b"\1" * ((_MIN_BLOCK_COPIES - 1) * b)
         i = same.find(least)
         while i >= 0:

@@ -33,8 +33,10 @@ construction rather than by emulation tricks.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +57,7 @@ __all__ = [
     "add_bits",
     "add_float",
     "parse_number",
+    "number_text",
     "parse_value",
     "values_in_range",
 ]
@@ -514,17 +517,15 @@ def _keeps_subnormals() -> bool:
 
 def _native(fmt: FloatFormat, mode: str):
     """The array typecodes ``(float, pattern)`` of the machine's own float
-    for ``fmt`` under ``mode``, or None.
+    for ``fmt``, or None; ``mode`` is one of ``ROUNDING_MODES``.
 
-    Only float32 ``('f', 'I')`` and float64 ``('d', 'Q')`` under
-    ``banker`` have one: IEEE round-to-nearest-even is the model's
-    ``banker``, overflow included (a tie at ``n_max + ulp/2`` goes to
-    infinity in both), on a machine that keeps subnormals.  Every other
-    format or mode, or a process that flushes subnormals, has only
-    :func:`add_bits`.
+    float32 ``('f', 'I')`` and float64 ``('d', 'Q')`` have one in every
+    mode, on a machine that keeps subnormals: IEEE round-to-nearest-even
+    is the model's ``banker``, overflow included (a tie at ``n_max +
+    ulp/2`` goes to infinity in both), and :func:`_machine_add` derives
+    the directed modes from it.  Every other format, or a process that
+    flushes subnormals, has only :func:`add_bits`.
     """
-    if mode != "banker":
-        return None
     codes = _MACHINE.get((fmt.mantissa_bits, fmt.exponent_bits))
     return codes if codes is not None and _keeps_subnormals() else None
 
@@ -542,20 +543,82 @@ def _to_patterns(native: tuple, floats) -> tuple:
     return tuple(array(itype, array(ftype, floats).tobytes()))
 
 
-def _machine_add(ftype: str):
-    """The machine's rounded add of two floats of the array typecode
-    ``ftype``: float64's ``+``, or float32's, which is the double sum
-    rounded once more to float32 through a one-slot array.  That double
-    rounding is harmless: a double's 53 bits are at least ``2*24 + 2``
-    (Figueroa 1995), and both operands are float32 values."""
-    if ftype == "d":
-        return operator.add
-    slot = array("f", [0.0])
+# a directed mode's bound: the mode steps a nearest sum below its bound up
+# when the exact sum lies above it, and one above its bound down when the
+# exact sum lies below it
+_STEP_BOUND = {"toward_pos": math.inf, "toward_zero": 0.0,
+               "toward_neg": -math.inf}
 
-    def add(a: float, b: float) -> float:
-        slot[0] = a + b
-        return slot[0]
-    return add
+
+def _machine_add(ftype: str, mode: str):
+    """The machine's add of two floats of the array typecode ``ftype``,
+    rounded by ``mode`` as :func:`add_bits` rounds: float64's ``+``, or
+    float32's, which is the double sum rounded once more to float32
+    through a one-slot array.  That double rounding is harmless: a
+    double's 53 bits are at least ``2*24 + 2`` (Figueroa 1995), and both
+    operands are float32 values.
+
+    A directed mode is the nearest sum ``f`` plus one correction.  The
+    sign of ``exact - f`` is read off the TwoSum error: on float64 it is
+    the error ``e`` of ``f`` itself; on float32, with ``d`` the double sum
+    and ``e`` its error, it is ``(d - f) or e``, since ``d - f`` is exact
+    and, when nonzero, a multiple of ``d``'s last place, more than
+    ``|e|``.  When ``f`` lies on the wrong side of the exact sum for the
+    mode (toward zero: past it in magnitude), ``f`` steps by one value
+    toward it: ``math.nextafter`` on float64, one pattern on float32.  A
+    nearest sum of 0 is exact, so zero results are ``+0``, as in the
+    model, whose ``x + (-x)`` is ``+0`` under ``toward_neg`` too.
+
+    A result that is not finite makes a fold on these adds fold again on
+    patterns (see :func:`boundedsum.summation._fold`).  An infinite
+    nearest sum is never stepped: any magnitude at or past ``2^(emax+1)``
+    is infinite in the model in every mode, and a sum between ``n_max``
+    and that point whose nearest value is infinity is left to
+    :func:`add_bits`.  On float64, TwoSum's ``s - a`` can overflow where
+    ``s`` does not (``|b|`` near ``n_max``); the error is then NaN, and so
+    is the add.
+    """
+    if ftype == "d":
+        if mode == "banker":
+            return operator.add
+        bound, nextafter, inf = _STEP_BOUND[mode], math.nextafter, math.inf
+
+        def add64(a: float, b: float) -> float:
+            s = a + b
+            z = s - a
+            e = (a - (s - z)) + (b - z)
+            if e == 0:
+                return s
+            if e > 0:
+                return nextafter(s, inf) if s < bound else s
+            if e < 0:
+                return nextafter(s, -inf) if s > bound else s
+            return e  # NaN: s or s - a overflowed
+        return add64
+    slot = array("f", [0.0])
+    if mode == "banker":
+        def add(a: float, b: float) -> float:
+            slot[0] = a + b
+            return slot[0]
+        return add
+    pattern = memoryview(slot).cast("B").cast("I")
+    bound, inf = _STEP_BOUND[mode], math.inf
+
+    def add32(a: float, b: float) -> float:
+        d = a + b
+        z = d - a
+        slot[0] = d
+        f = slot[0]
+        t = (d - f) or (a - (d - z)) + (b - z)
+        # a pattern step moves a positive value up, a negative one down
+        if t > 0 and -inf < f < bound:
+            pattern[0] += 1 if f > 0 else -1
+            return slot[0]
+        if t < 0 and bound < f < inf:
+            pattern[0] += -1 if f > 0 else 1
+            return slot[0]
+        return f
+    return add32
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +681,106 @@ _NUMBER_RE = re.compile(r"(-?[0-9]+)(?:(?:\.([0-9]+))?(?:[eE]([-+]?[0-9]+))?"
 _MAX_TEXT_EXPONENT = 1 << FloatFormat.MAX_EXPONENT_BITS
 
 
+# Past this many bits an int is written by halves through ``decimal``, whose
+# multiply is subquadratic; ``str()`` is quadratic in CPython and faster only
+# below it (the two cross between 32,000 and 36,000 bits, best of 7 on a
+# 2-vCPU x86-64 VM, Python 3.11).
+_DECIMAL_BITS = 1 << 15
+# Leaves of that split are converted by ``Decimal(int)`` directly.
+_DECIMAL_LEAF_BITS = 2048
+
+
+def _decimal_digits(n: int) -> str:
+    """``str(n)`` for ``n >= 0``: the halves ``n = hi * 2^h + lo`` are
+    written recursively as Decimals and joined with a cached ``2^h``, the
+    split of CPython 3.12's ``_pylong.int_to_decimal_string``."""
+    import decimal
+    two = decimal.Decimal(2)
+    powers = {}
+
+    def power(w: int):
+        if w not in powers:
+            powers[w] = (two ** w if w <= _DECIMAL_LEAF_BITS
+                         else power(w >> 1) * power(w - (w >> 1)))
+        return powers[w]
+
+    def halves(n: int, w: int):
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(n)
+        h = w >> 1
+        hi = n >> h
+        return halves(n - (hi << h), h) + halves(hi, w - h) * power(h)
+
+    with decimal.localcontext() as ctx:
+        # exact integers: no rounding, no exponent limit
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(halves(n, n.bit_length()))
+
+
+def _int_str(n: int) -> str:
+    """``str(n)`` for ``n >= 0``, past the int-to-str digit guard."""
+    if n.bit_length() > _DECIMAL_BITS:
+        return _decimal_digits(n)
+    need = n.bit_length() // 3 + 3
+    limit = sys.get_int_max_str_digits()
+    if limit and need > limit:
+        sys.set_int_max_str_digits(need)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return str(n)
+
+
+def number_text(q) -> str:
+    """The text of an exact number, an int, a Fraction or a Dyadic: ``str()``
+    digit for digit, at any size; the one writer of every exact number a
+    report holds, each in the number grammar that :func:`parse_number`
+    reads.
+
+    Exact PMF ratios carry numerators of millions of bits, and a float
+    sum of a wide format a numerator of hundreds of thousands.  ``str()``
+    refuses them past CPython's int-to-str digit guard
+    (``sys.int_max_str_digits``) and is quadratic below it, so long
+    numerators and denominators are written by halves
+    (:func:`_decimal_digits`) and short ones by ``str()`` with the guard
+    raised just for that call.
+    """
+    if isinstance(q, Dyadic):
+        return f"{'-' if q.m < 0 else ''}{_int_str(abs(q.m))}*2^{q.e}"
+    num = f"{'-' if q < 0 else ''}{_int_str(abs(q.numerator))}"
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
+
+
+# a digit text of at most this many characters is read by int() under
+# every setting of sys.int_max_str_digits, whose least value is 640
+_INT_LEAF_DIGITS = 640
+
+
+def _digits_int(digits: str) -> int:
+    """``int(digits)`` for ASCII digits after an optional sign, at any
+    length, whatever ``sys.int_max_str_digits`` says: a longer text by
+    halves, each half's value joined with a cached power of ten
+    (quadratic ``int()`` takes 6 s for a million digits, the halves
+    0.6 s)."""
+    if len(digits) <= _INT_LEAF_DIGITS:
+        return int(digits)
+    if digits[0] in "-+":
+        return -_digits_int(digits[1:]) if digits[0] == "-" else (
+            _digits_int(digits[1:]))
+    powers = {}
+
+    def halves(digits: str) -> int:
+        if len(digits) <= _INT_LEAF_DIGITS:
+            return int(digits)
+        h = len(digits) >> 1
+        if h not in powers:
+            powers[h] = 10 ** h
+        return halves(digits[:-h]) * powers[h] + halves(digits[-h:])
+    return halves(digits)
+
+
 def parse_number(text: str) -> Fraction:
     """The exact value of a number text: the one reader of every fraction
     and float literal the program takes (the grammar is written in
@@ -626,18 +789,21 @@ def parse_number(text: str) -> Fraction:
     As ``Fraction(text)`` does, it raises ``ZeroDivisionError`` for a
     ratio over 0 and ``ValueError`` for any other text outside the
     grammar, an exponent past ``2^19`` among them.  No power is built for
-    such an exponent, nor for a zero.
+    such an exponent, nor for a zero.  The grammar sets no digit limit,
+    nor does the reader: digits past ``sys.int_max_str_digits`` are read
+    by :func:`_digits_int`.
     """
     if (m := _NUMBER_RE.fullmatch(text)) is None:
         raise ValueError(f"{text!r} is not a number")
     whole, point, e10, den, e2 = m.groups("")
     if den:
-        return Fraction(int(whole), int(den))
+        return Fraction(_digits_int(whole), _digits_int(den))
     # a decimal's digits after the point lower its exponent
-    base, e = (2, int(e2)) if e2 else (10, int(e10 or 0) - len(point))
+    base, e = ((2, _digits_int(e2)) if e2
+               else (10, _digits_int(e10 or "0") - len(point)))
     if abs(e) > _MAX_TEXT_EXPONENT:
         raise ValueError(f"{text!r} has an exponent past {_MAX_TEXT_EXPONENT}")
-    mant = int(whole + point)
+    mant = _digits_int(whole + point)
     # a zero builds no power
     return mant * Fraction(base) ** e if mant else Fraction(0)
 

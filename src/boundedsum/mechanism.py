@@ -49,7 +49,6 @@ import hashlib
 import itertools
 import math
 import struct
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,7 +56,7 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Tuple, Union
 
 from .data import Dataset, exact_value
-from .floats import SimFloat, _bits_grid, _round_bits, add_bits
+from .floats import SimFloat, _bits_grid, _round_bits, add_bits, number_text
 from .ints import IntFormat, KInt
 from .sensitivity import (PreconditionFailed, UnsupportedCombination,
                           SensitivityBound)
@@ -182,12 +181,12 @@ class MechanismSpec:
         out = {
             "method": self.method.to_json(),
             "noise": self.noise,
-            "scale": str(self.scale),
+            "scale": number_text(self.scale),
         }
         if self.noise != "laplace":
-            out["alpha"] = str(self.alpha)
+            out["alpha"] = number_text(self.alpha)
         if self.epsilon is not None:
-            out["epsilon"] = str(self.epsilon)
+            out["epsilon"] = number_text(self.epsilon)
         if self.calibration is not None:
             out["calibration"] = self.calibration.to_json()
         return out
@@ -541,8 +540,8 @@ class ExperimentReport:
         return {
             "trials": self.trials,
             "counts": {"u": {"0": u0, "1": u1}, "v": {"0": v0, "1": v1}},
-            "threshold": str(self.threshold),
-            "epsilon_claimed": str(self.epsilon_claimed),
+            "threshold": number_text(self.threshold),
+            "epsilon_claimed": number_text(self.epsilon_claimed),
             "log2_probability_bound": self.log2_probability_bound,
             "verdict": self.verdict,
             "master_seed": self.master_seed,
@@ -801,73 +800,6 @@ def dp_violation_log2_bound(counts, epsilon) -> float:
 # Exact verification over finite supports
 # ---------------------------------------------------------------------------
 
-# Past this many bits an int is written by halves through ``decimal``, whose
-# multiply is subquadratic; ``str()`` is quadratic in CPython and faster only
-# below it (the two cross between 32,000 and 36,000 bits, best of 7 on a
-# 2-vCPU x86-64 VM, Python 3.11).
-_DECIMAL_BITS = 1 << 15
-# Leaves of that split are converted by ``Decimal(int)`` directly.
-_DECIMAL_LEAF_BITS = 2048
-
-
-def _decimal_digits(n: int) -> str:
-    """``str(n)`` for ``n >= 0``: the halves ``n = hi * 2^h + lo`` are
-    written recursively as Decimals and joined with a cached ``2^h``, the
-    split of CPython 3.12's ``_pylong.int_to_decimal_string``."""
-    import decimal
-    two = decimal.Decimal(2)
-    powers = {}
-
-    def power(w: int):
-        if w not in powers:
-            powers[w] = (two ** w if w <= _DECIMAL_LEAF_BITS
-                         else power(w >> 1) * power(w - (w >> 1)))
-        return powers[w]
-
-    def halves(n: int, w: int):
-        if w <= _DECIMAL_LEAF_BITS:
-            return decimal.Decimal(n)
-        h = w >> 1
-        hi = n >> h
-        return halves(n - (hi << h), h) + halves(hi, w - h) * power(h)
-
-    with decimal.localcontext() as ctx:
-        # exact integers: no rounding, no exponent limit
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        return str(halves(n, n.bit_length()))
-
-
-def _int_str(n: int) -> str:
-    """``str(n)`` for ``n >= 0``, past the int-to-str digit guard."""
-    if n.bit_length() > _DECIMAL_BITS:
-        return _decimal_digits(n)
-    need = n.bit_length() // 3 + 3
-    if (hasattr(sys, "get_int_max_str_digits")
-            and need > sys.get_int_max_str_digits()):
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(need)
-        try:
-            return str(n)
-        finally:
-            sys.set_int_max_str_digits(saved)
-    return str(n)
-
-
-def _exact_str(fr: Fraction) -> str:
-    """``str()`` of a nonnegative fraction, digit for digit, at any size.
-
-    The exact PMF ratios carry numerators of millions of bits (``alpha``
-    lives on a ``2^-80`` grid and gets raised to the modulus).  ``str()``
-    refuses them past CPython's int-to-str digit guard and is quadratic
-    below it, so long numerators and denominators are written by halves
-    (:func:`_decimal_digits`) and short ones by ``str()`` with the guard
-    raised just for that call.
-    """
-    num = _int_str(fr.numerator)
-    return num if fr.denominator == 1 else f"{num}/{_int_str(fr.denominator)}"
-
-
 @dataclass(frozen=True)
 class ExactDPReport:
     """Worst pointwise PMF ratio of a finite-support mechanism pair."""
@@ -883,10 +815,10 @@ class ExactDPReport:
             approx = float(self.max_ratio)
         except OverflowError:   # past the largest double
             approx = None
-        return {"max_ratio": _exact_str(self.max_ratio),
+        return {"max_ratio": number_text(self.max_ratio),
                 "max_ratio_approx": approx,
                 "witness": self.witness,
-                "epsilon": str(self.epsilon), "satisfied": self.satisfied,
+                "epsilon": number_text(self.epsilon), "satisfied": self.satisfied,
                 "support": self.support}
 
 

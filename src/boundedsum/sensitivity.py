@@ -47,7 +47,8 @@ from typing import List, Optional, Tuple, Union
 from .data import (Dataset, ElementFormat, Value, check_materialize,
                    check_runs, code_key, code_value, exact_value)
 from .dyadic import floor_log2_fraction
-from .floats import FloatFormat, _pattern_ranges, is_representable
+from .floats import (FloatFormat, _pattern_ranges, is_representable,
+                     number_text)
 from .ints import IntFormat
 from .metrics import histogram
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
@@ -137,8 +138,8 @@ class SensitivityBound:
 
     def to_json(self) -> dict:
         def enc(v):
-            return str(v) if isinstance(v, Fraction) else v
-        return {"value": str(self.value), "rule": self.rule,
+            return number_text(v) if isinstance(v, Fraction) else v
+        return {"value": number_text(self.value), "rule": self.rule,
                 "output_metric": self.output_metric,
                 "details": {k: enc(v) for k, v in sorted(self.details.items())}}
 

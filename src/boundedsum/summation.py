@@ -62,24 +62,26 @@ algorithm is made of bit patterns, a run of fewer than
 spacing (:meth:`SimFloat.to_grid`).  A value object is built only for
 the release.
 
-The machine's own floats: on float32 and float64 under ``banker`` (see
-:func:`~boundedsum.floats._native`), iterative and Kahan fold each
-stretch of runs of at most ``_NATIVE_RUN`` copies on Python floats, and
-pairwise walks its whole tree on them (``_fold``, ``_cascade``).
-This is exact:
+The machine's own floats: on float32 and float64, in every rounding
+mode (see :func:`~boundedsum.floats._native`), iterative, Kahan and
+split's partials fold each stretch of runs of at most ``_NATIVE_RUN``
+copies on Python floats, and pairwise walks its whole tree on them
+(``_fold``, ``_cascade``).  This is exact:
 
 * the model's ``banker`` is IEEE round-to-nearest-even, overflow to
   infinity included (a tie at ``n_max + ulp/2`` goes to infinity in
   both), and a float32 add is the double sum rounded once more, which
-  is correct because 53 >= 2*24 + 2 (Figueroa 1995);
+  is correct because 53 >= 2*24 + 2 (Figueroa 1995); a directed add is
+  that sum corrected by one step, read off its exact TwoSum error (see
+  :func:`~boundedsum.floats._machine_add`);
 * no native value is ``-0``: every state starts at ``+0``, no element
   is ``-0``, and an exact cancellation gives ``+0``, as in the model;
-* in IEEE arithmetic an infinity never becomes finite again, so a
-  finite state after a stretch means no add of it overflowed, and none
-  of the model's overflow rules applied.  A stretch, or pairwise's whole
-  walk, is therefore taken only when every component of its state is
-  finite, and otherwise folded again on patterns, by the rules, from the
-  state before it.
+* in IEEE arithmetic an infinity never becomes finite again, and no
+  correction steps one, so a finite state after a stretch means no add
+  of it overflowed, and none of the model's overflow rules applied.  A
+  stretch, or pairwise's whole walk, is therefore taken only when every
+  component of its state is finite, and otherwise folded again on
+  patterns, by the rules, from the state before it.
 
 Every other format and mode, longer runs and blocks keep the bit
 kernel, which is also the reference the tests compare against.
@@ -98,6 +100,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -107,8 +110,8 @@ from operator import itemgetter, sub
 from typing import List, Optional, Tuple, Union
 
 from .data import (Dataset, ElementFormat, MATERIALIZE_LIMIT,
-                   _MIN_BLOCK_COPIES, _field, code_key, code_value,
-                   entry_size, exact_value, merge_runs)
+                   _MIN_BLOCK_COPIES, _field, code_value, entry_size,
+                   exact_value, merge_runs)
 from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
                      _check_mode, _from_bits, _grid_bits, _machine_add,
@@ -630,12 +633,12 @@ def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str,
     moves it by the same exact deltas each step.  The entries are taken as
     the dataset holds them: blocks are found when it is built.
 
-    Where the format and mode have the machine's own floats (see
+    Where the format has the machine's own floats (see
     :func:`~boundedsum.floats._native`), a stretch holds the runs of at
     most ``_NATIVE_RUN`` copies, and is first the rules' fold on the
     machine's floats, ``machine_fold(native, add, state, xs)``: ``xs``
     iterates over the stretch's elements, each run's float repeated, and
-    ``add`` is the machine's rounded add.  It is taken only when every
+    ``add`` is the machine's add rounded by ``mode``.  It is taken only when every
     component of its state is finite (the machine fold gives None
     otherwise).  An infinity never becomes finite again in IEEE
     arithmetic, so then no add of the stretch overflowed, and no overflow
@@ -644,7 +647,7 @@ def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str,
     """
     native = _native(fmt, mode)
     longest = _MIN_BLOCK_COPIES - 1 if native is None else _NATIVE_RUN
-    add = native and _machine_add(native[0])
+    add = native and _machine_add(native[0], mode)
     cuts = bytearray(map(longest.__lt__, map(itemgetter(1), runs)))
     # a block is held at _MIN_BLOCK_COPIES copies or more, so its count
     # ends a stretch of literal runs, but not always a machine's stretch
@@ -804,10 +807,10 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     one) costs one comparison per node on top of its add.
 
     Each add is the rules' ``op`` (see :func:`_rules`; a float overflow
-    releases the first infinity reached).  On float32 and float64 under
-    ``banker`` the walk is first made on the machine's floats with their
-    rounded add (see :func:`~boundedsum.floats._native`), and taken if its
-    sum is finite: then no add overflowed.  Wraparound integers release
+    releases the first infinity reached).  On float32 and float64 the walk
+    is first made on the machine's floats with their add rounded by
+    ``rounding`` (see :func:`~boundedsum.floats._native`), and taken if
+    its sum is finite: then no add overflowed.  Wraparound integers release
     the wrapped exact sum, which every tree shape gives.
     """
     fmt = dataset.fmt
@@ -826,7 +829,7 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
         else:
             xs = _to_floats(native, codes)
         got = _cascade(list(zip(xs, map(itemgetter(1), runs))),
-                       _machine_add(native[0]))
+                       _machine_add(native[0], rounding))
         if math.isfinite(got):
             return _from_bits(fmt, _to_patterns(native, (got,))[0])
     return _from_bits(fmt, _cascade(runs, rules.op))
@@ -902,8 +905,9 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
 
     Floats: both partials accumulate with round-toward-zero, each sign's
     runs of the multiset (see :meth:`Dataset.multiset`, a block's codes
-    each with its count) by :func:`_fold` and the iterative rules;
-    the release is the split rules' join (see :func:`_rules`), which
+    each with its count) by :func:`_fold` and the iterative rules, on
+    float32 and float64 in stretches of the machine's floats, corrected
+    toward zero (see :func:`~boundedsum.floats._machine_add`); the release is the split rules' join (see :func:`_rules`), which
     clamps a partial that saturated to infinity (recorded here in
     ``events``) and combines the two with a single round-to-nearest add.
     Integers: partials and combine all use the format's own overflow
@@ -973,13 +977,18 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
     would still tell them apart.  Uniformity is unaffected — Fisher-Yates
     is uniform from any fixed starting arrangement.  The sorted order is
     expanded from the multiset (see :meth:`Dataset.multiset`), the same
-    list however the entries chunk the elements.
+    list however the entries chunk the elements.  Codes are sorted as
+    ints: an int's is its value, and a float's pattern orders the values
+    of one sign, the negative patterns last by their magnitude, so those
+    are reversed to the front (no code is ``-0``).
     """
     if dataset.n > MATERIALIZE_LIMIT:
         raise ValueError("dataset too large to materialize for permutation")
-    runs = sorted(dataset.multiset(),
-                  key=lambda run: code_key(dataset.fmt, run[0]))
-    codes = [x for x, c in runs for _ in range(c)]
+    runs = sorted(dataset.multiset(), key=itemgetter(0))
+    if isinstance(dataset.fmt, FloatFormat):
+        cut = bisect_left(runs, dataset.fmt._kernel[3], key=itemgetter(0))
+        runs = runs[cut:][::-1] + runs[:cut]
+    codes = list(_expand(map(itemgetter(0), runs), runs))
     random.Random(seed).shuffle(codes)
     return _arranged(dataset, codes)
 
@@ -999,11 +1008,14 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
     silently changes the function being privatized.  ``run_sum`` records
     the offset the caller adds back after the noise.
 
-    Floats are shifted on the format's finest grid (see
-    :meth:`SimFloat.to_grid`), and each difference is packed by
-    :meth:`SimFloat.from_grid`'s rule.  The shift is one-to-one and keeps
-    the order, so the shifted entries need no checks, and a block stays a
-    block.
+    On float32 and float64 the codes are first shifted in one pass on the
+    machine's floats (see :func:`_machine_shift`).  If one difference is
+    not exact there, or the machine has no floats for the format, floats
+    are shifted on the format's finest grid (see :meth:`SimFloat.to_grid`),
+    and each difference is packed by :meth:`SimFloat.from_grid`'s rule,
+    which names the upper bound, or else the first element, that cannot
+    be shifted.  The shift is one-to-one and keeps the order, so the
+    shifted entries need no checks, and a block stays a block.
     """
     fmt = dataset.fmt
     if not isinstance(fmt, FloatFormat):
@@ -1014,6 +1026,53 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
         return Dataset.unchecked(fmt, KInt(fmt, 0), KInt(fmt, span), [
             (tuple([y - lo for y in x]) if x.__class__ is tuple else x - lo,
              c) for x, c in dataset.runs])
+    runs = dataset.runs
+    codes = (list(itertools.chain.from_iterable(
+        x if x.__class__ is tuple else (x,) for x, _ in runs))
+        if dataset.blocks else list(map(itemgetter(0), runs)))
+    codes.append(dataset.upper.bits)
+    native = _native(fmt, "banker")
+    moved = native and _machine_shift(native, dataset.lower.bits, codes)
+    if moved is None:
+        moved = _grid_shift(dataset, codes)
+    upper = moved.pop()
+    if dataset.blocks:
+        it = iter(moved)
+        runs = [(tuple(itertools.islice(it, len(x))) if x.__class__ is tuple
+                 else next(it), c) for x, c in runs]
+    else:
+        runs = list(zip(moved, map(itemgetter(1), runs)))
+    return Dataset.unchecked(fmt, _from_bits(fmt, 0), _from_bits(fmt, upper),
+                             runs)
+
+
+def _machine_shift(native: tuple, lower: int, codes: list):
+    """The patterns ``codes`` less the pattern ``lower``, as a list, on the
+    machine's floats of the typecodes ``native``, or None unless every
+    difference is exact and finite there.
+
+    Each difference ``d = x - lower`` is one double subtraction, exact
+    when its TwoSum error (see :func:`~boundedsum.floats._machine_add`) is
+    0; an overflow makes the error NaN.  A float32 difference must also
+    be a float32 value, kept by the round trip through a float32 array
+    (which takes a double past its range to infinity).
+    """
+    xs = _to_floats(native, codes)
+    lo = -_to_floats(native, (lower,))[0]
+    ds = [x + lo for x in xs]
+    if any([(x - (d - (z := d - x))) + (lo - z) for x, d in zip(xs, ds)]):
+        return None
+    moved = array(native[0], ds)
+    if native[0] == "f" and moved.tolist() != ds:
+        return None
+    return list(_to_patterns(native, moved))
+
+
+def _grid_shift(dataset: Dataset, codes: list) -> list:
+    """:func:`_shift_dataset`'s patterns of ``codes`` (the elements', then
+    the upper bound's) on the format's finest grid, refusing the upper
+    bound first, then the first element that cannot be shifted."""
+    fmt = dataset.fmt
     kernel = fmt._kernel
     _, _, _, sign, inf = kernel
     lo = dataset.lower.to_grid()
@@ -1023,9 +1082,10 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
         bits = _grid_bits(kernel, _bits_grid(kernel, x) - lo)
         return None if bits is None or bits & (sign - 1) == inf else bits
 
-    upper = shifted(dataset.upper.bits)
+    upper = shifted(codes[-1])
     if upper is None:
         raise ValueError("shifted upper bound U - L is not representable")
+
     def checked(x: int) -> int:
         bits = shifted(x)
         if bits is None:
@@ -1033,10 +1093,7 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
                              f"{dataset.lower} is not representable")
         return bits
 
-    runs = [(tuple(map(checked, x)) if x.__class__ is tuple else checked(x),
-             c) for x, c in dataset.runs]
-    return Dataset.unchecked(fmt, _from_bits(fmt, 0), _from_bits(fmt, upper),
-                             runs)
+    return [*map(checked, codes[:-1]), upper]
 
 
 # ---------------------------------------------------------------------------

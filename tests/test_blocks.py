@@ -20,15 +20,16 @@ from hypothesis.strategies import (booleans, composite, data, integers, just,
                                    lists, one_of, sampled_from, tuples)
 from pytest import mark
 
-from boundedsum import (ALGORITHMS, FLOAT32, PERMUTATION_ALGORITHM, Dataset,
-                        Dyadic, FloatFormat, IntFormat, KInt,
+from boundedsum import (ALGORITHMS, FLOAT32, FLOAT64, PERMUTATION_ALGORITHM,
+                        Dataset, Dyadic, FloatFormat, IntFormat, KInt,
                         RandomPermutation, ROUNDING_MODES, ShiftBounds,
                         SimFloat, SumMethod, Truncate, add_int, d_co, d_ham,
                         d_id, d_sym, exact_value, is_representable,
                         round_dyadic, run_sum, truncate)
 from boundedsum.data import (_SCAN_COPIES, _settle, code_key, encode_value,
                              json_text)
-from boundedsum.floats import add_bits, parse_value
+from boundedsum.floats import _native, add_bits, parse_value
+from boundedsum.summation import _machine_shift, _shift_dataset
 
 FORMATS = [FloatFormat(2, 3), FloatFormat(4, 6), FLOAT32,
            IntFormat(8, True, "wraparound"), IntFormat(8, True, "saturating"),
@@ -281,6 +282,34 @@ def test_a_held_block_sums_as_its_elements(pair, mode, data):
         assert got == literal_sum(held, method)
 
 
+@given(sampled_from([FLOAT32, FLOAT64]), data())
+@settings(max_examples=300, deadline=None)
+def test_the_machine_shift_is_the_literal_shift(fmt, data):
+    # float32 and float64 are shifted in one pass on the machine's floats,
+    # and every element whose difference is not exact there sends the
+    # whole list to the grid, which names the first one
+    codes = data.draw(lists(_codes(fmt), min_size=1, max_size=40))
+    key = lambda x: code_key(fmt, x)
+    bounds = sorted([*data.draw(lists(_codes(fmt), max_size=2)),
+                     min(codes, key=key), max(codes, key=key)], key=key)
+    lo, hi = SimFloat(fmt, bounds[0]), SimFloat(fmt, bounds[-1])
+    entries = [(x, 1) for x in codes]
+    if len(codes) > 2 and data.draw(booleans()):
+        entries = [(tuple(codes[:2]), 5)] + entries[2:]
+    ds = Dataset.unchecked(fmt, lo, hi, entries)
+    want = outcome(literal_shift, ds, ds.codes())
+    got = outcome(_shift_dataset, ds)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.codes() == want and got.runs == Dataset.unchecked(
+            fmt, got.lower, got.upper, [(x, 1) for x in want]).runs
+        assert got.upper.bits == literal_shift(ds, [hi.bits])[0]
+    native = _native(fmt, "banker")
+    exact = _machine_shift(native, lo.bits, [*ds.codes(), hi.bits])
+    assert (exact is None) == isinstance(want, tuple)
+
+
 # ---------------------------------------------------------------------------
 # One element sequence, one entry list
 # ---------------------------------------------------------------------------
@@ -432,3 +461,17 @@ def test_a_block_of_2_49_copies_settles_without_expanding():
     assert held.runs == ((_A, 4), ((_B, _A), (1 << 49) - 1), (_B, 3))
     assert held.n == 5 + (1 << 50)
     assert again.runs == held.runs and json_text(again) == text
+
+
+@mark.parametrize("kinds", [100, 300])
+def test_a_block_is_found_among_any_number_of_kinds_of_runs(kinds):
+    # up to 256 kinds of runs the scans compare one-byte run ids, past
+    # that the runs themselves
+    fmt = IntFormat(16, True, "wraparound")
+    head = [(x, 1) for x in range(1000, 1000 + kinds // 2)]
+    tail = [(x, 1) for x in range(-1000, -1000 + kinds // 2)]
+    block = [(1, 2), (2, 1), (3, 1)]
+    held = Dataset.unchecked(fmt, KInt(fmt, fmt.min_value),
+                             KInt(fmt, fmt.max_value),
+                             head + block * 6 + [(1, 1)] + tail)
+    assert held.runs == (*head, ((1, 1, 2, 3), 6), (1, 1), *tail)

@@ -18,7 +18,9 @@ from hypothesis.strategies import (data, fractions, integers, just,
                                    sampled_from, tuples)
 from pytest import mark, raises
 
-from boundedsum import Dataset, IntFormat, KInt, cli, save_dataset
+from boundedsum import (Dataset, FloatFormat, IntFormat, KInt, SimFloat, cli,
+                        save_dataset)
+from boundedsum.floats import parse_number
 from boundedsum.cli import main
 from test_golden import CASES, MECHANISM_CASES, REPLAY_CASES, _in_golden
 
@@ -277,6 +279,22 @@ def test_a_sum_past_sys_maxsize_elements_reports_its_count(tmp_path):
     report = json.loads(out)
     assert code == 0
     assert (report["n"], report["value"]) == (count, "127")
+
+
+def test_an_exact_sum_past_the_digit_guard_reports_its_value(tmp_path):
+    # float(236, 19)'s largest value plus its smallest subnormal: the exact
+    # sum's numerator has some 158,000 digits, past str()'s 4,300
+    fmt = FloatFormat(236, 19)
+    _, _, _, _, inf = fmt._kernel
+    tiny, top = SimFloat(fmt, 1), SimFloat(fmt, inf - 1)
+    path = tmp_path / "wide.json"
+    save_dataset(Dataset(fmt, SimFloat(fmt, 0), top, [(tiny, 1), (top, 1)]),
+                 path)
+    code, out = _run(["sum", "--in", str(path), "--method", "exact"])
+    report = json.loads(out)
+    assert code == 0 and report["value"] == report["exact"]
+    assert parse_number(report["exact"]) == (tiny.to_fraction()
+                                             + top.to_fraction())
 
 
 @mark.parametrize("instance", ["ov8", [1], 3])

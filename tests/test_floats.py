@@ -34,7 +34,8 @@ from boundedsum import (
     values_in_range,
 )
 from boundedsum.dyadic import floor_log2_fraction
-from boundedsum.floats import _pattern_ranges, add_bits, parse_number
+from boundedsum.floats import (_pattern_ranges, add_bits, number_text,
+                              parse_number)
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -567,6 +568,33 @@ def test_parse_value_keeps_the_one_spelling():
     ("-3*2^-2", Fraction(-3, 4)), ("0e524288", 0), ("0*2^-524288", 0)])
 def test_parse_number_reads_each_form_exactly(text, want):
     assert parse_number(text) == want
+
+
+def test_parse_number_reads_past_the_digit_guard():
+    # int() refuses more than sys.int_max_str_digits (4,300 by default)
+    assert parse_number("1" * 5000) == (10 ** 5000 - 1) // 9
+    assert parse_number("-" + "7" * 9000 + "/" + "3" * 7000) == Fraction(
+        -(7 * (10 ** 9000 - 1) // 9), 3 * (10 ** 7000 - 1) // 9)
+    assert parse_number("1." + "0" * 5000 + "1") == 1 + Fraction(
+        1, 10 ** 5001)
+    assert parse_number("1*2^" + "0" * 5000 + "3") == 8
+
+
+@given(integers(0, 60_000), integers(0, 40_000), integers(-600, 600),
+       integers(0, 2 ** 64))
+@settings(max_examples=30, deadline=None)
+def test_number_text_is_read_back_exactly(num_bits, den_bits, e, seed):
+    # the writer of report numbers, read back by the one reader, at sizes
+    # past the digit guard of str() and int()
+    rng = random.Random(seed)
+    num = rng.getrandbits(num_bits) * rng.choice((-1, 1))
+    den = rng.getrandbits(den_bits) + 1
+    for exact in (num, Fraction(num, den), Dyadic(num, e)):
+        text = number_text(exact)
+        want = exact.to_fraction() if isinstance(exact, Dyadic) else exact
+        assert parse_number(text) == want
+        if not isinstance(exact, Dyadic) and max(num_bits, den_bits) < 1000:
+            assert text == str(exact)
 
 
 def test_parse_number_reads_an_exponent_up_to_its_bound():

@@ -33,12 +33,13 @@ from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec,
 from boundedsum.cli import main
 from boundedsum.data import Dataset, load_dataset
 from boundedsum.dyadic import Dyadic
-from boundedsum.floats import FloatFormat, SimFloat, add_float, round_dyadic
+from boundedsum.floats import (_DECIMAL_BITS, FloatFormat, SimFloat,
+                              _decimal_digits, _int_str, add_float,
+                              number_text, parse_number, round_dyadic)
 from boundedsum.ints import IntFormat, KInt
 from boundedsum import mechanism
-from boundedsum.mechanism import (_DECIMAL_BITS, _coprime_fraction,
-                                  _decimal_digits, _exact_str, _folded_ratio,
-                                  _int_str, _log_factorials, _log_upper_tail,
+from boundedsum.mechanism import (_coprime_fraction, _folded_ratio,
+                                  _log_factorials, _log_upper_tail,
                                   certified_leq_exp, rational_alpha)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -985,7 +986,7 @@ def assert_written_as_str(n):
     want = unlimited_str(n)
     assert _decimal_digits(n) == want
     assert _int_str(n) == want
-    assert _exact_str(Fraction(n)) == want      # denominator 1: no "/"
+    assert number_text(Fraction(n)) == want     # denominator 1: no "/"
 
 
 def test_decimal_writer_is_str_at_the_edges():
@@ -1003,7 +1004,7 @@ def test_decimal_writer_is_str_on_drawn_sizes(bits, seed):
     rng = random.Random(seed)
     assert_written_as_str(rng.getrandbits(bits))
     ratio = Fraction(rng.getrandbits(bits), rng.getrandbits(bits) + 1)
-    assert _exact_str(ratio) == unlimited_str(ratio)
+    assert number_text(ratio) == unlimited_str(ratio)
 
 
 def test_cli_dpcheck_reports_a_ratio_past_the_double_range(tmp_path,
@@ -1022,6 +1023,27 @@ def test_cli_dpcheck_reports_a_ratio_past_the_double_range(tmp_path,
     # e^-4, some 10^443, past the largest double (about 1.8e308)
     num, den = report["max_ratio"].split("/")
     assert len(num) - len(den) > 309
+
+
+def test_cli_dpcheck_reports_an_epsilon_past_the_digit_guard(tmp_path,
+                                                            capsys):
+    # 2^50000 has 15,052 digits: the manifest, the report and the scale's
+    # denominator write them all, and each reads back
+    pair = tmp_path / "ov8"
+    assert main(["attack", "gen", "--theorem", "overflow", "--bits", "8",
+                 "--upper", "4", "--out", str(pair)]) == 0
+    capsys.readouterr()
+    assert main(["dpcheck", "exact", "--u", str(pair / "u.json"),
+                 "--v", str(pair / "v.json"), "--epsilon", "1*2^50000",
+                 "--calibrate", "idealized"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    epsilon = Fraction(2) ** 50000
+    assert parse_number(report["epsilon"]) == epsilon
+    assert parse_number(report["manifest"]["parameters"]["epsilon"]) == epsilon
+    mechanism = report["mechanism"]
+    assert parse_number(mechanism["scale"]) * epsilon == parse_number(
+        mechanism["calibration"]["value"])
+    assert report["satisfied"] is True
 
 
 # ---------------------------------------------------------------------------

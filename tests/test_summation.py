@@ -8,6 +8,7 @@ element-by-element fold.
 
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -426,8 +427,8 @@ def count_adds(monkeypatch) -> list:
         calls.append("bits")
         return add_bits(kernel, x, y, mode)
 
-    def counting_machine(ftype):
-        add = machine_add(ftype)
+    def counting_machine(ftype, mode):
+        add = machine_add(ftype, mode)
 
         def counted(a, b):
             calls.append("machine")
@@ -1194,43 +1195,122 @@ def test_machine_stretches_match_the_literal_folds(ds, mode):
     assert bs_iterative(ds, mode).bits == acc
     assert bs_kahan(ds, mode).bits == total
     assert bs_pairwise(ds, mode) == ref_pairwise(ds, mode)
+    assert bs_split(ds) == ref_split(ds)
 
 
-def test_only_float32_and_float64_to_nearest_have_machine_floats():
+@composite
+def machine_operands(draw):
+    """A float32 or float64 pair of patterns of either sign: subnormal,
+    top-binade or any, the second at most three mantissa widths of
+    binades from the first, or anywhere."""
+    fmt = draw(sampled_from([F32, F64]))
+    k = fmt.mantissa_bits
+    _, _, _, sign, inf = fmt._kernel
+    top = (inf >> k) - 1  # the top binade's exponent field
+
+    def pattern(field):
+        bits = field << k | draw(integers(0, (1 << k) - 1))
+        return bits | sign if bits and draw(booleans()) else bits
+    field = draw(one_of(integers(0, 0), integers(top, top),
+                        integers(1, top)))
+    near = integers(max(field - 3 * k, 0), min(field + 3 * k, top))
+    return fmt, pattern(field), pattern(draw(one_of(
+        near, integers(0, 0), integers(top, top), integers(0, top))))
+
+
+@given(machine_operands(), sampled_from(ROUNDING_MODES))
+# float64 toward zero: s = a + b is finite, but TwoSum's s - a overflows
+@example((F64, 0x7fd0bf0a6ada168b, 0xffefffffffffffff), "toward_zero")
+# n_max + ulp/2 under each directed mode: nearest is infinity, the model
+# gives n_max toward zero and toward -inf
+@example((F32, 0x7f7fffff, 0x73000000), "toward_zero")
+@example((F64, 0x7fefffffffffffff, 0x7c90000000000000), "toward_neg")
+# float32: the double sum 1 + 2^-70 rounds to 1, so the sign of the
+# error is that of e, and toward +inf steps to 1 + 2^-23
+@example((F32, 0x3f800000, 0x1c800000), "toward_pos")
+@settings(max_examples=1000, deadline=None)
+def test_machine_adds_are_add_bits_or_refold(operands, mode):
     import boundedsum.floats as floats
-    assert floats._native(F32, "banker") == ("f", "I")
-    assert floats._native(F64, "banker") == ("d", "Q")
-    for fmt, mode in ((F32, "toward_zero"), (F64, "toward_pos"),
-                      (F105, "banker"), (FloatFormat(23, 9), "banker")):
-        assert floats._native(fmt, mode) is None
+    import boundedsum.summation as summation
+    fmt, a, b = operands
+    native = floats._native(fmt, mode)
+    add = floats._machine_add(native[0], mode)
+    xs = floats._to_floats(native, (a, b))
+    got, want = add(*xs), add_bits(fmt._kernel, a, b, mode)
+    if math.isfinite(got):
+        assert floats._to_patterns(native, (got,))[0] == want
+    else:
+        # the stretch is refused, and the fold takes the pattern adds
+        assert summation._iterate(native, add, 0, xs) is None
+        assert bs_iterative(_blocks(fmt, [(a, 1), (b, 1)]), mode).bits == want
 
 
-def test_a_dense_float32_file_adds_on_the_machine(monkeypatch):
+@mark.parametrize("fmt", [F32, F64])
+def test_a_cancellation_is_plus_zero_in_every_mode(fmt):
+    # the model's zero results are +0; IEEE's toward -inf would give -0
+    import boundedsum.floats as floats
+    native = floats._native(fmt, "toward_neg")
+    x = parse_value(fmt, "0.375").bits
+    _, _, _, sign, _ = fmt._kernel
+    for mode in ROUNDING_MODES:
+        assert add_bits(fmt._kernel, x, x ^ sign, mode) == 0
+        got = floats._machine_add(native[0], mode)(
+            *floats._to_floats(native, (x, x ^ sign)))
+        assert floats._to_patterns(native, (got,)) == (0,)
+        ds = _blocks(fmt, [(x, 1), (x ^ sign, 1)])
+        assert bs_iterative(ds, mode).bits == bs_pairwise(ds, mode).bits == 0
+
+
+def test_float32_and_float64_have_machine_floats_in_every_mode(monkeypatch):
+    import boundedsum.floats as floats
+    for mode in ROUNDING_MODES:
+        assert floats._native(F32, mode) == ("f", "I")
+        assert floats._native(F64, mode) == ("d", "Q")
+        for fmt in (F105, FloatFormat(23, 9), FloatFormat(52, 10)):
+            assert floats._native(fmt, mode) is None
+    monkeypatch.setattr(floats, "_keeps_subnormals", lambda: False)
+    for fmt in (F32, F64):
+        for mode in ROUNDING_MODES:
+            assert floats._native(fmt, mode) is None
+
+
+@mark.parametrize("mode", ROUNDING_MODES)
+def test_a_dense_float32_file_adds_on_the_machine(monkeypatch, mode):
     # one float add per element in the iterative fold and four per Kahan
-    # step, and no add_bits; any other mode adds on patterns only
+    # step, and no add_bits, in every mode; the split partials' one add
+    # per element too, on a file whose partials stay finite
     ds = load_dataset(GOLDEN_INSTANCES / "dense" / "f32.json")
     calls = count_adds(monkeypatch)
     for fold, adds in ((bs_iterative, 1), (bs_kahan, 4)):
         calls.clear()
-        fold(ds)
+        fold(ds, mode)
         assert calls == ["machine"] * (adds * ds.n)
-        calls.clear()
-        fold(ds, "toward_neg")
-        assert calls == ["bits"] * (adds * ds.n)
+    small = Dataset.unchecked(ds.fmt, ds.lower, ds.upper, [
+        (x, c) for x, c in ds.runs if x & 0x7fffffff < 0x7f000000])
+    calls.clear()
+    bs_split(small)
+    # one add per element, from each side's +0, then the banker's join
+    assert calls == ["machine"] * small.n + ["bits"]
 
 
 def test_a_process_that_flushes_subnormals_folds_on_patterns(monkeypatch):
     import boundedsum.floats as floats
-    ds = load_dataset(GOLDEN_INSTANCES / "dense" / "f32.json")
     folds = (bs_iterative, bs_kahan, bs_pairwise)
-    want = [fold(ds) for fold in folds]
-    monkeypatch.setattr(floats, "_keeps_subnormals", lambda: False)
-    assert floats._native(F32, "banker") is None
-    calls = count_adds(monkeypatch)
-    for fold, value in zip(folds, want):
-        calls.clear()
-        assert fold(ds) == value
-        assert calls and "machine" not in calls
+    for name in ("f32", "f64"):
+        ds = load_dataset(GOLDEN_INSTANCES / "dense" / f"{name}.json")
+        want = {mode: [fold(ds, mode) for fold in folds] + [bs_split(ds)]
+                for mode in ROUNDING_MODES}
+        with monkeypatch.context() as patched:
+            patched.setattr(floats, "_keeps_subnormals", lambda: False)
+            calls = count_adds(patched)
+            for mode in ROUNDING_MODES:
+                for fold, value in zip(folds, want[mode]):
+                    calls.clear()
+                    assert fold(ds, mode) == value
+                    assert calls and "machine" not in calls
+            calls.clear()
+            assert bs_split(ds) == want["banker"][-1]
+            assert calls and "machine" not in calls
 
 
 def test_short_runs_step_literally(monkeypatch):
