@@ -403,9 +403,10 @@ def _found(runs: tuple) -> Tuple[tuple, bool]:
     is a run of ``(_MIN_BLOCK_COPIES - 1) * b`` or more ``True`` in ``entry
     i == entry i + b``, found by C-level scans, one for each ``b`` whose
     copies fit in ``runs``: over one-byte run ids, by one XOR of two big
-    ints, when ``runs`` has at most 256 kinds, else run by run; among overlapping stretches the earliest wins,
-    then the shortest block, and the later one keeps the whole blocks past
-    it (any ``b`` entries in a row of a stretch are a copy of it).  A
+    ints, when ``runs`` has at most 256 kinds, else run by run.  Among
+    overlapping stretches the earliest wins, then the shortest block, and
+    the later one keeps the whole blocks past it (any ``b`` entries in a
+    row of a stretch are a copy of it).  A
     block's size is summed from its counts before its elements are
     listed.  Runs with fewer than ``2 * (_MIN_BLOCK_COPIES - 1)`` equal to
     earlier ones are returned after one C-level check: ``c`` copies of ``b

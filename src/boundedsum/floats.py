@@ -515,16 +515,17 @@ def _keeps_subnormals() -> bool:
             and array("f", [_TINY32 + _TINY32])[0] != 0)
 
 
-def _native(fmt: FloatFormat, mode: str):
+def _native(fmt: FloatFormat):
     """The array typecodes ``(float, pattern)`` of the machine's own float
-    for ``fmt``, or None; ``mode`` is one of ``ROUNDING_MODES``.
+    for ``fmt``, or None.
 
-    float32 ``('f', 'I')`` and float64 ``('d', 'Q')`` have one in every
-    mode, on a machine that keeps subnormals: IEEE round-to-nearest-even
-    is the model's ``banker``, overflow included (a tie at ``n_max +
-    ulp/2`` goes to infinity in both), and :func:`_machine_add` derives
-    the directed modes from it.  Every other format, or a process that
-    flushes subnormals, has only :func:`add_bits`.
+    float32 ``('f', 'I')`` and float64 ``('d', 'Q')`` have one, in every
+    rounding mode, on a machine that keeps subnormals: IEEE
+    round-to-nearest-even is the model's ``banker``, overflow included (a
+    tie at ``n_max + ulp/2`` goes to infinity in both), and
+    :func:`_machine_add` derives the directed modes from it.  Every other
+    format, or a process that flushes subnormals, has only
+    :func:`add_bits`.
     """
     codes = _MACHINE.get((fmt.mantissa_bits, fmt.exponent_bits))
     return codes if codes is not None and _keeps_subnormals() else None
@@ -718,12 +719,21 @@ def _decimal_digits(n: int) -> str:
         return str(halves(n, n.bit_length()))
 
 
+# an int of at most this many bits has at most 603 digits, which str()
+# writes under every setting of sys.int_max_str_digits (its least is 640)
+_STR_BITS = 2000
+
+
 def _int_str(n: int) -> str:
-    """``str(n)`` for ``n >= 0``, past the int-to-str digit guard."""
+    """``str(n)`` past the int-to-str digit guard."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
     if n.bit_length() > _DECIMAL_BITS:
         return _decimal_digits(n)
-    need = n.bit_length() // 3 + 3
     limit = sys.get_int_max_str_digits()
+    need = n.bit_length() // 3 + 3
     if limit and need > limit:
         sys.set_int_max_str_digits(need)
         try:
@@ -748,8 +758,8 @@ def number_text(q) -> str:
     raised just for that call.
     """
     if isinstance(q, Dyadic):
-        return f"{'-' if q.m < 0 else ''}{_int_str(abs(q.m))}*2^{q.e}"
-    num = f"{'-' if q < 0 else ''}{_int_str(abs(q.numerator))}"
+        return f"{_int_str(q.m)}*2^{q.e}"
+    num = _int_str(q.numerator)
     return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
@@ -767,8 +777,8 @@ def _digits_int(digits: str) -> int:
     if len(digits) <= _INT_LEAF_DIGITS:
         return int(digits)
     if digits[0] in "-+":
-        return -_digits_int(digits[1:]) if digits[0] == "-" else (
-            _digits_int(digits[1:]))
+        value = _digits_int(digits[1:])
+        return -value if digits[0] == "-" else value
     powers = {}
 
     def halves(digits: str) -> int:

@@ -818,7 +818,8 @@ class ExactDPReport:
         return {"max_ratio": number_text(self.max_ratio),
                 "max_ratio_approx": approx,
                 "witness": self.witness,
-                "epsilon": number_text(self.epsilon), "satisfied": self.satisfied,
+                "epsilon": number_text(self.epsilon),
+                "satisfied": self.satisfied,
                 "support": self.support}
 
 

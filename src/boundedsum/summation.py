@@ -638,14 +638,14 @@ def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str,
     most ``_NATIVE_RUN`` copies, and is first the rules' fold on the
     machine's floats, ``machine_fold(native, add, state, xs)``: ``xs``
     iterates over the stretch's elements, each run's float repeated, and
-    ``add`` is the machine's add rounded by ``mode``.  It is taken only when every
-    component of its state is finite (the machine fold gives None
-    otherwise).  An infinity never becomes finite again in IEEE
+    ``add`` is the machine's add rounded by ``mode``.  It is taken only
+    when every component of its state is finite (the machine fold gives
+    None otherwise).  An infinity never becomes finite again in IEEE
     arithmetic, so then no add of the stretch overflowed, and no overflow
     rule of the model applied.  Otherwise the stretch is folded again
     literally from the state before it, which gives the model's result.
     """
-    native = _native(fmt, mode)
+    native = _native(fmt)
     longest = _MIN_BLOCK_COPIES - 1 if native is None else _NATIVE_RUN
     add = native and _machine_add(native[0], mode)
     cuts = bytearray(map(longest.__lt__, map(itemgetter(1), runs)))
@@ -820,7 +820,7 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     runs = dataset.runs
     if isinstance(fmt, IntFormat):
         return KInt(fmt, _cascade(runs, rules.op))
-    native = _native(fmt, rounding)
+    native = _native(fmt)
     if native is not None:
         codes = map(itemgetter(0), runs)
         if dataset.blocks:  # a block's floats in a tuple
@@ -907,9 +907,10 @@ def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
     runs of the multiset (see :meth:`Dataset.multiset`, a block's codes
     each with its count) by :func:`_fold` and the iterative rules, on
     float32 and float64 in stretches of the machine's floats, corrected
-    toward zero (see :func:`~boundedsum.floats._machine_add`); the release is the split rules' join (see :func:`_rules`), which
-    clamps a partial that saturated to infinity (recorded here in
-    ``events``) and combines the two with a single round-to-nearest add.
+    toward zero (see :func:`~boundedsum.floats._machine_add`).  The
+    release is the split rules' join (see :func:`_rules`), which clamps a
+    partial that saturated to infinity (recorded here in ``events``) and
+    combines the two with a single round-to-nearest add.
     Integers: partials and combine all use the format's own overflow
     policy.  The schedule is irrelevant to the value there: same-sign
     integer adds give the wrapped or clamped exact sum of their class in
@@ -1031,7 +1032,7 @@ def _shift_dataset(dataset: Dataset) -> Dataset:
         x if x.__class__ is tuple else (x,) for x, _ in runs))
         if dataset.blocks else list(map(itemgetter(0), runs)))
     codes.append(dataset.upper.bits)
-    native = _native(fmt, "banker")
+    native = _native(fmt)
     moved = native and _machine_shift(native, dataset.lower.bits, codes)
     if moved is None:
         moved = _grid_shift(dataset, codes)

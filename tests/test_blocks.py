@@ -305,7 +305,7 @@ def test_the_machine_shift_is_the_literal_shift(fmt, data):
         assert got.codes() == want and got.runs == Dataset.unchecked(
             fmt, got.lower, got.upper, [(x, 1) for x in want]).runs
         assert got.upper.bits == literal_shift(ds, [hi.bits])[0]
-    native = _native(fmt, "banker")
+    native = _native(fmt)
     exact = _machine_shift(native, lo.bits, [*ds.codes(), hi.bits])
     assert (exact is None) == isinstance(want, tuple)
 
