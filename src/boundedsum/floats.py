@@ -611,7 +611,7 @@ def _machine_add(ftype: str, mode: str):
         slot[0] = d
         f = slot[0]
         t = (d - f) or (a - (d - z)) + (b - z)
-        # a pattern step moves a positive value up, a negative one down
+        # one more on a pattern moves a positive value up, a negative down
         if t > 0 and -inf < f < bound:
             pattern[0] += 1 if f > 0 else -1
             return slot[0]
@@ -725,7 +725,7 @@ _STR_BITS = 2000
 
 
 def _int_str(n: int) -> str:
-    """``str(n)`` past the int-to-str digit guard."""
+    """``str(n)`` of any int, past the int-to-str digit guard."""
     if n.bit_length() <= _STR_BITS:
         return str(n)
     if n < 0:
