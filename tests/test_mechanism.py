@@ -33,9 +33,9 @@ from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec,
 from boundedsum.cli import main
 from boundedsum.data import Dataset, load_dataset
 from boundedsum.dyadic import Dyadic
-from boundedsum.floats import (_DECIMAL_BITS, FloatFormat, SimFloat,
-                              _decimal_digits, _int_str, add_float,
-                              number_text, parse_number, round_dyadic)
+from boundedsum.floats import (_DECIMAL_BITS, FloatFormat, _decimal_digits,
+                              _int_str, add_float, number_text, parse_number,
+                              round_dyadic)
 from boundedsum.ints import IntFormat, KInt
 from boundedsum import mechanism
 from boundedsum.mechanism import (_coprime_fraction, _folded_ratio,
