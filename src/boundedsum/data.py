@@ -127,7 +127,7 @@ import bisect
 import itertools
 import json
 import re
-from operator import eq, index, itemgetter
+from operator import eq, index, itemgetter, ne, sub
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Tuple, Union
 
@@ -468,13 +468,29 @@ def _codes(fmt: ElementFormat, values: list) -> list:
 
 def merge_runs(runs: Iterable[tuple]) -> tuple:
     """Runs ``(element, count)`` with adjacent equal elements merged.  The
-    runs are grouped only if two adjacent elements are equal."""
+    runs are merged only if two adjacent elements are equal, and then by
+    C-level iterators, with no Python step per group: a merged run starts
+    where :func:`_starts` finds one, and its count is the difference of the
+    running totals of the counts at its start and at the next."""
     runs = tuple(runs)
     xs = list(map(itemgetter(0), runs))
     if not any(map(eq, xs, itertools.islice(xs, 1, None))):
         return runs
-    return tuple((x, sum(map(itemgetter(1), group)))
-                 for x, group in itertools.groupby(runs, itemgetter(0)))
+    starts = _starts(xs)
+    before = list(itertools.accumulate(map(itemgetter(1), runs), initial=0))
+    at = [*map(before.__getitem__, starts), before[-1]]
+    return tuple(zip(map(xs.__getitem__, starts),
+                     map(sub, itertools.islice(at, 1, None), at)))
+
+
+def _starts(xs: list) -> list:
+    """The index of each maximal stretch of equal items of ``xs``: 0, if
+    there is an item, then each index whose item differs from the one
+    before it, by one C-level scan."""
+    if not xs:
+        return []
+    return [0, *itertools.compress(range(1, len(xs)), map(
+        ne, itertools.islice(xs, 1, None), xs))]
 
 
 def entry_size(x) -> int:

@@ -52,7 +52,7 @@ from .floats import (FloatFormat, _pattern_ranges, is_representable,
 from .ints import IntFormat
 from .metrics import histogram
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
-                        _arranged, check_multiplication,
+                        _arranged, _shuffle, check_multiplication,
                         float_overflow_check, run_sum)
 
 __all__ = [
@@ -619,11 +619,11 @@ def couple_sym(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     rng = random.Random(seed)
     if d == 0:
         order = u.codes()
-        rng.shuffle(order)
+        _shuffle(order, rng)
         return _arranged(u, order), _arranged(v, order)
     extra = next(iter(extra_u or extra_v))
     base = (v if extra_u else u).codes()
-    rng.shuffle(base)
+    _shuffle(base, rng)
     inserted = list(base)
     inserted.insert(rng.randrange(len(base) + 1), extra)
     if extra_u:
@@ -659,7 +659,7 @@ def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
         a.append(next(iter(extra_u)))
         b.append(next(iter(extra_v)))
     perm = list(range(len(a)))
-    random.Random(seed).shuffle(perm)
+    _shuffle(perm, random.Random(seed))
     return (_arranged(u, [a[i] for i in perm]),
             _arranged(v, [b[i] for i in perm]))
 

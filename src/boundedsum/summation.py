@@ -97,6 +97,7 @@ permutation, bound shifting) and the two overflow precondition checks.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -110,8 +111,8 @@ from operator import itemgetter, sub
 from typing import List, Optional, Tuple, Union
 
 from .data import (Dataset, ElementFormat, MATERIALIZE_LIMIT,
-                   _MIN_BLOCK_COPIES, _field, code_value, entry_size,
-                   exact_value, merge_runs)
+                   _MIN_BLOCK_COPIES, _field, _starts, check_materialize,
+                   code_value, entry_size, exact_value, merge_runs)
 from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
                      _check_mode, _from_bits, _grid_bits, _machine_add,
@@ -130,7 +131,8 @@ __all__ = [
 ALGORITHMS = ("iterative", "pairwise", "kahan", "split", "exact")
 
 # random.Random.shuffle makes, per position i from the last down to 1, the
-# draw randrange(i + 1) makes: the Fisher-Yates this name records
+# draw randrange(i + 1) makes: the Fisher-Yates this name records, which
+# _shuffle makes draw for draw
 PERMUTATION_ALGORITHM = "sorted+fisher-yates/mt19937-randrange"
 
 
@@ -967,8 +969,9 @@ def truncate(dataset: Dataset, n_max: int) -> Dataset:
 
 
 def random_permutation(dataset: Dataset, seed: int) -> Dataset:
-    """Uniformly shuffle element order (``random.Random(seed).shuffle``,
-    a Fisher-Yates over the seeded Mersenne Twister).
+    """Uniformly shuffle element order: :func:`_shuffle` with
+    ``random.Random(seed)``, the permutation ``random.Random(seed).shuffle``
+    makes, a Fisher-Yates over the seeded Mersenne Twister.
 
     The values are brought into their canonical sorted order before the
     shuffle, so the output depends only on the element multiset and the
@@ -981,24 +984,72 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
     list however the entries chunk the elements.  Codes are sorted as
     ints: an int's is its value, and a float's pattern orders the values
     of one sign, the negative patterns last by their magnitude, so those
-    are reversed to the front (no code is ``-0``).
+    are reversed to the front (no code is ``-0``).  A dataset past
+    ``MATERIALIZE_LIMIT`` elements is refused by
+    :func:`~boundedsum.data.check_materialize`, as the couplings are.
+
+    The draws are those of ``Random.shuffle``: every permutation is the
+    one it makes, which ``PERMUTATION_ALGORITHM`` names in each report.
     """
-    if dataset.n > MATERIALIZE_LIMIT:
-        raise ValueError("dataset too large to materialize for permutation")
+    check_materialize(dataset.n)
     runs = sorted(dataset.multiset(), key=itemgetter(0))
     if isinstance(dataset.fmt, FloatFormat):
         cut = bisect_left(runs, dataset.fmt._kernel[3], key=itemgetter(0))
         runs = runs[cut:][::-1] + runs[:cut]
     codes = list(_expand(map(itemgetter(0), runs), runs))
-    random.Random(seed).shuffle(codes)
+    _shuffle(codes, random.Random(seed))
     return _arranged(dataset, codes)
+
+
+def _shuffle(xs: list, rng: random.Random) -> None:
+    """Shuffle ``xs`` in place as ``Random.shuffle`` does with ``rng``, by
+    the same ``getrandbits`` calls in the same order, so the permutation
+    and the state ``rng`` is left in are the same.
+
+    CPython's ``Random.shuffle`` swaps, for ``i`` from the last position
+    down to 1, ``xs[i]`` with ``xs[r]``, where ``r = randrange(i + 1)``
+    draws ``getrandbits((i + 1).bit_length())`` until the draw is at most
+    ``i``.  Written inline, with the bit length taken once for each
+    stretch of positions that share it, it makes no method call per
+    position but the draw itself.
+    """
+    getrandbits = rng.getrandbits
+    top = len(xs) - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        low = max(1 << (bits - 1), 2) - 1  # the least i with those bits
+        for i in range(top, low - 1, -1):
+            r = getrandbits(bits)
+            while r > i:
+                r = getrandbits(bits)
+            xs[i], xs[r] = xs[r], xs[i]
+        top = low - 1
 
 
 def _arranged(frame: Dataset, codes: List[int]) -> Dataset:
     """The dataset of ``codes``, in order, over the frame of ``frame``,
-    whose runs they were drawn from: nothing is checked."""
-    return Dataset.unchecked(frame.fmt, frame.lower, frame.upper,
-                             [(x, 1) for x in codes])
+    whose runs they were drawn from: nothing is checked.  Its runs are
+    read off the list by C-level iterators, with no tuple per element: a
+    run starts where :func:`~boundedsum.data._starts` finds one, and holds
+    the codes up to the next start.
+
+    The cyclic garbage collector is paused while the runs are built.  Each
+    run is a new tuple, and ``codes`` may hold millions of runs: the
+    collector, set off again and again by so many new objects, would walk
+    ``codes`` and the lists here each time (at ``MATERIALIZE_LIMIT``
+    elements of two codes, about a fifth of the permutation's time), and
+    tuples of ints make no cycle for it to find."""
+    starts = _starts(codes)
+    ends = [*itertools.islice(starts, 1, None), len(codes)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return Dataset.unchecked(frame.fmt, frame.lower, frame.upper,
+                                 zip(map(codes.__getitem__, starts),
+                                     map(sub, ends, starts)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _shift_dataset(dataset: Dataset) -> Dataset:

@@ -18,8 +18,9 @@ from hypothesis.strategies import (data, fractions, integers, just,
                                    sampled_from, tuples)
 from pytest import mark, raises
 
-from boundedsum import (Dataset, FloatFormat, IntFormat, KInt, SimFloat, cli,
-                        save_dataset)
+from boundedsum import (FLOAT32, Dataset, FloatFormat, IntFormat, KInt,
+                        SimFloat, cli, parse_value, save_dataset)
+from boundedsum.data import MATERIALIZE_LIMIT
 from boundedsum.floats import parse_number
 from boundedsum.cli import main
 from test_golden import CASES, MECHANISM_CASES, REPLAY_CASES, _in_golden
@@ -279,6 +280,22 @@ def test_a_sum_past_sys_maxsize_elements_reports_its_count(tmp_path):
     report = json.loads(out)
     assert code == 0
     assert (report["n"], report["value"]) == (count, "127")
+
+
+def test_a_permutation_past_the_limit_is_refused_at_once(tmp_path, capsys):
+    # one run of MATERIALIZE_LIMIT + 1 copies: refused before a code is
+    # listed, in the words of the couplings' refusal of the same limit
+    one = parse_value(FLOAT32, "1")
+    path = tmp_path / "long.json"
+    save_dataset(Dataset(FLOAT32, one, one, [(one, MATERIALIZE_LIMIT + 1)]),
+                 path)
+    start = time.perf_counter()
+    code = main(["sum", "--in", str(path), "--transform", "permute:1"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: refusing to materialize {MATERIALIZE_LIMIT + 1} elements; "
+        "use the run-aware paths\n")
 
 
 def test_an_exact_sum_past_the_digit_guard_reports_its_value(tmp_path):

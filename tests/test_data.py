@@ -1,15 +1,22 @@
 """Dataset container, value codecs, and file round-trips."""
 
+import itertools
 import json
+from operator import itemgetter
 from pathlib import Path
 
 from pytest import mark, raises
-from hypothesis import given, settings
-from hypothesis.strategies import (booleans, composite, data, dictionaries,
+from hypothesis import example, given, settings
+from hypothesis.strategies import (booleans, composite, dictionaries,
                                    floats, integers, just, lists, none,
-                                   recursive, sampled_from, text, tuples)
+                                   permutations, recursive, sampled_from,
+                                   text, tuples)
+# boundedsum.data is this file's ``data``
+from hypothesis.strategies import data as draws
 
 from boundedsum import (
+    FLOAT32,
+    FLOAT64,
     Dataset,
     FloatFormat,
     IntFormat,
@@ -30,9 +37,9 @@ from boundedsum import (
     values_in_range,
 )
 from boundedsum import data
-from boundedsum.data import (_field, check_runs, decode_code, json_text,
-                             order_key, value_code)
-from boundedsum.summation import _shift_dataset
+from boundedsum.data import (_field, check_runs, code_key, decode_code,
+                             json_text, merge_runs, order_key, value_code)
+from boundedsum.summation import _arranged, _shift_dataset
 
 F44 = FloatFormat(4, 4)
 I8 = IntFormat(8, False, "wraparound")
@@ -169,6 +176,118 @@ def test_replace_elements_keeps_the_frame():
 def test_dataset_equality_is_by_order():
     assert int_ds([1, 2]) == int_ds([1, 2])
     assert int_ds([1, 2]) != int_ds([2, 1])
+
+
+# ---------------------------------------------------------------------------
+# Run merging
+# ---------------------------------------------------------------------------
+
+def grouped(runs):
+    """``merge_runs`` by one ``groupby`` group at a time: the reference."""
+    return tuple((x, sum(map(itemgetter(1), group)))
+                 for x, group in itertools.groupby(runs, itemgetter(0)))
+
+
+@given(lists(tuples(sampled_from([0, 1, 2, (0, 1), (1, 0), (2,)]),
+                    integers(1, 3) | just(1 << 60)), max_size=40))
+@example([])
+@example([(1, 4)])
+@example([(1, 2), (1, 1 << 60), ((0, 1), 3), ((0, 1), 1), (2, 1)])
+@settings(max_examples=300, deadline=None)
+def test_merge_runs_is_the_groupby_merge(runs):
+    # codes repeated and not, counts of 1 and past any list, blocks
+    assert merge_runs(runs) == grouped(runs)
+    assert merge_runs(iter(runs)) == grouped(runs)
+
+
+@composite
+def code_lists(draw):
+    """Lists of the codes 0 to 2: stretches drawn at random and stretches
+    that repeat a pattern of up to four codes, so that some hold blocks."""
+    codes = []
+    for _ in range(draw(integers(0, 4))):
+        if draw(booleans()):
+            codes += draw(lists(integers(0, 2), max_size=12))
+        else:
+            codes += draw(lists(integers(0, 2), min_size=1,
+                                max_size=4)) * draw(integers(1, 8))
+    return codes
+
+
+@given(code_lists())
+@example([])
+@example([1])
+@example([0, 1] * 6 + [2, 2])
+@settings(max_examples=300, deadline=None)
+def test_arranged_is_the_dataset_of_one_run_per_code(codes):
+    frame = int_ds([0, 1, 2])
+    got = _arranged(frame, codes)
+    want = Dataset.unchecked(frame.fmt, frame.lower, frame.upper,
+                             [(x, 1) for x in codes])
+    assert (got.runs, got.blocks, got.n) == (want.runs, want.blocks, want.n)
+
+
+def _elements_doc(fmt, lo, hi, elements) -> dict:
+    """The JSON object of a dataset of ``fmt`` over ``[lo, hi]`` with the
+    element entries ``elements``, as a file holds them."""
+    doc = Dataset.from_elements(fmt, lo, hi, ()).to_json_dict()
+    doc["elements"] = elements
+    return doc
+
+
+@composite
+def signed_zero_files(draw):
+    """One of float(2, 3), float32 and float64, the bounds of a
+    pool of codes that holds ``+0`` and ``-0``, and a list of codes drawn
+    from it with ``-0`` among them."""
+    fmt = draw(sampled_from([FloatFormat(2, 3), FLOAT32, FLOAT64]))
+    _, _, _, sign, inf = fmt._kernel
+    some = integers(1, inf - 1).flatmap(lambda m: sampled_from([m, m | sign]))
+    pool = [0, sign, *draw(lists(some, min_size=1, max_size=3))]
+    key = lambda x: code_key(fmt, x)
+    lo, hi = (SimFloat(fmt, x) for x in (min(pool, key=key),
+                                         max(pool, key=key)))
+    codes = draw(permutations([sign, *draw(lists(sampled_from(pool),
+                                                 max_size=20))]))
+    return fmt, lo, hi, pool, codes
+
+
+@given(signed_zero_files(), integers(0, 1 << 32), draws())
+@settings(max_examples=100, deadline=None)
+def test_no_code_is_minus_zero(file, seed, more):
+    # summation's machine folds rest on it (see its module docstring): a
+    # -0 given to any constructor, in a file's runs, bare texts or a block,
+    # is held as +0, and no transform or coupling makes one
+    fmt, lo, hi, pool, codes = file
+    sign = fmt._kernel[3]
+    texts = [f"0x{x:x}" for x in codes]
+
+    def read(elements):
+        return Dataset.from_json_dict(_elements_doc(fmt, lo, hi, elements))
+
+    plain = read(["-0" if x == sign else t for x, t in zip(codes, texts)])
+    values = [SimFloat(fmt, x) for x in codes]
+    built = [plain, read([{"value": t, "count": 2} for t in texts]),
+             read([{"block": texts[:12], "count": 6}, *texts[12:]]),
+             Dataset(fmt, lo, hi, [(v, 1) for v in values]),
+             Dataset.from_elements(fmt, lo, hi, values),
+             plain.replace_elements(values)]
+    made = list(built)
+    for ds in built:
+        made += [random_permutation(ds, seed),
+                 truncate(ds, more.draw(integers(0, ds.n)))]
+        try:
+            made.append(_shift_dataset(ds))
+        except ValueError:
+            pass
+    longer = read([*texts, more.draw(sampled_from(texts))])
+    other = read([*texts[:-1], f"0x{more.draw(sampled_from(pool)):x}"])
+    made += [*couple_sym(plain, longer, seed), *couple_sym(longer, plain, seed),
+             *couple_sym(plain, plain, seed), *couple_co(plain, other, seed)]
+    for ds in made:
+        held = {y for x, _ in ds.runs
+                for y in (x if isinstance(x, tuple) else (x,))}
+        assert sign not in held, ds
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Seeded couplings and brute-force values, pinned to recorded outputs.
 
-The couplings and ``random_permutation`` draw with
-``random.Random.shuffle``, and brute force reads every float release as an
-integer count of the format's finest spacing; the values below were
+The couplings and ``random_permutation`` draw as ``random.Random.shuffle``
+does, and brute force reads every float release as an integer count of
+the format's finest spacing; the values below were
 recorded before either drew that way or the releases were read that way,
 so any change in the draws or in how a release is read shows up here.  Brute force is also checked against the
 certified bounds it sandwiches, and on a format too wide to enumerate.

@@ -55,7 +55,8 @@ from boundedsum import (
 )
 from boundedsum.attacks import repeated_rounding_attack_2
 from boundedsum.floats import add_bits
-from boundedsum.summation import _fold, _kahan_bits, _rules, _shift_dataset
+from boundedsum.summation import (_fold, _kahan_bits, _rules, _shift_dataset,
+                                  _shuffle)
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -817,6 +818,29 @@ def test_permutation_depends_only_on_multiset_and_seed():
     b = random_permutation(ds([5, 4, 3, 1, 1]), seed=99)
     assert a == b
     assert random_permutation(ds([3, 1, 4, 1, 5]), seed=100) != a
+
+
+@mark.parametrize("seed", [0, 1, 99, 20220721])
+def test_shuffle_is_random_shuffle(seed):
+    # the same getrandbits draws in the same order: the same permutation,
+    # and the generator left in the same state, at every length up to 300
+    # (bit lengths 1 to 9, and each power of two's edge)
+    for n in range(301):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        xs, want = list(range(n)), list(range(n))
+        _shuffle(xs, ours)
+        theirs.shuffle(want)
+        assert xs == want, n
+        assert ours.getstate() == theirs.getstate(), n
+
+
+def test_shuffle_is_random_shuffle_on_a_long_list():
+    ours, theirs = random.Random(7), random.Random(7)
+    xs, want = list(range(10 ** 5)), list(range(10 ** 5))
+    _shuffle(xs, ours)
+    theirs.shuffle(want)
+    assert xs == want
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_permutation_is_roughly_uniform():
