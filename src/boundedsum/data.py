@@ -124,10 +124,11 @@ list straight from the entries, one ``%`` format per run.
 from __future__ import annotations
 
 import bisect
+import gc
 import itertools
 import json
 import re
-from operator import eq, index, itemgetter, ne, sub
+from operator import eq, index, itemgetter
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Tuple, Union
 
@@ -468,29 +469,13 @@ def _codes(fmt: ElementFormat, values: list) -> list:
 
 def merge_runs(runs: Iterable[tuple]) -> tuple:
     """Runs ``(element, count)`` with adjacent equal elements merged.  The
-    runs are merged only if two adjacent elements are equal, and then by
-    C-level iterators, with no Python step per group: a merged run starts
-    where :func:`_starts` finds one, and its count is the difference of the
-    running totals of the counts at its start and at the next."""
+    runs are grouped only if two adjacent elements are equal."""
     runs = tuple(runs)
     xs = list(map(itemgetter(0), runs))
     if not any(map(eq, xs, itertools.islice(xs, 1, None))):
         return runs
-    starts = _starts(xs)
-    before = list(itertools.accumulate(map(itemgetter(1), runs), initial=0))
-    at = [*map(before.__getitem__, starts), before[-1]]
-    return tuple(zip(map(xs.__getitem__, starts),
-                     map(sub, itertools.islice(at, 1, None), at)))
-
-
-def _starts(xs: list) -> list:
-    """The index of each maximal stretch of equal items of ``xs``: 0, if
-    there is an item, then each index whose item differs from the one
-    before it, by one C-level scan."""
-    if not xs:
-        return []
-    return [0, *itertools.compress(range(1, len(xs)), map(
-        ne, itertools.islice(xs, 1, None), xs))]
+    return tuple((x, sum(map(itemgetter(1), group)))
+                 for x, group in itertools.groupby(runs, itemgetter(0)))
 
 
 def entry_size(x) -> int:
@@ -554,10 +539,25 @@ class Dataset:
         """A dataset of code entries known to be valid inside its bounds
         (checked by :func:`check_runs`, or cut, shifted or reordered from
         a checked dataset), settled by :func:`_settle`; nothing is
-        checked."""
-        runs = tuple(runs)
-        blocks = tuple in set(map(type, map(itemgetter(0), runs)))
-        return object.__new__(cls)._fill(fmt, lower, upper, runs, blocks)
+        checked.
+
+        The cyclic garbage collector is paused while the entries are read
+        and settled.  A transform may pass millions of new run tuples (a
+        permutation of ``MATERIALIZE_LIMIT`` elements of two codes makes
+        2.6 million), and so many new objects would set the collector off
+        again and again to walk them all, though tuples of ints make no
+        cycle: at that size, a fifth of the permutation's time.  The pause
+        is process-wide; the package starts no thread."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            runs = tuple(runs)
+            blocks = tuple in set(map(type, map(itemgetter(0), runs)))
+            return object.__new__(cls)._fill(fmt, lower, upper, runs,
+                                             blocks)
+        finally:
+            if enabled:
+                gc.enable()
 
     @classmethod
     def from_elements(cls, fmt: ElementFormat, lower: Value, upper: Value,

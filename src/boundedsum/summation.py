@@ -97,7 +97,6 @@ permutation, bound shifting) and the two overflow precondition checks.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 import random
@@ -107,11 +106,11 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial, reduce
-from operator import itemgetter, sub
+from operator import itemgetter, ne, sub
 from typing import List, Optional, Tuple, Union
 
 from .data import (Dataset, ElementFormat, MATERIALIZE_LIMIT,
-                   _MIN_BLOCK_COPIES, _field, _starts, check_materialize,
+                   _MIN_BLOCK_COPIES, _field, check_materialize,
                    code_value, entry_size, exact_value, merge_runs)
 from .dyadic import Dyadic
 from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, _bits_grid,
@@ -1017,7 +1016,7 @@ def _shuffle(xs: list, rng: random.Random) -> None:
     top = len(xs) - 1
     while top > 0:
         bits = (top + 1).bit_length()
-        low = max(1 << (bits - 1), 2) - 1  # the least i with those bits
+        low = (1 << (bits - 1)) - 1  # the least i with those bits
         for i in range(top, low - 1, -1):
             r = getrandbits(bits)
             while r > i:
@@ -1030,26 +1029,14 @@ def _arranged(frame: Dataset, codes: List[int]) -> Dataset:
     """The dataset of ``codes``, in order, over the frame of ``frame``,
     whose runs they were drawn from: nothing is checked.  Its runs are
     read off the list by C-level iterators, with no tuple per element: a
-    run starts where :func:`~boundedsum.data._starts` finds one, and holds
-    the codes up to the next start.
-
-    The cyclic garbage collector is paused while the runs are built.  Each
-    run is a new tuple, and ``codes`` may hold millions of runs: the
-    collector, set off again and again by so many new objects, would walk
-    ``codes`` and the lists here each time (at ``MATERIALIZE_LIMIT``
-    elements of two codes, about a fifth of the permutation's time), and
-    tuples of ints make no cycle for it to find."""
-    starts = _starts(codes)
+    run starts at each code that differs from the one before it, and
+    holds the codes up to the next start."""
+    starts = list(itertools.compress(range(len(codes)), map(
+        ne, codes, itertools.chain((None,), codes))))
     ends = [*itertools.islice(starts, 1, None), len(codes)]
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return Dataset.unchecked(frame.fmt, frame.lower, frame.upper,
-                                 zip(map(codes.__getitem__, starts),
-                                     map(sub, ends, starts)))
-    finally:
-        if enabled:
-            gc.enable()
+    return Dataset.unchecked(frame.fmt, frame.lower, frame.upper,
+                             zip(map(codes.__getitem__, starts),
+                                 map(sub, ends, starts)))
 
 
 def _shift_dataset(dataset: Dataset) -> Dataset:

@@ -1,14 +1,13 @@
 """Dataset container, value codecs, and file round-trips."""
 
-import itertools
+import gc
 import json
-from operator import itemgetter
 from pathlib import Path
 
 from pytest import mark, raises
 from hypothesis import example, given, settings
 from hypothesis.strategies import (booleans, composite, dictionaries,
-                                   floats, integers, just, lists, none,
+                                   floats, integers, lists, none,
                                    permutations, recursive, sampled_from,
                                    text, tuples)
 # boundedsum.data is this file's ``data``
@@ -38,7 +37,7 @@ from boundedsum import (
 )
 from boundedsum import data
 from boundedsum.data import (_field, check_runs, code_key, decode_code,
-                             json_text, merge_runs, order_key, value_code)
+                             json_text, order_key, value_code)
 from boundedsum.summation import _arranged, _shift_dataset
 
 F44 = FloatFormat(4, 4)
@@ -182,24 +181,6 @@ def test_dataset_equality_is_by_order():
 # Run merging
 # ---------------------------------------------------------------------------
 
-def grouped(runs):
-    """``merge_runs`` by one ``groupby`` group at a time: the reference."""
-    return tuple((x, sum(map(itemgetter(1), group)))
-                 for x, group in itertools.groupby(runs, itemgetter(0)))
-
-
-@given(lists(tuples(sampled_from([0, 1, 2, (0, 1), (1, 0), (2,)]),
-                    integers(1, 3) | just(1 << 60)), max_size=40))
-@example([])
-@example([(1, 4)])
-@example([(1, 2), (1, 1 << 60), ((0, 1), 3), ((0, 1), 1), (2, 1)])
-@settings(max_examples=300, deadline=None)
-def test_merge_runs_is_the_groupby_merge(runs):
-    # codes repeated and not, counts of 1 and past any list, blocks
-    assert merge_runs(runs) == grouped(runs)
-    assert merge_runs(iter(runs)) == grouped(runs)
-
-
 @composite
 def code_lists(draw):
     """Lists of the codes 0 to 2: stretches drawn at random and stretches
@@ -225,6 +206,23 @@ def test_arranged_is_the_dataset_of_one_run_per_code(codes):
     want = Dataset.unchecked(frame.fmt, frame.lower, frame.upper,
                              [(x, 1) for x in codes])
     assert (got.runs, got.blocks, got.n) == (want.runs, want.blocks, want.n)
+
+
+def test_unchecked_leaves_the_collector_as_it_found_it():
+    # the collector is paused only while the entries are settled
+    frame = int_ds([0, 1])
+    enabled = gc.isenabled()
+    try:
+        for on in (True, False):
+            (gc.enable if on else gc.disable)()
+            Dataset.unchecked(frame.fmt, frame.lower, frame.upper,
+                              [(0, 2), (1, 1)])
+            assert gc.isenabled() is on
+            with raises(TypeError):
+                Dataset.unchecked(frame.fmt, frame.lower, frame.upper, 5)
+            assert gc.isenabled() is on
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def _elements_doc(fmt, lo, hi, elements) -> dict:
