@@ -22,7 +22,7 @@ from .data import Dataset
 from .floats import FloatFormat, _bits_grid
 from .ints import IntFormat
 from .sensitivity import SensSpec
-from .summation import Truncate, _rules, _shift_dataset
+from .summation import Truncate, _left_size, _rules, _shift_dataset
 
 # Most tuples (for ham: groups times domain size) one chunk of the scan
 # holds; it bounds the arrays of a length's releases and groupings.
@@ -64,15 +64,16 @@ class _Releases:
     indices, read as ints (see :func:`brute_force_sensitivity`).
 
     A fold is a tree over the positions whose left part is the ``k - 1``
-    first elements, or for ``pairwise`` the largest power of two below
-    ``k``.  A part's states are ids into its distinct states, kept whole
-    for every part length, and a parent's step table takes every pair of
-    part states once.  Every state, step and release is the method's own,
-    from the rule table (:func:`boundedsum.summation._rules`); a float
-    release is read in grid units.  ``split`` folds over the tuple sorted
-    by bit pattern, which takes each sign class from its smallest
-    magnitude up as ``bs_split`` does.  ``exact`` and every wraparound sum
-    add grid ints (mod ``m``), a shortcut that needs no table.
+    first elements, or for ``pairwise`` the cascade's left subtree
+    (:func:`boundedsum.summation._left_size`).  A part's states are ids into
+    its distinct states, kept whole for every part length, and a parent's
+    step table takes every pair of part states once.  Every state, step and
+    release is the method's own, from the rule table
+    (:func:`boundedsum.summation._rules`); a float release is read in grid
+    units.  ``split`` folds over the tuple sorted by bit pattern, which
+    takes each sign class from its smallest magnitude up as ``bs_split``
+    does.  ``exact`` and every wraparound sum add grid ints (mod ``m``), a
+    shortcut that needs no table.
 
     ``truncate:t`` reads the releases at length ``min(t, k)``, and
     ``shift`` maps the domain before the fold.  Releases are int64 when
@@ -137,7 +138,7 @@ class _Releases:
         its state ids by left and right part state, its states and their
         releases.  Every pair of part states is reached, and steps once."""
         if k not in self._nodes:
-            left = 1 << ((k - 1).bit_length() - 1) if self.tree else k - 1
+            left = _left_size(k) if self.tree else k - 1
             a, b = self._node(left)[2], self._node(k - left)[2]
             index = {}
             table = np.array([index.setdefault(self.op(x, y), len(index))

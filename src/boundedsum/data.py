@@ -298,11 +298,11 @@ def _inside(codes: List[int], sign: int, lo: int, hi: int) -> bool:
     if low < 0 or high >= 2 * sign:
         return False
     if low < sign:
-        top = high if high < sign else max(filter(sign.__gt__, codes))
+        top = high if high < sign else max([x for x in codes if x < sign])
         if not lo <= low <= top <= hi:
             return False
     if high >= sign:
-        bottom = low if low >= sign else min(filter(sign.__le__, codes))
+        bottom = low if low >= sign else min([x for x in codes if x >= sign])
         if not lo <= sign - high <= sign - bottom <= hi:
             return False
     return True
@@ -644,13 +644,9 @@ class Dataset:
             indent, indent + 2, indent + 4, indent + 6))
         code = f'"{self._code_field()}"'
         run = f'{item}{{{field}"count": %d,{field}"value": {code}{item}}}'
-        if not self.blocks:
-            counts_codes = zip(map(itemgetter(1), self.runs),
-                               map(itemgetter(0), self.runs))
-            return "[" + ",".join(map(run.__mod__, counts_codes)) + end + "]"
-        code = (inner + code).__mod__
+        element = (inner + code).__mod__
         return "[" + ",".join([
-            f'{item}{{{field}"block": [{",".join(map(code, x))}{field}],'
+            f'{item}{{{field}"block": [{",".join(map(element, x))}{field}],'
             f'{field}"count": {c}{item}}}' if x.__class__ is tuple
             else run % (c, x) for x, c in self.runs]) + end + "]"
 

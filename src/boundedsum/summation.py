@@ -65,8 +65,8 @@ the release.
 The machine's own floats: on float32 and float64, in every rounding
 mode (see :func:`~boundedsum.floats._native`), iterative, Kahan and
 split's partials fold each stretch of runs of at most ``_NATIVE_RUN``
-copies on Python floats, and pairwise walks its whole tree on them
-(``_fold``, ``_cascade``).  This is exact:
+copies on Python floats, and pairwise walks the whole tree of a dataset
+without blocks on them (``_fold``, ``_cascade``).  This is exact:
 
 * the model's ``banker`` is IEEE round-to-nearest-even, overflow to
   infinity included (a tie at ``n_max + ulp/2`` goes to infinity in
@@ -619,11 +619,9 @@ def _room(x: int, step: int, lo: int, hi: int):
 _NATIVE_RUN = 64
 
 
-def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str,
-          blocks: bool = False):
+def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str):
     """The entries ``runs`` folded into ``state`` by the float iterative or
-    Kahan ``rules`` (see :func:`_rules`): the one float fold.  ``blocks``
-    says whether an entry is a block, as :attr:`Dataset.blocks` does.
+    Kahan ``rules`` (see :func:`_rules`): the one float fold.
 
     Semantically identical to ``state = op(state, leaf(x))`` for each
     element ``x`` in order.  Each maximal stretch of runs of fewer than
@@ -649,12 +647,7 @@ def _fold(fmt: FloatFormat, rules: _Rules, runs: tuple, state, mode: str,
     native = _native(fmt)
     longest = _MIN_BLOCK_COPIES - 1 if native is None else _NATIVE_RUN
     add = native and _machine_add(native[0], mode)
-    cuts = bytearray(map(longest.__lt__, map(itemgetter(1), runs)))
-    # a block is held at _MIN_BLOCK_COPIES copies or more, so its count
-    # ends a stretch of literal runs, but not always a machine's stretch
-    if native and blocks:
-        cuts = bytearray([x.__class__ is tuple or c > longest
-                          for x, c in runs])
+    cuts = bytearray([x.__class__ is tuple or c > longest for x, c in runs])
     cuts.append(1)
     start = 0
     while start < len(runs):
@@ -789,7 +782,7 @@ def bs_iterative(dataset: Dataset, rounding: str = "banker"):
         return KInt(fmt, _int_fold(dataset))
     rules = _rules(fmt, "iterative", rounding)
     return _from_bits(fmt, _fold(fmt, rules, dataset.runs, rules.start,
-                                 rounding, dataset.blocks))
+                                 rounding))
 
 
 def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
@@ -809,10 +802,11 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
 
     Each add is the rules' ``op`` (see :func:`_rules`; a float overflow
     releases the first infinity reached).  On float32 and float64 the walk
-    is first made on the machine's floats with their add rounded by
-    ``rounding`` (see :func:`~boundedsum.floats._native`), and taken if
-    its sum is finite: then no add overflowed.  Wraparound integers release
-    the wrapped exact sum, which every tree shape gives.
+    of a dataset without blocks is first made on the machine's floats with
+    their add rounded by ``rounding`` (see
+    :func:`~boundedsum.floats._native`), and taken if its sum is finite:
+    then no add overflowed.  Wraparound integers release the wrapped exact
+    sum, which every tree shape gives.
     """
     fmt = dataset.fmt
     if isinstance(fmt, IntFormat) and fmt.overflow == "wraparound":
@@ -821,19 +815,21 @@ def bs_pairwise(dataset: Dataset, rounding: str = "banker"):
     runs = dataset.runs
     if isinstance(fmt, IntFormat):
         return KInt(fmt, _cascade(runs, rules.op))
-    native = _native(fmt)
+    native = None if dataset.blocks else _native(fmt)
     if native is not None:
-        codes = map(itemgetter(0), runs)
-        if dataset.blocks:  # a block's floats in a tuple
-            xs = [tuple(_to_floats(native, x)) if x.__class__ is tuple
-                  else _to_floats(native, (x,))[0] for x in codes]
-        else:
-            xs = _to_floats(native, codes)
+        xs = _to_floats(native, map(itemgetter(0), runs))
         got = _cascade(list(zip(xs, map(itemgetter(1), runs))),
                        _machine_add(native[0], rounding))
         if math.isfinite(got):
             return _from_bits(fmt, _to_patterns(native, (got,))[0])
     return _from_bits(fmt, _cascade(runs, rules.op))
+
+
+def _left_size(n: int) -> int:
+    """The elements of the left subtree of the cascade over ``n >= 2``
+    elements: the largest power of two below ``n``.  The one statement of
+    the tree's shape, read by :func:`_cascade` and by brute force."""
+    return 1 << ((n - 1).bit_length() - 1)
 
 
 def _cascade(runs: tuple, op):
@@ -851,7 +847,7 @@ def _cascade(runs: tuple, op):
         key = (xs, phase, c)
         got = memo.get(key)
         if got is None:
-            m = 1 << ((c - 1).bit_length() - 1)
+            m = _left_size(c)
             rest = (phase + m) % len(xs)
             got = op(block(xs, phase, m) if m > 1 else xs[phase],
                      block(xs, rest, c - m) if c - m > 1 else xs[rest])
@@ -872,7 +868,7 @@ def _cascade(runs: tuple, op):
             # the entry ends at a whole copy, so lo's phase is read off end
             phase = (lo - end) % len(x)
             return x[phase] if hi - lo == 1 else block(x, phase, hi - lo)
-        m = 1 << ((hi - lo - 1).bit_length() - 1)
+        m = _left_size(hi - lo)
         left = rec(lo, lo + m)
         return op(left, rec(lo + m, hi))
 
@@ -891,8 +887,7 @@ def bs_kahan(dataset: Dataset, rounding: str = "banker"):
     fmt = dataset.fmt
     rules = _rules(fmt, "kahan", rounding)
     return _from_bits(fmt, rules.release(_fold(fmt, rules, dataset.runs,
-                                               rules.start, rounding,
-                                               dataset.blocks)))
+                                               rules.start, rounding)))
 
 
 def bs_split(dataset: Dataset, events: Optional[List[str]] = None):
