@@ -46,13 +46,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import ATTACK_NAMES, METRICS
 from .data import Dataset, ElementFormat, _field, exact_value
 from .dyadic import Dyadic
 from .floats import (FloatFormat, SimFloat, is_representable, number_text,
                      round_dyadic)
 from .ints import IntFormat, KInt
 from .metrics import d_co, d_ham, d_id, d_sym
-from .sensitivity import METRICS, PreconditionFailed, _pow2
+from .sensitivity import PreconditionFailed, _pow2
 from .summation import SumMethod, run_sum
 
 __all__ = [
@@ -363,17 +364,10 @@ def repeated_rounding_attack_2(fmt: FloatFormat, j: int,
 # Dispatch and verification
 # ---------------------------------------------------------------------------
 
-# the generator of each family, by name
-_GENERATORS = {
-    "overflow": overflow_attack,
-    "saturation_reorder": saturation_reorder_attack,
-    "float_reorder": float_reorder_attack,
-    "rounding": rounding_attack,
-    "repeated_rounding_1": repeated_rounding_attack_1,
-    "repeated_rounding_2": repeated_rounding_attack_2,
-}
-
-ATTACK_NAMES = tuple(_GENERATORS)
+# the generator of each family, by its name in ATTACK_NAMES
+_GENERATORS = dict(zip(ATTACK_NAMES, (
+    overflow_attack, saturation_reorder_attack, float_reorder_attack,
+    rounding_attack, repeated_rounding_attack_1, repeated_rounding_attack_2)))
 
 
 def generate_attack(name: str, fmt: ElementFormat, **params) -> AttackInstance:

@@ -31,43 +31,29 @@ break reproducibility.
 Dataset files are accepted unchanged between subcommands: the pair
 written by ``attack gen`` feeds ``sum``, ``dpcheck exact``, and so on.
 
-numpy and mpmath are imported where they are first used, not when the
-package loads: ``sens bruteforce`` loads numpy, ``dpcheck exact`` loads
-mpmath, ``experiment run`` loads both, and ``sum``, ``sens bound``,
-``sens recommend``, ``attack gen`` and ``attack verify`` load neither.
-The argument parser is built once per process, on the first
-:func:`main` call.
+The parser is built from the vocabularies the package itself holds, and
+its ``type=`` readers load ``data`` and ``floats`` only when they read a
+flag; each subcommand imports the modules it runs.  So ``--version``,
+``--help`` and the parser's refusals load no module of the package but
+this one.  ``sum`` loads ``data``, ``dyadic``, ``floats``, ``ints`` and
+``summation``; the ``sens`` commands add ``metrics`` and
+``sensitivity``; ``attack gen`` and ``attack verify`` add ``attacks``;
+``dpcheck exact`` adds ``mechanism`` and ``experiment run`` both.
+numpy and mpmath load where they are first used: ``sens bruteforce``
+loads ``bruteforce`` and numpy, ``dpcheck exact`` mpmath, ``experiment
+run`` both, and the other commands neither.  The argument parser is
+built once per process, on the first :func:`main` call.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
-import json
 import sys
-from datetime import datetime, timezone
-from fractions import Fraction
 from functools import cache
-from pathlib import Path
 from typing import List, Optional
 
-from . import __version__
-from .attacks import _GENERATORS, ATTACK_NAMES, AttackInstance, verify_attack
-from .data import (SCHEMA_VERSION, _decimal, _field, decode_value,
-                   encode_value, format_to_json, json_text, load_dataset,
-                   save_dataset)
-from .floats import (ROUNDING_MODES, FloatFormat, SimFloat, number_text,
-                     parse_number)
-from .ints import IntFormat, KInt
-from .mechanism import (NOISE_KINDS, MechanismSpec, calibrate,
-                        distinguishing_experiment, exact_dp_check)
-from .sensitivity import (METRICS, PreconditionFailed, SensSpec,
-                          UnsupportedCombination, brute_force_sensitivity,
-                          idealized_sensitivity,
-                          implemented_sensitivity_bound,
-                          modular_sensitivity_bound, recommend)
-from .summation import (ALGORITHMS, RandomPermutation, ShiftBounds, SumMethod,
-                        Truncate, run_sum)
+from . import (ALGORITHMS, ATTACK_NAMES, METRICS, NOISE_KINDS, ROUNDING_MODES,
+               __version__)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -77,10 +63,11 @@ EXIT_VERIFICATION = 3
 # timestamp is the only nondeterminism the CLI would otherwise have.
 FIXED_TIMESTAMP = "1970-01-01T00:00:00Z"
 
+# --calibrate's choices, each the name of its bound rule in sensitivity
 _CALIBRATION_RULES = {
-    "idealized": idealized_sensitivity,
-    "modular": modular_sensitivity_bound,
-    "implemented": implemented_sensitivity_bound,
+    "idealized": "idealized_sensitivity",
+    "modular": "modular_sensitivity_bound",
+    "implemented": "implemented_sensitivity_bound",
 }
 
 
@@ -88,10 +75,18 @@ _CALIBRATION_RULES = {
 # Argument parsing helpers
 # ---------------------------------------------------------------------------
 
+def _decimal(text: str) -> int:
+    """:func:`boundedsum.data._decimal`, loading ``data`` on first use."""
+    from . import data
+    return data._decimal(text)
+
+
 def parse_format(text: str):
     """``float:K,L`` or ``int:BITS:signed|unsigned:wraparound|saturating``;
     ``K``, ``L`` and ``BITS`` are decimal integers as the dataset files
     write them."""
+    from .floats import FloatFormat
+    from .ints import IntFormat
     head, _, rest = text.partition(":")
     if head == "float":
         parts = rest.split(",")
@@ -114,6 +109,7 @@ def parse_format(text: str):
 def parse_transform(text: str):
     """``truncate:N``, ``permute:SEED``, or ``shift``; ``N`` and ``SEED``
     are decimal integers as the dataset files write them."""
+    from .summation import RandomPermutation, ShiftBounds, Truncate
     head, _, rest = text.partition(":")
     if head == "truncate":
         return Truncate(_decimal(rest))
@@ -134,19 +130,21 @@ def _seed64(text) -> int:
     return seed
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from .floats import parse_number
     try:
         return parse_number(text)
     except ZeroDivisionError:  # argparse reports only a ValueError as such
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _method_from_args(args, default: Optional[SumMethod] = None) -> SumMethod:
+def _method_from_args(args, default=None):
     """Build a SumMethod from --method/--rounding/--transform.
 
     When none of the three is present and a ``default`` exists (e.g. an
     instance's native method), the default is returned unchanged.
     """
+    from .summation import SumMethod
     touched = (args.method is not None or args.rounding is not None
                or args.transform)
     if not touched and default is not None:
@@ -163,9 +161,9 @@ def _method_from_args(args, default: Optional[SumMethod] = None) -> SumMethod:
 # ---------------------------------------------------------------------------
 
 def _report(args, command: str, filename: str, body: dict, flags=(),
-            computed: Optional[dict] = None,
-            method: Optional[SumMethod] = None, seeds: Optional[dict] = None,
-            citations=(), code: int = EXIT_OK) -> int:
+            computed: Optional[dict] = None, method=None,
+            seeds: Optional[dict] = None, citations=(),
+            code: int = EXIT_OK) -> int:
     """Write one subcommand's report and return its exit code.
 
     The report is ``body`` plus ``schema`` and a manifest.  The manifest's
@@ -175,10 +173,14 @@ def _report(args, command: str, filename: str, body: dict, flags=(),
     are None are dropped.  The same bytes go to stdout and, with
     ``--out``, to ``filename`` in that directory.
     """
+    from fractions import Fraction
+    from .data import SCHEMA_VERSION, json_text
+    from .floats import number_text
     parameters = {name: getattr(args, name) for name in flags}
     parameters.update(computed or {})
     seeds = dict(seeds or {})
     if method is not None:
+        from .summation import RandomPermutation
         parameters["method"] = method.to_json()
         seeds["permutation"] = [t.seed for t in method.transforms
                                 if isinstance(t, RandomPermutation)]
@@ -192,20 +194,36 @@ def _report(args, command: str, filename: str, body: dict, flags=(),
             "seeds": seeds,
             "versions": {"boundedsum": __version__},
             "citations": sorted({c for c in citations if c is not None}),
-            "timestamp": (datetime.now(timezone.utc).strftime(
-                "%Y-%m-%dT%H:%M:%SZ") if args.stamp else FIXED_TIMESTAMP),
+            "timestamp": _stamp() if args.stamp else FIXED_TIMESTAMP,
         },
     }
     text = json_text(report) + "\n"
     sys.stdout.write(text)
     if args.out is not None:
-        path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
+        path = _out_dir(args.out)
         (path / filename).write_text(text, encoding="utf-8")
     return code
 
 
-def _load_instance(path) -> AttackInstance:
+def _stamp() -> str:
+    """The wall-clock time, as ``--stamp`` writes it."""
+    from datetime import datetime, timezone
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _out_dir(out):
+    """The ``--out`` directory, made if it is not there."""
+    from pathlib import Path
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _load_instance(path):
+    import json
+    from pathlib import Path
+    from .attacks import AttackInstance
+    from .data import _field
     p = Path(path)
     if p.is_dir():
         p = p / "instance.json"
@@ -214,7 +232,9 @@ def _load_instance(path) -> AttackInstance:
                                            "instance file"))
 
 
-def _sens_spec_from_args(args) -> SensSpec:
+def _sens_spec_from_args(args):
+    from .data import decode_value
+    from .sensitivity import SensSpec
     fmt = parse_format(args.format)
     return SensSpec(
         fmt=fmt,
@@ -230,14 +250,16 @@ def _sens_spec_from_args(args) -> SensSpec:
 def _calibrated_spec(args, dataset, method, base_metric: str):
     """Mechanism spec from --calibrate/--scale flags for the format and
     bounds of ``dataset``; returns (spec, rule)."""
+    from . import sensitivity
+    from .mechanism import MechanismSpec, calibrate
     if args.scale is not None:
         spec = MechanismSpec(method=method, noise=args.noise,
                              scale=args.scale, epsilon=args.epsilon)
         return spec, None
-    sens_spec = SensSpec(fmt=dataset.fmt, lower=dataset.lower,
-                         upper=dataset.upper, metric=args.metric or base_metric,
-                         method=method, n=args.n)
-    bound = _CALIBRATION_RULES[args.calibrate](sens_spec)
+    sens_spec = sensitivity.SensSpec(
+        fmt=dataset.fmt, lower=dataset.lower, upper=dataset.upper,
+        metric=args.metric or base_metric, method=method, n=args.n)
+    bound = getattr(sensitivity, _CALIBRATION_RULES[args.calibrate])(sens_spec)
     spec = calibrate(args.noise, bound, args.epsilon, method=method)
     if args.scale_factor != 1:
         # deliberate mis-scaling (e.g. 0.9x to exercise the converse):
@@ -254,6 +276,10 @@ def _calibrated_spec(args, dataset, method, base_metric: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_sum(args) -> int:
+    from .data import encode_value, load_dataset
+    from .floats import SimFloat, number_text
+    from .ints import KInt
+    from .summation import run_sum
     dataset = load_dataset(args.infile)
     method = _method_from_args(args)
     outcome = run_sum(dataset, method)
@@ -277,6 +303,9 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_sens_bound(args) -> int:
+    from .sensitivity import (PreconditionFailed, UnsupportedCombination,
+                              idealized_sensitivity,
+                              implemented_sensitivity_bound)
     spec = _sens_spec_from_args(args)
     ideal = idealized_sensitivity(spec)
     citations = [ideal.rule]
@@ -296,6 +325,9 @@ def _cmd_sens_bound(args) -> int:
 
 
 def _cmd_sens_bruteforce(args) -> int:
+    from .data import encode_value
+    from .floats import number_text
+    from .sensitivity import brute_force_sensitivity
     spec = _sens_spec_from_args(args)
     result = brute_force_sensitivity(
         spec, include_subnormals=args.include_subnormals)
@@ -313,6 +345,8 @@ def _cmd_sens_bruteforce(args) -> int:
 
 
 def _cmd_sens_recommend(args) -> int:
+    from .data import decode_value
+    from .sensitivity import recommend
     fmt = parse_format(args.format)
     lower = decode_value(fmt, args.lower)
     upper = decode_value(fmt, args.upper)
@@ -328,6 +362,8 @@ _ATTACK_PARAM_NAMES = ("j", "a", "d", "m", "upper", "lower", "metric")
 
 
 def _attack_format(args):
+    from .floats import FloatFormat
+    from .ints import IntFormat
     float_given = args.k is not None or args.l is not None
     int_given = args.bits is not None
     if float_given and int_given:
@@ -348,6 +384,9 @@ def _flag(name: str) -> str:
 
 
 def _cmd_attack_gen(args) -> int:
+    import inspect
+    from .attacks import _GENERATORS
+    from .data import format_to_json, save_dataset
     fmt = _attack_format(args)
     params = {name: getattr(args, name) for name in _ATTACK_PARAM_NAMES
               if getattr(args, name) is not None}
@@ -370,8 +409,7 @@ def _cmd_attack_gen(args) -> int:
         raise ValueError(f"{args.theorem}: {', '.join(stray)} {verb} not "
                          "apply")
     instance = generator(fmt, **params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     save_dataset(instance.u, out / "u.json")
     save_dataset(instance.v, out / "v.json")
     return _report(args, "attack gen", "instance.json",
@@ -380,6 +418,7 @@ def _cmd_attack_gen(args) -> int:
 
 
 def _cmd_attack_verify(args) -> int:
+    from .attacks import verify_attack
     instance = _load_instance(args.instance)
     method = _method_from_args(args, default=instance.method)
     native = method is instance.method
@@ -394,6 +433,7 @@ def _cmd_attack_verify(args) -> int:
 
 
 def _cmd_experiment_run(args) -> int:
+    from .mechanism import distinguishing_experiment
     instance = _load_instance(args.instance)
     method = _method_from_args(args, default=instance.method)
     spec, rule = _calibrated_spec(args, instance.u, method,
@@ -413,6 +453,8 @@ def _cmd_experiment_run(args) -> int:
 
 
 def _cmd_dpcheck_exact(args) -> int:
+    from .data import load_dataset
+    from .mechanism import exact_dp_check
     u = load_dataset(args.u)
     v = load_dataset(args.v)
     method = _method_from_args(args)
@@ -480,8 +522,9 @@ def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--scale", type=_fraction, default=None,
                        help="set the noise scale directly instead, as an "
                             "exact number (see --epsilon)")
-    parser.add_argument("--scale-factor", type=_fraction,
-                        default=Fraction(1), metavar="F",
+    # a string default goes through the type reader: Fraction(1)
+    parser.add_argument("--scale-factor", type=_fraction, default="1",
+                        metavar="F",
                         help="multiply the calibrated scale by F, an exact "
                              "number (F<1 deliberately under-noises)")
 

@@ -128,6 +128,7 @@ import gc
 import itertools
 import json
 import re
+from contextlib import contextmanager
 from operator import eq, index, itemgetter
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Tuple, Union
@@ -539,25 +540,13 @@ class Dataset:
         """A dataset of code entries known to be valid inside its bounds
         (checked by :func:`check_runs`, or cut, shifted or reordered from
         a checked dataset), settled by :func:`_settle`; nothing is
-        checked.
-
-        The cyclic garbage collector is paused while the entries are read
-        and settled.  A transform may pass millions of new run tuples (a
-        permutation of ``MATERIALIZE_LIMIT`` elements of two codes makes
-        2.6 million), and so many new objects would set the collector off
-        again and again to walk them all, though tuples of ints make no
-        cycle: at that size, a fifth of the permutation's time.  The pause
-        is process-wide; the package starts no thread."""
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        checked.  The entries are read and settled with the collector
+        paused (see :func:`_collector_paused`)."""
+        with _collector_paused():
             runs = tuple(runs)
             blocks = tuple in set(map(type, map(itemgetter(0), runs)))
             return object.__new__(cls)._fill(fmt, lower, upper, runs,
                                              blocks)
-        finally:
-            if enabled:
-                gc.enable()
 
     @classmethod
     def from_elements(cls, fmt: ElementFormat, lower: Value, upper: Value,
@@ -799,8 +788,30 @@ def _field(d: dict, name: str, kind, what: str = "format", default=None):
     return v
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, if it runs, for the block.
+
+    A file load or a transform may make millions of new objects (a
+    permutation of ``MATERIALIZE_LIMIT`` elements of two codes makes 2.6
+    million run tuples, and its file as many entry dicts), and so many
+    would set the collector off again and again to walk them all, though
+    dicts of strings and tuples of ints make no cycle: at that size, a
+    fifth of the permutation's time and a sixth of its file's load.  The
+    pause is process-wide; the package starts no thread."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The dataset a file holds, read and checked with the collector
+    paused."""
+    with open(path, "r", encoding="utf-8") as fh, _collector_paused():
         return Dataset.from_json_dict(json.load(fh))
 
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
+from . import ROUNDING_MODES
 from .dyadic import Dyadic
 
 __all__ = [
@@ -142,8 +143,6 @@ class FloatFormat:
 
 FLOAT32 = FloatFormat(23, 8)
 FLOAT64 = FloatFormat(52, 11)
-
-ROUNDING_MODES = ("banker", "toward_zero", "toward_pos", "toward_neg")
 
 
 class SimFloat:

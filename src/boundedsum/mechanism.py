@@ -55,6 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional, Tuple, Union
 
+from . import NOISE_KINDS
 from .data import Dataset, exact_value
 from .floats import SimFloat, _bits_grid, _round_bits, add_bits, number_text
 from .ints import IntFormat, KInt
@@ -69,8 +70,6 @@ __all__ = [
     "exact_dp_check", "certified_leq_exp",
     "VERDICT_CUTOFF_LOG2", "SUPPORT_LIMIT",
 ]
-
-NOISE_KINDS = ("laplace", "discrete_laplace", "discrete_laplace_mod")
 
 # An experiment verdict flips to "violation" when the observed table would
 # have probability below 1% under the claimed epsilon.

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
+from . import METRICS
 from .data import (Dataset, ElementFormat, Value, check_materialize,
                    check_runs, code_key, code_value, exact_value)
 from .dyadic import floor_log2_fraction
@@ -63,7 +64,6 @@ __all__ = [
     "couple_sym", "couple_co", "recommend", "KAHAN_ACCURACY_CONSTANT",
 ]
 
-METRICS = ("sym", "co", "ham", "id")
 UNORDERED_METRICS = ("sym", "co")
 KNOWN_N_METRICS = ("co", "ham")
 

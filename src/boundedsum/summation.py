@@ -109,6 +109,7 @@ from functools import partial, reduce
 from operator import itemgetter, ne, sub
 from typing import List, Optional, Tuple, Union
 
+from . import ALGORITHMS
 from .data import (Dataset, ElementFormat, MATERIALIZE_LIMIT,
                    _MIN_BLOCK_COPIES, _field, check_materialize,
                    code_value, entry_size, exact_value, merge_runs)
@@ -126,8 +127,6 @@ __all__ = [
     "check_multiplication", "float_overflow_check",
     "PERMUTATION_ALGORITHM", "ALGORITHMS",
 ]
-
-ALGORITHMS = ("iterative", "pairwise", "kahan", "split", "exact")
 
 # random.Random.shuffle makes, per position i from the last down to 1, the
 # draw randrange(i + 1) makes: the Fisher-Yates this name records, which

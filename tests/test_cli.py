@@ -1,9 +1,10 @@
-"""The command line across calls: which commands import numpy and
-mpmath, one parser reused by every ``main`` call, and flags the parser
-itself refuses."""
+"""The command line across calls: which modules each command imports,
+the package's lazy exports, one parser reused by every ``main`` call, and
+flags the parser itself refuses."""
 
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis.strategies import (data, fractions, integers, just,
                                    sampled_from, tuples)
 from pytest import mark, raises
 
+import boundedsum
 from boundedsum import (FLOAT32, Dataset, FloatFormat, IntFormat, KInt,
                         SimFloat, cli, parse_value, save_dataset)
 from boundedsum.data import MATERIALIZE_LIMIT
@@ -39,50 +41,132 @@ def _run(argv):
 
 
 # ---------------------------------------------------------------------------
-# Imports: numpy and mpmath load only in the commands that use them
+# Imports: each command loads only the modules it runs
 # ---------------------------------------------------------------------------
 
 _PROBE = """\
 import contextlib, io, sys
 import boundedsum, boundedsum.cli
 if sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()), \\
+            contextlib.suppress(SystemExit):
         boundedsum.cli.main(sys.argv[1:])
-print(*sorted({"numpy", "mpmath"} & set(sys.modules)))
+print(*sorted(name for name in sys.modules
+              if name.partition(".")[0] == "boundedsum"
+              or name in ("numpy", "mpmath", "scipy")))
 """
 
-# argv -> the heavy modules a fresh interpreter holds after running it
+
+def _package(*names):
+    return {"boundedsum", "boundedsum.cli",
+            *(f"boundedsum.{name}" for name in names)}
+
+
+# the modules each kind of command loads; scipy is in none of them
+_PARSER = _package()
+_SUM = _package("data", "dyadic", "floats", "ints", "summation")
+_SENS = _SUM | _package("metrics", "sensitivity")
+_ATTACK = _SENS | _package("attacks")
+
+# argv -> the modules a fresh interpreter holds after running it
 IMPORT_CASES = [
-    ([], set()),
-    (["sum", "--in", DENSE], set()),
+    ([], _PARSER),
+    (["--version"], _PARSER),
+    (["sum", "--help"], _PARSER),
+    # a refusal of the parser's own: --in is missing
+    (["sum"], _PARSER),
+    (["sum", "--in", DENSE], _SUM),
+    (["sum", "--method", "pairwise", "--transform", "permute:1", "--in",
+      DENSE], _SUM),
     (["attack", "gen", "--theorem", "overflow", "--bits", "8", "--upper",
-      "1"], set()),
-    (["attack", "verify", "--instance", str(INSTANCES / "ov16")], set()),
+      "1"], _ATTACK),
+    (["attack", "verify", "--instance", str(INSTANCES / "ov16")], _ATTACK),
     (["sens", "bound", "--format", "int:8:signed:saturating", "--lower",
-      "-4", "--upper", "3", "--metric", "sym"], set()),
+      "-4", "--upper", "3", "--metric", "sym"], _SENS),
     (["sens", "recommend", "--format", "float:10,5", "--lower", "-1",
-      "--upper", "1", "--metric", "ham", "--n", "1000"], set()),
+      "--upper", "1", "--metric", "ham", "--n", "1000"], _SENS),
     (["dpcheck", "exact", "--u", str(INSTANCES / "ov8" / "u.json"),
       "--v", str(INSTANCES / "ov8" / "v.json"), "--epsilon", "1",
       "--noise", "discrete_laplace_mod", "--calibrate", "modular"],
-     {"mpmath"}),
-    # the one command that needs numpy shows that the probe sees an import
+     _SENS | _package("mechanism") | {"mpmath"}),
     (["sens", "bruteforce", "--format", "int:4:signed:wraparound",
       "--lower", "-4", "--upper", "3", "--metric", "ham", "--n", "2"],
-     {"numpy"}),
+     _SENS | _package("bruteforce") | {"numpy"}),
+    (["experiment", "run", "--instance", str(INSTANCES / "ov8"), "--trials",
+      "20", "--seed", "1", "--calibrate", "idealized", "--epsilon", "1"],
+     _ATTACK | _package("mechanism") | {"numpy", "mpmath"}),
 ]
 
 
-@mark.parametrize("argv,heavy", IMPORT_CASES,
+@mark.parametrize("argv,modules", IMPORT_CASES,
                   ids=[" ".join(a[:2]) or "import" for a, _ in IMPORT_CASES])
-def test_a_command_loads_only_the_modules_it_uses(argv, heavy, tmp_path):
+def test_a_command_loads_only_the_modules_it_uses(argv, modules, tmp_path):
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == heavy
+    assert set(proc.stdout.split()) == modules
+
+
+# the package's exports by owning module, as the eager package listed them
+EXPORTS = {
+    "data": [
+        "Dataset", "ElementFormat", "Value", "encode_value", "decode_value",
+        "exact_value", "format_to_json", "format_from_json", "load_dataset",
+        "save_dataset"],
+    "dyadic": ["Dyadic", "floor_log2_fraction"],
+    "floats": [
+        "FloatFormat", "SimFloat", "InvalidOperation", "FLOAT32", "FLOAT64",
+        "ROUNDING_MODES", "ulp", "is_representable", "round_dyadic",
+        "add_float", "parse_value", "values_in_range"],
+    "ints": ["IntFormat", "KInt", "add_int"],
+    "metrics": ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id",
+                "d_mod"],
+    "summation": [
+        "SumMethod", "SumOutcome", "Truncate", "RandomPermutation",
+        "ShiftBounds", "bs_exact", "bs_iterative", "bs_pairwise", "bs_kahan",
+        "bs_split", "run_sum", "truncate", "random_permutation",
+        "check_multiplication", "float_overflow_check",
+        "PERMUTATION_ALGORITHM", "ALGORITHMS"],
+    "sensitivity": [
+        "METRICS", "SensSpec", "SensitivityBound", "BruteForceResult",
+        "Recommendation", "PreconditionFailed", "UnsupportedCombination",
+        "idealized_sensitivity", "modular_sensitivity_bound",
+        "accuracy_bound", "implemented_sensitivity_bound",
+        "brute_force_sensitivity", "couple_sym", "couple_co", "recommend",
+        "KAHAN_ACCURACY_CONSTANT"],
+    "attacks": [
+        "AttackInstance", "VerificationReport", "ATTACK_NAMES",
+        "overflow_attack", "saturation_reorder_attack",
+        "float_reorder_attack", "rounding_attack",
+        "repeated_rounding_attack_1", "repeated_rounding_attack_2",
+        "generate_attack", "verify_attack"],
+    "mechanism": [
+        "NOISE_KINDS", "MechanismSpec", "ExperimentReport", "ExactDPReport",
+        "rational_alpha", "calibrate", "run_mechanism",
+        "distinguishing_experiment", "dp_violation_log2_bound",
+        "exact_dp_check", "certified_leq_exp", "VERDICT_CUTOFF_LOG2",
+        "SUPPORT_LIMIT"],
+}
+
+
+def test_the_lazy_package_exports_each_name_of_its_module():
+    assert boundedsum.__all__ == ["__version__",
+                                  *(n for names in EXPORTS.values()
+                                    for n in names)]
+    namespace = {}
+    exec("from boundedsum import *", namespace)
+    assert set(boundedsum.__all__) <= namespace.keys()
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"boundedsum.{module}")
+        for name in names:
+            assert namespace[name] is getattr(owner, name), name
+            assert getattr(boundedsum, name) is namespace[name], name
+    with raises(AttributeError):
+        boundedsum.no_such_name
 
 
 # ---------------------------------------------------------------------------

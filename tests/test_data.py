@@ -225,6 +225,38 @@ def test_unchecked_leaves_the_collector_as_it_found_it():
         (gc.enable if enabled else gc.disable)()
 
 
+def test_load_dataset_reads_and_checks_with_the_collector_paused(tmp_path):
+    # 4,000 entry dicts and run tuples would start the collector several
+    # times over; paused, it starts at most once, when the pause ends.  A
+    # refused file leaves it on as well
+    path, bad = tmp_path / "runs.json", tmp_path / "bad.json"
+    save_dataset(int_ds(range(200)), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["elements"] *= 20
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    doc["elements"][-1] = {"value": "300", "count": 1}
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        assert load_dataset(path).n == 4000
+        loaded = len(starts)
+        with raises(ValueError):
+            load_dataset(bad)
+        assert gc.isenabled()
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if enabled else gc.disable)()
+    assert loaded <= 1 and len(starts) <= 2
+
+
 def _elements_doc(fmt, lo, hi, elements) -> dict:
     """The JSON object of a dataset of ``fmt`` over ``[lo, hi]`` with the
     element entries ``elements``, as a file holds them."""

@@ -13,15 +13,22 @@ mantissas: 0 to 3, the three around the half-way point and the top two.
 * A shift ``x - lower`` on the machine must be exact or refused exactly
   where :func:`~boundedsum.summation._grid_shift`'s is, with the same
   pattern.
+* Two Kahan steps of one addend from a running sum, on the machine
+  (:func:`~boundedsum.summation._kahan_floats`), must give the state of
+  two :func:`~boundedsum.summation._kahan_bits` steps wherever that state
+  is finite; the second step starts from the first one's compensation,
+  most often not 0.
 
 Each has one disagreement, a ``-0`` result that the model gives as
-``+0``: ``-0 + -0``, and ``-0 - 0``.  No ``-0`` reaches a fold or a
-shift, since no code is ``-0``.
+``+0``: ``-0 + -0``, ``-0 - 0``, and the Kahan steps of ``-0`` from
+``-0``.  No ``-0`` reaches a fold or a shift, since no code is ``-0``.
 
-Tier-1 crosses the edge exponents with themselves.  Run as a script,
-``python tests/test_machine_classes.py`` checks the full classes: every
-finite exponent field crossed with the edge exponents, both ways for the
-shift, and exits 1 on a disagreement.
+Tier-1 crosses the edge exponents with themselves, for the Kahan steps
+each pair in one rounding mode.  Run as a script, ``python
+tests/test_machine_classes.py`` checks the full classes: every finite
+exponent field crossed with the edge exponents, both ways for the shift,
+and the Kahan steps of every edge pair in every mode; it exits 1 on a
+disagreement.
 """
 
 import math
@@ -34,7 +41,8 @@ from pytest import mark
 from boundedsum import FLOAT32, FLOAT64, ROUNDING_MODES, Dataset, SimFloat
 from boundedsum.floats import (_machine_add, _native, _to_floats,
                                _to_patterns, add_bits)
-from boundedsum.summation import _grid_shift, _machine_shift
+from boundedsum.summation import (_grid_shift, _kahan_bits, _kahan_floats,
+                                  _machine_shift)
 
 # the exponent fields at the subnormal edge, one binade past the
 # mantissa's width, near 1, in the middle and at the top
@@ -92,6 +100,26 @@ def shift_disagreements(fmt, lowers: list, xs: list) -> list:
     return out
 
 
+def kahan_disagreements(fmt, mode: str, totals: list, addends: list) -> list:
+    """The pairs ``(a, b)``, ``a`` of ``totals`` and ``b`` of ``addends``,
+    whose two Kahan steps adding ``b`` to the state ``(a, 0)`` end in a
+    finite machine state that is not the two steps' on patterns."""
+    native = _native(fmt)
+    add = _machine_add(native[0], mode)
+    kernel = fmt._kernel
+    ys = _to_floats(native, addends)
+    out = []
+    for a in totals:
+        for b, y in zip(addends, ys):
+            got = _kahan_floats(native, add, (a, 0), (y, y))
+            if got is None:
+                continue
+            first = _kahan_bits(kernel, a, 0, b, mode)[:2]
+            if tuple(got) != _kahan_bits(kernel, *first, b, mode)[:2]:
+                out.append((a, b))
+    return out
+
+
 def minus_zero(fmt) -> tuple:
     """The one disagreement of the adds, ``-0 + -0``, and of the shifts,
     ``-0 - 0``, as :func:`add_disagreements` and
@@ -107,6 +135,16 @@ def test_machine_adds_are_add_bits_on_the_edge_classes(fmt, mode):
     assert add_disagreements(fmt, mode, edges, edges) == minus_zero(fmt)[0]
 
 
+@mark.parametrize("mode", ROUNDING_MODES)
+@mark.parametrize("fmt", [FLOAT32, FLOAT64])
+def test_machine_kahan_steps_are_kahan_bits_on_the_edge_classes(fmt, mode):
+    # a quarter of the running sums in each mode: each pair in one mode
+    edges = patterns(fmt, EDGE_EXPONENTS[fmt])
+    totals = edges[ROUNDING_MODES.index(mode)::len(ROUNDING_MODES)]
+    known = [(a, b) for a, b in minus_zero(fmt)[0] if a in totals]
+    assert kahan_disagreements(fmt, mode, totals, edges) == known
+
+
 @mark.parametrize("fmt", [FLOAT32, FLOAT64])
 def test_machine_shift_is_the_grid_shift_on_the_edge_classes(fmt):
     edges = patterns(fmt, EDGE_EXPONENTS[fmt])
@@ -120,18 +158,22 @@ def main() -> int:
         every = patterns(fmt, range((1 << fmt.exponent_bits) - 1))
         edges = patterns(fmt, EDGE_EXPONENTS[fmt])
         adds, shifts = minus_zero(fmt)
-        checks = [(f"{mode} adds", partial(add_disagreements, fmt, mode,
-                                           every, edges), adds)
+        full, edge = len(every) * len(edges), len(edges) ** 2
+        checks = [(f"{mode} adds", full, partial(
+            add_disagreements, fmt, mode, every, edges), adds)
                   for mode in ROUNDING_MODES]
-        checks += [("shifts from every lower", partial(
+        checks += [(f"{mode} Kahan steps", edge, partial(
+            kahan_disagreements, fmt, mode, edges, edges), adds)
+                   for mode in ROUNDING_MODES]
+        checks += [("shifts from every lower", full, partial(
             shift_disagreements, fmt, every, edges), shifts),
-                   ("shifts of every element", partial(
+                   ("shifts of every element", full, partial(
                        shift_disagreements, fmt, edges, every), shifts)]
-        for what, disagreements, known in checks:
+        for what, cases, disagreements, known in checks:
             start = time.perf_counter()
             got = disagreements()
             failed += got != known
-            print(f"{fmt} {what}: {len(every) * len(edges)} cases, "
+            print(f"{fmt} {what}: {cases} cases, "
                   f"{'ok' if got == known else got[:10]} "
                   f"({time.perf_counter() - start:.1f} s)", flush=True)
     return int(failed > 0)

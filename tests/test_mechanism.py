@@ -8,9 +8,7 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
 import sys
 import time
 from collections import Counter
@@ -41,8 +39,6 @@ from boundedsum import mechanism
 from boundedsum.mechanism import (_coprime_fraction, _folded_ratio,
                                   _log_factorials, _log_upper_tail,
                                   certified_leq_exp, rational_alpha)
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 TAIL_PS = (1e-3, 0.1, 1 / 3, 0.5, 2 / 3, 0.9, 0.999)
 
@@ -1044,19 +1040,6 @@ def test_cli_dpcheck_reports_an_epsilon_past_the_digit_guard(tmp_path,
     assert parse_number(mechanism["scale"]) * epsilon == parse_number(
         mechanism["calibration"]["value"])
     assert report["satisfied"] is True
-
-
-# ---------------------------------------------------------------------------
-# Dependencies
-# ---------------------------------------------------------------------------
-
-def test_import_does_not_load_scipy():
-    code = ("import sys, boundedsum, boundedsum.cli; "
-            "sys.exit('scipy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
