@@ -25,11 +25,11 @@ Three layers, in increasing order of rigor:
 
 3. :func:`exact_dp_check` — for finite-support discrete mechanisms, fold
    the noise PMF in exact rational arithmetic and return the worst
-   pointwise probability ratio, found among a handful of breakpoints of
-   the ratio rather than by enumerating the support.  No sampling is
-   involved; the verdict compares an exact rational against
-   ``e^epsilon`` through interval arithmetic that widens its precision
-   until the two separate.
+   pointwise probability ratio.  It depends on the two releases only
+   through their distance, and is read off that distance in closed form
+   rather than by enumerating the support.  No sampling is involved; the
+   verdict compares an exact rational against ``e^epsilon`` through
+   interval arithmetic that widens its precision until the two separate.
 
 The discrete noise distribution is pinned down by a *rational* decay
 parameter ``alpha`` chosen just above ``exp(-1/scale)`` (more noise than
@@ -49,11 +49,10 @@ import hashlib
 import itertools
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from . import NOISE_KINDS
 from .data import Dataset, exact_value
@@ -75,8 +74,8 @@ __all__ = [
 # have probability below 1% under the claimed epsilon.
 VERDICT_CUTOFF_LOG2 = math.log2(0.01)
 
-# exact_dp_check evaluates at most six outputs, but its weights are powers
-# of alpha (80 bits each) with exponents up to the support size: at this
+# exact_dp_check evaluates one closed form, but its weights are powers of
+# alpha (80 bits each) with exponents up to the support size: at this
 # support the exact ratio runs to about 1.6 million decimal digits, and
 # beyond it the report stops being a reasonable desk computation.
 SUPPORT_LIMIT = 1 << 16
@@ -89,24 +88,6 @@ _ALPHA_GRID_BITS = 80
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _rational_alpha_cached(num: int, den: int) -> Fraction:
-    if den >= 64 * num:
-        # exp(-64) < 2^-80 puts alpha two steps up the grid, as below, with
-        # no exp(-1/scale) of a huge 1/scale (ln 2 to as many bits)
-        return Fraction(2, 1 << _ALPHA_GRID_BITS)
-    import mpmath
-    scale = Fraction(num, den)
-    with mpmath.workprec(_ALPHA_GRID_BITS + 48):
-        a = mpmath.exp(-mpmath.mpf(scale.denominator) / mpmath.mpf(
-            scale.numerator))
-        grid = 1 << _ALPHA_GRID_BITS
-        upper = int(mpmath.floor(a * grid)) + 2
-    if upper >= grid:
-        raise PreconditionFailed(
-            "scale too large: exp(-1/scale) rounds to 1 on the decay grid")
-    return Fraction(upper, grid)
-
-
 def rational_alpha(scale: Union[Fraction, int]) -> Fraction:
     """Rational decay parameter ``alpha >= exp(-1/scale)``.
 
@@ -119,7 +100,20 @@ def rational_alpha(scale: Union[Fraction, int]) -> Fraction:
     scale = Fraction(scale)
     if scale <= 0:
         raise PreconditionFailed("scale must be positive")
-    return _rational_alpha_cached(scale.numerator, scale.denominator)
+    if scale.denominator >= 64 * scale.numerator:
+        # exp(-64) < 2^-80 puts alpha two steps up the grid, as below, with
+        # no exp(-1/scale) of a huge 1/scale (ln 2 to as many bits)
+        return Fraction(2, 1 << _ALPHA_GRID_BITS)
+    import mpmath
+    with mpmath.workprec(_ALPHA_GRID_BITS + 48):
+        a = mpmath.exp(-mpmath.mpf(scale.denominator) / mpmath.mpf(
+            scale.numerator))
+        grid = 1 << _ALPHA_GRID_BITS
+        upper = int(mpmath.floor(a * grid)) + 2
+    if upper >= grid:
+        raise PreconditionFailed(
+            "scale too large: exp(-1/scale) rounds to 1 on the decay grid")
+    return Fraction(upper, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +208,7 @@ def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int):
     are the stream named ``b"%d" % seed`` (see :func:`_stream`)."""
     _refuse_exact(spec)
     base = run_sum(dataset, spec.method).value
-    units = _sampler(spec, base)[0](_stream(hashlib.sha256(), b"%d" % seed))
+    units = _sampler(spec, base)(_stream(hashlib.sha256(), b"%d" % seed))
     if isinstance(base, KInt):
         return KInt(base.fmt, units)
     return SimFloat.from_grid(base.fmt, units)
@@ -445,10 +439,9 @@ def _laplace_noise(scale: float):
     return draw
 
 
-def _sampler(spec: MechanismSpec, base) -> Tuple[Callable[[object], int],
-                                                   int]:
-    """``(draw, grid)``: ``draw(chunks)`` is the noisy release of the
-    noiseless release ``base``, as its exact value times ``grid``, with the
+def _sampler(spec: MechanismSpec, base) -> Callable[[object], int]:
+    """``draw(chunks)``: the noisy release of the noiseless release
+    ``base``, as its exact value times :func:`_release`'s ``grid``, with the
     noise's bits read from the chunk stream ``chunks`` (:func:`_stream`).
 
     A draw is two parts, which an experiment also uses apart:
@@ -466,8 +459,8 @@ def _sampler(spec: MechanismSpec, base) -> Tuple[Callable[[object], int],
     with one rounded add.
     """
     noise = _noise(spec, base)
-    release, grid = _release(spec, base)
-    return lambda chunks: release(noise(chunks)), grid
+    release = _release(spec, base)[0]
+    return lambda chunks: release(noise(chunks))
 
 
 def _noise(spec: MechanismSpec, base):
@@ -853,21 +846,6 @@ def certified_leq_exp(ratio: Fraction, exponent: Fraction) -> bool:
     raise ArithmeticError("could not separate the ratio from e^exponent")
 
 
-# Modular breakpoints are ranked by a double estimate of the log2 of their
-# ratio, and only those within this margin of the largest estimate are
-# compared exactly.  The margin's derivation: alpha = P/Q with Q = 2^s <=
-# 2^80 and alpha >= 2^-79, so log2 Q is exact and the double l = log2 P - s
-# is within 2^-44 of log2 alpha (P rounded to a double, then an ulp of
-# log2 P < 2^7), with |l| < 2^7.  A weight's estimate a*l + log2(1 +
-# 2^(n*l)) has a <= m/2 <= 2^15 and n <= m <= 2^16 (SUPPORT_LIMIT): a*l is
-# off by at most 2^15 * 2^-44 plus a rounding of 2^-31, and the second
-# term, whose slope in n*l is below 1, by at most 2^16 * 2^-44 plus 2^-30
-# and a few ulps of 1.  That is under 2^-27 per weight and 2^-26 per
-# ratio, so an estimate more than 2^-25 (3e-8) below another belongs to
-# the smaller exact ratio; the margin is thirty times that.
-_LOG2_MARGIN = 1e-6
-
-
 if hasattr(Fraction, "_from_coprime_ints"):       # Python 3.12 and later
     _coprime_fraction = Fraction._from_coprime_ints
 else:
@@ -878,91 +856,28 @@ else:
         return Fraction(numerator, denominator, _normalize=False)
 
 
-def _folded_greater(alpha: Fraction, m: int, first: Tuple[int, int],
-                    second: Tuple[int, int]) -> bool:
-    """``W(a)/W(b) > W(c)/W(d)`` exactly, for ``first = (a, b)``,
-    ``second = (c, d)`` and the folded weight ``W(a) = alpha^a +
-    alpha^(m-a)``.
+def _folded_ratio(alpha: Fraction, m: int, d: int) -> Fraction:
+    """``W(0) / W(d)`` in lowest terms, for the folded weight ``W(r) =
+    alpha^r + alpha^(m-r)``, a power of two ``m >= 2``, ``0 <= d <= m/2``
+    and ``alpha = P/2^s`` in lowest terms.
 
-    The two cross products ``W(a) W(d)`` and ``W(c) W(b)`` are sums of four
-    powers of alpha each.  The powers they share cancel; the rest are
-    scaled by ``Q^e`` to ints, with ``e`` the spread of their exponents.
-    The near ties the estimate leaves, such as ``W(0)/W(1)`` against
-    ``W(1)/W(2)``, cancel down to exponents a few apart, where the full
-    cross products would run to millions of bits.
+    With ``Q = 2^s`` and ``G(n) = Q^n + P^n``, ``Q^m W(r) = (PQ)^r
+    G(m-2r)``, so the ratio is ``G(m) / ((PQ)^d G(m-2d))``, and that pair
+    is coprime for ``d >= 1``.  For ``n >= 1``, ``G(n)`` is odd and prime
+    to ``P``, so ``G(m)`` is prime to ``PQ`` and to ``G(0) = 2``.  For
+    ``n1, n2 >= 1`` and ``g = gcd(n1, n2)``, ``gcd(G(n1), G(n2))`` is 1
+    unless ``n1/g`` and ``n2/g`` are both odd; at ``n1 = m``, a power of
+    two, ``m/g`` is odd only at ``g = m``, which ``n2 = m - 2d < m`` never
+    gives.  So no gcd of the million-bit numbers is ever taken.
     """
-    def exponents(a: int, b: int) -> Counter:     # of W(a) * W(b)
-        return Counter(x + y for x in (a, m - a) for y in (b, m - b))
-
-    (a, b), (c, d) = first, second
-    left, right = exponents(a, d), exponents(c, b)
-    left, right = left - right, right - left
-    if not left:
-        return False
-    low = min(left | right)
-    spread = max(left | right) - low
-    p, q = alpha.numerator, alpha.denominator
-
-    def scaled(terms: Counter) -> int:
-        return sum(count * p ** (e - low) * q ** (spread - e + low)
-                   for e, count in terms.items())
-
-    return scaled(left) > scaled(right)
-
-
-def _folded_ratio(alpha: Fraction, m: int, a: int, b: int) -> Fraction:
-    """``W(a) / W(b)`` in lowest terms, ``W(a) = alpha^a + alpha^(m-a)``,
-    for ``0 <= a, b <= m/2`` and ``alpha = P/2^s`` in lowest terms.
-
-    With ``Q = 2^s`` and ``G(n) = Q^n + P^n``, ``Q^m W(a) = (PQ)^a
-    G(m-2a)``.  For ``n >= 1``, ``G(n)`` is odd and prime to ``P``, so prime
-    to ``PQ``; for ``n1, n2 >= 1`` and ``g = gcd(n1, n2)``, ``gcd(G(n1),
-    G(n2))`` is ``G(g)`` when ``n1/g`` and ``n2/g`` are both odd and 1
-    otherwise.  ``G(0) = 2`` belongs to ``a = m/2``, the largest ``a``, so
-    it sits on the side that also takes the power of ``PQ``, where the other
-    side is odd.  The pair below is therefore coprime, and no gcd of the
-    million-bit numbers is ever taken.
-    """
-    if a == b:
+    if not d:
         return Fraction(1)
     p, s = alpha.numerator, alpha.denominator.bit_length() - 1
-    n1, n2 = m - 2 * a, m - 2 * b
-    num, den = (1 << s * n1) + p ** n1, (1 << s * n2) + p ** n2
-    g = math.gcd(n1, n2)
-    if n1 and n2 and (n1 // g) % 2 and (n2 // g) % 2:
-        common = (1 << s * g) + p ** g
-        num, den = num // common, den // common
-    if a > b:
-        num = p ** (a - b) * num << s * (a - b)
-    else:
-        den = p ** (b - a) * den << s * (b - a)
-    return _coprime_fraction(num, den)
-
-
-def _folded_max(alpha: Fraction, m: int, cu: int, cv: int,
-                outputs: List[int]) -> Tuple[Fraction, int]:
-    """Largest ratio of the folded weights centred at ``cu`` and ``cv``
-    over ``outputs`` (ascending), and the first output that attains it."""
-    log2_alpha = math.log2(alpha.numerator) - math.log2(alpha.denominator)
-
-    def log2_weight(a: int) -> float:
-        return a * log2_alpha + math.log2(1 + 2 ** ((m - 2 * a) * log2_alpha))
-
-    # an output's weights depend only on its folded distances to the centres
-    pairs = [(min((z - cu) % m, (cu - z) % m), min((z - cv) % m, (cv - z) % m))
-             for z in outputs]
-    estimates = [log2_weight(a) - log2_weight(b) for a, b in pairs]
-    top = max(estimates)
-    # An estimate more than the margin below the top has a strictly smaller
-    # ratio than the top's.  The rest are compared exactly, where an equal
-    # ratio is not greater, so a tie keeps the earlier (smaller) output.
-    best, witness = None, 0
-    for z, pair, estimate in zip(outputs, pairs, estimates):
-        if estimate >= top - _LOG2_MARGIN and (
-                best is None or _folded_greater(alpha, m, pair, best)):
-            best, witness = pair, z
-    assert best is not None
-    return _folded_ratio(alpha, m, *best), witness
+    n = m - 2 * d
+    # p^m is built from p^n, the costlier of the two powers at a small d
+    pd, pn = p ** d, p ** n
+    return _coprime_fraction((1 << s * m) + pd * pd * pn,
+                             pd * ((1 << s * n) + pn) << s * d)
 
 
 def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
@@ -977,31 +892,30 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
     output that attains it as the witness, and ``satisfied`` settles
     ``max_ratio <= e^epsilon`` by certified interval comparison.
 
-    The ratio is evaluated only at the ends of the pieces on which it is
-    monotone in the output ``z``, in ascending order, keeping the first
-    strict maximum.  On a monotone or constant piece the first maximum is
-    one of its ends, so this gives the same maximum and witness as
-    enumerating the whole support.  With centres ``su``, ``sv``:
+    Both are read off the releases ``su``, ``sv`` in closed form, and the
+    ratio depends on them only through their distance:
 
     * clamped, support ``[lo, hi]``: a rail at distance ``d`` from a centre
       inside the range weighs ``alpha^d`` (``(1+alpha) - alpha = 1`` at
       ``d = 0``) and an inner output ``(1-alpha) alpha^|z-c|``, so at every
-      output the ratio is ``alpha^(|z-su| - |z-sv|)``.  The exponent is
-      constant below ``min(su, sv)``, linear between the centres and
-      constant above, so the pieces are ``{lo}``, ``[lo+1, min]``,
-      ``[min, max]``, ``[max, hi-1]`` and ``{hi}``, and the largest ratio
-      is the smallest exponent, compared as an integer;
-    * modular, support ``[0, m)``: ``alpha^r + alpha^(m-r)`` is
-      ``2 alpha^(m/2) cosh((r - m/2) ln alpha)`` for every residue ``r``,
-      so between the wraps at ``su mod m`` and ``sv mod m`` the ratio is
-      ``cosh(A)/cosh(B) = cosh(A-B) + sinh(A-B) tanh(B)`` with ``A - B``
-      constant and ``B`` linear in ``z``; ``tanh`` is increasing, so each
-      of ``[0, c-1]``, ``[c, c'-1]``, ``[c', m-1]`` (``c <= c'`` the
-      centres' residues) is monotone.  The weight depends only on the
-      folded distance ``min(r, m-r)``; the ends are ranked by a double
-      estimate of their log2 ratio, compared exactly only within
-      ``_LOG2_MARGIN`` of the best (:func:`_folded_greater`), and the
-      winner is reduced in closed form (:func:`_folded_ratio`).
+      output the ratio is ``alpha^(|z-su| - |z-sv|)``.  By the triangle
+      inequality the exponent is at least ``-|su - sv|``, with equality
+      exactly where ``su`` lies between ``z`` and ``sv``, so the worst
+      ratio is ``alpha^-|su - sv|``, first reached at ``lo`` when ``su <=
+      sv`` and at ``su`` otherwise;
+    * modular, support ``[0, m)``: an output at folded distance ``a`` from
+      ``su mod m`` weighs ``W(a) = alpha^a + alpha^(m-a) = 2 alpha^(m/2)
+      cosh(lambda (m/2 - a))`` under ``u``, with ``lambda = -ln alpha >
+      0``, and ``W(b)`` at its folded distance ``b`` from ``sv mod m``
+      under ``v``.  With ``d`` the folded distance between the two
+      residues, ``b <= min(a + d, m/2)`` and ``W`` decreases on ``[0,
+      m/2]``, so the log ratio is at most ``h(m/2 - a) - h(max(m/2 - a - d,
+      0))`` for ``h(x) = ln cosh(lambda x)``.  As ``h`` is increasing and
+      strictly convex on ``x >= 0``, that bound strictly decreases in ``a``
+      when ``d >= 1``; it is met at ``a = 0``, where ``b = d``.  So the
+      worst ratio is ``W(0)/W(d)`` (:func:`_folded_ratio`), reached only at
+      ``su mod m``; at ``d = 0`` the two PMFs are one, and every ratio is
+      1, first at output 0.
     """
     epsilon = Fraction(epsilon)
     if not isinstance(u.fmt, IntFormat) or u.fmt != v.fmt:
@@ -1020,19 +934,12 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
     if size > SUPPORT_LIMIT:
         raise PreconditionFailed(f"support {size} exceeds {SUPPORT_LIMIT}")
     if modular:
-        cu, cv = su % size, sv % size
-        lo, hi = 0, size - 1
-        breaks = (cu - 1, cu, cv - 1, cv)
+        d = min((su - sv) % size, (sv - su) % size)
+        ratio = _folded_ratio(alpha, size, d)
+        witness = su % size if d else 0
     else:
-        lo, hi = fmt.min_value, fmt.max_value
-        breaks = (lo + 1, su, sv, hi - 1)
-    outputs = sorted({lo, hi, *(z for z in breaks if lo <= z <= hi)})
-    if modular:
-        ratio, witness = _folded_max(alpha, size, cu, cv, outputs)
-    else:
-        exponent, witness = min((abs(z - su) - abs(z - sv), z)
-                                for z in outputs)
-        ratio = alpha ** exponent
+        ratio = alpha ** -abs(su - sv)
+        witness = fmt.min_value if su <= sv else su
     return ExactDPReport(max_ratio=ratio, witness=witness, epsilon=epsilon,
                          satisfied=certified_leq_exp(ratio, epsilon),
                          support=size)

@@ -1,7 +1,7 @@
 """Mechanism layer: the log-space binomial tail, the violation bound, the
 modulus of modular noise, the sampler against a slow exact reference on the
 same stream and against the exact PMFs by exhaustive enumeration, and the
-exact checker's breakpoint search against full enumeration."""
+exact checker's closed forms against full enumeration."""
 
 import functools
 import hashlib
@@ -35,6 +35,7 @@ from boundedsum.floats import (_DECIMAL_BITS, FloatFormat, _decimal_digits,
                               _int_str, add_float, number_text, parse_number,
                               round_dyadic)
 from boundedsum.ints import IntFormat, KInt
+from boundedsum.sensitivity import PreconditionFailed
 from boundedsum import mechanism
 from boundedsum.mechanism import (_coprime_fraction, _folded_ratio,
                                   _log_factorials, _log_upper_tail,
@@ -473,7 +474,7 @@ def test_a_draw_reads_on_into_the_next_block():
 
 def per_trial_releases(spec, base, prefix, trials):
     """Each trial's release from the per-trial draw on its own stream."""
-    draw = mechanism._sampler(spec, base)[0]
+    draw = mechanism._sampler(spec, base)
     return [draw(mechanism._stream(prefix, b"%d" % i)) for i in range(trials)]
 
 
@@ -701,7 +702,7 @@ def exhaustive_pmf(monkeypatch, spec, base, width):
 
     monkeypatch.setattr(mechanism, "_bernoulli",
                         lambda chunks, t, x: chunks.choose((t, x)))
-    draw = mechanism._sampler(spec, base)[0]
+    draw = mechanism._sampler(spec, base)
     return push_forward(
         draw, lambda key: (values, 0) if key is None else decision(*key), 80)
 
@@ -802,14 +803,12 @@ def test_cli_manifest_records_the_calibration_flags(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Breakpoint search against full enumeration
+# The exact checker's closed forms against full enumeration
 # ---------------------------------------------------------------------------
 
 def enumerated_max_ratio(spec, fmt, su, sv):
-    """Worst ratio and its first witness, from every output of the support.
-
-    This is the scan ``exact_dp_check`` ran before it evaluated only the
-    ends of the ratio's monotone pieces: the reference it must agree with.
+    """Worst ratio and its first witness, from every output of the support:
+    the reference the closed forms of ``exact_dp_check`` must agree with.
     """
     alpha = spec.alpha
     if spec.noise == "discrete_laplace_mod":
@@ -837,6 +836,7 @@ def assert_matches_enumeration(fmt, noise, scale, su, sv, epsilon):
     case = (fmt, noise, scale, su, sv)
     assert (got.max_ratio, got.witness) == (best, witness), case
     assert got.satisfied == certified_leq_exp(best, epsilon), case
+    return best
 
 
 def noises(fmt):
@@ -845,7 +845,9 @@ def noises(fmt):
     return ("discrete_laplace",)
 
 
-CHECK_SCALES = (Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(40))
+# alpha near 0 at the first scale and near 1 at the last
+CHECK_SCALES = (Fraction(1, 1000), Fraction(1, 3), Fraction(1), Fraction(5, 2),
+                Fraction(40), Fraction(10 ** 6))
 
 
 @mark.parametrize("bits", [2, 3])
@@ -856,10 +858,21 @@ def test_breakpoints_match_enumeration_on_every_pair(bits):
             values = range(fmt.min_value, fmt.max_value + 1)
             for noise in noises(fmt):
                 for scale in CHECK_SCALES:
+                    # the enumerated worst ratio depends on the pair only
+                    # through its distance
+                    by_distance = {}
                     for su in values:
                         for sv in values:
-                            assert_matches_enumeration(fmt, noise, scale,
-                                                       su, sv, 1)
+                            best = assert_matches_enumeration(
+                                fmt, noise, scale, su, sv, 1)
+                            distance = (
+                                min((su - sv) % fmt.modulus,
+                                    (sv - su) % fmt.modulus)
+                                if noise == "discrete_laplace_mod"
+                                else abs(su - sv))
+                            assert by_distance.setdefault(
+                                distance, best) == best, (
+                                    fmt, noise, scale, su, sv)
 
 
 def test_breakpoints_match_enumeration_at_8_bits():
@@ -874,18 +887,11 @@ def test_breakpoints_match_enumeration_at_8_bits():
                     CHECK_SCALES), su, sv, Fraction(rng.randint(1, 30), 10))
 
 
-@mark.parametrize("bits", [2, 3])
-def test_exact_comparisons_alone_match_enumeration_on_every_pair(
-        bits, monkeypatch):
-    # a margin this wide sends every modular end to the exact comparison
-    monkeypatch.setattr(mechanism, "_LOG2_MARGIN", math.inf)
-    test_breakpoints_match_enumeration_on_every_pair(bits)
-
-
 def cross_multiplied_max_ratio(spec, fmt, su, sv):
-    """Worst ratio and witness by the breakpoint loop ``exact_dp_check`` ran
-    before it ranked the ends by estimate: the reference PMFs' weights at
-    the same ends, compared by cross-multiplying, the winner divided out."""
+    """Worst ratio and its first witness among the ends of the pieces on
+    which the ratio is monotone in the output, at sizes where enumerating
+    the support is too slow: the reference PMFs' weights at those ends,
+    compared by cross-multiplying, the winner divided out."""
     alpha = spec.alpha
     if spec.noise == "discrete_laplace_mod":
         m = fmt.modulus
@@ -935,27 +941,17 @@ FOLD_ALPHAS = ([Fraction(random.Random(s).randrange(1, 1 << s, 2), 1 << s)
 
 @mark.parametrize("alpha", FOLD_ALPHAS, ids=str)
 def test_folded_ratio_is_the_reduced_quotient_of_the_weights(alpha):
-    for m in (*range(1, 41), 64, 128, 256):
+    for m in (2, 4, 8, 16, 32, 64, 128, 256):
         w = _folded_pmf(alpha, 0, m)
         weights = [w(r) for r in range(m)]
-        # a residue weighs as its folded distance, so the folded pairs
-        # below cover every pair of residues
+        # a residue weighs as its folded distance, so the distances below
+        # cover every residue
         assert all(weights[r] == weights[m - r] for r in range(1, m))
-        distances = range(m // 2 + 1)
-        if m > 64:
-            # the reference divisions of 20,000-bit weights take a
-            # millisecond each: pair every distance with the wraps and the
-            # rails, where G(0) = 2 and the small G(n) sit
-            edges = {0, 1, 2, m // 2 - 2, m // 2 - 1, m // 2}
-            pairs = {(a, b) for a in distances for b in edges}
-            pairs |= {(b, a) for a, b in pairs}
-        else:
-            pairs = [(a, b) for a in distances for b in distances]
-        for a, b in pairs:
-            got, want = _folded_ratio(alpha, m, a, b), weights[a] / weights[b]
+        for d in range(m // 2 + 1):
+            got, want = _folded_ratio(alpha, m, d), weights[0] / weights[d]
             # want is in lowest terms, so equal parts make got coprime
             assert (got.numerator, got.denominator) == (
-                want.numerator, want.denominator), (m, a, b)
+                want.numerator, want.denominator), (m, d)
 
 
 @given(integers(0, 1 << 200), integers(1, 1 << 200))
@@ -1074,3 +1070,9 @@ def test_a_huge_epsilon_or_a_tiny_scale_needs_no_digits_of_its_power():
             a = mpmath.exp(-mpmath.mpf(scale.denominator) / scale.numerator)
             assert int(mpmath.floor(a * (1 << 80))) == 0
         assert rational_alpha(scale) == Fraction(2, 1 << 80)
+
+
+def test_rational_alpha_refuses_a_nonpositive_scale():
+    for scale in (0, Fraction(-1, 3)):
+        with raises(PreconditionFailed, match="scale must be positive"):
+            rational_alpha(scale)
