@@ -875,6 +875,58 @@ def test_breakpoints_match_enumeration_on_every_pair(bits):
                                     fmt, noise, scale, su, sv)
 
 
+@mark.parametrize("bits", [2, 3])
+def test_the_worst_ratio_is_reached_where_the_proofs_say(bits):
+    # clamped: exactly the outputs z with su between z and sv; modular:
+    # su mod m alone at a nonzero distance, every output at distance 0
+    for signed in (False, True):
+        for overflow in ("wraparound", "saturating"):
+            fmt = IntFormat(bits, signed, overflow)
+            values = range(fmt.min_value, fmt.max_value + 1)
+            for noise in noises(fmt):
+                for scale in CHECK_SCALES:
+                    alpha = MechanismSpec(noise=noise, scale=scale).alpha
+                    for su in values:
+                        for sv in values:
+                            if noise == "discrete_laplace_mod":
+                                m = fmt.modulus
+                                wu = _folded_pmf(alpha, su % m, m)
+                                wv = _folded_pmf(alpha, sv % m, m)
+                                support = range(m)
+                                want = (set(support) if su % m == sv % m
+                                        else {su % m})
+                            else:
+                                lo, hi = fmt.min_value, fmt.max_value
+                                wu = _saturated_pmf(alpha, su, lo, hi)
+                                wv = _saturated_pmf(alpha, sv, lo, hi)
+                                support = values
+                                want = {z for z in support
+                                        if min(z, sv) <= su <= max(z, sv)}
+                            ratios = {z: wu(z) / wv(z) for z in support}
+                            best = max(ratios.values())
+                            assert {z for z in support
+                                    if ratios[z] == best} == want, (
+                                        fmt, noise, scale, su, sv)
+
+
+def test_equal_releases_have_ratio_one_first_at_the_supports_start():
+    # past enumeration's reach: equal sums give one PMF, so every ratio is 1
+    for signed in (False, True):
+        for overflow in ("wraparound", "saturating"):
+            fmt = IntFormat(16, signed, overflow)
+            for noise in noises(fmt):
+                first = 0 if noise == "discrete_laplace_mod" else fmt.min_value
+                for s in (fmt.min_value, -1 if signed else 1, fmt.max_value):
+                    for scale in (Fraction(1, 1000), Fraction(10 ** 6)):
+                        got = exact_dp_check(
+                            MechanismSpec(noise=noise, scale=scale),
+                            one_element(fmt, s), one_element(fmt, s), 1)
+                        assert (got.max_ratio, got.witness, got.satisfied,
+                                got.support) == (1, first, True,
+                                                 fmt.modulus), (
+                                    fmt, noise, s, scale)
+
+
 def test_breakpoints_match_enumeration_at_8_bits():
     rng = random.Random(8)
     for signed in (False, True):
