@@ -20,8 +20,8 @@ from unittest import mock
 import mpmath
 import numpy as np
 from hypothesis import example, given, settings
-from hypothesis.strategies import (booleans, composite, integers, one_of,
-                                   sampled_from)
+from hypothesis.strategies import (booleans, composite, integers, lists,
+                                   one_of, sampled_from, tuples)
 from pytest import mark, raises
 
 from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec,
@@ -33,13 +33,14 @@ from boundedsum.data import Dataset, load_dataset
 from boundedsum.dyadic import Dyadic
 from boundedsum.floats import (_DECIMAL_BITS, FloatFormat, _decimal_digits,
                               _int_str, add_float, number_text, parse_number,
-                              round_dyadic)
+                              power_sum_text, round_dyadic)
 from boundedsum.ints import IntFormat, KInt
 from boundedsum.sensitivity import PreconditionFailed
 from boundedsum import mechanism
-from boundedsum.mechanism import (_coprime_fraction, _folded_ratio,
+from boundedsum.mechanism import (_coprime_fraction, _folded_terms,
                                   _log_factorials, _log_upper_tail,
-                                  certified_leq_exp, rational_alpha)
+                                  _power_ratio, certified_leq_exp,
+                                  rational_alpha)
 
 TAIL_PS = (1e-3, 0.1, 1 / 3, 0.5, 2 / 3, 0.9, 0.999)
 
@@ -828,6 +829,14 @@ def enumerated_max_ratio(spec, fmt, su, sv):
     return best, witness
 
 
+def assert_factored_text(got, case):
+    """The report's factors write its ratio as ``number_text`` does, and so
+    does the report, whichever writer it picks."""
+    want = number_text(got.max_ratio)
+    assert power_sum_text(*got.factors) == want, case
+    assert got.to_json()["max_ratio"] == want, case
+
+
 def assert_matches_enumeration(fmt, noise, scale, su, sv, epsilon):
     spec = MechanismSpec(noise=noise, scale=scale)
     got = exact_dp_check(spec, one_element(fmt, su), one_element(fmt, sv),
@@ -836,6 +845,7 @@ def assert_matches_enumeration(fmt, noise, scale, su, sv, epsilon):
     case = (fmt, noise, scale, su, sv)
     assert (got.max_ratio, got.witness) == (best, witness), case
     assert got.satisfied == certified_leq_exp(best, epsilon), case
+    assert_factored_text(got, case)
     return best
 
 
@@ -981,8 +991,46 @@ def test_breakpoints_match_the_cross_multiplied_loop(bits):
             spec = MechanismSpec(noise=noise, scale=rng.choice(CHECK_SCALES))
             got = exact_dp_check(spec, one_element(fmt, su),
                                  one_element(fmt, sv), 1)
+            case = (noise, su, sv, spec.scale)
             assert (got.max_ratio, got.witness) == cross_multiplied_max_ratio(
-                spec, fmt, su, sv), (noise, su, sv, spec.scale)
+                spec, fmt, su, sv), case
+            assert_factored_text(got, case)
+
+
+def test_factored_text_is_number_text_on_random_pairs():
+    # 8 to 12 bits cross both of the report writer's thresholds
+    rng = random.Random(812)
+    for bits in range(8, 13):
+        for _ in range(3):
+            fmt = IntFormat(bits, rng.choice((False, True)),
+                            rng.choice(("wraparound", "saturating")))
+            su = rng.randint(fmt.min_value, fmt.max_value)
+            sv = rng.randint(fmt.min_value, fmt.max_value)
+            for noise in noises(fmt):
+                spec = MechanismSpec(noise=noise,
+                                     scale=rng.choice(CHECK_SCALES))
+                got = exact_dp_check(spec, one_element(fmt, su),
+                                     one_element(fmt, sv), 1)
+                assert_factored_text(got, (fmt, noise, spec.scale, su, sv))
+
+
+def test_factored_text_of_ratio_one_and_of_p_one():
+    fmt = IntFormat(8, True, "wraparound")
+    for noise in noises(fmt):
+        # equal releases: d = 0 (modular) and D = 0 (clamped) write "1"
+        got = exact_dp_check(MechanismSpec(noise=noise, scale=Fraction(5, 2)),
+                             one_element(fmt, 3), one_element(fmt, 3), 1)
+        assert power_sum_text(*got.factors) == "1" == got.to_json()[
+            "max_ratio"], noise
+    # from 1/scale = 64 on, alpha = 2^-79: P = 1, and the clamped ratio
+    # 2^(79 D) has denominator 1, which is not written
+    spec = MechanismSpec(scale=Fraction(1, 1000))
+    assert spec.alpha == Fraction(1, 1 << 79)
+    got = exact_dp_check(spec, one_element(fmt, fmt.max_value),
+                         one_element(fmt, fmt.min_value), 1)
+    want = unlimited_str(1 << 79 * 255)
+    assert got.max_ratio == 1 << 79 * 255
+    assert power_sum_text(*got.factors) == want == got.to_json()["max_ratio"]
 
 
 # alpha = P/2^s for s = 1..12, then three alphas of the 2^-80 grid
@@ -1000,7 +1048,9 @@ def test_folded_ratio_is_the_reduced_quotient_of_the_weights(alpha):
         # cover every residue
         assert all(weights[r] == weights[m - r] for r in range(1, m))
         for d in range(m // 2 + 1):
-            got, want = _folded_ratio(alpha, m, d), weights[0] / weights[d]
+            got = _power_ratio(alpha.numerator, *_folded_terms(
+                alpha.denominator.bit_length() - 1, m, d))
+            want = weights[0] / weights[d]
             # want is in lowest terms, so equal parts make got coprime
             assert (got.numerator, got.denominator) == (
                 want.numerator, want.denominator), (m, d)
@@ -1040,6 +1090,30 @@ def test_decimal_writer_is_str_at_the_edges():
               *(10 ** int(k * math.log10(2)) + e for k in ks for e in (-1, 1)),
               2 ** 1_000_000 - 1, 10 ** 301_030 + 1):
         assert_written_as_str(n)
+
+
+@composite
+def power_sums(draw):
+    """``(p, top, bottom)`` for :func:`power_sum_text`, each exponent drawn
+    from ``{0, x, y, x + y}``, so that some powers are products of two
+    others."""
+    x, y = draw(integers(0, 1000)), draw(integers(0, 1000))
+    exponent = sampled_from((0, x, y, x + y))
+    side = lists(tuples(exponent, exponent), min_size=1, max_size=2)
+    return draw(integers(1, 1 << 80)), draw(side), draw(side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_sums())
+@example((3, [(0, 0)], [(0, 0)]))
+@example((1, [(5, 0), (0, 7)], [(0, 0)]))
+def test_power_sum_text_is_str_of_its_value(case):
+    p, top, bottom = case
+    num = sum(p ** b << a for a, b in top)
+    den = sum(p ** b << a for a, b in bottom)
+    want = unlimited_str(num) if den == 1 else (
+        f"{unlimited_str(num)}/{unlimited_str(den)}")
+    assert power_sum_text(p, top, bottom) == want
 
 
 @settings(max_examples=25, deadline=None)
@@ -1128,3 +1202,30 @@ def test_rational_alpha_refuses_a_nonpositive_scale():
     for scale in (0, Fraction(-1, 3)):
         with raises(PreconditionFailed, match="scale must be positive"):
             rational_alpha(scale)
+
+
+def test_rational_alpha_keeps_one_entry_per_scale():
+    assert rational_alpha(5) is rational_alpha(Fraction(5))
+
+
+def test_cli_dpcheck_decides_an_epsilon_within_2_to_the_minus_2100(
+        tmp_path, capsys):
+    # m / 2^2100 is ln ratio rounded down, (m + 1) / 2^2100 rounded up: the
+    # intervals part only past 2048 bits
+    pair = tmp_path / "ovx"
+    assert main(["attack", "gen", "--theorem", "overflow", "--bits", "8",
+                 "--upper", "1", "--out", str(pair)]) == 0
+    u, v = load_dataset(pair / "u.json"), load_dataset(pair / "v.json")
+    ratio = exact_dp_check(MechanismSpec(scale=1), u, v, 1).max_ratio
+    with mpmath.workprec(2400):
+        m = int(mpmath.floor(mpmath.log(mpmath.mpf(ratio.numerator)
+                                        / ratio.denominator) * 2 ** 2100))
+    assert len(str(m)) == 635
+    argv = ["dpcheck", "exact", "--u", str(pair / "u.json"), "--v",
+            str(pair / "v.json"), "--scale", "1"]
+    for k, code in ((m, 3), (m + 1, 0)):
+        capsys.readouterr()
+        assert main(argv + ["--epsilon", f"{k}*2^-2100"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["satisfied"] is (code == 0)
+        assert parse_number(report["epsilon"]) == Fraction(k, 1 << 2100)
