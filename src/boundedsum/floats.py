@@ -798,6 +798,11 @@ def power_sum_text(p: int, top, bottom) -> str:
     exact ``decimal`` (libmpdec, whose long multiply is a number-theoretic
     transform), with one power per base and exponent over both sums
     (:func:`_shared_powers`), and a Decimal integer's ``str()`` is linear.
+    It loses to :func:`number_text` only on short ratios, by at most 1.4 ms
+    a ratio: under 5,000 bits (by 0.01 to 0.03 ms), and at the modular
+    check's distances near ``m/4`` up to 40,000 bits (9-bit formats: 5.4
+    against 4.0 ms), best of 15 in process on a 2-vCPU x86-64 VM, Python
+    3.11.
     """
     terms = (*top, *bottom)
     with _exact_decimals() as Decimal:

@@ -823,7 +823,7 @@ class ExactDPReport:
             approx = float(self.max_ratio)
         except OverflowError:   # past the largest double
             approx = None
-        return {"max_ratio": _ratio_text(self.max_ratio, *self.factors),
+        return {"max_ratio": power_sum_text(*self.factors),
                 "max_ratio_approx": approx,
                 "witness": self.witness,
                 "epsilon": number_text(self.epsilon),
@@ -843,6 +843,9 @@ def certified_leq_exp(ratio: Fraction, exponent: Fraction) -> bool:
     ratio, exponent = Fraction(ratio), Fraction(exponent)
     if exponent == 0:
         return ratio <= 1
+    # equal releases: 1 <= e^x exactly when x > 0, however small x is
+    if ratio == 1:
+        return exponent > 0
     # e^x > 2^x for x > 0, and ratio < 2^(its bit lengths' difference + 1):
     # a huge exponent needs no interval, whose ln 2 would need its bits
     if exponent >= (ratio.numerator.bit_length()
@@ -908,38 +911,6 @@ def _power_ratio(p: int, top, bottom) -> Fraction:
         return sum(powers[b] << a for a, b in terms)
 
     return _coprime_fraction(total(top), total(bottom))
-
-
-# Where power_sum_text writes a ratio faster than number_text, in the bits
-# of its numerator: from 2^12 bits where no term multiplies two powers of
-# more than 1/16 of those bits, and from 2^17 bits everywhere.
-_FACTORED_LOPSIDED_BITS = 1 << 12
-_FACTORED_BITS = 1 << 17
-
-
-def _ratio_text(ratio: Fraction, p: int, top, bottom) -> str:
-    """``number_text(ratio)`` of a ratio whose :class:`ExactDPReport`
-    factors are ``(p, top, bottom)``: by :func:`power_sum_text` wherever
-    that is the faster writer.
-
-    ``number_text`` converts binary to decimal, at a cost set by the
-    ratio's bits alone.  ``power_sum_text`` builds the powers in decimal,
-    and pays most where a term multiplies two powers that are both large:
-    the modular check's middle distances.  Measured as the time of
-    ``power_sum_text`` over ``number_text``'s, best of 15 in process at
-    scales 4 and 1/3 (a 2-vCPU x86-64 VM, Python 3.11): for a clamped ratio
-    and at modular distances up to ``m/16``, 1.3 to 1.7 at 2,500 bits
-    (5-bit formats), 0.8 to 0.96 from 5,000 bits (6 bits), 0.37 to 0.75
-    at 10 bits and 0.3 to 0.56 at 12; at distances from ``m/8`` to
-    ``m/2``, 0.55 to 1.5 up to 80,000 bits (10 bits) and 0.4 to 0.6 from
-    160,000 bits (11 bits).
-    """
-    bits = ratio.numerator.bit_length()
-    lesser = max(min(a, b * p.bit_length()) for a, b in (*top, *bottom))
-    if bits >= _FACTORED_BITS or (bits >= _FACTORED_LOPSIDED_BITS
-                                  and 16 * lesser <= bits):
-        return power_sum_text(p, top, bottom)
-    return number_text(ratio)
 
 
 def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,

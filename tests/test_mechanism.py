@@ -831,7 +831,7 @@ def enumerated_max_ratio(spec, fmt, su, sv):
 
 def assert_factored_text(got, case):
     """The report's factors write its ratio as ``number_text`` does, and so
-    does the report, whichever writer it picks."""
+    does the report."""
     want = number_text(got.max_ratio)
     assert power_sum_text(*got.factors) == want, case
     assert got.to_json()["max_ratio"] == want, case
@@ -998,7 +998,6 @@ def test_breakpoints_match_the_cross_multiplied_loop(bits):
 
 
 def test_factored_text_is_number_text_on_random_pairs():
-    # 8 to 12 bits cross both of the report writer's thresholds
     rng = random.Random(812)
     for bits in range(8, 13):
         for _ in range(3):
@@ -1196,6 +1195,24 @@ def test_a_huge_epsilon_or_a_tiny_scale_needs_no_digits_of_its_power():
             a = mpmath.exp(-mpmath.mpf(scale.denominator) / scale.numerator)
             assert int(mpmath.floor(a * (1 << 80))) == 0
         assert rational_alpha(scale) == Fraction(2, 1 << 80)
+
+
+def test_equal_releases_decide_a_tiny_epsilon_with_no_interval():
+    # ratio 1 <= e^x exactly when x > 0: intervals would need half a
+    # million bits to part 1 from e^(2^-524288)
+    fmt = IntFormat(8, True, "wraparound")
+    tiny = Fraction(1, 1 << 524288)
+    start = time.perf_counter()
+    for noise in noises(fmt):
+        spec = MechanismSpec(noise=noise, scale=Fraction(5, 2))
+        for epsilon in (tiny, -tiny):
+            got = exact_dp_check(spec, one_element(fmt, 3),
+                                 one_element(fmt, 3), epsilon)
+            assert got.max_ratio == 1
+            assert got.satisfied is (epsilon > 0), (noise, epsilon > 0)
+    assert certified_leq_exp(Fraction(1), tiny)
+    assert not certified_leq_exp(Fraction(1), -tiny)
+    assert time.perf_counter() - start < 1
 
 
 def test_rational_alpha_refuses_a_nonpositive_scale():
