@@ -37,11 +37,10 @@ _EXPORTS = {
     "dyadic": ("Dyadic", "floor_log2_fraction"),
     "floats": (
         "FloatFormat", "SimFloat", "InvalidOperation", "FLOAT32", "FLOAT64",
-        "ROUNDING_MODES", "ulp", "is_representable", "round_dyadic",
-        "add_float", "parse_value", "values_in_range"),
+        "ROUNDING_MODES", "is_representable", "round_dyadic", "add_float",
+        "parse_value"),
     "ints": ("IntFormat", "KInt", "add_int"),
-    "metrics": ("INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id",
-                "d_mod"),
+    "metrics": ("INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id"),
     "summation": (
         "SumMethod", "SumOutcome", "Truncate", "RandomPermutation",
         "ShiftBounds", "bs_exact", "bs_iterative", "bs_pairwise", "bs_kahan",
@@ -53,14 +52,13 @@ _EXPORTS = {
         "Recommendation", "PreconditionFailed", "UnsupportedCombination",
         "idealized_sensitivity", "modular_sensitivity_bound",
         "accuracy_bound", "implemented_sensitivity_bound",
-        "brute_force_sensitivity", "couple_sym", "couple_co", "recommend",
-        "KAHAN_ACCURACY_CONSTANT"),
+        "brute_force_sensitivity", "recommend", "KAHAN_ACCURACY_CONSTANT"),
     "attacks": (
         "AttackInstance", "VerificationReport", "ATTACK_NAMES",
         "overflow_attack", "saturation_reorder_attack",
         "float_reorder_attack", "rounding_attack",
         "repeated_rounding_attack_1", "repeated_rounding_attack_2",
-        "generate_attack", "verify_attack"),
+        "verify_attack"),
     "mechanism": (
         "NOISE_KINDS", "MechanismSpec", "ExperimentReport", "ExactDPReport",
         "rational_alpha", "calibrate", "run_mechanism",

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import ATTACK_NAMES, METRICS
-from .data import Dataset, ElementFormat, _field, exact_value
+from .data import Dataset, _field, exact_value
 from .dyadic import Dyadic
 from .floats import (FloatFormat, SimFloat, is_representable, number_text,
                      round_dyadic)
@@ -60,7 +60,7 @@ __all__ = [
     "AttackInstance", "VerificationReport", "ATTACK_NAMES",
     "overflow_attack", "saturation_reorder_attack", "float_reorder_attack",
     "rounding_attack", "repeated_rounding_attack_1",
-    "repeated_rounding_attack_2", "generate_attack", "verify_attack",
+    "repeated_rounding_attack_2", "verify_attack",
 ]
 
 # Beyond this many elements the verifier stops recomputing the
@@ -368,13 +368,6 @@ def repeated_rounding_attack_2(fmt: FloatFormat, j: int,
 _GENERATORS = dict(zip(ATTACK_NAMES, (
     overflow_attack, saturation_reorder_attack, float_reorder_attack,
     rounding_attack, repeated_rounding_attack_1, repeated_rounding_attack_2)))
-
-
-def generate_attack(name: str, fmt: ElementFormat, **params) -> AttackInstance:
-    """Build an attack by name; parameters match the generator functions."""
-    if name not in _GENERATORS:
-        raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
-    return _GENERATORS[name](fmt, **params)
 
 
 def _distance(metric: str, u: Dataset, v: Dataset) -> Optional[int]:

@@ -111,7 +111,7 @@ regular expression go one by one through :func:`decode_code`, which
 reads other float literals and names the first text it refuses.  A file
 is decoded straight to codes; value objects enter through
 ``Dataset(...)`` (a block as a tuple of values) and :meth:`from_elements`,
-and leave through :meth:`iter_values` and :meth:`to_list`.  Datasets
+and leave through :meth:`iter_values`.  Datasets
 whose codes are valid by construction (cut, shifted or shuffled from a
 checked dataset, or brute force's domain and tuples) are built from code
 entries by :meth:`Dataset.unchecked`.
@@ -152,9 +152,8 @@ SCHEMA_VERSION = 1
 # algorithm, the histograms and the Hamming distance read entries, and
 # each block as the one entry _settle made of it, whether it came as a
 # block or as runs.  The lists still built are the element codes of
-# ``summation.random_permutation`` and of the couplings ``couple_sym`` and
-# ``couple_co`` in ``sensitivity`` (``Dataset.codes``), and the values of
-# ``Dataset.to_list``; ``metrics.d_id`` builds both sequences under its own
+# ``summation.random_permutation`` and of brute force's frame
+# (``Dataset.codes``); ``metrics.d_id`` builds both sequences under its own
 # table limit.  The float run fold (``summation._fold_run``, which
 # iterative, split and Kahan runs and blocks share) also gives up past
 # this many literal steps in one run or block.
@@ -551,6 +550,11 @@ class Dataset:
     @classmethod
     def from_elements(cls, fmt: ElementFormat, lower: Value, upper: Value,
                       elements: Iterable[Value]) -> "Dataset":
+        """A dataset of ``elements`` in order, checked as ``Dataset(...)``
+        checks runs.  No command builds one this way (files are decoded
+        straight to codes, and the attacks build runs), so this is the
+        package's way in for its callers' lists of values, the tests'
+        among them."""
         values = list(elements)
         return object.__new__(cls)._checked(fmt, lower, upper, values,
                                             [1] * len(values))
@@ -568,6 +572,9 @@ class Dataset:
                      for y in (x if x.__class__ is tuple else (x,)))
 
     def iter_values(self) -> Iterator[Value]:
+        """The elements, in order, as value objects.  Every command reads
+        codes, so this is the package's way out for its callers, the
+        tests among them."""
         fmt = self.fmt
         return element_codes(
             (tuple([code_value(fmt, y) for y in x])
@@ -578,13 +585,6 @@ class Dataset:
         """The element codes, in order, as one list."""
         check_materialize(self.n)
         return list(element_codes(self.runs))
-
-    def to_list(self) -> list:
-        check_materialize(self.n)
-        return list(self.iter_values())
-
-    def replace_elements(self, elements: Iterable[Value]) -> "Dataset":
-        return Dataset.from_elements(self.fmt, self.lower, self.upper, elements)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):

@@ -7,9 +7,9 @@ value where one is read (``m*2^e`` literals, dyadic fractions), written
 ``exact`` algorithm.  It does no arithmetic: sums and comparisons of
 float values run on integer counts of a format's finest spacing
 (:meth:`~boundedsum.floats.SimFloat.to_grid`), and callers that need a
-ratio or a difference convert with :meth:`Dyadic.to_fraction` or
-:meth:`Dyadic.scaled`.  Values are kept normalized: the mantissa is odd,
-or zero with exponent zero, which makes equality structural.
+ratio or a difference convert with :meth:`Dyadic.to_fraction`.  Values
+are kept normalized: the mantissa is odd, or zero with exponent zero,
+which makes equality structural.
 """
 
 from __future__ import annotations
@@ -36,7 +36,15 @@ def floor_log2_fraction(fr: Fraction) -> int:
 
 
 class Dyadic:
-    """An exact value ``mantissa * 2**exponent`` in lowest form."""
+    """An exact value ``mantissa * 2**exponent`` in lowest form.
+
+    It is a type of its own, not a ``Fraction``, for its spelling: a
+    report writes a dyadic value as ``m*2^e`` (the ``exact`` release of
+    36 golden reports under ``tests/golden`` and one ``upper`` bound),
+    while a dyadic ``Fraction`` such as ``19/8`` is written ``19/8``.
+    Reports that kept those bytes without this type would need a second
+    writer.
+    """
 
     __slots__ = ("m", "e")
 
@@ -61,15 +69,6 @@ class Dyadic:
         if self.e >= 0:
             return Fraction(self.m << self.e)
         return Fraction(self.m, 1 << -self.e)
-
-    def scaled(self, e: int) -> int:
-        """Integer ``self / 2**e``; raises if the quotient is fractional."""
-        d = self.e - e
-        if d >= 0:
-            return self.m << d
-        if self.m == 0:
-            return 0
-        raise ValueError(f"{self} is not a multiple of 2^{e}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dyadic):

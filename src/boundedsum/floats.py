@@ -53,7 +53,6 @@ __all__ = [
     "FLOAT32",
     "FLOAT64",
     "ROUNDING_MODES",
-    "ulp",
     "is_representable",
     "round_dyadic",
     "add_bits",
@@ -62,7 +61,6 @@ __all__ = [
     "number_text",
     "power_sum_text",
     "parse_value",
-    "values_in_range",
 ]
 
 
@@ -95,10 +93,6 @@ class FloatFormat:
         return self.mantissa_bits
 
     @property
-    def bias(self) -> int:
-        return (1 << (self.exponent_bits - 1)) - 1
-
-    @property
     def emin(self) -> int:
         return -((1 << (self.exponent_bits - 1)) - 2)
 
@@ -114,19 +108,6 @@ class FloatFormat:
     def max_finite(self) -> Dyadic:
         """``n_max = (2 - 2^-k) * 2^emax``."""
         return Dyadic((1 << (self.k + 1)) - 1, self.emax - self.k)
-
-    @property
-    def inf_value(self) -> Dyadic:
-        """Working value of infinity: ``n_max + ulp(n_max) = 2^(emax+1)``."""
-        return Dyadic(1, self.emax + 1)
-
-    @property
-    def min_normal(self) -> Dyadic:
-        return Dyadic(1, self.emin)
-
-    @property
-    def min_subnormal(self) -> Dyadic:
-        return Dyadic(1, self.emin - self.k)
 
     @cached_property
     def _kernel(self) -> tuple:
@@ -181,26 +162,6 @@ class SimFloat:
         return cls(fmt, bits)
 
     @classmethod
-    def from_parts(cls, fmt: FloatFormat, sign: int, exponent: int, mantissa: int,
-                   subnormal: bool = False) -> "SimFloat":
-        """Build a finite value from unbiased exponent and mantissa field."""
-        k = fmt.mantissa_bits
-        if not 0 <= mantissa < (1 << k):
-            raise ValueError("mantissa field out of range")
-        if subnormal:
-            if exponent != fmt.emin:
-                raise ValueError("subnormal exponent must be emin")
-            field = 0
-        else:
-            if not fmt.emin <= exponent <= fmt.emax:
-                raise ValueError("exponent out of range")
-            field = exponent + fmt.bias
-        bits = (field << k) | mantissa
-        if sign < 0:
-            bits |= 1 << (fmt.total_bits - 1)
-        return cls(fmt, bits)
-
-    @classmethod
     def from_grid(cls, fmt: FloatFormat, g: int) -> "SimFloat":
         """The value of ``g`` units of the finest spacing: the inverse of
         :meth:`to_grid`, infinities included.  Raises ``ValueError`` when
@@ -233,20 +194,9 @@ class SimFloat:
             return "zero" if self.mantissa == 0 else "subnormal"
         return "normal"
 
-    @property
-    def exponent(self) -> int:
-        """Unbiased exponent; subnormals and zero report ``emin``."""
-        f = self._exp_field
-        if f == (1 << self.fmt.exponent_bits) - 1:
-            raise ValueError("infinity has no exponent")
-        return self.fmt.emin if f == 0 else f - self.fmt.bias
-
     def is_finite(self) -> bool:
         _, _, _, sign, inf = self.fmt._kernel
         return self.bits & (sign - 1) != inf
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     # -- value views -----------------------------------------------------
 
@@ -344,20 +294,6 @@ def _grid_bits(kernel: tuple, g: int):
         if a > inf:
             return None
     return a | sign if g < 0 else a
-
-
-def ulp(x: SimFloat) -> Dyadic:
-    """Unit in the last place at ``x``: ``2^(floor(log2 |x|) - k)``.
-
-    Zero and subnormals report the subnormal spacing ``2^(emin - k)``.
-    """
-    fmt = x.fmt
-    kind = x.kind
-    if kind == "inf":
-        raise ValueError("ulp of infinity")
-    if kind in ("zero", "subnormal"):
-        return Dyadic(1, fmt.emin - fmt.mantissa_bits)
-    return Dyadic(1, x.exponent - fmt.mantissa_bits)
 
 
 def is_representable(value, fmt: FloatFormat) -> bool:
@@ -485,7 +421,11 @@ def add_float(x: SimFloat, y: SimFloat, mode: str = "banker") -> SimFloat:
     """One rounded addition: exact sum of the operands, rounded once.
 
     The checked form of :func:`add_bits`: the operands must share a
-    format and ``mode`` must be one of ``ROUNDING_MODES``.
+    format and ``mode`` must be one of ``ROUNDING_MODES``.  No command
+    calls it, since the folds add through :func:`add_bits` and the
+    machine's own adds.  It stays for two readers: the tests, as their
+    reference adder of values, and the benchmark's tracer
+    (``perfbench/tracer.py``), which wraps it by name.
     """
     fmt = x.fmt
     if y.fmt is not fmt and y.fmt != fmt:
@@ -656,20 +596,6 @@ def _pattern_ranges(fmt: FloatFormat, lo: SimFloat, hi: SimFloat,
             out.append(range(1))
         out.append(range(max(a, low), min(mag(hi), top) + 1))
     return out
-
-
-def values_in_range(fmt: FloatFormat, lo: SimFloat, hi: SimFloat,
-                    include_subnormals: bool = False) -> list:
-    """All finite values of ``fmt`` in ``[lo, hi]``, ascending.
-
-    Zero is always eligible; nonzero subnormals only when asked for.  The
-    exhaustive checks downstream default to the normal range, where the
-    sensitivity statements are exact; subnormal inputs remain available
-    behind the flag.  Only the patterns inside the bounds are visited.
-    """
-    return [SimFloat(fmt, bits)
-            for r in _pattern_ranges(fmt, lo, hi, include_subnormals)
-            for bits in r]
 
 
 # a bit pattern's one spelling

@@ -94,7 +94,13 @@ class KInt:
 
 
 def add_int(x: KInt, y: KInt) -> KInt:
-    """Add under the format's overflow policy."""
+    """Add under the format's overflow policy.
+
+    No command calls it, since the folds settle their sums through
+    :meth:`IntFormat.settle`.  It stays for two readers: the tests, as
+    their reference adder of values, and the benchmark's tracer
+    (``perfbench/tracer.py``), which wraps it by name.
+    """
     if x.fmt != y.fmt:
         raise ValueError("operands have different formats")
     return KInt(x.fmt, x.fmt.settle(x.value + y.value))

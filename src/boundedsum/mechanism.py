@@ -214,7 +214,13 @@ def _refuse_exact(spec: MechanismSpec) -> None:
 
 def run_mechanism(spec: MechanismSpec, dataset: Dataset, seed: int):
     """One mechanism run: ``BS*(dataset)`` plus one noise draw, whose bits
-    are the stream named ``b"%d" % seed`` (see :func:`_stream`)."""
+    are the stream named ``b"%d" % seed`` (see :func:`_stream`).
+
+    No command calls it, since :func:`distinguishing_experiment` draws
+    its trials in bulk.  It stays for two readers: the tests, which check
+    one draw against their reference sampler, and the benchmark's tracer
+    (``perfbench/tracer.py``), which wraps it by name.
+    """
     _refuse_exact(spec)
     base = run_sum(dataset, spec.method).value
     units = _sampler(spec, base)(_stream(hashlib.sha256(), b"%d" % seed))

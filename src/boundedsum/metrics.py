@@ -13,8 +13,7 @@ Each takes two datasets of one format, compared on their entries (runs
 and blocks, see :mod:`boundedsum.data`), or two sequences of values; a
 dataset with a sequence is refused.  Length
 mismatches for ``d_co``/``d_ham`` return :data:`INFINITE`, which is
-``math.inf``: greater than every finite distance.  ``d_mod`` is the wrap
-distance between residues used by modular mechanisms.
+``math.inf``: greater than every finite distance.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ import math
 from collections import Counter
 
 from .data import Dataset, element_codes, entry_size, merge_runs
-from .ints import KInt
 
-__all__ = ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id", "d_mod"]
+__all__ = ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id"]
 
 INFINITE = math.inf
 
@@ -58,7 +56,9 @@ def _counter(runs) -> Counter:
 
 def histogram(x) -> Counter:
     """Multiset view: element -> multiplicity.  A dataset's elements are
-    its codes, a sequence's its values."""
+    its codes, a sequence's its values.  The distances count their own
+    multisets, so no command calls this; it is exported for the
+    package's callers, the tests among them."""
     return _counter(*_runs(x))
 
 
@@ -133,16 +133,3 @@ def d_id(u, v) -> int:
         prev = cur
     return len(a) + len(b) - 2 * prev[-1]
 
-
-def d_mod(x, y, modulus: int | None = None) -> int:
-    """Shorter way around the residue circle between ``x`` and ``y``."""
-    if isinstance(x, KInt):
-        if modulus is None:
-            modulus = x.fmt.modulus
-        x = x.value
-    if isinstance(y, KInt):
-        y = y.value
-    if modulus is None or modulus < 1:
-        raise ValueError("a positive modulus is required")
-    d = (x - y) % modulus
-    return min(d, modulus - d)

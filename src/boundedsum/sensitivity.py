@@ -32,36 +32,36 @@ Three layers live here:
    deletions.  That module, and numpy with it, is imported on the first
    scan, so the rest of this module loads without numpy.
 
-The coupling constructions near the bottom turn unordered adjacency into
-ordered adjacency after a random permutation; they are what lets the
-ordered-metric bounds serve the add/remove world.
+The couplings that turn unordered adjacency into ordered adjacency after
+a random permutation, which is what lets the ordered-metric bounds serve
+the add/remove world, run in no command.  They are kept with the tests
+that check them: ``couple_sym`` and ``couple_co`` in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import METRICS
-from .data import (Dataset, ElementFormat, Value, check_materialize,
-                   check_runs, code_key, code_value, exact_value)
+from .data import (Dataset, ElementFormat, Value, check_runs, code_value,
+                   exact_value)
 from .dyadic import floor_log2_fraction
 from .floats import (FloatFormat, _pattern_ranges, is_representable,
                      number_text)
 from .ints import IntFormat
-from .metrics import histogram
 from .summation import (RandomPermutation, ShiftBounds, SumMethod, Truncate,
-                        _arranged, _shuffle, check_multiplication,
-                        float_overflow_check, run_sum)
+                        _arranged, check_multiplication, float_overflow_check,
+                        run_sum)
 
 __all__ = [
     "METRICS", "SensSpec", "SensitivityBound", "BruteForceResult",
     "Recommendation", "PreconditionFailed", "UnsupportedCombination",
     "idealized_sensitivity", "modular_sensitivity_bound", "accuracy_bound",
-    "implemented_sensitivity_bound", "brute_force_sensitivity",
-    "couple_sym", "couple_co", "recommend", "KAHAN_ACCURACY_CONSTANT",
+    "implemented_sensitivity_bound", "brute_force_sensitivity", "recommend",
+    "KAHAN_ACCURACY_CONSTANT",
 ]
 
 UNORDERED_METRICS = ("sym", "co")
@@ -584,84 +584,6 @@ def _power_past(base: int, e: int, cap: int) -> int:
             break
         power *= base
     return power
-
-
-# ---------------------------------------------------------------------------
-# Couplings: unordered adjacency -> ordered adjacency under a shuffle
-# ---------------------------------------------------------------------------
-
-def _check_same_frame(u: Dataset, v: Dataset) -> None:
-    if u.fmt != v.fmt or u.lower != v.lower or u.upper != v.upper:
-        raise ValueError("coupled datasets must share format and bounds")
-
-
-def couple_sym(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
-    """Couple the shuffles of two add/remove-adjacent datasets.
-
-    Returns ``(u', v')`` where ``u'`` is a uniform shuffle of ``u``,
-    ``v'`` is a uniform shuffle of ``v``, and the two differ by one
-    insertion or deletion: the shorter side is shuffled, and the leftover
-    element is inserted at a uniform position.  Hence ``d_id(u', v') <=
-    1`` always — unordered adjacency became ordered adjacency, so any
-    ordered-metric bound applies to the shuffled release.
-
-    The multisets are read off the runs, and a pair past
-    ``MATERIALIZE_LIMIT`` elements is refused before any list is built.
-    """
-    _check_same_frame(u, v)
-    hu, hv = histogram(u), histogram(v)
-    extra_u = hu - hv
-    extra_v = hv - hu
-    d = sum(extra_u.values()) + sum(extra_v.values())
-    if d > 1:
-        raise PreconditionFailed(f"datasets are not sym-adjacent (distance {d})")
-    check_materialize(max(u.n, v.n))
-    rng = random.Random(seed)
-    if d == 0:
-        order = u.codes()
-        _shuffle(order, rng)
-        return _arranged(u, order), _arranged(v, order)
-    extra = next(iter(extra_u or extra_v))
-    base = (v if extra_u else u).codes()
-    _shuffle(base, rng)
-    inserted = list(base)
-    inserted.insert(rng.randrange(len(base) + 1), extra)
-    if extra_u:
-        return _arranged(u, inserted), _arranged(v, base)
-    return _arranged(u, base), _arranged(v, inserted)
-
-
-def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
-    """Couple the shuffles of two replace-one-adjacent datasets.
-
-    Aligns the shared multiset position by position, parks the differing
-    elements in the same slot, and applies one shared shuffle to both
-    sides.  Each output is a uniform shuffle of its input and they differ
-    in at most one position: ``d_ham(u', v') <= 1``.
-
-    As in :func:`couple_sym`, the multisets come from the runs and a pair
-    past ``MATERIALIZE_LIMIT`` elements is refused before any list.
-    """
-    _check_same_frame(u, v)
-    if u.n != v.n:
-        raise PreconditionFailed("co-adjacent datasets must share a length")
-    hu, hv = histogram(u), histogram(v)
-    extra_u = hu - hv
-    extra_v = hv - hu
-    if sum(extra_u.values()) > 1:
-        raise PreconditionFailed("datasets are not co-adjacent")
-    check_materialize(u.n)
-    common = hu & hv
-    a = [x for x in sorted(common, key=lambda x: code_key(u.fmt, x))
-         for _ in range(common[x])]
-    b = list(a)
-    if extra_u:
-        a.append(next(iter(extra_u)))
-        b.append(next(iter(extra_v)))
-    perm = list(range(len(a)))
-    _shuffle(perm, random.Random(seed))
-    return (_arranged(u, [a[i] for i in perm]),
-            _arranged(v, [b[i] for i in perm]))
 
 
 # ---------------------------------------------------------------------------

@@ -979,7 +979,7 @@ def random_permutation(dataset: Dataset, seed: int) -> Dataset:
     of one sign, the negative patterns last by their magnitude, so those
     are reversed to the front (no code is ``-0``).  A dataset past
     ``MATERIALIZE_LIMIT`` elements is refused by
-    :func:`~boundedsum.data.check_materialize`, as the couplings are.
+    :func:`~boundedsum.data.check_materialize`.
 
     The draws are those of ``Random.shuffle``: every permutation is the
     one it makes, which ``PERMUTATION_ALGORITHM`` names in each report.

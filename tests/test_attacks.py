@@ -26,10 +26,12 @@ import boundedsum.summation as summation
 from boundedsum import (ATTACK_NAMES, FLOAT32, FLOAT64, IntFormat,
                         PreconditionFailed, RandomPermutation, SensSpec,
                         ShiftBounds, SumMethod, Truncate,
-                        UnsupportedCombination, bs_exact, d_mod,
-                        generate_attack, implemented_sensitivity_bound,
-                        load_dataset, verify_attack)
+                        UnsupportedCombination, bs_exact,
+                        implemented_sensitivity_bound, load_dataset,
+                        verify_attack)
+from boundedsum.attacks import _GENERATORS
 from boundedsum.cli import main
+from reference import d_mod
 
 
 def _cli(argv):
@@ -173,7 +175,7 @@ SHUFFLED_LIMIT = 1 << 14
 @cache
 def _paper_pair(name, bits):
     fmt, params = PAPER_SIZE[name, bits]
-    return generate_attack(name, fmt, **params)
+    return _GENERATORS[name](fmt, **params)
 
 
 def test_every_family_has_paper_size_pairs():

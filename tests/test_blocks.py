@@ -253,7 +253,7 @@ def test_a_held_block_is_its_runs(pair):
     ru, rv = by_runs(u), by_runs(v)
     assert (u == v) == (ru == rv) == (u == rv) == (u.codes() == v.codes())
     # the metrics read a list of values as runs of one value each
-    lu, lv = u.to_list(), v.to_list()
+    lu, lv = list(u.iter_values()), list(v.iter_values())
     for distance in (d_sym, d_co, d_ham):
         want = distance(lu, lv)
         assert distance(u, v) == distance(u, rv) == distance(ru, v) == want

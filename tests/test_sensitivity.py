@@ -20,16 +20,16 @@ from pytest import mark, raises
 
 from boundedsum import (ALGORITHMS, Dataset, FloatFormat, IntFormat, KInt,
                         SensSpec, ShiftBounds, SimFloat, SumMethod, Truncate,
-                        brute_force_sensitivity, couple_co, couple_sym,
-                        d_ham, d_id, d_mod, decode_value,
+                        brute_force_sensitivity, d_ham, d_id, decode_value,
                         implemented_sensitivity_bound, parse_value,
-                        random_permutation, run_sum, values_in_range)
+                        random_permutation, run_sum)
 from boundedsum.cli import main, parse_format
 from boundedsum.data import exact_value, order_key
 from boundedsum.dyadic import Dyadic
 from boundedsum import bruteforce as engine
 from boundedsum.bruteforce import _Ring
 from boundedsum.sensitivity import METRICS
+from reference import couple_co, couple_sym, d_mod, values_in_range
 
 FMT = IntFormat(8, True, "saturating")
 
@@ -360,14 +360,16 @@ def reference_brute_force(spec, include_subnormals=False):
                   for v in range(spec.lower.value, spec.upper.value + 1)]
     modulus = fmt.modulus if (isinstance(fmt, IntFormat)
                               and fmt.overflow == "wraparound") else None
-    template = Dataset(fmt, spec.lower, spec.upper, ())
 
     def release(tup):
-        out = run_sum(template.replace_elements(tup), spec.method).value
+        out = run_sum(Dataset.from_elements(fmt, spec.lower, spec.upper, tup),
+                      spec.method).value
         if isinstance(out, SimFloat):
             return out.to_grid()
         if isinstance(out, Dyadic):
-            return out.scaled(fmt.emin - fmt.k)
+            units = out.to_fraction() / fmt.grid_fraction(1)
+            assert units.denominator == 1, out
+            return units.numerator
         out = exact_value(out)
         return out % modulus if modulus else out
 
@@ -449,11 +451,11 @@ def test_bruteforce_matches_the_per_tuple_scan(
 
 def test_the_n4_frame_tells_pairwise_from_the_left_fold():
     spec = _spec("float:2,3", "0.5", "1.5", "ham", 4, "pairwise")
-    frame = Dataset(spec.fmt, spec.lower, spec.upper, ())
     domain = values_in_range(spec.fmt, spec.lower, spec.upper)
 
     def release(tup, algorithm):
-        return run_sum(frame.replace_elements(tup), SumMethod(algorithm)).value
+        frame = Dataset.from_elements(spec.fmt, spec.lower, spec.upper, tup)
+        return run_sum(frame, SumMethod(algorithm)).value
 
     differ = sum(release(t, "pairwise") != release(t, "iterative")
                  for t in itertools.product(domain, repeat=4))

@@ -43,7 +43,6 @@ from boundedsum import (
     bs_split,
     check_multiplication,
     float_overflow_check,
-    generate_attack,
     is_representable,
     load_dataset,
     parse_value,
@@ -51,12 +50,13 @@ from boundedsum import (
     round_dyadic,
     run_sum,
     truncate,
-    values_in_range,
 )
-from boundedsum.attacks import repeated_rounding_attack_2
+from boundedsum.attacks import (repeated_rounding_attack_1,
+                                repeated_rounding_attack_2)
 from boundedsum.floats import add_bits
 from boundedsum.summation import (_fold, _kahan_bits, _rules, _shift_dataset,
                                   _shuffle)
+from reference import values_in_range
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -101,7 +101,7 @@ def ref_kahan(ds, mode="banker"):
 
 
 def ref_pairwise(ds, mode="banker"):
-    values = ds.to_list()
+    values = list(ds.iter_values())
     if not values:
         return ref_iterative(ds, mode)
     if isinstance(ds.fmt, FloatFormat):
@@ -128,11 +128,12 @@ def ref_pairwise(ds, mode="banker"):
 def ref_split(ds):
     """Sign partition, magnitude-ascending, RTZ partials, banker combine."""
     fmt = ds.fmt
-    values = ds.to_list()
+    values = list(ds.iter_values())
     if isinstance(fmt, FloatFormat):
-        neg = sorted((v for v in values if v.sign < 0 and not v.is_zero()),
+        neg = sorted((v for v in values if v.sign < 0 and v.kind != "zero"),
                      key=lambda v: abs(v).to_fraction())
-        pos = sorted((v for v in values if not (v.sign < 0 and not v.is_zero())),
+        pos = sorted((v for v in values
+                      if not (v.sign < 0 and v.kind != "zero")),
                      key=lambda v: v.to_fraction())
         p = SimFloat.zero(fmt)
         for v in pos:
@@ -410,8 +411,7 @@ def test_int_pairwise_runs_match_the_literal_tree(ds):
 def test_repeated_rounding_pairs_match_the_literal_folds(algorithm):
     # the family whose full-size float64 pair releases no exact sum, at a
     # size the element-by-element folds reach: 5 stages of 4,096 copies
-    inst = generate_attack("repeated_rounding_1", FloatFormat(12, 8), j=5,
-                           m=-3)
+    inst = repeated_rounding_attack_1(FloatFormat(12, 8), j=5, m=-3)
     reference = ref_pairwise if algorithm == "pairwise" else ref_kahan
     for ds in (inst.u, inst.v):
         assert run_sum(ds, SumMethod(algorithm)).value == reference(ds)
@@ -751,9 +751,9 @@ def small_tuples(draw):
 @settings(max_examples=150, deadline=None)
 def test_split_and_exact_depend_only_on_the_multiset(ds):
     # the premise of brute force's one release per sorted multiset
-    values = ds.to_list()
+    values = list(ds.iter_values())
     for order in itertools.permutations(values):
-        other = ds.replace_elements(order)
+        other = Dataset.from_elements(ds.fmt, ds.lower, ds.upper, order)
         assert bs_split(other) == bs_split(ds)
         assert bs_exact(other) == bs_exact(ds)
 
