@@ -162,6 +162,14 @@ def test_in_bounds_codes_pass_the_bulk_check_alone(fmt, monkeypatch):
                 check_runs(fmt, lo, hi, codes, [1] * len(codes))
 
 
+def test_replace_elements_keeps_the_frame():
+    # new elements in an existing dataset's format and bounds
+    ds = int_ds([1, 2, 3])
+    out = Dataset.from_elements(ds.fmt, ds.lower, ds.upper, [KInt(I8, 9)])
+    assert out.lower == ds.lower and out.upper == ds.upper
+    assert [v.value for v in out.iter_values()] == [9]
+
+
 def test_dataset_equality_is_by_order():
     assert int_ds([1, 2]) == int_ds([1, 2])
     assert int_ds([1, 2]) != int_ds([2, 1])

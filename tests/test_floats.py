@@ -299,6 +299,24 @@ def test_unknown_rounding_mode_is_refused_even_without_a_rounding_step(
         round_dyadic(rounded, F23, "nope")
 
 
+def test_ulp_exhaustive():
+    # the ulp of each finite value, the gap up to the next pattern of its
+    # sign, is 2^(emin-k) on zero and subnormals and 2^(e-k) on a normal
+    # value of binade e; past n_max the next pattern is infinity, read as
+    # 2^(emax+1)
+    for fmt in (F23, F34):
+        for x in finite_values(fmt):
+            if x.sign < 0:
+                continue
+            up = SimFloat(fmt, x.bits + 1)
+            spacing = fmt.grid_fraction(up.to_grid() - x.to_grid())
+            if x.kind in ("zero", "subnormal"):
+                assert spacing == Fraction(2) ** (fmt.emin - fmt.k), x
+            else:
+                e = floor_log2_fraction(x.to_fraction())
+                assert spacing == Fraction(2) ** (e - fmt.k), x
+
+
 # ---------------------------------------------------------------------------
 # Representability and enumeration
 # ---------------------------------------------------------------------------
@@ -487,6 +505,24 @@ def test_add_bits_reads_a_minus_zero_pattern_as_zero():
             assert add_bits(kernel, bits, sign, mode) == add_bits(
                 kernel, bits, 0, mode) == add_float(
                     SimFloat(F23, bits), SimFloat.zero(F23), mode).bits
+
+
+def test_from_parts_validation():
+    # a pattern packed by hand from sign, biased exponent field (the bias
+    # is emax) and mantissa field, as _near_overflow_pair packs its pairs
+    x = SimFloat(F23, 1 << 5 | (1 + F23.emax) << F23.k | 2)
+    assert x.to_fraction() == -(1 + Fraction(2, 4)) * 2
+    # the overflow pairs: x is n_max or up to three ulps below it, y is a
+    # normal value in [2^(emax-k-2), 2^(emax-k)), both of one sign
+    rng = random.Random(7)
+    for fmt in (F23, F34, FLOAT32):
+        top = fmt.max_finite.to_fraction()
+        for _ in range(200):
+            a, b = (SimFloat(fmt, p) for p in _near_overflow_pair(fmt, rng))
+            assert a.sign == b.sign and b.kind == "normal"
+            ulp_top = Fraction(2) ** (fmt.emax - fmt.k)
+            assert top - 3 * ulp_top <= abs(a.to_fraction()) <= top
+            assert ulp_top / 4 <= abs(b.to_fraction()) < ulp_top
 
 
 @given(integers(min_value=0, max_value=(1 << 6) - 1))
