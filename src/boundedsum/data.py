@@ -119,15 +119,33 @@ entries by :meth:`Dataset.unchecked`.
 Files are written by :func:`json_text`, which gives exactly the text of
 ``json.dumps(..., indent=2, sort_keys=True)`` but formats each element
 list straight from the entries, one ``%`` format per run.
+
+Files are read by :func:`load_dataset`.  The text :func:`save_dataset`
+writes for a float dataset of runs of one element each (dense data) is
+records of one width, and :func:`_read_runs` reads it in bulk, with no
+JSON tree and no string per entry: the head and the tail are matched
+against the writer's text, each fixed character of a record is compared
+across all records by one strided slice, and the code digits are
+gathered by strided slices and decoded by ``binascii.a2b_hex``.  A text
+it takes is valid JSON that ``json.load`` reads to the same format,
+bounds, codes and counts, so both ways end in the one :func:`check_runs`
+on equal fields.  Every other text goes through ``json.load`` and
+:meth:`Dataset.from_json_dict`: int files, whose decimal codes vary in
+width, files with a block or a count other than ``1``, and text in any
+other spelling.
 """
 
 from __future__ import annotations
 
+import binascii
 import bisect
 import gc
+import io
 import itertools
 import json
 import re
+import sys
+from array import array
 from contextlib import contextmanager
 from operator import eq, index, itemgetter
 from fractions import Fraction
@@ -173,6 +191,22 @@ _SCAN_COPIES = 16
 _ZERO_BYTES = bytes([1]) + bytes(255)
 
 _INT_RE = re.compile(r"-?[0-9]+")
+# the text save_dataset writes for a float dataset of runs of one element
+# (see _read_runs): the head up to the element list, whose bounds are JSON
+# strings of no escape and no control character, the first record, and
+# the tail from the list's end, whose sizes are JSON integers
+_HEAD_RE = re.compile(rb'\{\n  "bounds": \{\n    "lower": "([ !#-\[\]-~]*)",'
+                      rb'\n    "upper": "([ !#-\[\]-~]*)"\n  \},\n'
+                      rb'  "elements": \[')
+_RECORD_RE = re.compile(rb'\n    \{\n      "count": 1,\n'
+                        rb'      "value": "0x([0-9a-fA-F]+)"\n    \}')
+_TAIL = b'\n  ],\n  "format": {'
+_TAIL_RE = re.compile(re.escape(_TAIL) + rb'\n    "exponent_bits": '
+                      rb'(-?(?:0|[1-9][0-9]*)),\n    "kind": "float",\n'
+                      rb'    "mantissa_bits": (-?(?:0|[1-9][0-9]*))\n'
+                      rb'  \},\n  "schema": 1\n\}\n')
+# the array typecode of an unsigned word of each size in bytes
+_WORDS = {array(t).itemsize: t for t in "QLIHB"}
 # every text of a file at once, joined by newlines (see _decode_codes)
 _INTS_RE, _PATTERNS_RE = (re.compile(f"{r.pattern}(?:\n{r.pattern})*")
                           for r in (_INT_RE, _PATTERN_RE))
@@ -289,7 +323,11 @@ def _inside(codes: List[int], sign: int, lo: int, hi: int) -> bool:
     """Whether every code's :func:`code_key` lies in ``[lo, hi]``, read
     off the extreme codes: below the sign bit the key is the code, at or
     above it ``sign - code``.  A negative code, or one of ``2 * sign`` or
-    more (a pattern out of range), is never inside."""
+    more (a pattern out of range), is never inside.  At or above the
+    sign bit the keys run from ``sign - high`` up to ``sign - bottom <=
+    0``, ``bottom`` the least code there.  That top key is checked only
+    when no code is below the sign bit, where ``bottom`` is ``low``: a
+    code below it that passed shows ``hi >= 0``."""
     if not codes:
         return True
     low, high = min(codes), max(codes)
@@ -301,11 +339,8 @@ def _inside(codes: List[int], sign: int, lo: int, hi: int) -> bool:
         top = high if high < sign else max([x for x in codes if x < sign])
         if not lo <= low <= top <= hi:
             return False
-    if high >= sign:
-        bottom = low if low >= sign else min([x for x in codes if x >= sign])
-        if not lo <= sign - high <= sign - bottom <= hi:
-            return False
-    return True
+    return (high < sign or lo <= sign - high
+            and (low < sign or sign - low <= hi))
 
 
 def _check_each(fmt: ElementFormat, lower: Value, upper: Value,
@@ -513,15 +548,15 @@ class Dataset:
     def __init__(self, fmt: ElementFormat, lower: Value, upper: Value,
                  runs: Iterable[Tuple[Value, int]]):
         runs = list(runs)
-        self._checked(fmt, lower, upper, [v for v, _ in runs],
+        self._checked(fmt, lower, upper, _codes(fmt, [v for v, _ in runs]),
                       [c for _, c in runs])
 
-    def _checked(self, fmt, lower, upper, values: list,
+    def _checked(self, fmt, lower, upper, codes: list,
                  counts: list) -> "Dataset":
-        """Set the fields from entries of values (a block's a tuple of
+        """Set the fields from entries of codes (a block's a tuple of
         them) once :func:`check_runs` passes them."""
         return self._fill(fmt, lower, upper, *check_runs(
-            fmt, lower, upper, _codes(fmt, values), counts))
+            fmt, lower, upper, codes, counts))
 
     def _fill(self, fmt, lower, upper, entries: Iterable[tuple],
               blocks: bool) -> "Dataset":
@@ -556,7 +591,8 @@ class Dataset:
         package's way in for its callers' lists of values, the tests'
         among them."""
         values = list(elements)
-        return object.__new__(cls)._checked(fmt, lower, upper, values,
+        return object.__new__(cls)._checked(fmt, lower, upper,
+                                            _codes(fmt, values),
                                             [1] * len(values))
 
     def __len__(self) -> int:
@@ -642,11 +678,7 @@ class Dataset:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dataset":
         """A dataset from its JSON object (see the module docstring)."""
-        _field(d, "schema", (SCHEMA_VERSION,), "dataset")
-        fmt = format_from_json(_field(d, "format", dict, "dataset"))
-        bounds = _field(d, "bounds", dict, "dataset")
-        lower = decode_value(fmt, _field(bounds, "lower", str, "bounds"))
-        upper = decode_value(fmt, _field(bounds, "upper", str, "bounds"))
+        fmt, lower, upper = _head(d)
         elements = _field(d, "elements", list, "dataset")
         try:
             texts = list(map(itemgetter("value"), elements))
@@ -662,8 +694,19 @@ class Dataset:
             # hold other keys: one by one
             entries = [_entry(fmt, entry) for entry in elements]
             codes, counts = [x for x, _ in entries], [c for _, c in entries]
-        return object.__new__(cls)._fill(fmt, lower, upper, *check_runs(
-            fmt, lower, upper, codes, counts))
+        return object.__new__(cls)._checked(fmt, lower, upper, codes, counts)
+
+
+def _head(d: dict) -> tuple:
+    """The format and the bounds of a dataset's JSON object, once its
+    schema is checked: the fields :meth:`Dataset.from_json_dict` reads
+    before the element list, which :func:`_read_runs` reads through the
+    same calls."""
+    _field(d, "schema", (SCHEMA_VERSION,), "dataset")
+    fmt = format_from_json(_field(d, "format", dict, "dataset"))
+    bounds = _field(d, "bounds", dict, "dataset")
+    return (fmt, decode_value(fmt, _field(bounds, "lower", str, "bounds")),
+            decode_value(fmt, _field(bounds, "upper", str, "bounds")))
 
 
 def _entry(fmt: ElementFormat, entry) -> tuple:
@@ -808,11 +851,100 @@ def _collector_paused():
             gc.enable()
 
 
+def _read_runs(text: bytes):
+    """The format, bounds, codes and counts of a float dataset of runs of
+    one element each (dense data), read in bulk from the text
+    :func:`save_dataset` writes for it, or ``None`` for any other text.
+
+    That text is a head up to the element list, records of one width
+    joined by commas, and a tail from the list's end.  The head and the
+    tail are matched against the writer's own text: bounds that are JSON
+    strings with no escape and no control character, so that their bytes
+    are their value, and format sizes that are JSON integers.  A record
+    is ``{"count": 1, "value": "0x..."}`` indented as the writer indents
+    it, its hex digits as many as in the first record.  The element
+    section must be a whole number of records, and each fixed character
+    of the record, commas between records included, is compared across
+    all records by one strided slice.  The code digits are gathered by
+    one strided slice per digit, right-aligned in words of 1, 2, 4 or 8
+    bytes, and read by ``binascii.a2b_hex``, which refuses any byte that
+    is not a hex digit, and an ``array`` of big-endian words.  No JSON
+    tree and no string per entry is made.
+
+    A text this takes is valid JSON, and ``json.loads`` of it gives
+    exactly the format, bounds, codes and counts given here: the head and
+    the tail hold only what their patterns spell out, each entry is a run
+    object of the two keys ``count``, ``1``, and ``value``, and a value
+    is ``0x`` and hex digits of either case, which :func:`_decode_codes`
+    reads by ``int(t, 16)``.  The head's fields go through :func:`_head`,
+    as in :meth:`Dataset.from_json_dict`, and only once the whole text is
+    known to be valid, so that a refusal there is the JSON path's too.
+    Int files (whose decimal codes vary in width), files with a block or
+    a count other than ``1``, and codes of over 16 digits are declined."""
+    head = _HEAD_RE.match(text)
+    end = text.rfind(_TAIL)
+    tail = head and end >= 0 and _TAIL_RE.fullmatch(text, end)
+    record = tail and _RECORD_RE.match(text, head.end())
+    if not record:
+        return None
+    start = head.end()
+    size = record.end() - start
+    # a comma follows each record but the last
+    step = size + 1
+    n, extra = divmod(end - start + 1, step)
+    code = range(*(p - start for p in record.span(1)))
+    width = next((w for w in (1, 2, 4, 8) if 2 * w >= len(code)), 0)
+    if extra or not width:
+        return None
+    record = text[start:record.end()]
+    row = {c: bytes([c]) * n for c in set(record)}
+    if text[start + size:end:step] != b"," * (n - 1) or any(
+            text[start + p:end:step] != row[record[p]]
+            for p in range(size) if p not in code):
+        return None
+    # each code's digits right-aligned in 2 * width zeros
+    hexes = bytearray(b"0" * (2 * width * n))
+    for j, p in enumerate(code, 2 * width - len(code)):
+        hexes[j::2 * width] = text[start + p:end:step]
+    try:
+        words = array(_WORDS[width], binascii.a2b_hex(hexes))
+    except binascii.Error:
+        return None
+    if sys.byteorder == "little":
+        words.byteswap()
+    exponent_bits, mantissa_bits = map(int, tail.groups())
+    fmt, lower, upper = _head({
+        "schema": SCHEMA_VERSION,
+        "format": {"exponent_bits": exponent_bits, "kind": "float",
+                   "mantissa_bits": mantissa_bits},
+        "bounds": dict(zip(("lower", "upper"),
+                           map(bytes.decode, head.groups())))})
+    return fmt, lower, upper, words.tolist(), [1] * n
+
+
 def load_dataset(path) -> Dataset:
     """The dataset a file holds, read and checked with the collector
-    paused."""
-    with open(path, "r", encoding="utf-8") as fh, _collector_paused():
-        return Dataset.from_json_dict(json.load(fh))
+    paused.  The text :func:`save_dataset` writes for a float dataset of
+    runs of one element each (dense data) is read in bulk by
+    :func:`_read_runs`; any other text as ``json.load`` reads the file
+    opened as UTF-8 text, through :meth:`Dataset.from_json_dict`.  Both
+    end in :func:`check_runs` and :meth:`Dataset._fill` on equal fields:
+    a text the bulk reader takes is valid JSON that ``json.load`` reads
+    to the same format, bounds, codes and counts (see
+    :func:`_read_runs`)."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    # each form of the file is let go once the next is made, as json.load
+    # lets its text go before the tree is read
+    with _collector_paused():
+        fields = _read_runs(text)
+        if fields is not None:
+            del text
+            return object.__new__(Dataset)._checked(*fields)
+        doc = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
+        del text
+        doc = json.loads(doc)
+        return Dataset.from_json_dict(doc)
 
 
 def json_text(obj) -> str:

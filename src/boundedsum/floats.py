@@ -222,14 +222,6 @@ class SimFloat:
         width = -(-self.fmt.total_bits // 4)
         return f"0x{self.bits:0{width}x}"
 
-    def __neg__(self) -> "SimFloat":
-        if self.bits == 0:
-            return self  # -0 is not a pattern of the value set
-        return _from_bits(self.fmt, self.bits ^ self.fmt._kernel[3])
-
-    def __abs__(self) -> "SimFloat":
-        return _from_bits(self.fmt, self.bits & (self.fmt._kernel[3] - 1))
-
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -71,12 +71,6 @@ class KInt:
         self.fmt = fmt
         self.value = value
 
-    def __int__(self) -> int:
-        return self.value
-
-    def __neg__(self) -> "KInt":
-        return KInt(self.fmt, self.fmt.settle(-self.value))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, KInt):
             return NotImplemented

@@ -29,6 +29,16 @@ def values_in_range(fmt: FloatFormat, lo: SimFloat, hi: SimFloat,
             for bits in r]
 
 
+def negated(v: SimFloat) -> SimFloat:
+    """``-v``: the sign bit flipped (a zero stays ``+0``)."""
+    return SimFloat(v.fmt, v.bits ^ v.fmt._kernel[3])
+
+
+def magnitude(v: SimFloat) -> SimFloat:
+    """``|v|``: the sign bit cleared."""
+    return SimFloat(v.fmt, v.bits & (v.fmt._kernel[3] - 1))
+
+
 def d_mod(x, y, modulus: int | None = None) -> int:
     """Shorter way around the residue circle between ``x`` and ``y``."""
     if isinstance(x, KInt):

@@ -15,8 +15,8 @@ import time
 from pathlib import Path
 
 from hypothesis import given, settings
-from hypothesis.strategies import (data, fractions, integers, just,
-                                   sampled_from, tuples)
+from hypothesis.strategies import (booleans, data, fractions, integers,
+                                   just, sampled_from, tuples)
 from pytest import mark, raises
 
 import boundedsum
@@ -435,8 +435,9 @@ _METHODS = sampled_from([[], ["--method", "pairwise"], ["--method", "kahan"],
                          ["--method", "split"], ["--method", "exact"],
                          ["--rounding", "toward_neg"]])
 _MUTATED_COMMANDS = {
-    "sum": (["dense/f10_5.json", "dense/i16-wraparound.json", "ov8/u.json",
-             "rr2_4_6/u.json", "sr16/v.json"],
+    "sum": (["dense/f10_5.json", "dense/f32.json",
+             "dense/i16-wraparound.json", "ov8/u.json", "rr2_4_6/u.json",
+             "sr16/v.json"],
             tuples(_METHODS, sampled_from(
                 [[], ["--transform", "shift"], ["--transform", "truncate:2"],
                  ["--transform", "permute:7"]])).map(
@@ -496,7 +497,9 @@ def test_a_mutated_file_gets_a_report_or_one_named_refusal(command, data):
     """A committed file with one or two places replaced or deleted, run
     through a command that reads it: a report (exit 0 or 3) with nothing
     on stderr, or one ``error:`` line in the program's own words (exit
-    2).  Anything else, a traceback included, is a fault."""
+    2).  Anything else, a traceback included, is a fault.  The file is
+    written compact or in save_dataset's spelling, the one a dense float
+    file is read from in bulk."""
     sources, argvs = _MUTATED_COMMANDS[command]
     source = data.draw(sampled_from(sources), label="source")
     doc = json.loads((INSTANCES / source).read_text())
@@ -508,7 +511,11 @@ def test_a_mutated_file_gets_a_report_or_one_named_refusal(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         mutated = Path(tmp) / source
         mutated.parent.mkdir()
-        mutated.write_text(json.dumps(doc))
+        if data.draw(booleans(), label="writer's spelling"):
+            mutated.write_text(json.dumps(doc, indent=2, sort_keys=True)
+                               + "\n")
+        else:
+            mutated.write_text(json.dumps(doc))
         # a pair's other side is its committed file
         side = (INSTANCES / source).with_name
         files = {"FILE": mutated.parent if source.endswith("instance.json")

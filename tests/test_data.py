@@ -2,12 +2,13 @@
 
 import gc
 import json
+import re
 from pathlib import Path
 
 from pytest import mark, raises
 from hypothesis import example, given, settings
 from hypothesis.strategies import (booleans, composite, dictionaries,
-                                   floats, integers, lists, none,
+                                   floats, integers, just, lists, none,
                                    permutations, recursive, sampled_from,
                                    text, tuples)
 # boundedsum.data is this file's ``data``
@@ -36,7 +37,7 @@ from boundedsum import data
 from boundedsum.data import (_field, check_runs, code_key, decode_code,
                              json_text, order_key, value_code)
 from boundedsum.summation import _arranged, _shift_dataset
-from reference import couple_co, couple_sym, values_in_range
+from reference import couple_co, couple_sym, negated, values_in_range
 
 F44 = FloatFormat(4, 4)
 I8 = IntFormat(8, False, "wraparound")
@@ -146,7 +147,8 @@ def test_in_bounds_codes_pass_the_bulk_check_alone(fmt, monkeypatch):
     floats = isinstance(fmt, FloatFormat)
     if floats:
         top = round_dyadic(fmt.max_finite, fmt, "toward_zero")
-        values = values_in_range(fmt, -top, top, include_subnormals=True)
+        values = values_in_range(fmt, negated(top), top,
+                                 include_subnormals=True)
     else:
         values = [KInt(fmt, x) for x in range(fmt.min_value,
                                               fmt.max_value + 1)]
@@ -789,3 +791,129 @@ def test_bulk_loader_matches_the_per_run_path_on_every_committed_file():
         for d in docs:
             assert _outcome(Dataset.from_json_dict, d) == _outcome(
                 per_run_load, d), path
+
+
+# ---------------------------------------------------------------------------
+# The bulk reader of the writer's float text against json
+# ---------------------------------------------------------------------------
+
+# the committed files that load_dataset reads in bulk: float files of
+# runs of one element each, in save_dataset's spelling.  The rest go
+# through json: dense/f10_5.json (hand-written, with a bare string and a
+# -0), the int files, the pre-block rr2 pair and the float pairs with a
+# count other than 1
+BULK_FILES = {"dense/f32.json", "dense/f64.json"}
+
+
+def _json_load(path):
+    return Dataset.from_json_dict(json.loads(path.read_text()))
+
+
+@mark.parametrize("path", DATASET_FILES,
+                  ids=lambda p: p.relative_to(INSTANCES).as_posix())
+def test_the_bulk_reader_takes_the_named_committed_files(path):
+    fields = data._read_runs(path.read_bytes())
+    assert (fields is not None) == (
+        path.relative_to(INSTANCES).as_posix() in BULK_FILES)
+    if fields is not None:
+        ds = _json_load(path)
+        elements = json.loads(path.read_text())["elements"]
+        assert fields == (ds.fmt, ds.lower, ds.upper,
+                          [int(e["value"], 16) for e in elements],
+                          [e["count"] for e in elements])
+        assert _outcome(load_dataset, path) == _outcome(_json_load, path)
+
+
+# one character of a writer's text in place of another, put in or taken
+# out: the fields' grammar, the hex digits of either case, whitespace and
+# a character past ASCII
+_MUTANT_CHARACTERS = '0123456789abcdefABCDEFxX \n\r\t",:{}[]\\-.eé\x00'
+
+
+def _sites(text):
+    """The places of a writer's text where an edit tests the bulk reader
+    most: each code's ``x`` and digits, each count, each comma between
+    records, and the end."""
+    sites = [len(text)]
+    for m in re.finditer(r'"0(x[0-9a-f]+)"|"count": ([0-9]+)|\}(,)\n', text):
+        group = next(g for g in (1, 2, 3) if m.group(g))
+        sites += range(*m.span(group))
+    return sites
+
+
+@composite
+def writer_texts(draw):
+    """The text save_dataset writes for a dataset that the bulk reader
+    takes: distinct in-bounds values, in a float format of an odd or even
+    number of hex digits."""
+    fmt = draw(sampled_from([F44, FloatFormat(10, 5), FLOAT32, FLOAT64]))
+    points = [parse_value(fmt, t) for t in _FLOAT_POINTS]
+    values = draw(lists(sampled_from(points), min_size=1, max_size=6,
+                        unique=True))
+    text = json_text(Dataset.from_elements(fmt, points[0], points[-1],
+                                           values)) + "\n"
+    assert data._read_runs(text.encode()) is not None
+    return text
+
+
+def _loads_alike(text, path):
+    """Whether ``load_dataset`` of a file of ``text`` gives what ``json``
+    gives, a JSON error matched by its type (its position is json's)."""
+    path.write_bytes(text.encode())
+    got = _outcome(load_dataset, path)
+    want = _outcome(lambda t: Dataset.from_json_dict(json.loads(t)), text)
+    if want[0] is json.JSONDecodeError:
+        got, want = got[0], want[0]
+    return got == want
+
+
+@given(text=writer_texts(), edit=draws())
+@settings(max_examples=400, deadline=None)
+def test_a_mutated_writer_file_loads_as_json_reads_it(text, edit,
+                                                      tmp_path_factory):
+    at = edit.draw(integers(0, len(text)) | sampled_from(_sites(text)),
+                   label="at")
+    cut = edit.draw(integers(0, 1) if at < len(text) else just(0),
+                    label="cut")
+    put = edit.draw(sampled_from(["", *_MUTANT_CHARACTERS]) if cut
+                    else sampled_from(_MUTANT_CHARACTERS), label="put")
+    mutated = text[:at] + put + text[at + cut:]
+    assert _loads_alike(mutated,
+                        tmp_path_factory.getbasetemp() / "mutated.json")
+
+
+# edits of a writer's text of three runs: the name, the text replaced and
+# its replacement, and whether the bulk reader takes the edited text
+_NAMED_EDITS = [
+    ("0X", '"0x3800"', '"0X3800"', False),
+    ("uppercase digit", '"0xb400"', '"0xB400"', True),
+    ("space at an even digit", '"0x3800"', '"0x38 0"', False),
+    ("space at an odd digit", '"0x3800"', '"0x3 00"', False),
+    ("count 0", '"count": 1', '"count": 0', False),
+    ("two-digit count", '"count": 1', '"count": 10', False),
+    ("leading zero", '"count": 1', '"count": 01', False),
+    ("minus count", '"count": 1', '"count": -1', False),
+    ("comma as a space", "    },\n", "    } \n", False),
+    ("trailing byte", "1\n}\n", "1\n}\nx", False),
+    ("no final newline", "1\n}\n", "1\n}", False),
+    ("CRLF", "{\n", "{\r\n", False),
+    ("escaped bound", '"lower": "0x', '"lower": "\\u0030x', False),
+    ("0X bound", '"upper": "0x', '"upper": "0X', True),
+    ("float size", '"mantissa_bits": 10', '"mantissa_bits": 10.0', False),
+    ("schema 2", '"schema": 1', '"schema": 2', False),
+]
+
+
+@mark.parametrize("name,old,new,bulk", _NAMED_EDITS,
+                  ids=[e[0] for e in _NAMED_EDITS])
+def test_a_named_edit_of_a_writer_file_loads_as_json_reads_it(
+        name, old, new, bulk, tmp_path):
+    fmt = FloatFormat(10, 5)
+    points = [parse_value(fmt, t) for t in ("-2", "-0.25", "0.5", "1.5",
+                                            "2")]
+    text = json_text(Dataset.from_elements(fmt, points[0], points[-1],
+                                           points[1:4])) + "\n"
+    assert old in text
+    mutated = text.replace(old, new, 1)
+    assert (data._read_runs(mutated.encode()) is not None) == bulk
+    assert _loads_alike(mutated, tmp_path / "mutated.json")

@@ -34,7 +34,7 @@ from boundedsum import (
 from boundedsum.dyadic import floor_log2_fraction
 from boundedsum.floats import (_pattern_ranges, add_bits, number_text,
                               parse_number)
-from reference import values_in_range
+from reference import negated, values_in_range
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -275,10 +275,10 @@ def test_infinity_saturates_addition():
     inf = SimFloat.inf(F23)
     one = parse_value(F23, "1")
     assert add_float(inf, one) == inf
-    assert add_float(one, -inf) == -inf
+    assert add_float(one, negated(inf)) == negated(inf)
     assert add_float(inf, inf) == inf
     with raises(InvalidOperation):
-        add_float(inf, -inf)
+        add_float(inf, negated(inf))
 
 
 _ONE = parse_value(F23, "1")
@@ -287,7 +287,7 @@ _INF = SimFloat.inf(F23)
 
 
 @mark.parametrize("add, rounded", [
-    ((_ONE, -_ONE), Dyadic(0)),                          # exact zero
+    ((_ONE, negated(_ONE)), Dyadic(0)),                          # exact zero
     ((_TOP, _TOP), Dyadic(1, 5)),                         # overflows
     ((_INF, _ONE), Dyadic(1, F23.emax + 1)),             # infinite operand
 ], ids=["exact-zero", "overflow", "infinite-operand"])

@@ -41,6 +41,7 @@ from boundedsum.mechanism import (_coprime_fraction, _folded_terms,
                                   _log_factorials, _log_upper_tail,
                                   _power_ratio, certified_leq_exp,
                                   rational_alpha)
+from reference import negated
 
 TAIL_PS = (1e-3, 0.1, 1 / 3, 0.5, 2 / 3, 0.9, 0.999)
 
@@ -345,8 +346,8 @@ def int_pair(fmt, su, sv):
 def float_pair(fmt, su, sv):
     top = round_dyadic(fmt.max_finite, fmt, "banker")
     return SimpleNamespace(**{
-        side: Dataset(fmt, -top, top, [(round_dyadic(Dyadic.from_fraction(
-            Fraction(x)), fmt, "banker"), 1)])
+        side: Dataset(fmt, negated(top), top, [(round_dyadic(
+            Dyadic.from_fraction(Fraction(x)), fmt, "banker"), 1)])
         for side, x in (("u", su), ("v", sv))})
 
 

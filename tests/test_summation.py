@@ -56,7 +56,7 @@ from boundedsum.attacks import (repeated_rounding_attack_1,
 from boundedsum.floats import add_bits
 from boundedsum.summation import (_fold, _kahan_bits, _rules, _shift_dataset,
                                   _shuffle)
-from reference import values_in_range
+from reference import magnitude, negated, values_in_range
 
 F23 = FloatFormat(2, 3)
 F34 = FloatFormat(3, 4)
@@ -89,11 +89,12 @@ def ref_kahan(ds, mode="banker"):
     total = SimFloat.zero(ds.fmt)
     comp = SimFloat.zero(ds.fmt)
     for v in ds.iter_values():
-        y = add_float(v, -comp, mode)
+        y = add_float(v, negated(comp), mode)
         t = add_float(total, y, mode)
         if t.kind == "inf":
             return t
-        comp = add_float(add_float(t, -total, mode), -y, mode)
+        comp = add_float(add_float(t, negated(total), mode), negated(y),
+                         mode)
         if comp.kind == "inf":
             comp = SimFloat.zero(ds.fmt)
         total = t
@@ -131,7 +132,7 @@ def ref_split(ds):
     values = list(ds.iter_values())
     if isinstance(fmt, FloatFormat):
         neg = sorted((v for v in values if v.sign < 0 and v.kind != "zero"),
-                     key=lambda v: abs(v).to_fraction())
+                     key=lambda v: magnitude(v).to_fraction())
         pos = sorted((v for v in values
                       if not (v.sign < 0 and v.kind != "zero")),
                      key=lambda v: v.to_fraction())
@@ -145,7 +146,7 @@ def ref_split(ds):
         if p.kind == "inf":
             p = round_dyadic(fmt.max_finite, fmt, "toward_zero")
         if n.kind == "inf":
-            n = -round_dyadic(fmt.max_finite, fmt, "toward_zero")
+            n = negated(round_dyadic(fmt.max_finite, fmt, "toward_zero"))
         return add_float(p, n, "banker")
     pos = KInt(fmt, 0)
     for v in sorted((v for v in values if v.value >= 0), key=lambda v: v.value):
@@ -224,11 +225,11 @@ def repeating_float_datasets(draw):
     # the full finite range lets either partial saturate
     fmt = draw(sampled_from([F23, F34]))
     hi = round_dyadic(fmt.max_finite, fmt, "toward_zero")
-    domain = values_in_range(fmt, -hi, hi, include_subnormals=True)
+    domain = values_in_range(fmt, negated(hi), hi, include_subnormals=True)
     values = draw(lists(sampled_from(domain), min_size=1, max_size=4))
     runs = draw(lists(sampled_from(values).flatmap(
         lambda v: integers(1, 40).map(lambda c: (v, c))), max_size=24))
-    return Dataset(fmt, -hi, hi, runs)
+    return Dataset(fmt, negated(hi), hi, runs)
 
 
 @given(repeating_float_datasets())
@@ -334,7 +335,7 @@ def long_run_datasets(draw):
     runs = [(value(), draw(integers(min_value=1, max_value=3000 // n_runs)))
             for _ in range(n_runs)]
     bound = round_dyadic(fmt.max_finite, fmt, "toward_zero")
-    return Dataset(fmt, -bound, bound, runs)
+    return Dataset(fmt, negated(bound), bound, runs)
 
 
 # the float_reorder shapes of the benchmark's fr32x pair, at j = 0 and 6
@@ -738,7 +739,7 @@ def small_tuples(draw):
                              IntFormat(4, True, "saturating")]))
     if isinstance(fmt, FloatFormat):
         top = round_dyadic(fmt.max_finite, fmt, "toward_zero")
-        lo, hi = -top, top
+        lo, hi = negated(top), top
         domain = values_in_range(fmt, lo, hi, include_subnormals=True)
     else:
         lo, hi = KInt(fmt, fmt.min_value), KInt(fmt, fmt.max_value)
