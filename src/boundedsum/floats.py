@@ -687,8 +687,8 @@ def number_text(q) -> str:
     """The text of an exact number, an int, a Fraction or a Dyadic: ``str()``
     digit for digit, at any size; the one writer of every exact number a
     report holds, each in the number grammar that :func:`parse_number`
-    reads.  (:func:`power_sum_text` writes the same text of a ratio given
-    as sums of powers.)
+    reads, except the exact DP check's worst ratio, which is held only as
+    sums of powers and written by :func:`power_sum_text` in the same text.
 
     A float sum of a wide format carries a numerator of hundreds of
     thousands of bits.  ``str()`` refuses it past CPython's int-to-str
@@ -696,9 +696,10 @@ def number_text(q) -> str:
     long numerators and denominators are written by halves
     (:func:`_decimal_digits`) and short ones by ``str()`` with the guard
     raised just for that call.  The halves are still a binary-to-decimal
-    conversion: the 5-million-bit exact ratios of the 16-bit overflow
-    pair's DP checks take 0.8 to 1.3 s each this way, and 0.17 to 0.26 s by
-    :func:`power_sum_text` (in process, a 2-vCPU x86-64 VM, Python 3.11).
+    conversion: built as Fractions, the 5-million-bit exact ratios of the
+    16-bit overflow pair's DP checks would take 0.8 to 1.3 s each to write
+    this way, against 0.17 to 0.26 s by :func:`power_sum_text` from their
+    factors (in process, a 2-vCPU x86-64 VM, Python 3.11).
     """
     if isinstance(q, Dyadic):
         return f"{_int_str(q.m)}*2^{q.e}"

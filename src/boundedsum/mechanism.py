@@ -27,9 +27,10 @@ Three layers, in increasing order of rigor:
    the noise PMF in exact rational arithmetic and return the worst
    pointwise probability ratio.  It depends on the two releases only
    through their distance, and is read off that distance in closed form
-   rather than by enumerating the support.  No sampling is involved; the
-   verdict compares an exact rational against ``e^epsilon`` through
-   interval arithmetic that widens its precision until the two separate.
+   rather than by enumerating the support, as a quotient of two sums of
+   powers.  No sampling is involved; the verdict encloses both sums in
+   intervals, and widens their precision until the ratio's enclosure
+   parts from ``e^epsilon``'s.
 
 The discrete noise distribution is pinned down by a *rational* decay
 parameter ``alpha`` chosen just above ``exp(-1/scale)`` (more noise than
@@ -56,8 +57,8 @@ from typing import Callable, Optional, Tuple, Union
 
 from . import NOISE_KINDS
 from .data import Dataset, exact_value
-from .floats import (SimFloat, _bits_grid, _round_bits, _shared_powers,
-                     add_bits, number_text, power_sum_text)
+from .floats import (SimFloat, _bits_grid, _round_bits, add_bits,
+                     number_text, power_sum_text)
 from .ints import IntFormat, KInt
 from .sensitivity import (PreconditionFailed, UnsupportedCombination,
                           SensitivityBound)
@@ -75,13 +76,13 @@ __all__ = [
 # have probability below 1% under the claimed epsilon.
 VERDICT_CUTOFF_LOG2 = math.log2(0.01)
 
-# exact_dp_check evaluates one closed form, but its terms are powers of
-# alpha's 80-bit numerator and denominator with exponents up to the support
-# size: at this support the exact ratio runs to about 1.6 million decimal
-# digits on each side of its bar, and a check with its report takes 0.6 to
-# 1 s in process on a 2-vCPU VM.  Every doubling of the support doubles the
-# digits and more than doubles the time, and beyond it the report stops
-# being a reasonable desk computation.
+# ExactDPReport.to_json writes the exact worst ratio in decimal, from powers
+# of alpha's numerator (up to 80 bits) and of 2 whose exponents run to the
+# support size: at this support the text runs to about 1.6 million digits
+# on each side of its bar.  A 16-bit check takes under 1 ms in process on a
+# 2-vCPU VM, and 0.17 to 0.25 s with its report.  Every doubling of the
+# support doubles the digits and more than doubles the time, so past it the
+# report is refused; exact_dp_check itself takes any support.
 SUPPORT_LIMIT = 1 << 16
 
 _ALPHA_GRID_BITS = 80
@@ -811,85 +812,134 @@ def dp_violation_log2_bound(counts, epsilon) -> float:
 class ExactDPReport:
     """Worst pointwise PMF ratio of a finite-support mechanism pair.
 
-    ``factors`` is ``max_ratio`` as sums of powers, ``(p, top, bottom)``:
-    with the noise's ``alpha = p / 2^s``, the ratio is the sum of
-    ``top``'s terms ``(a, b)``, each ``2^a * p^b``, over the sum of
-    ``bottom``'s, a coprime pair (:func:`_power_ratio`).
+    The ratio is held once, exactly, as ``factors = (p, top, bottom)``:
+    with the noise's ``alpha = p / 2^s``, it is the sum of ``top``'s terms
+    ``(a, b)``, each ``2^a * p^b``, over the sum of ``bottom``'s, a coprime
+    pair (:func:`_folded_terms`) whose sums are never built in binary.
+    ``max_ratio_approx`` is that ratio rounded to the nearest double, or
+    None past the largest double (:func:`_nearest_double`).  Only
+    :meth:`to_json` writes the ratio out, in exact decimal
+    (:func:`power_sum_text`), and it refuses a support past
+    ``SUPPORT_LIMIT``.
     """
 
-    max_ratio: Fraction
     witness: int
     epsilon: Fraction
     satisfied: bool
     support: int
     factors: Tuple[int, tuple, tuple]
+    max_ratio_approx: Optional[float]
 
     def to_json(self) -> dict:
-        try:
-            approx = float(self.max_ratio)
-        except OverflowError:   # past the largest double
-            approx = None
+        if self.support > SUPPORT_LIMIT:
+            raise PreconditionFailed(
+                f"support {self.support} exceeds {SUPPORT_LIMIT}")
         return {"max_ratio": power_sum_text(*self.factors),
-                "max_ratio_approx": approx,
+                "max_ratio_approx": self.max_ratio_approx,
                 "witness": self.witness,
                 "epsilon": number_text(self.epsilon),
                 "satisfied": self.satisfied,
                 "support": self.support}
 
 
-def certified_leq_exp(ratio: Fraction, exponent: Fraction) -> bool:
-    """Decide ``ratio <= e^exponent`` by certified interval arithmetic.
+def _widened(p: int, top, bottom, decide):
+    """``decide(q)`` for an ``mpmath.iv`` interval ``q`` that encloses the
+    ratio of the sums of ``top``'s and ``bottom``'s terms ``(a, b)``, each
+    ``2^a * p^b``: at 64 bits of precision, then at twice as many each
+    time, until ``decide`` returns something other than None.
 
-    Precision doubles from 64 bits until the enclosing intervals separate;
-    a rational never equals ``e^x`` for rational ``x != 0``, so this
-    terminates.  The precision it reaches grows with the leading bits that
-    ``exponent`` shares with ``ln ratio``: 4096 for ``ln ratio`` rounded
-    down to a multiple of ``2^-2100``, an exponent of 635 digits.
+    mpmath raises the interval of ``p`` to the ``b``-th power by squaring,
+    each bound rounded outward at every step, and the scaling by ``2^a``
+    is exact, so each sum is enclosed, and so is their ratio.  Its
+    relative width is about ``b * 2^-prec``: ``p`` has at most 80 bits, so
+    from 128 bits on only the rounding of the squarings is left.
     """
-    ratio, exponent = Fraction(ratio), Fraction(exponent)
-    if exponent == 0:
-        return ratio <= 1
-    # equal releases: 1 <= e^x exactly when x > 0, however small x is
-    if ratio == 1:
-        return exponent > 0
-    # e^x > 2^x for x > 0, and ratio < 2^(its bit lengths' difference + 1):
-    # a huge exponent needs no interval, whose ln 2 would need its bits
-    if exponent >= (ratio.numerator.bit_length()
-                    - ratio.denominator.bit_length() + 1):
-        return True
-    import mpmath
-    iv = mpmath.iv
-    saved = iv.prec
-    prec = 64
+    from mpmath import iv
+    saved, prec = iv.prec, 64
     try:
         while True:
             iv.prec = prec
-            e = iv.exp(iv.mpf(exponent.numerator) / exponent.denominator)
-            q = iv.mpf(ratio.numerator) / iv.mpf(ratio.denominator)
-            if q.b < e.a:
-                return True
-            if q.a > e.b:
-                return False
+            base = iv.mpf(p)
+
+            def total(terms):
+                first, *rest = (iv.ldexp(base ** b, a) for a, b in terms)
+                return sum(rest, first)
+
+            got = decide(total(top) / total(bottom))
+            if got is not None:
+                return got
             prec *= 2
     finally:
         iv.prec = saved
 
 
-if hasattr(Fraction, "_from_coprime_ints"):       # Python 3.12 and later
-    _coprime_fraction = Fraction._from_coprime_ints
-else:
-    def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
-        """``Fraction(numerator, denominator)`` for a coprime pair with a
-        positive denominator, without the gcd the public constructor runs
-        (at 16 bits the numbers run to millions of bits)."""
-        return Fraction(numerator, denominator, _normalize=False)
+def certified_leq_exp(p: int, top, bottom, exponent: Fraction) -> bool:
+    """Decide ``T/B <= e^exponent`` by certified interval arithmetic, for
+    ``T`` and ``B`` the sums of the terms ``(a, b)`` of ``top`` and
+    ``bottom``, each ``2^a * p^b``: an :class:`ExactDPReport`'s
+    ``factors``.
+
+    Neither sum is built.  Both are enclosed in intervals whose precision
+    doubles from 64 bits until the ratio's enclosure parts from
+    ``e^exponent``'s (:func:`_widened`); a rational other than 1 never
+    equals ``e^x`` for rational ``x``, so this terminates.  A ratio of 1
+    is given as ``top == bottom``, and is decided exactly.  The precision
+    it reaches grows with the leading bits that ``exponent`` shares with
+    ``ln(T/B)``: 4096 for ``ln(T/B)`` rounded down to a multiple of
+    ``2^-2100``, an exponent of 635 digits.
+    """
+    # equal releases: 1 <= e^x exactly when x >= 0, however small x is
+    if top == bottom:
+        return exponent >= 0
+    # with L the bit length of p, a term is at most 2^(a + bL) and at least
+    # 2^(a + b(L - 1)), and n terms sum to at most 2^(n - 1) times the
+    # largest, so T/B <= 2^high; e^x > 2^x for x > 0, so a huge exponent
+    # needs no interval, whose ln 2 would need its bits
+    length = p.bit_length()
+    high = (max(a + b * length for a, b in top) + len(top) - 1
+            - max(a + b * (length - 1) for a, b in bottom))
+    if exponent >= max(high, 0):
+        return True
+    from mpmath import iv
+
+    def decide(q):
+        e = iv.exp(iv.mpf(exponent.numerator) / exponent.denominator)
+        if q.b < e.a or q.a > e.b:      # parted: below or above
+            return q.b < e.a
+
+    return _widened(p, top, bottom, decide)
+
+
+def _nearest_double(p: int, top, bottom) -> Optional[float]:
+    """``float(T/B)`` of the ratio ``T/B >= 1`` that
+    :func:`certified_leq_exp` reads: rounded to the nearest double, ties
+    to even, or None where ``float()`` of the exact Fraction raises
+    OverflowError (the rounded value reaches ``2^1024``, where
+    ``to_float`` gives infinity).
+
+    Rounding to nearest is monotone: ``lo <= r <= hi`` gives ``round(lo)
+    <= round(r) <= round(hi)``.  So once both ends of an enclosure round
+    to one double, so does the ratio, and :func:`_widened` narrows the
+    enclosure until they do; a tie between two doubles is dyadic, and its
+    enclosure becomes exact.  Each end is rounded by mpmath's
+    ``to_float(end, rnd="n")``, since ``float()`` of an interval's end
+    rounds toward zero, one ulp low on some ratios.
+    """
+    from mpmath.libmp import to_float
+
+    def decide(q):
+        lo, hi = (to_float(end, rnd="n") for end in q._mpi_)
+        return lo if lo == hi else None
+
+    got = _widened(p, top, bottom, decide)
+    return None if got == math.inf else got
 
 
 def _folded_terms(s: int, m: int, d: int):
     """``(top, bottom)``: ``W(0) / W(d)`` in lowest terms as the terms of
-    :func:`_power_ratio`, for the folded weight ``W(r) = alpha^r +
-    alpha^(m-r)``, a power of two ``m >= 2``, ``0 <= d <= m/2`` and ``alpha
-    = P/2^s`` in lowest terms.
+    :class:`ExactDPReport`'s ``factors``, for the folded weight ``W(r) =
+    alpha^r + alpha^(m-r)``, a power of two ``m >= 2``, ``0 <= d <= m/2``
+    and ``alpha = P/2^s`` in lowest terms.
 
     With ``Q = 2^s`` and ``G(n) = Q^n + P^n``, ``Q^m W(r) = (PQ)^r
     G(m-2r)``, so the ratio is ``G(m) / ((PQ)^d G(m-2d))``, which
@@ -899,24 +949,12 @@ def _folded_terms(s: int, m: int, d: int):
     For ``n1, n2 >= 1`` and ``g = gcd(n1, n2)``, ``gcd(G(n1), G(n2))`` is 1
     unless ``n1/g`` and ``n2/g`` are both odd; at ``n1 = m``, a power of
     two, ``m/g`` is odd only at ``g = m``, which ``n2 = m - 2d < m`` never
-    gives.  So no gcd of the million-bit numbers is ever taken.  At ``d =
-    0`` the ratio is 1.
+    gives.  So the terms are in lowest terms as they stand, with no gcd of
+    numbers of ``s * m`` bits.  At ``d = 0`` the ratio is 1.
     """
     if not d:
         return ((0, 0),), ((0, 0),)
     return ((s * m, 0), (0, m)), ((s * (m - d), d), (s * d, m - d))
-
-
-def _power_ratio(p: int, top, bottom) -> Fraction:
-    """The Fraction ``T/B`` of a coprime pair of sums of the terms ``(a,
-    b)`` of ``top`` and ``bottom``, each ``2^a * p^b``: shifts, and one
-    power of ``p`` per exponent over both sums (:func:`_shared_powers`)."""
-    powers = _shared_powers(p, [b for _, b in (*top, *bottom)])
-
-    def total(terms):
-        return sum(powers[b] << a for a, b in terms)
-
-    return _coprime_fraction(total(top), total(bottom))
 
 
 def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
@@ -926,10 +964,16 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
     Only finite-support discrete mechanisms qualify: modular noise (the
     support is the residue ring) or clamped integer noise (the support is
     the type's range).  Every output weight is an exact rational built
-    from the spec's rational ``alpha``; the returned ratio is their exact
-    maximum over the support, in lowest terms, with the first (smallest)
-    output that attains it as the witness, and ``satisfied`` settles
-    ``max_ratio <= e^epsilon`` by certified interval comparison.
+    from the spec's rational ``alpha``.  The report holds their exact
+    maximum ratio over the support as ``factors``, a coprime pair of sums
+    of powers of 2 and of ``alpha``'s numerator, with the first (smallest)
+    output that attains it as the witness.  ``satisfied`` settles ``ratio
+    <= e^epsilon`` (:func:`certified_leq_exp`) and ``max_ratio_approx`` is
+    the ratio's nearest double (:func:`_nearest_double`), both from
+    interval enclosures of the two sums, so no binary ratio is built: the
+    int64 overflow pair is checked in 2 to 3 ms (in process, a 2-vCPU
+    x86-64 VM, Python 3.11).  The support's size limits only the report's
+    exact text (:meth:`ExactDPReport.to_json`).
 
     Both are read off the releases ``su``, ``sv`` in closed form, and the
     ratio depends on them only through their distance:
@@ -971,8 +1015,6 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
     if modular and fmt.overflow != "wraparound":
         raise PreconditionFailed("modular noise needs a wraparound format")
     size = fmt.modulus
-    if size > SUPPORT_LIMIT:
-        raise PreconditionFailed(f"support {size} exceeds {SUPPORT_LIMIT}")
     if modular:
         d = min((su - sv) % size, (sv - su) % size)
         top, bottom = _folded_terms(s, size, d)
@@ -982,7 +1024,7 @@ def exact_dp_check(spec: MechanismSpec, u: Dataset, v: Dataset,
         distance = abs(su - sv)
         top, bottom = ((s * distance, 0),), ((0, distance),)
         witness = fmt.min_value if su <= sv else su
-    ratio = _power_ratio(p, top, bottom)
-    return ExactDPReport(max_ratio=ratio, witness=witness, epsilon=epsilon,
-                         satisfied=certified_leq_exp(ratio, epsilon),
-                         support=size, factors=(p, top, bottom))
+    return ExactDPReport(witness=witness, epsilon=epsilon,
+                         satisfied=certified_leq_exp(p, top, bottom, epsilon),
+                         support=size, factors=(p, top, bottom),
+                         max_ratio_approx=_nearest_double(p, top, bottom))

@@ -2,11 +2,14 @@
 command runs them.  The couplings are the construction behind the
 shuffled sensitivity rules: one shared random permutation turns unordered
 adjacency into ordered adjacency, so an ordered-metric bound serves the
-add/remove world."""
+add/remove world.  The exact DP check's worst ratio is built here as a
+binary Fraction from its factors, and decided against ``e^x`` on that
+Fraction."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Tuple
 
 from boundedsum.data import Dataset, check_materialize, code_key
@@ -125,3 +128,45 @@ def couple_co(u: Dataset, v: Dataset, seed: int) -> Tuple[Dataset, Dataset]:
     _shuffle(perm, random.Random(seed))
     return (_arranged(u, [a[i] for i in perm]),
             _arranged(v, [b[i] for i in perm]))
+
+
+def power_sum(p: int, terms) -> int:
+    """The sum of the terms ``(a, b)``, each ``2^a * p^b``."""
+    return sum(p ** b << a for a, b in terms)
+
+
+def power_ratio(p: int, top, bottom) -> Fraction:
+    """The ratio an :class:`ExactDPReport`'s ``factors`` stand for:
+    ``top``'s :func:`power_sum` over ``bottom``'s."""
+    return Fraction(power_sum(p, top), power_sum(p, bottom))
+
+
+def leq_exp(ratio: Fraction, exponent: Fraction) -> bool:
+    """``ratio <= e^exponent`` on the Fraction ``ratio``: its interval and
+    ``e^exponent``'s, at 64 bits and twice as many until they part, with
+    the exact answers at ``exponent == 0``, at ``ratio == 1`` and past the
+    ratio's bit length."""
+    import mpmath
+    ratio, exponent = Fraction(ratio), Fraction(exponent)
+    if exponent == 0:
+        return ratio <= 1
+    if ratio == 1:
+        return exponent > 0
+    # e^x > 2^x for x > 0, and ratio < 2^(its bit lengths' difference + 1)
+    if exponent >= max(ratio.numerator.bit_length()
+                       - ratio.denominator.bit_length() + 1, 0):
+        return True
+    iv = mpmath.iv
+    saved, prec = iv.prec, 64
+    try:
+        while True:
+            iv.prec = prec
+            e = iv.exp(iv.mpf(exponent.numerator) / exponent.denominator)
+            q = iv.mpf(ratio.numerator) / iv.mpf(ratio.denominator)
+            if q.b < e.a:
+                return True
+            if q.a > e.b:
+                return False
+            prec *= 2
+    finally:
+        iv.prec = saved

@@ -24,10 +24,10 @@ from hypothesis.strategies import (booleans, composite, integers, lists,
                                    one_of, sampled_from, tuples)
 from pytest import mark, raises
 
-from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec,
-                        distinguishing_experiment, dp_violation_log2_bound,
-                        exact_dp_check, exact_value, overflow_attack,
-                        run_mechanism, run_sum)
+from boundedsum import (VERDICT_CUTOFF_LOG2, MechanismSpec, SumMethod,
+                        calibrate, distinguishing_experiment,
+                        dp_violation_log2_bound, exact_dp_check, exact_value,
+                        overflow_attack, run_mechanism, run_sum)
 from boundedsum.cli import main
 from boundedsum.data import Dataset, load_dataset
 from boundedsum.dyadic import Dyadic
@@ -35,13 +35,14 @@ from boundedsum.floats import (_DECIMAL_BITS, FloatFormat, _decimal_digits,
                               _int_str, add_float, number_text, parse_number,
                               power_sum_text, round_dyadic)
 from boundedsum.ints import IntFormat, KInt
-from boundedsum.sensitivity import PreconditionFailed
+from boundedsum.sensitivity import (PreconditionFailed, SensSpec,
+                                    idealized_sensitivity,
+                                    modular_sensitivity_bound)
 from boundedsum import mechanism
-from boundedsum.mechanism import (_coprime_fraction, _folded_terms,
-                                  _log_factorials, _log_upper_tail,
-                                  _power_ratio, certified_leq_exp,
+from boundedsum.mechanism import (_folded_terms, _log_factorials,
+                                  _log_upper_tail, certified_leq_exp,
                                   rational_alpha)
-from reference import negated
+from reference import leq_exp, negated, power_ratio, power_sum
 
 TAIL_PS = (1e-3, 0.1, 1 / 3, 0.5, 2 / 3, 0.9, 0.999)
 
@@ -326,7 +327,7 @@ def test_matching_modulus_is_the_default():
     got = exact_dp_check(spec, u, v, 1)
     wu, wv = _folded_pmf(spec.alpha, su, 256), _folded_pmf(spec.alpha, sv, 256)
     best = max(wu(z) / wv(z) for z in range(256))
-    assert got.max_ratio == best
+    assert power_ratio(*got.factors) == best
     assert wu(got.witness) / wv(got.witness) == best
 
 
@@ -832,7 +833,7 @@ def enumerated_max_ratio(spec, fmt, su, sv):
 def assert_factored_text(got, case):
     """The report's factors write its ratio as ``number_text`` does, and so
     does the report."""
-    want = number_text(got.max_ratio)
+    want = number_text(power_ratio(*got.factors))
     assert power_sum_text(*got.factors) == want, case
     assert got.to_json()["max_ratio"] == want, case
 
@@ -843,8 +844,8 @@ def assert_matches_enumeration(fmt, noise, scale, su, sv, epsilon):
                          epsilon)
     best, witness = enumerated_max_ratio(spec, fmt, su, sv)
     case = (fmt, noise, scale, su, sv)
-    assert (got.max_ratio, got.witness) == (best, witness), case
-    assert got.satisfied == certified_leq_exp(best, epsilon), case
+    assert (power_ratio(*got.factors), got.witness) == (best, witness), case
+    assert got.satisfied == leq_exp(best, epsilon), case
     assert_factored_text(got, case)
     return best
 
@@ -931,8 +932,8 @@ def test_equal_releases_have_ratio_one_first_at_the_supports_start():
                         got = exact_dp_check(
                             MechanismSpec(noise=noise, scale=scale),
                             one_element(fmt, s), one_element(fmt, s), 1)
-                        assert (got.max_ratio, got.witness, got.satisfied,
-                                got.support) == (1, first, True,
+                        assert (power_ratio(*got.factors), got.witness,
+                                got.satisfied, got.support) == (1, first, True,
                                                  fmt.modulus), (
                                     fmt, noise, s, scale)
 
@@ -992,8 +993,9 @@ def test_breakpoints_match_the_cross_multiplied_loop(bits):
             got = exact_dp_check(spec, one_element(fmt, su),
                                  one_element(fmt, sv), 1)
             case = (noise, su, sv, spec.scale)
-            assert (got.max_ratio, got.witness) == cross_multiplied_max_ratio(
-                spec, fmt, su, sv), case
+            assert (power_ratio(*got.factors),
+                    got.witness) == cross_multiplied_max_ratio(
+                        spec, fmt, su, sv), case
             assert_factored_text(got, case)
 
 
@@ -1028,8 +1030,62 @@ def test_factored_text_of_ratio_one_and_of_p_one():
     got = exact_dp_check(spec, one_element(fmt, fmt.max_value),
                          one_element(fmt, fmt.min_value), 1)
     want = unlimited_str(1 << 79 * 255)
-    assert got.max_ratio == 1 << 79 * 255
+    assert power_ratio(*got.factors) == 1 << 79 * 255
     assert power_sum_text(*got.factors) == want == got.to_json()["max_ratio"]
+
+
+def nearest_double(factors):
+    """``float()`` of the exact ratio, None past the largest double."""
+    try:
+        return float(power_ratio(*factors))
+    except OverflowError:
+        return None
+
+
+def test_the_approximation_is_the_ratios_nearest_double():
+    def check(fmt, noise, scale, su, sv):
+        got = exact_dp_check(MechanismSpec(noise=noise, scale=scale),
+                             one_element(fmt, su), one_element(fmt, sv), 1)
+        assert got.max_ratio_approx == nearest_double(got.factors), (
+            fmt, noise, scale, su, sv)
+        assert got.to_json()["max_ratio_approx"] == got.max_ratio_approx
+        return got.max_ratio_approx
+
+    for bits in (2, 3):
+        for signed in (False, True):
+            for overflow in ("wraparound", "saturating"):
+                fmt = IntFormat(bits, signed, overflow)
+                values = range(fmt.min_value, fmt.max_value + 1)
+                for noise in noises(fmt):
+                    for scale in CHECK_SCALES:
+                        for su in values:
+                            for sv in values:
+                                check(fmt, noise, scale, su, sv)
+    rng = random.Random(1024)
+    for bits in range(8, 13):
+        for _ in range(4):
+            fmt = IntFormat(bits, rng.choice((False, True)),
+                            rng.choice(("wraparound", "saturating")))
+            for noise in noises(fmt):
+                check(fmt, noise, rng.choice(CHECK_SCALES),
+                      rng.randint(fmt.min_value, fmt.max_value),
+                      rng.randint(fmt.min_value, fmt.max_value))
+    # the clamped distance at which alpha^-D first passes the largest
+    # double, and the one below it
+    fmt = IntFormat(12, False, "saturating")
+    alpha = rational_alpha(1)
+    p, s = alpha.numerator, alpha.denominator.bit_length() - 1
+    first = next(d for d in itertools.count(1)
+                 if nearest_double((p, ((s * d, 0),), ((0, d),))) is None)
+    assert check(fmt, "discrete_laplace", 1, 0, first - 1) > 1e307
+    assert check(fmt, "discrete_laplace", 1, 0, first) is None
+    # P = 1: alpha = 2^-79 and the clamped ratio 2^(79 D) is a double up
+    # to D = 12
+    fmt = IntFormat(8, False, "saturating")
+    for d in range(14):
+        want = float(1 << 79 * d) if d <= 12 else None
+        assert check(fmt, "discrete_laplace", Fraction(1, 1000), 0,
+                     d) == want, d
 
 
 # alpha = P/2^s for s = 1..12, then three alphas of the 2^-80 grid
@@ -1047,21 +1103,13 @@ def test_folded_ratio_is_the_reduced_quotient_of_the_weights(alpha):
         # cover every residue
         assert all(weights[r] == weights[m - r] for r in range(1, m))
         for d in range(m // 2 + 1):
-            got = _power_ratio(alpha.numerator, *_folded_terms(
-                alpha.denominator.bit_length() - 1, m, d))
+            top, bottom = _folded_terms(alpha.denominator.bit_length() - 1,
+                                        m, d)
             want = weights[0] / weights[d]
-            # want is in lowest terms, so equal parts make got coprime
-            assert (got.numerator, got.denominator) == (
+            # want is in lowest terms, so equal sums make the terms coprime
+            assert (power_sum(alpha.numerator, top),
+                    power_sum(alpha.numerator, bottom)) == (
                 want.numerator, want.denominator), (m, d)
-
-
-@given(integers(0, 1 << 200), integers(1, 1 << 200))
-def test_coprime_fraction_is_the_normalised_fraction(n, d):
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    got = _coprime_fraction(n, d)
-    assert type(got) is Fraction
-    assert (got, got.numerator, got.denominator) == (Fraction(n, d), n, d)
 
 
 def unlimited_str(x):
@@ -1167,26 +1215,34 @@ def test_cli_dpcheck_reports_an_epsilon_past_the_digit_guard(tmp_path,
 # A huge epsilon: decided without ln 2 to its bits
 # ---------------------------------------------------------------------------
 
-@mark.parametrize("ratio", [Fraction(1), Fraction(255, 4), Fraction(3, 2),
-                            Fraction((1 << 100) + 1, 3)], ids=str)
-def test_an_exponent_near_the_ratios_bit_length_is_decided_exactly(ratio):
-    # e^x > 2^x decides the exponents from the ratio's bit lengths' gap up;
-    # the intervals of 1000 bits decide them all, below and above
+# 1, 255/4, 3/2, (2^100 + 1)/3, 3^40/2^63 and 8 = 4 + 4, as factors (p,
+# top, bottom)
+@mark.parametrize("factors", [(7, ((0, 0),), ((0, 0),)),
+                              (255, ((0, 1),), ((2, 0),)),
+                              (3, ((0, 1),), ((1, 0),)),
+                              (3, ((100, 0), (0, 0)), ((0, 1),)),
+                              (3, ((0, 40),), ((63, 0),)),
+                              (3, ((2, 0), (2, 0)), ((0, 0),))], ids=str)
+def test_an_exponent_near_the_ratios_bit_length_is_decided_exactly(factors):
+    # e^x > 2^x decides the exponents from a bound on the ratio's bit
+    # length up; the intervals of 1000 bits decide them all, below and above
+    ratio = power_ratio(*factors)
     gap = ratio.numerator.bit_length() - ratio.denominator.bit_length()
     for x in (Fraction(gap - 1), Fraction(2 * gap - 1, 2), Fraction(gap),
-              Fraction(gap + 1), Fraction(gap + 2)):
+              Fraction(gap + 1), Fraction(gap + 2), Fraction(gap + 3)):
         if x <= 0:
             continue
         with mpmath.workprec(1000):
             want = mpmath.mpf(ratio.numerator) / ratio.denominator \
                 <= mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
-        assert certified_leq_exp(ratio, x) == want, x
+        assert certified_leq_exp(*factors, x) == want, x
 
 
 def test_a_huge_epsilon_or_a_tiny_scale_needs_no_digits_of_its_power():
     # each took seconds of ln 2 to half a million bits in mpmath
     start = time.perf_counter()
-    assert certified_leq_exp(Fraction(255, 4), Fraction(1 << 524288))
+    # 255/4 as factors
+    assert certified_leq_exp(255, ((0, 1),), ((2, 0),), Fraction(1 << 524288))
     assert rational_alpha(Fraction(1, 1 << 524288)) == Fraction(2, 1 << 80)
     assert time.perf_counter() - start < 1
     # from 1/scale = 64 on, alpha is the 2-step of the grid mpmath gives
@@ -1208,10 +1264,11 @@ def test_equal_releases_decide_a_tiny_epsilon_with_no_interval():
         for epsilon in (tiny, -tiny):
             got = exact_dp_check(spec, one_element(fmt, 3),
                                  one_element(fmt, 3), epsilon)
-            assert got.max_ratio == 1
+            assert power_ratio(*got.factors) == 1
             assert got.satisfied is (epsilon > 0), (noise, epsilon > 0)
-    assert certified_leq_exp(Fraction(1), tiny)
-    assert not certified_leq_exp(Fraction(1), -tiny)
+    one = (3, ((0, 0),), ((0, 0),))
+    assert certified_leq_exp(*one, tiny) and certified_leq_exp(*one, 0)
+    assert not certified_leq_exp(*one, -tiny)
     assert time.perf_counter() - start < 1
 
 
@@ -1233,7 +1290,8 @@ def test_cli_dpcheck_decides_an_epsilon_within_2_to_the_minus_2100(
     assert main(["attack", "gen", "--theorem", "overflow", "--bits", "8",
                  "--upper", "1", "--out", str(pair)]) == 0
     u, v = load_dataset(pair / "u.json"), load_dataset(pair / "v.json")
-    ratio = exact_dp_check(MechanismSpec(scale=1), u, v, 1).max_ratio
+    ratio = power_ratio(*exact_dp_check(MechanismSpec(scale=1), u, v,
+                                        1).factors)
     with mpmath.workprec(2400):
         m = int(mpmath.floor(mpmath.log(mpmath.mpf(ratio.numerator)
                                         / ratio.denominator) * 2 ** 2100))
@@ -1246,3 +1304,42 @@ def test_cli_dpcheck_decides_an_epsilon_within_2_to_the_minus_2100(
         report = json.loads(capsys.readouterr().out)
         assert report["satisfied"] is (code == 0)
         assert parse_number(report["epsilon"]) == Fraction(k, 1 << 2100)
+
+
+# ---------------------------------------------------------------------------
+# The paper's int32 and int64 overflow pairs, checked exactly
+# ---------------------------------------------------------------------------
+
+def test_int32_and_int64_repairs_are_decided_exactly_in_under_a_second():
+    # the pair of attack gen --theorem overflow --bits 32 --upper 2^30,
+    # and the committed int64 one; the checks need no binary ratio, only
+    # the report's exact text is refused
+    ov32 = overflow_attack(IntFormat(32, False, "wraparound"), upper=1 << 30)
+    ov64 = Path(__file__).with_name("golden") / "instances" / "ov64"
+    for u, v in ((ov32.u, ov32.v), (load_dataset(ov64 / "u.json"),
+                                    load_dataset(ov64 / "v.json"))):
+        sens = SensSpec(u.fmt, u.lower, u.upper, "sym", SumMethod())
+        for noise, rule, want in (
+                ("discrete_laplace", idealized_sensitivity, False),
+                ("discrete_laplace_mod", modular_sensitivity_bound, True)):
+            spec = calibrate(noise, rule(sens), 1)
+            start = time.perf_counter()
+            got = exact_dp_check(spec, u, v, 1)
+            assert time.perf_counter() - start < 1, (u.fmt, noise)
+            assert (got.satisfied, got.support) == (want, u.fmt.modulus)
+            with raises(PreconditionFailed,
+                        match=f"^support {u.fmt.modulus} exceeds 65536$"):
+                got.to_json()
+
+
+def test_cli_dpcheck_refuses_a_report_past_the_support_limit(tmp_path,
+                                                             capsys):
+    pair = tmp_path / "ov17"
+    assert main(["attack", "gen", "--theorem", "overflow", "--bits", "17",
+                 "--upper", "4", "--out", str(pair)]) == 0
+    capsys.readouterr()
+    assert main(["dpcheck", "exact", "--u", str(pair / "u.json"), "--v",
+                 str(pair / "v.json"), "--epsilon", "1", "--calibrate",
+                 "idealized"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: support 131072 exceeds 65536\n")
