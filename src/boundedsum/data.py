@@ -100,10 +100,11 @@ over whole lists: a file's texts are matched by one regular expression
 and read by ``map(int, ...)``; the count types are one set and the counts
 have one minimum; the codes are bounded by their extremes on each side
 of the sign bit; the ``-0`` fold runs only when a ``-0`` is there, and
-the merge and the block scan only when a code is there twice.  A file of
+the merge only when a code is there twice, and the block scan only when
+eight runs in a row have codes that are there twice.  A JSON object of
 runs alone takes this path, with one more C-level pass that sees each
-entry holds only its two keys; a file with a block, or an entry of
-another shape, is read entry by entry.  The per-entry loop
+entry holds only its two keys; one with a block, or an entry of another
+shape, is read entry by entry.  The per-entry loop
 (:func:`_check_each`) only words refusals: entries that fail the bulk
 check (or whose counts are of another integer type) go through it, and
 it names the first bad one.  Texts outside the
@@ -120,19 +121,24 @@ Files are written by :func:`json_text`, which gives exactly the text of
 ``json.dumps(..., indent=2, sort_keys=True)`` but formats each element
 list straight from the entries, one ``%`` format per run.
 
-Files are read by :func:`load_dataset`.  The text :func:`save_dataset`
-writes for a float dataset of runs of one element each (dense data) is
-records of one width, and :func:`_read_runs` reads it in bulk, with no
-JSON tree and no string per entry: the head and the tail are matched
-against the writer's text, each fixed character of a record is compared
-across all records by one strided slice, and the code digits are
-gathered by strided slices and decoded by ``binascii.a2b_hex``.  A text
-it takes is valid JSON that ``json.load`` reads to the same format,
-bounds, codes and counts, so both ways end in the one :func:`check_runs`
-on equal fields.  Every other text goes through ``json.load`` and
-:meth:`Dataset.from_json_dict`: int files, whose decimal codes vary in
-width, files with a block or a count other than ``1``, and text in any
-other spelling.
+Files are read by :func:`load_dataset`.  Every text :func:`save_dataset`
+writes, of floats or ints, of runs of any count and of blocks, is read
+in bulk by :func:`_read_text`, with no JSON tree and no dict or string
+per entry.  The head and the tail are matched against the writer's text.
+A float dataset of runs of one element each (dense data) is records of
+one width, and :func:`_read_dense` compares each fixed character of a
+record across all records by one strided slice and decodes the code
+digits by ``binascii.a2b_hex``.  Other records vary in width, and
+:func:`_read_entries` reads them by one exact rule: the text's maximal
+runs of the code alphabet are its tokens, the writer's own record
+formats are filled with them, and the result must equal the text byte
+for byte.  A text either reader takes is valid JSON that ``json.load``
+reads to the same format, bounds, codes and counts, so both ways end in
+the same checks (:func:`check_runs`' scans, through
+:meth:`Dataset._loaded`, which skips the ones the reader has made) on
+equal fields.  Every other text goes through ``json.load`` and
+:meth:`Dataset.from_json_dict`: hand-written files and text in any other
+spelling, such as a count with a leading zero.
 """
 
 from __future__ import annotations
@@ -149,7 +155,7 @@ from array import array
 from contextlib import contextmanager
 from operator import eq, index, itemgetter
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from .dyadic import Dyadic
 from .floats import (_PATTERN_RE, FloatFormat, SimFloat, parse_number,
@@ -191,22 +197,42 @@ _SCAN_COPIES = 16
 _ZERO_BYTES = bytes([1]) + bytes(255)
 
 _INT_RE = re.compile(r"-?[0-9]+")
-# the text save_dataset writes for a float dataset of runs of one element
-# (see _read_runs): the head up to the element list, whose bounds are JSON
-# strings of no escape and no control character, the first record, and
-# the tail from the list's end, whose sizes are JSON integers
+# the text save_dataset writes (see _read_text): the head up to the
+# element list, whose bounds are JSON strings of no escape and no control
+# character, and the tail from the list's end, the writer's text of a
+# float or an int format, whose sizes are JSON integers of 1 to 20 digits
 _HEAD_RE = re.compile(rb'\{\n  "bounds": \{\n    "lower": "([ !#-\[\]-~]*)",'
                       rb'\n    "upper": "([ !#-\[\]-~]*)"\n  \},\n'
                       rb'  "elements": \[')
+_TAIL = b'],\n  "format": {'
+_SIZE = rb'(-?(?:0|[1-9][0-9]{0,19}))'
+_TAIL_RE = re.compile(
+    re.escape(_TAIL) + rb'\n    (?:"exponent_bits": ' + _SIZE
+    + rb',\n    "kind": "float",\n    "mantissa_bits": ' + _SIZE
+    + rb'|"bits": ' + _SIZE + rb',\n    "kind": "int",\n    "overflow": '
+    rb'"(saturating|wraparound)",\n    "signed": (false|true))'
+    rb'\n  \},\n  "schema": 1\n\}\n')
+# a record of a float run of one element (see _read_dense)
 _RECORD_RE = re.compile(rb'\n    \{\n      "count": 1,\n'
                         rb'      "value": "0x([0-9a-fA-F]+)"\n    \}')
-_TAIL = b'\n  ],\n  "format": {'
-_TAIL_RE = re.compile(re.escape(_TAIL) + rb'\n    "exponent_bits": '
-                      rb'(-?(?:0|[1-9][0-9]*)),\n    "kind": "float",\n'
-                      rb'    "mantissa_bits": (-?(?:0|[1-9][0-9]*))\n'
-                      rb'  \},\n  "schema": 1\n\}\n')
 # the array typecode of an unsigned word of each size in bytes
 _WORDS = {array(t).itemsize: t for t in "QLIHB"}
+# bytes.translate tables that keep the bytes of an int's codes and counts
+# (a minus and the digits) or a float's (the hex digits) and blank the
+# rest; a float record's keys and each code's 0x are taken out first,
+# since a to f are code digits too (see _read_entries)
+_KEEP = {floats: bytes(c if chr(c) in keep else 32 for c in range(256))
+         for floats, keep in ((False, "-0123456789"),
+                              (True, "0123456789abcdef"))}
+_FLOAT_KEYS = (b'"count"', b'"value"', b'"block"', b'"0x')
+# a count's JSON text, positive, in the grammar json reads; counts are
+# matched joined by spaces
+_COUNTS_RE = re.compile(rb"[1-9][0-9]*(?: [1-9][0-9]*)*")
+# the end of an entry's record, and the text of records of runs that the
+# reader cuts at the first record end past this many bytes, so that no
+# list of a whole file's tokens is made
+_RECORD_END = b"\n    }"
+_PIECE = 1 << 18
 # every text of a file at once, joined by newlines (see _decode_codes)
 _INTS_RE, _PATTERNS_RE = (re.compile(f"{r.pattern}(?:\n{r.pattern})*")
                           for r in (_INT_RE, _PATTERN_RE))
@@ -286,14 +312,32 @@ def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
     :func:`_settle` to hold.
 
     The check is made in bulk: the count types as one set, the smallest
-    count, and the extreme codes on each side of the sign bit.  A code is
-    compared by its :func:`code_key` alone: a key between two finite keys
-    is a finite value's (a pattern out of range, a NaN or an infinity keys
-    past every finite one).  The ``-0`` fold runs only when a ``-0`` is
-    there.  Entries that fail the bulk check (or have counts of another
-    integer type) go through :func:`_check_each`, which names the first
-    bad one.
+    count, and the codes by :func:`_folded`.  Entries that fail the bulk
+    check (or have counts of another integer type) go through
+    :func:`_check_each`, which names the first bad one.
     """
+    sign, lo, hi = _bound_keys(fmt, lower, upper)
+    blocks = tuple in set(map(type, codes))
+    flat = codes
+    if blocks:
+        flat = list(itertools.chain.from_iterable(
+            x if x.__class__ is tuple else (x,) for x in codes))
+    folded = None
+    if (set(map(type, counts)) <= {int}
+            and (not counts or min(counts) >= 1)
+            and (not blocks or all(1 <= len(x) <= _MAX_BLOCK_SIZE
+                                   for x in codes if x.__class__ is tuple))):
+        folded = _folded(codes, flat, sign, lo, hi)
+    if folded is None:
+        return _check_each(fmt, lower, upper, codes, counts), blocks
+    return tuple(zip(folded, counts)), blocks
+
+
+def _bound_keys(fmt: ElementFormat, lower: Value,
+                upper: Value) -> Tuple[int, int, int]:
+    """The sign bit of ``fmt``'s codes (0 for an int format) and the
+    :func:`code_key` of each bound, once the bounds are finite values of
+    ``fmt`` in order."""
     for what, v in (("lower bound", lower), ("upper bound", upper)):
         value_code(fmt, v, what)
         if isinstance(v, SimFloat) and not v.is_finite():
@@ -301,22 +345,25 @@ def check_runs(fmt: ElementFormat, lower: Value, upper: Value,
     lo, hi = order_key(lower), order_key(upper)
     if lo > hi:
         raise ValueError("lower bound exceeds upper bound")
-    sign = fmt._kernel[3] if isinstance(fmt, FloatFormat) else 0
-    flat = codes
-    blocks = tuple in set(map(type, codes))
-    if blocks:
-        flat = list(itertools.chain.from_iterable(
-            x if x.__class__ is tuple else (x,) for x in codes))
-    if not (set(map(type, counts)) <= {int} and _inside(flat, sign, lo, hi)
-            and (not counts or min(counts) >= 1)
-            and (not blocks or all(1 <= len(x) <= _MAX_BLOCK_SIZE
-                                   for x in codes if x.__class__ is tuple))):
-        return _check_each(fmt, lower, upper, codes, counts), blocks
+    return (fmt._kernel[3] if isinstance(fmt, FloatFormat) else 0), lo, hi
+
+
+def _folded(codes: list, flat: list, sign: int, lo: int,
+            hi: int) -> Optional[list]:
+    """``codes`` with each float ``-0`` folded into ``+0``, or None unless
+    every code of ``flat`` (the codes with each block's listed in place)
+    keys inside ``[lo, hi]``.  A code is compared by its :func:`code_key`
+    alone, read off the extreme codes (:func:`_inside`): a key between two
+    finite keys is a finite value's (a pattern out of range, a NaN or an
+    infinity keys past every finite one).  The fold runs only when a
+    ``-0`` is there."""
+    if not _inside(flat, sign, lo, hi):
+        return None
     if sign and sign in flat:
-        codes = [tuple([0 if y == sign else y for y in x])
-                 if x.__class__ is tuple else 0 if x == sign else x
-                 for x in codes]
-    return tuple(zip(codes, counts)), blocks
+        return [tuple([0 if y == sign else y for y in x])
+                if x.__class__ is tuple else 0 if x == sign else x
+                for x in codes]
+    return codes
 
 
 def _inside(codes: List[int], sign: int, lo: int, hi: int) -> bool:
@@ -384,7 +431,13 @@ def _settle(entries: Iterable[tuple], blocks: bool) -> Tuple[tuple, bool]:
     is a block: :func:`_found` over the maximal runs of the element
     sequence, so that one sequence is held one way.  ``blocks`` says
     whether ``entries`` holds a block entry.  Runs with no code twice
-    (dense data) are held as they are after one C-level check.
+    (dense data) are held as they are after one C-level check.  Runs of
+    over 256 codes with fewer than eight in a row whose codes are there
+    twice (chance repeats) are only merged: each run of a block's stretch
+    equals a run ``b`` later, so its code, and every run merged into it,
+    is there twice, and a stretch holds ``(_MIN_BLOCK_COPIES - 1) * b >=
+    8`` of them in a row.  With fewer codes :func:`_found` compares run
+    ids by big-int XOR, faster than that check.
 
     A block entry is read as the runs of its copies, and past
     ``_SCAN_COPIES`` copies as that many, the rest being added to the
@@ -404,19 +457,37 @@ def _settle(entries: Iterable[tuple], blocks: bool) -> Tuple[tuple, bool]:
     runs = tuple(entries)
     flat, rest, at = runs, [], 0
     if blocks:
-        flat = []
-        for x, c in runs:
-            if x.__class__ is tuple:
+        # the runs between two blocks are kept as they are, found and
+        # measured by C-level scans
+        kinds = bytes(map(isinstance, map(itemgetter(0), runs),
+                          itertools.repeat(tuple)))
+        flat, i = [], 0
+        while i < len(runs):
+            j = kinds.find(1, i)
+            j = len(runs) if j < 0 else j
+            flat += runs[i:j]
+            at += sum(map(itemgetter(1), runs[i:j]))
+            if j < len(runs):
+                x, c = runs[j]
                 if c > _SCAN_COPIES:
                     rest.append((at + _SCAN_COPIES // 2 * len(x),
                                  (c - _SCAN_COPIES) * len(x)))
                     c = _SCAN_COPIES
                 flat += zip(x * c, itertools.repeat(1))
-            else:
-                flat.append((x, c))
-            at += entry_size(x) * c
-    elif len(set(map(itemgetter(0), runs))) == len(runs):
-        return runs, False  # nothing merges, no block is there
+                at += len(x) * c
+            i = j + 1
+    else:
+        distinct = len(set(map(itemgetter(0), runs)))
+        if distinct == len(runs):
+            return runs, False  # nothing merges, no block is there
+        if distinct > 256:
+            # the codes there twice, and whether eight runs in a row hold
+            # them; past 256 kinds _found scans run by run
+            seen = set()
+            repeats = {x for x, _ in runs if x in seen or seen.add(x)}
+            if bytes(map(repeats.__contains__, map(itemgetter(0), runs))
+                     ).find(b"\1" * (2 * (_MIN_BLOCK_COPIES - 1))) < 0:
+                return merge_runs(runs), False
     runs, found = _found(merge_runs(flat))
     if rest:
         ends = list(itertools.accumulate(entry_size(x) * c for x, c in runs))
@@ -481,7 +552,9 @@ def _found(runs: tuple) -> Tuple[tuple, bool]:
             out += runs[end:start]
             out.append((tuple([x for x, c in copy for _ in range(c)]), reps))
             end = start + b * reps
-    return (*out, *runs[end:]), end > 0
+    if not end:
+        return runs, False
+    return (*out, *itertools.islice(runs, end, None)), True
 
 
 def _codes(fmt: ElementFormat, values: list) -> list:
@@ -504,13 +577,28 @@ def _codes(fmt: ElementFormat, values: list) -> list:
 
 def merge_runs(runs: Iterable[tuple]) -> tuple:
     """Runs ``(element, count)`` with adjacent equal elements merged.  The
-    runs are grouped only if two adjacent elements are equal."""
+    runs are grouped only if two adjacent elements are equal, and where
+    few are (the ends of blocks read as runs, among millions of runs),
+    only those are, the runs between them kept as they are."""
     runs = tuple(runs)
-    xs = list(map(itemgetter(0), runs))
-    if not any(map(eq, xs, itertools.islice(xs, 1, None))):
+    same = bytes(map(eq, map(itemgetter(0), runs),
+                     map(itemgetter(0), itertools.islice(runs, 1, None))))
+    merges = same.count(1)
+    if not merges:
         return runs
-    return tuple((x, sum(map(itemgetter(1), group)))
-                 for x, group in itertools.groupby(runs, itemgetter(0)))
+    if merges > len(runs) // 16:
+        return tuple((x, sum(map(itemgetter(1), group)))
+                     for x, group in itertools.groupby(runs, itemgetter(0)))
+    out, start, i = [], 0, same.find(1)
+    while i >= 0:
+        # runs[i:j + 1] hold one element
+        j = same.find(0, i)
+        j = len(runs) - 1 if j < 0 else j
+        out += runs[start:i]
+        out.append((runs[i][0], sum(map(itemgetter(1), runs[i:j + 1]))))
+        start = j + 1
+        i = same.find(1, start)
+    return (*out, *itertools.islice(runs, start, None))
 
 
 def entry_size(x) -> int:
@@ -566,6 +654,27 @@ class Dataset:
         self.runs, self.blocks = runs, blocks = _settle(entries, blocks)
         self.n = (sum(entry_size(x) * c for x, c in runs) if blocks
                   else sum(map(itemgetter(1), runs)))
+        return self
+
+    def _loaded(self, fmt, lower, upper, codes: list, counts: list,
+                flat: list) -> "Dataset":
+        """Set the fields from a file read in bulk (:func:`_read_text`),
+        whose counts are ints of at least one and whose blocks are tuples
+        of 1 to ``_MAX_BLOCK_SIZE`` codes, all listed in place in ``flat``
+        (``codes`` itself when there is no block).  So only the bounds and
+        the codes are checked, by the scans :func:`check_runs` makes of
+        them; runs whose codes are distinct are held as they are, as
+        :func:`_settle` would hold them, with no further scan."""
+        sign, lo, hi = _bound_keys(fmt, lower, upper)
+        folded = _folded(codes, flat, sign, lo, hi)
+        if folded is None:   # a code is refused there, and named
+            return self._fill(fmt, lower, upper, _check_each(
+                fmt, lower, upper, codes, counts), flat is not codes)
+        runs = tuple(zip(folded, counts))
+        if flat is not codes or len(set(folded)) < len(folded):
+            return self._fill(fmt, lower, upper, runs, flat is not codes)
+        self.fmt, self.lower, self.upper = fmt, lower, upper
+        self.runs, self.blocks, self.n = runs, False, sum(counts)
         return self
 
     @classmethod
@@ -662,18 +771,16 @@ class Dataset:
         """The text ``json.dumps(..., indent=2)`` writes for the element
         list of :meth:`to_json_dict` when its key is indented by
         ``indent`` spaces: one ``%`` format per run, and a block's text
-        written from its codes."""
+        written from its codes (:func:`_entry_formats`)."""
         if not self.runs:
             return "[]"
-        end, item, field, inner = ("\n" + " " * n for n in (
-            indent, indent + 2, indent + 4, indent + 6))
-        code = f'"{self._code_field()}"'
-        run = f'{item}{{{field}"count": %d,{field}"value": {code}{item}}}'
-        element = (inner + code).__mod__
+        run, head, element, tail = _entry_formats(
+            indent, "%d", f'"{self._code_field()}"')
+        element = element.__mod__
         return "[" + ",".join([
-            f'{item}{{{field}"block": [{",".join(map(element, x))}{field}],'
-            f'{field}"count": {c}{item}}}' if x.__class__ is tuple
-            else run % (c, x) for x, c in self.runs]) + end + "]"
+            head + ",".join(map(element, x)) + tail % c
+            if x.__class__ is tuple else run % (c, x)
+            for x, c in self.runs]) + "\n" + " " * indent + "]"
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dataset":
@@ -851,96 +958,223 @@ def _collector_paused():
             gc.enable()
 
 
-def _read_runs(text: bytes):
-    """The format, bounds, codes and counts of a float dataset of runs of
-    one element each (dense data), read in bulk from the text
-    :func:`save_dataset` writes for it, or ``None`` for any other text.
+def _entry_formats(indent: int, count: str, code: str) -> Tuple[str, ...]:
+    """The ``%`` formats :func:`json_text` writes a dataset's entries with,
+    its element list's key indented by ``indent`` spaces, given the field
+    ``count`` of a count and ``code`` of a code's JSON text: a run's
+    record; and a block's head, each of its codes and its tail."""
+    item, field, inner = ("\n" + " " * n
+                          for n in (indent + 2, indent + 4, indent + 6))
+    return (f'{item}{{{field}"count": {count},{field}"value": {code}{item}}}',
+            f'{item}{{{field}"block": [', inner + code,
+            f'{field}],{field}"count": {count}{item}}}')
 
-    That text is a head up to the element list, records of one width
+
+# the formats save_dataset writes an int's (False) and a float's (True)
+# entries with, each field a byte string, for _read_entries
+_READ_FORMATS = {floats: tuple(f.encode() for f in _entry_formats(
+    2, "%s", '"0x%s"' if floats else '"%s"')) for floats in (False, True)}
+
+
+def _read_text(text: bytes):
+    """The format, bounds, codes and counts of the dataset whose text
+    :func:`save_dataset` wrote, read in bulk, with the codes listed in
+    place (:meth:`Dataset._loaded`); or None for any other text.
+
+    That text is a head up to the element list, the entries' records
     joined by commas, and a tail from the list's end.  The head and the
     tail are matched against the writer's own text: bounds that are JSON
     strings with no escape and no control character, so that their bytes
-    are their value, and format sizes that are JSON integers.  A record
-    is ``{"count": 1, "value": "0x..."}`` indented as the writer indents
-    it, its hex digits as many as in the first record.  The element
-    section must be a whole number of records, and each fixed character
-    of the record, commas between records included, is compared across
-    all records by one strided slice.  The code digits are gathered by
-    one strided slice per digit, right-aligned in words of 1, 2, 4 or 8
-    bytes, and read by ``binascii.a2b_hex``, which refuses any byte that
-    is not a hex digit, and an ``array`` of big-endian words.  No JSON
-    tree and no string per entry is made.
+    are their value, and a float or an int format whose sizes are JSON
+    integers.  The records are read by :func:`_read_dense` if they are
+    the runs of one element each of a float dataset, which are all of one
+    width, and by :func:`_read_entries` otherwise.  No JSON tree is made,
+    and no dict or string per entry.
 
     A text this takes is valid JSON, and ``json.loads`` of it gives
     exactly the format, bounds, codes and counts given here: the head and
-    the tail hold only what their patterns spell out, each entry is a run
-    object of the two keys ``count``, ``1``, and ``value``, and a value
-    is ``0x`` and hex digits of either case, which :func:`_decode_codes`
-    reads by ``int(t, 16)``.  The head's fields go through :func:`_head`,
-    as in :meth:`Dataset.from_json_dict`, and only once the whole text is
-    known to be valid, so that a refusal there is the JSON path's too.
-    Int files (whose decimal codes vary in width), files with a block or
-    a count other than ``1``, and codes of over 16 digits are declined."""
+    the tail hold only what their patterns spell out, and each record is
+    one the writer writes, whose code and count texts ``json.loads`` and
+    :meth:`Dataset.from_json_dict` read to the same ints.  The head's
+    fields go through :func:`_head`, as in :meth:`Dataset.from_json_dict`,
+    and only once the whole text is known to be valid, so that a refusal
+    there is the JSON path's too."""
     head = _HEAD_RE.match(text)
     end = text.rfind(_TAIL)
     tail = head and end >= 0 and _TAIL_RE.fullmatch(text, end)
-    record = tail and _RECORD_RE.match(text, head.end())
+    if not tail:
+        return None
+    floats = tail[1] is not None
+    start, stop = head.end(), end - 3
+    if start == end:                         # "elements": []
+        codes = []
+        got = codes, [], codes
+    elif text[stop:end] != b"\n  ":
+        return None
+    else:
+        got = (floats and _read_dense(text, start, stop)
+               or _read_entries(text, start, stop, floats))
+        if got is None:
+            return None
+    if floats:
+        sizes = {"exponent_bits": int(tail[1]), "kind": "float",
+                 "mantissa_bits": int(tail[2])}
+    else:
+        sizes = {"bits": int(tail[3]), "kind": "int",
+                 "overflow": tail[4].decode(), "signed": tail[5] == b"true"}
+    fmt, lower, upper = _head({
+        "schema": SCHEMA_VERSION, "format": sizes,
+        "bounds": dict(zip(("lower", "upper"),
+                           map(bytes.decode, head.groups())))})
+    return (fmt, lower, upper, *got)
+
+
+def _read_dense(text: bytes, start: int, stop: int):
+    """The codes, counts and listed codes (the codes) of a float dataset
+    whose records ``text[start:stop]`` are runs of one element each, read
+    in bulk; or None if they are not.
+
+    A record is ``{"count": 1, "value": "0x..."}`` indented as the writer
+    indents it, its hex digits as many as in the first record, so the
+    records are all of one width.  The section must be a whole number of
+    records, and each fixed character of the record, commas between
+    records included, is compared across all records by one strided
+    slice.  The code digits are gathered by one strided slice per digit,
+    right-aligned in words of 1, 2, 4 or 8 bytes, and read by
+    ``binascii.a2b_hex``, which refuses any byte that is not a hex digit,
+    and an ``array`` of big-endian words; :func:`decode_code` reads such
+    a value, ``0x`` and hex digits of either case, by ``int(t, 16)`` too.
+    Records of one width are read this way because it is the faster: 0.17
+    ms for a 2,048-entry float32 file, where :func:`_read_entries` takes
+    1.1 ms (in process, a 2-vCPU x86-64 VM, Python 3.11).  Codes of over
+    16 digits are declined."""
+    record = _RECORD_RE.match(text, start)
     if not record:
         return None
-    start = head.end()
     size = record.end() - start
     # a comma follows each record but the last
     step = size + 1
-    n, extra = divmod(end - start + 1, step)
+    n, extra = divmod(stop - start + 1, step)
     code = range(*(p - start for p in record.span(1)))
     width = next((w for w in (1, 2, 4, 8) if 2 * w >= len(code)), 0)
     if extra or not width:
         return None
     record = text[start:record.end()]
     row = {c: bytes([c]) * n for c in set(record)}
-    if text[start + size:end:step] != b"," * (n - 1) or any(
-            text[start + p:end:step] != row[record[p]]
+    if text[start + size:stop:step] != b"," * (n - 1) or any(
+            text[start + p:stop:step] != row[record[p]]
             for p in range(size) if p not in code):
         return None
     # each code's digits right-aligned in 2 * width zeros
     hexes = bytearray(b"0" * (2 * width * n))
     for j, p in enumerate(code, 2 * width - len(code)):
-        hexes[j::2 * width] = text[start + p:end:step]
+        hexes[j::2 * width] = text[start + p:stop:step]
     try:
         words = array(_WORDS[width], binascii.a2b_hex(hexes))
     except binascii.Error:
         return None
     if sys.byteorder == "little":
         words.byteswap()
-    exponent_bits, mantissa_bits = map(int, tail.groups())
-    fmt, lower, upper = _head({
-        "schema": SCHEMA_VERSION,
-        "format": {"exponent_bits": exponent_bits, "kind": "float",
-                   "mantissa_bits": mantissa_bits},
-        "bounds": dict(zip(("lower", "upper"),
-                           map(bytes.decode, head.groups())))})
-    return fmt, lower, upper, words.tolist(), [1] * n
+    codes = words.tolist()
+    return codes, [1] * n, codes
+
+
+def _read_entries(text: bytes, start: int, stop: int, floats: bool):
+    """The codes, counts and listed codes (each block's codes in place) of
+    the records ``text[start:stop]`` of an int (or a float) dataset, read
+    in bulk; or None unless they are the records the writer writes.
+
+    The records are read in pieces: a block's record, or the records of
+    runs up to the next block or to the first record end past ``_PIECE``
+    bytes.  A piece's tokens are its maximal runs of the code alphabet: a
+    minus and the digits for ints, the hex digits for floats, whose
+    record keys and ``0x`` are taken out first.  The writer's own formats
+    (:func:`_entry_formats`) are filled with the tokens, a run's count
+    and code in turn or a block's codes and count, and the result must
+    equal the piece byte for byte.  So the piece is the writer's text of
+    those entries, whose fields are the tokens: ``json.loads`` reads each
+    code text as that string and each count as that JSON number.  A
+    count must be a positive JSON integer, an int code an ASCII integer
+    that ``int`` reads as :func:`decode_code` does, and a block 1 to
+    ``_MAX_BLOCK_SIZE`` codes long; any other piece is declined, and the
+    JSON path words its refusal.  Each comma between pieces is checked."""
+    run, head, element, tail = _READ_FORMATS[floats]
+    keep, keys = _KEEP[floats], _FLOAT_KEYS if floats else ()
+    base = 16 if floats else 10
+    # a "k" is in a record only in a block's key: one memchr finds it, and
+    # the comma before that record is ``back`` bytes before it
+    back = head.index(b"k") + 1
+    codes, counts, at = [], [], start
+    flat = [] if text.find(b"k", start, stop) >= 0 else codes
+    while True:
+        # a block's record is a piece of its own; the records of runs are
+        # cut at the next block's comma or past _PIECE bytes
+        block = text.startswith(head, at, stop)
+        limit = -1 if block else text.find(b"k", at, stop)
+        limit = stop if limit < 0 else limit - back
+        cut = text.find(_RECORD_END, at if block else at + _PIECE, limit)
+        cut = limit if cut < 0 else cut + len(_RECORD_END)
+        piece = guess = text[at:cut]
+        for key in keys:
+            guess = guess.replace(key, b"")
+        tokens = guess.translate(keep).split()
+        if block:
+            texts, count = tokens[:-1], tokens[-1:]
+            form = head + b",".join([element] * len(texts)) + tail
+        else:
+            texts, count = tokens[1::2], tokens[0::2]
+            form = b",".join([run] * len(texts))
+        if (not texts or len(count) != (1 if block else len(texts))
+                or block and len(texts) > _MAX_BLOCK_SIZE
+                or form % tuple(tokens) != piece):
+            return None
+        try:
+            got = list(map(int, texts, itertools.repeat(base, len(texts))))
+        except ValueError:
+            return None
+        if count.count(b"1") == len(count):
+            counts += itertools.repeat(1, len(count))
+        elif _COUNTS_RE.fullmatch(b" ".join(count)):
+            counts += map(int, count)
+        else:
+            return None
+        if flat is not codes:
+            flat += got
+        if block:
+            codes.append(tuple(got))
+        else:
+            codes += got
+        if cut == stop:
+            return codes, counts, flat
+        if text[cut] != 44:                  # a comma
+            return None
+        at = cut + 1
 
 
 def load_dataset(path) -> Dataset:
     """The dataset a file holds, read and checked with the collector
-    paused.  The text :func:`save_dataset` writes for a float dataset of
-    runs of one element each (dense data) is read in bulk by
-    :func:`_read_runs`; any other text as ``json.load`` reads the file
-    opened as UTF-8 text, through :meth:`Dataset.from_json_dict`.  Both
-    end in :func:`check_runs` and :meth:`Dataset._fill` on equal fields:
-    a text the bulk reader takes is valid JSON that ``json.load`` reads
-    to the same format, bounds, codes and counts (see
-    :func:`_read_runs`)."""
+    paused.  Every text :func:`save_dataset` writes is read in bulk by
+    :func:`_read_text`, with no JSON tree, and checked by
+    :meth:`Dataset._loaded`; any other text as ``json.load`` reads the
+    file opened as UTF-8 text, through :meth:`Dataset.from_json_dict`.
+    Both ways give one dataset or one refusal: a text the bulk reader
+    takes is valid JSON that ``json.load`` reads to the same format,
+    bounds, codes and counts, and both check them by the same scans
+    (:func:`check_runs`) and hold them by the same rule (:func:`_settle`).
+    The bulk reader fills the writer's own record formats with the
+    text's tokens and compares the result with the text byte for byte
+    (:func:`_read_entries`), so it takes a text exactly when it is the
+    writer's text of its fields; it declines every other text after a
+    few C-level scans."""
     with open(path, "rb") as fh:
         text = fh.read()
     # each form of the file is let go once the next is made, as json.load
     # lets its text go before the tree is read
     with _collector_paused():
-        fields = _read_runs(text)
+        fields = _read_text(text)
         if fields is not None:
             del text
-            return object.__new__(Dataset)._checked(*fields)
+            return object.__new__(Dataset)._loaded(*fields)
         doc = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
         del text
         doc = json.loads(doc)

@@ -11,6 +11,7 @@ transforms and folds over ``codes()``, the four distances against lists
 of values, and the file text.
 """
 
+import itertools
 import json
 import random
 import time
@@ -26,8 +27,8 @@ from boundedsum import (ALGORITHMS, FLOAT32, FLOAT64, PERMUTATION_ALGORITHM,
                         SimFloat, SumMethod, Truncate, add_int, d_co, d_ham,
                         d_id, d_sym, exact_value, is_representable,
                         round_dyadic, run_sum, truncate)
-from boundedsum.data import (_SCAN_COPIES, _settle, code_key, encode_value,
-                             json_text)
+from boundedsum.data import (_SCAN_COPIES, _found, _settle, code_key,
+                             encode_value, json_text, merge_runs)
 from boundedsum.floats import _native, add_bits, parse_value
 from boundedsum.summation import _machine_shift, _shift_dataset
 
@@ -475,3 +476,42 @@ def test_a_block_is_found_among_any_number_of_kinds_of_runs(kinds):
                              KInt(fmt, fmt.max_value),
                              head + block * 6 + [(1, 1)] + tail)
     assert held.runs == (*head, ((1, 1, 2, 3), 6), (1, 1), *tail)
+
+
+@given(integers(257, 400), data())
+@settings(max_examples=200, deadline=None)
+def test_runs_with_chance_repeats_settle_as_the_full_scan_holds_them(
+        n, data):
+    # over 256 distinct codes with a few drawn again, apart or up to ten
+    # in a row, and maybe a pattern of them repeated 3 to 6 times, near
+    # the eight runs of repeated codes in a row that a block's stretch
+    # needs: the settled runs are the full scan's over the merged runs
+    codes = list(range(n))
+    for _ in range(data.draw(integers(0, 6), label="repeats")):
+        codes.insert(data.draw(integers(0, n), label="at"),
+                      data.draw(integers(0, n - 1), label="code"))
+    at = data.draw(integers(0, n), label="row at")
+    codes[at:at] = data.draw(lists(integers(0, n - 1), max_size=10),
+                             label="row")
+    if data.draw(booleans(), label="pattern"):
+        at = data.draw(integers(0, n), label="pattern at")
+        pattern = data.draw(lists(integers(0, n - 1), min_size=2,
+                                  max_size=3), label="of")
+        codes[at:at] = pattern * data.draw(integers(3, 6), label="times")
+    runs = tuple((x, 1 + i % 2) for i, x in enumerate(codes))
+    assert _settle(runs, False) == _found(merge_runs(runs))
+
+
+@given(integers(0, 300), integers(0, 30), data())
+@settings(max_examples=200, deadline=None)
+def test_merged_runs_are_the_runs_grouped(n, repeats, data):
+    # distinct codes with some repeated in place: few merges among many
+    # runs are made one by one, many by one grouping
+    codes = list(range(n))
+    for _ in range(repeats if codes else 0):
+        at = data.draw(integers(0, len(codes) - 1), label="at")
+        codes.insert(at, codes[at])
+    runs = [(x, 1 + i % 3) for i, x in enumerate(codes)]
+    assert merge_runs(runs) == tuple(
+        (x, sum(c for _, c in group))
+        for x, group in itertools.groupby(runs, key=lambda r: r[0]))

@@ -4,6 +4,7 @@ import gc
 import json
 import re
 from pathlib import Path
+from unittest.mock import patch
 
 from pytest import mark, raises
 from hypothesis import example, given, settings
@@ -794,15 +795,18 @@ def test_bulk_loader_matches_the_per_run_path_on_every_committed_file():
 
 
 # ---------------------------------------------------------------------------
-# The bulk reader of the writer's float text against json
+# The bulk reader of the writer's text against json
 # ---------------------------------------------------------------------------
 
-# the committed files that load_dataset reads in bulk: float files of
-# runs of one element each, in save_dataset's spelling.  The rest go
-# through json: dense/f10_5.json (hand-written, with a bare string and a
-# -0), the int files, the pre-block rr2 pair and the float pairs with a
-# count other than 1
-BULK_FILES = {"dense/f32.json", "dense/f64.json"}
+# the committed files that load_dataset reads in bulk: every dataset file
+# save_dataset wrote, of floats or ints, of runs of any count and of
+# blocks.  Only dense/f10_5.json (hand-written, with a bare string and a
+# -0) goes through json
+BULK_FILES = {"dense/f32.json", "dense/f64.json", "dense/i16-saturating.json",
+              "dense/i16-wraparound.json"} | {
+    f"{pair}/{side}.json" for side in "uv" for pair in (
+        "fr10_5", "mid8", "ov16", "ov6", "ov64", "ov8", "ov8s", "ro10_5",
+        "rr1_10_5", "rr2", "rr2_10_5", "rr2_4_6", "same7", "sat8", "sr16")}
 
 
 def _json_load(path):
@@ -812,47 +816,75 @@ def _json_load(path):
 @mark.parametrize("path", DATASET_FILES,
                   ids=lambda p: p.relative_to(INSTANCES).as_posix())
 def test_the_bulk_reader_takes_the_named_committed_files(path):
-    fields = data._read_runs(path.read_bytes())
+    fields = data._read_text(path.read_bytes())
     assert (fields is not None) == (
         path.relative_to(INSTANCES).as_posix() in BULK_FILES)
     if fields is not None:
         ds = _json_load(path)
-        elements = json.loads(path.read_text())["elements"]
-        assert fields == (ds.fmt, ds.lower, ds.upper,
-                          [int(e["value"], 16) for e in elements],
-                          [e["count"] for e in elements])
+        entries = [data._entry(ds.fmt, e)
+                   for e in json.loads(path.read_text())["elements"]]
+        codes = [x for x, _ in entries]
+        flat = [y for x in codes
+                for y in (x if isinstance(x, tuple) else (x,))]
+        assert fields == (ds.fmt, ds.lower, ds.upper, codes,
+                          [c for _, c in entries], flat)
+        # the listed codes are the codes themselves when there is no block
+        assert (fields[5] is fields[3]) == (flat == codes)
         assert _outcome(load_dataset, path) == _outcome(_json_load, path)
 
 
 # one character of a writer's text in place of another, put in or taken
-# out: the fields' grammar, the hex digits of either case, whitespace and
-# a character past ASCII
-_MUTANT_CHARACTERS = '0123456789abcdefABCDEFxX \n\r\t",:{}[]\\-.eé\x00'
+# out: the fields' grammar, the hex digits of either case, whitespace, the
+# letter of a block's key and a character past ASCII
+_MUTANT_CHARACTERS = '0123456789abcdefABCDEFxX \n\r\t",:{}[]\\-+.ekzé\x00'
 
 
 def _sites(text):
     """The places of a writer's text where an edit tests the bulk reader
-    most: each code's ``x`` and digits, each count, each comma between
-    records, and the end."""
+    most: each float code's ``x`` and digits, each int code's minus and
+    digits, each count, each comma between records, each block's
+    brackets, and the end."""
     sites = [len(text)]
-    for m in re.finditer(r'"0(x[0-9a-f]+)"|"count": ([0-9]+)|\}(,)\n', text):
-        group = next(g for g in (1, 2, 3) if m.group(g))
+    for m in re.finditer(r'"0(x[0-9a-f]+)"|"(-?[0-9]+)"|"count": ([0-9]+)'
+                         r'|\}(,)\n|"block": (\[)|\n      (\]),', text):
+        group = next(g for g in range(1, 7) if m.group(g))
         sites += range(*m.span(group))
     return sites
 
 
+def _int_points(fmt):
+    return sorted(x for x in {fmt.min_value, -5, 0, 7, 100,
+                              1 << (fmt.bits - 2), fmt.max_value}
+                  if fmt.min_value <= x <= fmt.max_value)
+
+
 @composite
 def writer_texts(draw):
-    """The text save_dataset writes for a dataset that the bulk reader
-    takes: distinct in-bounds values, in a float format of an odd or even
-    number of hex digits."""
-    fmt = draw(sampled_from([F44, FloatFormat(10, 5), FLOAT32, FLOAT64]))
-    points = [parse_value(fmt, t) for t in _FLOAT_POINTS]
-    values = draw(lists(sampled_from(points), min_size=1, max_size=6,
-                        unique=True))
-    text = json_text(Dataset.from_elements(fmt, points[0], points[-1],
-                                           values)) + "\n"
-    assert data._read_runs(text.encode()) is not None
+    """The text save_dataset writes for a dataset: in-bounds values of a
+    float format of an odd or even number of hex digits, or of an int
+    format of 8 to 64 bits, signed or not, of either overflow policy; as
+    runs of one element each, or as runs of counts of one to many digits
+    and blocks."""
+    if draw(booleans()):
+        fmt = draw(sampled_from([F44, FloatFormat(10, 5), FLOAT32, FLOAT64]))
+        points = [parse_value(fmt, t) for t in _FLOAT_POINTS]
+    else:
+        fmt = IntFormat(draw(integers(8, 64)), draw(booleans()),
+                        draw(sampled_from(["wraparound", "saturating"])))
+        points = [KInt(fmt, x) for x in _int_points(fmt)]
+    if draw(booleans()):
+        ds = Dataset.from_elements(fmt, points[0], points[-1], draw(lists(
+            sampled_from(points), min_size=1, max_size=6, unique=True)))
+    else:
+        value = sampled_from(points)
+        count = integers(1, 9) | integers(10, 10 ** 4) | integers(1, 1 << 64)
+        ds = Dataset(fmt, points[0], points[-1], draw(lists(
+            tuples(value, count)
+            | tuples(lists(value, min_size=1, max_size=4).map(tuple),
+                     integers(1, 7) | integers(5, 10 ** 6)),
+            max_size=6)))
+    text = json_text(ds) + "\n"
+    assert data._read_text(text.encode()) is not None
     return text
 
 
@@ -868,7 +900,7 @@ def _loads_alike(text, path):
 
 
 @given(text=writer_texts(), edit=draws())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 def test_a_mutated_writer_file_loads_as_json_reads_it(text, edit,
                                                       tmp_path_factory):
     at = edit.draw(integers(0, len(text)) | sampled_from(_sites(text)),
@@ -878,42 +910,86 @@ def test_a_mutated_writer_file_loads_as_json_reads_it(text, edit,
     put = edit.draw(sampled_from(["", *_MUTANT_CHARACTERS]) if cut
                     else sampled_from(_MUTANT_CHARACTERS), label="put")
     mutated = text[:at] + put + text[at + cut:]
-    assert _loads_alike(mutated,
-                        tmp_path_factory.getbasetemp() / "mutated.json")
+    # records of runs are read in pieces of this many bytes and more
+    piece = edit.draw(sampled_from([data._PIECE, 1, 100]), label="piece")
+    with patch.object(data, "_PIECE", piece):
+        assert _loads_alike(mutated,
+                            tmp_path_factory.getbasetemp() / "mutated.json")
 
 
-# edits of a writer's text of three runs: the name, the text replaced and
-# its replacement, and whether the bulk reader takes the edited text
-_NAMED_EDITS = [
-    ("0X", '"0x3800"', '"0X3800"', False),
-    ("uppercase digit", '"0xb400"', '"0xB400"', True),
-    ("space at an even digit", '"0x3800"', '"0x38 0"', False),
-    ("space at an odd digit", '"0x3800"', '"0x3 00"', False),
-    ("count 0", '"count": 1', '"count": 0', False),
-    ("two-digit count", '"count": 1', '"count": 10', False),
-    ("leading zero", '"count": 1', '"count": 01', False),
-    ("minus count", '"count": 1', '"count": -1', False),
-    ("comma as a space", "    },\n", "    } \n", False),
-    ("trailing byte", "1\n}\n", "1\n}\nx", False),
-    ("no final newline", "1\n}\n", "1\n}", False),
-    ("CRLF", "{\n", "{\r\n", False),
-    ("escaped bound", '"lower": "0x', '"lower": "\\u0030x', False),
-    ("0X bound", '"upper": "0x', '"upper": "0X', True),
-    ("float size", '"mantissa_bits": 10', '"mantissa_bits": 10.0', False),
-    ("schema 2", '"schema": 1', '"schema": 2', False),
-]
-
-
-@mark.parametrize("name,old,new,bulk", _NAMED_EDITS,
-                  ids=[e[0] for e in _NAMED_EDITS])
-def test_a_named_edit_of_a_writer_file_loads_as_json_reads_it(
-        name, old, new, bulk, tmp_path):
+def _named_texts():
+    """A writer's text of three float runs of one element each, and of an
+    int dataset of runs and a block."""
     fmt = FloatFormat(10, 5)
     points = [parse_value(fmt, t) for t in ("-2", "-0.25", "0.5", "1.5",
                                             "2")]
-    text = json_text(Dataset.from_elements(fmt, points[0], points[-1],
-                                           points[1:4])) + "\n"
+    floats = json_text(Dataset.from_elements(fmt, points[0], points[-1],
+                                             points[1:4])) + "\n"
+    fmt = IntFormat(8, True, "wraparound")
+    k = [KInt(fmt, x) for x in (-128, -5, 7, 100, 127)]
+    ints = json_text(Dataset(fmt, k[0], k[-1], [
+        (k[1], 3), (k[2], 12), (k[3], 1), ((k[1], k[3]), 6)])) + "\n"
+    return {"float": floats, "int": ints}
+
+
+# edits of a writer's text: the name, the text's kind, the text replaced
+# and its replacement, and whether the bulk reader takes the edited text
+_NAMED_EDITS = [
+    ("0X", "float", '"0x3800"', '"0X3800"', False),
+    ("uppercase digit", "float", '"0xb400"', '"0xB400"', True),
+    ("space at an even digit", "float", '"0x3800"', '"0x38 0"', False),
+    ("space at an odd digit", "float", '"0x3800"', '"0x3 00"', False),
+    ("count 0", "float", '"count": 1', '"count": 0', False),
+    ("two-digit count", "float", '"count": 1', '"count": 10', True),
+    ("leading zero", "float", '"count": 1', '"count": 01', False),
+    ("minus count", "float", '"count": 1', '"count": -1', False),
+    ("comma as a space", "float", "    },\n", "    } \n", False),
+    ("trailing byte", "float", "1\n}\n", "1\n}\nx", False),
+    ("no final newline", "float", "1\n}\n", "1\n}", False),
+    ("CRLF", "float", "{\n", "{\r\n", False),
+    ("escaped bound", "float", '"lower": "0x', '"lower": "\\u0030x', False),
+    ("0X bound", "float", '"upper": "0x', '"upper": "0X', True),
+    ("float size", "float", '"mantissa_bits": 10', '"mantissa_bits": 10.0',
+     False),
+    ("schema 2", "float", '"schema": 1', '"schema": 2', False),
+    ("plus sign", "int", '"value": "7"', '"value": "+7"', False),
+    ("leading zeros", "int", '"value": "7"', '"value": "007"', True),
+    ("minus zero", "int", '"value": "7"', '"value": "-0"', True),
+    ("minus inside", "int", '"value": "7"', '"value": "1-2"', False),
+    ("empty value", "int", '"value": "7"', '"value": ""', False),
+    ("int count 01", "int", '"count": 1,', '"count": 01,', False),
+    ("int count -1", "int", '"count": 1,', '"count": -1,', False),
+    ("count digit into the value", "int",
+     '"count": 12,\n      "value": "7"', '"count": 1,\n      "value": "27"',
+     True),
+    ("block count 0", "int", '"count": 6', '"count": 0', False),
+    ("block code out of range", "int", '"100",', '"1000",', True),
+    ("empty block", "int", '"block": [\n        "100",\n        "-5"',
+     '"block": [', False),
+    ("no comma before a block", "int", '},\n    {\n      "block"',
+     '} \n    {\n      "block"', False),
+    ("no comma after a block", "int", '"count": 6\n    },',
+     '"count": 6\n    } ', False),
+    ("list end", "int", '\n  ],\n  "format"', '\n x],\n  "format"', False),
+    ("unsigned bits", "int", '"signed": true', '"signed": false', True),
+    ("overflow policy", "int", '"wraparound"', '"modular"', False),
+]
+
+
+@mark.parametrize("piece", [data._PIECE, 1], ids=["pieces", "records"])
+@mark.parametrize("name,kind,old,new,bulk", _NAMED_EDITS,
+                  ids=[e[0] for e in _NAMED_EDITS])
+def test_a_named_edit_of_a_writer_file_loads_as_json_reads_it(
+        name, kind, old, new, bulk, piece, tmp_path, monkeypatch):
+    # records of runs are read in pieces of _PIECE bytes and more, or one
+    # by one
+    monkeypatch.setattr(data, "_PIECE", piece)
+    text = _named_texts()[kind]
     assert old in text
     mutated = text.replace(old, new, 1)
-    assert (data._read_runs(mutated.encode()) is not None) == bulk
+    try:
+        taken = data._read_text(mutated.encode()) is not None
+    except ValueError:
+        taken = True        # read, and refused at its head as by json
+    assert taken == bulk
     assert _loads_alike(mutated, tmp_path / "mutated.json")
