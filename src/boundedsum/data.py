@@ -575,20 +575,28 @@ def _codes(fmt: ElementFormat, values: list) -> list:
             else value_code(fmt, v) for v in values]
 
 
+# merge_runs reads whether few runs merge off this many adjacent pairs first
+_MERGE_SAMPLE = 4096
+
+
 def merge_runs(runs: Iterable[tuple]) -> tuple:
     """Runs ``(element, count)`` with adjacent equal elements merged.  The
     runs are grouped only if two adjacent elements are equal, and where
     few are (the ends of blocks read as runs, among millions of runs),
-    only those are, the runs between them kept as they are."""
+    only those are, the runs between them kept as they are.  The first
+    ``_MERGE_SAMPLE`` pairs are compared first: where more than one in 16
+    of them merge (runs sorted by code, say), the runs are grouped with
+    no scan of the rest."""
     runs = tuple(runs)
-    same = bytes(map(eq, map(itemgetter(0), runs),
-                     map(itemgetter(0), itertools.islice(runs, 1, None))))
+    same = _same(runs, 0, _MERGE_SAMPLE)
+    if same.count(1) > len(same) // 16:
+        return _grouped(runs)
+    same += _same(runs, _MERGE_SAMPLE, None)
     merges = same.count(1)
     if not merges:
         return runs
     if merges > len(runs) // 16:
-        return tuple((x, sum(map(itemgetter(1), group)))
-                     for x, group in itertools.groupby(runs, itemgetter(0)))
+        return _grouped(runs)
     out, start, i = [], 0, same.find(1)
     while i >= 0:
         # runs[i:j + 1] hold one element
@@ -599,6 +607,20 @@ def merge_runs(runs: Iterable[tuple]) -> tuple:
         start = j + 1
         i = same.find(1, start)
     return (*out, *itertools.islice(runs, start, None))
+
+
+def _grouped(runs: tuple) -> tuple:
+    """``runs`` with each stretch of one element grouped into one run."""
+    return tuple((x, sum(map(itemgetter(1), group)))
+                 for x, group in itertools.groupby(runs, itemgetter(0)))
+
+
+def _same(runs: tuple, start: int, stop: Optional[int]) -> bytes:
+    """A byte for each run of ``runs[start:stop]`` but the last run of
+    ``runs``: 1 where its element equals the next run's, else 0."""
+    return bytes(map(eq, map(itemgetter(0), itertools.islice(
+        runs, start, stop)), map(itemgetter(0), itertools.islice(
+            runs, start + 1, None))))
 
 
 def entry_size(x) -> int:
@@ -656,23 +678,30 @@ class Dataset:
                   else sum(map(itemgetter(1), runs)))
         return self
 
-    def _loaded(self, fmt, lower, upper, codes: list, counts: list,
-                flat: list) -> "Dataset":
-        """Set the fields from a file read in bulk (:func:`_read_text`),
-        whose counts are ints of at least one and whose blocks are tuples
-        of 1 to ``_MAX_BLOCK_SIZE`` codes, all listed in place in ``flat``
+    def _loaded(self, fields: list) -> "Dataset":
+        """Set the fields from a file read in bulk: ``fields`` is the list
+        of :func:`_read_text`'s format, bounds, codes and counts, whose
+        counts are ints of at least one and whose blocks are tuples of 1
+        to ``_MAX_BLOCK_SIZE`` codes, all listed in place in ``flat``
         (``codes`` itself when there is no block).  So only the bounds and
         the codes are checked, by the scans :func:`check_runs` makes of
         them; runs whose codes are distinct are held as they are, as
-        :func:`_settle` would hold them, with no further scan."""
+        :func:`_settle` would hold them, with no further scan.  ``fields``
+        is emptied, and the lists go once the runs are built, before they
+        are settled."""
+        fmt, lower, upper, codes, counts, flat = fields
+        fields.clear()
         sign, lo, hi = _bound_keys(fmt, lower, upper)
         folded = _folded(codes, flat, sign, lo, hi)
+        blocks = flat is not codes
         if folded is None:   # a code is refused there, and named
             return self._fill(fmt, lower, upper, _check_each(
-                fmt, lower, upper, codes, counts), flat is not codes)
+                fmt, lower, upper, codes, counts), blocks)
+        del codes, flat
         runs = tuple(zip(folded, counts))
-        if flat is not codes or len(set(folded)) < len(folded):
-            return self._fill(fmt, lower, upper, runs, flat is not codes)
+        if blocks or len(set(folded)) < len(folded):
+            del folded, counts
+            return self._fill(fmt, lower, upper, runs, blocks)
         self.fmt, self.lower, self.upper = fmt, lower, upper
         self.runs, self.blocks, self.n = runs, False, sum(counts)
         return self
@@ -1174,7 +1203,9 @@ def load_dataset(path) -> Dataset:
         fields = _read_text(text)
         if fields is not None:
             del text
-            return object.__new__(Dataset)._loaded(*fields)
+            # a list, which _loaded empties
+            fields = list(fields)
+            return object.__new__(Dataset)._loaded(fields)
         doc = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
         del text
         doc = json.loads(doc)

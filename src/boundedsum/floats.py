@@ -717,11 +717,16 @@ def power_sum_text(p: int, top, bottom) -> str:
     exact ``decimal`` (libmpdec, whose long multiply is a number-theoretic
     transform), with one power per base and exponent over both sums
     (:func:`_shared_powers`), and a Decimal integer's ``str()`` is linear.
-    It loses to :func:`number_text` only on short ratios, by at most 1.4 ms
-    a ratio: under 5,000 bits (by 0.01 to 0.03 ms), and at the modular
-    check's distances near ``m/4`` up to 40,000 bits (9-bit formats: 5.4
-    against 4.0 ms), best of 15 in process on a 2-vCPU x86-64 VM, Python
-    3.11.
+    Against :func:`number_text` of the prebuilt Fraction, best of 15 in
+    process on a 2-vCPU x86-64 VM, Python 3.11: it loses on ratios under
+    about 10,000 bits (numerator and denominator), by at most 0.02 ms,
+    and on the modular check's distances from about ``m/8`` to ``3m/8``
+    in 7- to 10-bit formats, by at most 4 ms (9 bits at ``m/4``: 5.4
+    against 3.7 ms; 10 bits at ``3m/16``: 14.1 against 10.0 ms).  Elsewhere
+    it wins: on clamped ratios past 10,000 bits (600,000 bits: 9 against
+    30 ms), at the modular distances measured in 11- and 12-bit formats,
+    and on the benchmark's own pairs (8-bit clamped, 40,200 bits: 0.69
+    against 1.12 ms; 9-bit modular, 80,897 bits: 1.56 against 3.70 ms).
     """
     terms = (*top, *bottom)
     with _exact_decimals() as Decimal:

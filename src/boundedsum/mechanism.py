@@ -12,8 +12,12 @@ Three layers, in increasing order of rigor:
    probability, so the sampled distribution is the one the checker
    analyses, not an approximation of it through doubles.  The per-trial
    draw is the one definition; an experiment makes the same decisions of
-   many trials at once on numpy arrays, and hands every trial those
-   arrays cannot decide back to it.
+   many trials at once on numpy arrays, hashing on into a trial's stream
+   as far as its draw reads, and hands back to it only the trials whose
+   draw ties (a chunk equal to its threshold, which needs the threshold's
+   exact expansion past one chunk) or whose ``G`` reaches ``2^k`` (a
+   clamp's rail or a modular residue, read by decisions the arrays do not
+   make).
 
 2. :func:`distinguishing_experiment` and :func:`dp_violation_log2_bound`
    — the hypothesis-testing harness.  Run a mechanism many times on an
@@ -383,51 +387,100 @@ class _DiscreteNoise:
                 continue
             return g if positive else -g
 
-    def decide(self, chunks):
+    def decide(self, chunks, more):
         """``(rows, z)``: the rows of ``chunks``, a ``(streams, width)``
-        array of each stream's first chunks, whose draw they decide, and
-        those draws.  A row is not decided when a decision ties, when it
-        reads past the row's end or when ``G`` reaches ``2^k``;
-        :meth:`__call__` draws it from its stream.
+        array of each stream's first ``width / 8`` blocks, whose draw the
+        arrays decide, and those draws.  ``more(rows, blocks)`` is the
+        ``(len(rows), 8)`` array of block ``blocks[i]`` of the stream of
+        row ``rows[i]``.  A row is left to :meth:`__call__` only when a
+        decision ties, since the tie is settled by the threshold's exact
+        expansion past one chunk (:func:`_tie`), or when ``G`` reaches
+        ``2^k``, since the clamp's rail and modular noise's residue digits
+        are decisions the arrays do not make.
 
         Every decision reads one chunk unless it ties, so a row is read
         round by round from a cursor: the sign, the ``j`` digits, then
         ``T``'s loop up to its first chunk that is not below ``beta``.  A
         round is decided when that chunk is above ``beta`` and no chunk it
-        read equals its threshold; a ``(-, 0)`` round moves the cursor on to
-        the next round.  Chunks past a row's end read as 0, which is never
-        above ``beta``, so a round that runs past the end is not decided.
-        A decided row's ``z`` is therefore the one :meth:`__call__` draws
-        from the same stream.  ``R`` is an int64 for ``j <= 63``; ``G`` is
-        assembled on Python ints where ``width * 2^j`` leaves int64.
+        read equals its threshold.  Each round's window holds a row's
+        chunks from its cursor on, then zeros, and 0 is never above
+        ``beta``, so a round that runs past the chunks a row holds is not
+        decided.  The rows left for the next round are read on in the same
+        arrays.  A ``(-, 0)`` round moves its row's cursor past it and past
+        every ``(-, 0)`` round that follows it in the window, each read as
+        chunks all above their thresholds.  A round that ran past its
+        chunks with no tie among them is read again, with its stream's
+        next block (:func:`_stream`) hashed onto the window, as is a
+        ``(-, 0)`` row's when the chunks left in its window fall short of
+        the sign, the digits and two of ``T``'s decisions; the round's
+        blocks are hashed in one call of ``more``.  A decided row's ``z``
+        is therefore the one :meth:`__call__` draws from the same stream.
+        ``R`` is an int64 for ``j <= 63``; ``G`` is assembled on Python
+        ints where it leaves int64.
         """
         import numpy as np
         n, width = chunks.shape
         j, half, beta = self.j, self.half, self.beta
+        step = j + 2
         low = np.array([t for t, _, _ in self.low], dtype=np.uint32)
+        # a (-, 0) round whose every decision reads one chunk: each chunk
+        # above its threshold
+        redraw = np.array([half, *low, beta], dtype=np.uint32)
         weights = np.left_shift(1, np.arange(j, dtype=np.int64))
-        columns = np.arange(width)
-        rows, at = np.arange(n), np.zeros(n, dtype=np.int64)
-        window, done = chunks, []
+        eight = np.arange(8)
+        rows, window, done = np.arange(n), chunks, []
+        # each row's chunks in the window, and its stream's blocks hashed:
+        # the number of the next
+        held, hashed = np.full(n, width), np.full(n, width // 8)
         while True:
+            size = window.shape[1]
             sign, digits, tail = window[:, 0], window[:, 1:j + 1], window[
                 :, j + 1:]
             t = (tail >= beta).argmax(axis=1)
-            decided = ((tail[np.arange(rows.size), t] > beta)
-                       & (sign != half) & (digits != low).all(axis=1))
+            stop = tail[np.arange(rows.size), t]
+            fair = (sign != half) & (digits != low).all(axis=1)
+            decided = fair & (stop > beta)
             positive = sign < half
             r = (digits < low) @ weights
             again = decided & ~positive & (r == 0) & (t == 0)
             keep = decided & ~again
             done.append((rows[keep], positive[keep], r[keep], t[keep]))
-            if not again.any():
+            # no tie among the chunks it holds, but the round ran past them:
+            # no chunk is at or above a positive beta, or at a beta of 0
+            # (where every chunk is) the stop is past them
+            short = fair & (stop < beta if beta else t > held - step)
+            again, short = np.flatnonzero(again), np.flatnonzero(short)
+            if not (again.size or short.size):
                 break
-            rows, at = rows[again], at[again] + j + 2
-            index = at[:, None] + columns
-            window = chunks[rows[:, None], np.minimum(index, width - 1)]
-            window[index >= width] = 0
+            # a (-, 0) row skips the (-, 0) rounds that follow in its window
+            shift = np.full(again.size, step)
+            rounds = size // step
+            if rounds > 1 and again.size:
+                following = window[again, step:rounds * step].reshape(
+                    again.size, rounds - 1, step)
+                shift += (following > redraw).all(axis=2).cumprod(
+                    axis=1).sum(axis=1) * step
+            go = np.concatenate((again, short))
+            shift = np.concatenate((shift, np.zeros(short.size, np.int64)))
+            ends = held[go]
+            left = ends - shift
+            # a short row, or one left with fewer chunks than the sign, the
+            # digits and two T decisions, reads its stream's next block
+            add = left < step + 1
+            add[again.size:] = True
+            rows, hashed = rows[go], hashed[go]
+            held = left + 8 * add
+            columns = shift[:, None] + np.arange(max(width, int(held.max())))
+            window = window[go[:, None], np.minimum(columns, size - 1)]
+            window[columns >= ends[:, None]] = 0
+            extend = np.flatnonzero(add)
+            if extend.size:
+                window[extend[:, None], left[extend, None] + eight] = more(
+                    rows[extend], hashed[extend])
+                hashed += add
         rows, positive, r, t = (np.concatenate(x) for x in zip(*done))
-        wide = width << j           # above every decided G
+        # above every decided G
+        wide = (int(t.max(initial=0)) + 1) << j
         if wide <= 1 << 63:
             g = (t << j) + r
         else:
@@ -584,9 +637,10 @@ def distinguishing_experiment(instance, spec: MechanismSpec, trials: int,
     Discrete trials are decided in bulk (:func:`_ones`): each slab of
     trials has its streams' first blocks hashed in one loop, and
     :meth:`_DiscreteNoise.decide` makes every trial's decisions on those
-    chunks at once.  A trial goes to the per-trial draw on its own stream
-    when a chunk equals its threshold (a tie, which needs the chunks
-    after it), when its draw reads past the hashed blocks, or when ``G``
+    chunks at once, hashing the next block of each stream whose draw
+    reads past them with the slab's others.  A trial goes to the per-trial
+    draw on its own stream only when a chunk equals its threshold (a tie,
+    which needs the threshold's expansion past one chunk) or when ``G``
     reaches ``2^k`` (the clamp's rail, or the residue digits of modular
     noise); continuous ``laplace`` trials are all drawn one by one.  Every
     decision the arrays make compares the same chunk with the same
@@ -633,8 +687,10 @@ _SLAB_CHUNKS = 1 << 17
 
 
 def _blocks(j: int) -> int:
-    """The blocks of a stream that a bulk draw reads: enough for the sign,
-    the ``j`` digits and three of ``T``'s decisions."""
+    """The blocks of each stream that a slab hashes first: enough for the
+    sign, the ``j`` digits and three of ``T``'s decisions.  A draw that
+    reads past them has its later blocks hashed as it reaches them
+    (:meth:`_DiscreteNoise.decide`)."""
     return (j + 11) // 8
 
 
@@ -643,7 +699,6 @@ def _hash_slab(prefix, start: int, stop: int, blocks: int):
     ``prefix``, for ``start <= i < stop``, hashed in one loop as
     :func:`_stream` hashes them: a ``(stop - start, 8 * blocks)`` array of
     their chunks."""
-    import numpy as np
     digests = []
     append = digests.append
     more = range(1, blocks)
@@ -655,19 +710,52 @@ def _hash_slab(prefix, start: int, stop: int, blocks: int):
             h = prefix.copy()
             h.update(b"%d:%d" % (i, block))
             append(h.digest())
+    return _chunk_rows(digests, 8 * blocks)
+
+
+def _hash_blocks(prefix, streams, blocks):
+    """Block ``blocks[n] >= 1`` of the stream ``b"%d" % streams[n]`` under
+    ``prefix``, for each ``n``, hashed in one loop as :func:`_stream`
+    hashes it: a ``(len(streams), 8)`` array of their chunks."""
+    digests = []
+    append = digests.append
+    for i, block in zip(streams, blocks):
+        h = prefix.copy()
+        h.update(b"%d:%d" % (i, block))
+        append(h.digest())
+    return _chunk_rows(digests, 8)
+
+
+def _chunk_rows(digests, width: int):
+    """The digests' chunks, ``width`` to a row."""
+    import numpy as np
     chunks = np.frombuffer(b"".join(digests), ">u4").astype(np.uint32)
-    return chunks.reshape(stop - start, 8 * blocks)
+    return chunks.reshape(-1, width)
+
+
+def _slab_draws(noise: _DiscreteNoise, prefix, start: int, stop: int):
+    """:meth:`_DiscreteNoise.decide` of the streams ``b"%d" % i`` under
+    ``prefix``, for ``start <= i < stop``: ``(rows, z)``, row ``n`` being
+    stream ``start + n``.  Their first :func:`_blocks` are hashed in one
+    loop (:func:`_hash_slab`), and each later block that a round reads is
+    hashed with the slab's other such blocks (:func:`_hash_blocks`)."""
+    def more(rows, blocks):
+        return _hash_blocks(prefix, (rows + start).tolist(), blocks.tolist())
+    return noise.decide(_hash_slab(prefix, start, stop, _blocks(noise.j)),
+                        more)
 
 
 def _ones(noise, release, cut: int, prefix, trials: int) -> int:
     """How many of the streams ``b"%d" % i`` under ``prefix``, for ``i <
     trials``, give a release above ``cut``.
 
-    Discrete draws are made in bulk: a slab of trials is hashed in one
-    loop (:func:`_hash_slab`), :meth:`_DiscreteNoise.decide` draws from
-    those chunks at once, and each distinct ``z`` is released once.  The
-    trials it leaves, and every continuous draw, are drawn one by one on
-    their own streams.  Past ``j = 63`` the digits of ``R`` leave int64,
+    Discrete draws are made in bulk, a slab of trials at a time
+    (:func:`_slab_draws`), and each distinct ``z`` is released once.  The
+    trials the arrays leave, those with a tie or a ``G`` of ``2^k`` or
+    more, and every continuous draw are drawn one by one on their own
+    streams: a tie needs the exact expansion of its threshold past one
+    chunk, and a rail or a residue the decisions past ``2^k``, which the
+    arrays do not make.  Past ``j = 63`` the digits of ``R`` leave int64,
     and every trial is drawn one by one.
     """
     def above(i: int) -> bool:
@@ -676,12 +764,11 @@ def _ones(noise, release, cut: int, prefix, trials: int) -> int:
     if not isinstance(noise, _DiscreteNoise) or noise.j > 63:
         return sum(map(above, range(trials)))
     import numpy as np
-    blocks = _blocks(noise.j)
-    slab = _SLAB_CHUNKS // (8 * blocks)
+    slab = _SLAB_CHUNKS // (8 * _blocks(noise.j))
     ones = 0
     for start in range(0, trials, slab):
         stop = min(start + slab, trials)
-        rows, z = noise.decide(_hash_slab(prefix, start, stop, blocks))
+        rows, z = _slab_draws(noise, prefix, start, stop)
         values, counts = np.unique(z, return_counts=True)
         ones += sum(count for value, count in zip(values.tolist(),
                                                   counts.tolist())

@@ -15,6 +15,7 @@ import itertools
 import json
 import random
 import time
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis.strategies import (booleans, composite, data, integers, just,
@@ -27,6 +28,7 @@ from boundedsum import (ALGORITHMS, FLOAT32, FLOAT64, PERMUTATION_ALGORITHM,
                         SimFloat, SumMethod, Truncate, add_int, d_co, d_ham,
                         d_id, d_sym, exact_value, is_representable,
                         round_dyadic, run_sum, truncate)
+from boundedsum import data as data_module
 from boundedsum.data import (_SCAN_COPIES, _found, _settle, code_key,
                              encode_value, json_text, merge_runs)
 from boundedsum.floats import _native, add_bits, parse_value
@@ -513,5 +515,21 @@ def test_merged_runs_are_the_runs_grouped(n, repeats, data):
         codes.insert(at, codes[at])
     runs = [(x, 1 + i % 3) for i, x in enumerate(codes)]
     assert merge_runs(runs) == tuple(
+        (x, sum(c for _, c in group))
+        for x, group in itertools.groupby(runs, key=lambda r: r[0]))
+
+
+@given(integers(0, 120), integers(1, 400), integers(0, 40), data())
+@settings(max_examples=200, deadline=None)
+def test_merged_runs_are_the_runs_grouped_past_the_sample(n, kinds, sample,
+                                                         data):
+    # codes of one to 400 kinds, so that the pairs compared first and the
+    # rest each merge densely, sparsely or not at all, with as many pairs
+    # compared first as the runs hold, or fewer
+    runs = data.draw(lists(tuples(integers(0, kinds - 1), integers(1, 3)),
+                           min_size=n, max_size=n), label="runs")
+    with mock.patch.object(data_module, "_MERGE_SAMPLE", sample):
+        got = merge_runs(runs)
+    assert got == tuple(
         (x, sum(c for _, c in group))
         for x, group in itertools.groupby(runs, key=lambda r: r[0]))

@@ -482,24 +482,45 @@ def per_trial_releases(spec, base, prefix, trials):
 
 def bulk_releases(noise, release, prefix, trials):
     """``{trial: release}`` of the trials that the bulk draw decides, from
-    one slab of their hashed blocks."""
-    chunks = mechanism._hash_slab(prefix, 0, trials,
-                                  mechanism._blocks(noise.j))
-    rows, z = noise.decide(chunks)
+    one slab of their hashed blocks and each later block a round reads."""
+    rows, z = mechanism._slab_draws(noise, prefix, 0, trials)
     return {row: release(value)
             for row, value in zip(rows.tolist(), z.tolist())}
 
 
+def one_by_one(noise, prefix, trials):
+    """The trials whose per-trial draw a bulk draw must leave to it: those
+    where a decision ties (:func:`mechanism._tie` is called), and those
+    whose ``G`` reaches ``2^k``, where the same stream's draw with no
+    ``k``, which makes the same decisions up to that point, has ``|z| >=
+    2^k``."""
+    free = mechanism._DiscreteNoise(noise.beta_x[0], None, False)
+    left = set()
+    with mock.patch.object(mechanism, "_tie", wraps=mechanism._tie) as tie:
+        for i in range(trials):
+            ties = tie.call_count
+            noise(mechanism._stream(prefix, b"%d" % i))
+            if tie.call_count > ties or abs(free(mechanism._stream(
+                    prefix, b"%d" % i))) >= noise.limit:
+                left.add(i)
+    return left
+
+
 def assert_bulk_is_per_trial(spec, base, trials, master_seed, slab_rows):
-    """Every release the bulk draw decides is the per-trial draw's, and the
-    experiment's count of releases above a cut, in slabs of ``slab_rows``
-    trials, is the per-trial count at every cut the releases give."""
+    """Every release the bulk draw decides is the per-trial draw's, it
+    leaves to the per-trial draw only ties and a ``G`` of ``2^k`` or more,
+    and the experiment's count of releases above a cut, in slabs of
+    ``slab_rows`` trials, is the per-trial count at every cut the releases
+    give."""
     noise = mechanism._noise(spec, base)
     release = mechanism._release(spec, base)[0]
     prefix = hashlib.sha256(b"%d:u:" % master_seed)
     want = per_trial_releases(spec, base, prefix, trials)
     got = bulk_releases(noise, release, prefix, trials)
     assert all(want[row] == units for row, units in got.items())
+    if isinstance(noise, mechanism._DiscreteNoise):
+        assert set(range(trials)) - set(got) \
+            == one_by_one(noise, prefix, trials)
     slab = 8 * mechanism._blocks(noise.j) * slab_rows
     with mock.patch.object(mechanism, "_SLAB_CHUNKS", slab):
         for cut in {min(want, default=0) - 1, *want}:
@@ -557,6 +578,95 @@ def test_bulk_draws_are_the_per_trial_draws(case, trials, slab_rows,
     assert_bulk_is_per_trial(*case, trials, master_seed, slab_rows)
 
 
+U16 = IntFormat(16, False, "wraparound")
+
+# (spec, base, trials, master seed, slab rows, least share of stragglers):
+# int16 releases whose draws read past the first hashed blocks (stragglers)
+# on at least that share of trials, in more than one slab: at scale 16 (j =
+# 4), 4 (j = 2) and 1 (j = 0, where (-, 0) rounds repeat), and at scale
+# 5000 (j = 12), whose slabs hash two blocks a stream first
+STRAGGLER_CASES = {
+    "j4": (MechanismSpec(scale=16), KInt(U16, U16.max_value), 400, 1, 37,
+           0.05),
+    "j2": (MechanismSpec(scale=4), KInt(U16, 0), 400, 2, 29, 0.05),
+    "j0": (MechanismSpec(scale=1), KInt(U16, U16.max_value), 400, 3, 23,
+           0.02),
+    "j12": (MechanismSpec(noise="discrete_laplace_mod", scale=5000),
+            KInt(U16, 7), 300, 4, 31, 0.05),
+}
+
+
+def stragglers(noise, prefix, trials):
+    """The trials whose next blocks the bulk draw hashes as it reads on,
+    with each one's count of blocks so hashed."""
+    read = Counter()
+    blocks = mechanism._hash_blocks
+
+    def counted(prefix, streams, numbers):
+        read.update(streams)
+        return blocks(prefix, streams, numbers)
+
+    with mock.patch.object(mechanism, "_hash_blocks", counted):
+        mechanism._slab_draws(noise, prefix, 0, trials)
+    return read
+
+
+def draw_rounds(noise, prefix, i):
+    """The rounds of trial ``i``'s per-trial draw: its sign decisions."""
+    rounds = 0
+    bernoulli = mechanism._bernoulli
+
+    def counted(chunks, t, x):
+        nonlocal rounds
+        rounds += x is mechanism._FAIR
+        return bernoulli(chunks, t, x)
+
+    with mock.patch.object(mechanism, "_bernoulli", counted):
+        noise(mechanism._stream(prefix, b"%d" % i))
+    return rounds
+
+
+@mark.parametrize("name", sorted(STRAGGLER_CASES))
+def test_bulk_draws_past_the_first_blocks_are_the_per_trial_draws(name):
+    spec, base, trials, master_seed, slab_rows, share = \
+        STRAGGLER_CASES[name]
+    noise = mechanism._noise(spec, base)
+    prefix = hashlib.sha256(b"%d:u:" % master_seed)
+    read = stragglers(noise, prefix, trials)
+    assert len(read) >= share * trials
+    assert len({i // slab_rows for i in read}) > 1
+    first = 8 * mechanism._blocks(noise.j)
+    assert first == (16 if name == "j12" else 8)
+    if name == "j0":
+        # a draw that redraws (-, 0) until it crosses into its next block
+        assert any(draw_rounds(noise, prefix, i) > first // 2 for i in read)
+    assert_bulk_is_per_trial(spec, base, trials, master_seed, slab_rows)
+
+
+def test_only_ties_reach_the_per_trial_draw_at_scale_16():
+    # the int16 overflow pair of the benchmark's experiment, 5,000 trials a
+    # side: every trial that reads past its first block is decided in the
+    # arrays, so the per-trial draw sees only the trials that tie (none at
+    # this seed)
+    instance = Path(__file__).with_name("golden") / "instances" / "ov16"
+    pair = SimpleNamespace(u=load_dataset(instance / "u.json"),
+                           v=load_dataset(instance / "v.json"))
+    spec = MechanismSpec(scale=16, epsilon=1)
+    draw = mechanism._DiscreteNoise.__call__
+    with mock.patch.object(mechanism._DiscreteNoise, "__call__",
+                           autospec=True, side_effect=draw) as call:
+        got = distinguishing_experiment(pair, spec, 5000, 11)
+    assert got.counts == ((0, 5000), (5000, 0))
+    ties = 0
+    for role in ("u", "v"):
+        base = run_sum(getattr(pair, role), spec.method).value
+        noise = mechanism._noise(spec, base)
+        prefix = hashlib.sha256(b"11:%s:" % role.encode())
+        assert len(stragglers(noise, prefix, 5000)) > 0.05 * 5000
+        ties += len(one_by_one(noise, prefix, 5000))
+    assert call.call_count == ties == 0
+
+
 @settings(max_examples=15, deadline=None)
 @given(trials=integers(0, 40), slab_rows=integers(1, 16),
        master_seed=integers(0, 1 << 64))
@@ -588,26 +698,38 @@ def test_bulk_counts_cross_the_slab_boundary():
                 == sum(units > cut for units in want)
 
 
-@mark.parametrize("decision", ["sign", "digit", "stop"])
+@mark.parametrize("decision", ["sign", "digit", "stop", "redraw"])
 def test_a_tie_goes_to_the_per_trial_draw(decision):
     # one threshold set to the chunk that a trial decided in the arrays
     # compares with it: the fair sign's, the first digit's of R or the one
-    # of the chunk that stops T.  That trial ties, so the arrays leave it
-    # to the per-trial draw, which reads on past the tie.
-    spec, base = MechanismSpec(scale=16), KInt(S64, 0)
+    # of the chunk that stops T; or, at j = 0, the sign of the round that
+    # follows a (-, 0) round in the first block, which the arrays skip to.
+    # That trial ties, so the arrays leave it to the per-trial draw, which
+    # reads on past the tie.
+    spec, base = MechanismSpec(scale=1 if decision == "redraw" else 16), \
+        KInt(S64, 0)
     noise = mechanism._noise(spec, base)
     release = mechanism._release(spec, base)[0]
     prefix = hashlib.sha256(b"5:u:")
     chunks = mechanism._hash_slab(prefix, 0, 60, 1)
     j = noise.j
-    # a positive sign: the trial's draw ends in its first round
-    tied = next(row for row in noise.decide(chunks)[0].tolist()
-                if chunks[row, 0] < noise.half)
+    if decision == "redraw":
+        # the first round stays (-, 0) under the new fair threshold, and the
+        # second would be (-, 0) but for its tied sign
+        tied = next(row for row in range(60)
+                    if chunks[row, 0] > chunks[row, 2]
+                    and min(chunks[row, 1], chunks[row, 3]) > noise.beta)
+        noise.half = int(chunks[tied, 2])
+    else:
+        # a positive sign: the trial's draw ends in its first round
+        tied = next(row for row in mechanism._slab_draws(
+            noise, prefix, 0, 60)[0].tolist()
+                    if chunks[row, 0] < noise.half)
     if decision == "sign":
         noise.half = int(chunks[tied, 0])
     elif decision == "digit":
         noise.low[0] = (int(chunks[tied, 1]), *noise.low[0][1:])
-    else:
+    elif decision == "stop":
         stop = next(c for c in range(j + 1, 8)
                     if chunks[tied, c] >= noise.beta)
         noise.beta = int(chunks[tied, stop])
